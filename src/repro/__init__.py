@@ -110,7 +110,6 @@ from repro.exec import (
     ExecSession,
     ExperimentConfig,
     GovernorSpec,
-    ParallelRunner,
     RunCell,
     RunPlan,
     execute_cells,
@@ -231,7 +230,6 @@ __all__ = [
     "RunCell",
     "RunPlan",
     "ExecSession",
-    "ParallelRunner",
     "execute_cells",
     "open_session",
     # Resilient campaigns: content-addressed result store, lease-based

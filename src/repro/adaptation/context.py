@@ -4,7 +4,7 @@ The CLI's ``experiment --adapt`` must enable online adaptation for runs
 made deep inside experiment modules without threading a manager through
 every driver signature.  :func:`adapting` installs an
 :class:`~repro.adaptation.manager.AdaptationConfig` process-locally;
-:func:`repro.experiments.runner.run_governed` picks it up and builds a
+:func:`repro.exec.core.execute_cell` picks it up and builds a
 fresh :class:`~repro.adaptation.manager.AdaptationManager` per run, so
 repetitions adapt independently and reproducibly.
 """

@@ -1,11 +1,12 @@
 """Lease-based cell dispatch: heartbeats, reaping, bounded re-issue.
 
-The campaign pool replaces the :class:`~repro.exec.runner.
-ParallelRunner`'s fire-and-forget claims with *leases*.  A worker that
-picks up a cell sends a lease message and then keeps the lease alive
-from a background heartbeat thread while the cell executes; the
-coordinator tracks one expiry deadline per lease and treats three
-distinct conditions as a failed attempt:
+:class:`LeaseDispatcher` is the one process pool: it serves both
+:class:`~repro.campaign.engine.Campaign` and
+``open_session(workers=N)``.  A worker that picks up a cell sends a
+lease message, and its long-lived heartbeat thread keeps the lease
+alive while the cell executes; the coordinator tracks one expiry
+deadline per lease and treats three distinct conditions as a failed
+attempt:
 
 * ``crashed`` -- the leaseholder process died (SIGKILL, OOM, segfault);
 * ``expired`` -- the leaseholder stopped heartbeating for a full lease
@@ -27,12 +28,19 @@ bus.LeaseExpired`, :class:`~repro.telemetry.bus.CellQuarantined`) with
 wall-clock timestamps relative to dispatch start, mirroring
 :class:`~repro.supervise.Supervisor`'s convention.
 
-Like the parallel runner, workers report over per-worker pipes (a
-``Connection.send`` completes in the calling thread, so a lease is
-observable even if the worker is SIGKILLed on the next instruction),
-and the coordinator closes the dequeue-to-lease hole with an idle
-re-issue sweep -- safe because cells are deterministic and duplicate
-completions are ignored.
+Workers report over per-worker pipes (a ``Connection.send`` completes
+in the calling thread, so a lease is observable even if the worker is
+SIGKILLed on the next instruction), and the coordinator closes the
+dequeue-to-lease hole with an idle re-issue sweep -- safe because
+cells are deterministic and duplicate completions are ignored.
+
+Expensive derived artifacts (the trained power model, resolved trace
+workloads) are primed in the parent via
+:func:`repro.exec.cache.prime_for_plan`, so forked workers inherit them
+and spawned workers receive them in their init payload.  With a
+``telemetry_root`` each worker writes a full telemetry directory under
+``<root>/worker-NN/`` for :func:`repro.telemetry.merge.
+merge_worker_directories` to fold in afterwards.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from repro.errors import CampaignError
 from repro.exec import cache
 from repro.exec.core import execute_cell
 from repro.exec.plan import RunPlan
-from repro.exec.runner import default_mp_context
 from repro.supervise import RetryPolicy, is_permanent_error
 from repro.telemetry.bus import CellLeased, CellQuarantined, LeaseExpired
 from repro.telemetry.recorder import TelemetryRecorder
@@ -67,10 +74,27 @@ _REISSUE_IDLE_S = 2.0
 _STOP = None
 
 
-def _beat_loop(send, index: int, stop: threading.Event,
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork when the platform has it (workers inherit warm caches
+    for free), spawn otherwise."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def _beat_loop(send, leased: list, stop: threading.Event,
                heartbeat_s: float) -> None:
-    """Heartbeat thread body: renew the lease until the cell finishes."""
+    """Heartbeat thread body: renew whichever lease is held until the
+    worker exits (``leased[0]`` is the held cell index, or None).
+
+    A beat that races its cell's completion names a lease the
+    coordinator has already dropped, so it is ignored there.
+    """
     while not stop.wait(heartbeat_s):
+        index = leased[0]
+        if index is None:
+            continue
         try:
             send(("beat", index, None))
         except (BrokenPipeError, OSError):  # parent gone; cell will notice
@@ -81,11 +105,13 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
     """Worker loop: lease cells, heartbeat while executing, report.
 
     Runs in the child process.  All sends share one lock because the
-    heartbeat thread and the main thread write the same pipe.
+    heartbeat thread and the main thread write the same pipe.  No
+    ambient state is consulted (``use_ambient=False``): the plan
+    carries everything, which is what makes worker results
+    bit-identical to serial execution.
     """
     cache.install_caches(payload["caches"])
     plan: RunPlan = payload["plan"]
-    heartbeat_s: float = payload["heartbeat_s"]
     hook = payload["cell_hook"]
     send_lock = threading.Lock()
 
@@ -108,19 +134,21 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
         recorder = TelemetryRecorder()
         sink = TelemetryDirectory(path)
         sink.attach(recorder)
+    leased: list = [None]
+    stop = threading.Event()
+    beater = threading.Thread(
+        target=_beat_loop,
+        args=(send, leased, stop, payload["heartbeat_s"]),
+        daemon=True,
+    )
+    beater.start()
     try:
         while True:
             index = task_q.get()
             if index is _STOP:
                 break
             send(("lease", index, None))
-            stop = threading.Event()
-            beater = threading.Thread(
-                target=_beat_loop,
-                args=(send, index, stop, heartbeat_s),
-                daemon=True,
-            )
-            beater.start()
+            leased[0] = index
             try:
                 if hook is not None:
                     hook(index)
@@ -134,8 +162,7 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
                     use_ambient=False,
                 )
             except BaseException as error:  # noqa: BLE001 - shipped upward
-                stop.set()
-                beater.join()
+                leased[0] = None
                 send((
                     "error",
                     index,
@@ -146,12 +173,13 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
                     ),
                 ))
                 continue
-            stop.set()
-            beater.join()
+            leased[0] = None
             send(("done", index, result))
     except (BrokenPipeError, OSError):  # parent is gone; die quietly
         pass
     finally:
+        stop.set()
+        beater.join()
         if sink is not None:
             sink.finalize(recorder)
         conn.close()
@@ -205,19 +233,30 @@ class _PoolWorker:
         self.wid = wid
 
 
+def _stop_pool(workers, task_q) -> None:
+    """Ask every worker to exit, then wait for them.
+
+    One STOP per worker, unconditionally: an idle worker may take a
+    STOP meant for another and exit before its own liveness is checked,
+    so counting only live workers would leave one blocked on the queue
+    until the join times out.  Surplus STOPs are harmless.
+    """
+    for _ in workers:
+        task_q.put(_STOP)
+    for worker in workers:
+        worker.process.join(timeout=10)
+
+
 class LeaseDispatcher:
-    """Coordinates one campaign's pending cells over a worker pool."""
+    """Coordinates a plan's pending cells over a worker pool."""
 
     def __init__(
         self,
         workers: int,
         max_attempts: int = 3,
         lease_s: float = 10.0,
-        heartbeat_s: float | None = None,
         backoff_s: float = 0.1,
-        backoff_factor: float = 2.0,
         max_restarts: int = 16,
-        mp_context: multiprocessing.context.BaseContext | str | None = None,
         telemetry: TelemetryRecorder | None = None,
         telemetry_root: str | os.PathLike | None = None,
         cell_hook: Callable[[int], None] | None = None,
@@ -231,23 +270,18 @@ class LeaseDispatcher:
             )
         if lease_s <= 0:
             raise CampaignError(f"lease_s must be positive, got {lease_s}")
-        if isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
         self.workers = workers
         self.max_attempts = max_attempts
         self.lease_s = lease_s
-        self.heartbeat_s = (
-            heartbeat_s if heartbeat_s is not None else lease_s / 4.0
-        )
+        self.heartbeat_s = lease_s / 4.0
         # Zero jitter: retry timing is deterministic given the failures.
         self.retry_policy = RetryPolicy(
             max_attempts=max(2, max_attempts),
             backoff_s=backoff_s,
-            backoff_factor=backoff_factor,
             jitter_fraction=0.0,
         )
         self.max_restarts = max_restarts
-        self.context = mp_context or default_mp_context()
+        self.context = _pool_context()
         self._tel = (
             telemetry if telemetry is not None and telemetry.enabled else None
         )
@@ -258,37 +292,15 @@ class LeaseDispatcher:
         self.max_seconds = max_seconds
         #: Replacement workers started after crashes.
         self.restarts = 0
-        #: Lease re-issues (crash + expiry + transient failure).
-        self.reissues = 0
+        #: Cells re-issued (crash + expiry + transient failure + the
+        #: idle sweep).
+        self.rescheduled = 0
 
     # -- internals ---------------------------------------------------------
 
     def _publish(self, event) -> None:
         if self._tel is not None:
             self._tel.bus.publish(event)
-
-    def _prime(self, plan: RunPlan, indices: Sequence[int]) -> None:
-        """Warm the parent caches, tolerating poison cells.
-
-        A cell whose workload spec cannot resolve (the classic poison
-        cell) must fail *in its worker*, where the failure is leased,
-        classified and quarantined -- never abort priming for the
-        healthy rest of the plan.
-        """
-        for index in indices:
-            cell = plan.cells[index]
-            try:
-                if (
-                    isinstance(cell.governor.power_model, str)
-                    and cell.governor.power_model == "trained"
-                ):
-                    cache.trained_power_model(seed=plan.config.seed)
-                from repro.workloads.registry import is_workload_spec
-
-                if is_workload_spec(cell.workload):
-                    cache.spec_workload(cell.workload)
-            except Exception:  # noqa: BLE001 - the worker will report it
-                continue
 
     def _spawn(self, worker_id: int, payload: dict, task_q) -> _PoolWorker:
         parent_conn, child_conn = self.context.Pipe(duplex=False)
@@ -323,7 +335,7 @@ class LeaseDispatcher:
         outcome = DispatchOutcome()
         if not indices:
             return outcome
-        self._prime(plan, indices)
+        cache.prime_for_plan(plan, indices)
         payload = {
             "plan": plan,
             "caches": cache.export_caches(),
@@ -397,11 +409,10 @@ class LeaseDispatcher:
                     and idle_s >= _REISSUE_IDLE_S
                 ):
                     reissued_idle = self._reissue_unleased(workers, state)
-            for worker in workers.values():
-                if worker.process.is_alive():
-                    task_q.put(_STOP)
-            for worker in workers.values():
-                worker.process.join(timeout=10)
+            if not outcome.interrupted:
+                # An interrupted pass's leaseholders are terminated
+                # below: their cells are already lost.
+                _stop_pool(list(workers.values()), task_q)
         except KeyboardInterrupt:
             outcome.interrupted = True
         finally:
@@ -526,7 +537,13 @@ class LeaseDispatcher:
         return next_id
 
     def _reissue_unleased(self, workers, state: dict) -> bool:
-        """Close the dequeue-to-lease hole, exactly like the runner."""
+        """Re-issue outstanding cells no lease, retry or queue covers.
+
+        Closes the hole a lease cannot: a worker killed after dequeuing
+        an index but before its (synchronous) lease send.  Only fires
+        when some worker sits idle -- an idle worker plus a quiet pipe
+        means those cells are neither queued nor being computed.
+        """
         leased = set(state["leases"])
         waiting = set(state["retry_at"])
         candidates = sorted(
@@ -542,7 +559,7 @@ class LeaseDispatcher:
             return False
         for index in candidates:
             state["task_q"].put(index)
-        self.reissues += len(candidates)
+        self.rescheduled += len(candidates)
         return True
 
     def _record_failure(
@@ -583,7 +600,7 @@ class LeaseDispatcher:
             return
         delay = self.retry_policy.delay_for_attempt(max(attempt, 1))
         state["retry_at"][index] = time.monotonic() + delay
-        self.reissues += 1
+        self.rescheduled += 1
         self._publish(LeaseExpired(
             time_s=self._now_s(state),
             cell=label,

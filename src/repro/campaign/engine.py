@@ -99,10 +99,8 @@ class Campaign:
         workers: int = 2,
         max_attempts: int = 3,
         lease_s: float = 10.0,
-        heartbeat_s: float | None = None,
         backoff_s: float = 0.1,
         max_restarts: int = 16,
-        mp_context=None,
         telemetry: TelemetryRecorder | None = None,
         telemetry_root: str | os.PathLike | None = None,
         cell_hook=None,
@@ -117,10 +115,8 @@ class Campaign:
             workers=workers,
             max_attempts=max_attempts,
             lease_s=lease_s,
-            heartbeat_s=heartbeat_s,
             backoff_s=backoff_s,
             max_restarts=max_restarts,
-            mp_context=mp_context,
             telemetry=telemetry,
             telemetry_root=telemetry_root,
             cell_hook=cell_hook,

@@ -1,13 +1,13 @@
 """Process-local checkpoint session, mirroring ``recording()`` et al.
 
-Experiment modules call :func:`repro.experiments.runner.run_governed`
-many layers below the CLI, so the session travels ambiently -- exactly
+Experiment modules reach :func:`repro.exec.core.execute_cell` many
+layers below the CLI, so the session travels ambiently -- exactly
 like the telemetry recorder (:func:`repro.telemetry.recording`), the
 fault plan (:func:`repro.faults.injecting`) and the adaptation config
 (:func:`repro.adaptation.adapting`)::
 
     with checkpointing(session):
-        module.run(config)   # every run_governed() call checkpoints
+        module.run(config)   # every execute_cell() call checkpoints
 
 The default is ``None`` (no checkpointing).
 """

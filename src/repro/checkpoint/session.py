@@ -1,7 +1,7 @@
 """Crash-safe execution of whole experiments.
 
 An experiment is a deterministic sequence of runs (every
-:func:`~repro.experiments.runner.run_governed` call), so checkpointing
+:func:`~repro.exec.core.execute_cell` call), so checkpointing
 one needs two layers:
 
 * **completed runs** are archived, in call order, into a results WAL

@@ -6,8 +6,6 @@ Public surface:
   / :class:`~repro.exec.plan.GovernorSpec` -- experiments as data;
 * :func:`~repro.exec.session.open_session` -- the single composable
   entry point (telemetry, faults, adaptation, checkpointing, workers);
-* :class:`~repro.exec.runner.ParallelRunner` -- the work-stealing
-  process pool behind ``workers>=1``;
 * :func:`~repro.exec.core.execute_cell` -- the one code path every
   cell runs through, in every process.
 """
@@ -32,7 +30,6 @@ from repro.exec.plan import (
     RunPlan,
     as_governor_spec,
 )
-from repro.exec.runner import ParallelRunner, default_mp_context
 from repro.exec.session import (
     ExecSession,
     current_session,
@@ -50,14 +47,12 @@ __all__ = [
     "ExperimentConfig",
     "GovernorFactory",
     "GovernorSpec",
-    "ParallelRunner",
     "PreparedCell",
     "RunCell",
     "RunPlan",
     "as_governor_spec",
     "clear_caches",
     "current_session",
-    "default_mp_context",
     "execute_cell",
     "execute_cells",
     "executing",

@@ -4,7 +4,7 @@ Training the MS-Loops power model and measuring the FMA-256KB
 worst-case table are the two expensive derived artifacts every sweep
 needs; historically they were ``functools.lru_cache``'d inside
 ``repro.experiments.runner``.  They live here now as explicit,
-exportable per-process caches so the parallel runner can make every
+exportable per-process caches so the worker pool can make every
 worker *inherit* them instead of re-deriving them per cell:
 
 * with a forked pool the parent primes the caches once and the workers
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping
 
 from repro.core.models.power import LinearPowerModel
 from repro.platform.machine import MachineConfig
@@ -203,24 +203,31 @@ def ps_projection_table(model, table):
     return tbl
 
 
-def prime_for_plan(plan) -> None:
-    """Train every model the plan's cells will ask for, ahead of forking.
+def prime_for_plan(plan, indices: Iterable[int]) -> None:
+    """Warm every cache the cells will ask for, ahead of forking.
 
-    Called by the parallel runner in the parent process so forked
-    workers inherit a warm cache (and the spawn payload is complete).
+    Covers ``plan.cells[i]`` for each ``i`` in ``indices``.  Called by
+    the worker pool in the parent process so forked workers inherit a
+    warm cache (and the spawn payload is complete).  A cell that cannot
+    be primed -- the classic poison cell, whose workload spec does not
+    resolve -- is skipped: it must fail *in its worker*, where the
+    failure is classified and quarantined, not abort priming for the
+    healthy rest of the plan.
     """
-    needs_trained = any(
-        cell.governor.power_model == "trained"
-        for cell in plan.cells
-        if isinstance(cell.governor.power_model, str)
-    )
-    if needs_trained:
-        trained_power_model(seed=plan.config.seed)
     from repro.workloads.registry import is_workload_spec
 
-    for cell in plan.cells:
-        if is_workload_spec(cell.workload):
-            spec_workload(cell.workload)
+    for index in indices:
+        cell = plan.cells[index]
+        try:
+            if (
+                isinstance(cell.governor.power_model, str)
+                and cell.governor.power_model == "trained"
+            ):
+                trained_power_model(seed=plan.config.seed)
+            if is_workload_spec(cell.workload):
+                spec_workload(cell.workload)
+        except Exception:  # noqa: BLE001 - the worker will report it
+            continue
 
 
 def export_caches() -> dict:

@@ -16,7 +16,7 @@ three plain-data types:
   adaptation / resilience options carried **as data**.
 
 A plan is the unit the execution engine schedules: serial execution
-walks the cells in order, the parallel runner fans them out over
+walks the cells in order, the worker pool fans them out over
 workers, and both produce bit-identical
 :func:`~repro.checkpoint.run_result_digest` values per cell because
 every source of randomness is derived from cell data alone.

@@ -19,7 +19,8 @@ The session both *is* the ambient state (it installs the telemetry /
 fault / adaptation / checkpoint contexts for legacy code underneath it)
 and the execution engine handle: ``workers=0`` runs cells serially
 in-process, ``workers>=1`` fans them out through
-:class:`~repro.exec.runner.ParallelRunner` with bit-identical results.
+:class:`~repro.campaign.dispatch.LeaseDispatcher` with bit-identical
+results.
 
 Code between the layers (suite drivers, ``median_run``) calls
 :func:`execute_cells`, which routes through the innermost open session
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.adaptation.context import adapting, current_adaptation_config
 from repro.adaptation.manager import AdaptationConfig
@@ -41,6 +42,7 @@ from repro.checkpoint.context import (
 )
 from repro.core.controller import RunResult
 from repro.core.resilience import ResilienceConfig
+from repro.errors import ExperimentError
 from repro.exec.core import execute_cell
 from repro.exec.plan import (
     ExperimentConfig,
@@ -103,8 +105,6 @@ class ExecSession:
         adaptation: AdaptationConfig | None = None,
         resilience: ResilienceConfig | None = None,
         checkpoint=None,
-        mp_context=None,
-        max_restarts: int = 4,
         cell_hook=None,
     ):
         self.workers = workers
@@ -116,10 +116,9 @@ class ExecSession:
         self.adaptation = adaptation
         self.resilience = resilience
         self.checkpoint = checkpoint
-        self.mp_context = mp_context
-        self.max_restarts = max_restarts
         self.cell_hook = cell_hook
-        #: The most recent ParallelRunner (crash/reschedule stats).
+        #: The most recent pool's LeaseDispatcher (its ``restarts`` and
+        #: ``rescheduled`` counts).
         self.last_runner = None
 
     @property
@@ -168,17 +167,64 @@ class ExecSession:
                     )
                     for cell in plan.cells
                 ]
-        from repro.exec.runner import ParallelRunner
+        return self._run_pool(plan, checkpoint)
 
-        runner = ParallelRunner(
+    def _run_pool(self, plan: RunPlan, checkpoint) -> List[RunResult]:
+        """Fan ``plan`` out over a worker pool; results in cell order.
+
+        With a ``checkpoint`` session, slots are claimed in cell order
+        here in the parent: archived cells replay without executing and
+        every completed cell is archived on arrival (cell granularity;
+        no mid-run snapshots inside workers).  A cell that fails for
+        good fails the plan at once, like serial execution.
+        """
+        from repro.campaign.dispatch import LeaseDispatcher
+
+        results: Dict[int, RunResult] = {}
+        slots: Dict[int, int] = {}
+        pending: List[int] = []
+        for index in range(len(plan.cells)):
+            if checkpoint is not None:
+                slot = slots[index] = checkpoint.claim()
+                replayed = checkpoint.archived(slot)
+                if replayed is None:
+                    replayed = checkpoint.resume_slot(slot, None)
+                    if replayed is not None:
+                        checkpoint.finish_slot(slot, replayed)
+                if replayed is not None:
+                    results[index] = replayed
+                    continue
+            pending.append(index)
+
+        def on_result(index: int, result: RunResult) -> None:
+            if checkpoint is not None:
+                checkpoint.finish_slot(slots[index], result)
+
+        def on_quarantine(index: int, record: dict) -> None:
+            raise ExperimentError(
+                f"cell {record['cell']} (index {index}) failed in a "
+                f"worker:\n{record.get('traceback') or record['error']}"
+            )
+
+        dispatcher = LeaseDispatcher(
             self.workers,
-            mp_context=self.mp_context,
-            max_restarts=self.max_restarts,
             telemetry_root=self.telemetry_dir,
             cell_hook=self.cell_hook,
         )
-        self.last_runner = runner
-        return runner.execute(plan, checkpoint_session=checkpoint)
+        self.last_runner = dispatcher
+        outcome = dispatcher.dispatch(
+            plan, pending, on_result=on_result, on_quarantine=on_quarantine
+        )
+        if outcome.interrupted:
+            raise KeyboardInterrupt
+        if outcome.lost:
+            raise ExperimentError(
+                f"all workers exited with cells {sorted(outcome.lost)} "
+                f"outstanding (restart budget "
+                f"{dispatcher.max_restarts} exhausted)"
+            )
+        results.update(outcome.results)
+        return [results[index] for index in range(len(plan.cells))]
 
     def run(
         self,
@@ -222,8 +268,6 @@ def open_session(
     adaptation: AdaptationConfig | None = None,
     resilience: ResilienceConfig | None = None,
     checkpoint=None,
-    mp_context=None,
-    max_restarts: int = 4,
 ) -> Iterator[ExecSession]:
     """Open an execution session: ambient state + engine, one handle.
 
@@ -255,8 +299,6 @@ def open_session(
         adaptation=adaptation,
         resilience=resilience,
         checkpoint=checkpoint,
-        mp_context=mp_context,
-        max_restarts=max_restarts,
     )
     try:
         with contextlib.ExitStack() as stack:

@@ -8,8 +8,8 @@ EXPERIMENTS.md.
 
 Shared machinery:
 
-* :mod:`repro.experiments.runner` -- build machines/controllers, run
-  (workload, governor) pairs with the paper's median-of-3 protocol;
+* :mod:`repro.experiments.runner` -- the paper's median-of-3
+  protocol;
 * :mod:`repro.experiments.metrics` -- normalized performance, energy
   savings, violation accounting, exactly as the paper computes them;
 * :mod:`repro.experiments.suite` -- SPEC-suite sweeps.

@@ -12,15 +12,9 @@ runs are described declaratively (:class:`~repro.exec.RunCell` +
 :class:`~repro.exec.GovernorSpec`), configured by
 :class:`~repro.exec.ExperimentConfig`, and executed through
 :func:`~repro.exec.execute_cell` or :func:`~repro.exec.open_session`.
-The historical names (``run_governed``, ``run_fixed``, the
-``ExperimentConfig``/``GovernorSpec``/``RunCell`` aliases and the model
-caches) are importable for one more release through deprecation stubs
-that emit a pointed :class:`DeprecationWarning`; they will be removed.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.core.controller import RunResult
 from repro.core.limits import ConstraintSchedule
@@ -28,8 +22,6 @@ from repro.errors import ExperimentError
 from repro.exec.core import execute_cell
 from repro.exec.plan import (
     ExperimentConfig as _ExperimentConfig,
-    GovernorFactory as _GovernorFactory,
-    GovernorSpec as _GovernorSpec,
     RunCell as _RunCell,
     as_governor_spec as _as_governor_spec,
 )
@@ -94,105 +86,3 @@ def spec_suite(config: _ExperimentConfig) -> tuple[Workload, ...]:
     """The SPEC CPU2000 suite (unscaled; runs apply ``config.scale``)."""
     return default_registry().spec_suite()
 
-
-# -- deprecation stubs (one release; module __getattr__) --------------------
-
-
-def _run_governed(
-    workload,
-    governor_factory,
-    config,
-    schedule=None,
-    seed_offset=0,
-    initial_frequency_mhz=None,
-    telemetry=None,
-    fault_plan=None,
-    resilience=None,
-    adaptation=None,
-):
-    cell = _RunCell(
-        workload=workload,
-        governor=_as_governor_spec(governor_factory),
-        seed_offset=seed_offset,
-        schedule=schedule,
-        initial_frequency_mhz=initial_frequency_mhz,
-    )
-    return execute_cell(
-        cell,
-        config,
-        telemetry=telemetry,
-        fault_plan=fault_plan,
-        adaptation=adaptation,
-        resilience=resilience,
-    )
-
-
-def _run_fixed(
-    workload, frequency_mhz, config, seed_offset=0, telemetry=None
-):
-    return _run_governed(
-        workload,
-        _GovernorSpec.fixed(frequency_mhz),
-        config,
-        seed_offset=seed_offset,
-        initial_frequency_mhz=frequency_mhz,
-        telemetry=telemetry,
-    )
-
-
-def _cached_model(seed=0):
-    from repro.exec.cache import trained_power_model
-
-    return trained_power_model(seed=seed)
-
-
-def _cached_worst_case(scale=3.0, seed=0):
-    from repro.exec.cache import worst_case_power_table
-
-    return worst_case_power_table(scale=scale, seed=seed)
-
-
-#: name -> (replacement hint, object).  Everything here is a pure
-#: re-export or shim over :mod:`repro.exec`; the objects are identical,
-#: only the import path is deprecated.
-_DEPRECATED = {
-    "ExperimentConfig": ("repro.exec.ExperimentConfig", _ExperimentConfig),
-    "GovernorFactory": ("repro.exec.GovernorFactory", _GovernorFactory),
-    "GovernorSpec": ("repro.exec.GovernorSpec", _GovernorSpec),
-    "RunCell": ("repro.exec.RunCell", _RunCell),
-    "as_governor_spec": ("repro.exec.as_governor_spec", _as_governor_spec),
-    "trained_power_model": (
-        "repro.exec.cache.trained_power_model",
-        _cached_model,
-    ),
-    "worst_case_power_table": (
-        "repro.exec.cache.worst_case_power_table",
-        _cached_worst_case,
-    ),
-    "run_governed": (
-        "repro.exec.execute_cell with a RunCell "
-        "(or open_session().run(...))",
-        _run_governed,
-    ),
-    "run_fixed": (
-        "repro.exec.execute_cell with GovernorSpec.fixed(...) "
-        "and initial_frequency_mhz",
-        _run_fixed,
-    ),
-}
-
-
-def __getattr__(name: str):
-    try:
-        replacement, obj = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.experiments.runner.{name} is deprecated and will be "
-        f"removed in the next release; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return obj

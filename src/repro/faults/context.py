@@ -3,7 +3,7 @@
 The CLI's ``experiment --faults SPEC`` must inject into runs made deep
 inside experiment modules without threading an injector through every
 driver signature.  :func:`injecting` installs a plan process-locally;
-:func:`repro.experiments.runner.run_governed` picks it up and builds a
+:func:`repro.exec.core.execute_cell` picks it up and builds a
 fresh, identically seeded :class:`~repro.faults.injector.FaultInjector`
 per run -- so every run of an experiment sees the same reproducible
 fault sequence.

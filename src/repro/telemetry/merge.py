@@ -46,7 +46,7 @@ from repro.telemetry.exporters import (
     TRACE_FILENAME,
 )
 
-#: Subdirectory pattern the parallel runner uses for worker sinks.
+#: Subdirectory pattern the worker pool uses for worker sinks.
 WORKER_DIR_PATTERN = "worker-*"
 
 

@@ -1,8 +1,7 @@
 """Lease dispatch: retries, quarantine, crash reaping, degradation.
 
 Fault hooks live at module level (bound with ``functools.partial``) so
-they survive pickling into worker processes, exactly like the parallel
-runner's crash tests.
+they survive pickling into worker processes.
 """
 
 from __future__ import annotations
@@ -11,10 +10,11 @@ import functools
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from repro.campaign.dispatch import LeaseDispatcher
+from repro.campaign.dispatch import _STOP, LeaseDispatcher, _stop_pool
 from repro.checkpoint.digest import run_result_digest
 from repro.errors import CampaignError
 from repro.exec.core import execute_cell
@@ -94,7 +94,7 @@ def test_transient_failure_retried_to_success(tmp_path):
     assert sorted(outcome.results) == [0, 1, 2]
     assert not outcome.quarantined
     assert marker.exists()
-    assert dispatcher.reissues >= 1
+    assert dispatcher.rescheduled >= 1
 
 
 def test_retry_budget_exhaustion_quarantines():
@@ -145,7 +145,7 @@ def test_crashed_worker_reaped_and_cell_reissued(tmp_path):
     assert sorted(outcome.results) == [0, 1, 2]
     assert marker.exists()
     assert dispatcher.restarts >= 1
-    assert dispatcher.reissues >= 1
+    assert dispatcher.rescheduled >= 1
 
 
 def test_dead_pool_degrades_instead_of_raising():
@@ -166,6 +166,43 @@ def test_max_seconds_interrupts_with_lost_cells():
     outcome = dispatcher.dispatch(PLAN, range(len(CELLS)))
     assert outcome.interrupted is True
     assert outcome.lost == {0, 1, 2}
+
+
+class _RacingQueue:
+    """Task queue whose first put lets *every* idle worker exit."""
+
+    def __init__(self):
+        self.puts = []
+
+    def put(self, item):
+        self.puts.append(item)
+
+
+class _RacingProcess:
+    """A worker that looks dead as soon as any STOP has been queued --
+    an idle worker that took the first STOP and exited before its own
+    liveness check."""
+
+    def __init__(self, queue: _RacingQueue):
+        self.queue = queue
+        self.joined = False
+
+    def is_alive(self) -> bool:
+        return not self.queue.puts
+
+    def join(self, timeout=None):
+        self.joined = True
+
+
+def test_shutdown_sends_one_stop_per_worker_even_when_one_exits_early():
+    queue = _RacingQueue()
+    workers = [SimpleNamespace(process=_RacingProcess(queue))
+               for _ in range(2)]
+    _stop_pool(workers, queue)
+    # A liveness-gated loop would queue a single STOP here and leave the
+    # other worker blocked on the queue until the join timed out.
+    assert queue.puts == [_STOP, _STOP]
+    assert all(worker.process.joined for worker in workers)
 
 
 def test_protocol_publishes_typed_events(tmp_path):

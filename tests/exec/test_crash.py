@@ -1,4 +1,8 @@
-"""Worker-crash handling: lost cells reschedule, budgets bound retries.
+"""Worker-crash handling in ``ExecSession(workers=N)``.
+
+A killed worker's cell is rescheduled and the results still equal
+serial execution; a cell that fails for good fails the whole plan with
+an :class:`ExperimentError`, exactly like serial execution.
 
 The kill hooks must live at module level (and be bound with
 ``functools.partial``) so they survive pickling into worker processes.
@@ -18,7 +22,7 @@ from repro.checkpoint.digest import run_result_digest
 from repro.errors import ExperimentError
 from repro.exec.core import execute_cell
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
-from repro.exec.runner import ParallelRunner
+from repro.exec.session import ExecSession
 
 CONFIG = ExperimentConfig(scale=0.05, seed=1)
 
@@ -40,8 +44,10 @@ def _kill_once(marker_path: str, index: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _kill_always(index: int) -> None:
-    os.kill(os.getpid(), signal.SIGKILL)
+def _kill_cell(target: int, index: int) -> None:
+    """SIGKILL the worker every time it attempts ``target``."""
+    if index == target:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_killed_worker_cells_are_rescheduled(tmp_path):
@@ -49,81 +55,27 @@ def test_killed_worker_cells_are_rescheduled(tmp_path):
         run_result_digest(execute_cell(cell, CONFIG)) for cell in CELLS
     ]
     marker = tmp_path / "killed-once"
-    runner = ParallelRunner(
-        2, cell_hook=functools.partial(_kill_once, os.fspath(marker))
+    session = ExecSession(
+        workers=2, cell_hook=functools.partial(_kill_once, os.fspath(marker))
     )
-    results = runner.execute(RunPlan(config=CONFIG, cells=CELLS))
+    results = session.run_plan(RunPlan(config=CONFIG, cells=CELLS))
     assert [run_result_digest(r) for r in results] == serial
     assert marker.exists()
-    assert runner.restarts >= 1
-    assert runner.rescheduled >= 1
+    assert session.last_runner.restarts >= 1
+    assert session.last_runner.rescheduled >= 1
 
 
-def _kill_cell(target: int, index: int) -> None:
-    """SIGKILL the worker every time it attempts ``target``."""
-    if index == target:
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def test_restart_budget_exhaustion_raises():
-    runner = ParallelRunner(1, max_restarts=0, cell_hook=_kill_always)
-    with pytest.raises(ExperimentError, match="restart budget"):
-        runner.execute(RunPlan(config=CONFIG, cells=CELLS))
-
-
-def test_degrade_mode_returns_partial_results():
-    runner = ParallelRunner(
-        1, max_restarts=1, on_exhausted="degrade",
-        cell_hook=functools.partial(_kill_cell, 2),
+def test_cell_that_always_kills_its_worker_raises():
+    session = ExecSession(
+        workers=1, cell_hook=functools.partial(_kill_cell, 2)
     )
-    results = runner.execute(RunPlan(config=CONFIG, cells=CELLS))
-    assert runner.degraded is True
-    assert 2 in runner.lost
-    assert len(results) == len(CELLS)
-    assert results[2] is None
-    # Every cell not on the lost list completed normally.
-    for index, result in enumerate(results):
-        assert (result is None) == (index in runner.lost)
-
-
-def test_degrade_mode_with_dead_pool_loses_everything():
-    runner = ParallelRunner(
-        1, max_restarts=0, on_exhausted="degrade", cell_hook=_kill_always
-    )
-    results = runner.execute(RunPlan(config=CONFIG, cells=CELLS))
-    assert runner.degraded is True
-    assert runner.lost == (0, 1, 2)
-    assert results == [None, None, None]
-
-
-def test_degrade_flags_reset_between_executions(tmp_path):
-    marker = tmp_path / "killed-once"
-    runner = ParallelRunner(
-        1, max_restarts=0, on_exhausted="degrade",
-        cell_hook=functools.partial(_kill_once, os.fspath(marker)),
-    )
-    runner.execute(RunPlan(config=CONFIG, cells=CELLS))
-    assert runner.degraded is True
-    # The marker now exists, so a re-execution runs clean end to end.
-    second = runner.execute(RunPlan(config=CONFIG, cells=CELLS))
-    assert runner.degraded is False
-    assert runner.lost == ()
-    assert all(result is not None for result in second)
-
-
-def test_unknown_exhaustion_policy_rejected():
-    with pytest.raises(ExperimentError, match="on_exhausted"):
-        ParallelRunner(1, on_exhausted="panic")
+    with pytest.raises(ExperimentError, match=r"\(index 2\) failed"):
+        session.run_plan(RunPlan(config=CONFIG, cells=CELLS))
 
 
 def test_worker_exception_propagates():
     cells = (RunCell(workload="no-such-workload",
                      governor=GovernorSpec.dbs()),)
-    runner = ParallelRunner(1)
+    session = ExecSession(workers=1)
     with pytest.raises(ExperimentError, match="no-such-workload"):
-        runner.execute(RunPlan(config=CONFIG, cells=cells))
-
-
-def test_runner_rejects_zero_workers():
-    with pytest.raises(ExperimentError, match="at least one"):
-        ParallelRunner(0)
+        session.run_plan(RunPlan(config=CONFIG, cells=cells))

@@ -62,6 +62,7 @@ def test_parallel_matches_serial(serial_digests, workers):
     runner = session.last_runner
     assert runner is not None
     assert runner.restarts == 0
+    assert runner.rescheduled == 0
 
 
 def test_plan_json_round_trip_preserves_results(serial_digests):

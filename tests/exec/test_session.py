@@ -102,6 +102,20 @@ def test_checkpointed_session_replays_on_resume(tmp_path, resume_workers):
     assert _digests(second) == _digests(first)
 
 
+def test_parallel_session_archives_every_cell(tmp_path):
+    directory = tmp_path / "ckpt"
+    with ExperimentCheckpointSession.create(
+        directory, experiment="exec-test"
+    ) as ckpt:
+        with open_session(checkpoint=ckpt, workers=2) as session:
+            first = session.run_cells(CELLS, CONFIG)
+    with ExperimentCheckpointSession.open(directory) as ckpt:
+        with open_session(checkpoint=ckpt) as session:
+            second = session.run_cells(CELLS, CONFIG)
+        assert ckpt.replayed == len(CELLS)
+    assert _digests(second) == _digests(first)
+
+
 def test_parallel_session_writes_merged_telemetry(tmp_path):
     out = tmp_path / "telemetry"
     with open_session(workers=2, telemetry_dir=out) as session:

@@ -1,11 +1,8 @@
-"""Tests for the shared experiment machinery (and its retirement).
+"""Tests for the shared experiment machinery.
 
-``repro.experiments.runner`` now only hosts the median-of-N protocol;
-everything else moved to :mod:`repro.exec`.  The old names must keep
-working for one release behind a pointed :class:`DeprecationWarning`.
+``repro.experiments.runner`` only hosts the median-of-N protocol;
+everything else lives in :mod:`repro.exec`.
 """
-
-import warnings
 
 import pytest
 
@@ -104,47 +101,6 @@ def test_seed_offsets_change_trajectories(config):
     )
     assert a.measured_energy_j != b.measured_energy_j
 
-
-# -- deprecation stubs ------------------------------------------------------
-
-
-DEPRECATED_NAMES = (
-    "ExperimentConfig",
-    "GovernorSpec",
-    "RunCell",
-    "as_governor_spec",
-    "trained_power_model",
-    "worst_case_power_table",
-    "run_governed",
-    "run_fixed",
-)
-
-
-@pytest.mark.parametrize("name", DEPRECATED_NAMES)
-def test_deprecated_names_warn_and_point_at_replacement(name):
-    import repro.experiments.runner as runner
-
-    with pytest.warns(DeprecationWarning, match="repro.exec"):
-        getattr(runner, name)
-
-
-def test_unknown_attribute_raises_attribute_error():
-    import repro.experiments.runner as runner
-
-    with pytest.raises(AttributeError):
-        runner.definitely_not_a_name
-
-
-def test_deprecated_run_fixed_still_executes(config):
-    import repro.experiments.runner as runner
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = runner.run_fixed(get_workload("gzip"), 1200.0, config)
-    modern = execute_cell(
-        RunCell.fixed(get_workload("gzip"), 1200.0), config
-    )
-    assert legacy.measured_energy_j == modern.measured_energy_j
 
 
 def test_deprecated_names_not_exported():

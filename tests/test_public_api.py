@@ -61,7 +61,6 @@ PUBLIC_MODULES = (
     "repro.exec.core",
     "repro.exec.cache",
     "repro.exec.session",
-    "repro.exec.runner",
     "repro.telemetry.merge",
     "repro.traces",
     "repro.traces.ingest",
