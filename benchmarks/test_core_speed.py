@@ -1,15 +1,15 @@
-"""Benchmark: batched tick kernel throughput on a Fig. 9-sized campaign.
+"""Benchmark: fused tick kernel throughput on a Fig. 9-sized campaign.
 
 Runs the full Fig. 9 campaign shape -- the 26-workload SPEC suite at
 the paper's four PS floors, three median-protocol reps each (312
-cells) -- under the scalar per-tick loop and the fused block kernel,
+cells) -- under the scalar per-tick loop and the fused kernel,
 demands bit-identical per-cell digests, and archives both throughput
 numbers as ``BENCH_core_speed.json``.  Only the
 monitor->estimate->control loop is on the clock (setup and digesting
 are identical either way), so the ratio is tick throughput, the number
 that bounds campaign wall time.
 
-The drill also SIGKILLs a checkpointed child mid-block and resumes it;
+The drill also SIGKILLs a checkpointed child mid-run and resumes it;
 the resumed digest must match a scalar-loop reference bit for bit.
 
 The >= 10x throughput bar applies on dedicated hosts; under

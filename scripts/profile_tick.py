@@ -2,7 +2,7 @@
 """Profile the monitor->estimate->control hot path.
 
 Runs one governed cell under cProfile in both loop modes and prints the
-top functions by cumulative time -- the evidence base for the batched
+top functions by cumulative time -- the evidence base for the fused
 tick kernel (:mod:`repro.core.blockloop`).  The scalar profile shows
 the per-tick overhead spread across ``Machine.step`` /
 ``CounterSampler.sample`` / ``governor.decide``; the fast profile shows
@@ -51,7 +51,7 @@ def _profile_once(cell, config, fast, top):
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-    mode = "fast (block kernel)" if fast else "scalar (per-tick loop)"
+    mode = "fast (fused kernel)" if fast else "scalar (per-tick loop)"
     header = (
         f"== {mode}: {ticks} ticks in {wall:.3f} s "
         f"({ticks / wall:,.0f} ticks/s) ==\n"

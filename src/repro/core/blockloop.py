@@ -1,4 +1,4 @@
-"""Batched monitor->estimate->control loop (the controller fast path).
+"""The fused monitor->estimate->control loop (the controller fast path).
 
 ``PowerManagementController._run_loop`` pays for generality: every 10 ms
 tick builds a ``TickRecord``, a ``ResolvedRates``, a ``CounterSample``
@@ -6,39 +6,37 @@ and several dict/dataclass intermediates.  For the common experiment
 configuration -- stock :class:`~repro.platform.machine.Machine`, stock
 :class:`~repro.core.sampling.CounterSampler`, one inline-able
 :class:`~repro.measurement.power_meter.PowerMeter`, no fault injection,
-no online adaptation, no constraint schedule, telemetry off -- this
-module runs the same loop batched:
+no online adaptation, no constraint schedule, telemetry off --
+:func:`run_fast` runs the same loop as one fused kernel: the machine
+tick (segment math from the cached
+:class:`~repro.platform.blockstep.RateTemplate` rows), the inlined meter
+and PMU updates, the counter-sampler arithmetic and a table-driven
+governor decision, all in local variables, with object state synced
+only at checkpoint boundaries and loop exit.
 
-* **Dynamic governors** (PerformanceMaximizer, PowerSave,
-  DemandBasedSwitching) decide every tick, so their loop fuses the
-  machine tick kernel (:func:`repro.platform.blockstep.execute_segment`
-  + the inlined meter/PMU updates) with table-driven governor decisions
-  (:meth:`PerformanceMaximizer.projection_table` /
-  :meth:`PowerSave.projection_table`) entirely in local variables,
-  syncing object state only at checkpoint boundaries and loop exit.
-* **Static governors** (StaticClocking, FixedFrequency) never change
-  their mind, so their loop consumes whole
-  :meth:`~repro.platform.machine.Machine.step_block` blocks between
-  checkpoint boundaries and converts them with
-  :meth:`~repro.core.sampling.CounterSampler.consume_block`.
+The decision is one of four modes: PerformanceMaximizer and PowerSave
+read their precomputed projection tables
+(:meth:`PerformanceMaximizer.projection_table` /
+:meth:`PowerSave.projection_table`), DemandBasedSwitching steps on
+utilization, and StaticClocking / FixedFrequency return a constant
+target index.
 
-**Bit-identical contract.**  Both arms replicate the scalar loop's RNG
-draws, float operation order and side effects exactly; ``RunResult``
-digests and checkpoint contents are indistinguishable from the scalar
-path's (``tests/core/test_block_equivalence.py``).  Anything the fast
-path cannot replicate exactly -- resilience runtimes, fault injection,
-adaptation probation, multiplexed samplers, thermal models, wrapped
-drivers/meters, instrumented telemetry, exotic governors -- fails
-:func:`eligible` and falls back to the scalar loop.
+**Bit-identical contract.**  The kernel replicates the scalar loop's
+RNG draws, float operation order and side effects exactly;
+``RunResult`` digests and checkpoint contents are indistinguishable
+from the scalar path's (``tests/core/test_block_equivalence.py``).
+Anything the fast path cannot replicate exactly -- resilience runtimes,
+fault injection, adaptation probation, multiplexed samplers, thermal
+models, wrapped drivers/meters, instrumented telemetry, exotic
+governors -- fails :func:`eligible` and falls back to the scalar loop.
 
-Kill switches: set module flag ``FAST_LOOP = False`` (tests monkeypatch
-this) or export ``REPRO_SCALAR_LOOP=1`` in the environment.
+Kill switch: set module flag ``FAST_LOOP = False`` (tests monkeypatch
+this) to send every run through the scalar reference loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
@@ -69,35 +67,36 @@ from repro.platform.pipeline import (
     _OCCUPANCY_CAP,
 )
 
-#: Master switch for the batched loop (tests monkeypatch this).
+#: Master switch for the fused loop (tests monkeypatch this).
 FAST_LOOP = True
 
-#: Ticks per ``step_block`` call in the static-governor arm; bounded so
-#: checkpoint boundaries and the simulated-time limit stay exact.
-BLOCK_TICKS = 128
-
-#: Chunked Gaussian pre-draws in the dynamic arm (checkpointer-free
-#: runs only; see ``_run_dynamic``).  Module flag for tests/debugging.
-BATCH_RNG = True
+#: Gaussian pre-draws per refill on checkpointer-free runs (even, so the
+#: meter's two-variates-per-sample reads never straddle a refill).
 _RNG_CHUNK = 1024
 
 _INF = float("inf")
 
-#: Governors with an exact table-driven fast decide.  Exact-type checks:
-#: subclasses (e.g. AdaptivePerformanceMaximizer) may override anything.
-_DYNAMIC = (PerformanceMaximizer, PowerSave, DemandBasedSwitching)
-_STATIC = (StaticClocking, FixedFrequency)
+#: Governors whose decide the fused loop replicates exactly.  Exact-type
+#: checks: subclasses (e.g. AdaptivePerformanceMaximizer) may override
+#: anything.
+_GOVERNORS = (
+    PerformanceMaximizer,
+    PowerSave,
+    DemandBasedSwitching,
+    StaticClocking,
+    FixedFrequency,
+)
 
 
 def eligible(st, tel) -> bool:
-    """Whether ``st`` can run the batched loop bit-identically.
+    """Whether ``st`` can run the fused loop bit-identically.
 
-    The conditions mirror everything the fused kernels inline; any
-    stateful boundary the batch cannot replicate exactly (resilience,
+    The conditions mirror everything the fused kernel inlines; any
+    stateful boundary it cannot replicate exactly (resilience,
     injection, adaptation, schedules, telemetry, wrappers, subclasses)
     routes the run back to the scalar loop.
     """
-    if not FAST_LOOP or os.environ.get("REPRO_SCALAR_LOOP"):
+    if not FAST_LOOP:
         return False
     if tel is not None and tel.enabled:
         return False
@@ -120,8 +119,7 @@ def eligible(st, tel) -> bool:
         if event not in _SELECTOR:
             return False
     governor = st.governor
-    gtype = type(governor)
-    if gtype not in _DYNAMIC and gtype not in _STATIC:
+    if type(governor) not in _GOVERNORS:
         return False
     if hasattr(governor, "observe_power"):
         return False
@@ -133,131 +131,11 @@ def eligible(st, tel) -> bool:
 
 
 def run_fast(st, tel, checkpointer=None, resumed=False):
-    """Drive ``st`` to completion on the batched path.
+    """Drive ``st`` to completion on the fused path.
 
     Only call when :func:`eligible` returned True.  Returns the same
     :class:`~repro.core.controller.RunResult` (bit-identical) as the
     scalar loop.
-    """
-    if type(st.governor) in _STATIC:
-        return _run_static(st, tel, checkpointer, resumed)
-    return _run_dynamic(st, tel, checkpointer, resumed)
-
-
-def _run_static(st, tel, checkpointer, resumed):
-    """Block-consuming arm for constant-decision governors.
-
-    The governor decides after every tick in the scalar loop but only
-    the *first* decision can change the p-state, so the loop runs one
-    scalar-equivalent tick, actuates, then consumes
-    :meth:`Machine.step_block` blocks sized to never cross a checkpoint
-    boundary or the simulated-time limit.
-    """
-    from repro.core.controller import TraceRow, _finish_run
-
-    machine = st.machine
-    governor = st.governor
-    meter = st.meter
-    sampler = st.sampler
-    driver = st.driver
-    workload_name = st.workload_name
-    max_seconds = st.max_seconds
-    keep_trace = st.keep_trace
-
-    target = governor._pstate
-    dt = machine.config.tick_s
-    meter_samples = meter._samples
-
-    residency = st.residency
-    trace = st.trace
-    trace_append = trace.append
-    instructions = st.instructions
-    true_energy = st.true_energy
-    sample_index = st.sample_index
-    tick_index = st.tick_index
-
-    if checkpointer is not None:
-        interval = checkpointer.interval_ticks
-        next_checkpoint = (
-            tick_index
-            if tick_index == 0 and not resumed
-            else tick_index + interval
-        )
-
-    pending_actuation = target != machine.current_pstate
-
-    while not machine.finished:
-        now = machine.now_s
-        if now > max_seconds:
-            raise ExperimentError(
-                f"{workload_name} under {governor.name} exceeded "
-                f"{max_seconds}s of simulated time"
-            )
-        if checkpointer is not None and tick_index >= next_checkpoint:
-            st.instructions = instructions
-            st.true_energy = true_energy
-            st.tick_index = tick_index
-            checkpointer.save(tick_index, st, tel)
-            next_checkpoint = tick_index + interval
-        if pending_actuation:
-            # The scalar loop's first decision lands *after* the first
-            # tick executes at the initial p-state.
-            k = 1
-        else:
-            k = BLOCK_TICKS
-            if checkpointer is not None:
-                k = min(k, next_checkpoint - tick_index)
-            # Never execute a tick whose start the scalar loop would
-            # have refused (simulated-time limit raises at tick start).
-            k = min(k, max(1, int((max_seconds - now) / dt)))
-        block = machine.step_block(k)
-        sblock = sampler.consume_block(block)
-        block_freq = block.pstate.frequency_mhz
-        duty = block.duty
-        counts = block.meter_sample_counts
-        times = block.time_s
-        durations = block.duration_s
-        instrs = block.instructions
-        energies = block.energy_j
-        means = block.mean_power_w
-        for i in range(len(times)):
-            instructions += instrs[i]
-            true_energy += energies[i]
-            residency[block_freq] = (
-                residency.get(block_freq, 0.0) + durations[i]
-            )
-            n_samples = counts[i]
-            measured = (
-                meter_samples[n_samples - 1].watts
-                if n_samples > sample_index
-                else means[i]
-            )
-            if keep_trace:
-                trace_append(
-                    TraceRow(
-                        time_s=times[i],
-                        frequency_mhz=block_freq,
-                        measured_power_w=measured,
-                        true_power_w=means[i],
-                        instructions=instrs[i],
-                        rates=sblock.rates_at(i),
-                        duty=duty,
-                        temperature_c=None,
-                    )
-                )
-            tick_index += 1
-        if pending_actuation:
-            driver.set_pstate(target)
-            pending_actuation = False
-
-    st.instructions = instructions
-    st.true_energy = true_energy
-    st.tick_index = tick_index
-    return _finish_run(st, tel)
-
-
-def _run_dynamic(st, tel, checkpointer, resumed):
-    """Fully fused arm for per-tick-deciding governors.
 
     One Python loop holds the machine tick kernel, the inlined meter
     and PMU updates, the counter-sampler arithmetic and the governor's
@@ -347,10 +225,13 @@ def _run_dynamic(st, tel, checkpointer, resumed):
         fastest_mhz = ps_proj.fastest_mhz
         fast_factor = ps_proj.fast_factor
         ascending_rows = ps_proj.ascending
-    else:  # DemandBasedSwitching
+    elif gtype is DemandBasedSwitching:
         mode = 2
         up_threshold = governor._up
         down_threshold = governor._down
+    else:  # StaticClocking / FixedFrequency: one constant target
+        mode = 3
+        static_index = state_index[governor._pstate]
 
     # Machine / PMU state -> locals (written back at sync points).
     time_s = machine._time_s
@@ -412,7 +293,7 @@ def _run_dynamic(st, tel, checkpointer, resumed):
     # consumes exactly two variates, in order, from one shared buffer
     # (_RNG_CHUNK is even, keeping refills aligned).  A meter with
     # split generators keeps scalar draws.
-    batch_rng = BATCH_RNG and checkpointer is None
+    batch_rng = checkpointer is None
     batch_meter = batch_rng and sense._rng is adc._rng
     meter_std = sense_std
     jit_buf = m_buf = None
@@ -487,7 +368,7 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 checkpointer.save(tick_index, st, tel)
                 next_checkpoint = tick_index + interval
 
-            # ---- machine tick (mirrors Machine.step / run_block) ----
+            # ---- machine tick (mirrors Machine.step) ----
             start_time = time_s
             energy = 0.0
             tick_instr = 0.0
@@ -645,8 +526,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                 if remaining < budget:
                     budget = remaining
 
-                # Inlined execute_segment (bitwise: min(a, b) is
-                # ``b if b < a else a`` for the float builtins).
+                # Inlined resolve_rates + ground_truth_power (bitwise:
+                # min(a, b) is ``b if b < a else a`` for float builtins).
                 cpi_latency = (
                     t_cpi_core / jitter + t_l2_stall + t_dram_stall
                 )
@@ -837,7 +718,7 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                     if relative > floor_plus_eps:
                         target_index = candidate
                         break
-            else:  # DemandBasedSwitching
+            elif mode == 2:  # DemandBasedSwitching
                 if elapsed <= 0:
                     utilization = 1.0
                 else:
@@ -855,6 +736,8 @@ def _run_dynamic(st, tel, checkpointer, resumed):
                     )
                 else:
                     target_index = current_index
+            else:  # StaticClocking / FixedFrequency
+                target_index = static_index
 
             # ---- actuate (through the real driver: MSR writes, DVFS
             # dead time and transition counts stay checkpoint-exact) ----

@@ -517,7 +517,7 @@ class _RunState:
 def _run_loop(st: _RunState, tel, checkpointer=None, resumed=False) -> RunResult:
     """Drive ``st`` to completion; the entry point for fresh and resumed runs.
 
-    Dispatches to the batched loop (:mod:`repro.core.blockloop`) when the
+    Dispatches to the fused loop (:mod:`repro.core.blockloop`) when the
     run's configuration admits a bit-identical fused kernel, otherwise to
     the scalar reference loop.  The two produce indistinguishable results
     (same ``RunResult`` floats, same checkpoint bytes, same RNG stream);
@@ -778,7 +778,7 @@ def _scalar_loop(
 def _finish_run(st: _RunState, tel) -> RunResult:
     """Close out a completed run: flush the meter, build the result.
 
-    Shared by the scalar and batched loops; reads only the synced
+    Shared by the scalar and fused loops; reads only the synced
     ``_RunState`` fields, so both paths produce the same floats.
     """
     machine = st.machine

@@ -100,7 +100,7 @@ class PerformanceMaximizer(Governor):
         self._projection = None  # rebuilt lazily against the new model
 
     def projection_table(self):
-        """The fused Eq. 4 x Eq. 2 projection rows for the batched loop.
+        """The fused Eq. 4 x Eq. 2 projection rows for the fused loop.
 
         Built once per model *version* (process-wide, value-keyed via
         :func:`repro.exec.cache.pm_projection_table`) and dropped on
@@ -120,7 +120,7 @@ class PerformanceMaximizer(Governor):
 
     def __getstate__(self):
         # The projection table is a pure cache; stripping it keeps
-        # checkpoints byte-identical whether or not the batched loop
+        # checkpoints byte-identical whether or not the fused loop
         # ever touched this governor.
         state = self.__dict__.copy()
         state["_projection"] = None

@@ -66,7 +66,7 @@ class PowerSave(Governor):
         return (Event.INST_RETIRED, Event.DCU_MISS_OUTSTANDING)
 
     def projection_table(self):
-        """Precomputed Eq. 3 sensitivity rows for the batched loop.
+        """Precomputed Eq. 3 sensitivity rows for the fused loop.
 
         Value-keyed and shared process-wide via
         :func:`repro.exec.cache.ps_projection_table`; picks are bitwise

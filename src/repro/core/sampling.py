@@ -82,44 +82,6 @@ class CounterSample:
         return self.dcu / self.ipc
 
 
-@dataclass(frozen=True)
-class CounterSampleBlock:
-    """Array-valued counterpart of :class:`CounterSample` for K ticks.
-
-    Produced by :meth:`CounterSampler.consume_block` from a
-    :class:`~repro.platform.blockstep.TickBlock`.  Counts and cycles are
-    per-tick floats (wrap-aware deltas, like the scalar path's
-    ``CounterSnapshot.delta``); :meth:`sample` materializes the exact
-    :class:`CounterSample` the scalar path would have produced for one
-    tick -- same rate floats, same mapping order.
-    """
-
-    events: tuple[Event, ...]
-    interval_s: tuple[float, ...]
-    cycles: tuple[float, ...]
-    counts: tuple[tuple[float, ...], ...]  #: per tick, one count per counter
-
-    def __len__(self) -> int:
-        return len(self.interval_s)
-
-    def rates_at(self, index: int) -> dict[Event, float]:
-        """Per-cycle rates of tick ``index`` (scalar-identical floats)."""
-        cycles = self.cycles[index]
-        counts = self.counts[index]
-        rates = {}
-        for position, event in enumerate(self.events):
-            rates[event] = counts[position] / cycles if cycles > 0 else 0.0
-        return rates
-
-    def sample(self, index: int) -> CounterSample:
-        """The scalar :class:`CounterSample` for tick ``index``."""
-        return CounterSample(
-            interval_s=self.interval_s[index],
-            cycles=self.cycles[index],
-            rates=self.rates_at(index),
-        )
-
-
 class CounterSampler:
     """Programs the PMU and produces :class:`CounterSample` streams."""
 
@@ -196,65 +158,6 @@ class CounterSampler:
                 )
             )
         return sample
-
-    def consume_block(self, block) -> CounterSampleBlock:
-        """Turn a :class:`~repro.platform.blockstep.TickBlock` into samples.
-
-        The block carries per-tick wrap-masked counter deltas measured
-        against the PMU state at the start of each tick, i.e. exactly
-        what per-tick :meth:`sample` calls would have seen.  After
-        consuming a block the sampler re-baselines against the live PMU
-        (the block kernel syncs hardware state back on exit), so scalar
-        :meth:`sample` calls may resume seamlessly.
-        """
-        if self._last is None:
-            raise PMUError("sampler not started; call start() first")
-        # The block reports both physical counter slots (unused ones as
-        # None); the sampler's events must fill the leading slots.
-        slots = tuple(block.events)
-        mine = len(self._events)
-        if slots[:mine] != self._events or any(
-            event is not None for event in slots[mine:]
-        ):
-            raise PMUError(
-                f"block monitored {block.events}, sampler expects "
-                f"{self._events}; reprogramming mid-run is unsupported"
-            )
-        n = len(block)
-        intervals = tuple(block.duration_s)
-        cycles_seq = tuple(block.cycles_delta)
-        counts_seq = tuple(
-            (block.counter0_delta[i], block.counter1_delta[i])
-            for i in range(n)
-        )
-        out = CounterSampleBlock(
-            events=self._events,
-            interval_s=intervals,
-            cycles=cycles_seq,
-            counts=counts_seq,
-        )
-        self._last = self._pmu.snapshot()
-        tel = self._telemetry
-        emit = tel is not None and tel.enabled
-        for i in range(n):
-            self._elapsed_s += intervals[i]
-            if emit:
-                sample = out.sample(i)
-                tel.emit(
-                    SampleTaken(
-                        time_s=self._elapsed_s,
-                        interval_s=intervals[i],
-                        cycles=sample.cycles,
-                        effective_frequency_mhz=(
-                            sample.effective_frequency_mhz
-                        ),
-                        rates={
-                            event.name: rate
-                            for event, rate in sample.rates.items()
-                        },
-                    )
-                )
-        return out
 
 
 class MultiplexedCounterSampler:

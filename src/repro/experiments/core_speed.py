@@ -1,17 +1,12 @@
-"""Core loop throughput: the batched tick kernel vs the scalar loop.
+"""Core loop throughput: the fused tick kernel vs the scalar loop.
 
 Not a paper figure -- an engineering experiment for the reproduction
 itself.  Campaign-scale sweeps (Fig. 9's 26 benchmarks x 4 floors x 3
 seeds) are bounded by how fast the monitor->estimate->control loop
 ticks, so this experiment measures exactly that: simulated control
 ticks per wall-clock second under the historical scalar loop and under
-the fused block kernel (:mod:`repro.core.blockloop`), on the same cell,
-with a digest check that the two produced bit-identical results.
-
-A block-size sweep shows where the batching win saturates: most of the
-overhead removed is per-tick Python dispatch, so throughput climbs
-steeply up to a few dozen ticks per block and flattens once per-block
-fixed costs are amortized.
+the fused kernel (:mod:`repro.core.blockloop`), on the same cell, with
+a digest check that the two produced bit-identical results.
 """
 
 from __future__ import annotations
@@ -19,10 +14,11 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from repro.analysis.report import TextTable
 from repro.checkpoint.digest import run_result_digest
@@ -36,10 +32,6 @@ from repro.exec import (
     open_session,
 )
 
-#: Block sizes swept for the sensitivity table (the production kernel
-#: uses ``blockloop.BLOCK_TICKS``).
-BLOCK_SIZES = (1, 8, 32, 128, 512)
-
 #: The measured cell: PM on ammp -- the paper's trace workload, with
 #: the governor archetype whose decide path is the most expensive.
 WORKLOAD = "ammp"
@@ -48,15 +40,13 @@ LIMIT_W = 14.5
 
 @dataclass(frozen=True)
 class CoreSpeedResult:
-    """Tick throughput of both loop modes plus the batching sweep."""
+    """Tick throughput of both loop modes."""
 
     ticks: int
     scalar_ticks_per_s: float
     fast_ticks_per_s: float
     #: run_result_digest equality between the two modes (must be True).
     bit_identical: bool
-    #: block size -> ticks/s under the fused kernel.
-    block_sensitivity: Mapping[int, float]
 
     @property
     def speedup(self) -> float:
@@ -85,33 +75,26 @@ def _timed(config: ExperimentConfig, repeats: int = 3):
 def run(
     config: ExperimentConfig | None = None, repeats: int = 3
 ) -> CoreSpeedResult:
-    """Measure scalar vs batched tick throughput on one PM cell."""
+    """Measure scalar vs fused tick throughput on one PM cell."""
     config = config or ExperimentConfig(scale=16.0, seed=0)
-    saved_fast, saved_block = blockloop.FAST_LOOP, blockloop.BLOCK_TICKS
+    saved = blockloop.FAST_LOOP
     try:
         blockloop.FAST_LOOP = False
         scalar_result, scalar_s = _timed(config, repeats)
         ticks = round(scalar_result.duration_s / 0.01)
 
         blockloop.FAST_LOOP = True
-        sensitivity = {}
-        for block in BLOCK_SIZES:
-            blockloop.BLOCK_TICKS = block
-            fast_result, fast_s = _timed(config, repeats)
-            sensitivity[block] = ticks / fast_s
-        fast_rate = sensitivity[saved_block]
+        fast_result, fast_s = _timed(config, repeats)
         identical = run_result_digest(fast_result) == run_result_digest(
             scalar_result
         )
     finally:
-        blockloop.FAST_LOOP = saved_fast
-        blockloop.BLOCK_TICKS = saved_block
+        blockloop.FAST_LOOP = saved
     return CoreSpeedResult(
         ticks=ticks,
         scalar_ticks_per_s=ticks / scalar_s,
-        fast_ticks_per_s=fast_rate,
+        fast_ticks_per_s=ticks / fast_s,
         bit_identical=identical,
-        block_sensitivity=sensitivity,
     )
 
 
@@ -121,7 +104,7 @@ def run(
 def campaign(
     scale: float = 1.0, seeds: tuple[int, ...] = (0, 100, 200)
 ) -> dict[str, Any]:
-    """Scalar vs batched tick throughput on the Fig. 9 campaign.
+    """Scalar vs fused tick throughput on the Fig. 9 campaign.
 
     Runs the paper's Fig. 9 sweep shape -- the SPEC suite at the four
     PS floors, three median-protocol reps each -- serially under both
@@ -191,15 +174,28 @@ def campaign(
     }
 
 
-def kill_resume(scale: float = 0.6, interval_ticks: int = 7) -> dict[str, Any]:
-    """One real SIGKILL mid-block + resume, checked against scalar.
+#: A ``python -c`` program: the CLI on the scalar reference loop.
+_SCALAR_MAIN = (
+    "import sys\n"
+    "from repro.core import blockloop\n"
+    "blockloop.FAST_LOOP = False\n"
+    "from repro.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
 
-    A checkpointed child runs under the batched kernel (checkpoint
-    cadence well below ``BLOCK_TICKS``, so the durable record the kill
-    leaves behind lands in the middle of a fused block), gets a raw
+
+def _scalar_cmd(extra: list[str]) -> list[str]:
+    """``python -m repro run <extra>`` with the fused loop switched off."""
+    return [sys.executable, "-c", _SCALAR_MAIN, "run", *extra]
+
+
+def kill_resume(scale: float = 0.6, interval_ticks: int = 7) -> dict[str, Any]:
+    """One real SIGKILL mid-run + resume, checked against scalar.
+
+    A checkpointed child runs under the fused kernel, gets a raw
     SIGKILL near the midpoint, and is resumed; the resumed digest must
-    match a reference child forced onto the scalar loop via
-    ``REPRO_SCALAR_LOOP=1``.
+    match a reference child forced onto the scalar loop (it sets
+    ``blockloop.FAST_LOOP = False`` before entering the CLI).
     """
     from repro.checkpoint.journal import JOURNAL_FILENAME
     from repro.experiments.chaos_resume import (
@@ -215,8 +211,7 @@ def kill_resume(scale: float = 0.6, interval_ticks: int = 7) -> dict[str, Any]:
     try:
         ref_json = os.path.join(workdir, "scalar.json")
         subprocess.run(
-            _python_cmd(_run_flags(config) + ["--result-json", ref_json]),
-            env=dict(os.environ, REPRO_SCALAR_LOOP="1"),
+            _scalar_cmd(_run_flags(config) + ["--result-json", ref_json]),
             stdout=subprocess.DEVNULL,
             check=True,
             timeout=DEFAULT_CHILD_DEADLINE_S,
@@ -260,28 +255,17 @@ def kill_resume(scale: float = 0.6, interval_ticks: int = 7) -> dict[str, Any]:
 
 
 def render(result: CoreSpeedResult) -> str:
-    """Throughput summary plus the block-size sensitivity table."""
+    """Throughput summary of both loop modes."""
     table = TextTable(["loop", "ticks/s"])
     table.add_row("scalar (per-tick)", round(result.scalar_ticks_per_s))
-    table.add_row(
-        f"batched (K={blockloop.BLOCK_TICKS})",
-        round(result.fast_ticks_per_s),
-    )
-    sweep = TextTable(["block size K", "ticks/s", "vs scalar"])
-    for block, rate in sorted(result.block_sensitivity.items()):
-        sweep.add_row(
-            str(block), round(rate),
-            f"{rate / result.scalar_ticks_per_s:.1f}x",
-        )
+    table.add_row("fused", round(result.fast_ticks_per_s))
     verdict = (
         "digests bit-identical"
         if result.bit_identical
-        else "DIGEST MISMATCH -- batched loop is broken"
+        else "DIGEST MISMATCH -- fused loop is broken"
     )
     return (
         f"Core loop throughput -- PM on {WORKLOAD} ({result.ticks} ticks)\n"
         + table.render()
-        + f"\nspeedup: {result.speedup:.1f}x ({verdict})\n\n"
-        + "block-size sensitivity:\n"
-        + sweep.render()
+        + f"\nspeedup: {result.speedup:.1f}x ({verdict})"
     )

@@ -207,7 +207,7 @@ class MulticoreMachine:
         return self.cores[self.domains[domain][0]]
 
     def peek_rates(self, pstate=None, timing=None):
-        """Domain-0 lead core's projected rates (SteppableMachine hook).
+        """Domain-0 lead core's projected rates (same hook as ``Machine``).
 
         The package-level projection entry point: governors sample the
         lead core, so analysis peeks at the same core.  Per-core peeks
@@ -216,7 +216,7 @@ class MulticoreMachine:
         return self.cores[0].peek_rates(pstate=pstate, timing=timing)
 
     def set_effective_timing(self, timing) -> None:
-        """Override every core's memory timing (SteppableMachine hook).
+        """Override every core's memory timing (same hook as ``Machine``).
 
         Note the contention model re-installs per-core effective timing
         for *active* cores at each ``step``, so this primarily affects
@@ -231,7 +231,7 @@ class MulticoreMachine:
         Splits ``workload`` over the currently active thread count and
         swaps a shard into each active core, preserving time, jitter,
         DVFS and dead-time accounting (the online-reconfiguration
-        contract of :class:`~repro.platform.stepping.SteppableMachine`).
+        contract of :meth:`Machine.swap_workload`).
         """
         self._workload = workload
         shards = split_workload(
@@ -356,29 +356,6 @@ class MulticoreMachine:
             + (None,) * (self.config.n_cores - self._threads),
             bus_utilization=contention.utilization(base, demands),
         )
-
-    def step_block(
-        self, max_ticks: int, pstate: PState | None = None
-    ) -> list[MulticoreTick]:
-        """Advance up to ``max_ticks`` lock-step package ticks.
-
-        The package's contention re-split is inherently per-tick, so the
-        block form composes scalar :meth:`step` calls (bit-identical by
-        construction) and returns the per-tick records as a list -- the
-        multicore half of the :class:`~repro.platform.stepping.
-        SteppableMachine` block contract.  ``pstate`` actuates through
-        the domain driver first; with more than one p-state domain an
-        explicit per-domain actuation is required instead (the driver
-        raises, same as any domain-less multi-domain request).
-        """
-        if max_ticks <= 0:
-            raise ExperimentError("step_block needs a positive tick count")
-        if pstate is not None and pstate != self.current_pstate:
-            self.speedstep.set_pstate(pstate)
-        ticks: list[MulticoreTick] = []
-        while len(ticks) < max_ticks and not self.finished:
-            ticks.append(self.step())
-        return ticks
 
     def peek_demands(self) -> tuple[float, ...]:
         """Uncontended per-core bus demand (bytes/s) for the next tick."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List
+from typing import Callable, List
 
 import numpy as np
 
@@ -48,10 +48,6 @@ from repro.platform.power import (
 from repro.platform.thermal import ThermalModel
 from repro.platform.throttling import ThrottleController
 from repro.workloads.base import PhaseCursor, Workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.platform.blockstep import TickBlock
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -334,29 +330,6 @@ class Machine:
                 self.thermal.temperature_c if self.thermal is not None else None
             ),
         )
-
-    def step_block(
-        self, max_ticks: int, pstate: PState | None = None
-    ) -> "TickBlock":
-        """Advance up to ``max_ticks`` ticks at one p-state, batched.
-
-        The block-stepping half of the :class:`~repro.platform.stepping.
-        SteppableMachine` contract: per-tick streams come back as a
-        :class:`~repro.platform.blockstep.TickBlock` of arrays instead
-        of one :class:`TickRecord` per call, with PMU counters, the
-        jitter RNG and power-sink emission advanced **bit-identically**
-        to the equivalent sequence of :meth:`step` calls.  Stops early
-        at workload completion (``block.finished``).
-
-        ``pstate`` requests a p-state change through the SpeedStep
-        driver before the block starts; transition dead time is charged
-        inside the block exactly as the scalar path would.
-        """
-        if pstate is not None and pstate != self.dvfs.current:
-            self.speedstep.set_pstate(pstate)
-        from repro.platform.blockstep import run_block
-
-        return run_block(self, max_ticks)
 
     def run_to_completion(self, max_seconds: float = 3600.0) -> list[TickRecord]:
         """Run the loaded workload at the current p-state with no governor."""

@@ -1,12 +1,12 @@
-"""The batched-loop contract: FAST_LOOP on/off is unobservable.
+"""The fused-loop contract: FAST_LOOP on/off is unobservable.
 
-``controller._run_loop`` dispatches eligible runs to the fused block
+``controller._run_loop`` dispatches eligible runs to the fused tick
 kernel (:mod:`repro.core.blockloop`); everything else takes the
 historical scalar loop.  The contract is *bit-identical results* -- the
 float-exact :func:`run_result_digest` (which covers every trace row,
 meter sample, and energy accumulator) must not change with the
 dispatch decision, for eligible and ineligible runs alike, including
-kills and resumes that land mid-block.
+kills and resumes that land between checkpoints.
 """
 
 from __future__ import annotations
@@ -25,20 +25,29 @@ from repro.checkpoint import (
 from repro.core import blockloop
 from repro.core.controller import PowerManagementController
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
+from repro.core.governors.powersave import PowerSave
+from repro.core.governors.unconstrained import FixedFrequency
+from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
 from repro.exec import ExperimentConfig, GovernorSpec, RunCell, execute_cell
 from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
+from repro.platform.blockstep import block_capable
 from repro.platform.machine import Machine, MachineConfig
+from repro.platform.thermal import ThermalModel
 from repro.workloads.registry import default_registry
 
 CONFIG = ExperimentConfig(scale=0.25, seed=5, keep_trace=True)
 
-#: The three governor archetypes: DBS (utilization, the OS baseline),
-#: the paper's PM (model-projected power capping), and the
-#: energy-optimal oracle (measured-power feedback -> scalar-only).
+#: The governor archetypes: DBS (utilization, the OS baseline), the
+#: paper's PM (model-projected power capping) and PS (Eq. 3 floor, the
+#: Fig. 9 governor), a fixed frequency (the constant-target decision
+#: mode) and the energy-optimal oracle (measured-power feedback ->
+#: scalar-only).
 GOVERNORS = {
     "dbs": GovernorSpec.dbs(),
     "paper-pm": GovernorSpec.pm(14.5, power_model="paper"),
+    "ps": GovernorSpec.ps(0.6),
+    "fixed": GovernorSpec.fixed(1400.0),
     "energy-optimal": GovernorSpec.energy_optimal(),
 }
 
@@ -73,33 +82,43 @@ def test_fast_loop_digest_matches_scalar(name, faults, adapt, monkeypatch):
     assert fast == scalar
 
 
-def test_scalar_env_kill_switch(monkeypatch):
-    spec = GOVERNORS["paper-pm"]
-    scalar = _digest(spec, fast=False, monkeypatch=monkeypatch)
-    monkeypatch.setenv("REPRO_SCALAR_LOOP", "1")
-    gated = _digest(spec, fast=True, monkeypatch=monkeypatch)
-    assert gated == scalar
+def test_thermal_machine_falls_back_to_scalar_loop(monkeypatch):
+    """A thermal machine is not fusable: the run takes the scalar loop
+    whatever FAST_LOOP says, so its digest is trivially the same."""
+    assert not block_capable(Machine(MachineConfig(thermal=ThermalModel())))
+
+    def digest(fast):
+        monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
+        machine = Machine(MachineConfig(seed=11, thermal=ThermalModel()))
+        governor = FixedFrequency(machine.config.table, 1400.0)
+        controller = PowerManagementController(
+            machine, governor, keep_trace=True
+        )
+        return run_result_digest(controller.run(_workload()))
+
+    assert digest(True) == digest(False)
 
 
-def test_static_cell_digest_matches_scalar(monkeypatch):
-    # Fixed-frequency cells take the dedicated static block path.
-    scalar = _digest(GovernorSpec.fixed(1400.0), fast=False,
-                     monkeypatch=monkeypatch)
-    fast = _digest(GovernorSpec.fixed(1400.0), fast=True,
-                   monkeypatch=monkeypatch)
-    assert fast == scalar
-
-
-# -- kill / resume mid-block ------------------------------------------------
+# -- kill / resume between checkpoints ---------------------------------------
 
 INTERVAL = 10
 
+#: One governor per fused decision family: projection table (PM, PS)
+#: and constant target (Fixed, starting at P0 so it actuates once).
+KILL_GOVERNORS = {
+    "pm": lambda table: PerformanceMaximizer(
+        table, LinearPowerModel.paper_model(), 14.5
+    ),
+    "ps": lambda table: PowerSave(
+        table, PerformanceModel.paper_primary(), 0.6
+    ),
+    "fixed": lambda table: FixedFrequency(table, 1400.0),
+}
 
-def _controller():
+
+def _controller(name="pm"):
     machine = Machine(MachineConfig(seed=11))
-    governor = PerformanceMaximizer(
-        machine.config.table, LinearPowerModel.paper_model(), 14.5
-    )
+    governor = KILL_GOVERNORS[name](machine.config.table)
     return PowerManagementController(machine, governor, keep_trace=True)
 
 
@@ -107,11 +126,11 @@ def _workload():
     return default_registry().get("ammp").scaled(0.4)
 
 
-def _checkpointed_run(directory):
+def _checkpointed_run(directory, name="pm"):
     journal = RunJournal.create(directory, kind="run",
                                 interval_ticks=INTERVAL)
     try:
-        result = _controller().run(
+        result = _controller(name).run(
             _workload(), checkpointer=RunCheckpointer(journal)
         )
     finally:
@@ -125,33 +144,38 @@ def _truncate(directory, offset):
 
 
 def test_mid_block_kill_and_resume_bit_identical(tmp_path, monkeypatch):
-    """Journal a fast run, tear it mid-block, resume both ways.
+    """Journal a fast run, tear it between checkpoints, resume both ways.
 
     A torn tail past a durable record boundary is exactly what a
     SIGKILL between checkpoints leaves behind: the resumed run restarts
     from the last durable checkpoint -- in the middle of what the fast
-    loop executed as one block -- and must still finish bit-identical,
-    whether the resumed leg itself runs fast or scalar.
+    loop ran as one stretch of fused ticks -- and must still finish
+    bit-identical, whether the resumed leg itself runs fast or scalar.
+    Checkpointed runs draw their Gaussians one at a time, so running
+    this for every decision family pins the fused loop's scalar-RNG
+    mode for each of them.
     """
-    monkeypatch.setattr(blockloop, "FAST_LOOP", False)
-    baseline = run_result_digest(_controller().run(_workload()))
+    for name in sorted(KILL_GOVERNORS):
+        base = tmp_path / name
+        monkeypatch.setattr(blockloop, "FAST_LOOP", False)
+        baseline = run_result_digest(_controller(name).run(_workload()))
 
-    monkeypatch.setattr(blockloop, "FAST_LOOP", True)
-    source = tmp_path / "j"
-    checkpointed = _checkpointed_run(source)
-    assert run_result_digest(checkpointed) == baseline
+        monkeypatch.setattr(blockloop, "FAST_LOOP", True)
+        source = base / "j"
+        checkpointed = _checkpointed_run(source, name)
+        assert run_result_digest(checkpointed) == baseline, name
 
-    records = RunJournal.open(source).records()
-    assert len(records) > 3
-    middle = records[len(records) // 2]
-    for mode, fast in (("fast", True), ("scalar", False)):
-        copy = tmp_path / f"cut-{mode}"
-        shutil.copytree(source, copy)
-        _truncate(copy, middle.end_offset + 7)
-        monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
-        result, state = resume_run(copy)
-        assert run_result_digest(result) == baseline, mode
-        assert state.tick_index > middle.tick
+        records = RunJournal.open(source).records()
+        assert len(records) > 3
+        middle = records[len(records) // 2]
+        for mode, fast in (("fast", True), ("scalar", False)):
+            copy = base / f"cut-{mode}"
+            shutil.copytree(source, copy)
+            _truncate(copy, middle.end_offset + 7)
+            monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
+            result, state = resume_run(copy)
+            assert run_result_digest(result) == baseline, (name, mode)
+            assert state.tick_index > middle.tick
 
 
 def test_scalar_journal_resumes_under_fast_loop(tmp_path, monkeypatch):

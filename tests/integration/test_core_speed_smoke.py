@@ -2,7 +2,7 @@
 
 Gated behind ``REPRO_SPEED_SMOKE=1`` (a dedicated CI matrix entry): it
 runs the Fig. 9-sized campaign (312 cells) twice -- scalar loop and
-batched kernel -- which is slower than the unit suite.  Per-cell
+fused kernel -- which is slower than the unit suite.  Per-cell
 digests must match bit for bit everywhere; the throughput bar is the
 relaxed >= 3x floor suitable for the shared 1-CPU runner (the full
 >= 10x bar lives in ``benchmarks/test_core_speed.py``).  The measured
