@@ -6,13 +6,12 @@ and several dict/dataclass intermediates.  For the common experiment
 configuration -- stock :class:`~repro.platform.machine.Machine`, stock
 :class:`~repro.core.sampling.CounterSampler`, one inline-able
 :class:`~repro.measurement.power_meter.PowerMeter`, no fault injection,
-no online adaptation, no constraint schedule, telemetry off --
-:func:`run_fast` runs the same loop as one fused kernel: the machine
-tick (segment math from the cached
-:class:`~repro.platform.blockstep.RateTemplate` rows), the inlined meter
-and PMU updates, the counter-sampler arithmetic and a table-driven
-governor decision, all in local variables, with object state synced
-only at checkpoint boundaries and loop exit.
+no online adaptation, no constraint schedule -- :func:`run_fast` runs
+the same loop as one fused kernel: the machine tick (segment math from
+the cached :class:`~repro.platform.blockstep.RateTemplate` rows), the
+inlined meter and PMU updates, the counter-sampler arithmetic and a
+table-driven governor decision, all in local variables, with object
+state synced only at checkpoint boundaries and loop exit.
 
 The decision is one of four modes: PerformanceMaximizer and PowerSave
 read their precomputed projection tables
@@ -27,8 +26,17 @@ RNG draws, float operation order and side effects exactly;
 from the scalar path's (``tests/core/test_block_equivalence.py``).
 Anything the fast path cannot replicate exactly -- resilience runtimes,
 fault injection, adaptation probation, multiplexed samplers, thermal
-models, wrapped drivers/meters, instrumented telemetry, exotic
-governors -- fails :func:`eligible` and falls back to the scalar loop.
+models, wrapped drivers/meters, exotic governors -- fails
+:func:`eligible` and falls back to the scalar loop.
+
+**Telemetry does not change the loop.**  An observed run takes the
+fused kernel too: one ``if observe:`` block per tick emits the
+``SampleTaken`` event the bypassed sampler would have emitted and calls
+the same per-tick helper as the scalar loop
+(:class:`~repro.core.controller._TickTelemetry`), so ``events.jsonl``,
+``trace.csv`` and the metrics are byte-identical to the scalar loop's
+(``tests/core/test_telemetry_fast_path.py``).  Spans are per cell, not
+per tick, on both loops.
 
 Kill switch: set module flag ``FAST_LOOP = False`` (tests monkeypatch
 this) to send every run through the scalar reference loop.
@@ -43,7 +51,7 @@ from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking
 from repro.core.governors.unconstrained import FixedFrequency
-from repro.core.sampling import CounterSampler
+from repro.core.sampling import CounterSample, CounterSampler, sample_event
 from repro.errors import ExperimentError
 from repro.drivers.msr import (
     IA32_PMC0,
@@ -88,17 +96,16 @@ _GOVERNORS = (
 )
 
 
-def eligible(st, tel) -> bool:
+def eligible(st) -> bool:
     """Whether ``st`` can run the fused loop bit-identically.
 
     The conditions mirror everything the fused kernel inlines; any
     stateful boundary it cannot replicate exactly (resilience,
-    injection, adaptation, schedules, telemetry, wrappers, subclasses)
-    routes the run back to the scalar loop.
+    injection, adaptation, schedules, wrappers, subclasses) routes the
+    run back to the scalar loop.  Telemetry is not among them: observed
+    runs take the fused kernel like unobserved ones.
     """
     if not FAST_LOOP:
-        return False
-    if tel is not None and tel.enabled:
         return False
     if (
         st.rt is not None
@@ -160,7 +167,7 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
     checkpoints and error states are indistinguishable from the scalar
     path's.
     """
-    from repro.core.controller import TraceRow, _finish_run
+    from repro.core.controller import TraceRow, _TickTelemetry, _finish_run
 
     machine = st.machine
     governor = st.governor
@@ -170,6 +177,7 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
     workload_name = st.workload_name
     max_seconds = st.max_seconds
     keep_trace = st.keep_trace
+    observe = tel is not None and tel.enabled
 
     config = machine.config
     cursor = machine._cursor
@@ -309,11 +317,20 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
         m_state0 = sense._rng.bit_generator.state
 
     # Current-p-state residency accumulates in a local; flushed to the
-    # dict on p-state change and at every sync point.
+    # dict on p-state change and at every sync point.  The scalar loop
+    # adds a key only when a tick runs, so a sync point writes a state
+    # that no tick has run at yet (entered on the last decision, or the
+    # start state at the tick-0 checkpoint) only if the key exists.
     res_acc = residency.get(freq, 0.0)
 
     # Unpacked fields of the template the loop last touched.
     t_cur = None
+
+    if observe:
+        # Built before the loop: emits RunStarted ahead of the tick-0
+        # checkpoint, as the scalar loop does.
+        observe_tick = _TickTelemetry(st, tel, resumed).tick
+        emit = tel.emit
 
     if checkpointer is not None:
         interval = checkpointer.interval_ticks
@@ -354,7 +371,8 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
                 meter._bucket_time_s = bucket_t
                 sampler._elapsed_s = sampler_elapsed
                 sampler._last = pmu.snapshot()
-                residency[freq] = res_acc
+                if res_acc or freq in residency:
+                    residency[freq] = res_acc
                 if mode == 0:
                     governor._raise_streak = raise_streak
                     governor._pending_raise = (
@@ -741,7 +759,9 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
 
             # ---- actuate (through the real driver: MSR writes, DVFS
             # dead time and transition counts stay checkpoint-exact) ----
-            if target_index != current_index:
+            tick_pstate = pstate
+            changed = target_index != current_index
+            if changed:
                 residency[freq] = res_acc
                 driver.set_pstate(gov_states[target_index])
                 pstate = dvfs.current
@@ -752,11 +772,35 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
                 dead_total = dvfs.total_dead_time_s
                 res_acc = residency.get(freq, 0.0)
 
-            if keep_trace:
+            if observe or keep_trace:
                 if mode == 1:
                     rates = {event0: r0, event1: r1}
                 else:
                     rates = {event0: r0}
+            if observe:
+                # What the bypassed CounterSampler.sample would have
+                # emitted (cycles as a float, as CounterSnapshot.delta
+                # returns them), then the scalar loop's per-tick block.
+                counter_sample = CounterSample(
+                    interval_s=elapsed, cycles=float(cyc), rates=rates
+                )
+                emit(sample_event(counter_sample, sampler_elapsed))
+                observe_tick(
+                    time_s,
+                    tick_freq,
+                    elapsed,
+                    measured,
+                    mean_power,
+                    tick_instr,
+                    duty,
+                    None,
+                    tick_pstate,
+                    gov_states[target_index],
+                    changed,
+                    counter_sample,
+                )
+
+            if keep_trace:
                 trace_append(
                     TraceRow(
                         time_s=time_s,
@@ -801,7 +845,8 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
         meter._bucket_time_s = bucket_t
         sampler._elapsed_s = sampler_elapsed
         sampler._last = pmu.snapshot()
-        residency[freq] = res_acc
+        if res_acc or freq in residency:
+            residency[freq] = res_acc
         if mode == 0:
             governor._raise_streak = raise_streak
             governor._pending_raise = (

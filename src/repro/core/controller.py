@@ -15,12 +15,14 @@ returns a :class:`RunResult` with everything the experiments need:
 measured power samples, per-tick trace, residency and energy.
 
 When a :class:`~repro.telemetry.TelemetryRecorder` is supplied the loop
-is fully observable: the sampler emits sample events, every decision /
-transition / tick is published on the event bus, per-phase wall-clock
-spans (``execute``/``sample``/``decide``/``actuate``) measure governor
-overhead, and the metrics registry accumulates tick counts, p-state
-residency, transitions, power-limit violations and the power-projection
-error distribution.  With ``telemetry=None`` (the default) every
+is fully observable: every sample / decision / transition / tick is
+published on the event bus, and the metrics registry accumulates tick
+counts, p-state residency, transitions, power-limit violations and the
+power-projection error distribution.  That per-tick block lives in one
+helper (:class:`_TickTelemetry`) that the scalar loop and the fused
+kernel both call, so telemetry does not decide which loop a run takes.
+Wall-clock spans are per cell (the execution engine's root ``run``
+span), never per tick.  With ``telemetry=None`` (the default) every
 instrumentation block is skipped behind a single pre-computed branch,
 so an uninstrumented run costs the same as before the subsystem existed.
 
@@ -378,15 +380,6 @@ class PowerManagementController:
         self._resilience = resilience
         self._adaptation = adaptation
 
-    @staticmethod
-    def _actuate(
-        rt: _ResilienceRuntime | None, driver, target: PState
-    ) -> bool:
-        if rt is not None:
-            return rt.actuate(driver, target)
-        driver.set_pstate(target)
-        return True
-
     def run(
         self,
         workload: Workload,
@@ -514,6 +507,111 @@ class _RunState:
             self.adapt.bind_telemetry(tel)
 
 
+class _TickTelemetry:
+    """The per-tick metrics and events of an observed run.
+
+    Both loops call :meth:`tick` once per tick, after actuation, so the
+    two write the same event stream and metrics.  Construction takes the
+    metric handles get-or-create by name (on a resumed run they come out
+    of the restored registry with their values intact) and emits
+    ``RunStarted`` unless the run is ``resumed``.
+
+    The power estimate for the next tick is written through to
+    ``st.last_estimate_w``, so every checkpoint carries the current one.
+    """
+
+    def __init__(self, st: _RunState, tel: TelemetryRecorder, resumed: bool):
+        governor = st.governor
+        metrics = tel.metrics
+        self._st = st
+        self._governor = governor
+        self._emit = tel.emit
+        self._metrics = metrics
+        self._ticks = metrics.counter("controller.ticks")
+        self._transitions = metrics.counter("controller.transitions")
+        self._violations = metrics.counter("controller.limit_violations")
+        self._power = metrics.histogram("power.measured_w", POWER_BUCKETS_W)
+        self._error = metrics.histogram(
+            "projection.error_w", PROJECTION_ERROR_BUCKETS_W
+        )
+        self._residency: Dict[float, object] = {}
+        self._can_estimate = hasattr(governor, "estimate_power")
+        if not resumed:
+            tel.emit(
+                RunStarted(
+                    time_s=st.machine.now_s,
+                    workload=st.workload_name,
+                    governor=governor.name,
+                )
+            )
+
+    def tick(
+        self,
+        time_s: float,
+        freq: float,
+        duration_s: float,
+        measured: float,
+        true_power_w: float,
+        instructions: float,
+        duty: float,
+        temperature: float | None,
+        current: PState,
+        target: PState,
+        changed: bool,
+        sample: CounterSample | None,
+    ) -> None:
+        """Record one tick that ran at ``current`` and chose ``target``."""
+        governor = self._governor
+        emit = self._emit
+        st = self._st
+        self._ticks.inc()
+        freq_counter = self._residency.get(freq)
+        if freq_counter is None:
+            freq_counter = self._residency[freq] = self._metrics.counter(
+                f"pstate.residency_s.{freq:.0f}"
+            )
+        freq_counter.inc(duration_s)
+        self._power.observe(measured)
+        limit = getattr(governor, "power_limit_w", None)
+        if limit is not None and measured > limit:
+            self._violations.inc()
+        # The estimate made last tick predicted this tick's power.
+        if st.last_estimate_w is not None:
+            self._error.observe(st.last_estimate_w - measured)
+        emit(
+            DecisionMade(
+                time_s=time_s,
+                governor=governor.name,
+                current_mhz=current.frequency_mhz,
+                target_mhz=target.frequency_mhz,
+            )
+        )
+        if changed:
+            self._transitions.inc()
+            emit(
+                PStateTransition(
+                    time_s=time_s,
+                    from_mhz=current.frequency_mhz,
+                    to_mhz=target.frequency_mhz,
+                )
+            )
+        if self._can_estimate and sample is not None:
+            st.last_estimate_w = governor.estimate_power(
+                sample, current, target
+            )
+        emit(
+            TickCompleted(
+                time_s=time_s,
+                frequency_mhz=freq,
+                measured_power_w=measured,
+                true_power_w=true_power_w,
+                instructions=instructions,
+                duty=duty,
+                temperature_c=temperature,
+            )
+        )
+
+
 def _run_loop(st: _RunState, tel, checkpointer=None, resumed=False) -> RunResult:
     """Drive ``st`` to completion; the entry point for fresh and resumed runs.
 
@@ -525,7 +623,7 @@ def _run_loop(st: _RunState, tel, checkpointer=None, resumed=False) -> RunResult
     """
     from repro.core import blockloop
 
-    if blockloop.eligible(st, tel):
+    if blockloop.eligible(st):
         return blockloop.run_fast(
             st, tel, checkpointer=checkpointer, resumed=resumed
         )
@@ -569,31 +667,9 @@ def _scalar_loop(
     true_energy = st.true_energy
     sample_index = st.sample_index
     tick_index = st.tick_index
-    last_estimate_w = st.last_estimate_w
 
     if instrumented:
-        metrics = tel.metrics
-        # Get-or-create by name: on a resumed run these handles come out
-        # of the restored registry with their accumulated values intact.
-        ticks_counter = metrics.counter("controller.ticks")
-        transitions_counter = metrics.counter("controller.transitions")
-        violations_counter = metrics.counter("controller.limit_violations")
-        power_hist = metrics.histogram(
-            "power.measured_w", POWER_BUCKETS_W
-        )
-        error_hist = metrics.histogram(
-            "projection.error_w", PROJECTION_ERROR_BUCKETS_W
-        )
-        residency_counters: Dict[float, object] = {}
-        can_estimate = hasattr(governor, "estimate_power")
-        if not resumed:
-            tel.emit(
-                RunStarted(
-                    time_s=machine.now_s,
-                    workload=workload_name,
-                    governor=governor.name,
-                )
-            )
+        observe_tick = _TickTelemetry(st, tel, resumed).tick
 
     if checkpointer is not None:
         interval = checkpointer.interval_ticks
@@ -615,7 +691,6 @@ def _scalar_loop(
             st.instructions = instructions
             st.true_energy = true_energy
             st.tick_index = tick_index
-            st.last_estimate_w = last_estimate_w
             checkpointer.save(tick_index, st, tel)
             next_checkpoint = tick_index + interval
         if schedule is not None:
@@ -629,22 +704,12 @@ def _scalar_loop(
                         )
                     )
 
-        if instrumented:
-            with tel.span("execute"):
-                record = machine.step()
-            with tel.span("sample"):
-                counter_sample = (
-                    rt.acquire_sample(sampler, record.duration_s)
-                    if hardened
-                    else sampler.sample(record.duration_s)
-                )
-        else:
-            record = machine.step()
-            counter_sample = (
-                rt.acquire_sample(sampler, record.duration_s)
-                if hardened
-                else sampler.sample(record.duration_s)
-            )
+        record = machine.step()
+        counter_sample = (
+            rt.acquire_sample(sampler, record.duration_s)
+            if hardened
+            else sampler.sample(record.duration_s)
+        )
         instructions += record.instructions
         true_energy += record.energy_j
         freq = record.pstate.frequency_mhz
@@ -674,23 +739,14 @@ def _scalar_loop(
             # Fail-safe governor (closed-loop control abandoned) or
             # no good sample yet (hold rather than guess).
             target = rt.safe_pstate if rt.degraded else current
-        elif instrumented:
-            with tel.span("decide"):
-                target = governor.decide(counter_sample, current)
         else:
             target = governor.decide(counter_sample, current)
-        if target != current:
-            if instrumented:
-                with tel.span("actuate"):
-                    changed = PowerManagementController._actuate(
-                        rt, driver, target
-                    )
-            elif hardened:
-                rt.actuate(driver, target)
+        changed = target != current
+        if changed:
+            if hardened:
+                changed = rt.actuate(driver, target)
             else:
                 driver.set_pstate(target)
-        elif instrumented:
-            changed = False
         if hasattr(governor, "observe_power"):
             governor.observe_power(measured)
         # Online adaptation: fold the interval that just executed
@@ -700,51 +756,19 @@ def _scalar_loop(
             adapt.observe(counter_sample, current, measured, machine.now_s)
 
         if instrumented:
-            ticks_counter.inc()
-            freq_counter = residency_counters.get(freq)
-            if freq_counter is None:
-                freq_counter = residency_counters[freq] = metrics.counter(
-                    f"pstate.residency_s.{freq:.0f}"
-                )
-            freq_counter.inc(record.duration_s)
-            power_hist.observe(measured)
-            limit = getattr(governor, "power_limit_w", None)
-            if limit is not None and measured > limit:
-                violations_counter.inc()
-            # The estimate made last tick predicted this tick's power.
-            if last_estimate_w is not None:
-                error_hist.observe(last_estimate_w - measured)
-            tel.emit(
-                DecisionMade(
-                    time_s=machine.now_s,
-                    governor=governor.name,
-                    current_mhz=current.frequency_mhz,
-                    target_mhz=target.frequency_mhz,
-                )
-            )
-            if changed:
-                transitions_counter.inc()
-                tel.emit(
-                    PStateTransition(
-                        time_s=machine.now_s,
-                        from_mhz=current.frequency_mhz,
-                        to_mhz=target.frequency_mhz,
-                    )
-                )
-            if can_estimate and counter_sample is not None:
-                last_estimate_w = governor.estimate_power(
-                    counter_sample, current, target
-                )
-            tel.emit(
-                TickCompleted(
-                    time_s=machine.now_s,
-                    frequency_mhz=freq,
-                    measured_power_w=measured,
-                    true_power_w=record.mean_power_w,
-                    instructions=record.instructions,
-                    duty=record.duty,
-                    temperature_c=temperature,
-                )
+            observe_tick(
+                machine.now_s,
+                freq,
+                record.duration_s,
+                measured,
+                record.mean_power_w,
+                record.instructions,
+                record.duty,
+                temperature,
+                current,
+                target,
+                changed,
+                counter_sample,
             )
 
         if keep_trace:
@@ -770,7 +794,6 @@ def _scalar_loop(
     st.instructions = instructions
     st.true_energy = true_energy
     st.tick_index = tick_index
-    st.last_estimate_w = last_estimate_w
 
     return _finish_run(st, tel)
 

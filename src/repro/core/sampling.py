@@ -82,6 +82,21 @@ class CounterSample:
         return self.dcu / self.ipc
 
 
+def sample_event(sample: CounterSample, time_s: float) -> SampleTaken:
+    """The :class:`SampleTaken` event for ``sample`` closing at ``time_s``.
+
+    ``time_s`` is the sampler's accumulated interval time.  Shared by
+    both samplers and the fused loop, which bypasses them.
+    """
+    return SampleTaken(
+        time_s=time_s,
+        interval_s=sample.interval_s,
+        cycles=sample.cycles,
+        effective_frequency_mhz=sample.effective_frequency_mhz,
+        rates={event.name: rate for event, rate in sample.rates.items()},
+    )
+
+
 class CounterSampler:
     """Programs the PMU and produces :class:`CounterSample` streams."""
 
@@ -148,15 +163,7 @@ class CounterSampler:
         self._elapsed_s += interval_s
         tel = self._telemetry
         if tel is not None and tel.enabled:
-            tel.emit(
-                SampleTaken(
-                    time_s=self._elapsed_s,
-                    interval_s=interval_s,
-                    cycles=cycles,
-                    effective_frequency_mhz=sample.effective_frequency_mhz,
-                    rates={event.name: rate for event, rate in rates.items()},
-                )
-            )
+            tel.emit(sample_event(sample, self._elapsed_s))
         return sample
 
 
@@ -213,16 +220,5 @@ class MultiplexedCounterSampler:
         self._elapsed_s += interval_s
         tel = self._telemetry
         if tel is not None and tel.enabled:
-            tel.emit(
-                SampleTaken(
-                    time_s=self._elapsed_s,
-                    interval_s=interval_s,
-                    cycles=sample.cycles,
-                    effective_frequency_mhz=sample.effective_frequency_mhz,
-                    rates={
-                        event.name: rate
-                        for event, rate in sample.rates.items()
-                    },
-                )
-            )
+            tel.emit(sample_event(sample, self._elapsed_s))
         return sample

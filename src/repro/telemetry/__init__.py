@@ -10,8 +10,8 @@ reproduction the same first-class view of itself:
 * :mod:`~repro.telemetry.metrics` -- a registry of counters, gauges and
   fixed-bucket histograms (p-state residency, transitions, power-limit
   violations, projection-error distributions);
-* :mod:`~repro.telemetry.spans` -- nested wall-clock spans around
-  sample -> decide -> actuate so governor overhead is measurable;
+* :mod:`~repro.telemetry.spans` -- wall-clock spans, one root ``run``
+  span per cell (never per tick);
 * :mod:`~repro.telemetry.exporters` -- JSONL event logs, CSV per-tick
   traces, JSON metric snapshots and human-readable summaries;
 * :mod:`~repro.telemetry.report` -- aggregation of an exported run

@@ -26,6 +26,12 @@ from repro.errors import TelemetryError
 #: A subscriber is any callable accepting one event.
 Subscriber = Callable[["TelemetryEvent"], None]
 
+#: Field names per event class, filled on first :meth:`to_dict`.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+#: Value types :meth:`TelemetryEvent.to_dict` passes through unchecked.
+_SCALARS = frozenset((float, int, str, bool, type(None)))
+
 
 @dataclass(frozen=True)
 class TelemetryEvent:
@@ -41,13 +47,23 @@ class TelemetryEvent:
     kind: ClassVar[str] = "event"
 
     def to_dict(self) -> dict:
-        """JSON-safe dict form: ``kind`` plus every dataclass field."""
+        """JSON-safe dict form: ``kind`` plus every dataclass field.
+
+        Mapping values (e.g. a read-only ``rates`` view) become plain
+        dicts.  Runs once per event on the observed hot path, so field
+        names are cached per class and plain scalars skip the ``Mapping``
+        ABC check.
+        """
+        cls = type(self)
+        names = _FIELD_NAMES.get(cls)
+        if names is None:
+            names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
         out: dict = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Mapping):
+        for name in names:
+            value = getattr(self, name)
+            if type(value) not in _SCALARS and isinstance(value, Mapping):
                 value = dict(value)
-            out[f.name] = value
+            out[name] = value
         return out
 
 

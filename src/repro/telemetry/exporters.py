@@ -89,8 +89,9 @@ class JsonlEventExporter:
         """Write ``event`` (raises after :meth:`close`; the bus isolates)."""
         if self._handle is None:
             raise TelemetryError(f"exporter for {self.path} is closed")
-        json.dump(event.to_dict(), self._handle)
-        self._handle.write("\n")
+        # json.dumps takes the C encoder (json.dump to a file does not)
+        # and writes the same bytes.
+        self._handle.write(json.dumps(event.to_dict()) + "\n")
         self.events_written += 1
 
     def close(self) -> None:
@@ -250,10 +251,13 @@ class TelemetryDirectory:
         if recorder is None:
             return
         # Atomic: a consumer polling the directory (or a kill landing
-        # mid-finalize) must never observe a half-written metrics.json.
+        # mid-finalize) must never observe a half-written metrics.json
+        # or summary.txt.
         atomic_write_text(
             os.path.join(self.path, METRICS_FILENAME),
             json.dumps(recorder.snapshot(), indent=2) + "\n",
         )
-        with open(os.path.join(self.path, SUMMARY_FILENAME), "w") as handle:
-            handle.write(render_run_summary(recorder))
+        atomic_write_text(
+            os.path.join(self.path, SUMMARY_FILENAME),
+            render_run_summary(recorder),
+        )

@@ -5,7 +5,7 @@
 ``events.jsonl``, ``trace.csv``, ``metrics.json`` -- cross-checks the
 three views of the same run, and renders a digest: runs and their
 totals, event counts by kind, transition/reallocation activity, trace
-statistics and governor-overhead spans.
+statistics and per-cell wall-clock spans.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def render_report(directory: str | os.PathLike) -> str:
         lines.append("")
 
     if report.spans:
-        lines.append("governor overhead (wall clock):")
+        lines.append("spans (wall clock):")
         for path, s in sorted(report.spans.items()):
             lines.append(
                 f"  {path:24} count {s['count']:>6}  "

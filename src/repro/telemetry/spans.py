@@ -1,19 +1,17 @@
-"""Span-based wall-clock timing for the control loop's phases.
+"""Span-based wall-clock timing at cell granularity.
 
-The paper claims its monitoring driver has "negligible performance
-impact"; to make the same claim about this reproduction's governor
-overhead, the hot path is wrapped in nested spans::
+The execution engine wraps every configured run in one root span::
 
     with spans.span("run"):
-        with spans.span("sample"):
-            ...
-        with spans.span("decide"):
-            ...
+        controller.run(workload)
 
-Spans nest by *path* ("run/sample"), and the recorder keeps aggregate
-statistics per path (count/total/min/max wall seconds) rather than an
-unbounded span log, so instrumenting a hundred-thousand-tick run costs
-O(paths) memory.  Timing uses :func:`time.perf_counter`.
+so a telemetry bundle records how long each cell took.  The control
+loop opens no spans of its own: per-tick spans would cost more than the
+fused tick kernel they time, and that kernel cannot split a tick into
+phases anyway.  Callers may still nest spans of their own; they nest
+by *path* ("run/setup"), and the recorder keeps aggregate statistics
+per path (count/total/min/max wall seconds) rather than an unbounded
+span log, so memory is O(paths).  Timing uses :func:`time.perf_counter`.
 
 The recorder is deliberately not thread-safe: each controller owns its
 recorder, matching the package's one-run-one-thread design.

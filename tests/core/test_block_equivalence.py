@@ -34,6 +34,7 @@ from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
 from repro.platform.blockstep import block_capable
 from repro.platform.machine import Machine, MachineConfig
 from repro.platform.thermal import ThermalModel
+from repro.telemetry import TelemetryRecorder
 from repro.workloads.registry import default_registry
 
 CONFIG = ExperimentConfig(scale=0.25, seed=5, keep_trace=True)
@@ -192,3 +193,31 @@ def test_scalar_journal_resumes_under_fast_loop(tmp_path, monkeypatch):
     monkeypatch.setattr(blockloop, "FAST_LOOP", True)
     result, _state = resume_run(copy)
     assert run_result_digest(result) == baseline
+
+
+def test_last_decision_transition_adds_no_empty_residency(monkeypatch):
+    """A p-state entered on the run's last decision never runs a tick.
+
+    The scalar loop gives it no residency entry; the fused kernel must
+    not add one as 0.0 when it syncs at loop exit.
+    """
+    cell = RunCell(
+        workload="ammp", governor=GovernorSpec.pm(14.5, power_model="paper")
+    )
+    config = ExperimentConfig(scale=0.1, seed=3)
+    digests = []
+    for fast in (True, False):
+        monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
+        digests.append(run_result_digest(execute_cell(cell, config)))
+    assert digests[0] == digests[1]
+
+    # The case under test: this cell's last decision moves it to a
+    # state it has not run at.
+    recorder = TelemetryRecorder()
+    transitions = []
+    recorder.bus.subscribe(
+        lambda e: transitions.append(e) if e.kind == "transition" else None
+    )
+    result = execute_cell(cell, config, telemetry=recorder)
+    assert transitions[-1].time_s == result.duration_s
+    assert transitions[-1].to_mhz not in result.residency_s

@@ -1,7 +1,12 @@
 """Tests for JSONL/CSV/summary exporters and the directory bundle."""
 
 import csv
+import dataclasses
+import io
 import json
+import math
+from types import MappingProxyType
+from typing import Mapping
 
 import pytest
 
@@ -19,7 +24,7 @@ from repro.telemetry import (
     write_trace_csv,
 )
 from repro.errors import TelemetryError
-from repro.telemetry.bus import DecisionMade
+from repro.telemetry.bus import DecisionMade, TelemetryEvent
 
 
 def _tick(time_s=0.01, temperature_c=55.5):
@@ -144,3 +149,68 @@ class TestRecorder:
             assert installed is recorder
             assert current_recorder() is recorder
         assert current_recorder() is None
+
+
+def _event_classes(cls=TelemetryEvent):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _event_classes(sub)
+
+
+_FLOATS = (math.inf, -math.inf, math.nan, 0.1, 1e-300, 14.5)
+
+
+def _sample_value(annotation: str, index: int):
+    """A JSON-awkward value for a field annotated ``annotation``."""
+    if annotation == "float":
+        return _FLOATS[index % len(_FLOATS)]
+    if annotation == "float | None":
+        return None if index % 2 else math.nan
+    if annotation == "int":
+        return 7 + index
+    if annotation == "bool":
+        return index % 2 == 0
+    if annotation == "str":
+        return f'label "{index}" \\ é ☃\n'
+    if annotation.startswith("Mapping["):
+        return MappingProxyType(
+            {"INST_RETIRED": math.inf, "DCU": 0.25, "NAN": math.nan}
+        )
+    if annotation == "tuple[float, ...]":
+        return (600.0, math.inf)
+    raise AssertionError(f"no sample value for a {annotation!r} field")
+
+
+def _legacy_line(event) -> str:
+    """The exporter's line before the C-encoder rewrite: the uncached
+    ``to_dict`` written with ``json.dump``."""
+    out = {"kind": event.kind}
+    for f in dataclasses.fields(event):
+        value = getattr(event, f.name)
+        if isinstance(value, Mapping):
+            value = dict(value)
+        out[f.name] = value
+    buffer = io.StringIO()
+    json.dump(out, buffer)
+    buffer.write("\n")
+    return buffer.getvalue()
+
+
+def test_jsonl_lines_match_legacy_encoding_for_every_event(tmp_path):
+    events = []
+    for cls in _event_classes():
+        kwargs = {
+            f.name: _sample_value(f.type, i)
+            for i, f in enumerate(dataclasses.fields(cls))
+        }
+        events.append(cls(**kwargs))
+    kinds = {e.kind for e in events}
+    assert {"sample", "decision", "transition", "tick"} <= kinds
+    assert len(kinds) == len(events)
+
+    path = tmp_path / "events.jsonl"
+    with JsonlEventExporter(path) as exporter:
+        for event in events:
+            exporter(event)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines == [_legacy_line(event) for event in events]

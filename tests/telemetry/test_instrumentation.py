@@ -87,12 +87,15 @@ class TestControllerInstrumentation:
         assert len(transition_events) == result.transitions
 
     def test_spans_cover_every_phase(self):
-        result, recorder, _ = _instrumented_run()
+        # Spans are per cell: the caller's root span covers every phase
+        # of the loop, and the controller opens no per-tick spans.
+        recorder = TelemetryRecorder()
+        with recorder.span("run"):
+            result, _, _ = _instrumented_run(recorder=recorder)
+        assert len(result.trace) > 1
         spans = recorder.spans.snapshot()
-        ticks = len(result.trace)
-        for phase in ("execute", "sample", "decide"):
-            assert spans[phase]["count"] == ticks
-        assert spans["actuate"]["count"] == result.transitions
+        assert list(spans) == ["run"]
+        assert spans["run"]["count"] == 1
 
     def test_constraint_changes_emit_events(self):
         schedule = ConstraintSchedule()
@@ -134,12 +137,13 @@ class TestRunnerIntegration:
     def test_execute_cell_wraps_root_span(self):
         recorder = TelemetryRecorder()
         config = ExperimentConfig(scale=0.05)
-        execute_cell(self._pm_cell(), config, telemetry=recorder)
+        cells = 2
+        for _ in range(cells):
+            execute_cell(self._pm_cell(), config, telemetry=recorder)
         spans = recorder.spans.snapshot()
-        assert spans["run"]["count"] == 1
-        # Controller phases nest under the root run span.
-        assert "run/decide" in spans
-        assert spans["run/decide"]["count"] > 0
+        # One root span per cell and nothing per tick beneath it.
+        assert list(spans) == ["run"]
+        assert spans["run"]["count"] == cells
 
     def test_execute_cell_picks_up_current_recorder(self):
         recorder = TelemetryRecorder()

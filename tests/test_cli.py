@@ -100,13 +100,19 @@ def test_experiment_with_telemetry(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sixtrack" in out
     assert (directory / "events.jsonl").exists()
-    # Every run of the experiment is wrapped in a root span.
+    # Every run of the experiment is wrapped in one root span, and no
+    # span is opened per tick.
     import json
 
     with open(directory / "metrics.json") as handle:
         spans = json.load(handle)["spans"]
-    assert spans["run"]["count"] > 0
-    assert "run/decide" in spans
+    with open(directory / "events.jsonl") as handle:
+        cells = sum(
+            1 for line in handle if json.loads(line)["kind"] == "run_started"
+        )
+    assert cells > 0
+    assert list(spans) == ["run"]
+    assert spans["run"]["count"] == cells
 
 
 def test_telemetry_report_round_trip(tmp_path, capsys):
