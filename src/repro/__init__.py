@@ -60,12 +60,10 @@ from repro.adaptation import (
     AdaptationConfig,
     AdaptationManager,
     ModelRegistry,
-    adapting,
 )
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    injecting,
     load_fault_plan,
 )
 from repro.core import (
@@ -102,7 +100,6 @@ from repro.checkpoint import (
     ExperimentCheckpointSession,
     RunCheckpointer,
     RunJournal,
-    checkpointing,
     resume_run,
     run_result_digest,
 )
@@ -178,11 +175,9 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "load_fault_plan",
-    "injecting",
     "AdaptationConfig",
     "AdaptationManager",
     "ModelRegistry",
-    "adapting",
     # The full exception hierarchy: callers harden against this package
     # the same way its own controller hardens against its drivers.
     "ReproError",
@@ -218,7 +213,6 @@ __all__ = [
     "RunJournal",
     "RunCheckpointer",
     "ExperimentCheckpointSession",
-    "checkpointing",
     "resume_run",
     "run_result_digest",
     "RetryPolicy",

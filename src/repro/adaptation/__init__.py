@@ -32,11 +32,6 @@ Meter-drift fault plans (:class:`repro.faults.MeterFaults` with
 adapting one under injected sensor drift.
 """
 
-from repro.adaptation.context import (
-    adapting,
-    current_adaptation_config,
-    set_adaptation_config,
-)
 from repro.adaptation.drift import (
     MisclassificationMonitor,
     PageHinkleyDetector,
@@ -63,7 +58,4 @@ __all__ = [
     "AdaptationReport",
     "load_adaptation_report",
     "render_adaptation_report",
-    "adapting",
-    "current_adaptation_config",
-    "set_adaptation_config",
 ]

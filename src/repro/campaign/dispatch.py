@@ -59,6 +59,7 @@ from repro.errors import CampaignError
 from repro.exec import cache
 from repro.exec.core import execute_cell
 from repro.exec.plan import RunPlan
+from repro.exec.session import set_session
 from repro.supervise import RetryPolicy, is_permanent_error
 from repro.telemetry.bus import CellLeased, CellQuarantined, LeaseExpired
 from repro.telemetry.recorder import TelemetryRecorder
@@ -105,11 +106,13 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
     """Worker loop: lease cells, heartbeat while executing, report.
 
     Runs in the child process.  All sends share one lock because the
-    heartbeat thread and the main thread write the same pipe.  No
-    ambient state is consulted (``use_ambient=False``): the plan
-    carries everything, which is what makes worker results
-    bit-identical to serial execution.
+    heartbeat thread and the main thread write the same pipe.  A forked
+    worker inherits the parent's current session; it is cleared first,
+    so no cell claims the parent's checkpoint slots or records into the
+    parent's recorder.  The plan carries everything, which is what
+    makes worker results bit-identical to serial execution.
     """
+    set_session(None)
     cache.install_caches(payload["caches"])
     plan: RunPlan = payload["plan"]
     hook = payload["cell_hook"]
@@ -159,7 +162,6 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
                     fault_plan=plan.fault_plan,
                     adaptation=plan.adaptation,
                     resilience=plan.resilience,
-                    use_ambient=False,
                 )
             except BaseException as error:  # noqa: BLE001 - shipped upward
                 leased[0] = None

@@ -13,9 +13,11 @@ The durability layer of the power-management loop:
 * :mod:`.session` -- :class:`ExperimentCheckpointSession`, replaying
   archived runs and resuming the interrupted one for whole experiments;
 * :mod:`.digest` -- :func:`run_result_digest`, float-exact digests the
-  chaos harness compares across process boundaries;
-* :mod:`.context` -- the ambient :func:`checkpointing` session, like
-  ``recording()``/``injecting()``/``adapting()``.
+  chaos harness compares across process boundaries.
+
+An experiment checkpoints every run made under
+``open_session(checkpoint=session)``, however deep below the session
+the run is started.
 
 The contract (see README "Crash safety & resume"): a run killed at any
 instant and resumed from its journal finishes with a
@@ -23,11 +25,6 @@ instant and resumed from its journal finishes with a
 uninterrupted run's, and identical final metrics values.
 """
 
-from repro.checkpoint.context import (
-    checkpointing,
-    current_checkpoint_session,
-    set_checkpoint_session,
-)
 from repro.checkpoint.digest import run_result_digest
 from repro.checkpoint.format import (
     JOURNAL_FORMAT_VERSION,
@@ -65,7 +62,4 @@ __all__ = [
     "load_run_state",
     "resume_run",
     "run_result_digest",
-    "checkpointing",
-    "current_checkpoint_session",
-    "set_checkpoint_session",
 ]

@@ -758,7 +758,6 @@ def _cmd_run(args) -> int:
         telemetry=recorder,
         fault_plan=fault_plan,
         adaptation=adaptation,
-        use_ambient=False,
     )
     journal = None
     checkpointer = None
@@ -948,95 +947,80 @@ def _cmd_experiment(args) -> int:
     workers = getattr(args, "workers", 0) or 0
     if workers < 0:
         raise ReproError("--workers must be >= 0")
-    recorder, sink = _make_telemetry(getattr(args, "telemetry", None))
+    telemetry = getattr(args, "telemetry", None)
+    recorder = None
+    if telemetry:
+        from repro.telemetry import TelemetryRecorder
+
+        recorder = TelemetryRecorder()
+    checkpoint = None
+    if args.checkpoint:
+        from repro.checkpoint import ExperimentCheckpointSession
+
+        checkpoint = ExperimentCheckpointSession.create(
+            args.checkpoint,
+            experiment=args.id,
+            spec={"scale": args.scale},
+            interval_ticks=args.checkpoint_interval,
+            telemetry=recorder,
+        )
+    elif args.resume:
+        from repro.checkpoint import ExperimentCheckpointSession
+
+        checkpoint = ExperimentCheckpointSession.open(
+            args.resume, telemetry=recorder
+        )
+        args.id = checkpoint.experiment
+        if args.id not in _EXPERIMENTS:
+            raise ReproError(
+                f"journal {args.resume} checkpoints unknown "
+                f"experiment {args.id!r}"
+            )
+        if args.scale is None:
+            args.scale = checkpoint.spec.get("scale")
+    adaptation = None
+    if getattr(args, "adapt", False):
+        from repro.adaptation import AdaptationConfig
+
+        adaptation = AdaptationConfig()
 
     from contextlib import ExitStack
 
-    session = None
+    from repro.exec.session import open_session
+
+    # One session carries every option to every run the experiment
+    # makes, however deep: each run builds its own seeded injector and
+    # fresh adaptation manager, claims a checkpoint slot (archived
+    # slots replay, the interrupted one resumes), and sweeps fan out
+    # over the workers bit-identically to serial execution.
     with ExitStack() as stack:
-        if workers:
-            from repro.exec.session import ExecSession, executing
-
-            # Ambient execution session: every suite sweep built by the
-            # experiment modules (execute_cells) fans out over the pool;
-            # per-cell results are bit-identical to serial execution.
-            stack.enter_context(
-                executing(
-                    ExecSession(
-                        workers=workers,
-                        telemetry_dir=getattr(args, "telemetry", None),
-                    )
-                )
-            )
-        if recorder is not None:
-            from repro.telemetry import recording
-
-            stack.enter_context(recording(recorder))
-        if fault_plan is not None:
-            from repro.faults import injecting
-
-            # Ambient plan: every run_governed inside the experiment
-            # builds its own seeded injector from it.
-            stack.enter_context(injecting(fault_plan))
-        if getattr(args, "adapt", False):
-            from repro.adaptation import AdaptationConfig, adapting
-
-            # Ambient config: every run_governed inside the experiment
-            # builds its own fresh manager from it.
-            stack.enter_context(adapting(AdaptationConfig()))
-        if args.checkpoint:
-            from repro.checkpoint import (
-                ExperimentCheckpointSession,
-                checkpointing,
-            )
-
-            session = ExperimentCheckpointSession.create(
-                args.checkpoint,
-                experiment=args.id,
-                spec={"scale": args.scale},
-                interval_ticks=args.checkpoint_interval,
-                telemetry=recorder,
-            )
-        elif args.resume:
-            from repro.checkpoint import (
-                ExperimentCheckpointSession,
-                checkpointing,
-            )
-
-            session = ExperimentCheckpointSession.open(
-                args.resume, telemetry=recorder
-            )
-            args.id = session.experiment
-            if args.id not in _EXPERIMENTS:
-                raise ReproError(
-                    f"journal {args.resume} checkpoints unknown "
-                    f"experiment {args.id!r}"
-                )
-            if args.scale is None:
-                args.scale = session.spec.get("scale")
-        if session is not None:
-            # Ambient session: every run_governed claims a slot --
-            # archived slots replay, the interrupted one resumes.
-            stack.enter_context(session)
-            stack.enter_context(checkpointing(session))
+        if checkpoint is not None:
+            stack.enter_context(checkpoint)
+        stack.enter_context(open_session(
+            workers=workers,
+            telemetry=recorder,
+            telemetry_dir=telemetry or None,
+            faults=fault_plan,
+            adaptation=adaptation,
+            checkpoint=checkpoint,
+        ))
         text = _EXPERIMENTS[args.id](args.scale)
     print(text)
-    if session is not None and session.replayed:
-        print(f"(replayed {session.replayed} archived runs from "
-              f"{session.directory})", file=sys.stderr)
-    if sink is not None:
-        sink.finalize(recorder)
+    if checkpoint is not None and checkpoint.replayed:
+        print(f"(replayed {checkpoint.replayed} archived runs from "
+              f"{checkpoint.directory})", file=sys.stderr)
+    if telemetry:
         if workers:
-            from repro.telemetry.merge import merge_worker_directories
+            from repro.telemetry.merge import find_worker_directories
 
-            report = merge_worker_directories(sink.path)
-            if report.workers:
+            merged = len(find_worker_directories(telemetry))
+            if merged:
                 print(
-                    f"merged telemetry from {report.workers} worker "
-                    f"director{'y' if report.workers == 1 else 'ies'}",
+                    f"merged telemetry from {merged} worker "
+                    f"director{'y' if merged == 1 else 'ies'}",
                     file=sys.stderr,
                 )
-        print(f"telemetry written to {sink.path}")
+        print(f"telemetry written to {telemetry}")
     return 0
 
 

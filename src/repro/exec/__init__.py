@@ -5,7 +5,9 @@ Public surface:
 * :class:`~repro.exec.plan.RunPlan` / :class:`~repro.exec.plan.RunCell`
   / :class:`~repro.exec.plan.GovernorSpec` -- experiments as data;
 * :func:`~repro.exec.session.open_session` -- the single composable
-  entry point (telemetry, faults, adaptation, checkpointing, workers);
+  entry point (telemetry, faults, adaptation, resilience, checkpoint,
+  workers); the session it opens is the only ambient state, and
+  :func:`~repro.exec.session.current_session` returns it;
 * :func:`~repro.exec.core.execute_cell` -- the one code path every
   cell runs through, in every process.
 """
@@ -34,7 +36,6 @@ from repro.exec.session import (
     ExecSession,
     current_session,
     execute_cells,
-    executing,
     open_session,
     set_session,
 )
@@ -55,7 +56,6 @@ __all__ = [
     "current_session",
     "execute_cell",
     "execute_cells",
-    "executing",
     "export_caches",
     "install_caches",
     "open_session",

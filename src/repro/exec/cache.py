@@ -130,29 +130,34 @@ def worst_case_power_table(
 
     This is the worst-case characterization static clocking provisions
     against; it is *measured* (run on the simulated rig), not computed
-    from model constants.
+    from model constants.  It is cached under ``(scale, seed)`` alone,
+    so it is measured on a bare session: the current session's faults,
+    adaptation, telemetry and checkpoint slots never reach it.
     """
     key = (scale, seed)
     table = _WORST_CASE.get(key)
     if table is None:
-        from repro.exec.core import execute_cell
         from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell
+        from repro.exec.session import ExecSession
         from repro.workloads.microbenchmarks import worst_case_workload
 
         workload = worst_case_workload()
         config = ExperimentConfig(scale=scale, seed=seed)
-        out: dict[float, float] = {}
-        for pstate in config.table:
-            result = execute_cell(
+        results = ExecSession().run_cells(
+            [
                 RunCell(
                     workload=workload,
                     governor=GovernorSpec.fixed(pstate.frequency_mhz),
                     initial_frequency_mhz=pstate.frequency_mhz,
-                ),
-                config,
-            )
-            out[pstate.frequency_mhz] = result.mean_power_w
-        table = _WORST_CASE[key] = out
+                )
+                for pstate in config.table
+            ],
+            config,
+        )
+        table = _WORST_CASE[key] = {
+            pstate.frequency_mhz: result.mean_power_w
+            for pstate, result in zip(config.table, results)
+        }
     return table
 
 

@@ -1,35 +1,34 @@
 """The cell execution engine: one :class:`RunCell` -> one ``RunResult``.
 
 This is the single code path every entry point funnels through --
-``run_governed`` (now a shim), the suite drivers, the CLI's ``run``
-subcommand and the parallel workers all call :func:`execute_cell`, so
-a cell produces bit-identical results no matter which layer asked for
-it or which process it ran in.
+:class:`~repro.exec.session.ExecSession`, the suite drivers, the CLI's
+``run`` subcommand and the pool workers all call :func:`execute_cell`
+(or :func:`prepare_cell`), so a cell produces bit-identical results no
+matter which layer asked for it or which process it ran in.
 
 Resolution order for the cross-cutting options (telemetry, faults,
 adaptation, resilience): per-cell data beats explicit arguments beats
-the process-local ambient contexts.  Workers never install ambient
-state; everything they need rides on the cell and the plan.
+the current :class:`~repro.exec.session.ExecSession`, which also
+supplies the checkpoint session.  Pool workers run with no current
+session; everything they need rides on the cell and the plan.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
-from repro.adaptation.context import current_adaptation_config
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
-from repro.checkpoint.context import current_checkpoint_session
 from repro.core.controller import PowerManagementController, RunResult
 from repro.core.resilience import ResilienceConfig
 from repro.errors import PlanError
 from repro.exec.plan import ExperimentConfig, RunCell
-from repro.faults.context import current_fault_plan
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.multicore.controller import MulticoreController
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.machine import Machine
-from repro.telemetry.recorder import TelemetryRecorder, current_recorder
+from repro.telemetry.recorder import TelemetryRecorder
 
 
 @dataclass
@@ -60,46 +59,32 @@ class PreparedCell:
             if cell.initial_frequency_mhz is not None
             else None
         )
+        multicore = isinstance(self.controller, MulticoreController)
+        if multicore and checkpointer is not None:
+            raise PlanError(
+                f"cell {cell.label}: multicore cells (threads > 1) do not "
+                "support checkpointing; run them without a checkpoint "
+                "session"
+            )
         tel = self.telemetry
-        if isinstance(self.controller, MulticoreController):
-            if checkpointer is not None:
-                raise PlanError(
-                    f"cell {cell.label}: multicore cells (threads > 1) do "
-                    "not support checkpointing; run them outside a "
-                    "checkpointing() session"
-                )
-            if tel is not None and tel.enabled:
-                with tel.span("run"):
-                    out = self.controller.run(
-                        workload,
-                        threads=cell.threads,
-                        initial_pstate=initial,
-                        max_seconds=config.max_seconds,
-                    )
-            else:
-                out = self.controller.run(
+        with (
+            tel.span("run") if tel is not None and tel.enabled
+            else contextlib.nullcontext()
+        ):
+            if multicore:
+                return self.controller.run(
                     workload,
                     threads=cell.threads,
                     initial_pstate=initial,
                     max_seconds=config.max_seconds,
-                )
-            return out.result
-        if tel is not None and tel.enabled:
-            with tel.span("run"):
-                return self.controller.run(
-                    workload,
-                    initial_pstate=initial,
-                    schedule=cell.schedule,
-                    max_seconds=config.max_seconds,
-                    checkpointer=checkpointer,
-                )
-        return self.controller.run(
-            workload,
-            initial_pstate=initial,
-            schedule=cell.schedule,
-            max_seconds=config.max_seconds,
-            checkpointer=checkpointer,
-        )
+                ).result
+            return self.controller.run(
+                workload,
+                initial_pstate=initial,
+                schedule=cell.schedule,
+                max_seconds=config.max_seconds,
+                checkpointer=checkpointer,
+            )
 
 
 def prepare_cell(
@@ -109,25 +94,16 @@ def prepare_cell(
     fault_plan: FaultPlan | None = None,
     adaptation: AdaptationConfig | AdaptationManager | None = None,
     resilience: ResilienceConfig | None = None,
-    use_ambient: bool = True,
 ) -> PreparedCell:
     """Resolve ``cell`` into live objects without running it.
 
     ``telemetry``/``fault_plan``/``adaptation``/``resilience`` are the
-    plan- or caller-level defaults; per-cell values override them, and
-    with ``use_ambient`` (the default in-process path) unset options
-    fall back to the process-local contexts exactly as ``run_governed``
-    always did.
+    plan- or caller-level defaults; per-cell values override them.  No
+    session is consulted: :func:`execute_cell` resolves those first.
     """
     tel = telemetry
-    if tel is None and use_ambient:
-        tel = current_recorder()
     plan = cell.fault_plan if cell.fault_plan is not None else fault_plan
-    if plan is None and use_ambient:
-        plan = current_fault_plan()
     adapt = cell.adaptation if cell.adaptation is not None else adaptation
-    if adapt is None and use_ambient:
-        adapt = current_adaptation_config()
     if adapt is not None and not isinstance(adapt, AdaptationManager):
         adapt = AdaptationManager(adapt)
     resil = cell.resilience if cell.resilience is not None else resilience
@@ -207,50 +183,59 @@ def execute_cell(
     fault_plan: FaultPlan | None = None,
     adaptation: AdaptationConfig | AdaptationManager | None = None,
     resilience: ResilienceConfig | None = None,
-    use_ambient: bool = True,
 ) -> RunResult:
-    """Execute one cell, honouring the ambient checkpoint session.
+    """Execute one cell under the current session's options.
 
-    This is the historical ``run_governed`` behaviour verbatim: when a
-    checkpoint session is installed, completed slots replay from the
+    Each option comes from the cell, else the argument, else the
+    current :class:`~repro.exec.session.ExecSession`.  When that session
+    carries a checkpoint session, completed slots replay from the
     archive, an interrupted slot resumes from its journal, and fresh
     slots run with periodic checkpointing -- slot indices line up
     because cells execute in deterministic order.
     """
-    tel = telemetry
-    if tel is None and use_ambient:
-        tel = current_recorder()
-    session = current_checkpoint_session() if use_ambient else None
-    slot = None
+    # Imported here: repro.exec.session imports this module.
+    from repro.exec.session import current_session
+
+    session = current_session()
+    checkpoint = None
     if session is not None:
-        slot = session.claim()
-        cached = session.archived(slot)
+        if telemetry is None:
+            telemetry = session.telemetry
+        if fault_plan is None:
+            fault_plan = session.faults
+        if adaptation is None:
+            adaptation = session.adaptation
+        if resilience is None:
+            resilience = session.resilience
+        checkpoint = session.checkpoint
+    slot = None
+    if checkpoint is not None:
+        slot = checkpoint.claim()
+        cached = checkpoint.archived(slot)
         if cached is not None:
             return cached
-        resumed = session.resume_slot(slot, tel)
+        resumed = checkpoint.resume_slot(slot, telemetry)
         if resumed is not None:
-            session.finish_slot(slot, resumed, telemetry=tel)
+            checkpoint.finish_slot(slot, resumed, telemetry=telemetry)
             return resumed
     prepared = prepare_cell(
         cell,
         config,
-        telemetry=tel,
+        telemetry=telemetry,
         fault_plan=fault_plan,
         adaptation=adaptation,
         resilience=resilience,
-        # Ambient telemetry is already resolved; pass the rest through.
-        use_ambient=use_ambient,
     )
     checkpointer = (
-        session.start_slot(
+        checkpoint.start_slot(
             slot, cell.workload_name, prepared.governor.name
         )
-        if session is not None
+        if checkpoint is not None
         else None
     )
     result = prepared.execute(checkpointer)
-    if session is not None:
-        session.finish_slot(
-            slot, result, telemetry=tel, checkpointer=checkpointer
+    if checkpoint is not None:
+        checkpoint.finish_slot(
+            slot, result, telemetry=telemetry, checkpointer=checkpointer
         )
     return result

@@ -1,11 +1,9 @@
 """Declarative run plans: experiment cells as data, not ambient state.
 
-Historically one run was described by a pile of ``run_governed`` kwargs
-plus up to three ambient contexts (``injecting()``, ``adapting()``,
-``checkpointing()``).  That sprawl is impossible to fan out over a
-process pool -- a lambda governor factory does not pickle, and ambient
-state does not cross process boundaries.  This module replaces it with
-three plain-data types:
+A run is workload x governor x options, and it must fan out over a
+process pool -- where a lambda governor factory does not pickle and
+process-local state does not cross the boundary.  This module
+describes runs with three plain-data types:
 
 * :class:`GovernorSpec` -- a picklable, JSON-able description of a
   governor (kind + parameters + model source) that builds a fresh
@@ -565,7 +563,7 @@ class RunPlan:
         config: ExperimentConfig | None = None,
         **cell_kwargs,
     ) -> "RunPlan":
-        """A one-cell plan (the ``run_governed`` shape)."""
+        """A one-cell plan."""
         config = config or ExperimentConfig()
         return cls(
             config=config,

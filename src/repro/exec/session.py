@@ -1,45 +1,39 @@
 """One composable entry point for running experiments.
 
-:func:`open_session` subsumes what previously took four nested ambient
-context managers plus a pile of ``run_governed`` kwargs::
+Every option of a run lives on one :class:`ExecSession`: the telemetry
+recorder, the fault plan, the adaptation config, the resilience config,
+the checkpoint session and the worker count.  :func:`open_session`
+opens one and makes it the *current* session, the only process-local
+option state in the package::
 
-    # before
-    with recording(recorder), injecting(faults), adapting(adapt), \\
-            checkpointing(ckpt):
-        result = run_governed("mcf", lambda t: PowerSave(t, model, 0.8),
-                              config)
-
-    # after
     with open_session(telemetry_dir="out", faults=faults,
                       adaptation=adapt, checkpoint=ckpt,
                       workers=4) as session:
         result = session.run("mcf", GovernorSpec.ps(0.8), config)
 
-The session both *is* the ambient state (it installs the telemetry /
-fault / adaptation / checkpoint contexts for legacy code underneath it)
-and the execution engine handle: ``workers=0`` runs cells serially
-in-process, ``workers>=1`` fans them out through
-:class:`~repro.campaign.dispatch.LeaseDispatcher` with bit-identical
-results.
+``workers=0`` runs cells serially in-process, ``workers>=1`` fans them
+out through :class:`~repro.campaign.dispatch.LeaseDispatcher` with
+bit-identical results.
 
 Code between the layers (suite drivers, ``median_run``) calls
-:func:`execute_cells`, which routes through the innermost open session
--- so a CLI-level ``--workers 4`` parallelises sweeps built many layers
-below without those layers knowing.
+:func:`execute_cells`, which routes through the current session, and
+:func:`~repro.exec.core.execute_cell` takes every option it is not
+given from it -- so a CLI-level ``--workers 4 --faults F`` reaches
+sweeps built many layers below without those layers knowing.  A
+session opened inside another fills the recorder, fault plan,
+adaptation config and checkpoint session it is not given from the
+enclosing one.  To run cells *without* some enclosing option, build an
+:class:`ExecSession` directly and run them on it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 from typing import Dict, Iterator, List, Sequence
 
-from repro.adaptation.context import adapting, current_adaptation_config
 from repro.adaptation.manager import AdaptationConfig
-from repro.checkpoint.context import (
-    checkpointing,
-    current_checkpoint_session,
-)
 from repro.core.controller import RunResult
 from repro.core.resilience import ResilienceConfig
 from repro.errors import ExperimentError
@@ -52,48 +46,29 @@ from repro.exec.plan import (
     RunPlan,
     as_governor_spec,
 )
-from repro.faults.context import current_fault_plan, injecting
 from repro.faults.plan import FaultPlan
-from repro.telemetry.recorder import TelemetryRecorder, recording
+from repro.telemetry.recorder import TelemetryRecorder
 
 _current: "ExecSession | None" = None
 
 
 def current_session() -> "ExecSession | None":
-    """The innermost session opened by :func:`open_session` (or None)."""
+    """The session whose options apply right now (or None)."""
     return _current
 
 
 def set_session(session: "ExecSession | None") -> None:
-    """Install (or clear, with ``None``) the ambient session."""
+    """Install (or clear, with ``None``) the current session."""
     global _current
     _current = session
-
-
-@contextlib.contextmanager
-def executing(session: "ExecSession | None") -> Iterator[
-    "ExecSession | None"
-]:
-    """Temporarily install ``session`` as the ambient session.
-
-    Lower-level than :func:`open_session`: installs *only* the session
-    (for callers like the CLI that manage telemetry/fault/adaptation
-    contexts themselves) so :func:`execute_cells` routes through it.
-    """
-    previous = current_session()
-    set_session(session)
-    try:
-        yield session
-    finally:
-        set_session(previous)
 
 
 class ExecSession:
     """A live execution scope: options + (optionally) a worker pool.
 
-    Construct directly only when composing with externally-managed
-    ambient contexts; otherwise use :func:`open_session`, which installs
-    everything coherently.
+    :func:`open_session` is the usual way in.  Construct one directly
+    to run cells under exactly the options given here, with nothing
+    taken from the current session.
     """
 
     def __init__(
@@ -132,54 +107,54 @@ class ExecSession:
         self, cells: Sequence[RunCell], config: ExperimentConfig
     ) -> List[RunResult]:
         """Execute ``cells`` under this session's options, in cell order."""
-        plan = RunPlan(
-            config=config,
-            cells=tuple(cells),
-            fault_plan=(
-                self.faults if self.faults is not None
-                else current_fault_plan()
-            ),
-            adaptation=(
-                self.adaptation if self.adaptation is not None
-                else current_adaptation_config()
-            ),
-            resilience=self.resilience,
-        )
-        return self.run_plan(plan)
+        return self.run_plan(RunPlan(config=config, cells=tuple(cells)))
 
     def run_plan(self, plan: RunPlan) -> List[RunResult]:
-        """Execute a fully-specified plan (serially or on the pool)."""
-        checkpoint = (
-            self.checkpoint
-            if self.checkpoint is not None
-            else current_checkpoint_session()
-        )
-        if not self.parallel:
-            with checkpointing(checkpoint):
-                return [
-                    execute_cell(
-                        cell,
-                        plan.config,
-                        telemetry=self.telemetry,
-                        fault_plan=plan.fault_plan,
-                        adaptation=plan.adaptation,
-                        resilience=plan.resilience,
-                    )
-                    for cell in plan.cells
-                ]
-        return self._run_pool(plan, checkpoint)
+        """Execute a plan (serially or on the pool), in cell order.
 
-    def _run_pool(self, plan: RunPlan, checkpoint) -> List[RunResult]:
+        Plan-wide options the plan leaves unset come from this session,
+        so serial and pool execution see the same options.  While cells
+        run in process this session is the current one: each
+        :func:`execute_cell` claims its checkpoint slot here and reads
+        no other session.
+        """
+        plan = dataclasses.replace(
+            plan,
+            fault_plan=_given(plan.fault_plan, self.faults),
+            adaptation=_given(plan.adaptation, self.adaptation),
+            resilience=_given(plan.resilience, self.resilience),
+        )
+        if self.parallel:
+            return self._run_pool(plan)
+        previous = current_session()
+        set_session(self)
+        try:
+            return [
+                execute_cell(
+                    cell,
+                    plan.config,
+                    telemetry=self.telemetry,
+                    fault_plan=plan.fault_plan,
+                    adaptation=plan.adaptation,
+                    resilience=plan.resilience,
+                )
+                for cell in plan.cells
+            ]
+        finally:
+            set_session(previous)
+
+    def _run_pool(self, plan: RunPlan) -> List[RunResult]:
         """Fan ``plan`` out over a worker pool; results in cell order.
 
-        With a ``checkpoint`` session, slots are claimed in cell order
-        here in the parent: archived cells replay without executing and
+        With a checkpoint session, slots are claimed in cell order here
+        in the parent: archived cells replay without executing and
         every completed cell is archived on arrival (cell granularity;
         no mid-run snapshots inside workers).  A cell that fails for
         good fails the plan at once, like serial execution.
         """
         from repro.campaign.dispatch import LeaseDispatcher
 
+        checkpoint = self.checkpoint
         results: Dict[int, RunResult] = {}
         slots: Dict[int, int] = {}
         pending: List[int] = []
@@ -233,7 +208,7 @@ class ExecSession:
         config: ExperimentConfig | None = None,
         **cell_kwargs,
     ) -> RunResult:
-        """Run a single cell (the ``run_governed`` shape) and return it."""
+        """Run a single cell and return its result."""
         cell = RunCell(
             workload=workload,
             governor=as_governor_spec(governor),
@@ -242,21 +217,23 @@ class ExecSession:
         return self.run_cells([cell], config or ExperimentConfig())[0]
 
 
+def _given(value, default):
+    """``value`` unless it is None, else ``default``."""
+    return value if value is not None else default
+
+
 def execute_cells(
     cells: Sequence[RunCell], config: ExperimentConfig
 ) -> List[RunResult]:
-    """Execute cells through the ambient session (serial when none).
+    """Execute cells through the current session (serial when none).
 
     This is the seam mid-layer code (suite drivers, ``median_run``,
     experiment modules) calls so that a session opened above them --
     e.g. the CLI's ``--workers 4`` -- transparently parallelises their
-    sweeps.  Without a session it is exactly the historical behaviour:
-    cells run in order, in process, honouring ambient contexts.
+    sweeps.  Without a session the cells run in order, in process,
+    with no options beyond their own.
     """
-    session = current_session()
-    if session is not None:
-        return session.run_cells(cells, config)
-    return [execute_cell(cell, config) for cell in cells]
+    return (current_session() or ExecSession()).run_cells(cells, config)
 
 
 @contextlib.contextmanager
@@ -269,52 +246,54 @@ def open_session(
     resilience: ResilienceConfig | None = None,
     checkpoint=None,
 ) -> Iterator[ExecSession]:
-    """Open an execution session: ambient state + engine, one handle.
+    """Open an execution session and make it the current one.
 
-    * ``workers=0`` (default): cells run serially in this process --
-      behaviourally identical to the legacy context-manager stack.
+    * ``workers=0`` (default): cells run serially in this process.
     * ``workers>=1``: sweeps fan out over a worker pool; per-cell
       results are bit-identical to serial execution.
     * ``telemetry_dir``: create (or reuse ``telemetry``) a recorder and
       write a full telemetry directory there on exit; with workers,
       per-worker subdirectories are merged in automatically.
     * ``faults`` / ``adaptation`` / ``resilience`` / ``checkpoint``:
-      plan-wide options, installed ambiently for legacy callees *and*
+      options for every cell run under the session, in this process or
       carried as data into worker processes.
+
+    Inside another session, ``telemetry`` (unless ``telemetry_dir`` is
+    given), ``faults``, ``adaptation`` and ``checkpoint`` default to the
+    enclosing session's; ``workers``, ``telemetry_dir`` and
+    ``resilience`` do not.
     """
-    recorder = telemetry
+    outer = current_session()
+    if outer is not None:
+        if telemetry_dir is None:
+            telemetry = _given(telemetry, outer.telemetry)
+        faults = _given(faults, outer.faults)
+        adaptation = _given(adaptation, outer.adaptation)
+        checkpoint = _given(checkpoint, outer.checkpoint)
     sink = None
     if telemetry_dir is not None:
-        if recorder is None:
-            recorder = TelemetryRecorder()
+        if telemetry is None:
+            telemetry = TelemetryRecorder()
         from repro.telemetry.exporters import TelemetryDirectory
 
         sink = TelemetryDirectory(telemetry_dir)
-        sink.attach(recorder)
+        sink.attach(telemetry)
     session = ExecSession(
         workers=workers,
-        telemetry=recorder,
+        telemetry=telemetry,
         telemetry_dir=telemetry_dir,
         faults=faults,
         adaptation=adaptation,
         resilience=resilience,
         checkpoint=checkpoint,
     )
+    set_session(session)
     try:
-        with contextlib.ExitStack() as stack:
-            if recorder is not None:
-                stack.enter_context(recording(recorder))
-            if faults is not None:
-                stack.enter_context(injecting(faults))
-            if adaptation is not None:
-                stack.enter_context(adapting(adaptation))
-            if checkpoint is not None:
-                stack.enter_context(checkpointing(checkpoint))
-            stack.enter_context(executing(session))
-            yield session
+        yield session
     finally:
+        set_session(outer)
         if sink is not None:
-            sink.finalize(recorder)
+            sink.finalize(telemetry)
         if session.telemetry_dir is not None and session.parallel:
             from repro.telemetry.merge import merge_worker_directories
 

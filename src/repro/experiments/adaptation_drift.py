@@ -27,15 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.adaptation.context import adapting
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.analysis.report import TextTable
 from repro.core.controller import RunResult
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.exec import (
+    ExecSession,
     ExperimentConfig,
     RunCell,
     as_governor_spec,
+    current_session,
     execute_cell,
 )
 from repro.exec.cache import trained_power_model
@@ -108,11 +109,18 @@ def run(
     def pm_factory(table):
         return PerformanceMaximizer(table, model, power_limit_w)
 
-    # The frozen leg must stay frozen even when the CLI installed an
-    # ambient adaptation config (``experiment --adapt``).
+    # The frozen leg must stay frozen even when the current session
+    # adapts (``experiment --adapt``): it runs on a session that keeps
+    # every option of the current one except the adaptation config.
     cell = RunCell(workload=workload, governor=as_governor_spec(pm_factory))
-    with adapting(None):
-        frozen_run = execute_cell(cell, config, fault_plan=plan)
+    outer = current_session() or ExecSession()
+    frozen_leg = ExecSession(
+        telemetry=outer.telemetry,
+        faults=plan,
+        resilience=outer.resilience,
+        checkpoint=outer.checkpoint,
+    )
+    frozen_run = frozen_leg.run_cells([cell], config)[0]
 
     manager = AdaptationManager(
         adaptation if adaptation is not None else AdaptationConfig()

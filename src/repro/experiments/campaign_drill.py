@@ -41,7 +41,7 @@ from typing import Any, List, Mapping
 from repro.campaign import ResultStore, cell_digest, run_campaign
 from repro.checkpoint.digest import run_result_digest
 from repro.errors import DeadlineExceeded
-from repro.exec.core import execute_cell
+from repro.exec.session import ExecSession
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 
 #: Workloads x frequencies for the kill-and-resume sweep: enough cells
@@ -165,9 +165,9 @@ def _part_a(config: ExperimentConfig, workdir: str) -> Mapping[str, Any]:
     index_of = {digest: i for i, digest in enumerate(digests)}
     identical = 0
     for digest in sorted(survivors):
-        fresh = execute_cell(
-            plan.cells[index_of[digest]], plan.config, use_ambient=False
-        )
+        fresh = ExecSession().run_cells(
+            [plan.cells[index_of[digest]]], plan.config
+        )[0]
         if run_result_digest(fresh) == store.result_digest(digest):
             identical += 1
     return {

@@ -65,8 +65,8 @@ def median_run(
         for i in range(config.runs)
     ]
     if telemetry is not None:
-        # An explicit recorder bypasses the session seam (ambient
-        # recorders flow through execute_cells unchanged).
+        # An explicit recorder bypasses the session seam (a session's
+        # own recorder flows through execute_cells unchanged).
         results = [
             execute_cell(cell, config, telemetry=telemetry)
             for cell in cells

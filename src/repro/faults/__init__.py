@@ -11,12 +11,11 @@ input so the hardened monitor -> estimate -> control loop can be tested
   per-subsystem fault models (dropped/duplicated/garbled/overflowed
   counter samples, meter dropout and spikes, failed/stalled p-state
   transitions, stuck thermal sensors, fleet node crash/restart), JSON
-  (or YAML) loadable for the CLI's ``--faults SPEC``;
+  (or YAML) loadable for the CLI's ``--faults SPEC`` and carried into
+  every run by ``open_session(faults=...)``;
 * :mod:`repro.faults.injector` -- the seeded :class:`FaultInjector` and
   its interface-preserving wrappers around the counter sampler, power
   meter and SpeedStep driver;
-* :mod:`repro.faults.context` -- the ambient plan used by
-  ``experiment --faults`` (mirrors :func:`repro.telemetry.recording`);
 * :mod:`repro.faults.report` -- the ``repro-power faults-report``
   injected-vs-recovered aggregation.
 
@@ -26,11 +25,6 @@ The consumer-side defenses live with the consumers: see
 :class:`~repro.fleet.controller.FleetController`.
 """
 
-from repro.faults.context import (
-    current_fault_plan,
-    injecting,
-    set_fault_plan,
-)
 from repro.faults.injector import (
     FaultInjector,
     FaultyPowerMeter,
@@ -64,9 +58,6 @@ __all__ = [
     "FaultySampler",
     "FaultyPowerMeter",
     "FaultySpeedStep",
-    "current_fault_plan",
-    "set_fault_plan",
-    "injecting",
     "FaultsReport",
     "load_faults_report",
     "render_faults_report",

@@ -63,9 +63,6 @@ from repro.telemetry.recorder import (
     NULL_RECORDER,
     NullRecorder,
     TelemetryRecorder,
-    current_recorder,
-    recording,
-    set_recorder,
 )
 from repro.telemetry.exporters import (
     CsvTraceExporter,
@@ -119,9 +116,6 @@ __all__ = [
     "TelemetryRecorder",
     "NullRecorder",
     "NULL_RECORDER",
-    "current_recorder",
-    "set_recorder",
-    "recording",
     # exporters
     "TRACE_FIELDS",
     "JsonlEventExporter",

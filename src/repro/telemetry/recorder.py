@@ -6,20 +6,15 @@ disabled recorder -- or no recorder at all -- costs nothing beyond a
 branch per block.  :data:`NULL_RECORDER` is the shared no-op instance
 for call sites that want unconditional attribute access.
 
-A process-local *current recorder* supports instrumenting code that is
-called many layers deep (the CLI's ``experiment`` subcommand wraps whole
-experiment modules)::
+Code called many layers deep (the CLI's ``experiment`` subcommand wraps
+whole experiment modules) finds its recorder on the current
+:class:`~repro.exec.session.ExecSession`::
 
-    with recording(recorder):
-        module.run(config)   # run_governed() picks the recorder up
-
-The default current recorder is ``None`` (telemetry off).
+    with open_session(telemetry=recorder):
+        module.run(config)   # every execute_cell() records into it
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Iterator
 
 from repro.telemetry.bus import EventBus, TelemetryEvent
 from repro.telemetry.metrics import MetricsRegistry
@@ -94,29 +89,3 @@ class NullRecorder(TelemetryRecorder):
 
 #: Shared no-op recorder for unconditional call sites.
 NULL_RECORDER = NullRecorder()
-
-_current: TelemetryRecorder | None = None
-
-
-def current_recorder() -> TelemetryRecorder | None:
-    """The process-local recorder installed by :func:`recording`."""
-    return _current
-
-
-def set_recorder(recorder: TelemetryRecorder | None) -> None:
-    """Install (or clear, with ``None``) the current recorder."""
-    global _current
-    _current = recorder
-
-
-@contextlib.contextmanager
-def recording(recorder: TelemetryRecorder | None) -> Iterator[
-    TelemetryRecorder | None
-]:
-    """Temporarily install ``recorder`` as the current recorder."""
-    previous = current_recorder()
-    set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)

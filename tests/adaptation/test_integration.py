@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.adaptation.manager import AdaptationManager
+from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.cli import main
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.exec import (
@@ -23,6 +23,7 @@ from repro.exec import (
     RunCell,
     as_governor_spec,
     execute_cell,
+    open_session,
 )
 from repro.experiments import adaptation_drift
 from repro.workloads.registry import get_workload
@@ -102,3 +103,14 @@ def test_adaptation_smoke(tmp_path, capsys):
     ]) == 0
     assert registry.exists()
     assert "adaptation   :" in capsys.readouterr().out
+
+
+def test_frozen_leg_stays_frozen_under_an_adapting_session():
+    """``experiment drift --adapt`` must not adapt the frozen leg."""
+    config = ExperimentConfig(scale=24.0)
+    bare = adaptation_drift.run(config)
+    with open_session(adaptation=AdaptationConfig()):
+        adapting = adaptation_drift.run(config)
+    assert adapting.frozen == bare.frozen
+    # At this scale adaptation engages, so a leak would show.
+    assert adapting.adaptive != adapting.frozen

@@ -68,7 +68,7 @@ def _sleep_forever(index: int) -> None:
 
 def _serial_digests():
     return [
-        run_result_digest(execute_cell(cell, CONFIG, use_ambient=False))
+        run_result_digest(execute_cell(cell, CONFIG))
         for cell in CELLS
     ]
 

@@ -39,7 +39,7 @@ def test_fresh_run_then_resume_all_cached(tmp_path):
     # Cache hits are bit-identical to a serial execution.
     for index, cell in enumerate(plan.cells):
         serial = run_result_digest(
-            execute_cell(cell, CONFIG, use_ambient=False)
+            execute_cell(cell, CONFIG)
         )
         assert run_result_digest(second.results[index]) == serial
 

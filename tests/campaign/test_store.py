@@ -95,7 +95,7 @@ class TestResultStore:
     def test_put_get_round_trip_verified(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         digest = cell_digest(CELL, PLAN)
-        result = execute_cell(CELL, CONFIG, use_ambient=False)
+        result = execute_cell(CELL, CONFIG)
         stored_digest = store.put(
             digest, campaign_cell_spec(CELL, PLAN), result
         )
@@ -107,7 +107,7 @@ class TestResultStore:
     def test_get_detects_tampering(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         digest = cell_digest(CELL, PLAN)
-        result = execute_cell(CELL, CONFIG, use_ambient=False)
+        result = execute_cell(CELL, CONFIG)
         store.put(digest, campaign_cell_spec(CELL, PLAN), result)
         path = store._object_path(digest)
         with open(path, "rb") as handle:

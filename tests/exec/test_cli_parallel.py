@@ -56,6 +56,28 @@ def test_run_plan_rejects_bad_json(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_experiment_options_reach_pool_workers(tmp_path, capsys):
+    """--faults and --adapt reach every cell through the one session,
+    whether it runs in process or in a pool worker."""
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({
+        "seed": 0,
+        "sample": {"drop_prob": 0.08},
+        "transition": {"fail_prob": 0.4},
+    }))
+
+    def fig7(*options):
+        assert main(["experiment", "fig7", "--scale", "0.05",
+                     *options]) == 0
+        return capsys.readouterr().out
+
+    options = ("--faults", str(faults), "--adapt")
+    serial = fig7(*options, "--workers", "0")
+    pooled = fig7(*options, "--workers", "2")
+    assert pooled == serial
+    assert serial != fig7("--workers", "0")
+
+
 def test_experiment_workers_merges_telemetry(tmp_path, capsys):
     out_dir = tmp_path / "telemetry"
     assert main([

@@ -6,6 +6,8 @@ everything else lives in :mod:`repro.exec`.
 
 import pytest
 
+from repro.adaptation.manager import AdaptationConfig
+from repro.checkpoint.session import ExperimentCheckpointSession
 from repro.core.governors.unconstrained import FixedFrequency
 from repro.errors import ExperimentError
 from repro.exec import (
@@ -14,9 +16,13 @@ from repro.exec import (
     as_governor_spec,
     execute_cell,
 )
+from repro.exec import cache
 from repro.exec.cache import trained_power_model, worst_case_power_table
+from repro.exec.session import open_session
 from repro.experiments.runner import median_run
 from repro.experiments.suite import run_suite_fixed, suite_order
+from repro.faults.plan import FaultPlan, MeterFaults
+from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.registry import get_workload
 
 
@@ -81,6 +87,35 @@ def test_worst_case_table_covers_all_pstates():
     assert set(table) == {
         600.0, 800.0, 1000.0, 1200.0, 1400.0, 1600.0, 1800.0, 2000.0,
     }
+
+
+def test_worst_case_table_is_measured_clean_under_any_session(
+    tmp_path, monkeypatch
+):
+    """The table is cached under (scale, seed) alone, so no session
+    option may reach the runs that measure it."""
+    monkeypatch.setattr(cache, "_WORST_CASE", {})
+    faults = FaultPlan(
+        seed=3, meter=MeterFaults(dropout_prob=0.2, spike_prob=0.2)
+    )
+    recorder = TelemetryRecorder()
+    with ExperimentCheckpointSession.create(
+        tmp_path / "ckpt", experiment="worst-case"
+    ) as ckpt:
+        with open_session(
+            telemetry=recorder,
+            faults=faults,
+            adaptation=AdaptationConfig(),
+            checkpoint=ckpt,
+        ):
+            inside = dict(worst_case_power_table(scale=0.2, seed=0))
+        slots = ckpt.archived_count
+    monkeypatch.setattr(cache, "_WORST_CASE", {})
+    clean = dict(worst_case_power_table(scale=0.2, seed=0))
+    assert clean[600.0] == pytest.approx(3.327, abs=5e-4)
+    assert inside == clean
+    assert slots == 0
+    assert recorder.metrics.counter("controller.ticks").value == 0
 
 
 def test_suite_order_is_canonical(config):

@@ -18,12 +18,11 @@ from repro.telemetry import (
     TelemetryRecorder,
     TickCompleted,
     TRACE_FIELDS,
-    current_recorder,
-    recording,
     render_run_summary,
     write_trace_csv,
 )
 from repro.errors import TelemetryError
+from repro.exec.session import current_session, open_session
 from repro.telemetry.bus import DecisionMade, TelemetryEvent
 
 
@@ -142,13 +141,13 @@ class TestRecorder:
         assert "controller.ticks" in text
         assert "run.duration_s" in text
 
-    def test_recording_context_installs_and_restores(self):
+    def test_session_recorder_installs_and_restores(self):
         recorder = TelemetryRecorder()
-        assert current_recorder() is None
-        with recording(recorder) as installed:
-            assert installed is recorder
-            assert current_recorder() is recorder
-        assert current_recorder() is None
+        assert current_session() is None
+        with open_session(telemetry=recorder) as installed:
+            assert installed.telemetry is recorder
+            assert current_session() is installed
+        assert current_session() is None
 
 
 def _event_classes(cls=TelemetryEvent):

@@ -17,7 +17,8 @@ from repro.exec import (
     execute_cell,
 )
 from repro.platform.machine import Machine, MachineConfig
-from repro.telemetry import NullRecorder, TelemetryRecorder, recording
+from repro.exec.session import open_session
+from repro.telemetry import NullRecorder, TelemetryRecorder
 from repro.workloads.registry import get_workload
 
 MODEL = LinearPowerModel.paper_model()
@@ -148,7 +149,7 @@ class TestRunnerIntegration:
     def test_execute_cell_picks_up_current_recorder(self):
         recorder = TelemetryRecorder()
         config = ExperimentConfig(scale=0.05)
-        with recording(recorder):
+        with open_session(telemetry=recorder):
             execute_cell(self._pm_cell(), config)
         assert recorder.metrics.counter("controller.ticks").value > 0
 

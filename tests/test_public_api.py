@@ -54,7 +54,6 @@ PUBLIC_MODULES = (
     "repro.faults",
     "repro.faults.plan",
     "repro.faults.injector",
-    "repro.faults.context",
     "repro.faults.report",
     "repro.exec",
     "repro.exec.plan",
@@ -109,7 +108,7 @@ def test_every_error_class_is_exported():
 
 def test_fault_api_is_exported():
     for name in ("FaultPlan", "FaultInjector", "load_fault_plan",
-                 "injecting", "ResilienceConfig"):
+                 "ResilienceConfig"):
         assert name in repro.__all__
         assert hasattr(repro, name)
 
