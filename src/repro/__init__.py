@@ -38,7 +38,6 @@ from repro.errors import (
     MSRError,
     MeasurementError,
     ModelError,
-    NoSnapshotError,
     NodeCrashError,
     PMUError,
     PStateError,
@@ -98,9 +97,7 @@ from repro.campaign import (
 )
 from repro.checkpoint import (
     ExperimentCheckpointSession,
-    RunCheckpointer,
     RunJournal,
-    resume_run,
     run_result_digest,
 )
 from repro.exec import (
@@ -207,13 +204,10 @@ __all__ = [
     "WatchdogError",
     "RecoveryExhaustedError",
     "CheckpointError",
-    "NoSnapshotError",
     "SupervisionError",
     "DeadlineExceeded",
     "RunJournal",
-    "RunCheckpointer",
     "ExperimentCheckpointSession",
-    "resume_run",
     "run_result_digest",
     "RetryPolicy",
     "Supervisor",

@@ -148,24 +148,6 @@ class AdaptationManager:
         """True when bound to a compatible governor for the current run."""
         return self._engaged
 
-    def bind_telemetry(
-        self, telemetry: "TelemetryRecorder | None"
-    ) -> None:
-        """Reattach a recorder mid-run (used after checkpoint restore)."""
-        self._tel = (
-            telemetry
-            if telemetry is not None and telemetry.enabled
-            else None
-        )
-
-    def __getstate__(self):
-        # The recorder is process state (open exporter handles); the
-        # governor binding, RLS/detector/tracker/probation state and the
-        # registry all round-trip exactly.
-        state = self.__dict__.copy()
-        state["_tel"] = None
-        return state
-
     def engage(
         self,
         governor,

@@ -246,7 +246,7 @@ class ModelRegistry:
         """Write the registry document to ``path`` atomically.
 
         A crash mid-save must never leave a half-written document: the
-        registry is the audit trail a resumed run reloads.
+        registry is the run's audit trail.
         """
         from repro.ioutils import atomic_write_text
 

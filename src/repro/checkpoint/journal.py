@@ -1,23 +1,22 @@
-"""The run journal: one directory holding a manifest + checkpoint WAL.
+"""The journal: one directory holding a manifest + a write-ahead log.
 
 Layout::
 
     DIR/
-      manifest.json   # format version, what is being checkpointed (spec)
-      run.journal     # write-ahead log of checkpoint records
+      manifest.json   # format version, what is being journaled (spec)
+      run.journal     # write-ahead log of records (the file name varies)
 
-The manifest is written atomically before the first tick, so a resume
-always knows *what* was running even if the process died before the
-first checkpoint record became durable (the CLI uses the embedded spec
-to restart such a run from scratch).  Checkpoint records are appended
-with flush + fsync; a record is only trusted after its CRC validates,
-so a SIGKILL mid-append costs at most the work since the previous
-checkpoint.
+:class:`~repro.checkpoint.session.ExperimentCheckpointSession` keeps
+its results WAL here, and ``run --checkpoint`` writes just the
+manifest, whose spec ``run --resume`` reruns.  The manifest is written
+atomically before the first record.  Records are appended with flush +
+fsync; a record is only trusted after its CRC validates, so a SIGKILL
+mid-append loses only the record being written.
 
 Journals are size-bounded: once the WAL grows past ``max_bytes`` it is
-compacted -- rewritten atomically to hold only the newest record --
-because older checkpoints are superseded the moment a newer one is
-durable.
+compacted -- rewritten atomically to hold only the newest record.  A
+results journal must stay below the bound, since every record in it
+is live.
 """
 
 from __future__ import annotations

@@ -1,36 +1,29 @@
-"""Crash-safe execution of whole experiments.
+"""Crash-safe execution of whole experiments, at cell granularity.
 
 An experiment is a deterministic sequence of runs (every
-:func:`~repro.exec.core.execute_cell` call), so checkpointing
-one needs two layers:
-
-* **completed runs** are archived, in call order, into a results WAL
-  (``results.journal``): replaying slot *k* returns the archived
-  :class:`~repro.core.controller.RunResult` without re-executing;
-* the **in-flight run** checkpoints into its own ``run-<slot>/``
-  journal, resumable mid-loop via :func:`repro.checkpoint.resume_run`.
+:func:`~repro.exec.core.execute_cell` call), so checkpointing one only
+needs its completed runs: they are archived, in call order, into a
+results WAL (``results.journal``), and replaying slot *k* returns the
+archived :class:`~repro.core.controller.RunResult` without
+re-executing.
 
 On resume the experiment module simply re-executes: archived slots
 replay instantly (the claim counter advances in the same deterministic
-call order), the interrupted slot resumes from its last checkpoint, and
-later slots run fresh -- producing exactly the results an uninterrupted
-invocation would have.
+call order), and the interrupted slot and every later one run fresh --
+producing exactly the results an uninterrupted invocation would have.
 
 Each archive record also carries the telemetry metrics registry at
 archive time, so a resumed experiment's final ``metrics.json`` matches
-the uninterrupted one even when the kill lands between two runs.
+the uninterrupted one.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import shutil
 
 from repro.checkpoint.journal import RunJournal
-from repro.checkpoint.resume import resume_run
-from repro.checkpoint.snapshot import RunCheckpointer
-from repro.errors import CheckpointError, NoSnapshotError
+from repro.errors import CheckpointError
 from repro.telemetry.recorder import TelemetryRecorder
 
 RESULTS_FILENAME = "results.journal"
@@ -59,7 +52,6 @@ class ExperimentCheckpointSession:
         directory: str | os.PathLike,
         experiment: str,
         spec: dict | None = None,
-        interval_ticks: int = 250,
         telemetry: TelemetryRecorder | None = None,
     ) -> "ExperimentCheckpointSession":
         """Start a fresh session for ``experiment`` in ``directory``."""
@@ -67,7 +59,6 @@ class ExperimentCheckpointSession:
             directory,
             kind="experiment",
             spec=dict(spec or {}, experiment=experiment),
-            interval_ticks=interval_ticks,
             filename=RESULTS_FILENAME,
         )
         return cls(journal, telemetry)
@@ -117,11 +108,6 @@ class ExperimentCheckpointSession:
         return self._results.spec
 
     @property
-    def interval_ticks(self) -> int:
-        """Checkpoint cadence for in-flight runs."""
-        return self._results.interval_ticks
-
-    @property
     def archived_count(self) -> int:
         """Completed runs already durable on disk."""
         return len(self._archived)
@@ -156,43 +142,13 @@ class ExperimentCheckpointSession:
             self._replayed += 1
         return result
 
-    def _run_directory(self, slot: int) -> str:
-        return os.path.join(self.directory, f"run-{slot:04d}")
-
-    def resume_slot(self, slot: int, telemetry: TelemetryRecorder | None):
-        """Resume slot ``slot``'s interrupted run, or None to run fresh."""
-        run_dir = self._run_directory(slot)
-        if not os.path.isdir(run_dir):
-            return None
-        try:
-            result, _state = resume_run(run_dir, telemetry=telemetry)
-        except NoSnapshotError:
-            return None
-        return result
-
-    def start_slot(
-        self, slot: int, workload: str, governor: str
-    ) -> RunCheckpointer:
-        """Open slot ``slot``'s run journal and return its checkpointer."""
-        journal = RunJournal.create(
-            self._run_directory(slot),
-            kind="run",
-            spec={"workload": workload, "governor": governor,
-                  "slot": slot, "experiment": self.experiment},
-            interval_ticks=self.interval_ticks,
-        )
-        return RunCheckpointer(journal)
-
     def finish_slot(
         self,
         slot: int,
         result,
         telemetry: TelemetryRecorder | None = None,
-        checkpointer: RunCheckpointer | None = None,
     ) -> None:
-        """Durably archive slot ``slot``'s result; retire its run journal."""
-        if checkpointer is not None:
-            checkpointer.journal.close()
+        """Durably archive slot ``slot``'s result."""
         tel = telemetry
         metrics = (
             tel.metrics if (tel is not None and tel.enabled) else None
@@ -203,4 +159,3 @@ class ExperimentCheckpointSession:
         )
         self._results.append(slot, payload)
         self._archived[slot] = result
-        shutil.rmtree(self._run_directory(slot), ignore_errors=True)

@@ -68,7 +68,7 @@ from typing import Callable, Mapping
 
 from repro.core.controller import RunResult
 from repro.core.models.power import LinearPowerModel, PAPER_TABLE_II
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell
 from repro.workloads.registry import default_registry
 
@@ -150,18 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint", metavar="DIR",
-        help="journal crash-safe checkpoints of the run into DIR "
-        "(resumable with --resume DIR)",
-    )
-    run.add_argument(
-        "--checkpoint-interval", type=int, default=250, metavar="N",
-        help="checkpoint every N ticks (default 250 = every 2.5 "
-        "simulated seconds)",
+        help="record the run's options in DIR before it starts "
+        "(rerunnable with --resume DIR)",
     )
     run.add_argument(
         "--resume", metavar="DIR",
-        help="resume an interrupted run from its checkpoint journal; "
-        "the finished result is bit-identical to an uninterrupted run",
+        help="rerun an interrupted run from the options recorded in "
+        "DIR; the result is bit-identical to an uninterrupted run",
     )
     run.add_argument(
         "--result-json", metavar="FILE.json",
@@ -200,17 +195,13 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--scale", type=float, default=None)
     experiment.add_argument(
         "--checkpoint", metavar="DIR",
-        help="journal every completed run (and checkpoint the in-flight "
-        "one) into DIR, resumable with --resume DIR",
-    )
-    experiment.add_argument(
-        "--checkpoint-interval", type=int, default=250, metavar="N",
-        help="checkpoint the in-flight run every N ticks (default 250)",
+        help="journal every completed run into DIR, resumable with "
+        "--resume DIR",
     )
     experiment.add_argument(
         "--resume", metavar="DIR",
         help="resume an interrupted experiment: archived runs replay "
-        "from the journal, the interrupted run resumes mid-loop",
+        "from the journal, the rest run from scratch",
     )
     experiment.add_argument(
         "--telemetry", metavar="DIR",
@@ -591,8 +582,8 @@ def _print_adaptation_summary(manager) -> None:
           f"v{summary['active_version']} active)")
 
 
-#: CLI args a checkpoint journal records so a run that died before its
-#: first durable snapshot can be restarted from the manifest alone.
+#: CLI args ``run --checkpoint`` records so ``run --resume`` can rerun
+#: the run from the manifest alone.
 _RUN_SPEC_KEYS = (
     "workload", "governor", "limit", "floor", "frequency", "scale",
     "seed", "model", "use_paper_model", "adapt", "faults",
@@ -617,7 +608,7 @@ def _write_result_json(result: RunResult, path: str) -> None:
 
 
 def _finish_run(result, args, injector, adaptation, recorder, sink) -> int:
-    """Shared post-run reporting for fresh and resumed runs."""
+    """Post-run reporting: summaries, exports, telemetry bundle."""
     _print_summary(result, args)
     if injector is not None:
         _print_fault_summary(injector, result)
@@ -639,37 +630,25 @@ def _finish_run(result, args, injector, adaptation, recorder, sink) -> int:
 
 
 def _cmd_run_resume(args) -> int:
-    from repro.checkpoint import read_manifest, resume_run
-    from repro.errors import NoSnapshotError
+    """Rerun an interrupted run from the spec its manifest recorded.
 
-    recorder, sink = _make_telemetry(args.telemetry)
-    try:
-        result, state = resume_run(args.resume, telemetry=recorder)
-    except NoSnapshotError:
-        # Died before the first checkpoint became durable: restart the
-        # whole run from the CLI spec embedded in the manifest,
-        # checkpointing into the same journal directory.
-        spec = read_manifest(args.resume).get("spec", {})
-        print(
-            "no durable checkpoint yet; restarting from the manifest spec",
-            file=sys.stderr,
+    Runs are deterministic, so the rerun's result is bit-identical to
+    the one the interrupted process would have produced.
+    """
+    from repro.checkpoint import read_manifest
+
+    manifest = read_manifest(args.resume)
+    if manifest.get("kind") != "run":
+        raise CheckpointError(
+            f"journal {args.resume} checkpoints a "
+            f"{manifest.get('kind')!r}, not a single run"
         )
-        for key in _RUN_SPEC_KEYS:
-            if key in spec:
-                setattr(args, key, spec[key])
-        args.checkpoint, args.resume = args.resume, None
-        return _cmd_run(args)
-    spec = read_manifest(args.resume).get("spec", {})
-    args.governor = spec.get("governor", args.governor or "pm")
-    args.limit = float(spec.get("limit", 14.5))
-    return _finish_run(
-        result,
-        args,
-        state.injector,
-        state.adapt if state.adapting else None,
-        recorder,
-        sink,
-    )
+    spec = manifest.get("spec", {})
+    for key in _RUN_SPEC_KEYS:
+        if key in spec:
+            setattr(args, key, spec[key])
+    args.resume = None
+    return _cmd_run(args)
 
 
 def _cmd_run_plan(args) -> int:
@@ -759,23 +738,16 @@ def _cmd_run(args) -> int:
         fault_plan=fault_plan,
         adaptation=adaptation,
     )
-    journal = None
-    checkpointer = None
     if args.checkpoint:
-        from repro.checkpoint import RunCheckpointer, RunJournal
+        from repro.checkpoint import JOURNAL_FORMAT_VERSION, write_manifest
 
-        journal = RunJournal.create(
-            args.checkpoint,
-            kind="run",
-            spec=_run_spec(args),
-            interval_ticks=args.checkpoint_interval,
-        )
-        checkpointer = RunCheckpointer(journal)
-    try:
-        result = prepared.execute(checkpointer)
-    finally:
-        if journal is not None:
-            journal.close()
+        os.makedirs(args.checkpoint, exist_ok=True)
+        write_manifest(args.checkpoint, {
+            "format": JOURNAL_FORMAT_VERSION,
+            "kind": "run",
+            "spec": _run_spec(args),
+        })
+    result = prepared.execute()
     return _finish_run(
         result, args, prepared.injector, adaptation, recorder, sink
     )
@@ -961,7 +933,6 @@ def _cmd_experiment(args) -> int:
             args.checkpoint,
             experiment=args.id,
             spec={"scale": args.scale},
-            interval_ticks=args.checkpoint_interval,
             telemetry=recorder,
         )
     elif args.resume:
@@ -991,7 +962,7 @@ def _cmd_experiment(args) -> int:
     # One session carries every option to every run the experiment
     # makes, however deep: each run builds its own seeded injector and
     # fresh adaptation manager, claims a checkpoint slot (archived
-    # slots replay, the interrupted one resumes), and sweeps fan out
+    # slots replay, the rest run from scratch), and sweeps fan out
     # over the workers bit-identically to serial execution.
     with ExitStack() as stack:
         if checkpoint is not None:

@@ -11,7 +11,7 @@ the same loop as one fused kernel: the machine tick (segment math from
 the cached :class:`~repro.platform.blockstep.RateTemplate` rows), the
 inlined meter and PMU updates, the counter-sampler arithmetic and a
 table-driven governor decision, all in local variables, with object
-state synced only at checkpoint boundaries and loop exit.
+state synced only at loop exit.
 
 The decision is one of four modes: PerformanceMaximizer and PowerSave
 read their precomputed projection tables
@@ -21,8 +21,8 @@ utilization, and StaticClocking / FixedFrequency return a constant
 target index.
 
 **Bit-identical contract.**  The kernel replicates the scalar loop's
-RNG draws, float operation order and side effects exactly;
-``RunResult`` digests and checkpoint contents are indistinguishable
+RNG variates, float operation order and side effects exactly;
+``RunResult`` digests and final object state are indistinguishable
 from the scalar path's (``tests/core/test_block_equivalence.py``).
 Anything the fast path cannot replicate exactly -- resilience runtimes,
 fault injection, adaptation probation, multiplexed samplers, thermal
@@ -78,8 +78,8 @@ from repro.platform.pipeline import (
 #: Master switch for the fused loop (tests monkeypatch this).
 FAST_LOOP = True
 
-#: Gaussian pre-draws per refill on checkpointer-free runs (even, so the
-#: meter's two-variates-per-sample reads never straddle a refill).
+#: Gaussian pre-draws per refill (even, so the meter's
+#: two-variates-per-sample reads never straddle a refill).
 _RNG_CHUNK = 1024
 
 _INF = float("inf")
@@ -137,7 +137,7 @@ def eligible(st) -> bool:
     return True
 
 
-def run_fast(st, tel, checkpointer=None, resumed=False):
+def run_fast(st, tel):
     """Drive ``st`` to completion on the fused path.
 
     Only call when :func:`eligible` returned True.  Returns the same
@@ -152,20 +152,17 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
     only on phase/p-state change, and ``min``/``max`` builtins are
     replaced by branch expressions with identical float semantics.
 
-    On checkpointer-free runs the three per-tick Gaussian draws
-    (jitter innovation, sense-amp noise, ADC noise) come from chunked
-    ``standard_normal`` buffers: numpy array draws consume the exact
-    same variate stream as repeated scalar calls and
-    ``0.0 + scale * z`` is bitwise ``normal(0.0, scale)``, so every
-    consumed value is identical -- only the generators' *final* states
-    run ahead by the unconsumed tail, which nothing observes without a
-    checkpoint.  Runs with a checkpointer keep scalar draws so pickled
-    RNG states stay resume-exact.
+    The three per-tick Gaussian draws (jitter innovation, sense-amp
+    noise, ADC noise) come from chunked ``standard_normal`` buffers:
+    numpy array draws consume the exact same variate stream as repeated
+    scalar calls and ``0.0 + scale * z`` is bitwise
+    ``normal(0.0, scale)``, so every consumed value is identical.  The
+    refills run the generators ahead by the unconsumed tail, which the
+    ``finally`` block rewinds.
 
-    Object state is written back (`finally`) before every checkpoint
-    save, on the simulated-time-limit raise and at loop exit, so
-    checkpoints and error states are indistinguishable from the scalar
-    path's.
+    Object state is written back (``finally``) on the simulated-time
+    limit raise and at loop exit, so final and error states are
+    indistinguishable from the scalar path's.
     """
     from repro.core.controller import TraceRow, _TickTelemetry, _finish_run
 
@@ -191,7 +188,6 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
     dvfs = machine.dvfs
     timing = machine._timing
     constants = config.power
-    rng_normal = machine._rng.normal
     mach_std = machine._rng.standard_normal
     _exp = math.exp
     _new = object.__new__
@@ -241,7 +237,7 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
         mode = 3
         static_index = state_index[governor._pstate]
 
-    # Machine / PMU state -> locals (written back at sync points).
+    # Machine / PMU state -> locals (written back at loop exit).
     time_s = machine._time_s
     jitter_log = machine._jitter_log
     charged = machine._charged_dead_time_s
@@ -293,54 +289,37 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
     instructions = st.instructions
     true_energy = st.true_energy
     sample_index = st.sample_index
-    tick_index = st.tick_index
 
-    # Chunked RNG only when no checkpoint can pickle a generator state.
     # The stock meter hands ONE generator to both front ends, so sense
     # and ADC noise interleave on a single stream: each sample close
     # consumes exactly two variates, in order, from one shared buffer
     # (_RNG_CHUNK is even, keeping refills aligned).  A meter with
     # split generators keeps scalar draws.
-    batch_rng = checkpointer is None
-    batch_meter = batch_rng and sense._rng is adc._rng
+    batch_meter = sense._rng is adc._rng
     meter_std = sense_std
     jit_buf = m_buf = None
     jit_i = m_i = _RNG_CHUNK
     jit_refills = m_refills = 0
-    if batch_rng:
-        # Chunk refills run each generator ahead of the scalar script;
-        # the `finally` below rewinds to these states and re-consumes
-        # exactly the used counts (one array draw lands the generator
-        # in the same state as that many scalar draws), so post-loop
-        # consumers (the run-end meter flush) see scalar-exact streams.
-        jit_state0 = machine._rng.bit_generator.state
-        m_state0 = sense._rng.bit_generator.state
+    # Chunk refills run each generator ahead of the scalar script; the
+    # `finally` below rewinds to these states and re-consumes exactly
+    # the used counts (one array draw lands the generator in the same
+    # state as that many scalar draws), so post-loop consumers (the
+    # run-end meter flush) see scalar-exact streams.
+    jit_state0 = machine._rng.bit_generator.state
+    m_state0 = sense._rng.bit_generator.state
 
     # Current-p-state residency accumulates in a local; flushed to the
-    # dict on p-state change and at every sync point.  The scalar loop
-    # adds a key only when a tick runs, so a sync point writes a state
-    # that no tick has run at yet (entered on the last decision, or the
-    # start state at the tick-0 checkpoint) only if the key exists.
+    # dict on p-state change and at loop exit.  The scalar loop adds a
+    # key only when a tick runs, so the exit writes a state that no tick
+    # has run at (entered on the last decision) only if the key exists.
     res_acc = residency.get(freq, 0.0)
 
     # Unpacked fields of the template the loop last touched.
     t_cur = None
 
     if observe:
-        # Built before the loop: emits RunStarted ahead of the tick-0
-        # checkpoint, as the scalar loop does.
-        observe_tick = _TickTelemetry(st, tel, resumed).tick
+        observe_tick = _TickTelemetry(st, tel).tick
         emit = tel.emit
-
-    if checkpointer is not None:
-        interval = checkpointer.interval_ticks
-        next_checkpoint = (
-            tick_index
-            if tick_index == 0 and not resumed
-            else tick_index + interval
-        )
-    else:
-        next_checkpoint = _INF
 
     try:
         while retired < finish_line:
@@ -349,43 +328,6 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
                     f"{workload_name} under {governor.name} exceeded "
                     f"{max_seconds}s of simulated time"
                 )
-            if tick_index >= next_checkpoint:
-                # Locals -> objects so the pickled _RunState is exactly
-                # what the scalar loop would have checkpointed.  (Only
-                # reachable with a checkpointer, i.e. batch_rng off.)
-                machine._time_s = time_s
-                machine._jitter_log = jitter_log
-                machine._charged_dead_time_s = charged
-                cursor._retired = retired
-                cursor._into_phase = into_phase
-                cursor._phase_index = phase_index
-                pmu._cycles = cycles_int
-                pmu._cycle_residual = cycle_res
-                pmu._residuals[0] = res0
-                pmu._residuals[1] = res1
-                msr.poke(IA32_PMC0, pmc0)
-                msr.poke(IA32_PMC1, pmc1)
-                msr.poke(IA32_TIME_STAMP_COUNTER, tsc)
-                meter._time_s = m_time
-                meter._bucket_energy_j = bucket_e
-                meter._bucket_time_s = bucket_t
-                sampler._elapsed_s = sampler_elapsed
-                sampler._last = pmu.snapshot()
-                if res_acc or freq in residency:
-                    residency[freq] = res_acc
-                if mode == 0:
-                    governor._raise_streak = raise_streak
-                    governor._pending_raise = (
-                        gov_states[pending_index]
-                        if pending_index is not None
-                        else None
-                    )
-                st.instructions = instructions
-                st.true_energy = true_energy
-                st.tick_index = tick_index
-                checkpointer.save(tick_index, st, tel)
-                next_checkpoint = tick_index + interval
-
             # ---- machine tick (mirrors Machine.step) ----
             start_time = time_s
             energy = 0.0
@@ -489,15 +431,12 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
                 jitter_log = 0.0
                 jitter = 1.0
             else:
-                if batch_rng:
-                    if jit_i == _RNG_CHUNK:
-                        jit_buf = mach_std(_RNG_CHUNK).tolist()
-                        jit_i = 0
-                        jit_refills += 1
-                    innovation = 0.0 + t_jitter_scale * jit_buf[jit_i]
-                    jit_i += 1
-                else:
-                    innovation = rng_normal(0.0, t_jitter_scale)
+                if jit_i == _RNG_CHUNK:
+                    jit_buf = mach_std(_RNG_CHUNK).tolist()
+                    jit_i = 0
+                    jit_refills += 1
+                innovation = 0.0 + t_jitter_scale * jit_buf[jit_i]
+                jit_i += 1
                 jitter_log = t_rho * jitter_log + innovation
                 jitter = _exp(jitter_log - t_half_sig2)
             jitter_q = jitter**0.25
@@ -758,7 +697,7 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
                 target_index = static_index
 
             # ---- actuate (through the real driver: MSR writes, DVFS
-            # dead time and transition counts stay checkpoint-exact) ----
+            # dead time and transition counts stay scalar-exact) ----
             tick_pstate = pstate
             changed = target_index != current_index
             if changed:
@@ -813,7 +752,6 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
                         temperature_c=None,
                     )
                 )
-            tick_index += 1
     finally:
         # Locals -> objects (also on the max_seconds raise and any
         # unexpected error, so nothing is ever left torn).
@@ -857,5 +795,4 @@ def run_fast(st, tel, checkpointer=None, resumed=False):
 
     st.instructions = instructions
     st.true_energy = true_energy
-    st.tick_index = tick_index
     return _finish_run(st, tel)

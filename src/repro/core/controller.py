@@ -205,17 +205,6 @@ class _ResilienceRuntime:
         self._temp_repeats = 0
         self._temp_masked = False
 
-    def bind_telemetry(self, tel: TelemetryRecorder | None) -> None:
-        """Reattach a recorder (used after checkpoint restore)."""
-        self._tel = tel if (tel is not None and tel.enabled) else None
-
-    def __getstate__(self):
-        # The recorder is process state (open exporter handles) and is
-        # rebound on resume; everything else round-trips exactly.
-        state = self.__dict__.copy()
-        state["_tel"] = None
-        return state
-
     def _recover(self, subsystem: str, action: str, attempts: int = 0) -> None:
         key = f"{subsystem}.{action}"
         self.recoveries[key] = self.recoveries.get(key, 0) + 1
@@ -386,17 +375,8 @@ class PowerManagementController:
         initial_pstate: PState | None = None,
         schedule: ConstraintSchedule | None = None,
         max_seconds: float = 600.0,
-        checkpointer=None,
     ) -> RunResult:
-        """Run ``workload`` to completion under the governor.
-
-        ``checkpointer`` (duck-typed: ``interval_ticks`` attribute plus
-        ``save(tick, state, tel)``) enables crash-safe execution: the
-        loop's complete state is durably journaled every
-        ``interval_ticks`` ticks and :func:`repro.checkpoint.resume_run`
-        continues an interrupted run bit-identically.  With the default
-        ``None`` the loop is exactly the uncheckpointed one.
-        """
+        """Run ``workload`` to completion under the governor."""
         machine = self.machine
         governor = self.governor
         governor.reset()
@@ -451,23 +431,18 @@ class PowerManagementController:
             adapting=adapting,
             sample_index=len(self.meter.samples),
         )
-        return _run_loop(state, tel, checkpointer=checkpointer)
+        return _run_loop(state, tel)
 
 
 @dataclass
 class _RunState:
-    """The complete picklable state of one in-flight run.
+    """The complete state of one in-flight run.
 
-    One pickle of this object is one checkpoint: every object carrying
-    loop state -- machine, meter, sampler, driver, governor, resilience
-    runtime, fault injector, adaptation manager, constraint schedule and
-    the loop accumulators -- is reachable from here, so shared
-    references (the machine's power sink is the meter's bound
-    ``accumulate``, the fault wrappers alias the injector's RNG streams)
-    survive the round-trip intact.  Process-local attachments (telemetry
-    recorders, the injector's clock closure) are stripped by the
-    components' own ``__getstate__`` hooks and reattached via
-    :meth:`rebind_telemetry`.
+    Every object carrying loop state -- machine, meter, sampler, driver,
+    governor, resilience runtime, fault injector, adaptation manager,
+    constraint schedule and the loop accumulators -- is reachable from
+    here; both loops read their inputs from it and write the
+    accumulators back before :func:`_finish_run` builds the result.
     """
 
     machine: Machine
@@ -485,26 +460,11 @@ class _RunState:
     injecting: bool
     adapting: bool
     sample_index: int
-    delivered: int = 0
     instructions: float = 0.0
     true_energy: float = 0.0
-    tick_index: int = 0
     last_estimate_w: float | None = None
     residency: Dict[float, float] = field(default_factory=dict)
     trace: List[TraceRow] = field(default_factory=list)
-
-    def rebind_telemetry(self, tel: TelemetryRecorder | None) -> None:
-        """Reattach a process-local recorder and clock after restore."""
-        if hasattr(self.sampler, "bind_telemetry"):
-            self.sampler.bind_telemetry(tel)
-        if self.rt is not None:
-            self.rt.bind_telemetry(tel)
-        if self.injector is not None:
-            self.injector.bind_telemetry(tel)
-            machine = self.machine
-            self.injector.set_clock(lambda: machine.now_s)
-        if self.adapt is not None and self.adapting:
-            self.adapt.bind_telemetry(tel)
 
 
 class _TickTelemetry:
@@ -512,15 +472,13 @@ class _TickTelemetry:
 
     Both loops call :meth:`tick` once per tick, after actuation, so the
     two write the same event stream and metrics.  Construction takes the
-    metric handles get-or-create by name (on a resumed run they come out
-    of the restored registry with their values intact) and emits
-    ``RunStarted`` unless the run is ``resumed``.
+    metric handles get-or-create by name and emits ``RunStarted``.
 
-    The power estimate for the next tick is written through to
-    ``st.last_estimate_w``, so every checkpoint carries the current one.
+    The power estimate for the next tick is kept in
+    ``st.last_estimate_w``.
     """
 
-    def __init__(self, st: _RunState, tel: TelemetryRecorder, resumed: bool):
+    def __init__(self, st: _RunState, tel: TelemetryRecorder):
         governor = st.governor
         metrics = tel.metrics
         self._st = st
@@ -536,14 +494,13 @@ class _TickTelemetry:
         )
         self._residency: Dict[float, object] = {}
         self._can_estimate = hasattr(governor, "estimate_power")
-        if not resumed:
-            tel.emit(
-                RunStarted(
-                    time_s=st.machine.now_s,
-                    workload=st.workload_name,
-                    governor=governor.name,
-                )
+        tel.emit(
+            RunStarted(
+                time_s=st.machine.now_s,
+                workload=st.workload_name,
+                governor=governor.name,
             )
+        )
 
     def tick(
         self,
@@ -612,33 +569,28 @@ class _TickTelemetry:
         )
 
 
-def _run_loop(st: _RunState, tel, checkpointer=None, resumed=False) -> RunResult:
-    """Drive ``st`` to completion; the entry point for fresh and resumed runs.
+def _run_loop(st: _RunState, tel) -> RunResult:
+    """Drive ``st`` to completion.
 
     Dispatches to the fused loop (:mod:`repro.core.blockloop`) when the
     run's configuration admits a bit-identical fused kernel, otherwise to
     the scalar reference loop.  The two produce indistinguishable results
-    (same ``RunResult`` floats, same checkpoint bytes, same RNG stream);
-    the digest-equivalence suite pins that contract.
+    (same ``RunResult`` floats, same telemetry, same consumed RNG
+    variates); the digest-equivalence suite pins that contract.
     """
     from repro.core import blockloop
 
     if blockloop.eligible(st):
-        return blockloop.run_fast(
-            st, tel, checkpointer=checkpointer, resumed=resumed
-        )
-    return _scalar_loop(st, tel, checkpointer=checkpointer, resumed=resumed)
+        return blockloop.run_fast(st, tel)
+    return _scalar_loop(st, tel)
 
 
-def _scalar_loop(
-    st: _RunState, tel, checkpointer=None, resumed=False
-) -> RunResult:
+def _scalar_loop(st: _RunState, tel) -> RunResult:
     """The scalar reference loop: one ``machine.step()`` per decision.
 
     Must stay operation-for-operation identical to the historical inline
     loop: RNG draws, float accumulation order and telemetry side effects
-    may not change, or checkpointed runs stop being bit-identical to
-    uncheckpointed ones.
+    may not change, or the fused kernel stops being bit-identical to it.
     """
     machine = st.machine
     governor = st.governor
@@ -660,25 +612,15 @@ def _scalar_loop(
     # plain fast path must not pay for the hardened one.
     track_temp = hardened or injecting or instrumented or keep_trace
 
-    delivered = st.delivered
+    delivered = 0
     residency = st.residency
     trace = st.trace
     instructions = st.instructions
     true_energy = st.true_energy
     sample_index = st.sample_index
-    tick_index = st.tick_index
 
     if instrumented:
-        observe_tick = _TickTelemetry(st, tel, resumed).tick
-
-    if checkpointer is not None:
-        interval = checkpointer.interval_ticks
-        # A fresh run checkpoints immediately (tick 0) so even a kill
-        # during the first interval is resumable; a resumed run's state
-        # is already durable, so its next checkpoint is one interval out.
-        next_checkpoint = tick_index if tick_index == 0 and not resumed else (
-            tick_index + interval
-        )
+        observe_tick = _TickTelemetry(st, tel).tick
 
     while not machine.finished:
         if machine.now_s > max_seconds:
@@ -686,13 +628,6 @@ def _scalar_loop(
                 f"{workload_name} under {governor.name} exceeded "
                 f"{max_seconds}s of simulated time"
             )
-        if checkpointer is not None and tick_index >= next_checkpoint:
-            st.delivered = delivered
-            st.instructions = instructions
-            st.true_energy = true_energy
-            st.tick_index = tick_index
-            checkpointer.save(tick_index, st, tel)
-            next_checkpoint = tick_index + interval
         if schedule is not None:
             for change in schedule.due(machine.now_s, delivered):
                 change.apply(governor)
@@ -788,12 +723,9 @@ def _scalar_loop(
                     temperature_c=temperature,
                 )
             )
-        tick_index += 1
 
-    st.delivered = delivered
     st.instructions = instructions
     st.true_energy = true_energy
-    st.tick_index = tick_index
 
     return _finish_run(st, tel)
 

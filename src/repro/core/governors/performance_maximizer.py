@@ -119,9 +119,8 @@ class PerformanceMaximizer(Governor):
         return tbl
 
     def __getstate__(self):
-        # The projection table is a pure cache; stripping it keeps
-        # checkpoints byte-identical whether or not the fused loop
-        # ever touched this governor.
+        # The projection table is a pure cache, rebuilt on demand, so
+        # a fleet node snapshot need not carry it.
         state = self.__dict__.copy()
         state["_projection"] = None
         return state

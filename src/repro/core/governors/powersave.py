@@ -81,12 +81,6 @@ class PowerSave(Governor):
             )
         return tbl
 
-    def __getstate__(self):
-        # Pure cache -- strip so checkpoints stay path-independent.
-        state = self.__dict__.copy()
-        state["_projection"] = None
-        return state
-
     def projected_relative_performance(
         self, sample: CounterSample, current: PState, candidate: PState
     ) -> float:

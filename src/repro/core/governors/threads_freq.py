@@ -119,10 +119,15 @@ class ThreadsFreqGovernor(Governor):
 
         Called by the multicore controller once per epoch with the
         latest per-domain samples and the shared-bus demand/ceiling
-        ratio from the contention model.
+        ratio from the contention model.  A multiplexed sample from the
+        other event group carries no DCU rate; the last one
+        :meth:`decide` saw stands in for it.
         """
         memory_bound = any(
-            self._performance.classify(sample.dcu_per_ipc)
+            self._performance.classify(
+                sample.rates.get(Event.DCU_MISS_OUTSTANDING, self._dcu)
+                / sample.ipc
+            )
             is WorkloadClass.MEMORY_BOUND
             for sample in samples
             if sample is not None and sample.ipc > 0

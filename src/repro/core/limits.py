@@ -27,7 +27,7 @@ class ScheduledChange:
 
 @dataclass(frozen=True)
 class _SetPowerLimit:
-    """Picklable "set the PM power limit" action (checkpointable)."""
+    """Picklable "set the PM power limit" action (ships to pool workers)."""
 
     watts: float
 
@@ -37,7 +37,7 @@ class _SetPowerLimit:
 
 @dataclass(frozen=True)
 class _SetPerformanceFloor:
-    """Picklable "set the PS performance floor" action (checkpointable)."""
+    """Picklable "set the PS performance floor" action (ships to workers)."""
 
     floor: float
 

@@ -126,13 +126,10 @@ class CounterSampler:
         """The monitored events."""
         return self._events
 
-    def bind_telemetry(self, telemetry: TelemetryRecorder | None) -> None:
-        """Reattach a recorder (used after checkpoint restore)."""
-        self._telemetry = telemetry
-
     def __getstate__(self):
         # The recorder holds open exporter file handles; it is process
-        # state, not run state, and is rebound on resume.
+        # state, not run state, so a pickled sampler (a fleet node
+        # snapshot) drops it.
         state = self.__dict__.copy()
         state["_telemetry"] = None
         return state
@@ -197,15 +194,6 @@ class MultiplexedCounterSampler:
     def groups(self) -> tuple[tuple[Event, ...], ...]:
         """The rotation's event groups."""
         return tuple(s.events for s in self._samplers)
-
-    def bind_telemetry(self, telemetry: TelemetryRecorder | None) -> None:
-        """Reattach a recorder (used after checkpoint restore)."""
-        self._telemetry = telemetry
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_telemetry"] = None
-        return state
 
     def start(self) -> None:
         """Program the first group and take its baseline snapshot."""

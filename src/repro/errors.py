@@ -140,14 +140,7 @@ class RecoveryExhaustedError(RecoveryError):
 class CheckpointError(ReproError):
     """Raised by the durability layer (:mod:`repro.checkpoint`) for
     unusable journals: bad magic, unsupported format versions, mismatched
-    manifests, or resuming a directory that holds no usable snapshot."""
-
-
-class NoSnapshotError(CheckpointError):
-    """A journal directory is valid but holds no usable snapshot yet
-    (the process died before the first checkpoint became durable).
-    Callers fall back to restarting the run from the journal's
-    manifest spec."""
+    manifests, or resuming a journal of the wrong kind."""
 
 
 class SupervisionError(ReproError):

@@ -49,8 +49,8 @@ class PreparedCell:
     adaptation: AdaptationManager | None
     telemetry: TelemetryRecorder | None
 
-    def execute(self, checkpointer=None) -> RunResult:
-        """Run the cell to completion (optionally checkpointed)."""
+    def execute(self) -> RunResult:
+        """Run the cell to completion."""
         cell = self.cell
         config = self.config
         workload = cell.resolve_workload().scaled(config.scale)
@@ -59,19 +59,12 @@ class PreparedCell:
             if cell.initial_frequency_mhz is not None
             else None
         )
-        multicore = isinstance(self.controller, MulticoreController)
-        if multicore and checkpointer is not None:
-            raise PlanError(
-                f"cell {cell.label}: multicore cells (threads > 1) do not "
-                "support checkpointing; run them without a checkpoint "
-                "session"
-            )
         tel = self.telemetry
         with (
             tel.span("run") if tel is not None and tel.enabled
             else contextlib.nullcontext()
         ):
-            if multicore:
+            if isinstance(self.controller, MulticoreController):
                 return self.controller.run(
                     workload,
                     threads=cell.threads,
@@ -83,7 +76,6 @@ class PreparedCell:
                 initial_pstate=initial,
                 schedule=cell.schedule,
                 max_seconds=config.max_seconds,
-                checkpointer=checkpointer,
             )
 
 
@@ -189,9 +181,8 @@ def execute_cell(
     Each option comes from the cell, else the argument, else the
     current :class:`~repro.exec.session.ExecSession`.  When that session
     carries a checkpoint session, completed slots replay from the
-    archive, an interrupted slot resumes from its journal, and fresh
-    slots run with periodic checkpointing -- slot indices line up
-    because cells execute in deterministic order.
+    archive and every other slot runs from scratch and is archived --
+    slot indices line up because cells execute in deterministic order.
     """
     # Imported here: repro.exec.session imports this module.
     from repro.exec.session import current_session
@@ -208,34 +199,19 @@ def execute_cell(
         if resilience is None:
             resilience = session.resilience
         checkpoint = session.checkpoint
-    slot = None
     if checkpoint is not None:
         slot = checkpoint.claim()
         cached = checkpoint.archived(slot)
         if cached is not None:
             return cached
-        resumed = checkpoint.resume_slot(slot, telemetry)
-        if resumed is not None:
-            checkpoint.finish_slot(slot, resumed, telemetry=telemetry)
-            return resumed
-    prepared = prepare_cell(
+    result = prepare_cell(
         cell,
         config,
         telemetry=telemetry,
         fault_plan=fault_plan,
         adaptation=adaptation,
         resilience=resilience,
-    )
-    checkpointer = (
-        checkpoint.start_slot(
-            slot, cell.workload_name, prepared.governor.name
-        )
-        if checkpoint is not None
-        else None
-    )
-    result = prepared.execute(checkpointer)
+    ).execute()
     if checkpoint is not None:
-        checkpoint.finish_slot(
-            slot, result, telemetry=telemetry, checkpointer=checkpointer
-        )
+        checkpoint.finish_slot(slot, result, telemetry=telemetry)
     return result

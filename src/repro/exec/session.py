@@ -148,8 +148,7 @@ class ExecSession:
 
         With a checkpoint session, slots are claimed in cell order here
         in the parent: archived cells replay without executing and
-        every completed cell is archived on arrival (cell granularity;
-        no mid-run snapshots inside workers).  A cell that fails for
+        every completed cell is archived on arrival.  A cell that fails for
         good fails the plan at once, like serial execution.
         """
         from repro.campaign.dispatch import LeaseDispatcher
@@ -162,10 +161,6 @@ class ExecSession:
             if checkpoint is not None:
                 slot = slots[index] = checkpoint.claim()
                 replayed = checkpoint.archived(slot)
-                if replayed is None:
-                    replayed = checkpoint.resume_slot(slot, None)
-                    if replayed is not None:
-                        checkpoint.finish_slot(slot, replayed)
                 if replayed is not None:
                     results[index] = replayed
                     continue

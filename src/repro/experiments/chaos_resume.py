@@ -1,22 +1,24 @@
-"""Chaos drill: SIGKILL a checkpointed run, resume it, compare results.
+"""Chaos drill: SIGKILL a checkpointed experiment, resume it, compare.
 
 The crash-safety claim (README "Crash safety & resume") is only worth
 its documentation if it survives a *real* kill: a child ``repro-power
-run --checkpoint`` process killed with SIGKILL at an arbitrary point --
-no atexit handlers, no flushing, nothing graceful -- must, after
-``--resume``, finish with a :class:`~repro.core.controller.RunResult`
-bit-identical to an uninterrupted run's.
+experiment --checkpoint`` process killed with SIGKILL at an arbitrary
+point -- no atexit handlers, no flushing, nothing graceful -- must,
+after ``--resume``, print the uninterrupted experiment's output and
+archive bit-identical results for every cell.
 
 The harness:
 
-1. runs the workload once, uninterrupted, in a child process and keeps
-   its float-exact digest (``--result-json``) as the reference;
+1. runs a multi-cell experiment once, uninterrupted and checkpointed,
+   in a child process and keeps its stdout and the float-exact
+   :func:`~repro.checkpoint.run_result_digest` of every archived cell
+   as the reference;
 2. for each of ``kills`` cycles, starts a fresh checkpointed child,
-   polls the journal's durable records, and SIGKILLs the child once the
-   newest checkpoint reaches a randomized target tick;
-3. resumes each murdered run with ``--resume`` and compares the
-   resumed digest (including the SHA-256 over the raw IEEE-754 sample
-   and trace series) against the reference.
+   polls its results journal, and SIGKILLs the child once the journal
+   holds a randomized number of durable records -- so some cells are
+   archived and the rest, including the one in flight, are not;
+3. resumes each murdered experiment with ``--resume`` and compares its
+   stdout and per-cell digests against the reference.
 
 Child processes run under a :class:`~repro.supervise.Supervisor`
 deadline so a wedged child fails the experiment instead of hanging it.
@@ -24,7 +26,6 @@ deadline so a wedged child fails the experiment instead of hanging it.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
@@ -37,21 +38,26 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.checkpoint.digest import run_result_digest
 from repro.checkpoint.format import read_records
-from repro.checkpoint.journal import JOURNAL_FILENAME
-from repro.errors import DeadlineExceeded, ExperimentError
+from repro.checkpoint.session import (
+    RESULTS_FILENAME,
+    ExperimentCheckpointSession,
+)
+from repro.errors import CheckpointError, DeadlineExceeded, ExperimentError
 from repro.exec.plan import ExperimentConfig
 from repro.supervise import RetryPolicy, Supervisor
 
-#: Workload the drill runs (long enough for many checkpoints at scale).
-DEFAULT_WORKLOAD = "ammp"
-
-#: Checkpoint cadence for the children: dense, so randomized kill
-#: targets land between many durable records.
-DEFAULT_INTERVAL_TICKS = 7
+#: Experiment the drill kills: Fig. 6 runs hundreds of short cells, so
+#: randomized kill points land between many durable records.
+DEFAULT_EXPERIMENT = "fig6"
 
 #: Kill/resume cycles.
 DEFAULT_KILLS = 5
+
+#: Kill points are drawn below this fraction of the reference's cells,
+#: leaving room for the records archived while the kill is delivered.
+KILL_SPAN = 0.8
 
 #: Wall-clock budget per child process.
 DEFAULT_CHILD_DEADLINE_S = 300.0
@@ -61,152 +67,134 @@ DEFAULT_CHILD_DEADLINE_S = 300.0
 class KillCycle:
     """Outcome of one SIGKILL + resume cycle."""
 
-    target_tick: int
-    #: Tick of the newest durable checkpoint when the kill landed
-    #: (-1 when the child finished before the kill could land).
-    killed_after_tick: int
-    #: True when the child was actually SIGKILLed mid-run.
+    target_records: int
+    #: Durable results-journal records when the kill landed (the whole
+    #: experiment when the child finished before the kill could land).
+    archived_at_kill: int
+    #: True when the child was SIGKILLed with some cells archived and
+    #: some not.
     killed: bool
-    #: True when the resumed digest matches the uninterrupted one.
+    #: True when the resumed stdout and every per-cell digest match the
+    #: uninterrupted reference.
     identical: bool
 
 
 def _python_cmd(extra: Sequence[str]) -> list[str]:
-    return [sys.executable, "-m", "repro", "run", *extra]
+    return [sys.executable, "-m", "repro", "experiment", *extra]
 
 
-def _run_flags(config: ExperimentConfig) -> list[str]:
-    return [
-        DEFAULT_WORKLOAD,
-        "--scale", str(config.scale),
-        "--seed", str(config.seed),
-        "--use-paper-model",
-        "--governor", "pm",
-    ]
+def _cell_digests(directory: str) -> list[Mapping[str, Any]]:
+    """Digest every archived cell of the session in ``directory``."""
+    with ExperimentCheckpointSession.open(directory) as session:
+        return [
+            run_result_digest(session.archived(slot))
+            for slot in range(session.archived_count)
+        ]
 
 
-def _read_digest(path: str) -> Mapping[str, Any]:
-    with open(path) as handle:
-        return json.load(handle)
+def _durable_records(journal_path: str) -> int:
+    """Records durable in ``journal_path`` (0 before its header is)."""
+    try:
+        return len(read_records(journal_path))
+    except (OSError, CheckpointError):
+        return 0
 
 
 def _wait_and_kill(
     proc: subprocess.Popen,
     journal_path: str,
-    target_tick: int,
+    target_records: int,
     deadline_s: float,
-) -> tuple[bool, int]:
-    """Poll the journal; SIGKILL ``proc`` once ``target_tick`` is durable.
+) -> int:
+    """Poll the journal; SIGKILL ``proc`` once ``target_records`` are durable.
 
-    Returns ``(killed, newest_durable_tick)``.  The kill is a raw
-    SIGKILL -- the child gets no chance to flush or clean up, which is
-    the whole point.
+    Returns the number of durable records once the child is gone.  The
+    kill is a raw SIGKILL -- the child gets no chance to flush or clean
+    up, which is the whole point.
     """
     start = time.monotonic()
-    newest = -1
     while proc.poll() is None:
         if time.monotonic() - start > deadline_s:
             proc.kill()
             proc.wait()
             raise DeadlineExceeded(
-                f"chaos child ran past {deadline_s:.0f}s before reaching "
-                f"tick {target_tick}"
+                f"chaos child ran past {deadline_s:.0f}s before archiving "
+                f"{target_records} cells"
             )
-        if os.path.exists(journal_path):
-            records = read_records(journal_path)
-            if records:
-                newest = records[-1].tick
-                if newest >= target_tick:
-                    os.kill(proc.pid, signal.SIGKILL)
-                    proc.wait()
-                    return True, newest
-        time.sleep(0.005)
+        if _durable_records(journal_path) >= target_records:
+            os.kill(proc.pid, signal.SIGKILL)
+            break
+        time.sleep(0.002)
     proc.wait()
-    return False, newest
+    return _durable_records(journal_path)
 
 
 def run(config: ExperimentConfig | None = None) -> Mapping[str, Any]:
     """Execute the kill/resume drill; returns the comparison data."""
-    config = config or ExperimentConfig(scale=0.6)
+    config = config or ExperimentConfig(scale=0.3)
     kills = DEFAULT_KILLS
     rng = np.random.default_rng(config.seed + 1)
     supervisor = Supervisor(
         RetryPolicy(max_attempts=1, deadline_s=DEFAULT_CHILD_DEADLINE_S * 4)
     )
+    flags = [DEFAULT_EXPERIMENT, "--scale", str(config.scale)]
     workdir = tempfile.mkdtemp(prefix="repro-chaos-")
     try:
-        # 1. The uninterrupted reference run (checkpointing on, so the
-        #    reference exercises the identical code path).
+        # 1. The uninterrupted reference (checkpointing on, so its
+        #    archive holds the per-cell reference digests).
         ref_dir = os.path.join(workdir, "reference")
-        ref_json = os.path.join(workdir, "reference.json")
-        supervisor.run_subprocess(
-            _python_cmd(
-                _run_flags(config)
-                + ["--checkpoint", ref_dir,
-                   "--checkpoint-interval", str(DEFAULT_INTERVAL_TICKS),
-                   "--result-json", ref_json]
-            ),
+        reference_stdout = supervisor.run_subprocess(
+            _python_cmd(flags + ["--checkpoint", ref_dir]),
             label="chaos-reference",
             timeout_s=DEFAULT_CHILD_DEADLINE_S,
-        )
-        reference = _read_digest(ref_json)
-        total_ticks = int(reference["n_samples"])
-        if total_ticks < 3 * DEFAULT_INTERVAL_TICKS:
+        ).stdout
+        reference = _cell_digests(ref_dir)
+        total = len(reference)
+        if total < 10:
             raise ExperimentError(
-                f"reference run too short ({total_ticks} ticks) to place "
-                f"randomized kills; raise --scale"
+                f"{DEFAULT_EXPERIMENT} archived only {total} cells; too "
+                "few to place randomized kills"
             )
 
-        # 2. Kill/resume cycles at randomized checkpoint depths.
+        # 2. Kill/resume cycles at randomized archive depths.
         cycles: list[KillCycle] = []
         for index in range(kills):
-            target = int(
-                rng.integers(1, max(2, total_ticks - DEFAULT_INTERVAL_TICKS))
-            )
+            target = int(rng.integers(1, int(total * KILL_SPAN)))
             run_dir = os.path.join(workdir, f"kill-{index}")
-            out_json = os.path.join(workdir, f"kill-{index}.json")
             proc = subprocess.Popen(
-                _python_cmd(
-                    _run_flags(config)
-                    + ["--checkpoint", run_dir,
-                       "--checkpoint-interval", str(DEFAULT_INTERVAL_TICKS),
-                       "--result-json", out_json]
-                ),
+                _python_cmd(flags + ["--checkpoint", run_dir]),
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
             )
-            killed, newest = _wait_and_kill(
+            archived = _wait_and_kill(
                 proc,
-                os.path.join(run_dir, JOURNAL_FILENAME),
+                os.path.join(run_dir, RESULTS_FILENAME),
                 target,
                 DEFAULT_CHILD_DEADLINE_S,
             )
-            # 3. Resume (works for a killed child; also validates that
-            #    resuming a journal whose run completed reproduces the
-            #    same result).
-            supervisor.run_subprocess(
-                _python_cmd(
-                    ["--resume", run_dir, "--result-json", out_json]
-                ),
+            # 3. Resume: archived cells replay, the rest rerun.
+            resumed_stdout = supervisor.run_subprocess(
+                _python_cmd(["--resume", run_dir]),
                 label=f"chaos-resume-{index}",
                 timeout_s=DEFAULT_CHILD_DEADLINE_S,
-            )
-            resumed = _read_digest(out_json)
+            ).stdout
             cycles.append(
                 KillCycle(
-                    target_tick=target,
-                    killed_after_tick=newest,
-                    killed=killed,
-                    identical=resumed == reference,
+                    target_records=target,
+                    archived_at_kill=archived,
+                    killed=0 < archived < total,
+                    identical=(
+                        resumed_stdout == reference_stdout
+                        and _cell_digests(run_dir) == reference
+                    ),
                 )
             )
         return {
-            "workload": DEFAULT_WORKLOAD,
+            "experiment": DEFAULT_EXPERIMENT,
             "scale": config.scale,
             "seed": config.seed,
-            "interval_ticks": DEFAULT_INTERVAL_TICKS,
-            "total_ticks": total_ticks,
-            "reference_samples_sha256": reference["samples_sha256"],
+            "cells": total,
+            "reference_samples_sha256": reference[0]["samples_sha256"],
             "cycles": [vars(c) for c in cycles],
             "kills": sum(1 for c in cycles if c.killed),
             "identical": sum(1 for c in cycles if c.identical),
@@ -222,29 +210,30 @@ def render(data: Mapping[str, Any]) -> str:
         "chaos kill/resume drill",
         "=======================",
         "",
-        f"workload {data['workload']} (scale {data['scale']}, seed "
-        f"{data['seed']}), {data['total_ticks']} ticks, checkpoint "
-        f"every {data['interval_ticks']} ticks",
-        f"reference samples sha256: {data['reference_samples_sha256'][:16]}...",
+        f"experiment {data['experiment']} (scale {data['scale']}), "
+        f"{data['cells']} cells archived per run",
+        f"reference cell 0 samples sha256: "
+        f"{data['reference_samples_sha256'][:16]}...",
         "",
-        f"{'cycle':>5} {'target tick':>12} {'killed after':>13} "
+        f"{'cycle':>5} {'target':>7} {'archived at kill':>17} "
         f"{'killed':>7} {'identical':>10}",
     ]
     for index, cycle in enumerate(data["cycles"]):
         lines.append(
-            f"{index:>5} {cycle['target_tick']:>12} "
-            f"{cycle['killed_after_tick']:>13} "
+            f"{index:>5} {cycle['target_records']:>7} "
+            f"{cycle['archived_at_kill']:>17} "
             f"{str(cycle['killed']):>7} {str(cycle['identical']):>10}"
         )
     lines.append("")
     lines.append(
         f"{data['kills']}/{len(data['cycles'])} children SIGKILLed "
-        f"mid-run; {data['identical']}/{len(data['cycles'])} resumed "
-        f"bit-identical"
+        f"mid-experiment; {data['identical']}/{len(data['cycles'])} "
+        f"resumed bit-identical"
     )
     lines.append(
-        "PASS: every resumed run matches the uninterrupted reference"
+        "PASS: every resumed experiment matches the uninterrupted reference"
         if data["all_identical"]
-        else "FAIL: at least one resumed run diverged from the reference"
+        else "FAIL: at least one resumed experiment diverged from the "
+        "reference"
     )
     return "\n".join(lines)

@@ -11,11 +11,6 @@ a digest check that the two produced bit-identical results.
 
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
-import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -131,12 +126,10 @@ def campaign(
         loop_s = [0.0]
         original = controller._run_loop
 
-        def timed(st, tel, checkpointer=None, resumed=False):
+        def timed(st, tel):
             start = time.perf_counter()
             try:
-                return original(
-                    st, tel, checkpointer=checkpointer, resumed=resumed
-                )
+                return original(st, tel)
             finally:
                 loop_s[0] += time.perf_counter() - start
 
@@ -172,86 +165,6 @@ def campaign(
         "wall_speedup": round(s_wall / f_wall, 2),
         "bit_identical": f_digests == s_digests,
     }
-
-
-#: A ``python -c`` program: the CLI on the scalar reference loop.
-_SCALAR_MAIN = (
-    "import sys\n"
-    "from repro.core import blockloop\n"
-    "blockloop.FAST_LOOP = False\n"
-    "from repro.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
-
-
-def _scalar_cmd(extra: list[str]) -> list[str]:
-    """``python -m repro run <extra>`` with the fused loop switched off."""
-    return [sys.executable, "-c", _SCALAR_MAIN, "run", *extra]
-
-
-def kill_resume(scale: float = 0.6, interval_ticks: int = 7) -> dict[str, Any]:
-    """One real SIGKILL mid-run + resume, checked against scalar.
-
-    A checkpointed child runs under the fused kernel, gets a raw
-    SIGKILL near the midpoint, and is resumed; the resumed digest must
-    match a reference child forced onto the scalar loop (it sets
-    ``blockloop.FAST_LOOP = False`` before entering the CLI).
-    """
-    from repro.checkpoint.journal import JOURNAL_FILENAME
-    from repro.experiments.chaos_resume import (
-        DEFAULT_CHILD_DEADLINE_S,
-        _python_cmd,
-        _read_digest,
-        _run_flags,
-        _wait_and_kill,
-    )
-
-    config = ExperimentConfig(scale=scale, seed=0)
-    workdir = tempfile.mkdtemp(prefix="repro-core-speed-")
-    try:
-        ref_json = os.path.join(workdir, "scalar.json")
-        subprocess.run(
-            _scalar_cmd(_run_flags(config) + ["--result-json", ref_json]),
-            stdout=subprocess.DEVNULL,
-            check=True,
-            timeout=DEFAULT_CHILD_DEADLINE_S,
-        )
-        reference = _read_digest(ref_json)
-        target = int(reference["n_samples"]) // 2
-
-        run_dir = os.path.join(workdir, "fast")
-        out_json = os.path.join(workdir, "fast.json")
-        child = subprocess.Popen(
-            _python_cmd(
-                _run_flags(config)
-                + ["--checkpoint", run_dir,
-                   "--checkpoint-interval", str(interval_ticks),
-                   "--result-json", out_json]
-            ),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        killed, newest = _wait_and_kill(
-            child,
-            os.path.join(run_dir, JOURNAL_FILENAME),
-            target,
-            DEFAULT_CHILD_DEADLINE_S,
-        )
-        subprocess.run(
-            _python_cmd(["--resume", run_dir, "--result-json", out_json]),
-            stdout=subprocess.DEVNULL,
-            check=True,
-            timeout=DEFAULT_CHILD_DEADLINE_S,
-        )
-        return {
-            "total_ticks": int(reference["n_samples"]),
-            "target_tick": target,
-            "killed_after_tick": newest,
-            "killed": killed,
-            "identical": _read_digest(out_json) == reference,
-        }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def render(result: CoreSpeedResult) -> str:

@@ -95,20 +95,6 @@ class FaultInjector:
         """Install the simulated-time source used to stamp fault events."""
         self._clock = clock
 
-    def __getstate__(self):
-        # The recorder and clock are process-local (open file handles /
-        # a closure over the machine); the controller rebinds both on
-        # resume.  Everything else -- including the per-subsystem RNG
-        # stream positions -- round-trips exactly.
-        state = self.__dict__.copy()
-        state["_telemetry"] = None
-        state["_clock"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._clock = lambda: 0.0
-
     @property
     def now_s(self) -> float:
         """Current simulated time (0.0 before a clock is bound)."""
@@ -216,15 +202,6 @@ class FaultySampler:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    # Explicit pickle hooks: without them, lookup of __getstate__ /
-    # __setstate__ would fall through __getattr__ to the wrapped object
-    # (wrong state, and infinite recursion while __dict__ is empty).
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def start(self) -> None:
         """Start the wrapped sampler."""
         self._inner.start()
@@ -296,12 +273,6 @@ class FaultyPowerMeter:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def accumulate(self, power_watts: float, duration_s: float) -> None:
         """Feed the wrapped meter, then corrupt newly closed samples."""
         self._inner.accumulate(power_watts, duration_s)
@@ -359,12 +330,6 @@ class FaultySpeedStep:
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
-
-    def __getstate__(self):
-        return self.__dict__.copy()
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     def set_pstate(self, pstate):
         """Request a p-state; injected failures raise, stalls cost time."""

@@ -117,6 +117,11 @@ class ContentionModel:
             # exactly the proportional share when oversubscribed -- so
             # aggregate traffic saturates at the ceiling.
             share = ceiling - external
+            if own <= _EPSILON_DEMAND and service < 1.0:
+                # No demand, so no proportional share of a saturated
+                # bus: a core whose phase starts using the bus competes
+                # as one of the equal streams arbitration serves.
+                share = ceiling / len(demands)
             timings.append(replace(
                 base,
                 dram_latency_ns=base.dram_latency_ns * multiplier,

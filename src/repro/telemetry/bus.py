@@ -373,31 +373,6 @@ class NodeRestarted(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class CheckpointWritten(TelemetryEvent):
-    """The run journal durably recorded a checkpoint of the loop state."""
-
-    tick: int
-    bytes_written: int
-
-    kind: ClassVar[str] = "checkpoint_written"
-
-
-@dataclass(frozen=True)
-class RunResumed(TelemetryEvent):
-    """A run was reconstructed from its journal and continued.
-
-    ``tick`` is the tick index the resumed loop continues from (the
-    tick of the last durable checkpoint).
-    """
-
-    tick: int
-    workload: str
-    governor: str
-
-    kind: ClassVar[str] = "run_resumed"
-
-
-@dataclass(frozen=True)
 class RetryScheduled(TelemetryEvent):
     """The supervisor scheduled a retry of a failed supervised call.
 

@@ -1,22 +1,19 @@
-"""Pickle round-trips for every stateful component a snapshot carries.
+"""Pickle round-trips for every stateful component a node snapshot carries.
 
-A snapshot is one pickle of the whole run graph; these tests pin down
-each component's contribution in isolation, so a pickling regression
-names the culprit instead of failing a whole-run digest comparison.
+A fleet node snapshot (:meth:`repro.fleet.controller._Node.snapshot`)
+is one pickle of the node's machine, meter, sampler and governor; these
+tests pin down each component's contribution in isolation, so a
+pickling regression names the culprit instead of failing a whole-fleet
+comparison.
 """
 
 from __future__ import annotations
 
 import pickle
 
-import numpy as np
-
-from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSampler
-from repro.faults.injector import FaultInjector, _RNG_STREAMS
-from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
 from repro.platform.machine import Machine, MachineConfig
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.registry import default_registry
@@ -26,8 +23,8 @@ def _round_trip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _run_some_ticks(machine, governor, ticks=30):
-    sampler = CounterSampler(machine.pmu, governor.events)
+def _run_some_ticks(machine, governor, ticks=30, telemetry=None):
+    sampler = CounterSampler(machine.pmu, governor.events, telemetry)
     sampler.start()
     for _ in range(ticks):
         if machine.finished:
@@ -75,29 +72,6 @@ def test_machine_and_workload_cursor_survive_pickling():
         assert copied.mean_power_w == original.mean_power_w
 
 
-def test_fault_injector_streams_survive_pickling():
-    plan = FaultPlan(
-        seed=9,
-        sample=SampleFaults(drop_prob=0.2, garble_prob=0.1),
-        meter=MeterFaults(dropout_prob=0.2, spike_prob=0.1),
-    )
-    injector = FaultInjector(plan, telemetry=TelemetryRecorder())
-    # Advance the streams unevenly, as a real run does.
-    injector.rng("sample").random(17)
-    injector.rng("meter").random(5)
-    clone = _round_trip(injector)
-    for name in _RNG_STREAMS:
-        np.testing.assert_array_equal(
-            clone.rng(name).random(8), injector.rng(name).random(8)
-        )
-    # Process-local hooks are rebound, not pickled.
-    assert clone._telemetry is None
-    assert clone._clock() == 0.0
-    clone.bind_telemetry(TelemetryRecorder())
-    clone.set_clock(lambda: 1.5)
-    assert clone._clock() == 1.5
-
-
 def test_sampler_strips_telemetry_and_keeps_counters():
     machine = Machine(MachineConfig(seed=4))
     governor = PerformanceMaximizer(
@@ -105,41 +79,11 @@ def test_sampler_strips_telemetry_and_keeps_counters():
     )
     governor.reset()
     machine.load(default_registry().get("ammp").scaled(0.2))
-    sampler = _run_some_ticks(machine, governor)
-    sampler.bind_telemetry(TelemetryRecorder())
+    sampler = _run_some_ticks(
+        machine, governor, telemetry=TelemetryRecorder()
+    )
     clone = _round_trip(sampler)
     assert clone._telemetry is None
     # Counter accumulation state survives (same events, same deltas on
     # the next sample when driven by the cloned machine).
     assert clone.events == sampler.events
-
-
-def test_adaptation_manager_probation_survives_pickling():
-    machine = Machine(MachineConfig(seed=4))
-    governor = PerformanceMaximizer(
-        machine.config.table, LinearPowerModel.paper_model(), 13.0
-    )
-    governor.reset()
-    manager = AdaptationManager(AdaptationConfig())
-    manager.engage(governor, telemetry=TelemetryRecorder())
-    machine.load(default_registry().get("ammp").scaled(0.2))
-    sampler = CounterSampler(machine.pmu, governor.events)
-    sampler.start()
-    for _ in range(40):
-        if machine.finished:
-            break
-        record = machine.step()
-        sample = sampler.sample(record.duration_s)
-        governor.decide(sample, machine.current_pstate)
-        manager.observe(
-            sample, machine.current_pstate, record.mean_power_w,
-            machine.now_s,
-        )
-    clone = _round_trip(manager)
-    assert clone._ticks == manager._ticks
-    assert clone._probation_left == manager._probation_left
-    assert clone._drift_pending == manager._drift_pending
-    assert clone.summary() == manager.summary()
-    # Telemetry is process-local: stripped by the pickle, rebindable.
-    assert clone._tel is None
-    clone.bind_telemetry(TelemetryRecorder())

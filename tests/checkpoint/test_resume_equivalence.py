@@ -1,10 +1,13 @@
 """The headline guarantee: kill anywhere, resume, finish bit-identical.
 
-These tests simulate the kill in-process by truncating the journal at
-(and past) durable record boundaries, then resume and compare
-float-exact digests against an uninterrupted run -- including the
-instrumented variant where telemetry, fault injection, and online
-adaptation are all live.
+Resume works at cell granularity: an experiment archives every
+completed run into its results journal, and a resumed experiment
+replays the archive and reruns the rest from scratch.  These tests
+simulate the kill in-process by truncating the results journal at (and
+past) durable record boundaries, then resume and compare float-exact
+digests against an uninterrupted run -- including the instrumented
+variant where telemetry, fault injection and online adaptation are all
+live.
 """
 
 from __future__ import annotations
@@ -13,30 +16,25 @@ import shutil
 
 import pytest
 
-from repro.adaptation.manager import AdaptationConfig, AdaptationManager
+from repro.adaptation.manager import AdaptationConfig
 from repro.checkpoint import (
-    RunCheckpointer,
+    ExperimentCheckpointSession,
     RunJournal,
-    resume_run,
     run_result_digest,
 )
-from repro.checkpoint.resume import load_run_state
-from repro.core.controller import PowerManagementController
-from repro.core.models.power import LinearPowerModel
-from repro.core.governors.performance_maximizer import PerformanceMaximizer
-from repro.core.resilience import ResilienceConfig
-from repro.errors import CheckpointError, NoSnapshotError
-from repro.faults.injector import FaultInjector
+from repro.checkpoint.session import RESULTS_FILENAME
+from repro.cli import main
+from repro.exec import ExperimentConfig, GovernorSpec, RunPlan, open_session
 from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
-from repro.platform.machine import Machine, MachineConfig
 from repro.telemetry.recorder import TelemetryRecorder
-from repro.workloads.registry import default_registry
 
-WORKLOAD = "ammp"
-SCALE = 0.6
-INTERVAL = 10
+PLAN = RunPlan.sweep(
+    ("ammp", "gzip"),
+    [GovernorSpec.pm(14.5, power_model="paper"), GovernorSpec.ps(0.8)],
+    ExperimentConfig(scale=0.3, seed=11),
+)
 
-PLAN = FaultPlan(
+FAULTS = FaultPlan(
     seed=3,
     sample=SampleFaults(drop_prob=0.05, duplicate_prob=0.03,
                         garble_prob=0.02),
@@ -45,109 +43,112 @@ PLAN = FaultPlan(
 )
 
 
-def _workload():
-    return default_registry().get(WORKLOAD).scaled(SCALE)
-
-
-def _controller(telemetry=None, hostile=False, seed=11):
-    machine = Machine(MachineConfig(seed=seed))
-    governor = PerformanceMaximizer(
-        machine.config.table, LinearPowerModel.paper_model(), 14.5
+def _run(checkpoint=None, telemetry=None, hostile=False):
+    """Run :data:`PLAN`; returns the per-cell digests."""
+    options = (
+        dict(faults=FAULTS, adaptation=AdaptationConfig()) if hostile
+        else {}
     )
-    kwargs = {}
-    if hostile:
-        kwargs = dict(
-            keep_trace=True,
-            resilience=ResilienceConfig(),
-            injector=FaultInjector(PLAN, telemetry=telemetry),
-            adaptation=AdaptationManager(AdaptationConfig()),
-        )
-    return PowerManagementController(
-        machine, governor, telemetry=telemetry, **kwargs
-    )
+    with open_session(
+        telemetry=telemetry, checkpoint=checkpoint, **options
+    ) as session:
+        results = session.run_plan(PLAN)
+    return [run_result_digest(result) for result in results]
 
 
 def _checkpointed_run(directory, telemetry=None, hostile=False):
-    journal = RunJournal.create(directory, kind="run",
-                                interval_ticks=INTERVAL)
-    checkpointer = RunCheckpointer(journal)
-    try:
-        result = _controller(telemetry, hostile=hostile).run(
-            _workload(), checkpointer=checkpointer
-        )
-    finally:
-        journal.close()
-    return result, checkpointer
+    with ExperimentCheckpointSession.create(
+        directory, "drill", telemetry=telemetry
+    ) as checkpoint:
+        return _run(checkpoint, telemetry, hostile)
+
+
+def _resumed_run(directory, telemetry=None, hostile=False):
+    with ExperimentCheckpointSession.open(
+        directory, telemetry=telemetry
+    ) as checkpoint:
+        return _run(checkpoint, telemetry, hostile), checkpoint.replayed
+
+
+def _records(directory):
+    return RunJournal.open(directory, filename=RESULTS_FILENAME).records()
 
 
 def _truncate(directory, offset):
-    with open(directory / "run.journal", "r+b") as handle:
+    with open(directory / RESULTS_FILENAME, "r+b") as handle:
         handle.truncate(offset)
 
 
 def test_checkpointing_does_not_perturb_the_run(tmp_path):
-    baseline = _controller().run(_workload())
-    checkpointed, checkpointer = _checkpointed_run(tmp_path / "j")
-    assert checkpointer.checkpoints_written > 3
-    assert run_result_digest(checkpointed) == run_result_digest(baseline)
+    baseline = _run()
+    assert _checkpointed_run(tmp_path / "j") == baseline
+    assert len(_records(tmp_path / "j")) == len(PLAN)
 
 
 def test_resume_from_every_checkpoint_is_bit_identical(tmp_path):
-    baseline_digest = run_result_digest(_controller().run(_workload()))
+    baseline = _run()
     source = tmp_path / "j"
     _checkpointed_run(source)
-    records = RunJournal.open(source).records()
-    assert len(records) > 3
+    records = _records(source)
+    assert len(records) == len(PLAN)
     for index, record in enumerate(records):
         copy = tmp_path / f"cut-{index}"
         shutil.copytree(source, copy)
         # Mid-record garbage past the durable prefix = torn tail.
         torn = 7 if index + 1 < len(records) else 0
         _truncate(copy, record.end_offset + torn)
-        result, state = resume_run(copy)
-        assert run_result_digest(result) == baseline_digest
-        assert state.tick_index > record.tick
+        digests, replayed = _resumed_run(copy)
+        assert digests == baseline
+        assert replayed == index + 1
 
 
 def test_instrumented_hostile_resume_matches_metrics(tmp_path):
     tel_base = TelemetryRecorder()
-    baseline = _controller(tel_base, hostile=True).run(_workload())
-    baseline_digest = run_result_digest(baseline)
+    baseline = _run(telemetry=tel_base, hostile=True)
     baseline_metrics = tel_base.metrics.snapshot()
 
     source = tmp_path / "j"
     tel_full = TelemetryRecorder()
-    _checkpointed_run(source, telemetry=tel_full, hostile=True)
+    assert _checkpointed_run(source, tel_full, hostile=True) == baseline
     assert tel_full.metrics.snapshot() == baseline_metrics
 
-    records = RunJournal.open(source).records()
-    middle = records[len(records) // 2]
+    middle = _records(source)[len(PLAN) // 2]
     copy = tmp_path / "cut"
     shutil.copytree(source, copy)
     _truncate(copy, middle.end_offset + 5)
     tel_resumed = TelemetryRecorder()
-    result, _state = resume_run(copy, telemetry=tel_resumed)
-    assert run_result_digest(result) == baseline_digest
-    # The restored registry plus the replayed tail reproduces the
+    digests, _ = _resumed_run(copy, tel_resumed, hostile=True)
+    assert digests == baseline
+    # The restored registry plus the rerun cells reproduce the
     # uninterrupted run's final metrics exactly.
     assert tel_resumed.metrics.snapshot() == baseline_metrics
 
 
-def test_resume_virgin_journal_raises_no_snapshot(tmp_path):
-    RunJournal.create(tmp_path / "j", kind="run").close()
-    with pytest.raises(NoSnapshotError):
-        resume_run(tmp_path / "j")
+def test_resume_rejects_experiment_journal(tmp_path, capsys):
+    ExperimentCheckpointSession.create(tmp_path / "j", "fig2").close()
+    assert main(["run", "--resume", str(tmp_path / "j")]) == 1
+    assert "experiment" in capsys.readouterr().err
 
 
-def test_resume_rejects_experiment_journal(tmp_path):
-    RunJournal.create(tmp_path / "j", kind="experiment").close()
-    with pytest.raises(CheckpointError, match="experiment"):
-        resume_run(tmp_path / "j")
+@pytest.mark.parametrize("workers", [0, 2])
+def test_multicore_cells_archive_and_replay(tmp_path, workers):
+    """``threads > 1`` cells archive and replay like single-core ones."""
+    plan = RunPlan.sweep(
+        ("ammp", "swim"),
+        [GovernorSpec.pm(14.5, power_model="paper"),
+         GovernorSpec.energy_optimal()],
+        ExperimentConfig(scale=0.1, seed=2),
+        threads=(2,),
+    )
+    with open_session() as session:
+        baseline = [run_result_digest(r) for r in session.run_plan(plan)]
 
-
-def test_load_run_state_exposes_loop_position(tmp_path):
-    _checkpointed_run(tmp_path / "j")
-    state, _metrics = load_run_state(tmp_path / "j")
-    assert state.workload_name == WORKLOAD
-    assert state.tick_index > 0
-    assert state.machine.now_s == pytest.approx(state.tick_index * 0.01)
+    directory = tmp_path / "j"
+    with ExperimentCheckpointSession.create(directory, "mc") as checkpoint:
+        with open_session(workers=workers, checkpoint=checkpoint) as session:
+            first = [run_result_digest(r) for r in session.run_plan(plan)]
+    with ExperimentCheckpointSession.open(directory) as checkpoint:
+        with open_session(workers=workers, checkpoint=checkpoint) as session:
+            replayed = [run_result_digest(r) for r in session.run_plan(plan)]
+        assert checkpoint.replayed == len(plan)
+    assert first == replayed == baseline

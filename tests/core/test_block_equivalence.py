@@ -6,30 +6,31 @@ historical scalar loop.  The contract is *bit-identical results* -- the
 float-exact :func:`run_result_digest` (which covers every trace row,
 meter sample, and energy accumulator) must not change with the
 dispatch decision, for eligible and ineligible runs alike, including
-kills and resumes that land between checkpoints.
+an archive written on one loop and resumed on the other.
 """
 
 from __future__ import annotations
-
-import shutil
 
 import pytest
 
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.checkpoint import (
-    RunCheckpointer,
+    ExperimentCheckpointSession,
     RunJournal,
-    resume_run,
     run_result_digest,
 )
+from repro.checkpoint.session import RESULTS_FILENAME
 from repro.core import blockloop
 from repro.core.controller import PowerManagementController
-from repro.core.governors.performance_maximizer import PerformanceMaximizer
-from repro.core.governors.powersave import PowerSave
 from repro.core.governors.unconstrained import FixedFrequency
-from repro.core.models.performance import PerformanceModel
-from repro.core.models.power import LinearPowerModel
-from repro.exec import ExperimentConfig, GovernorSpec, RunCell, execute_cell
+from repro.exec import (
+    ExperimentConfig,
+    GovernorSpec,
+    RunCell,
+    RunPlan,
+    execute_cell,
+    open_session,
+)
 from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
 from repro.platform.blockstep import block_capable
 from repro.platform.machine import Machine, MachineConfig
@@ -100,99 +101,69 @@ def test_thermal_machine_falls_back_to_scalar_loop(monkeypatch):
     assert digest(True) == digest(False)
 
 
-# -- kill / resume between checkpoints ---------------------------------------
-
-INTERVAL = 10
-
-#: One governor per fused decision family: projection table (PM, PS)
-#: and constant target (Fixed, starting at P0 so it actuates once).
-KILL_GOVERNORS = {
-    "pm": lambda table: PerformanceMaximizer(
-        table, LinearPowerModel.paper_model(), 14.5
-    ),
-    "ps": lambda table: PowerSave(
-        table, PerformanceModel.paper_primary(), 0.6
-    ),
-    "fixed": lambda table: FixedFrequency(table, 1400.0),
-}
-
-
-def _controller(name="pm"):
-    machine = Machine(MachineConfig(seed=11))
-    governor = KILL_GOVERNORS[name](machine.config.table)
-    return PowerManagementController(machine, governor, keep_trace=True)
-
-
 def _workload():
     return default_registry().get("ammp").scaled(0.4)
 
 
-def _checkpointed_run(directory, name="pm"):
-    journal = RunJournal.create(directory, kind="run",
-                                interval_ticks=INTERVAL)
-    try:
-        result = _controller(name).run(
-            _workload(), checkpointer=RunCheckpointer(journal)
-        )
-    finally:
-        journal.close()
-    return result
+# -- kill / resume between cells ---------------------------------------------
+
+#: Cells of every fused decision family: projection table (PM, PS) and
+#: constant target (Fixed, starting at P0 so it actuates once).
+RESUME_PLAN = RunPlan(
+    config=ExperimentConfig(scale=0.4, seed=11, keep_trace=True),
+    cells=tuple(
+        RunCell(workload=workload, governor=GOVERNORS[name])
+        for workload in ("ammp", "gzip")
+        for name in ("paper-pm", "ps", "fixed")
+    ),
+)
 
 
-def _truncate(directory, offset):
-    with open(directory / "run.journal", "r+b") as handle:
-        handle.truncate(offset)
+def _checkpointed(directory, telemetry=None, resume=False):
+    """Run :data:`RESUME_PLAN` archived into ``directory``.
 
-
-def test_mid_block_kill_and_resume_bit_identical(tmp_path, monkeypatch):
-    """Journal a fast run, tear it between checkpoints, resume both ways.
-
-    A torn tail past a durable record boundary is exactly what a
-    SIGKILL between checkpoints leaves behind: the resumed run restarts
-    from the last durable checkpoint -- in the middle of what the fast
-    loop ran as one stretch of fused ticks -- and must still finish
-    bit-identical, whether the resumed leg itself runs fast or scalar.
-    Checkpointed runs draw their Gaussians one at a time, so running
-    this for every decision family pins the fused loop's scalar-RNG
-    mode for each of them.
+    Returns the per-cell digests and how many cells replayed from the
+    archive.
     """
-    for name in sorted(KILL_GOVERNORS):
-        base = tmp_path / name
-        monkeypatch.setattr(blockloop, "FAST_LOOP", False)
-        baseline = run_result_digest(_controller(name).run(_workload()))
+    checkpoint = (
+        ExperimentCheckpointSession.open(directory, telemetry=telemetry)
+        if resume
+        else ExperimentCheckpointSession.create(
+            directory, "drill", telemetry=telemetry
+        )
+    )
+    with checkpoint, open_session(
+        telemetry=telemetry, checkpoint=checkpoint
+    ) as session:
+        results = session.run_plan(RESUME_PLAN)
+    return [run_result_digest(r) for r in results], checkpoint.replayed
 
-        monkeypatch.setattr(blockloop, "FAST_LOOP", True)
-        source = base / "j"
-        checkpointed = _checkpointed_run(source, name)
-        assert run_result_digest(checkpointed) == baseline, name
 
-        records = RunJournal.open(source).records()
-        assert len(records) > 3
-        middle = records[len(records) // 2]
-        for mode, fast in (("fast", True), ("scalar", False)):
-            copy = base / f"cut-{mode}"
-            shutil.copytree(source, copy)
-            _truncate(copy, middle.end_offset + 7)
-            monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
-            result, state = resume_run(copy)
-            assert run_result_digest(result) == baseline, (name, mode)
-            assert state.tick_index > middle.tick
+def _cut(directory, keep):
+    """Tear the results journal after ``keep`` records, as SIGKILL does.
+
+    Garbage past the last durable record is a half-written append.
+    """
+    journal = RunJournal.open(directory, filename=RESULTS_FILENAME)
+    end = journal.records()[keep - 1].end_offset
+    with open(journal.journal_path, "r+b") as handle:
+        handle.truncate(end + 7)
 
 
 def test_scalar_journal_resumes_under_fast_loop(tmp_path, monkeypatch):
-    """Checkpoints written by the scalar loop restore into the fast one."""
-    monkeypatch.setattr(blockloop, "FAST_LOOP", False)
-    baseline = run_result_digest(_controller().run(_workload()))
-    source = tmp_path / "j"
-    _checkpointed_run(source)
+    """An archive written by the scalar loop resumes under the fast one.
 
-    records = RunJournal.open(source).records()
-    copy = tmp_path / "cut"
-    shutil.copytree(source, copy)
-    _truncate(copy, records[len(records) // 2].end_offset)
+    The archived cells replay; the interrupted cell and the rest rerun
+    on the fused kernel and finish bit-identical to the scalar run.
+    """
+    monkeypatch.setattr(blockloop, "FAST_LOOP", False)
+    baseline, _ = _checkpointed(tmp_path / "j")
+    keep = len(RESUME_PLAN) // 2
+    _cut(tmp_path / "j", keep)
     monkeypatch.setattr(blockloop, "FAST_LOOP", True)
-    result, _state = resume_run(copy)
-    assert run_result_digest(result) == baseline
+    resumed, replayed = _checkpointed(tmp_path / "j", resume=True)
+    assert replayed == keep
+    assert resumed == baseline
 
 
 def test_last_decision_transition_adds_no_empty_residency(monkeypatch):

@@ -17,26 +17,18 @@ import shutil
 
 import pytest
 
-from repro.checkpoint import (
-    RunCheckpointer,
-    RunJournal,
-    resume_run,
-    run_result_digest,
-)
+from repro.checkpoint import run_result_digest
 from repro.core import blockloop
-from repro.core.controller import PowerManagementController
 from repro.exec import RunCell, RunPlan, execute_cell, open_session
-from repro.platform.machine import Machine, MachineConfig
 from repro.telemetry import TelemetryRecorder
 from repro.telemetry.exporters import JsonlEventExporter
 
 from .test_block_equivalence import (
     CONFIG,
     GOVERNORS,
-    INTERVAL,
-    KILL_GOVERNORS,
-    _truncate,
-    _workload,
+    RESUME_PLAN,
+    _checkpointed,
+    _cut,
 )
 
 #: Governors whose runs the fused kernel takes (energy-optimal feeds
@@ -98,14 +90,6 @@ def test_observed_bundle_identical_on_both_loops(
     assert digests["fast"] == digests["scalar"] == off
 
 
-def _observed_controller(recorder, name="pm"):
-    machine = Machine(MachineConfig(seed=11))
-    governor = KILL_GOVERNORS[name](machine.config.table)
-    return PowerManagementController(
-        machine, governor, keep_trace=True, telemetry=recorder
-    )
-
-
 def _observed(path):
     recorder = TelemetryRecorder()
     exporter = JsonlEventExporter(path)
@@ -116,57 +100,48 @@ def _observed(path):
 def test_observed_kill_and_resume_identical_on_both_loops(
     tmp_path, monkeypatch, fast_calls
 ):
-    """Journal an observed PM run, cut it between checkpoints, resume.
+    """Archive an observed plan, cut it between cells, resume it.
 
     The uninterrupted checkpointed runs write the same events on both
-    loops (checkpoint sizes included), and so do the resumed legs.  The
-    restored metrics finish where the uninterrupted run's did, including
-    the projection error scored against the estimate carried in the
-    checkpoint.
+    loops, and so do the resumed legs.  The registry restored from the
+    archive plus the rerun cells finish where the uninterrupted run's
+    metrics did.
     """
     monkeypatch.setattr(blockloop, "FAST_LOOP", True)
-    baseline = run_result_digest(
-        _observed_controller(None).run(_workload())
-    )
+    baseline, _ = _checkpointed(tmp_path / "unobserved")
 
     uninterrupted = {}
     for mode, fast in (("fast", True), ("scalar", False)):
         monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
         recorder, exporter = _observed(tmp_path / f"{mode}.jsonl")
-        journal = RunJournal.create(
-            tmp_path / mode, kind="run", interval_ticks=INTERVAL
-        )
         try:
-            result = _observed_controller(recorder).run(
-                _workload(), checkpointer=RunCheckpointer(journal)
-            )
+            digests, _ = _checkpointed(tmp_path / mode, telemetry=recorder)
         finally:
-            journal.close()
             exporter.close()
-        assert run_result_digest(result) == baseline, mode
+        assert digests == baseline, mode
         uninterrupted[mode] = recorder.metrics.snapshot()
     assert fast_calls
     assert uninterrupted["fast"] == uninterrupted["scalar"]
     assert _read(tmp_path / "fast.jsonl") == _read(tmp_path / "scalar.jsonl")
 
-    records = RunJournal.open(tmp_path / "fast").records()
-    assert len(records) > 3
-    middle = records[len(records) // 2]
+    keep = len(RESUME_PLAN) // 2
     metrics = {}
     for mode, fast in (("fast", True), ("scalar", False)):
         copy = tmp_path / f"cut-{mode}"
         shutil.copytree(tmp_path / "fast", copy)
-        _truncate(copy, middle.end_offset + 7)
+        _cut(copy, keep)
         monkeypatch.setattr(blockloop, "FAST_LOOP", fast)
         fast_calls.clear()
         recorder, exporter = _observed(tmp_path / f"resumed-{mode}.jsonl")
         try:
-            result, state = resume_run(copy, telemetry=recorder)
+            digests, replayed = _checkpointed(
+                copy, telemetry=recorder, resume=True
+            )
         finally:
             exporter.close()
-        assert len(fast_calls) == (1 if fast else 0)
-        assert run_result_digest(result) == baseline, mode
-        assert state.tick_index > middle.tick
+        assert replayed == keep
+        assert len(fast_calls) == (len(RESUME_PLAN) - keep if fast else 0)
+        assert digests == baseline, mode
         metrics[mode] = recorder.metrics.snapshot()
     assert _read(tmp_path / "resumed-fast.jsonl") == _read(
         tmp_path / "resumed-scalar.jsonl"

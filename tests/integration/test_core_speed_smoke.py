@@ -41,10 +41,3 @@ def test_campaign_digest_equivalence_and_floor():
 
     assert record["bit_identical"] is True
     assert record["speedup"] >= record["floor"], record
-
-
-def test_mid_block_sigkill_resume_bit_identical():
-    """A SIGKILLed fast child resumes bit-identical to the scalar loop."""
-    cycle = core_speed.kill_resume()
-    assert cycle["killed"] is True
-    assert cycle["identical"] is True

@@ -126,7 +126,15 @@ def test_governed_runs_are_reproducible(phases, seed):
 )
 def test_oracle_never_truly_violates_on_stationary_phases(phases, limit):
     """With perfect knowledge and jitter-free phases, the 100 ms window
-    never exceeds the limit (up to measurement noise)."""
+    never exceeds the limit (up to measurement noise) except by what
+    the ticks the oracle did not pick a p-state for burn over it.
+
+    Those reactive ticks are the first one, which runs at the start
+    p-state before any decision, and every tick that crosses a phase
+    boundary, which runs at the p-state picked for the phase before.
+    A reactive tick's excess depends on the phase: P0 on an FP-heavy
+    phase burns 7-8 W over a 10.5 W limit, so no fixed allowance fits.
+    """
     from repro.core.governors.oracle import OraclePerformanceMaximizer
 
     calm = [
@@ -150,5 +158,24 @@ def test_oracle_never_truly_violates_on_stationary_phases(phases, limit):
     )
     controller = PowerManagementController(machine, governor)
     result = controller.run(workload, max_seconds=120.0)
-    for _, watts in result.moving_average_power(10):
-        assert watts <= limit + 0.3  # noise + one reactive tick
+
+    boundaries = []
+    position = 0.0
+    while position < workload.total_instructions:
+        for phase in calm:
+            position += phase.instructions
+            boundaries.append(position)
+    excess = []
+    retired = 0.0
+    for index, row in enumerate(result.trace):
+        start, retired = retired, retired + row.instructions
+        reactive = index == 0 or any(
+            start - 1.0 < b < retired + 1.0 for b in boundaries
+        )
+        excess.append(
+            max(0.0, row.true_power_w - limit) if reactive else 0.0
+        )
+    assert len(excess) == len(result.samples)
+    for end, (_, watts) in enumerate(result.moving_average_power(10), 10):
+        # Measurement noise, plus the reactive ticks' excess.
+        assert watts <= limit + 0.3 + sum(excess[end - 10:end]) / 10

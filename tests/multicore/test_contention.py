@@ -80,3 +80,18 @@ def test_latency_multiplier_stays_finite_under_extreme_demand():
     )
     for t in timings:
         assert t.dram_latency_ns <= PENTIUM_M_755_TIMING.dram_latency_ns * cap
+
+
+def test_zero_demand_core_on_saturated_bus_gets_a_positive_share():
+    """No demand means no proportional share, yet the timing stays valid.
+
+    It competes as one of the streams the saturated bus arbitrates.
+    """
+    base = PENTIUM_M_755_TIMING
+    model = ContentionModel()
+    ceiling = base.bus_bandwidth_bytes_per_s
+    idle, busy, _ = model.effective_timings(
+        base, [0.0, 2.0 * ceiling, 2.0 * ceiling]
+    )
+    assert idle.bus_bandwidth_bytes_per_s == pytest.approx(ceiling / 3)
+    assert busy.bus_bandwidth_bytes_per_s == pytest.approx(ceiling / 2)

@@ -11,6 +11,7 @@ from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSample
 from repro.errors import GovernorError
+from repro.exec import ExperimentConfig, GovernorSpec, RunCell, execute_cell
 from repro.multicore.controller import MulticoreController
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.events import Event
@@ -149,3 +150,44 @@ def test_threads_freq_end_to_end_resplits_on_contention(table):
     assert len(out.threads_history) > 1
     assert out.threads_history[-1][1] < 4
     assert out.peak_bus_utilization > 1.0
+
+
+def test_recommend_threads_uses_held_dcu_for_multiplexed_samples(table):
+    """A sample from the IPC/DPC group carries no DCU rate.
+
+    The walker classifies it with the DCU rate :meth:`decide` last saw
+    instead of failing on the missing event.
+    """
+    governor = ThreadsFreqGovernor(
+        table, LinearPowerModel.paper_model(), PerformanceModel.paper_primary()
+    )
+    governor.decide(_sample(0.4, dcu=1.0), table.fastest)
+    no_dcu = _sample(0.4, dpc=0.6)
+    assert governor.recommend_threads(
+        [no_dcu], threads=4, n_cores=4, bus_utilization=1.4
+    ) == 3
+
+
+@pytest.mark.parametrize("workload", ["ammp", "swim"])
+def test_threads_freq_two_threads_completes_at_full_scale(workload):
+    """Full-length runs reach epochs that close on the IPC/DPC group."""
+    result = execute_cell(
+        RunCell(
+            workload=workload, governor=GovernorSpec.threads_freq(),
+            threads=2,
+        ),
+        ExperimentConfig(scale=1.0, seed=0),
+    )
+    assert result.instructions > 0
+
+
+def test_energy_optimal_four_threads_completes_at_full_scale():
+    """ammp on 4 cores oversubscribes the bus with a zero-demand core."""
+    result = execute_cell(
+        RunCell(
+            workload="ammp", governor=GovernorSpec.energy_optimal(),
+            threads=4,
+        ),
+        ExperimentConfig(scale=1.0, seed=0),
+    )
+    assert result.instructions > 0

@@ -426,3 +426,24 @@ class TestTraceSubcommands:
         out = capsys.readouterr().out
         assert "families:" in out
         assert "Eq. 3 memory class:" in out
+
+
+def test_run_resume_reruns_from_the_recorded_options(tmp_path, capsys):
+    """``run --checkpoint`` records the options; ``--resume`` reruns them."""
+    digest = tmp_path / "digest.json"
+    checkpoint = tmp_path / "ck"
+    assert main(
+        ["run", "gzip", "--governor", "pm", "--limit", "13.5",
+         "--scale", "0.05", "--use-paper-model",
+         "--checkpoint", str(checkpoint), "--result-json", str(digest)]
+    ) == 0
+    fresh_out = capsys.readouterr().out
+    fresh_digest = digest.read_text()
+    digest.unlink()
+
+    assert main(
+        ["run", "--resume", str(checkpoint), "--result-json", str(digest)]
+    ) == 0
+    assert capsys.readouterr().out == fresh_out
+    assert digest.read_text() == fresh_digest
+    assert sorted(p.name for p in checkpoint.iterdir()) == ["manifest.json"]
