@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Profile the monitor->estimate->control hot path.
 
-Runs one governed cell under cProfile in both loop modes and prints the
-top functions by cumulative time -- the evidence base for the fused
-tick kernel (:mod:`repro.core.blockloop`).  The scalar profile shows
-the per-tick overhead spread across ``Machine.step`` /
-``CounterSampler.sample`` / ``governor.decide``; the fast profile shows
-the same work fused into ``blockloop.run_fast``.
+Runs one governed cell under cProfile and prints the top functions by
+cumulative time, with the loop's throughput in ticks/s.  Every
+single-core run takes the fused tick kernel
+(:func:`repro.core.blockloop.run_fast`): the stock governors decide
+from its projection tables, while ``adaptive-pm`` (measured-power
+feedback) runs its hook mode, where the decision block calls the real
+sampler, governor and driver each tick.
 
 Usage::
 
     PYTHONPATH=src python scripts/profile_tick.py [--workload ammp]
-        [--governor pm|ps|dbs|fixed] [--scale 16] [--top 20]
+        [--governor pm|ps|dbs|fixed|adaptive-pm] [--scale 16] [--top 20]
         [--out benchmarks/results/profile_tick.txt]
 
 The archived reference run lives at
@@ -27,7 +28,6 @@ import pstats
 import sys
 import time
 
-from repro.core import blockloop
 from repro.exec import ExperimentConfig, GovernorSpec, RunCell, execute_cell
 
 SPECS = {
@@ -35,11 +35,13 @@ SPECS = {
     "ps": lambda: GovernorSpec.ps(0.8),
     "dbs": lambda: GovernorSpec.dbs(),
     "fixed": lambda: GovernorSpec.fixed(1400.0),
+    "adaptive-pm": lambda: GovernorSpec.adaptive_pm(
+        14.5, power_model="paper"
+    ),
 }
 
 
-def _profile_once(cell, config, fast, top):
-    blockloop.FAST_LOOP = fast
+def _profile_once(cell, config, top):
     execute_cell(cell, config)  # warm caches: models, templates, registry
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -51,12 +53,11 @@ def _profile_once(cell, config, fast, top):
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-    mode = "fast (fused kernel)" if fast else "scalar (per-tick loop)"
     header = (
-        f"== {mode}: {ticks} ticks in {wall:.3f} s "
+        f"== {ticks} ticks in {wall:.3f} s under cProfile "
         f"({ticks / wall:,.0f} ticks/s) ==\n"
     )
-    return header + buffer.getvalue(), ticks / wall
+    return header + buffer.getvalue()
 
 
 def main(argv=None) -> int:
@@ -73,21 +74,11 @@ def main(argv=None) -> int:
     cell = RunCell(
         workload=args.workload, governor=SPECS[args.governor]()
     )
-
-    sections = [
+    report = (
         f"profile_tick: workload={args.workload} governor={args.governor} "
-        f"scale={args.scale}\n"
-    ]
-    rates = {}
-    for fast in (False, True):
-        text, rate = _profile_once(cell, config, fast, args.top)
-        sections.append(text)
-        rates[fast] = rate
-    sections.append(
-        f"speedup: {rates[True] / rates[False]:.1f}x "
-        f"({rates[False]:,.0f} -> {rates[True]:,.0f} ticks/s)\n"
+        f"scale={args.scale}\n\n"
+        + _profile_once(cell, config, args.top)
     )
-    report = "\n".join(sections)
     print(report)
     if args.out:
         with open(args.out, "w") as handle:

@@ -4,7 +4,7 @@ The durability layer of the execution engine:
 
 * :mod:`.format` -- the on-disk WAL container (magic, versioned header,
   CRC-checked records, torn-tail tolerance);
-* :mod:`.journal` -- :class:`RunJournal`, a size-bounded fsync'd journal
+* :mod:`.journal` -- :class:`RunJournal`, an append-only fsync'd journal
   directory with an atomic manifest;
 * :mod:`.session` -- :class:`ExperimentCheckpointSession`, archiving
   every completed run of an experiment and replaying the archive on
@@ -31,7 +31,6 @@ from repro.checkpoint.format import (
     JournalRecord,
 )
 from repro.checkpoint.journal import (
-    DEFAULT_MAX_JOURNAL_BYTES,
     RunJournal,
     read_manifest,
     write_manifest,
@@ -41,7 +40,6 @@ from repro.checkpoint.session import ExperimentCheckpointSession
 __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "SUPPORTED_JOURNAL_FORMATS",
-    "DEFAULT_MAX_JOURNAL_BYTES",
     "JournalRecord",
     "RunJournal",
     "ExperimentCheckpointSession",

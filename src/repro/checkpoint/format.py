@@ -24,7 +24,6 @@ results are serialized one level up (:mod:`repro.checkpoint.session`).
 
 from __future__ import annotations
 
-import io
 import struct
 import zlib
 from dataclasses import dataclass
@@ -140,16 +139,3 @@ def read_records(path: str) -> list[JournalRecord]:
     with open(path, "rb") as handle:
         read_header(handle)
         return list(iter_records(handle))
-
-
-def new_journal_bytes(records: list[tuple[int, bytes]]) -> bytes:
-    """A complete journal image (header + records) as one buffer.
-
-    Used by compaction, which atomically replaces a grown journal with
-    one holding only the newest checkpoint.
-    """
-    buffer = io.BytesIO()
-    write_header(buffer)
-    for tick, payload in records:
-        buffer.write(pack_record(tick, payload))
-    return buffer.getvalue()

@@ -13,10 +13,8 @@ atomically before the first record.  Records are appended with flush +
 fsync; a record is only trusted after its CRC validates, so a SIGKILL
 mid-append loses only the record being written.
 
-Journals are size-bounded: once the WAL grows past ``max_bytes`` it is
-compacted -- rewritten atomically to hold only the newest record.  A
-results journal must stay below the bound, since every record in it
-is live.
+Journals are append-only: every record in a results journal is a live
+archived cell, so nothing is ever compacted away.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.checkpoint.format import (
     JournalRecord,
     append_record,
     iter_records,
-    new_journal_bytes,
     read_header,
     write_header,
 )
@@ -41,9 +38,6 @@ from repro.ioutils import atomic_write_text, fsync_directory
 
 MANIFEST_FILENAME = "manifest.json"
 JOURNAL_FILENAME = "run.journal"
-
-#: Default cap on the WAL before compaction rewrites it.
-DEFAULT_MAX_JOURNAL_BYTES = 64 * 1024 * 1024
 
 
 def write_manifest(directory: str | os.PathLike, manifest: dict) -> None:
@@ -86,15 +80,12 @@ class RunJournal:
         self,
         directory: str,
         manifest: dict,
-        max_bytes: int = DEFAULT_MAX_JOURNAL_BYTES,
         filename: str = JOURNAL_FILENAME,
     ):
         self.directory = directory
         self.manifest = manifest
-        self.max_bytes = max_bytes
         self.filename = filename
         self._handle: BinaryIO | None = None
-        self._size = 0
         #: Tick of the last record this process appended (or resumed at).
         self.last_tick: int | None = None
 
@@ -106,32 +97,24 @@ class RunJournal:
         directory: str | os.PathLike,
         kind: str,
         spec: dict | None = None,
-        interval_ticks: int = 250,
-        max_bytes: int = DEFAULT_MAX_JOURNAL_BYTES,
         filename: str = JOURNAL_FILENAME,
     ) -> "RunJournal":
         """Start a fresh journal (truncating any previous one in DIR)."""
-        if interval_ticks < 1:
-            raise CheckpointError(
-                f"checkpoint interval must be >= 1 tick, got {interval_ticks}"
-            )
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
         manifest = {
             "format": JOURNAL_FORMAT_VERSION,
             "kind": kind,
-            "interval_ticks": interval_ticks,
             "spec": dict(spec or {}),
         }
         write_manifest(directory, manifest)
-        journal = cls(directory, manifest, max_bytes=max_bytes, filename=filename)
+        journal = cls(directory, manifest, filename=filename)
         handle = open(journal.journal_path, "wb")
         write_header(handle)
         handle.flush()
         os.fsync(handle.fileno())
         fsync_directory(directory)
         journal._handle = handle
-        journal._size = HEADER_SIZE
         return journal
 
     @classmethod
@@ -150,11 +133,6 @@ class RunJournal:
     @property
     def journal_path(self) -> str:
         return os.path.join(self.directory, self.filename)
-
-    @property
-    def interval_ticks(self) -> int:
-        """Checkpoint cadence recorded at creation."""
-        return int(self.manifest.get("interval_ticks", 250))
 
     @property
     def kind(self) -> str:
@@ -199,7 +177,6 @@ class RunJournal:
             handle.flush()
             os.fsync(handle.fileno())
             self._handle = handle
-            self._size = HEADER_SIZE
             return None
         handle = open(self.journal_path, "r+b")
         try:
@@ -216,7 +193,6 @@ class RunJournal:
             handle.close()
             raise
         self._handle = handle
-        self._size = end
         self.last_tick = last.tick if last is not None else None
         return last
 
@@ -225,40 +201,17 @@ class RunJournal:
 
         The record is flushed and fsynced before returning, so once
         this call completes a crash can only lose *later* work.
-        Compaction triggers when the WAL would exceed ``max_bytes``.
         """
         if self._handle is None:
             raise CheckpointError(
                 "journal not open for writing; use create() or "
                 "open_for_append()"
             )
-        record_size = len(payload) + 16
-        if self._size > HEADER_SIZE and self._size + record_size > self.max_bytes:
-            self._compact(tick, payload)
-            self.last_tick = tick
-            return record_size
         written = append_record(self._handle, tick, payload)
         self._handle.flush()
         os.fsync(self._handle.fileno())
-        self._size += written
         self.last_tick = tick
         return written
-
-    def _compact(self, tick: int, payload: bytes) -> None:
-        """Atomically replace the WAL with header + just this record."""
-        image = new_journal_bytes([(tick, payload)])
-        self._handle.close()
-        self._handle = None
-        tmp = self.journal_path + ".compact"
-        with open(tmp, "wb") as handle:
-            handle.write(image)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.journal_path)
-        fsync_directory(self.directory)
-        self._handle = open(self.journal_path, "r+b")
-        self._handle.seek(0, os.SEEK_END)
-        self._size = len(image)
 
     def close(self) -> None:
         """Close the write handle (idempotent)."""

@@ -902,7 +902,6 @@ _EXPERIMENTS: Mapping[str, Callable[[float | None], str]] = {
     "fleet": _experiment_runner("fleet_capping"),
     "multicore": _experiment_runner("multicore_scaling"),
     "campaign": _experiment_runner("campaign_drill"),
-    "core-speed": _experiment_runner("core_speed"),
 }
 
 

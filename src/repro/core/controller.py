@@ -12,15 +12,16 @@ counter sampler and a governor into the paper's 10 ms loop:
 The controller also delivers scheduled constraint changes (the paper's
 runtime signals), feeds measured power back to adaptive governors, and
 returns a :class:`RunResult` with everything the experiments need:
-measured power samples, per-tick trace, residency and energy.
+measured power samples, per-tick trace, residency and energy.  The loop
+itself is one fused tick kernel, :func:`repro.core.blockloop.run_fast`;
+this module builds its inputs (:class:`_RunState`) and its result.
 
 When a :class:`~repro.telemetry.TelemetryRecorder` is supplied the loop
 is fully observable: every sample / decision / transition / tick is
 published on the event bus, and the metrics registry accumulates tick
 counts, p-state residency, transitions, power-limit violations and the
 power-projection error distribution.  That per-tick block lives in one
-helper (:class:`_TickTelemetry`) that the scalar loop and the fused
-kernel both call, so telemetry does not decide which loop a run takes.
+helper (:class:`_TickTelemetry`) the kernel calls once per tick.
 Wall-clock spans are per cell (the execution engine's root ``run``
 span), never per tick.  With ``telemetry=None`` (the default) every
 instrumentation block is skipped behind a single pre-computed branch,
@@ -46,6 +47,7 @@ from typing import TYPE_CHECKING, Dict, List
 import numpy as np
 
 from repro.acpi.pstates import PState
+from repro.core import blockloop
 from repro.core.governors.base import Governor
 from repro.core.limits import ConstraintSchedule
 from repro.core.resilience import (
@@ -62,7 +64,6 @@ from repro.errors import ExperimentError, SensorFault, TransitionError
 from repro.measurement.power_meter import PowerMeter, PowerSample
 from repro.platform.machine import Machine
 from repro.telemetry.bus import (
-    ConstraintChanged,
     DecisionMade,
     DegradedModeEntered,
     FaultRecovered,
@@ -431,7 +432,7 @@ class PowerManagementController:
             adapting=adapting,
             sample_index=len(self.meter.samples),
         )
-        return _run_loop(state, tel)
+        return blockloop.run_fast(state, tel)
 
 
 @dataclass
@@ -441,7 +442,7 @@ class _RunState:
     Every object carrying loop state -- machine, meter, sampler, driver,
     governor, resilience runtime, fault injector, adaptation manager,
     constraint schedule and the loop accumulators -- is reachable from
-    here; both loops read their inputs from it and write the
+    here; the kernel reads its inputs from it and writes the
     accumulators back before :func:`_finish_run` builds the result.
     """
 
@@ -470,9 +471,9 @@ class _RunState:
 class _TickTelemetry:
     """The per-tick metrics and events of an observed run.
 
-    Both loops call :meth:`tick` once per tick, after actuation, so the
-    two write the same event stream and metrics.  Construction takes the
-    metric handles get-or-create by name and emits ``RunStarted``.
+    The kernel calls :meth:`tick` once per tick, after actuation.
+    Construction takes the metric handles get-or-create by name and
+    emits ``RunStarted``.
 
     The power estimate for the next tick is kept in
     ``st.last_estimate_w``.
@@ -569,172 +570,10 @@ class _TickTelemetry:
         )
 
 
-def _run_loop(st: _RunState, tel) -> RunResult:
-    """Drive ``st`` to completion.
-
-    Dispatches to the fused loop (:mod:`repro.core.blockloop`) when the
-    run's configuration admits a bit-identical fused kernel, otherwise to
-    the scalar reference loop.  The two produce indistinguishable results
-    (same ``RunResult`` floats, same telemetry, same consumed RNG
-    variates); the digest-equivalence suite pins that contract.
-    """
-    from repro.core import blockloop
-
-    if blockloop.eligible(st):
-        return blockloop.run_fast(st, tel)
-    return _scalar_loop(st, tel)
-
-
-def _scalar_loop(st: _RunState, tel) -> RunResult:
-    """The scalar reference loop: one ``machine.step()`` per decision.
-
-    Must stay operation-for-operation identical to the historical inline
-    loop: RNG draws, float accumulation order and telemetry side effects
-    may not change, or the fused kernel stops being bit-identical to it.
-    """
-    machine = st.machine
-    governor = st.governor
-    meter = st.meter
-    sampler = st.sampler
-    driver = st.driver
-    schedule = st.schedule
-    rt = st.rt
-    injector = st.injector
-    adapt = st.adapt
-    workload_name = st.workload_name
-    max_seconds = st.max_seconds
-    hardened = rt is not None
-    injecting = st.injecting
-    adapting = st.adapting
-    keep_trace = st.keep_trace
-    instrumented = tel is not None and tel.enabled
-    # Temperature is only observed when someone consumes it; the
-    # plain fast path must not pay for the hardened one.
-    track_temp = hardened or injecting or instrumented or keep_trace
-
-    delivered = 0
-    residency = st.residency
-    trace = st.trace
-    instructions = st.instructions
-    true_energy = st.true_energy
-    sample_index = st.sample_index
-
-    if instrumented:
-        observe_tick = _TickTelemetry(st, tel).tick
-
-    while not machine.finished:
-        if machine.now_s > max_seconds:
-            raise ExperimentError(
-                f"{workload_name} under {governor.name} exceeded "
-                f"{max_seconds}s of simulated time"
-            )
-        if schedule is not None:
-            for change in schedule.due(machine.now_s, delivered):
-                change.apply(governor)
-                delivered += 1
-                if instrumented:
-                    tel.emit(
-                        ConstraintChanged(
-                            time_s=machine.now_s, label=change.label
-                        )
-                    )
-
-        record = machine.step()
-        counter_sample = (
-            rt.acquire_sample(sampler, record.duration_s)
-            if hardened
-            else sampler.sample(record.duration_s)
-        )
-        instructions += record.instructions
-        true_energy += record.energy_j
-        freq = record.pstate.frequency_mhz
-        residency[freq] = residency.get(freq, 0.0) + record.duration_s
-
-        # Measured-power feedback for adaptive governors (the meter
-        # closes samples in lockstep with 10 ms ticks).
-        measured = (
-            meter.last_sample.watts
-            if meter.sample_count > sample_index
-            else record.mean_power_w
-        )
-        if hardened:
-            measured = rt.filter_power(measured)
-
-        if track_temp:
-            temperature = record.temperature_c
-            if injecting:
-                temperature = injector.observe_temperature(
-                    temperature, machine.now_s
-                )
-            if hardened:
-                temperature = rt.observe_temperature(temperature)
-
-        current = machine.current_pstate
-        if hardened and (rt.degraded or counter_sample is None):
-            # Fail-safe governor (closed-loop control abandoned) or
-            # no good sample yet (hold rather than guess).
-            target = rt.safe_pstate if rt.degraded else current
-        else:
-            target = governor.decide(counter_sample, current)
-        changed = target != current
-        if changed:
-            if hardened:
-                changed = rt.actuate(driver, target)
-            else:
-                driver.set_pstate(target)
-        if hasattr(governor, "observe_power"):
-            governor.observe_power(measured)
-        # Online adaptation: fold the interval that just executed
-        # into the shadow score / RLS fit.  Any model swap decided
-        # here takes effect at the *next* control decision.
-        if adapting and counter_sample is not None:
-            adapt.observe(counter_sample, current, measured, machine.now_s)
-
-        if instrumented:
-            observe_tick(
-                machine.now_s,
-                freq,
-                record.duration_s,
-                measured,
-                record.mean_power_w,
-                record.instructions,
-                record.duty,
-                temperature,
-                current,
-                target,
-                changed,
-                counter_sample,
-            )
-
-        if keep_trace:
-            trace.append(
-                TraceRow(
-                    time_s=machine.now_s,
-                    frequency_mhz=freq,
-                    measured_power_w=measured,
-                    true_power_w=record.mean_power_w,
-                    instructions=record.instructions,
-                    rates=(
-                        dict(counter_sample.rates)
-                        if counter_sample is not None
-                        else {}
-                    ),
-                    duty=record.duty,
-                    temperature_c=temperature,
-                )
-            )
-
-    st.instructions = instructions
-    st.true_energy = true_energy
-
-    return _finish_run(st, tel)
-
-
 def _finish_run(st: _RunState, tel) -> RunResult:
     """Close out a completed run: flush the meter, build the result.
 
-    Shared by the scalar and fused loops; reads only the synced
-    ``_RunState`` fields, so both paths produce the same floats.
+    Reads only the ``_RunState`` fields the kernel synced at loop exit.
     """
     machine = st.machine
     governor = st.governor

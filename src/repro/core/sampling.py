@@ -86,7 +86,7 @@ def sample_event(sample: CounterSample, time_s: float) -> SampleTaken:
     """The :class:`SampleTaken` event for ``sample`` closing at ``time_s``.
 
     ``time_s`` is the sampler's accumulated interval time.  Shared by
-    both samplers and the fused loop, which bypasses them.
+    both samplers and the fused loop's table modes, which bypass them.
     """
     return SampleTaken(
         time_s=time_s,

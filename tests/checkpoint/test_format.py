@@ -18,13 +18,21 @@ from repro.checkpoint.format import (
     RECORD_HEADER_SIZE,
     append_record,
     iter_records,
-    new_journal_bytes,
     pack_record,
     read_header,
     read_records,
     write_header,
 )
 from repro.errors import CheckpointError
+
+
+def new_journal_bytes(records):
+    """A complete journal image (header + records) as one buffer."""
+    buffer = io.BytesIO()
+    write_header(buffer)
+    for tick, payload in records:
+        buffer.write(pack_record(tick, payload))
+    return buffer.getvalue()
 
 
 def _journal(records):

@@ -1,0 +1,104 @@
+"""Every single-core controller run enters the fused kernel exactly once.
+
+Spies on :func:`repro.core.blockloop.run_fast`,
+:meth:`PowerManagementController.run` and :meth:`Machine.step` while
+every golden cell runs, plus the three single-core per-tick-hook
+variants of the benchmark's PM mix.  There is no second loop: each
+controller run is one kernel entry, and no controller run steps the
+machine through ``Machine.step``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.adaptation.manager import AdaptationConfig
+from repro.core import blockloop
+from repro.core.controller import PowerManagementController
+from repro.exec import (
+    ExperimentConfig,
+    GovernorSpec,
+    RunCell,
+    RunPlan,
+    open_session,
+)
+from repro.faults import FaultPlan
+from repro.platform.machine import Machine
+
+from .golden_cells import BUNDLES, CELLS
+
+#: The PM mix's single-core variants: fault injection (dropped samples,
+#: failed transitions), online adaptation, measured-power feedback.
+PM_FAULTS = FaultPlan.from_dict({
+    "seed": 0, "sample": {"drop_prob": 0.08},
+    "transition": {"fail_prob": 0.4},
+})
+PM_MIXED = RunPlan(
+    ExperimentConfig(scale=0.1, seed=0),
+    tuple(
+        cell
+        for workload in ("ammp", "galgel")
+        for cell in (
+            RunCell(workload, GovernorSpec.pm(14.5), fault_plan=PM_FAULTS),
+            RunCell(workload, GovernorSpec.pm(14.5),
+                    adaptation=AdaptationConfig()),
+            RunCell(workload, GovernorSpec.adaptive_pm(14.5)),
+        )
+    ),
+)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts of controller runs, kernel entries and in-run steps."""
+    counts = {"runs": 0, "kernel": 0, "steps": 0}
+    depth = [0]
+    run = PowerManagementController.run
+    run_fast = blockloop.run_fast
+    step = Machine.step
+
+    def spy_run(self, *args, **kwargs):
+        counts["runs"] += 1
+        depth[0] += 1
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def spy_run_fast(*args, **kwargs):
+        counts["kernel"] += 1
+        return run_fast(*args, **kwargs)
+
+    def spy_step(self, *args, **kwargs):
+        # Model training steps machines outside any controller run.
+        if depth[0]:
+            counts["steps"] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerManagementController, "run", spy_run)
+    monkeypatch.setattr(blockloop, "run_fast", spy_run_fast)
+    monkeypatch.setattr(Machine, "step", spy_step)
+    return counts
+
+
+@pytest.mark.parametrize("key", sorted(CELLS))
+def test_golden_cell_enters_kernel_once_per_run(key, spies):
+    CELLS[key]()
+    assert spies["runs"] >= 1
+    assert spies["kernel"] == spies["runs"]
+    assert spies["steps"] == 0
+
+
+@pytest.mark.parametrize("key", sorted(BUNDLES))
+def test_observed_cell_enters_kernel(key, spies, tmp_path):
+    BUNDLES[key](tmp_path)
+    assert spies["kernel"] == spies["runs"] == 1
+    assert spies["steps"] == 0
+
+
+def test_pm_mixed_single_core_variants_enter_kernel(spies):
+    with open_session() as session:
+        results = session.run_plan(PM_MIXED)
+    assert len(results) == len(PM_MIXED)
+    assert spies["kernel"] == spies["runs"] == len(PM_MIXED)
+    assert spies["steps"] == 0
