@@ -20,8 +20,6 @@ from typing import Mapping, Sequence
 from repro.drivers.pmu import PMU, CounterSnapshot
 from repro.errors import PMUError
 from repro.platform.events import Event
-from repro.telemetry.bus import SampleTaken
-from repro.telemetry.recorder import TelemetryRecorder
 
 
 @dataclass(frozen=True)
@@ -82,30 +80,10 @@ class CounterSample:
         return self.dcu / self.ipc
 
 
-def sample_event(sample: CounterSample, time_s: float) -> SampleTaken:
-    """The :class:`SampleTaken` event for ``sample`` closing at ``time_s``.
-
-    ``time_s`` is the sampler's accumulated interval time.  Shared by
-    both samplers and the fused loop's table modes, which bypass them.
-    """
-    return SampleTaken(
-        time_s=time_s,
-        interval_s=sample.interval_s,
-        cycles=sample.cycles,
-        effective_frequency_mhz=sample.effective_frequency_mhz,
-        rates={event.name: rate for event, rate in sample.rates.items()},
-    )
-
-
 class CounterSampler:
     """Programs the PMU and produces :class:`CounterSample` streams."""
 
-    def __init__(
-        self,
-        pmu: PMU,
-        events: Sequence[Event],
-        telemetry: TelemetryRecorder | None = None,
-    ):
+    def __init__(self, pmu: PMU, events: Sequence[Event]):
         if not events:
             raise PMUError("sampler needs at least one event")
         if len(events) > PMU.NUM_COUNTERS:
@@ -118,21 +96,13 @@ class CounterSampler:
         self._pmu = pmu
         self._events = tuple(events)
         self._last: CounterSnapshot | None = None
-        self._telemetry = telemetry
-        self._elapsed_s = 0.0
+        #: The sample :meth:`sample` last returned.
+        self.last_sample: CounterSample | None = None
 
     @property
     def events(self) -> tuple[Event, ...]:
         """The monitored events."""
         return self._events
-
-    def __getstate__(self):
-        # The recorder holds open exporter file handles; it is process
-        # state, not run state, so a pickled sampler (a fleet node
-        # snapshot) drops it.
-        state = self.__dict__.copy()
-        state["_telemetry"] = None
-        return state
 
     def start(self) -> None:
         """Program the counters and take the baseline snapshot."""
@@ -154,13 +124,9 @@ class CounterSampler:
         rates = {}
         for index, event in enumerate(self._events):
             rates[event] = counts[index] / cycles if cycles > 0 else 0.0
-        sample = CounterSample(
+        sample = self.last_sample = CounterSample(
             interval_s=interval_s, cycles=cycles, rates=rates
         )
-        self._elapsed_s += interval_s
-        tel = self._telemetry
-        if tel is not None and tel.enabled:
-            tel.emit(sample_event(sample, self._elapsed_s))
         return sample
 
 
@@ -175,20 +141,13 @@ class MultiplexedCounterSampler:
     rates for unprogrammed events are simply absent from the sample.
     """
 
-    def __init__(
-        self,
-        pmu: PMU,
-        groups: Sequence[Sequence[Event]],
-        telemetry: TelemetryRecorder | None = None,
-    ):
+    def __init__(self, pmu: PMU, groups: Sequence[Sequence[Event]]):
         if not groups:
             raise PMUError("multiplexed sampler needs at least one group")
-        # Inner samplers stay un-instrumented; the rotation emits its own
-        # sample events so timestamps cover every tick, not every Nth.
         self._samplers = [CounterSampler(pmu, group) for group in groups]
         self._index = 0
-        self._telemetry = telemetry
-        self._elapsed_s = 0.0
+        #: The sample :meth:`sample` last returned.
+        self.last_sample: CounterSample | None = None
 
     @property
     def groups(self) -> tuple[tuple[Event, ...], ...]:
@@ -202,11 +161,9 @@ class MultiplexedCounterSampler:
 
     def sample(self, interval_s: float) -> CounterSample:
         """Close the current group's interval and rotate to the next."""
-        sample = self._samplers[self._index].sample(interval_s)
+        sample = self.last_sample = self._samplers[self._index].sample(
+            interval_s
+        )
         self._index = (self._index + 1) % len(self._samplers)
         self._samplers[self._index].start()
-        self._elapsed_s += interval_s
-        tel = self._telemetry
-        if tel is not None and tel.enabled:
-            tel.emit(sample_event(sample, self._elapsed_s))
         return sample

@@ -4,9 +4,9 @@ The paper's methodology is *built* on observation -- 10 ms counter
 sampling feeding estimation and control -- and this subsystem gives the
 reproduction the same first-class view of itself:
 
-* :mod:`~repro.telemetry.bus` -- typed events (samples, decisions,
-  transitions, ticks, budget reallocations) on a subscribe/publish bus
-  with per-subscriber error isolation;
+* :mod:`~repro.telemetry.bus` -- typed events (runs, transitions, one
+  columnar per-tick record per run, budget reallocations) on a
+  subscribe/publish bus with per-subscriber error isolation;
 * :mod:`~repro.telemetry.metrics` -- a registry of counters, gauges and
   fixed-bucket histograms (p-state residency, transitions, power-limit
   violations, projection-error distributions);
@@ -29,7 +29,6 @@ from repro.telemetry.bus import (
     CellLeased,
     CellQuarantined,
     ConstraintChanged,
-    DecisionMade,
     DegradedModeEntered,
     EventBus,
     FaultInjected,
@@ -42,12 +41,12 @@ from repro.telemetry.bus import (
     PStateTransition,
     RunFinished,
     RunStarted,
-    SampleTaken,
     SubscriberFailure,
     SubtreeOutage,
     SubtreeReallocated,
     TelemetryEvent,
-    TickCompleted,
+    TICK_COLUMNS,
+    TicksRecorded,
     WatchdogTripped,
 )
 from repro.telemetry.metrics import (
@@ -78,10 +77,9 @@ __all__ = [
     # bus
     "TelemetryEvent",
     "RunStarted",
-    "SampleTaken",
-    "DecisionMade",
     "PStateTransition",
-    "TickCompleted",
+    "TicksRecorded",
+    "TICK_COLUMNS",
     "ConstraintChanged",
     "RunFinished",
     "BudgetReallocated",

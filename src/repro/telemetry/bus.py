@@ -2,9 +2,11 @@
 
 Every observable moment of the monitor -> estimate -> control loop is a
 frozen dataclass deriving from :class:`TelemetryEvent`.  Producers (the
-counter sampler, the run controller, the fleet coordinator) publish
+run controller, the fault injector, the fleet coordinator) publish
 events to an :class:`EventBus`; consumers (exporters, tests, live
-dashboards) subscribe plain callables.
+dashboards) subscribe plain callables.  The 10 ms ticks themselves are
+not events: a run publishes them once, at its end, as the columns of
+one :class:`TicksRecorded`.
 
 The bus isolates subscribers from each other: an exporter that raises
 never interrupts the run loop or starves its neighbours.  Failures are
@@ -19,7 +21,7 @@ other time axis in the package; wall-clock timing lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, List, Mapping
+from typing import Callable, ClassVar, List, Mapping, Sequence
 
 from repro.errors import TelemetryError
 
@@ -78,30 +80,6 @@ class RunStarted(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class SampleTaken(TelemetryEvent):
-    """The monitor phase closed one counter interval (one per tick)."""
-
-    interval_s: float
-    cycles: float
-    effective_frequency_mhz: float
-    #: Per-cycle rates keyed by PMU event *name* (JSON-safe).
-    rates: Mapping[str, float]
-
-    kind: ClassVar[str] = "sample"
-
-
-@dataclass(frozen=True)
-class DecisionMade(TelemetryEvent):
-    """The control phase chose the p-state for the next interval."""
-
-    governor: str
-    current_mhz: float
-    target_mhz: float
-
-    kind: ClassVar[str] = "decision"
-
-
-@dataclass(frozen=True)
 class PStateTransition(TelemetryEvent):
     """An actuated DVFS transition (target differed from current)."""
 
@@ -111,18 +89,77 @@ class PStateTransition(TelemetryEvent):
     kind: ClassVar[str] = "transition"
 
 
+#: The per-tick columns of a :class:`TicksRecorded` record.
+TICK_COLUMNS: tuple[str, ...] = (
+    "time_s",
+    "frequency_mhz",
+    "target_mhz",
+    "measured_power_w",
+    "true_power_w",
+    "instructions",
+    "duty",
+    "temperature_c",
+    "interval_s",
+    "cycles",
+    "estimate_w",
+    "limit_w",
+)
+
+
+def _json_column(values: Sequence[float]) -> list:
+    """A float column as a JSON-safe list: NaN (no value) becomes None."""
+    out = values.tolist() if hasattr(values, "tolist") else list(values)
+    total = sum(out)
+    if total != total:  # a NaN (or inf - inf) somewhere
+        out = [None if value != value else value for value in out]
+    return out
+
+
 @dataclass(frozen=True)
-class TickCompleted(TelemetryEvent):
-    """One 10 ms tick finished; carries the full per-tick trace row."""
+class TicksRecorded(TelemetryEvent):
+    """One run's per-tick record, as columns (one event per run).
 
-    frequency_mhz: float
-    measured_power_w: float
-    true_power_w: float
-    instructions: float
-    duty: float
-    temperature_c: float | None
+    ``columns`` maps every name in :data:`TICK_COLUMNS` to one value per
+    tick.  Tick *t* ends at ``time_s``; it ran ``interval_s`` at
+    ``frequency_mhz`` (``cycles`` unhalted cycles, ``instructions``
+    retired) and metered ``measured_power_w`` (``true_power_w`` is the
+    ground truth) at clock-modulation ``duty`` and ``temperature_c``.
+    The governor then chose ``target_mhz``; ``estimate_w`` is its Eq. 2
+    estimate of tick *t + 1*'s power (the last one carries over a tick
+    that made none) and ``limit_w`` the power limit in force.  ``rates``
+    maps PMU event names to the per-cycle rates of the tick's counter
+    sample.
 
-    kind: ClassVar[str] = "tick"
+    In process the columns are float sequences with NaN for "no value"
+    (an isothermal machine's temperature, a governor with no estimate
+    or no limit, an event a multiplexed sample did not cover);
+    :meth:`to_dict` writes those as ``null``.  ``time_s`` is the run's
+    end.
+    """
+
+    workload: str
+    governor: str
+    columns: Mapping[str, Sequence[float]]
+    rates: Mapping[str, Sequence[float]]
+
+    kind: ClassVar[str] = "ticks"
+
+    def to_dict(self) -> dict:
+        """JSON-safe dict form, each column as a list."""
+        return {
+            "kind": self.kind,
+            "time_s": self.time_s,
+            "workload": self.workload,
+            "governor": self.governor,
+            "columns": {
+                name: _json_column(values)
+                for name, values in self.columns.items()
+            },
+            "rates": {
+                name: _json_column(values)
+                for name, values in self.rates.items()
+            },
+        }
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 Three export formats cover the three consumers we actually have:
 
-* :class:`JsonlEventExporter` -- every event as one JSON line, for
-  machine post-processing and the ``telemetry-report`` aggregator;
+* :class:`JsonlEventExporter` -- every event as one JSON line (a run's
+  per-tick record is one line of columns), for machine post-processing
+  and the ``telemetry-report`` aggregator;
 * :class:`CsvTraceExporter` / :func:`write_trace_csv` -- the per-tick
   trace as CSV.  This is *the* trace-writing code path: the CLI's
-  ``--trace`` flag and the live ``--telemetry`` exporter both format
-  rows through :func:`trace_row_values`, so the two files are
-  column-compatible;
+  ``--trace`` flag (:func:`trace_row_values`) and the ``--telemetry``
+  exporter (:func:`ticks_row_values`) format rows through one
+  formatter, so the two files are column-compatible;
 * :func:`render_run_summary` -- a human-readable digest of a recorder's
   metrics and spans.
 
@@ -28,7 +29,7 @@ from typing import IO, Iterable
 
 from repro.errors import TelemetryError
 from repro.ioutils import atomic_write_text
-from repro.telemetry.bus import TelemetryEvent, TickCompleted
+from repro.telemetry.bus import TelemetryEvent, TicksRecorded
 from repro.telemetry.recorder import TelemetryRecorder
 
 #: Column order shared by every trace CSV this package writes.
@@ -48,20 +49,33 @@ METRICS_FILENAME = "metrics.json"
 SUMMARY_FILENAME = "summary.txt"
 
 
-def trace_row_values(row) -> list[str]:
-    """Format one per-tick row (``TraceRow`` or :class:`TickCompleted`).
-
-    Accepts any object exposing the :data:`TRACE_FIELDS` attributes.
-    """
-    temperature = row.temperature_c
+def _row_values(time_s, frequency_mhz, measured_power_w, true_power_w,
+                instructions, duty, temperature_c) -> list[str]:
+    """Format one per-tick row (a None or NaN temperature is blank)."""
     return [
-        f"{row.time_s:.4f}",
-        f"{row.frequency_mhz:.0f}",
-        f"{row.measured_power_w:.3f}",
-        f"{row.true_power_w:.3f}",
-        f"{row.instructions:.0f}",
-        f"{row.duty:.3f}",
-        "" if temperature is None else f"{temperature:.2f}",
+        f"{time_s:.4f}",
+        f"{frequency_mhz:.0f}",
+        f"{measured_power_w:.3f}",
+        f"{true_power_w:.3f}",
+        f"{instructions:.0f}",
+        f"{duty:.3f}",
+        "" if temperature_c is None or temperature_c != temperature_c
+        else f"{temperature_c:.2f}",
+    ]
+
+
+def trace_row_values(row) -> list[str]:
+    """Format one per-tick row: any object exposing the
+    :data:`TRACE_FIELDS` attributes (a ``TraceRow``)."""
+    return _row_values(*(getattr(row, name) for name in TRACE_FIELDS))
+
+
+def ticks_row_values(event: TicksRecorded) -> list[list[str]]:
+    """Format every row of a run's ``ticks`` record, in tick order."""
+    columns = event.columns
+    return [
+        _row_values(*values)
+        for values in zip(*(columns[name] for name in TRACE_FIELDS))
     ]
 
 
@@ -108,10 +122,10 @@ class JsonlEventExporter:
 
 
 class CsvTraceExporter:
-    """Bus subscriber streaming :class:`TickCompleted` events to CSV.
+    """Bus subscriber writing each run's :class:`TicksRecorded` to CSV.
 
-    Non-tick events are ignored, so the exporter can sit on the same
-    bus as the JSONL log.
+    A run's rows go out in one ``writerows``.  Other events are
+    ignored, so the exporter can sit on the same bus as the JSONL log.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -122,13 +136,14 @@ class CsvTraceExporter:
         self.rows_written = 0
 
     def __call__(self, event: TelemetryEvent) -> None:
-        """Append a row for tick events; ignore everything else."""
-        if not isinstance(event, TickCompleted):
+        """Append a run's rows for ``ticks`` records; ignore the rest."""
+        if not isinstance(event, TicksRecorded):
             return
         if self._handle is None:
             raise TelemetryError(f"exporter for {self.path} is closed")
-        self._writer.writerow(trace_row_values(event))
-        self.rows_written += 1
+        rows = ticks_row_values(event)
+        self._writer.writerows(rows)
+        self.rows_written += len(rows)
 
     def close(self) -> None:
         """Flush and close the underlying file (idempotent)."""

@@ -6,15 +6,24 @@
 three views of the same run, and renders a digest: runs and their
 totals, event counts by kind, transition/reallocation activity, trace
 statistics and per-cell wall-clock spans.
+
+From the runs' ``ticks`` records it answers the paper's own questions:
+p-state residency per MHz, the Eq. 2 residual (the power a governor
+estimated for the next tick minus what the meter then read), and the
+windows of consecutive ticks metered above the governor's power limit.
+Sums use :func:`math.fsum` and runs are listed sorted, so a directory
+merged from parallel workers reports exactly what a serial one does
+(wall-clock spans aside).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Mapping
+from typing import Dict, List, Mapping
 
 from repro.errors import TelemetryError
 from repro.telemetry.exporters import (
@@ -64,8 +73,65 @@ class TelemetryReport:
         """Mean of the trace's measured power column (0.0 when empty)."""
         if not self.trace_rows:
             return 0.0
-        total = sum(float(r["measured_power_w"]) for r in self.trace_rows)
+        total = math.fsum(
+            float(r["measured_power_w"]) for r in self.trace_rows
+        )
         return total / len(self.trace_rows)
+
+    @property
+    def tick_columns(self) -> List[dict]:
+        """The columns of every ``ticks`` record (one per run)."""
+        return [
+            e["columns"]
+            for e in self.events
+            if e.get("kind") == "ticks" and isinstance(e.get("columns"), dict)
+        ]
+
+    @property
+    def residency_s(self) -> Dict[float, float]:
+        """Seconds per p-state frequency (MHz) over every recorded tick."""
+        seconds: Dict[float, list] = {}
+        for columns in self.tick_columns:
+            for freq, interval in zip(
+                columns.get("frequency_mhz", ()), columns.get("interval_s", ())
+            ):
+                seconds.setdefault(freq, []).append(interval)
+        return {freq: math.fsum(values) for freq, values in seconds.items()}
+
+    @property
+    def eq2_residuals_w(self) -> List[float]:
+        """Each Eq. 2 estimate minus the power metered on the tick it
+        was made for (the next tick of the same run)."""
+        residuals: List[float] = []
+        for columns in self.tick_columns:
+            measured = columns.get("measured_power_w", [])
+            residuals.extend(
+                estimate - watts
+                for estimate, watts in zip(
+                    columns.get("estimate_w", ()), measured[1:]
+                )
+                if estimate is not None
+            )
+        return residuals
+
+    @property
+    def violation_windows(self) -> List[int]:
+        """Lengths of the runs of consecutive ticks metered above the
+        governor's power limit (a window never spans two runs)."""
+        windows: List[int] = []
+        for columns in self.tick_columns:
+            length = 0
+            for watts, limit in zip(
+                columns.get("measured_power_w", ()), columns.get("limit_w", ())
+            ):
+                if limit is not None and watts > limit:
+                    length += 1
+                elif length:
+                    windows.append(length)
+                    length = 0
+            if length:
+                windows.append(length)
+        return windows
 
 
 def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
@@ -161,6 +227,54 @@ def _fmt_seconds(seconds: float) -> str:
     return f"{seconds * 1e3:.3f} ms"
 
 
+def _run_key(run: dict) -> tuple:
+    """Runs render in this order, not completion order, so a log merged
+    from parallel workers renders like a serial one."""
+    return tuple(
+        str(run.get(name)) for name in
+        ("workload", "governor", "duration_s", "instructions",
+         "measured_energy_j", "transitions")
+    )
+
+
+def _render_ticks(
+    report: TelemetryReport, tick_columns: List[dict]
+) -> List[str]:
+    """The residency, Eq. 2 residual and limit-violation sections."""
+    ticks = sum(len(columns.get("time_s", ())) for columns in tick_columns)
+    lines = [
+        f"p-state residency ({ticks} ticks in {len(tick_columns)} runs):"
+    ]
+    residency = report.residency_s
+    total = math.fsum(residency.values())
+    for freq in sorted(residency):
+        seconds = residency[freq]
+        share = seconds / total if total else 0.0
+        lines.append(f"  {freq:>5.0f} MHz  {seconds:8.3f} s  ({share:.1%})")
+    lines.append("")
+
+    residuals = report.eq2_residuals_w
+    if residuals:
+        lines.append("Eq. 2 residuals (estimate minus next tick's metered W):")
+        lines.append(
+            f"  count {len(residuals)}  "
+            f"mean {math.fsum(residuals) / len(residuals):+.3f} W  "
+            f"min {min(residuals):+.3f} W  max {max(residuals):+.3f} W"
+        )
+    else:
+        lines.append("Eq. 2 residuals: none (no governor made an estimate)")
+    lines.append("")
+
+    windows = report.violation_windows
+    lines.append(
+        f"limit violations: {len(windows)} windows above the limit, "
+        f"longest {max(windows, default=0)} ticks, "
+        f"{sum(windows)} ticks in all"
+    )
+    lines.append("")
+    return lines
+
+
 def render_report(directory: str | os.PathLike) -> str:
     """Aggregate ``directory`` and render the human-readable report."""
     report = load_report(directory)
@@ -179,7 +293,7 @@ def render_report(directory: str | os.PathLike) -> str:
         )
     lines.append("")
 
-    for run in report.runs:
+    for run in sorted(report.runs, key=_run_key):
         lines.append(
             f"run: {run.get('workload')} under {run.get('governor')}"
         )
@@ -197,6 +311,10 @@ def render_report(directory: str | os.PathLike) -> str:
         lines.append(f"trace: {report.tick_count} ticks, mean measured "
                      f"power {report.mean_measured_power_w:.2f} W")
         lines.append("")
+
+    tick_columns = report.tick_columns
+    if tick_columns:
+        lines.extend(_render_ticks(report, tick_columns))
 
     reallocations = [
         e for e in report.events if e.get("kind") == "reallocation"

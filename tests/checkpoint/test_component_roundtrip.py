@@ -15,7 +15,6 @@ from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSampler
 from repro.platform.machine import Machine, MachineConfig
-from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.registry import default_registry
 
 
@@ -23,8 +22,8 @@ def _round_trip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _run_some_ticks(machine, governor, ticks=30, telemetry=None):
-    sampler = CounterSampler(machine.pmu, governor.events, telemetry)
+def _run_some_ticks(machine, governor, ticks=30):
+    sampler = CounterSampler(machine.pmu, governor.events)
     sampler.start()
     for _ in range(ticks):
         if machine.finished:
@@ -72,18 +71,16 @@ def test_machine_and_workload_cursor_survive_pickling():
         assert copied.mean_power_w == original.mean_power_w
 
 
-def test_sampler_strips_telemetry_and_keeps_counters():
+def test_sampler_keeps_counters_across_pickling():
     machine = Machine(MachineConfig(seed=4))
     governor = PerformanceMaximizer(
         machine.config.table, LinearPowerModel.paper_model(), 13.0
     )
     governor.reset()
     machine.load(default_registry().get("ammp").scaled(0.2))
-    sampler = _run_some_ticks(
-        machine, governor, telemetry=TelemetryRecorder()
-    )
+    sampler = _run_some_ticks(machine, governor)
     clone = _round_trip(sampler)
-    assert clone._telemetry is None
     # Counter accumulation state survives (same events, same deltas on
     # the next sample when driven by the cloned machine).
     assert clone.events == sampler.events
+    assert clone.last_sample == sampler.last_sample

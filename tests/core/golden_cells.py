@@ -4,8 +4,11 @@ Each entry of :data:`CELLS` builds and runs one single-core controller
 run and returns its :class:`~repro.core.controller.RunResult`; each entry
 of :data:`BUNDLES` runs one cell with a telemetry directory.  The fixture
 holds the float-exact ``run_result_digest`` of every cell and the hashes
-of every bundle, recorded on the scalar reference loop the fused kernel
-replaced, so the oracle is data rather than a second loop.
+of every bundle, first recorded on the scalar reference loop the fused
+kernel replaced, so the oracle is data rather than a second loop.  The
+bundles' event hashes (:func:`event_hashes`) were recorded while runs
+still published three events per tick; they hold for the one ``ticks``
+record per run that replaced them.
 
 Three families:
 
@@ -15,8 +18,8 @@ Three families:
   thermal machines, T-state throttling, the oracle, constraint
   schedules, multiplexed counters, measured-power governors, the
   resilience runtime under each fault family, and more.
-* ``bundle/...`` -- telemetry bundles (``events.jsonl``, ``trace.csv``,
-  ``metrics.json`` minus spans).
+* ``bundle/...`` -- telemetry bundles (``events.jsonl`` as rare events
+  and per-tick values, ``trace.csv``, ``metrics.json`` minus spans).
 """
 
 from __future__ import annotations
@@ -377,6 +380,88 @@ def sha256_file(path) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+#: The per-tick event kinds one ``ticks`` record per run replaced.
+PER_TICK_KINDS = ("sample", "decision", "tick")
+
+
+def expand_ticks(record: dict) -> list[dict]:
+    """The ``sample``/``decision``/``tick`` dicts a ``ticks`` record
+    stands for, in emission order (three per tick)."""
+    columns = record["columns"]
+    rates = record["rates"]
+    governor = record["governor"]
+    out = []
+    elapsed = 0.0  # the sampler's accumulated interval time
+    for i, time_s in enumerate(columns["time_s"]):
+        interval = columns["interval_s"][i]
+        cycles = columns["cycles"][i]
+        freq = columns["frequency_mhz"][i]
+        elapsed += interval
+        out.append({
+            "kind": "sample",
+            "time_s": elapsed,
+            "interval_s": interval,
+            "cycles": cycles,
+            "effective_frequency_mhz": (
+                cycles / interval / 1e6 if interval > 0 else 0.0
+            ),
+            "rates": {
+                name: values[i]
+                for name, values in rates.items()
+                if values[i] is not None
+            },
+        })
+        out.append({
+            "kind": "decision",
+            "time_s": time_s,
+            "governor": governor,
+            "current_mhz": freq,
+            "target_mhz": columns["target_mhz"][i],
+        })
+        out.append({
+            "kind": "tick",
+            "time_s": time_s,
+            "frequency_mhz": freq,
+            "measured_power_w": columns["measured_power_w"][i],
+            "true_power_w": columns["true_power_w"][i],
+            "instructions": columns["instructions"][i],
+            "duty": columns["duty"][i],
+            "temperature_c": columns["temperature_c"][i],
+        })
+    return out
+
+
+def event_hashes(path) -> dict:
+    """Hashes of a JSONL event log that hold across the per-tick format.
+
+    ``rare_events_sha256`` covers every line except the per-tick ones
+    (the three per-tick kinds, or a ``ticks`` record), byte for byte.
+    ``ticks_sha256`` covers the per-tick dicts in order, each as
+    canonical JSON, with ``ticks`` records expanded by
+    :func:`expand_ticks`.
+    """
+    rare = hashlib.sha256()
+    ticks = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for line in handle:
+            event = json.loads(line)
+            kind = event["kind"]
+            if kind == "ticks":
+                per_tick = expand_ticks(event)
+            elif kind in PER_TICK_KINDS:
+                per_tick = (event,)
+            else:
+                rare.update(line)
+                continue
+            for item in per_tick:
+                ticks.update(json.dumps(item, sort_keys=True).encode())
+                ticks.update(b"\n")
+    return {
+        "rare_events_sha256": rare.hexdigest(),
+        "ticks_sha256": ticks.hexdigest(),
+    }
+
+
 def bundle_record(directory, result) -> dict:
     """What the fixture keeps of one telemetry bundle."""
     with open(Path(directory) / "metrics.json") as handle:
@@ -384,7 +469,7 @@ def bundle_record(directory, result) -> dict:
     metrics.pop("spans")
     return {
         "digest": run_result_digest(result),
-        "events_sha256": sha256_file(Path(directory) / "events.jsonl"),
+        **event_hashes(Path(directory) / "events.jsonl"),
         "trace_sha256": sha256_file(Path(directory) / "trace.csv"),
         "metrics": metrics,
     }

@@ -36,8 +36,8 @@ from .golden_cells import (
     bundle_record,
     checkpointed,
     cut,
+    event_hashes,
     observed,
-    sha256_file,
 )
 
 LOOP = "repro.core.blockloop.run_fast in the tree at parent_commit"
@@ -52,7 +52,7 @@ def _observed_resume(scratch: Path) -> dict:
     finally:
         exporter.close()
     record = {
-        "events_sha256": sha256_file(scratch / "run.jsonl"),
+        **event_hashes(scratch / "run.jsonl"),
         "metrics": recorder.metrics.snapshot(),
     }
     shutil.copytree(scratch / "run", scratch / "cut")
@@ -62,7 +62,8 @@ def _observed_resume(scratch: Path) -> dict:
         checkpointed(scratch / "cut", telemetry=recorder, resume=True)
     finally:
         exporter.close()
-    record["resumed_events_sha256"] = sha256_file(scratch / "resumed.jsonl")
+    for name, value in event_hashes(scratch / "resumed.jsonl").items():
+        record[f"resumed_{name}"] = value
     return record
 
 

@@ -1,12 +1,14 @@
-"""Observed runs take the fused kernel and write the scalar loop's bundle.
+"""Observed runs take the fused kernel and write the frozen bundles.
 
 Telemetry does not change the loop: a run with an enabled recorder goes
 through :func:`repro.core.blockloop.run_fast` like an unobserved one.
-The contract pinned here is that nothing a consumer can read tells the
-kernel from the scalar loop it replaced -- ``events.jsonl`` and
-``trace.csv`` hash to the bundle that loop wrote (``golden_loop.json``),
-``metrics.json`` is equal once the wall-clock ``spans`` are removed, and
-the run's digest equals the telemetry-off digest.
+The contract pinned here is that a bundle holds what the frozen ones
+(``golden_loop.json``) hold: ``trace.csv`` hashes to theirs,
+``metrics.json`` is equal once the wall-clock ``spans`` are removed,
+the run's digest equals the telemetry-off digest, and ``events.jsonl``
+has the same rare events, byte for byte, and the same per-tick values
+(each ``ticks`` record expanded into the ``sample``/``decision``/
+``tick`` events it replaced, in order).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .golden_cells import (
     checkpointed,
     cut,
     load_fixture,
+    event_hashes,
     observed,
-    sha256_file,
 )
 
 GOLDEN = load_fixture()
@@ -55,7 +57,8 @@ def _bundle(key, directory, fast_calls):
     record = bundle_record(directory, BUNDLES[key](directory))
     assert len(fast_calls) == 1
     expected = GOLDEN["bundles"][key]
-    for field in ("events_sha256", "trace_sha256", "metrics", "digest"):
+    for field in ("rare_events_sha256", "ticks_sha256", "trace_sha256",
+                  "metrics", "digest"):
         assert record[field] == expected[field], field
     return record
 
@@ -75,7 +78,7 @@ def test_observed_bundle_identical_on_both_loops(
 
 def test_observed_hooked_bundle_matches_scalar(tmp_path, fast_calls):
     """Fault injection, resilience and adaptation run in the kernel's
-    hook mode and emit the scalar loop's event stream, in order."""
+    hook mode and record the frozen per-tick values and rare events."""
     _bundle("bundle/paper-pm/faults-adapt", tmp_path / "tel", fast_calls)
 
 
@@ -85,8 +88,8 @@ def test_observed_kill_and_resume_identical_on_both_loops(
     """Archive an observed plan, cut it between cells, resume it.
 
     The uninterrupted checkpointed run and the resumed leg write the
-    scalar loop's events.  The registry restored from the archive plus
-    the rerun cells finish where the uninterrupted run's metrics did.
+    frozen events.  The registry restored from the archive plus the
+    rerun cells finish where the uninterrupted run's metrics did.
     """
     golden = GOLDEN["observed_resume"]
     recorder, exporter = observed(tmp_path / "run.jsonl")
@@ -96,7 +99,9 @@ def test_observed_kill_and_resume_identical_on_both_loops(
         exporter.close()
     assert digests == GOLDEN["resume"]
     assert len(fast_calls) == len(RESUME_PLAN)
-    assert sha256_file(tmp_path / "run.jsonl") == golden["events_sha256"]
+    hashes = event_hashes(tmp_path / "run.jsonl")
+    for name, value in hashes.items():
+        assert value == golden[name], name
     assert recorder.metrics.snapshot() == golden["metrics"]
 
     keep = len(RESUME_PLAN) // 2
@@ -113,7 +118,6 @@ def test_observed_kill_and_resume_identical_on_both_loops(
     assert replayed == keep
     assert len(fast_calls) == len(RESUME_PLAN) - keep
     assert digests == GOLDEN["resume"]
-    assert sha256_file(tmp_path / "resumed.jsonl") == (
-        golden["resumed_events_sha256"]
-    )
+    for name, value in event_hashes(tmp_path / "resumed.jsonl").items():
+        assert value == golden[f"resumed_{name}"], name
     assert recorder.metrics.snapshot() == golden["metrics"]

@@ -6,7 +6,7 @@ Validates the ISSUE's acceptance criteria end to end:
 * ``repro-power run <workload> --governor pm --telemetry <dir>``
   produces a JSONL event log, a CSV tick trace and a metrics summary;
 * event ordering is coherent (run_started first, run_finished last,
-  monotone timestamps, one sample/decision/tick triple per tick);
+  monotone timestamps, one columnar ``ticks`` record for the run);
 * p-state residency metrics sum to the run duration;
 * histogram counts match the tick count.
 """
@@ -38,6 +38,12 @@ def events(telemetry_dir):
 
 
 @pytest.fixture(scope="module")
+def columns(events):
+    (record,) = [e for e in events if e["kind"] == "ticks"]
+    return record["columns"]
+
+
+@pytest.fixture(scope="module")
 def trace_rows(telemetry_dir):
     with open(telemetry_dir / "trace.csv", newline="") as handle:
         return list(csv.DictReader(handle))
@@ -60,19 +66,25 @@ def test_event_ordering(events):
     assert kinds[-1] == "run_finished"
     times = [e["time_s"] for e in events]
     assert times == sorted(times)
-    ticks = kinds.count("tick")
+    # One record per run carries every tick, as equal-length columns.
+    assert kinds.count("ticks") == 1
+    assert not {"sample", "decision", "tick"} & set(kinds)
+    (record,) = [e for e in events if e["kind"] == "ticks"]
+    lengths = {len(values) for values in record["columns"].values()}
+    lengths |= {len(values) for values in record["rates"].values()}
+    (ticks,) = lengths
     assert ticks > 0
-    assert kinds.count("sample") == ticks
-    assert kinds.count("decision") == ticks
+    assert record["columns"]["time_s"][-1] == record["time_s"]
 
 
-def test_trace_matches_event_stream(events, trace_rows):
-    tick_events = [e for e in events if e["kind"] == "tick"]
-    assert len(trace_rows) == len(tick_events)
-    for row, event in zip(trace_rows, tick_events):
-        assert float(row["time_s"]) == pytest.approx(event["time_s"], abs=1e-4)
+def test_trace_matches_event_stream(columns, trace_rows):
+    assert len(trace_rows) == len(columns["time_s"])
+    for row, time_s, watts in zip(
+        trace_rows, columns["time_s"], columns["measured_power_w"]
+    ):
+        assert float(row["time_s"]) == pytest.approx(time_s, abs=1e-4)
         assert float(row["measured_power_w"]) == pytest.approx(
-            event["measured_power_w"], abs=1e-3
+            watts, abs=1e-3
         )
 
 
@@ -85,8 +97,8 @@ def test_residency_sums_to_run_duration(events, metrics):
     assert residency == pytest.approx(finished["duration_s"], rel=1e-9)
 
 
-def test_histogram_counts_match_tick_count(events, metrics):
-    ticks = [e for e in events if e["kind"] == "tick"]
+def test_histogram_counts_match_tick_count(columns, metrics):
+    ticks = columns["time_s"]
     histograms = metrics["metrics"]["histograms"]
     assert histograms["power.measured_w"]["count"] == len(ticks)
     assert sum(histograms["power.measured_w"]["bucket_counts"]) == len(ticks)
@@ -118,6 +130,8 @@ def test_telemetry_report_subcommand(telemetry_dir, capsys):
     out = capsys.readouterr().out
     assert "ammp under PerformanceMaximizer" in out
     assert "ticks" in out
+    assert "p-state residency" in out
+    assert "Eq. 2 residuals" in out
 
 
 def test_telemetry_report_missing_directory_fails(tmp_path, capsys):

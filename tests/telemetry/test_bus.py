@@ -1,54 +1,71 @@
 """Tests for the typed event bus and its subscriber isolation."""
 
+import json
+from array import array
+
 import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
-    DecisionMade,
+    TICK_COLUMNS,
+    ConstraintChanged,
     EventBus,
     PStateTransition,
+    RunFinished,
     RunStarted,
-    SampleTaken,
-    TickCompleted,
+    TicksRecorded,
 )
 
 
-def _decision(time_s=0.01):
-    return DecisionMade(
-        time_s=time_s, governor="PM", current_mhz=2000.0, target_mhz=1800.0
+def _transition(time_s=0.01):
+    return PStateTransition(time_s=time_s, from_mhz=2000.0, to_mhz=1800.0)
+
+
+def _ticks(n=3):
+    nan = float("nan")
+    columns = {name: array("d", [0.5 * i for i in range(n)])
+               for name in TICK_COLUMNS}
+    columns["temperature_c"] = array("d", [nan] * n)
+    return TicksRecorded(
+        time_s=0.03, workload="ammp", governor="PM", columns=columns,
+        rates={"INST_DECODED": array("d", [1.5, nan, 1.25][:n])},
     )
 
 
 class TestEvents:
     def test_events_are_frozen(self):
-        event = _decision()
+        event = _transition()
         with pytest.raises(AttributeError):
-            event.target_mhz = 600.0
+            event.to_mhz = 600.0
 
     def test_to_dict_carries_kind_and_fields(self):
-        d = _decision().to_dict()
-        assert d["kind"] == "decision"
-        assert d["current_mhz"] == 2000.0
-        assert d["target_mhz"] == 1800.0
+        d = _transition().to_dict()
+        assert d["kind"] == "transition"
+        assert d["from_mhz"] == 2000.0
+        assert d["to_mhz"] == 1800.0
         assert d["time_s"] == 0.01
 
     def test_kinds_are_distinct(self):
         kinds = {
             cls.kind
-            for cls in (RunStarted, SampleTaken, DecisionMade,
-                        PStateTransition, TickCompleted)
+            for cls in (RunStarted, PStateTransition, TicksRecorded,
+                        ConstraintChanged, RunFinished)
         }
         assert len(kinds) == 5
 
     def test_sample_rates_dict_is_json_safe(self):
-        event = SampleTaken(
-            time_s=0.01, interval_s=0.01, cycles=2e7,
-            effective_frequency_mhz=2000.0,
-            rates={"INST_DECODED": 1.5},
-        )
+        # The ticks record's columns and per-event rates become plain
+        # lists, NaN (no value) becoming null, so strict JSON holds.
+        event = _ticks()
         d = event.to_dict()
-        assert d["rates"] == {"INST_DECODED": 1.5}
+        assert d["kind"] == "ticks"
+        assert len(d["columns"]["time_s"]) == 3
+        assert set(d["columns"]) == set(TICK_COLUMNS)
+        assert d["columns"]["duty"] == [0.0, 0.5, 1.0]
+        assert d["columns"]["temperature_c"] == [None, None, None]
+        assert d["rates"] == {"INST_DECODED": [1.5, None, 1.25]}
         assert isinstance(d["rates"], dict)
+        json.dumps(d, allow_nan=False)
 
 
 class TestEventBus:
@@ -57,15 +74,15 @@ class TestEventBus:
         seen = []
         bus.subscribe(lambda e: seen.append(("a", e.kind)))
         bus.subscribe(lambda e: seen.append(("b", e.kind)))
-        bus.publish(_decision())
-        assert seen == [("a", "decision"), ("b", "decision")]
+        bus.publish(_transition())
+        assert seen == [("a", "transition"), ("b", "transition")]
 
     def test_unsubscribe_stops_delivery(self):
         bus = EventBus()
         seen = []
         sub = bus.subscribe(seen.append)
         bus.unsubscribe(sub)
-        bus.publish(_decision())
+        bus.publish(_transition())
         assert seen == []
 
     def test_unsubscribe_unknown_raises(self):
@@ -87,10 +104,10 @@ class TestEventBus:
 
         bus.subscribe(explode)
         bus.subscribe(seen.append)
-        bus.publish(_decision())
+        bus.publish(_transition())
         assert len(seen) == 1
         assert len(bus.errors) == 1
-        assert bus.errors[0].event_kind == "decision"
+        assert bus.errors[0].event_kind == "transition"
         assert "disk full" in bus.errors[0].error
 
     def test_persistently_broken_subscriber_is_detached(self):
@@ -101,7 +118,7 @@ class TestEventBus:
 
         bus.subscribe(explode)
         for _ in range(5):
-            bus.publish(_decision())
+            bus.publish(_transition())
         # Detached after 3 strikes: no further error records accumulate.
         assert len(bus.errors) == 3
         assert explode not in bus.subscribers
@@ -111,8 +128,8 @@ class TestEventBus:
         seen = []
         bus.subscribe(lambda e: (_ for _ in ()).throw(RuntimeError("x")))
         bus.subscribe(seen.append)
-        bus.publish(_decision())
-        bus.publish(_decision())
+        bus.publish(_transition())
+        bus.publish(_transition())
         assert len(seen) == 2
         assert len(bus.subscribers) == 1
 

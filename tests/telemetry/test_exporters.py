@@ -5,80 +5,114 @@ import dataclasses
 import io
 import json
 import math
+from array import array
 from types import MappingProxyType
 from typing import Mapping
 
 import pytest
 
+from repro.core.controller import TraceRow
 from repro.telemetry import (
+    TICK_COLUMNS,
     CsvTraceExporter,
     JsonlEventExporter,
     NullRecorder,
     TelemetryDirectory,
     TelemetryRecorder,
-    TickCompleted,
+    TicksRecorded,
     TRACE_FIELDS,
     render_run_summary,
     write_trace_csv,
 )
 from repro.errors import TelemetryError
 from repro.exec.session import current_session, open_session
-from repro.telemetry.bus import DecisionMade, TelemetryEvent
+from repro.telemetry.bus import PStateTransition, TelemetryEvent
+
+_NAN = float("nan")
 
 
-def _tick(time_s=0.01, temperature_c=55.5):
-    return TickCompleted(
-        time_s=time_s, frequency_mhz=1800.0, measured_power_w=14.2,
-        true_power_w=14.0, instructions=2.4e7, duty=1.0,
-        temperature_c=temperature_c,
+def _ticks(times=(0.01,), temperatures=(55.5,)):
+    """A ``ticks`` record: one tick per entry of ``times``."""
+    n = len(times)
+    columns = {name: array("d", [0.0] * n) for name in TICK_COLUMNS}
+    columns.update(
+        time_s=array("d", times),
+        frequency_mhz=array("d", [1800.0] * n),
+        measured_power_w=array("d", [14.2] * n),
+        true_power_w=array("d", [14.0] * n),
+        instructions=array("d", [2.4e7] * n),
+        duty=array("d", [1.0] * n),
+        temperature_c=array("d", temperatures),
     )
+    return TicksRecorded(
+        time_s=times[-1], workload="ammp", governor="PM", columns=columns,
+        rates={"INST_DECODED": array("d", [1.5] * n)},
+    )
+
+
+def _transition(time_s=0.01):
+    return PStateTransition(time_s=time_s, from_mhz=2000.0, to_mhz=1800.0)
 
 
 class TestJsonlExporter:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with JsonlEventExporter(path) as exporter:
-            exporter(_tick())
-            exporter(DecisionMade(time_s=0.01, governor="PM",
-                                  current_mhz=2000.0, target_mhz=1800.0))
+            exporter(_ticks((0.01, 0.02), (55.5, 56.0)))
+            exporter(_transition())
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         first = json.loads(lines[0])
-        assert first["kind"] == "tick"
-        assert first["measured_power_w"] == 14.2
+        assert first["kind"] == "ticks"
+        assert first["columns"]["measured_power_w"] == [14.2, 14.2]
+        assert first["rates"] == {"INST_DECODED": [1.5, 1.5]}
         assert exporter.events_written == 2
 
     def test_write_after_close_raises(self, tmp_path):
         exporter = JsonlEventExporter(tmp_path / "e.jsonl")
         exporter.close()
         with pytest.raises(Exception):
-            exporter(_tick())
+            exporter(_ticks())
 
 
 class TestCsvTraceExporter:
     def test_streams_only_tick_events(self, tmp_path):
         path = tmp_path / "trace.csv"
         with CsvTraceExporter(path) as exporter:
-            exporter(DecisionMade(time_s=0.0, governor="PM",
-                                  current_mhz=2000.0, target_mhz=2000.0))
-            exporter(_tick(0.01))
-            exporter(_tick(0.02, temperature_c=None))
+            exporter(_transition(0.0))
+            exporter(_ticks((0.01, 0.02), (55.5, _NAN)))
+            exporter(_ticks((0.03,)))
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert exporter.rows_written == 2
-        assert len(rows) == 2
+        assert exporter.rows_written == 3
+        assert len(rows) == 3
         assert tuple(rows[0]) == TRACE_FIELDS
         assert rows[0]["frequency_mhz"] == "1800"
         assert rows[1]["temperature_c"] == ""
+        assert [row["time_s"] for row in rows] == ["0.0100", "0.0200",
+                                                  "0.0300"]
 
     def test_write_trace_csv_matches_streaming_layout(self, tmp_path):
         streamed = tmp_path / "streamed.csv"
         batch = tmp_path / "batch.csv"
-        ticks = [_tick(0.01), _tick(0.02)]
+        record = _ticks((0.01, 0.02), (55.5, _NAN))
         with CsvTraceExporter(streamed) as exporter:
-            for tick in ticks:
-                exporter(tick)
-        assert write_trace_csv(ticks, batch) == 2
+            exporter(record)
+        columns = record.columns
+        rows = [
+            TraceRow(
+                time_s=columns["time_s"][i],
+                frequency_mhz=columns["frequency_mhz"][i],
+                measured_power_w=columns["measured_power_w"][i],
+                true_power_w=columns["true_power_w"][i],
+                instructions=columns["instructions"][i],
+                rates={},
+                duty=columns["duty"][i],
+                temperature_c=(55.5, None)[i],
+            )
+            for i in range(2)
+        ]
+        assert write_trace_csv(rows, batch) == 2
         assert streamed.read_text() == batch.read_text()
 
 
@@ -96,7 +130,7 @@ class TestTelemetryDirectory:
         recorder.metrics.counter("controller.ticks").inc()
         recorder.metrics.counter("pstate.residency_s.1800").inc(0.01)
         with recorder.span("run"):
-            recorder.emit(_tick())
+            recorder.emit(_ticks())
         sink.finalize(recorder)
 
         out = tmp_path / "out"
@@ -118,7 +152,7 @@ class TestTelemetryDirectory:
         sink.events.close()  # simulate a dead exporter mid-run
         seen = []
         recorder.bus.subscribe(seen.append)
-        recorder.emit(_tick())
+        recorder.emit(_ticks())
         assert len(seen) == 1  # healthy subscriber unaffected
         assert recorder.bus.errors
 
@@ -129,7 +163,7 @@ class TestRecorder:
         assert null.enabled is False
         with null.span("anything"):
             pass
-        null.emit(_tick())
+        null.emit(_ticks())
         assert null.spans.snapshot() == {}
         assert null.bus.subscribers == ()
 
@@ -171,6 +205,10 @@ def _sample_value(annotation: str, index: int):
         return index % 2 == 0
     if annotation == "str":
         return f'label "{index}" \\ é ☃\n'
+    if annotation == "Mapping[str, Sequence[float]]":
+        return MappingProxyType(
+            {"INST_RETIRED": array("d", (math.inf, 0.25, math.nan))}
+        )
     if annotation.startswith("Mapping["):
         return MappingProxyType(
             {"INST_RETIRED": math.inf, "DCU": 0.25, "NAN": math.nan}
@@ -182,12 +220,18 @@ def _sample_value(annotation: str, index: int):
 
 def _legacy_line(event) -> str:
     """The exporter's line before the C-encoder rewrite: the uncached
-    ``to_dict`` written with ``json.dump``."""
+    ``to_dict`` written with ``json.dump``.  A ``ticks`` record's
+    columns are lists, NaN written as null."""
     out = {"kind": event.kind}
     for f in dataclasses.fields(event):
         value = getattr(event, f.name)
         if isinstance(value, Mapping):
             value = dict(value)
+            if isinstance(event, TicksRecorded):
+                value = {
+                    name: [None if v != v else v for v in values]
+                    for name, values in value.items()
+                }
         out[f.name] = value
     buffer = io.StringIO()
     json.dump(out, buffer)
@@ -204,7 +248,7 @@ def test_jsonl_lines_match_legacy_encoding_for_every_event(tmp_path):
         }
         events.append(cls(**kwargs))
     kinds = {e.kind for e in events}
-    assert {"sample", "decision", "transition", "tick"} <= kinds
+    assert {"run_started", "transition", "ticks", "run_finished"} <= kinds
     assert len(kinds) == len(events)
 
     path = tmp_path / "events.jsonl"

@@ -1,13 +1,18 @@
 """Tests for the telemetry-directory aggregation report."""
 
 import json
+from array import array
 
 import pytest
 
 from repro.errors import TelemetryError
+from repro.exec import ExperimentConfig, GovernorSpec, RunPlan, open_session
 from repro.telemetry import (
+    TICK_COLUMNS,
+    JsonlEventExporter,
     TelemetryDirectory,
     TelemetryRecorder,
+    TicksRecorded,
     load_report,
     render_report,
 )
@@ -15,8 +20,36 @@ from repro.telemetry.bus import (
     BudgetReallocated,
     RunFinished,
     RunStarted,
-    TickCompleted,
 )
+from repro.telemetry.report import load_events
+
+_NAN = float("nan")
+
+
+def _record(measured, limit=None, estimate=None, freq=None, workload="ammp"):
+    """A ``ticks`` record of 10 ms ticks; None entries are "no value"."""
+    n = len(measured)
+
+    def column(values):
+        return array("d", [_NAN if v is None else v for v in values])
+
+    columns = {name: column([0.0] * n) for name in TICK_COLUMNS}
+    columns.update(
+        time_s=column([0.01 * (i + 1) for i in range(n)]),
+        frequency_mhz=column(freq or [1800.0] * n),
+        measured_power_w=column(measured),
+        true_power_w=column(measured),
+        instructions=column([2e7] * n),
+        duty=column([1.0] * n),
+        temperature_c=column([None] * n),
+        interval_s=column([0.01] * n),
+        estimate_w=column(estimate or [None] * n),
+        limit_w=column(limit or [None] * n),
+    )
+    return TicksRecorded(
+        time_s=0.01 * n, workload=workload, governor="PM", columns=columns,
+        rates={},
+    )
 
 
 def _write_directory(path):
@@ -24,15 +57,13 @@ def _write_directory(path):
     sink = TelemetryDirectory(path)
     sink.attach(recorder)
     recorder.emit(RunStarted(time_s=0.0, workload="ammp", governor="PM"))
-    for i in range(3):
-        recorder.metrics.counter("controller.ticks").inc()
-        recorder.emit(
-            TickCompleted(
-                time_s=0.01 * (i + 1), frequency_mhz=1800.0,
-                measured_power_w=14.0 + i, true_power_w=14.0,
-                instructions=2e7, duty=1.0, temperature_c=None,
-            )
-        )
+    recorder.metrics.counter("controller.ticks").inc(3)
+    recorder.emit(_record(
+        measured=[14.0, 15.0, 16.0],
+        limit=[14.5] * 3,
+        estimate=[14.5, 15.5, 16.25],
+        freq=[1800.0, 1800.0, 1600.0],
+    ))
     recorder.emit(
         BudgetReallocated(
             time_s=0.02, budget_w=30.0, demands_w={"a": 18.0},
@@ -53,11 +84,29 @@ class TestLoadReport:
     def test_aggregates_all_views(self, tmp_path):
         _write_directory(tmp_path / "t")
         report = load_report(tmp_path / "t")
-        assert report.event_counts["tick"] == 3
+        assert report.event_counts["ticks"] == 1
         assert report.tick_count == 3
         assert report.mean_measured_power_w == pytest.approx(15.0)
         assert len(report.runs) == 1
         assert report.metrics["counters"]["controller.ticks"] == 3
+        assert report.residency_s == {1800.0: 0.02, 1600.0: 0.01}
+        # Estimate at tick t minus what tick t + 1 metered.
+        assert report.eq2_residuals_w == [-0.5, -0.5]
+        assert report.violation_windows == [2]
+
+    def test_violation_windows_split_on_gaps_and_runs(self, tmp_path):
+        d = tmp_path / "windows"
+        d.mkdir()
+        with JsonlEventExporter(d / "events.jsonl") as exporter:
+            exporter(_record([15.0, 13.0, 15.0, 15.0], limit=[14.0] * 4))
+            exporter(_record([15.0, 15.0], limit=[14.0, 14.0]))
+            exporter(_record([99.0]))  # no limit: never a violation
+        report = load_report(d)
+        assert report.violation_windows == [1, 2, 2]
+        assert report.eq2_residuals_w == []
+        text = render_report(d)
+        assert "3 windows above the limit, longest 2 ticks" in text
+        assert "Eq. 2 residuals: none" in text
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(TelemetryError):
@@ -74,15 +123,15 @@ class TestLoadReport:
         d = tmp_path / "bad"
         d.mkdir()
         (d / "events.jsonl").write_text(
-            '{"kind": "tick"}\n'
+            '{"kind": "ticks"}\n'
             "not json\n"
-            '{"kind": "tick", "time_s": 0.0\n'  # truncated mid-object
+            '{"kind": "ticks", "time_s": 0.0\n'  # truncated mid-object
             '["not", "an", "object"]\n'
-            '{"kind": "decision"}\n'
+            '{"kind": "transition"}\n'
         )
         report = load_report(d)
         assert report.skipped_lines == 3
-        assert report.event_counts == {"tick": 1, "decision": 1}
+        assert report.event_counts == {"ticks": 1, "transition": 1}
 
     def test_torn_final_line_is_truncated_tail_not_damage(self, tmp_path):
         # The signature of a SIGKILLed run: the last line is a partial
@@ -91,15 +140,36 @@ class TestLoadReport:
         d = tmp_path / "killed"
         d.mkdir()
         (d / "events.jsonl").write_text(
-            '{"kind": "tick"}\n'
-            '{"kind": "tick"}\n'
-            '{"kind": "tick", "time_s": 0.0'  # torn mid-write, no \n
+            '{"kind": "ticks"}\n'
+            '{"kind": "ticks"}\n'
+            '{"kind": "ticks", "time_s": 0.0'  # torn mid-write, no \n
         )
         report = load_report(d)
         assert report.truncated_tail is True
         assert report.skipped_lines == 0
-        assert report.event_counts == {"tick": 2}
+        assert report.event_counts == {"ticks": 2}
         assert "torn mid-write" in render_report(d)
+
+    def test_torn_final_ticks_record_is_truncated_tail(self, tmp_path):
+        # A run killed while its one ticks line was being written: the
+        # line is cut inside the columns.  load_events reports the tear
+        # as a truncated tail and keeps every complete line before it.
+        d = tmp_path / "torn-ticks"
+        d.mkdir()
+        path = d / "events.jsonl"
+        with JsonlEventExporter(path) as exporter:
+            exporter(RunStarted(time_s=0.0, workload="ammp", governor="PM"))
+            exporter(_record([14.0 + 0.001 * i for i in range(500)]))
+        data = path.read_bytes()
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        path.write_bytes(data[: last + (len(data) - last) // 2])
+        events, skipped, truncated = load_events(path)
+        assert truncated is True
+        assert skipped == 0
+        assert [e["kind"] for e in events] == ["run_started"]
+        text = render_report(d)
+        assert "torn mid-write" in text
+        assert "p-state residency" not in text
 
     def test_interior_damage_still_counts_as_skipped(self, tmp_path):
         # Same partial-object text, but followed by valid lines: that is
@@ -107,21 +177,21 @@ class TestLoadReport:
         d = tmp_path / "corrupt"
         d.mkdir()
         (d / "events.jsonl").write_text(
-            '{"kind": "tick"}\n'
-            '{"kind": "tick", "time_s": 0.0\n'
-            '{"kind": "tick"}\n'
+            '{"kind": "ticks"}\n'
+            '{"kind": "ticks", "time_s": 0.0\n'
+            '{"kind": "ticks"}\n'
         )
         report = load_report(d)
         assert report.truncated_tail is False
         assert report.skipped_lines == 1
-        assert report.event_counts == {"tick": 2}
+        assert report.event_counts == {"ticks": 2}
 
     def test_torn_final_trace_row_is_dropped(self, tmp_path):
         # A trace.csv row cut off mid-write must be dropped instead of
         # poisoning the power aggregates with Nones.
         d = tmp_path / "torntrace"
         d.mkdir()
-        (d / "events.jsonl").write_text('{"kind": "tick"}\n')
+        (d / "events.jsonl").write_text('{"kind": "ticks"}\n')
         (d / "trace.csv").write_text(
             "time_s,frequency_mhz,measured_power_w,true_power_w,"
             "instructions,duty,temperature_c\n"
@@ -137,7 +207,7 @@ class TestLoadReport:
     def test_corrupt_metrics_snapshot_degrades(self, tmp_path):
         d = tmp_path / "halfmetrics"
         d.mkdir()
-        (d / "events.jsonl").write_text('{"kind": "tick"}\n')
+        (d / "events.jsonl").write_text('{"kind": "ticks"}\n')
         (d / "metrics.json").write_text('{"metrics": {"counters":')
         report = load_report(d)
         assert report.metrics == {}
@@ -152,6 +222,10 @@ class TestRenderReport:
         assert "3 ticks" in text
         assert "budget reallocations" in text
         assert "a=18.0W" in text
+        assert "p-state residency (3 ticks in 1 runs):" in text
+        assert " 1600 MHz     0.010 s  (33.3%)" in text
+        assert "count 2  mean -0.500 W  min -0.500 W  max -0.500 W" in text
+        assert "1 windows above the limit, longest 2 ticks" in text
 
     def test_tolerates_partial_directories(self, tmp_path):
         # Only an event log: trace/metrics are optional.
@@ -163,3 +237,39 @@ class TestRenderReport:
         )
         text = render_report(d)
         assert "run_started" in text
+
+
+def _body(text):
+    """The report minus its header line (the directory) and its
+    wall-clock spans section."""
+    return text.split("\n", 1)[1].split("spans (wall clock):")[0]
+
+
+def _event_multiset(directory):
+    events, skipped, truncated = load_events(directory / "events.jsonl")
+    assert (skipped, truncated) == (0, False)
+    return sorted(json.dumps(e, sort_keys=True) for e in events)
+
+
+def test_serial_and_parallel_bundles_report_identically(tmp_path):
+    """A small sweep observed serially and through two pool workers
+    writes the same ticks records and rare events (as multisets: the
+    merge concatenates per worker) and the same report."""
+    plan = RunPlan.sweep(
+        ["ammp", "gzip", "mcf"],
+        [GovernorSpec.pm(14.5, power_model="paper"), GovernorSpec.ps(0.8)],
+        ExperimentConfig(scale=0.05, seed=3),
+    )
+    with open_session(telemetry_dir=tmp_path / "serial") as session:
+        session.run_plan(plan)
+    with open_session(
+        workers=2, telemetry_dir=tmp_path / "parallel"
+    ) as session:
+        session.run_plan(plan)
+    serial = _event_multiset(tmp_path / "serial")
+    assert sum('"kind": "ticks"' in e for e in serial) == len(plan)
+    assert serial == _event_multiset(tmp_path / "parallel")
+    text = _body(render_report(tmp_path / "serial"))
+    assert "p-state residency" in text
+    assert "Eq. 2 residuals (" in text
+    assert text == _body(render_report(tmp_path / "parallel"))
