@@ -50,6 +50,17 @@ class TestHistogram:
         assert hist.max == 99.0
         assert hist.mean == pytest.approx((0.5 + 1.0 + 1.5 + 2.5 + 99.0) / 5)
 
+    def test_observe_many_matches_one_at_a_time(self):
+        values = (0.5, 1.0, float("nan"), 3.0, 3.5, -2.0)
+        one = Histogram("h", [1.0, 2.0, 3.0])
+        for value in values:
+            one.observe(value)
+        many = Histogram("h", [1.0, 2.0, 3.0])
+        many.observe_many(values)
+        # NaN compares false to every bound, so it lands in overflow.
+        assert one.bucket_counts == many.bucket_counts == [3, 0, 1, 2]
+        assert (one.count, one.min, one.max) == (many.count, -2.0, 3.5)
+
     def test_buckets_must_ascend(self):
         with pytest.raises(TelemetryError):
             Histogram("h", [2.0, 1.0])
