@@ -59,7 +59,7 @@ def test_ablation_fleet_power_shifting(benchmark, results_dir):
     )
     equal = outcome["equal"]
     demand = outcome["demand"]
-    # Both respect the shared budget on the 100 ms window.
+    # Both respect the shared budget on the 10-tick window.
     assert equal.budget_violation_fraction() <= 0.01
     assert demand.budget_violation_fraction() <= 0.01
     # Identical churn either way (same seed drives the scenario)...

@@ -2,54 +2,65 @@
 """Scenario: four sockets, one 40 W supply rail.
 
 The paper's PM motivation (i): "controlling multiple components with
-shared power supply/cooling resources".  Four nodes with very different
-appetites share one budget; a coordinator re-divides it every 100 ms
-from each node's own counter-based demand estimate and delivers new
-limits through PM's runtime-limit path.
+shared power supply/cooling resources".  Four nodes with different
+appetites (batch inference, interactive editing, an ETL scan and a web
+tier) share one 40 W budget.  The fleet coordinator re-divides it
+whenever a node's reported demand moves, and caps each node at its
+share.
 
-Watch the allocation: the chess engine (crafty) and the particle
-tracker (sixtrack) are granted what the memory-bound nodes (swim, mcf)
-cannot use -- and when a node finishes, its share shifts to the
-stragglers automatically.
+Two policies divide the budget.  Equal share hands every live node the
+same cap whether it can use it or not; demand-proportional
+water-filling sizes each cap to the node's reported demand.  Under
+both, one node finishes part-way through and its share moves to the
+three survivors (its final cap reads 0 W).
 """
 
-from repro.exec.cache import trained_power_model
-from repro.fleet import DemandProportional, EqualShare, FleetController
-from repro.workloads.registry import get_workload
+from repro.fleet import FleetScenario, FleetSpec, run_fleet
 
-BUDGET_W = 40.0
-WORKLOADS = {
-    "node-a": "crafty",
-    "node-b": "swim",
-    "node-c": "mcf",
-    "node-d": "sixtrack",
-}
+NODES = 4
+BUDGET_PER_NODE_W = 10.0
+SCENARIO = FleetScenario(
+    ticks=120,
+    mix=(
+        ("infer-batch", 1.0),
+        ("desktop-editing", 1.0),
+        ("etl-scan-heavy", 1.0),
+        ("web-flash-crowd", 1.0),
+    ),
+    # One node of the four finishes during the run; none crashes.
+    finish_frac=0.25,
+    crash_rate_per_node_s=0.0,
+    # Four nodes fill a single rack: an outage would darken them all.
+    rack_outage_at_frac=2.0,
+)
 
 
 def main() -> None:
-    model = trained_power_model(seed=0)
-    workloads = {
-        node: get_workload(name).scaled(0.5)
-        for node, name in WORKLOADS.items()
-    }
-    print(f"shared budget: {BUDGET_W} W across {len(workloads)} nodes\n")
-    for label, allocator in (
-        ("equal share", EqualShare()),
-        ("demand-proportional", DemandProportional()),
-    ):
-        fleet = FleetController(
-            workloads, model, total_budget_w=BUDGET_W, allocator=allocator
+    print(
+        f"shared budget: {NODES * BUDGET_PER_NODE_W:.0f} W across "
+        f"{NODES} nodes, {SCENARIO.ticks} ticks of {SCENARIO.tick_s:g} s\n"
+    )
+    for policy in ("equal", "demand"):
+        spec = FleetSpec(
+            nodes=NODES,
+            budget_per_node_w=BUDGET_PER_NODE_W,
+            # Seed 24 gives each node a different workload.
+            seed=24,
+            scenario=SCENARIO,
+            allocator=policy,
+            leaf_policy=policy,
         )
-        result = fleet.run()
-        print(f"{label}:")
+        result = run_fleet(spec)
+        print(f"{policy}:")
         for node, outcome in sorted(result.nodes.items()):
             print(
-                f"  {node} ({outcome.workload:9}) finished in "
-                f"{outcome.duration_s:5.2f}s  "
-                f"(final limit {outcome.final_limit_w:5.1f} W)"
+                f"  {node} ({outcome.workload:15}) ran "
+                f"{outcome.duration_s:5.0f} s, drew "
+                f"{outcome.energy_j:6.0f} J  "
+                f"(final cap {outcome.final_limit_w:5.2f} W)"
             )
         print(
-            f"  fleet: makespan {result.makespan_s:.2f}s, "
+            f"  fleet: demand met {result.demand_satisfaction:.1%}, "
             f"mean power {result.mean_fleet_power_w:.1f} W, "
             f"budget violations "
             f"{result.budget_violation_fraction():.1%}\n"

@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write durable fleet checkpoints into DIR",
     )
     fleet_sim.add_argument(
-        "--checkpoint-interval", type=int, default=0, metavar="N",
+        "--checkpoint-interval", type=int, default=None, metavar="N",
         help="checkpoint every N ticks (0 disables)",
     )
     fleet_sim.add_argument(
@@ -822,10 +822,22 @@ def _cmd_fleet_sim(args) -> int:
         fleet_result_digest,
     )
 
-    if args.resume and (args.spec or args.checkpoint):
-        raise ReproError("--resume takes the spec and checkpoint "
-                         "directory from the manifest; do not pass them")
     if args.resume:
+        overrides = [
+            flag for flag, value in (
+                ("--spec", args.spec),
+                ("--checkpoint", args.checkpoint),
+                ("--nodes", args.nodes),
+                ("--ticks", args.ticks),
+                ("--seed", args.seed),
+                ("--checkpoint-interval", args.checkpoint_interval),
+            ) if value is not None
+        ]
+        if overrides:
+            raise ReproError(
+                "--resume takes the spec and checkpoint directory from "
+                f"the manifest; do not pass {', '.join(overrides)}"
+            )
         controller = HierarchicalFleetController.resume(args.resume)
     else:
         if args.spec:

@@ -118,13 +118,6 @@ class PerformanceMaximizer(Governor):
             )
         return tbl
 
-    def __getstate__(self):
-        # The projection table is a pure cache, rebuilt on demand, so
-        # a fleet node snapshot need not carry it.
-        state = self.__dict__.copy()
-        state["_projection"] = None
-        return state
-
     @property
     def guardband_w(self) -> float:
         """The estimate guardband currently applied."""

@@ -65,8 +65,6 @@ class SpeedStepDriver:
             IA32_PERF_STATUS,
             initial=encode_pstate(dvfs.current),
             writable=False,
-            # Bound method, not a lambda: the hook must survive a fleet
-            # node snapshot's pickle along with the rest of the machine.
             read_hook=self._read_perf_status,
         )
         msr.map_register(

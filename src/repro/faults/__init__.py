@@ -10,9 +10,9 @@ input so the hardened monitor -> estimate -> control loop can be tested
 * :mod:`repro.faults.plan` -- declarative :class:`FaultPlan` with
   per-subsystem fault models (dropped/duplicated/garbled/overflowed
   counter samples, meter dropout and spikes, failed/stalled p-state
-  transitions, stuck thermal sensors, fleet node crash/restart), JSON
-  (or YAML) loadable for the CLI's ``--faults SPEC`` and carried into
-  every run by ``open_session(faults=...)``;
+  transitions, stuck thermal sensors), JSON (or YAML) loadable for the
+  CLI's ``--faults SPEC`` and carried into every run by
+  ``open_session(faults=...)``;
 * :mod:`repro.faults.injector` -- the seeded :class:`FaultInjector` and
   its interface-preserving wrappers around the counter sampler, power
   meter and SpeedStep driver;
@@ -21,8 +21,7 @@ input so the hardened monitor -> estimate -> control loop can be tested
 
 The consumer-side defenses live with the consumers: see
 :class:`repro.core.resilience.ResilienceConfig` and the hardened
-:class:`~repro.core.controller.PowerManagementController` /
-:class:`~repro.fleet.controller.FleetController`.
+:class:`~repro.core.controller.PowerManagementController`.
 """
 
 from repro.faults.injector import (
@@ -34,7 +33,6 @@ from repro.faults.injector import (
 from repro.faults.plan import (
     FaultPlan,
     MeterFaults,
-    NodeFaults,
     SampleFaults,
     ThermalFaults,
     TransitionFaults,
@@ -52,7 +50,6 @@ __all__ = [
     "MeterFaults",
     "TransitionFaults",
     "ThermalFaults",
-    "NodeFaults",
     "load_fault_plan",
     "FaultInjector",
     "FaultySampler",

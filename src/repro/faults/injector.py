@@ -1,7 +1,7 @@
 """The fault injector: turns a :class:`FaultPlan` into concrete faults.
 
 A :class:`FaultInjector` owns one seeded RNG *stream per subsystem*
-(sampler, meter, driver, thermal, node), so enabling a fault model in
+(sampler, meter, driver, thermal), so enabling a fault model in
 one subsystem never perturbs the fault sequence of another -- plans stay
 reproducible as they are grown.  Wrapped components keep their existing
 interfaces exactly:
@@ -14,8 +14,7 @@ interfaces exactly:
 * :class:`FaultySpeedStep` wraps the :class:`~repro.drivers.speedstep.
   SpeedStepDriver` and injects failed and stalled p-state transitions;
 * :meth:`FaultInjector.observe_temperature` freezes thermal readings
-  for stuck-sensor episodes;
-* :meth:`FaultInjector.node_crashes` drives fleet node crash/restart.
+  for stuck-sensor episodes.
 
 Every injected fault is counted on the injector and -- when a telemetry
 recorder is bound -- emitted as a :class:`~repro.telemetry.bus.
@@ -46,11 +45,11 @@ from repro.telemetry.recorder import TelemetryRecorder
 #: simulated Pentium M PMU counter width).
 _COUNTER_SPAN = float(1 << 40)
 
-_RNG_STREAMS = ("sample", "meter", "transition", "thermal", "node")
+_RNG_STREAMS = ("sample", "meter", "transition", "thermal")
 
 
 class FaultInjector:
-    """Seeded, deterministic fault source for one run (or fleet run)."""
+    """Seeded, deterministic fault source for one run."""
 
     def __init__(
         self,
@@ -66,7 +65,6 @@ class FaultInjector:
         self._injected: dict[str, int] = {}
         self._stuck_until_s: float | None = None
         self._stuck_value_c: float = 0.0
-        self._node_crashes: dict[str, int] = {}
         self._clock = lambda: 0.0
 
     # -- bookkeeping -----------------------------------------------------------
@@ -161,26 +159,6 @@ class FaultInjector:
                 detail=f"{raw_c:.2f}C for {cfg.stuck_duration_s:.3f}s",
             )
         return raw_c
-
-    # -- fleet nodes -----------------------------------------------------------
-
-    def node_crashes(self, name: str, now_s: float) -> bool:
-        """Decide whether node ``name`` crashes this tick (and record it)."""
-        cfg = self.plan.node
-        if not (self.plan.enabled and cfg.any_enabled):
-            return False
-        if self._node_crashes.get(name, 0) >= cfg.max_crashes_per_node:
-            return False
-        if self._rngs["node"].random() >= cfg.crash_prob:
-            return False
-        self._node_crashes[name] = self._node_crashes.get(name, 0) + 1
-        self.record("node", "crash", now_s, detail=name)
-        return True
-
-    @property
-    def node_restart_delay_s(self) -> float | None:
-        """Configured downtime before restart (None = permanent)."""
-        return self.plan.node.restart_delay_s
 
 
 class FaultySampler:

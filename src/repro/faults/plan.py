@@ -171,39 +171,11 @@ class ThermalFaults:
         return self.stuck_prob > 0
 
 
-@dataclass(frozen=True)
-class NodeFaults:
-    """Fleet node crash/restart fault model."""
-
-    #: Per-node, per-tick crash probability.
-    crash_prob: float = 0.0
-    #: Downtime before an automatic restart; None = permanent failure.
-    restart_delay_s: float | None = 1.0
-    #: Cap on injected crashes per node (avoids crash-loop flapping).
-    max_crashes_per_node: int = 1
-
-    def __post_init__(self) -> None:
-        _check_probability("node.crash_prob", self.crash_prob)
-        if self.restart_delay_s is not None:
-            _check_non_negative("node.restart_delay_s", self.restart_delay_s)
-        if self.max_crashes_per_node < 0:
-            raise FaultPlanError(
-                "node.max_crashes_per_node must be non-negative, got "
-                f"{self.max_crashes_per_node!r}"
-            )
-
-    @property
-    def any_enabled(self) -> bool:
-        """True when node crashes can fire."""
-        return self.crash_prob > 0 and self.max_crashes_per_node > 0
-
-
 _SECTION_TYPES = {
     "sample": SampleFaults,
     "meter": MeterFaults,
     "transition": TransitionFaults,
     "thermal": ThermalFaults,
-    "node": NodeFaults,
 }
 
 
@@ -223,7 +195,6 @@ class FaultPlan:
     meter: MeterFaults = field(default_factory=MeterFaults)
     transition: TransitionFaults = field(default_factory=TransitionFaults)
     thermal: ThermalFaults = field(default_factory=ThermalFaults)
-    node: NodeFaults = field(default_factory=NodeFaults)
 
     @property
     def active(self) -> bool:
@@ -233,7 +204,6 @@ class FaultPlan:
             or self.meter.any_enabled
             or self.transition.any_enabled
             or self.thermal.any_enabled
-            or self.node.any_enabled
         )
 
     def to_dict(self) -> dict:

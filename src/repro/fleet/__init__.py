@@ -3,13 +3,11 @@
 The paper motivates PerformanceMaximizer with "(i) controlling multiple
 components with shared power supply/cooling resources" and cites Felter
 et al.'s performance-conserving power shifting (its reference [7]).
-This subpackage composes those pieces at two scales:
+This subpackage answers it with one coordinator, built from:
 
 * :mod:`repro.fleet.budget`     -- allocation policies (equal share,
   demand-proportional water-filling) with per-child floors and an
   oversubscription clamp,
-* :mod:`repro.fleet.controller` -- the lock-step fleet run loop (a few
-  full machines, paper-fidelity),
 * :mod:`repro.fleet.hierarchy`  -- the cluster -> rack -> chassis ->
   node budget tree with event-driven reallocation,
 * :mod:`repro.fleet.store`      -- array-backed node state scaling to
@@ -30,9 +28,9 @@ from repro.fleet.cluster import (
     ClusterResult,
     FleetSpec,
     HierarchicalFleetController,
+    NodeResult,
     run_fleet,
 )
-from repro.fleet.controller import FleetController, FleetResult, NodeResult
 from repro.fleet.hierarchy import BudgetTree, Topology
 from repro.fleet.scenario import FleetScenario, ScenarioEngine
 from repro.fleet.store import NodeState, NodeStore
@@ -42,8 +40,6 @@ __all__ = [
     "EqualShare",
     "DemandProportional",
     "NodeDemand",
-    "FleetController",
-    "FleetResult",
     "NodeResult",
     "Topology",
     "BudgetTree",

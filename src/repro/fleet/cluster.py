@@ -1,7 +1,7 @@
 """Churn-tolerant hierarchical fleet coordinator.
 
-This is the datacenter-scale counterpart of the lock-step
-:class:`~repro.fleet.controller.FleetController`: one coordinator, a
+The one answer to the paper's PM situation (i), many machines sharing
+one power supply: one coordinator, a
 :class:`~repro.fleet.hierarchy.BudgetTree` over racks / chassis /
 nodes, and a :class:`~repro.fleet.store.NodeStore` holding the whole
 fleet in NumPy arrays so 10k nodes tick in milliseconds.
@@ -51,7 +51,6 @@ from repro.fleet.budget import (
     EqualShare,
     MIN_GRANT_W,
 )
-from repro.fleet.controller import FleetResult, NodeResult
 from repro.fleet.hierarchy import BudgetTree, Topology
 from repro.fleet.scenario import FleetScenario, ScenarioEngine
 from repro.fleet.store import NodeState, NodeStore
@@ -160,9 +159,35 @@ class FleetSpec:
 
 
 @dataclass(frozen=True)
-class ClusterResult(FleetResult):
-    """A :class:`FleetResult` plus hierarchical-fleet statistics."""
+class NodeResult:
+    """Per-node outcome of a fleet run."""
 
+    name: str
+    workload: str
+    #: Seconds the node ran: not crashed, finished or in a rack outage.
+    duration_s: float
+    energy_j: float
+    #: The power cap applied to the node at the end of the run.
+    final_limit_w: float
+    #: Crashes this node suffered during the run.
+    crashes: int = 0
+
+
+@dataclass(frozen=True)
+class ClusterResult:
+    """Outcome of one hierarchical fleet run."""
+
+    total_budget_w: float
+    nodes: Mapping[str, NodeResult]
+    #: (time, total measured fleet power) per tick.
+    power_series: tuple[tuple[float, float], ...]
+    makespan_s: float
+    #: True when the coordinator spent part of the run in
+    #: partition-degraded mode.
+    degraded: bool = False
+    #: Ticks spent operating degraded: unreachable subtrees frozen at
+    #: last-granted caps minus the safety margin.
+    degraded_ticks: int = 0
     n_nodes: int = 0
     ticks: int = 0
     tick_s: float = 1.0
@@ -183,6 +208,33 @@ class ClusterResult(FleetResult):
     nodes_x_ticks_per_s: float = 0.0
     #: Drawn energy over uncapped-wanted energy (capping cost).
     demand_satisfaction: float = 1.0
+
+    @property
+    def mean_fleet_power_w(self) -> float:
+        if not self.power_series:
+            return 0.0
+        return sum(w for _, w in self.power_series) / len(self.power_series)
+
+    def budget_violation_fraction(self, window: int = 10) -> float:
+        """Fraction of sliding ``window``-tick windows whose mean fleet
+        power exceeds the budget.
+
+        A tick is ``scenario.tick_s`` long (1 s by default), so the
+        default window spans 10 s of simulated time.
+        """
+        values = [w for _, w in self.power_series]
+        if len(values) < window:
+            return 0.0
+        over = 0
+        count = 0
+        acc = sum(values[:window])
+        for i in range(window, len(values) + 1):
+            count += 1
+            if acc / window > self.total_budget_w + 1e-9:
+                over += 1
+            if i < len(values):
+                acc += values[i] - values[i - window]
+        return over / count
 
 
 class HierarchicalFleetController:
@@ -690,7 +742,6 @@ class HierarchicalFleetController:
                 name=name,
                 workload=self.engine.template_name(i),
                 duration_s=float(store.up_ticks[i]) * sc.tick_s,
-                instructions=0.0,
                 energy_j=float(store.energy_j[i]),
                 final_limit_w=float(store.applied_w[i]),
                 crashes=int(store.crashes[i]),

@@ -1,11 +1,11 @@
 """Array-backed node state for datacenter-scale fleets.
 
-The lock-step :class:`~repro.fleet.controller.FleetController` keeps a
-Python object per node -- fine for four machines, hopeless for ten
-thousand.  :class:`NodeStore` keeps the whole fleet's state as a handful
-of NumPy arrays indexed by node id, so every per-tick operation (demand
-updates, churn sampling, draw accounting, per-chassis aggregation) is
-one vectorized pass instead of ten thousand attribute lookups.
+A Python object per node is fine for four machines and hopeless for
+ten thousand.  :class:`NodeStore` keeps the whole fleet's state as a
+handful of NumPy arrays indexed by node id, so every per-tick
+operation (demand updates, churn sampling, draw accounting,
+per-chassis aggregation) is one vectorized pass instead of ten
+thousand attribute lookups.
 
 The store is deliberately dumb: it holds state and provides aggregation
 helpers; *policy* (stale-demand decay, outage handling, allocation)

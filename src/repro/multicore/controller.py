@@ -9,10 +9,11 @@ ticks) a governor that implements ``recommend_threads`` may also change
 the active thread count; the remaining instruction budget is re-split
 across cores on the fly.
 
-The tick body is operation-for-operation the plain (unhardened,
-uninstrumented) path of the single-core ``_run_loop``: with one core,
-one domain and one thread the RNG draws, float accumulation order and
-meter segment stream are identical, and the aggregate
+The tick body is a plain per-tick loop over the machine, sampler,
+governor and meter objects; the single-core controller runs the fused
+kernel (:func:`repro.core.blockloop.run_fast`) instead.  With one core,
+one domain and one thread both produce the same RNG draws, float
+accumulation order and meter segment stream, so the aggregate
 :class:`~repro.core.controller.RunResult` digests bit-identically --
 ``tests/multicore/test_machine.py`` enforces it.
 

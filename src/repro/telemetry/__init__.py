@@ -5,7 +5,7 @@ sampling feeding estimation and control -- and this subsystem gives the
 reproduction the same first-class view of itself:
 
 * :mod:`~repro.telemetry.bus` -- typed events (runs, transitions, one
-  columnar per-tick record per run, budget reallocations) on a
+  columnar per-tick record per run, fleet budget-tree passes) on a
   subscribe/publish bus with per-subscriber error isolation;
 * :mod:`~repro.telemetry.metrics` -- a registry of counters, gauges and
   fixed-bucket histograms (p-state residency, transitions, power-limit
@@ -24,7 +24,6 @@ instrumentation work, so telemetry costs nothing when off.
 
 from repro.telemetry.bus import (
     BudgetInfeasible,
-    BudgetReallocated,
     CampaignResumed,
     CellLeased,
     CellQuarantined,
@@ -82,7 +81,6 @@ __all__ = [
     "TICK_COLUMNS",
     "ConstraintChanged",
     "RunFinished",
-    "BudgetReallocated",
     "SubtreeReallocated",
     "SubtreeOutage",
     "PartitionDegraded",

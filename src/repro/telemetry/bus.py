@@ -186,24 +186,6 @@ class RunFinished(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class BudgetReallocated(TelemetryEvent):
-    """The fleet coordinator re-divided the shared power budget.
-
-    ``headroom_w`` is the per-node demand headroom the coordinator adds
-    on top of each counter-derived estimate before allocating (the
-    burst allowance; see ``FleetController(demand_headroom_w=...)``).
-    """
-
-    budget_w: float
-    demands_w: Mapping[str, float]
-    grants_w: Mapping[str, float]
-    active_nodes: int
-    headroom_w: float = 0.0
-
-    kind: ClassVar[str] = "reallocation"
-
-
-@dataclass(frozen=True)
 class SubtreeReallocated(TelemetryEvent):
     """One interior level of the hierarchical budget tree re-divided
     its cap among its children.
@@ -245,7 +227,7 @@ class PartitionDegraded(TelemetryEvent):
     While partitioned, the coordinator freezes the subtree at its
     last-granted caps minus a safety margin (``frozen_cap_w``) and the
     subtree's nodes fail-safe to margin-reduced local caps; every tick
-    spent in this mode is counted in ``FleetResult.degraded_ticks``.
+    spent in this mode is counted in ``ClusterResult.degraded_ticks``.
     """
 
     subtree: str
@@ -288,10 +270,10 @@ class FaultInjected(TelemetryEvent):
     """The fault injector fired one fault into a wrapped component.
 
     ``subsystem`` names the wrapped interface (``sampler``, ``meter``,
-    ``driver``, ``thermal``, ``node``); ``fault`` the model that fired
-    (``drop``, ``duplicate``, ``garble``, ``overflow``, ``dropout``,
-    ``spike``, ``transition_fail``, ``transition_stall``, ``stuck``,
-    ``crash``); ``detail`` is free-form context (node name, factor...).
+    ``driver``, ``thermal``); ``fault`` the model that fired (``drop``,
+    ``duplicate``, ``garble``, ``overflow``, ``drift``, ``dropout``,
+    ``spike``, ``transition_fail``, ``transition_stall``, ``stuck``);
+    ``detail`` is free-form context (spike factor, stuck reading...).
     """
 
     subsystem: str
@@ -390,11 +372,12 @@ class ModelRolledBack(TelemetryEvent):
 
 @dataclass(frozen=True)
 class NodeCrashed(TelemetryEvent):
-    """A fleet node crashed (injected) and stopped executing."""
+    """A fleet node crashed (the scenario's churn hazard) and stopped
+    executing."""
 
     node: str
-    #: Scheduled restart time, or None for a permanent failure.
-    restart_at_s: float | None
+    #: Scheduled restart time.
+    restart_at_s: float
 
     kind: ClassVar[str] = "node_crashed"
 

@@ -4,8 +4,8 @@
 :class:`~repro.telemetry.exporters.TelemetryDirectory` wrote --
 ``events.jsonl``, ``trace.csv``, ``metrics.json`` -- cross-checks the
 three views of the same run, and renders a digest: runs and their
-totals, event counts by kind, transition/reallocation activity, trace
-statistics and per-cell wall-clock spans.
+totals, event counts by kind, transition activity, trace statistics
+and per-cell wall-clock spans.
 
 From the runs' ``ticks`` records it answers the paper's own questions:
 p-state residency per MHz, the Eq. 2 residual (the power a governor
@@ -315,18 +315,6 @@ def render_report(directory: str | os.PathLike) -> str:
     tick_columns = report.tick_columns
     if tick_columns:
         lines.extend(_render_ticks(report, tick_columns))
-
-    reallocations = [
-        e for e in report.events if e.get("kind") == "reallocation"
-    ]
-    if reallocations:
-        last = reallocations[-1]
-        lines.append(f"fleet: {len(reallocations)} budget reallocations; "
-                     f"final grants "
-                     + ", ".join(f"{n}={w:.1f}W"
-                                 for n, w in sorted(
-                                     last.get("grants_w", {}).items())))
-        lines.append("")
 
     counters = report.metrics.get("counters", {})
     violations = counters.get("controller.limit_violations")

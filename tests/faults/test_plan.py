@@ -8,7 +8,6 @@ from repro.errors import FaultPlanError
 from repro.faults import (
     FaultPlan,
     MeterFaults,
-    NodeFaults,
     SampleFaults,
     ThermalFaults,
     TransitionFaults,
@@ -26,8 +25,6 @@ class TestSectionValidation:
             TransitionFaults(fail_prob="often")
         with pytest.raises(FaultPlanError, match="stuck_prob"):
             ThermalFaults(stuck_prob=2.0)
-        with pytest.raises(FaultPlanError, match="crash_prob"):
-            NodeFaults(crash_prob=1.1)
 
     def test_magnitudes_validated(self):
         with pytest.raises(FaultPlanError, match="garble_magnitude"):
@@ -36,13 +33,10 @@ class TestSectionValidation:
             MeterFaults(spike_factor=1.5)
         with pytest.raises(FaultPlanError, match="stall_s"):
             TransitionFaults(stall_s=-0.1)
-        with pytest.raises(FaultPlanError, match="max_crashes"):
-            NodeFaults(max_crashes_per_node=-1)
 
     def test_any_enabled(self):
         assert not SampleFaults().any_enabled
         assert SampleFaults(drop_prob=0.1).any_enabled
-        assert not NodeFaults(crash_prob=0.5, max_crashes_per_node=0).any_enabled
 
 
 class TestPlanActivity:
@@ -64,13 +58,15 @@ class TestDictRoundTrip:
             seed=9,
             sample=SampleFaults(drop_prob=0.05, garble_prob=0.01),
             transition=TransitionFaults(fail_prob=0.2, stall_prob=0.1),
-            node=NodeFaults(crash_prob=0.001, restart_delay_s=None),
+            thermal=ThermalFaults(stuck_prob=0.01),
         )
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(FaultPlanError, match="unknown fault plan keys"):
-            FaultPlan.from_dict({"sampler": {}})
+        for data in ({"sampler": {}}, {"node": {"crash_prob": 0.01}}):
+            with pytest.raises(FaultPlanError,
+                               match="unknown fault plan keys"):
+                FaultPlan.from_dict(data)
 
     def test_unknown_section_key_rejected(self):
         with pytest.raises(FaultPlanError, match="unknown sample fault keys"):

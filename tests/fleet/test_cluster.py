@@ -97,6 +97,42 @@ class TestQuietFleet:
         # Bring-up allocates; the flat steady state re-divides nothing.
         assert result.reallocations <= 2
 
+    def test_demand_serves_a_hungry_node_better_than_equal_share(self):
+        energy = {}
+        for policy in ("equal", "demand"):
+            spec = FleetSpec(
+                nodes=4, budget_per_node_w=10.0, scenario=_quiet_scenario(),
+                allocator=policy, leaf_policy=policy,
+            )
+            ctl = HierarchicalFleetController(spec)
+            # One node wants 18 W, three want 9 W: 45 W against 40 W.
+            ctl.engine.demands = lambda tick: np.array([18.0, 9.0, 9.0, 9.0])
+            result = ctl.run()
+            assert result.budget_violation_fraction() == 0.0
+            energy[policy] = [n.energy_j for n in result.nodes.values()]
+        # Equal share caps the hungry node at 10 W; water-filling moves
+        # the modest nodes' slack to it.
+        assert energy["demand"][0] > energy["equal"][0]
+        assert energy["demand"][1] < energy["equal"][1]
+
+    @pytest.mark.parametrize("policy", ["equal", "demand"])
+    def test_finished_nodes_share_moves_to_survivors(self, policy):
+        spec = FleetSpec(
+            nodes=4, budget_per_node_w=10.0, scenario=_quiet_scenario(),
+            allocator=policy, leaf_policy=policy,
+        )
+        ctl = HierarchicalFleetController(spec)
+        ctl.engine.demands = lambda tick: np.full(4, 18.0)
+        ctl._finish_tick[0] = 10
+        while ctl.tick < 10:
+            ctl.step()
+        assert ctl.store.grant_w == pytest.approx([10.0] * 4)
+        result = ctl.run()
+        assert result.finishes == 1
+        # The finished node holds nothing; its 10 W went to the rest.
+        assert ctl.store.grant_w == pytest.approx([0.0] + [40.0 / 3] * 3)
+        assert result.budget_violation_fraction() == 0.0
+
 
 class TestChurnFleet:
     def test_crashes_restarts_and_bound_hold(self):
@@ -271,3 +307,27 @@ class TestTelemetry:
         ]
         # Crashed budget shares move only when a reallocation lands.
         assert redistributes
+
+    @pytest.mark.parametrize("policy", ["equal", "demand"])
+    def test_budget_below_floors_emits_budget_infeasible(self, policy):
+        recorder = TelemetryRecorder()
+        events = []
+        recorder.bus.subscribe(events.append)
+        # 3 W per node against a 4 W floor: the floors cannot fit.
+        spec = FleetSpec(
+            nodes=16, budget_per_node_w=3.0,
+            scenario=_quiet_scenario(ticks=10),
+            allocator=policy, leaf_policy=policy,
+        )
+        assert spec.floor_w * spec.nodes > spec.budget_w
+        result = HierarchicalFleetController(spec, telemetry=recorder).run()
+        infeasible = [e for e in events if e.kind == "budget_infeasible"]
+        assert len(infeasible) == result.infeasible_events > 0
+        first = infeasible[0]
+        assert first.subtree == "cluster"
+        assert first.cap_w == pytest.approx(spec.budget_w)
+        assert first.floor_w == pytest.approx(spec.floor_w * spec.nodes)
+        assert first.live_nodes == spec.nodes
+        # The clamp holds the fleet to its budget instead of the floors.
+        for _, watts in result.power_series:
+            assert watts <= spec.budget_w + 1e-6

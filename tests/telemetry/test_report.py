@@ -16,11 +16,7 @@ from repro.telemetry import (
     load_report,
     render_report,
 )
-from repro.telemetry.bus import (
-    BudgetReallocated,
-    RunFinished,
-    RunStarted,
-)
+from repro.telemetry.bus import RunFinished, RunStarted, SubtreeReallocated
 from repro.telemetry.report import load_events
 
 _NAN = float("nan")
@@ -65,9 +61,9 @@ def _write_directory(path):
         freq=[1800.0, 1800.0, 1600.0],
     ))
     recorder.emit(
-        BudgetReallocated(
-            time_s=0.02, budget_w=30.0, demands_w={"a": 18.0},
-            grants_w={"a": 18.0}, active_nodes=1,
+        SubtreeReallocated(
+            time_s=0.02, subtree="cluster", cap_w=30.0, children=2,
+            reason="event",
         )
     )
     recorder.emit(
@@ -220,8 +216,7 @@ class TestRenderReport:
         text = render_report(tmp_path / "t")
         assert "ammp under PM" in text
         assert "3 ticks" in text
-        assert "budget reallocations" in text
-        assert "a=18.0W" in text
+        assert "  subtree_reallocation 1" in text
         assert "p-state residency (3 ticks in 1 runs):" in text
         assert " 1600 MHz     0.010 s  (33.3%)" in text
         assert "count 2  mean -0.500 W  min -0.500 W  max -0.500 W" in text

@@ -27,7 +27,6 @@ PUBLIC_MODULES = (
     "repro.analysis",
     "repro.fleet",
     "repro.fleet.budget",
-    "repro.fleet.controller",
     "repro.fleet.hierarchy",
     "repro.fleet.store",
     "repro.fleet.scenario",
