@@ -2,13 +2,15 @@
 
 from conftest import publish
 
-from repro.experiments import fig10_ps_energy
+from repro.experiments import fig10_ps_energy, run_section
 from repro.workloads.spec import CORE_BOUND_GROUP, MEMORY_BOUND_GROUP
 
 
 def test_fig10_ps_energy(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: fig10_ps_energy.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(fig10_ps_energy, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig10", fig10_ps_energy.render(result))
     order = result.sorted_names()

@@ -3,12 +3,14 @@ including the paper's exponent ablation (0.81 vs 0.59, §IV-B2)."""
 
 from conftest import publish
 
-from repro.experiments import fig11_ps_perf
+from repro.experiments import fig11_ps_perf, run_section
 
 
 def test_fig11_ps_perf(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: fig11_ps_perf.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(fig11_ps_perf, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig11", fig11_ps_perf.render(result))
 

@@ -2,14 +2,16 @@
 
 from conftest import publish
 
-from repro.experiments import fig1_power_variation
+from repro.experiments import fig1_power_variation, run_section
 from repro.exec import ExperimentConfig
 
 
 def test_fig1_power_variation(benchmark, results_dir):
     config = ExperimentConfig(scale=1.0)  # full runs to catch galgel bursts
     result = benchmark.pedantic(
-        lambda: fig1_power_variation.run(config), rounds=1, iterations=1
+        lambda: run_section(fig1_power_variation, config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig1", fig1_power_variation.render(result))
     # Paper: the range spans >35% of peak operating power.  Our mean

@@ -2,12 +2,14 @@
 
 from conftest import publish
 
-from repro.experiments import fig2_pstate_impact
+from repro.experiments import fig2_pstate_impact, run_section
 
 
 def test_fig2_pstate_impact(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: fig2_pstate_impact.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(fig2_pstate_impact, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig2", fig2_pstate_impact.render(result))
     swim = result.frequency_sensitivity("swim")

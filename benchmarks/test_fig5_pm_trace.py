@@ -2,14 +2,16 @@
 
 from conftest import publish
 
-from repro.experiments import fig5_pm_trace
+from repro.experiments import fig5_pm_trace, run_section
 from repro.exec import ExperimentConfig
 
 
 def test_fig5_pm_trace(benchmark, results_dir):
     config = ExperimentConfig(scale=1.0, keep_trace=True)
     result = benchmark.pedantic(
-        lambda: fig5_pm_trace.run(config), rounds=1, iterations=1
+        lambda: run_section(fig5_pm_trace, config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig5", fig5_pm_trace.render(result))
     # Each tighter limit lowers mean power and stretches runtime.

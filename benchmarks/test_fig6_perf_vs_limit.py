@@ -3,12 +3,14 @@ static clocking) together with the §IV-A2 violation analysis."""
 
 from conftest import publish
 
-from repro.experiments import fig6_perf_vs_limit
+from repro.experiments import fig6_perf_vs_limit, run_section
 
 
 def test_fig6_perf_vs_limit(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: fig6_perf_vs_limit.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(fig6_perf_vs_limit, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig6", fig6_perf_vs_limit.render(result))
     dynamic = result.dynamic_performance

@@ -6,12 +6,14 @@ over static 1800 MHz clocking.
 
 from conftest import publish
 
-from repro.experiments import fig7_pm_speedup
+from repro.experiments import fig7_pm_speedup, run_section
 
 
 def test_fig7_pm_speedup(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: fig7_pm_speedup.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(fig7_pm_speedup, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig7", fig7_pm_speedup.render(result))
     # Paper: 86%.  The shape criterion accepts the same regime.

@@ -2,14 +2,16 @@
 
 from conftest import publish
 
-from repro.experiments import fig8_ps_trace
+from repro.experiments import fig8_ps_trace, run_section
 from repro.exec import ExperimentConfig
 
 
 def test_fig8_ps_trace(benchmark, results_dir):
     config = ExperimentConfig(scale=1.0, keep_trace=True)
     result = benchmark.pedantic(
-        lambda: fig8_ps_trace.run(config), rounds=1, iterations=1
+        lambda: run_section(fig8_ps_trace, config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig8", fig8_ps_trace.render(result))
     # The floor holds and energy is saved even at full load.

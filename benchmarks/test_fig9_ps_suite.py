@@ -6,12 +6,14 @@ the 80% floor; 30.8% loss at the 60% floor (allowed 40%).
 
 from conftest import publish
 
-from repro.experiments import fig9_ps_suite
+from repro.experiments import fig9_ps_suite, run_section
 
 
 def test_fig9_ps_suite(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: fig9_ps_suite.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(fig9_ps_suite, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "fig9", fig9_ps_suite.render(result))
     # Every floor respected at suite level.

@@ -7,13 +7,13 @@ footprints.
 
 from conftest import publish
 
-from repro.experiments import hierarchy_probe
+from repro.experiments import hierarchy_probe, run_section
 from repro.exec import ExperimentConfig
 
 
 def test_hierarchy_probe(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: hierarchy_probe.run(ExperimentConfig(scale=0.3)),
+        lambda: run_section(hierarchy_probe, ExperimentConfig(scale=0.3)),
         rounds=1, iterations=1,
     )
     publish(results_dir, "hierarchy_probe", hierarchy_probe.render(result))

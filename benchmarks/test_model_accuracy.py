@@ -8,12 +8,14 @@ the error is guardband-sized, and galgel is the one hot outlier.
 
 from conftest import publish
 
-from repro.experiments import model_accuracy
+from repro.experiments import model_accuracy, run_section
 
 
 def test_model_accuracy(benchmark, bench_config, results_dir):
     result = benchmark.pedantic(
-        lambda: model_accuracy.run(bench_config), rounds=1, iterations=1
+        lambda: run_section(model_accuracy, bench_config),
+        rounds=1,
+        iterations=1,
     )
     publish(results_dir, "model_accuracy", model_accuracy.render(result))
     assert result.suite_mae_w < 1.0          # guardband-sized error

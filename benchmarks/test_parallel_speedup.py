@@ -19,7 +19,7 @@ from conftest import bench_scale, publish
 from repro.checkpoint.digest import run_result_digest
 from repro.exec import ExperimentConfig, GovernorSpec, RunPlan, open_session
 from repro.experiments.fig9_ps_suite import FLOORS
-from repro.experiments.runner import spec_suite
+from repro.experiments.suite import suite_names
 
 WORKERS = 4
 
@@ -27,7 +27,7 @@ WORKERS = 4
 def _sweep_plan() -> RunPlan:
     config = ExperimentConfig(scale=bench_scale(1.0), seed=0)
     return RunPlan.sweep(
-        (w.name for w in spec_suite(config)),
+        suite_names(),
         [GovernorSpec.ps(floor) for floor in FLOORS],
         config,
         seeds=(0, 100, 200),  # the median protocol's per-rep offsets

@@ -2,13 +2,13 @@
 
 from conftest import publish
 
-from repro.experiments import table4_static_freq
+from repro.experiments import table4_static_freq, run_section
 from repro.exec import ExperimentConfig
 
 
 def test_table4_static_frequencies(benchmark, results_dir):
     result = benchmark.pedantic(
-        lambda: table4_static_freq.run(ExperimentConfig()),
+        lambda: run_section(table4_static_freq, ExperimentConfig()),
         rounds=1,
         iterations=1,
     )

@@ -783,15 +783,14 @@ def _export_trace(result: RunResult, path: str) -> None:
 
 def _cmd_train(args) -> int:
     from repro.core.models.training import (
-        collect_training_data,
         exponent_error_curve,
         fit_performance_model,
-        fit_power_model,
         local_minima,
     )
+    from repro.exec.cache import trained_power_model, training_points
 
-    points = collect_training_data()
-    model = fit_power_model(points)
+    points = training_points()
+    model = trained_power_model()
     print("Table II (fitted vs paper):")
     for freq in model.frequencies_mhz:
         c = model.coefficients(freq)
@@ -885,9 +884,13 @@ def _experiment_runner(module_name: str) -> Callable[[float | None], str]:
     def run_it(scale: float | None) -> str:
         import importlib
 
+        from repro.experiments.runner import run_section
+
         module = importlib.import_module(f"repro.experiments.{module_name}")
         config = ExperimentConfig(scale=scale) if scale else None
-        return module.render(module.run(config))
+        if hasattr(module, "plan"):
+            return module.render(run_section(module, config))
+        return module.render(module.run(config))  # a drill
 
     return run_it
 

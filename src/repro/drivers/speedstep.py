@@ -136,8 +136,7 @@ class DomainSpeedStepDriver:
 
     When more than one domain exists, a domain-less ``set_pstate`` call
     is ambiguous and raises a pointed :class:`~repro.errors.DriverError`
-    instead of silently actuating every core -- the failure mode the
-    single-core ``cpufreq`` layer used to have.  With exactly one
+    instead of silently actuating every core.  With exactly one
     domain, domain 0 is the backward-compatible default.
     """
 

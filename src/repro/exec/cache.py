@@ -2,10 +2,9 @@
 
 Training the MS-Loops power model and measuring the FMA-256KB
 worst-case table are the two expensive derived artifacts every sweep
-needs; historically they were ``functools.lru_cache``'d inside
-``repro.experiments.runner``.  They live here now as explicit,
-exportable per-process caches so the worker pool can make every
-worker *inherit* them instead of re-deriving them per cell:
+needs.  They live here as explicit, exportable per-process caches so
+the worker pool can make every worker *inherit* them instead of
+re-deriving them per cell:
 
 * with a forked pool the parent primes the caches once and the workers
   inherit the filled dicts for free;
@@ -25,6 +24,9 @@ from typing import Dict, Iterable, Mapping
 from repro.core.models.power import LinearPowerModel
 from repro.platform.machine import MachineConfig
 from repro.workloads.base import Workload
+
+#: MS-Loops training points per experiment seed (default machine).
+_POINTS: Dict[int, tuple] = {}
 
 #: Trained power model per experiment seed.
 _MODELS: Dict[int, LinearPowerModel] = {}
@@ -103,8 +105,21 @@ def spec_workload(spec: str) -> Workload:
     return workload
 
 
+def training_points(seed: int = 0) -> tuple:
+    """The MS-Loops training set on the default machine (cached per
+    process): Table II, ``train`` and every trained model read it."""
+    points = _POINTS.get(seed)
+    if points is None:
+        from repro.core.models.training import collect_training_data
+
+        points = _POINTS[seed] = collect_training_data(
+            config=MachineConfig(seed=seed)
+        )
+    return points
+
+
 def trained_power_model(seed: int = 0) -> LinearPowerModel:
-    """The power model trained on MS-Loops (cached per process).
+    """The power model fit to :func:`training_points` (cached per process).
 
     Experiments use the *trained* model by default -- the paper trains
     on the microbenchmarks, then manages SPEC with the result.  The
@@ -113,13 +128,9 @@ def trained_power_model(seed: int = 0) -> LinearPowerModel:
     """
     model = _MODELS.get(seed)
     if model is None:
-        from repro.core.models.training import (
-            collect_training_data,
-            fit_power_model,
-        )
+        from repro.core.models.training import fit_power_model
 
-        points = collect_training_data(config=MachineConfig(seed=seed))
-        model = _MODELS[seed] = fit_power_model(points)
+        model = _MODELS[seed] = fit_power_model(training_points(seed))
     return model
 
 
@@ -267,6 +278,7 @@ def clear_caches() -> None:
     """Drop every cached artifact (tests only)."""
     from repro.platform.blockstep import clear_rate_templates
 
+    _POINTS.clear()
     _MODELS.clear()
     _WORST_CASE.clear()
     _TRACE_WORKLOADS.clear()

@@ -1,10 +1,11 @@
 """The cell execution engine: one :class:`RunCell` -> one ``RunResult``.
 
 This is the single code path every entry point funnels through --
-:class:`~repro.exec.session.ExecSession`, the suite drivers, the CLI's
-``run`` subcommand and the pool workers all call :func:`execute_cell`
-(or :func:`prepare_cell`), so a cell produces bit-identical results no
-matter which layer asked for it or which process it ran in.
+:class:`~repro.exec.session.ExecSession` (and so every experiment
+section), the CLI's ``run`` subcommand and the pool workers all call
+:func:`execute_cell` (or :func:`prepare_cell`), so a cell produces
+bit-identical results no matter which layer asked for it or which
+process it ran in.
 
 Resolution order for the cross-cutting options (telemetry, faults,
 adaptation, resilience): per-cell data beats explicit arguments beats

@@ -19,9 +19,8 @@ workers, and both produce bit-identical
 :func:`~repro.checkpoint.run_result_digest` values per cell because
 every source of randomness is derived from cell data alone.
 
-:class:`ExperimentConfig` lives here too (re-exported from its historic
-home :mod:`repro.experiments.runner`) so the experiments layer depends
-on the execution engine rather than the other way around.
+:class:`ExperimentConfig` lives here too so the experiments layer
+depends on the execution engine rather than the other way around.
 """
 
 from __future__ import annotations
@@ -390,9 +389,9 @@ class RunCell:
 
     ``group``/``rep`` tag cells that belong to one logical measurement
     (the paper's median-of-N protocol expands one measurement into
-    ``runs`` cells with seed offsets 100*i); the suite drivers use them
-    to regroup parallel results.  Per-cell ``fault_plan`` / ``adaptation``
-    / ``resilience`` override the plan-wide options when set.
+    ``runs`` cells with seed offsets 100*i).  Per-cell ``fault_plan`` /
+    ``adaptation`` / ``resilience`` override the plan-wide options when
+    set.
 
     ``threads`` > 1 routes the cell through the multicore execution
     path: a :class:`~repro.multicore.machine.MulticoreMachine` with
@@ -426,7 +425,7 @@ class RunCell:
 
         The run *starts* at the pinned frequency too -- otherwise the
         first tick would execute at P0 and bias short characterization
-        runs.  Replaces the retired ``experiments.runner.run_fixed``.
+        runs.
         """
         return cls(
             workload=workload,

@@ -15,8 +15,9 @@ option state in the package::
 out through :class:`~repro.campaign.dispatch.LeaseDispatcher` with
 bit-identical results.
 
-Code between the layers (suite drivers, ``median_run``) calls
-:func:`execute_cells`, which routes through the current session, and
+Code between the layers (the experiment sections'
+:func:`~repro.experiments.runner.execute_plans`) runs its cells on the
+current session (:func:`execute_cells` does the same for a list), and
 :func:`~repro.exec.core.execute_cell` takes every option it is not
 given from it -- so a CLI-level ``--workers 4 --faults F`` reaches
 sweeps built many layers below without those layers knowing.  A
@@ -110,11 +111,18 @@ class ExecSession:
         return self.run_plan(RunPlan(config=config, cells=tuple(cells)))
 
     def run_plan(self, plan: RunPlan) -> List[RunResult]:
-        """Execute a plan (serially or on the pool), in cell order.
+        """Execute a plan (serially or on the pool), in cell order."""
+        return list(self.iter_plan(plan))
 
+    def iter_plan(self, plan: RunPlan) -> Iterator[RunResult]:
+        """Yield a plan's results in cell order.
+
+        Serially, each cell runs when its result is asked for, so a
+        caller that drops results as it goes holds one at a time; on
+        the pool every cell runs before the first result is yielded.
         Plan-wide options the plan leaves unset come from this session,
-        so serial and pool execution see the same options.  While cells
-        run in process this session is the current one: each
+        so serial and pool execution see the same options.  While a
+        cell runs in process this session is the current one: each
         :func:`execute_cell` claims its checkpoint slot here and reads
         no other session.
         """
@@ -125,12 +133,13 @@ class ExecSession:
             resilience=_given(plan.resilience, self.resilience),
         )
         if self.parallel:
-            return self._run_pool(plan)
-        previous = current_session()
-        set_session(self)
-        try:
-            return [
-                execute_cell(
+            yield from self._run_pool(plan)
+            return
+        for cell in plan.cells:
+            previous = current_session()
+            set_session(self)
+            try:
+                result = execute_cell(
                     cell,
                     plan.config,
                     telemetry=self.telemetry,
@@ -138,10 +147,9 @@ class ExecSession:
                     adaptation=plan.adaptation,
                     resilience=plan.resilience,
                 )
-                for cell in plan.cells
-            ]
-        finally:
-            set_session(previous)
+            finally:
+                set_session(previous)
+            yield result
 
     def _run_pool(self, plan: RunPlan) -> List[RunResult]:
         """Fan ``plan`` out over a worker pool; results in cell order.
@@ -222,11 +230,10 @@ def execute_cells(
 ) -> List[RunResult]:
     """Execute cells through the current session (serial when none).
 
-    This is the seam mid-layer code (suite drivers, ``median_run``,
-    experiment modules) calls so that a session opened above them --
-    e.g. the CLI's ``--workers 4`` -- transparently parallelises their
-    sweeps.  Without a session the cells run in order, in process,
-    with no options beyond their own.
+    This is the seam mid-layer code calls so that a session opened
+    above it -- e.g. the CLI's ``--workers 4`` -- transparently
+    parallelises its sweeps.  Without a session the cells run in
+    order, in process, with no options beyond their own.
     """
     return (current_session() or ExecSession()).run_cells(cells, config)
 

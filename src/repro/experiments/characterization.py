@@ -14,6 +14,7 @@ from typing import Mapping
 
 from repro.analysis.report import TextTable
 from repro.exec.plan import ExperimentConfig
+from repro.experiments.runner import no_cells
 from repro.platform.calibration import (
     WorkloadSignature,
     ps_choice_for_signature,
@@ -48,9 +49,12 @@ class CharacterizationResult:
         )
 
 
-def run(config: ExperimentConfig | None = None) -> CharacterizationResult:
+#: No cells: the signatures are analytic.
+plan = no_cells
+
+
+def summarize(config: ExperimentConfig, results) -> CharacterizationResult:
     """Compute analytic signatures for the SPEC suite."""
-    del config  # analytic: no runs, no scale; kept for API uniformity
     return CharacterizationResult(signatures=suite_signatures())
 
 

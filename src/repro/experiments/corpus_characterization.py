@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exec.plan import ExperimentConfig
+from repro.experiments.runner import no_cells
 from repro.traces.characterize import (
     TraceCharacterization,
     characterize_traces,
@@ -34,10 +35,15 @@ class CorpusCharacterizationResult:
         return tuple(sorted(c.name for c in self.rows if c.memory_bound))
 
 
-def run(config: ExperimentConfig | None = None) -> CorpusCharacterizationResult:
-    """Characterize the default-seed corpus (analytic; no governed runs)."""
-    seed = config.seed if config is not None else 0
-    corpus = generate_corpus(seed=seed)
+#: No cells: the characterization is analytic.
+plan = no_cells
+
+
+def summarize(
+    config: ExperimentConfig, results
+) -> CorpusCharacterizationResult:
+    """Characterize the corpus generated at the experiment seed."""
+    corpus = generate_corpus(seed=config.seed)
     return CorpusCharacterizationResult(
         rows=characterize_traces(corpus.values())
     )

@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 
 from repro.analysis.report import TextTable
 from repro.core.models.performance import PerformanceModel
-from repro.exec.plan import GovernorSpec
-from repro.experiments.metrics import energy_savings, suite_energy_savings
 from repro.exec.plan import ExperimentConfig
-from repro.experiments.suite import run_suite_fixed, run_suite_governed
+from repro.experiments import fig9_ps_suite
+from repro.experiments.metrics import energy_savings, suite_energy_savings
+from repro.experiments.suite import take_suite
 from repro.experiments.fig9_ps_suite import FLOORS
 
 
@@ -40,25 +40,26 @@ class Fig10Result:
         )
 
 
-def run(
-    config: ExperimentConfig | None = None,
+#: Fig. 10 is drawn from Fig. 9's cells.
+plan = fig9_ps_suite.plan
+
+
+def summarize(
+    config: ExperimentConfig,
+    results,
     floors: Sequence[float] = FLOORS,
     model: PerformanceModel | None = None,
 ) -> Fig10Result:
-    """Regenerate Fig. 10."""
-    config = config or ExperimentConfig(scale=0.25)
-    model = model or PerformanceModel.paper_primary()
-
-    fullspeed = run_suite_fixed(2000.0, config)
-    slowest = run_suite_fixed(600.0, config)
+    """Fig. 10's per-workload savings."""
+    runs = iter(results)
+    fullspeed = take_suite(runs)
+    slowest = take_suite(runs)
     order = list(fullspeed)
 
     savings: dict[float, dict[str, float]] = {}
     allbench: dict[float, float] = {}
     for floor in floors:
-        governed = run_suite_governed(
-            GovernorSpec.ps(floor, performance_model=model), config
-        )
+        governed = take_suite(runs, config.runs)
         savings[floor] = {
             name: energy_savings(governed[name], fullspeed[name])
             for name in order

@@ -18,10 +18,10 @@ from typing import Mapping, Sequence
 
 from repro.analysis.report import TextTable
 from repro.core.models.performance import PerformanceModel
-from repro.exec.plan import GovernorSpec
+from repro.exec.plan import ExperimentConfig, RunPlan
+from repro.experiments import fig9_ps_suite
 from repro.experiments.metrics import performance_reduction
-from repro.exec.plan import ExperimentConfig
-from repro.experiments.suite import run_suite_fixed, run_suite_governed
+from repro.experiments.suite import take_suite
 from repro.experiments.fig9_ps_suite import FLOORS
 
 
@@ -52,30 +52,41 @@ class Fig11Result:
         )
 
 
-def run(
+def plan(
     config: ExperimentConfig | None = None,
     floors: Sequence[float] = FLOORS,
+) -> RunPlan:
+    """Fig. 9's cells, then the PS sweep again with the 0.59 exponent."""
+    first = fig9_ps_suite.plan(config, floors)
+    alternative = fig9_ps_suite.ps_sweep(
+        floors, first.config.runs, PerformanceModel.paper_alternative()
+    )
+    return RunPlan(config=first.config, cells=(*first.cells, *alternative))
+
+
+def summarize(
+    config: ExperimentConfig,
+    results,
+    floors: Sequence[float] = FLOORS,
 ) -> Fig11Result:
-    """Regenerate Fig. 11 with both Eq. 3 exponents."""
-    config = config or ExperimentConfig(scale=0.25)
-    fullspeed = run_suite_fixed(2000.0, config)
-    slowest = run_suite_fixed(600.0, config)
+    """Fig. 11 with both Eq. 3 exponents."""
+    runs = iter(results)
+    fullspeed = take_suite(runs)
+    slowest = take_suite(runs)
     order = list(fullspeed)
 
-    def sweep(model: PerformanceModel) -> dict[float, dict[str, float]]:
+    def sweep() -> dict[float, dict[str, float]]:
         out: dict[float, dict[str, float]] = {}
         for floor in floors:
-            governed = run_suite_governed(
-                GovernorSpec.ps(floor, performance_model=model), config
-            )
+            governed = take_suite(runs, config.runs)
             out[floor] = {
                 name: performance_reduction(governed[name], fullspeed[name])
                 for name in order
             }
         return out
 
-    primary = sweep(PerformanceModel.paper_primary())
-    alternative = sweep(PerformanceModel.paper_alternative())
+    primary = sweep()
+    alternative = sweep()
     bound = {
         name: performance_reduction(slowest[name], fullspeed[name])
         for name in order

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.analysis.report import TextTable
-from repro.analysis.stats import SeriesSummary, summarize
-from repro.exec.plan import ExperimentConfig
-from repro.experiments.suite import run_suite_fixed
+from repro.analysis.stats import SeriesSummary, summarize as summarize_series
+from repro.exec.plan import ExperimentConfig, RunPlan
+from repro.experiments.suite import suite_fixed, take_suite
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,19 @@ class Fig1Result:
         return self.spread_w / self.peak_power_w
 
 
-def run(config: ExperimentConfig | None = None) -> Fig1Result:
+def plan(config: ExperimentConfig | None = None) -> RunPlan:
+    """The suite at 2000 MHz."""
+    return RunPlan(
+        config=config or ExperimentConfig(scale=0.25),
+        cells=tuple(suite_fixed(2000.0)),
+    )
+
+
+def summarize(config: ExperimentConfig, results) -> Fig1Result:
     """Regenerate Fig. 1's data."""
-    config = config or ExperimentConfig(scale=0.25)
-    results = run_suite_fixed(2000.0, config)
     summaries = {
-        name: summarize([s.watts for s in result.samples])
-        for name, result in results.items()
+        name: summarize_series([s.watts for s in result.samples])
+        for name, result in take_suite(iter(results)).items()
     }
     mean_powers = [s.mean for s in summaries.values()]
     peak = max(s.maximum for s in summaries.values())

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.analysis.report import TextTable
-from repro.exec import ExperimentConfig, RunCell, execute_cell
-from repro.workloads.registry import get_workload
+from repro.exec import ExperimentConfig, RunCell, RunPlan
 
 #: The paper's three exemplars and three p-states.
 BENCHMARKS: Tuple[str, ...] = ("swim", "gap", "sixtrack")
@@ -35,17 +34,25 @@ class Fig2Result:
         return self.normalized[name][2000.0]
 
 
-def run(config: ExperimentConfig | None = None) -> Fig2Result:
+def plan(config: ExperimentConfig | None = None) -> RunPlan:
+    """Each exemplar pinned at each of the three p-states."""
+    return RunPlan(
+        config=config or ExperimentConfig(scale=0.25),
+        cells=tuple(
+            RunCell.fixed(name, freq)
+            for name in BENCHMARKS
+            for freq in FREQUENCIES_MHZ
+        ),
+    )
+
+
+def summarize(config: ExperimentConfig, results) -> Fig2Result:
     """Regenerate Fig. 2's data."""
-    config = config or ExperimentConfig(scale=0.25)
+    runs = iter(results)
     normalized: Dict[str, Dict[float, float]] = {}
     for name in BENCHMARKS:
-        workload = get_workload(name)
         durations = {
-            freq: execute_cell(
-                RunCell.fixed(workload, freq), config
-            ).duration_s
-            for freq in FREQUENCIES_MHZ
+            freq: next(runs).duration_s for freq in FREQUENCIES_MHZ
         }
         base = durations[1600.0]
         normalized[name] = {

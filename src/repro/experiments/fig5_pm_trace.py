@@ -17,13 +17,7 @@ from typing import Mapping
 
 from repro.analysis.report import TextTable, format_series
 from repro.core.controller import RunResult
-from repro.exec import (
-    ExperimentConfig,
-    GovernorSpec,
-    RunCell,
-    execute_cell,
-)
-from repro.workloads.registry import get_workload
+from repro.exec import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 
 #: The two power limits shown in the paper's figure.
 LIMITS_W = (14.5, 10.5)
@@ -41,19 +35,26 @@ class Fig5Result:
         return self.limited[limit_w].violation_fraction(limit_w)
 
 
-def run(config: ExperimentConfig | None = None) -> Fig5Result:
-    """Regenerate Fig. 5's three ammp runs (full traces kept)."""
-    config = config or ExperimentConfig(scale=1.0, keep_trace=True)
-    workload = get_workload("ammp")
-    unconstrained = execute_cell(RunCell.fixed(workload, 2000.0), config)
-    limited = {
-        limit: execute_cell(
-            RunCell(workload=workload, governor=GovernorSpec.pm(limit)),
-            config,
-        )
-        for limit in LIMITS_W
-    }
-    return Fig5Result(unconstrained=unconstrained, limited=limited)
+def plan(config: ExperimentConfig | None = None) -> RunPlan:
+    """ammp at 2000 MHz, then under PM at each limit."""
+    return RunPlan(
+        config=config or ExperimentConfig(scale=1.0, keep_trace=True),
+        cells=(
+            RunCell.fixed("ammp", 2000.0),
+            *(
+                RunCell(workload="ammp", governor=GovernorSpec.pm(limit))
+                for limit in LIMITS_W
+            ),
+        ),
+    )
+
+
+def summarize(config: ExperimentConfig, results) -> Fig5Result:
+    """Fig. 5's three ammp runs (full traces kept)."""
+    unconstrained, *limited = results
+    return Fig5Result(
+        unconstrained=unconstrained, limited=dict(zip(LIMITS_W, limited))
+    )
 
 
 def render(result: Fig5Result) -> str:

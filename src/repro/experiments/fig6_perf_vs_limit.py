@@ -21,10 +21,10 @@ from typing import Dict, Mapping, Sequence, Tuple
 from repro.analysis.report import TextTable
 from repro.core.controller import RunResult
 from repro.core.governors.static import static_frequency_for_limit
-from repro.exec import ExperimentConfig, GovernorSpec
+from repro.exec import ExperimentConfig, GovernorSpec, RunPlan
 from repro.exec.cache import worst_case_power_table
 from repro.experiments.metrics import suite_normalized_performance
-from repro.experiments.suite import run_suite_fixed, run_suite_governed
+from repro.experiments.suite import suite_fixed, suite_governed, take_suite
 from repro.experiments.table4_static_freq import POWER_LIMITS_W
 
 
@@ -55,30 +55,50 @@ class Fig6Result:
         return tuple(sorted(names))
 
 
-def run(
-    config: ExperimentConfig | None = None,
-    limits: Sequence[float] = POWER_LIMITS_W,
-) -> Fig6Result:
-    """Regenerate Fig. 6 (plus the §IV-A2 violation analysis)."""
-    config = config or ExperimentConfig(scale=0.25)
+def _static_frequencies(
+    config: ExperimentConfig, limits: Sequence[float]
+) -> Dict[float, float]:
+    """Limit -> Table IV static frequency."""
     worst_case = worst_case_power_table(seed=config.seed)
-
-    unconstrained = run_suite_fixed(2000.0, config)
-
-    # Static runs: one suite sweep per distinct static frequency.
-    static_freqs = {
+    return {
         limit: static_frequency_for_limit(limit, worst_case)
         for limit in limits
     }
-    fixed_cache: Dict[float, Dict[str, RunResult]] = {}
-    for freq in set(static_freqs.values()):
-        fixed_cache[freq] = run_suite_fixed(freq, config)
+
+
+def plan(
+    config: ExperimentConfig | None = None,
+    limits: Sequence[float] = POWER_LIMITS_W,
+) -> RunPlan:
+    """The suite at 2000 MHz, at each distinct static frequency, and
+    under PM at each limit."""
+    config = config or ExperimentConfig(scale=0.25)
+    cells = suite_fixed(2000.0)
+    for freq in set(_static_frequencies(config, limits).values()):
+        cells += suite_fixed(freq)
+    for limit in limits:
+        cells += suite_governed(GovernorSpec.pm(limit), config.runs)
+    return RunPlan(config=config, cells=tuple(cells))
+
+
+def summarize(
+    config: ExperimentConfig,
+    results,
+    limits: Sequence[float] = POWER_LIMITS_W,
+) -> Fig6Result:
+    """Fig. 6 (plus the §IV-A2 violation analysis)."""
+    runs = iter(results)
+    unconstrained = take_suite(runs)
+    static_freqs = _static_frequencies(config, limits)
+    fixed_cache: Dict[float, Dict[str, RunResult]] = {
+        freq: take_suite(runs) for freq in set(static_freqs.values())
+    }
 
     dynamic_perf: Dict[float, float] = {}
     static_perf: Dict[float, float] = {}
     violations: Dict[Tuple[float, str], float] = {}
     for limit in limits:
-        governed = run_suite_governed(GovernorSpec.pm(limit), config)
+        governed = take_suite(runs, config.runs)
         order = list(governed)
         dynamic_perf[limit] = suite_normalized_performance(
             [governed[n] for n in order], [unconstrained[n] for n in order]

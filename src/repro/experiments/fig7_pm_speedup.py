@@ -19,10 +19,10 @@ from typing import Mapping
 
 from repro.analysis.report import TextTable
 from repro.core.governors.static import static_frequency_for_limit
-from repro.exec import ExperimentConfig, GovernorSpec
+from repro.exec import ExperimentConfig, GovernorSpec, RunPlan
 from repro.exec.cache import worst_case_power_table
 from repro.experiments.metrics import achieved_speedup_fraction, speedup
-from repro.experiments.suite import run_suite_fixed, run_suite_governed
+from repro.experiments.suite import suite_fixed, suite_governed, take_suite
 
 #: The limit the paper's Fig. 7 is drawn at.
 LIMIT_W = 17.5
@@ -51,15 +51,32 @@ class Fig7Result:
         )
 
 
-def run(config: ExperimentConfig | None = None) -> Fig7Result:
-    """Regenerate Fig. 7's bars at the 17.5 W limit."""
-    config = config or ExperimentConfig(scale=0.25)
-    worst_case = worst_case_power_table(seed=config.seed)
-    static_freq = static_frequency_for_limit(LIMIT_W, worst_case)
+def _static_frequency(config: ExperimentConfig) -> float:
+    """Table IV's static frequency at :data:`LIMIT_W`."""
+    return static_frequency_for_limit(
+        LIMIT_W, worst_case_power_table(seed=config.seed)
+    )
 
-    static_runs = run_suite_fixed(static_freq, config)
-    unconstrained_runs = run_suite_fixed(2000.0, config)
-    pm_runs = run_suite_governed(GovernorSpec.pm(LIMIT_W), config)
+
+def plan(config: ExperimentConfig | None = None) -> RunPlan:
+    """The suite at the static frequency, at 2000 MHz, and under PM."""
+    config = config or ExperimentConfig(scale=0.25)
+    return RunPlan(
+        config=config,
+        cells=(
+            *suite_fixed(_static_frequency(config)),
+            *suite_fixed(2000.0),
+            *suite_governed(GovernorSpec.pm(LIMIT_W), config.runs),
+        ),
+    )
+
+
+def summarize(config: ExperimentConfig, results) -> Fig7Result:
+    """Fig. 7's bars at the 17.5 W limit."""
+    runs = iter(results)
+    static_runs = take_suite(runs)
+    unconstrained_runs = take_suite(runs)
+    pm_runs = take_suite(runs, config.runs)
 
     names = list(pm_runs)
     pm_speedups = {
@@ -78,7 +95,7 @@ def run(config: ExperimentConfig | None = None) -> Fig7Result:
         pm_speedup=pm_speedups,
         unconstrained_speedup=unconstrained_speedups,
         achieved_fraction=fraction,
-        static_frequency_mhz=static_freq,
+        static_frequency_mhz=_static_frequency(config),
     )
 
 

@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 from repro.analysis.report import TextTable, format_series
 from repro.core.controller import RunResult
-from repro.exec import (
-    ExperimentConfig,
-    GovernorSpec,
-    RunCell,
-    execute_cell,
-)
+from repro.exec import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 from repro.experiments.metrics import energy_savings, performance_reduction
-from repro.workloads.registry import get_workload
 
 #: The floor shown in the paper's figure.
 FLOOR = 0.80
@@ -44,14 +38,20 @@ class Fig8Result:
         return energy_savings(self.powersave, self.fullspeed)
 
 
-def run(config: ExperimentConfig | None = None) -> Fig8Result:
-    """Regenerate Fig. 8 (full trace kept)."""
-    config = config or ExperimentConfig(scale=1.0, keep_trace=True)
-    workload = get_workload("ammp")
-    fullspeed = execute_cell(RunCell.fixed(workload, 2000.0), config)
-    powersave = execute_cell(
-        RunCell(workload=workload, governor=GovernorSpec.ps(FLOOR)), config
+def plan(config: ExperimentConfig | None = None) -> RunPlan:
+    """ammp at 2000 MHz, then under PS at the floor."""
+    return RunPlan(
+        config=config or ExperimentConfig(scale=1.0, keep_trace=True),
+        cells=(
+            RunCell.fixed("ammp", 2000.0),
+            RunCell(workload="ammp", governor=GovernorSpec.ps(FLOOR)),
+        ),
     )
+
+
+def summarize(config: ExperimentConfig, results) -> Fig8Result:
+    """Fig. 8's two runs (full trace kept)."""
+    fullspeed, powersave = results
     return Fig8Result(powersave=powersave, fullspeed=fullspeed)
 
 

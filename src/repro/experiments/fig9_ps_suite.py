@@ -12,17 +12,16 @@ PS runs the full suite at floors 80/60/40/20%; the paper's checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.analysis.report import TextTable
 from repro.core.models.performance import PerformanceModel
-from repro.exec.plan import GovernorSpec
+from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 from repro.experiments.metrics import (
     suite_energy_savings,
     suite_performance_reduction,
 )
-from repro.exec.plan import ExperimentConfig
-from repro.experiments.suite import run_suite_fixed, run_suite_governed
+from repro.experiments.suite import suite_fixed, suite_governed, take_suite
 
 #: The paper's four floors.
 FLOORS: Tuple[float, ...] = (0.80, 0.60, 0.40, 0.20)
@@ -42,25 +41,55 @@ class Fig9Result:
         return self.reduction[floor] <= (1.0 - floor) + 1e-9
 
 
-def run(
+def ps_sweep(
+    floors: Sequence[float], runs: int, model: PerformanceModel | None = None
+) -> List[RunCell]:
+    """The suite under PS at each floor (default: the 0.81 exponent)."""
+    model = model or PerformanceModel.paper_primary()
+    cells: List[RunCell] = []
+    for floor in floors:
+        cells += suite_governed(
+            GovernorSpec.ps(floor, performance_model=model), runs
+        )
+    return cells
+
+
+def plan(
     config: ExperimentConfig | None = None,
     floors: Sequence[float] = FLOORS,
     model: PerformanceModel | None = None,
-) -> Fig9Result:
-    """Regenerate Fig. 9 (optionally with the 0.59-exponent model)."""
-    config = config or ExperimentConfig(scale=0.25)
-    model = model or PerformanceModel.paper_primary()
+) -> RunPlan:
+    """The suite at 2000 and 600 MHz, then under PS at each floor.
 
-    fullspeed = run_suite_fixed(2000.0, config)
-    slowest = run_suite_fixed(600.0, config)
+    Figs. 10 and 11 plan these cells too, so a report runs them once.
+    """
+    config = config or ExperimentConfig(scale=0.25)
+    return RunPlan(
+        config=config,
+        cells=(
+            *suite_fixed(2000.0),
+            *suite_fixed(600.0),
+            *ps_sweep(floors, config.runs, model),
+        ),
+    )
+
+
+def summarize(
+    config: ExperimentConfig,
+    results,
+    floors: Sequence[float] = FLOORS,
+    model: PerformanceModel | None = None,
+) -> Fig9Result:
+    """Fig. 9 (optionally with the 0.59-exponent model)."""
+    runs = iter(results)
+    fullspeed = take_suite(runs)
+    slowest = take_suite(runs)
     order = list(fullspeed)
 
     reduction: dict[float, float] = {}
     savings: dict[float, float] = {}
     for floor in floors:
-        governed = run_suite_governed(
-            GovernorSpec.ps(floor, performance_model=model), config
-        )
+        governed = take_suite(runs, config.runs)
         reduction[floor] = suite_performance_reduction(
             [governed[n] for n in order], [fullspeed[n] for n in order]
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.analysis.report import TextTable
-from repro.exec import ExperimentConfig, RunCell, execute_cell
+from repro.exec import ExperimentConfig, RunCell, RunPlan
 from repro.platform.caches import PENTIUM_M_755_GEOMETRY
 from repro.units import KIB, MIB
 from repro.workloads.microbenchmarks import build_microbenchmark, get_loop_spec
@@ -60,22 +60,37 @@ class HierarchyProbeResult:
         }
 
 
-def run(
+def plan(
     config: ExperimentConfig | None = None,
     frequency_mhz: float = 2000.0,
+) -> RunPlan:
+    """The latency probe, then the copy streamer, at each footprint."""
+    return RunPlan(
+        config=config or ExperimentConfig(scale=0.2),
+        cells=tuple(
+            RunCell.fixed(
+                build_microbenchmark(get_loop_spec(loop), footprint),
+                frequency_mhz,
+            )
+            for footprint in FOOTPRINTS_BYTES
+            for loop in ("MLOAD_RAND", "MCOPY")
+        ),
+    )
+
+
+def summarize(
+    config: ExperimentConfig,
+    results,
+    frequency_mhz: float = 2000.0,
 ) -> HierarchyProbeResult:
-    """Sweep the probes across footprints at ``frequency_mhz``."""
-    config = config or ExperimentConfig(scale=0.2)
+    """Latency and bandwidth per footprint at ``frequency_mhz``."""
     latency_spec = get_loop_spec("MLOAD_RAND")
     bandwidth_spec = get_loop_spec("MCOPY")
+    runs = iter(results)
     points = []
     for footprint in FOOTPRINTS_BYTES:
         level = PENTIUM_M_755_GEOMETRY.residency_level(footprint)
-
-        probe = build_microbenchmark(latency_spec, footprint)
-        probe_run = execute_cell(
-            RunCell.fixed(probe, frequency_mhz), config
-        )
+        probe_run = next(runs)
         # The probe issues `lines_per_instr` dependent loads per
         # instruction; each instruction takes 1/ips seconds, so the
         # per-access latency is the per-instruction time divided by the
@@ -84,10 +99,7 @@ def run(
         seconds_per_instr = 1.0 / probe_run.ips
         latency_ns = seconds_per_instr / latency_spec.lines_per_instr * 1e9
 
-        stream = build_microbenchmark(bandwidth_spec, footprint)
-        stream_run = execute_cell(
-            RunCell.fixed(stream, frequency_mhz), config
-        )
+        stream_run = next(runs)
         # MCOPY touches (reads + writes) its footprint line by line:
         # lines_per_instr * 64 B of fresh data per instruction.
         bytes_per_s = (

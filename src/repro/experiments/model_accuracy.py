@@ -28,6 +28,7 @@ from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSampler  # noqa: F401  (doc reference)
 from repro.exec import ExperimentConfig
 from repro.exec.cache import trained_power_model
+from repro.experiments.runner import no_cells
 from repro.platform.events import Event
 from repro.platform.machine import Machine
 from repro.workloads.registry import default_registry
@@ -63,13 +64,17 @@ class ModelAccuracyResult:
         return max(self.per_workload.values(), key=lambda s: s.bias_w)
 
 
-def run(
-    config: ExperimentConfig | None = None,
+#: No cells: summarize runs its own controllers.
+plan = no_cells
+
+
+def summarize(
+    config: ExperimentConfig,
+    results,
     frequency_mhz: float = 2000.0,
     model: LinearPowerModel | None = None,
 ) -> ModelAccuracyResult:
     """Measure per-sample model error for every SPEC benchmark."""
-    config = config or ExperimentConfig(scale=0.5)
     model = model or trained_power_model(seed=config.seed)
 
     per_workload: Dict[str, SampleErrorStats] = {}

@@ -3,7 +3,9 @@
 ``repro-power report`` (or :func:`generate`) runs all twelve paper
 artifacts plus the accuracy/characterization extensions and renders them
 into one markdown document -- the machine-generated companion to the
-hand-written EXPERIMENTS.md.
+hand-written EXPERIMENTS.md.  The sections' plans run as one
+(:func:`~repro.experiments.runner.execute_plans`): Figs. 9-11 share
+their cells, as do Figs. 6 and 7.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.exec.plan import ExperimentConfig
+from repro.experiments.runner import execute_plans
 
 #: (section title, experiment module, scale override or None)
 _SECTIONS: tuple[tuple[str, str, float | None], ...] = (
@@ -37,7 +40,8 @@ _SECTIONS: tuple[tuple[str, str, float | None], ...] = (
 
 @dataclass(frozen=True)
 class ReportSection:
-    """One rendered experiment with its wall-clock cost."""
+    """One rendered experiment with its wall-clock cost: the cells no
+    earlier section ran, its summary and its rendering."""
 
     title: str
     body: str
@@ -54,21 +58,25 @@ def generate(
     ``sections`` optionally restricts to module-name substrings (e.g.
     ``["fig7", "table4"]``).
     """
-    rendered: list[ReportSection] = []
+    selected = []
     for title, module_name, scale in _SECTIONS:
         if sections and not any(s in module_name for s in sections):
             continue
         module = importlib.import_module(
             f"repro.experiments.{module_name}"
         )
-        config = ExperimentConfig(
+        plan = module.plan(ExperimentConfig(
             scale=scale if scale is not None else default_scale,
             seed=seed,
             keep_trace=module_name.startswith(("fig5", "fig8")),
-        )
+        ))
+        selected.append((title, module, plan))
+
+    rendered: list[ReportSection] = []
+    all_results = execute_plans([plan for _, _, plan in selected])
+    for (title, module, plan), results in zip(selected, all_results):
         started = time.perf_counter()
-        result = module.run(config)
-        body = module.render(result)
+        body = module.render(module.summarize(plan.config, results))
         rendered.append(
             ReportSection(
                 title=title,

@@ -1,83 +1,75 @@
-"""SPEC-suite sweep helpers shared by the figure experiments.
+"""SPEC-suite plan builders shared by the figure sections.
 
-Both drivers are *plan builders*: they expand the sweep into a flat
-list of :class:`~repro.exec.RunCell` and hand it to
-:func:`repro.exec.execute_cells`, so an :func:`repro.exec.open_session`
-with ``workers=N`` above them (e.g. the CLI's ``experiment --workers``)
-fans the whole suite out over a process pool.  Cell order matches the
-historical serial call order, which keeps checkpoint slot numbering --
-and therefore resume compatibility -- identical.
+:func:`suite_fixed` and :func:`suite_governed` list a sweep's cells;
+:func:`take_suite` reads the same sweep back out of a section's
+results, applying the paper's median-of-``runs`` pick.  Cells name
+their workloads, so equal cells in different sections share one
+canonical spec and :func:`~repro.experiments.runner.execute_plans`
+runs them once.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterator, List
 
 from repro.core.controller import RunResult
 from repro.errors import ExperimentError
-from repro.exec.plan import GovernorSpec, RunCell, as_governor_spec
-from repro.exec.session import execute_cells
-from repro.exec.plan import ExperimentConfig, GovernorFactory
-from repro.experiments.runner import pick_median
+from repro.exec.plan import GovernorSpec, RunCell
 from repro.workloads.registry import default_registry
 
 
-def run_suite_fixed(
-    frequency_mhz: float, config: ExperimentConfig
-) -> Dict[str, RunResult]:
+def suite_names() -> tuple[str, ...]:
+    """The 26 SPEC CPU2000 benchmark names, in suite order."""
+    return tuple(w.name for w in default_registry().spec_suite())
+
+
+def suite_fixed(frequency_mhz: float) -> List[RunCell]:
     """Every SPEC benchmark pinned at one frequency."""
-    workloads = default_registry().spec_suite()
-    cells = [
-        RunCell(
-            workload=workload,
-            governor=GovernorSpec.fixed(frequency_mhz),
-            initial_frequency_mhz=frequency_mhz,
-            group=workload.name,
-        )
-        for workload in workloads
+    return [
+        RunCell.fixed(name, frequency_mhz, group=name)
+        for name in suite_names()
     ]
-    results = execute_cells(cells, config)
-    return {w.name: r for w, r in zip(workloads, results)}
 
 
-def run_suite_governed(
-    governor_factory: GovernorFactory | GovernorSpec,
-    config: ExperimentConfig,
-) -> Dict[str, RunResult]:
-    """Every SPEC benchmark under a fresh governor instance.
+def suite_governed(governor: GovernorSpec, runs: int) -> List[RunCell]:
+    """Every SPEC benchmark under ``governor``, ``runs`` times each.
 
-    Uses the paper's median-of-``config.runs`` protocol per benchmark.
-    The full benchmark x repetition cross product is one flat cell list
-    (so a 4-worker session keeps every worker busy across benchmark
-    boundaries); the median pick per benchmark happens afterwards.
+    Repetition ``rep`` runs with seed offset ``100 * rep``; the flat
+    benchmark x repetition list keeps every pool worker busy across
+    benchmark boundaries.
     """
-    if config.runs < 1:
+    if runs < 1:
         raise ExperimentError("need at least one run")
-    spec = as_governor_spec(governor_factory)
-    workloads = default_registry().spec_suite()
-    cells = [
+    return [
         RunCell(
-            workload=workload,
-            governor=spec,
+            workload=name,
+            governor=governor,
             seed_offset=100 * rep,
-            group=workload.name,
+            group=name,
             rep=rep,
         )
-        for workload in workloads
-        for rep in range(config.runs)
+        for name in suite_names()
+        for rep in range(runs)
     ]
-    results = execute_cells(cells, config)
-    out: Dict[str, RunResult] = {}
-    for index, workload in enumerate(workloads):
-        reps = results[index * config.runs:(index + 1) * config.runs]
-        out[workload.name] = pick_median(reps)
-    return out
 
 
-def suite_order(results: Dict[str, RunResult]) -> tuple[str, ...]:
-    """Benchmark names in canonical suite order present in ``results``."""
-    return tuple(
-        w.name
-        for w in default_registry().spec_suite()
-        if w.name in results
-    )
+def take_suite(
+    results: Iterator[RunResult], runs: int = 1
+) -> Dict[str, RunResult]:
+    """The next suite sweep in ``results``, by benchmark name.
+
+    Each benchmark's ``runs`` repetitions reduce to the one with the
+    median duration: "we employ the standard SPEC approach of executing
+    three times and reporting data from the run with the median
+    execution time" (paper §IV).
+    """
+    return {
+        name: pick_median([next(results) for _ in range(runs)])
+        for name in suite_names()
+    }
+
+
+def pick_median(results: List[RunResult]) -> RunResult:
+    """The median-duration result (paper §IV's selection rule)."""
+    ordered = sorted(results, key=lambda r: r.duration_s)
+    return ordered[len(ordered) // 2]

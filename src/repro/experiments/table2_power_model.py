@@ -17,7 +17,10 @@ from repro.core.models.training import (
     collect_training_data,
     fit_power_model,
 )
+from repro.exec.cache import trained_power_model, training_points
 from repro.exec.plan import ExperimentConfig
+from repro.experiments.runner import no_cells
+from repro.platform.machine import MachineConfig
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,23 @@ class Table2Result:
         )
 
 
-def run(config: ExperimentConfig | None = None) -> Table2Result:
-    """Regenerate Table II by training on MS-Loops."""
-    config = config or ExperimentConfig()
-    points = collect_training_data(
-        config=config.machine_config()
-    )
-    model = fit_power_model(points)
-    return Table2Result(model=model, points=points)
+#: No cells: training runs the MS-Loops outside the cell path.
+plan = no_cells
+
+
+def summarize(config: ExperimentConfig, results) -> Table2Result:
+    """Regenerate Table II by training on MS-Loops.
+
+    On the default machine this is the training set every trained-model
+    cell already uses, collected once per seed.
+    """
+    if config.machine == MachineConfig():
+        return Table2Result(
+            model=trained_power_model(config.seed),
+            points=training_points(config.seed),
+        )
+    points = collect_training_data(config=config.machine_config())
+    return Table2Result(model=fit_power_model(points), points=points)
 
 
 def render(result: Table2Result) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.analysis.report import TextTable
-from repro.exec import ExperimentConfig, RunCell, execute_cell
+from repro.exec import ExperimentConfig, RunCell, RunPlan
 from repro.workloads.microbenchmarks import worst_case_workload
 
 #: The paper's Table III (FMA-256KB measured power, watts).
@@ -40,17 +40,27 @@ class Table3Result:
         return abs(self.measured_w[frequency_mhz] - paper) / paper
 
 
-def run(config: ExperimentConfig | None = None) -> Table3Result:
-    """Measure FMA-256KB at every p-state."""
+def plan(config: ExperimentConfig | None = None) -> RunPlan:
+    """FMA-256KB pinned at every p-state."""
     config = config or ExperimentConfig(scale=3.0)
     workload = worst_case_workload()
-    measured = {
-        pstate.frequency_mhz: execute_cell(
-            RunCell.fixed(workload, pstate.frequency_mhz), config
-        ).mean_power_w
-        for pstate in config.table
-    }
-    return Table3Result(measured_w=measured)
+    return RunPlan(
+        config=config,
+        cells=tuple(
+            RunCell.fixed(workload, pstate.frequency_mhz)
+            for pstate in config.table
+        ),
+    )
+
+
+def summarize(config: ExperimentConfig, results) -> Table3Result:
+    """Measured mean power per p-state."""
+    return Table3Result(
+        measured_w={
+            pstate.frequency_mhz: result.mean_power_w
+            for pstate, result in zip(config.table, results)
+        }
+    )
 
 
 def render(result: Table3Result) -> str:

@@ -16,6 +16,7 @@ from repro.analysis.report import TextTable
 from repro.core.governors.static import static_frequency_for_limit
 from repro.exec import ExperimentConfig
 from repro.exec.cache import worst_case_power_table
+from repro.experiments.runner import no_cells
 
 #: The paper's eight power limits (watts).
 POWER_LIMITS_W: Tuple[float, ...] = (
@@ -51,9 +52,12 @@ class Table4Result:
         )
 
 
-def run(config: ExperimentConfig | None = None) -> Table4Result:
+#: No cells: the worst-case table is measured on its own.
+plan = no_cells
+
+
+def summarize(config: ExperimentConfig, results) -> Table4Result:
     """Derive Table IV from the measured Table III."""
-    config = config or ExperimentConfig()
     worst = worst_case_power_table(seed=config.seed)
     static = {
         limit: static_frequency_for_limit(limit, worst)

@@ -59,7 +59,6 @@ from repro.telemetry.bus import (
     BudgetInfeasible,
     FaultRecovered,
     NodeCrashed,
-    NodeFinished,
     NodeRestarted,
     PartitionDegraded,
     SubtreeOutage,
@@ -433,11 +432,6 @@ class HierarchicalFleetController:
             store.applied_w[node] = 0.0
             dirty_chassis.add(int(topo.chassis_of_node[node]))
             self._counters["finishes"] += 1
-            self._emit(NodeFinished(
-                time_s=now, node=topo.node_name(int(node)),
-                workload=self.engine.template_name(int(node)),
-                duration_s=float(store.up_ticks[node]) * sc.tick_s,
-            ))
 
     def _outage_transitions(self, tick: int, now: float) -> bool:
         """Enter/exit the scheduled rack outage; True = cluster dirty."""

@@ -38,7 +38,6 @@ from repro.core.sampling import CounterSample, CounterSampler, MultiplexedCounte
 from repro.errors import ExperimentError
 from repro.measurement.power_meter import PowerMeter
 from repro.multicore.machine import MulticoreMachine
-from repro.telemetry.bus import ThreadsReconfigured
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.base import Workload
 
@@ -223,18 +222,10 @@ class MulticoreController:
                         bus_utilization=tick.bus_utilization,
                     )
                     if proposal != machine.threads:
-                        before = machine.threads
                         machine.resplit(proposal)
                         threads_history.append(
                             (machine.now_s, machine.threads)
                         )
-                        if instrumented:
-                            tel.emit(ThreadsReconfigured(
-                                time_s=machine.now_s,
-                                from_threads=before,
-                                to_threads=machine.threads,
-                                bus_utilization=tick.bus_utilization,
-                            ))
 
                 if record:
                     lead_sample = domain_samples[0]

@@ -34,7 +34,6 @@ from repro.telemetry.bus import (
     FaultRecovered,
     LeaseExpired,
     NodeCrashed,
-    NodeFinished,
     NodeRestarted,
     PartitionDegraded,
     PStateTransition,
@@ -85,7 +84,6 @@ __all__ = [
     "SubtreeOutage",
     "PartitionDegraded",
     "BudgetInfeasible",
-    "NodeFinished",
     "FaultInjected",
     "FaultRecovered",
     "CellLeased",

@@ -254,16 +254,6 @@ class BudgetInfeasible(TelemetryEvent):
     kind: ClassVar[str] = "budget_infeasible"
 
 
-@dataclass(frozen=True)
-class NodeFinished(TelemetryEvent):
-    """A fleet node completed its workload and powered off."""
-
-    node: str
-    workload: str
-    duration_s: float
-
-    kind: ClassVar[str] = "node_finished"
-
 
 @dataclass(frozen=True)
 class FaultInjected(TelemetryEvent):
@@ -478,22 +468,6 @@ class CampaignResumed(TelemetryEvent):
 
     kind: ClassVar[str] = "campaign_resumed"
 
-
-@dataclass(frozen=True)
-class ThreadsReconfigured(TelemetryEvent):
-    """A multicore run changed its active thread count mid-flight.
-
-    Emitted by :class:`~repro.multicore.controller.MulticoreController`
-    when the online (threads, p-state) governor re-splits the remaining
-    instruction budget; ``bus_utilization`` is the shared-bus demand /
-    ceiling ratio that motivated the move.
-    """
-
-    from_threads: int
-    to_threads: int
-    bus_utilization: float
-
-    kind: ClassVar[str] = "threads_reconfigured"
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,21 @@ def test_execute_cells_routes_through_ambient_session():
     assert session.last_runner is not None  # it really went to the pool
 
 
+def test_iter_plan_runs_each_cell_when_its_result_is_taken(tmp_path):
+    plan = RunPlan(config=CONFIG, cells=CELLS)
+    with ExperimentCheckpointSession.create(
+        tmp_path / "ckpt", experiment="lazy"
+    ) as ckpt:
+        session = ExecSession(checkpoint=ckpt)
+        results = session.iter_plan(plan)
+        assert ckpt.archived_count == 0
+        first = next(results)
+        assert ckpt.archived_count == 1
+        assert current_session() is None  # current only while a cell runs
+        rest = list(results)
+    assert _digests([first, *rest]) == _digests(execute_cells(CELLS, CONFIG))
+
+
 def test_session_faults_change_results():
     with open_session() as session:
         clean = session.run_cells(CELLS, CONFIG)

@@ -8,7 +8,7 @@ the *shape criteria* of DESIGN.md §4 in CI time.
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, run_section
 from repro.experiments import (
     fig1_power_variation,
     fig2_pstate_impact,
@@ -29,27 +29,29 @@ FAST = ExperimentConfig(scale=0.12)
 
 @pytest.fixture(scope="module")
 def fig1():
-    return fig1_power_variation.run(FAST)
+    return run_section(fig1_power_variation, FAST)
 
 
 @pytest.fixture(scope="module")
 def fig6():
-    return fig6_perf_vs_limit.run(FAST, limits=(17.5, 13.5, 10.5))
+    return run_section(
+        fig6_perf_vs_limit, FAST, limits=(17.5, 13.5, 10.5)
+    )
 
 
 @pytest.fixture(scope="module")
 def fig7():
-    return fig7_pm_speedup.run(FAST)
+    return run_section(fig7_pm_speedup, FAST)
 
 
 @pytest.fixture(scope="module")
 def fig9():
-    return fig9_ps_suite.run(FAST, floors=(0.8, 0.4))
+    return run_section(fig9_ps_suite, FAST, floors=(0.8, 0.4))
 
 
 @pytest.fixture(scope="module")
 def fig11():
-    return fig11_ps_perf.run(FAST, floors=(0.8,))
+    return run_section(fig11_ps_perf, FAST, floors=(0.8,))
 
 
 class TestFig1:
@@ -75,7 +77,7 @@ class TestFig1:
 
 class TestFig2:
     def test_swim_flat_gap_between_sixtrack_linear(self):
-        result = fig2_pstate_impact.run(FAST)
+        result = run_section(fig2_pstate_impact, FAST)
         swim = result.frequency_sensitivity("swim")
         gap = result.frequency_sensitivity("gap")
         sixtrack = result.frequency_sensitivity("sixtrack")
@@ -87,27 +89,29 @@ class TestFig2:
 
 class TestTables:
     def test_table2_deviation_bounded(self):
-        result = table2_power_model.run(ExperimentConfig())
+        result = run_section(table2_power_model, ExperimentConfig())
         assert result.max_deviation < 0.25
         assert "Table II" in table2_power_model.render(result)
 
     def test_table3_shape(self):
-        result = table3_worst_case.run(ExperimentConfig(scale=1.0))
+        result = run_section(
+            table3_worst_case, ExperimentConfig(scale=1.0)
+        )
         powers = [result.measured_w[f] for f in sorted(result.measured_w)]
         assert powers == sorted(powers)
         assert result.deviation(2000.0) < 0.05
         assert "Table III" in table3_worst_case.render(result)
 
     def test_table4_matches_paper(self):
-        result = table4_static_freq.run(ExperimentConfig())
+        result = run_section(table4_static_freq, ExperimentConfig())
         assert result.matches_paper
         assert "match" in table4_static_freq.render(result)
 
 
 class TestFig5:
     def test_pm_trace_shape(self):
-        result = fig5_pm_trace.run(
-            ExperimentConfig(scale=0.4, keep_trace=True)
+        result = run_section(
+            fig5_pm_trace, ExperimentConfig(scale=0.4, keep_trace=True)
         )
         unconstrained = result.unconstrained
         tight = result.limited[10.5]
@@ -169,7 +173,9 @@ class TestFig7:
 
 class TestFig8:
     def test_ps_respects_floor_and_saves_energy(self):
-        result = fig8_ps_trace.run(ExperimentConfig(scale=0.4, keep_trace=True))
+        result = run_section(
+            fig8_ps_trace, ExperimentConfig(scale=0.4, keep_trace=True)
+        )
         assert result.reduction < 0.20
         assert result.savings > 0.05
         # PS modulates: memory phases at low frequency, compute high.
@@ -196,7 +202,7 @@ class TestFig9:
 
 class TestFig10:
     def test_memory_bound_saves_most(self):
-        result = fig10_ps_energy.run(FAST, floors=(0.8,))
+        result = run_section(fig10_ps_energy, FAST, floors=(0.8,))
         order = result.sorted_names()
         # Memory group concentrated on the high-savings side.
         memory_positions = [

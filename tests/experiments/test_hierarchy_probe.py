@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments import hierarchy_probe
+from repro.experiments import hierarchy_probe, run_section
 from repro.exec import ExperimentConfig
 
 
 @pytest.fixture(scope="module")
 def result():
-    return hierarchy_probe.run(ExperimentConfig(scale=0.1))
+    return run_section(hierarchy_probe, ExperimentConfig(scale=0.1))
 
 
 def test_three_latency_plateaus(result):
@@ -37,11 +37,11 @@ def test_plateaus_are_flat_within_level(result):
 
 
 def test_latency_plateau_tracks_frequency_for_on_chip_levels():
-    slow = hierarchy_probe.run(
-        ExperimentConfig(scale=0.1), frequency_mhz=1000.0
+    slow = run_section(
+        hierarchy_probe, ExperimentConfig(scale=0.1), frequency_mhz=1000.0
     ).latency_plateaus_ns()
-    fast = hierarchy_probe.run(
-        ExperimentConfig(scale=0.1), frequency_mhz=2000.0
+    fast = run_section(
+        hierarchy_probe, ExperimentConfig(scale=0.1), frequency_mhz=2000.0
     ).latency_plateaus_ns()
     # On-chip latency is fixed in cycles -> ns double at half the clock.
     assert slow["L1"] == pytest.approx(2 * fast["L1"], rel=0.05)

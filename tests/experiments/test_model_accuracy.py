@@ -3,13 +3,17 @@ characterization table."""
 
 import pytest
 
-from repro.experiments import characterization, model_accuracy
+from repro.experiments import (
+    characterization,
+    model_accuracy,
+    run_section,
+)
 from repro.exec import ExperimentConfig
 
 
 @pytest.fixture(scope="module")
 def accuracy():
-    return model_accuracy.run(ExperimentConfig(scale=0.15))
+    return run_section(model_accuracy, ExperimentConfig(scale=0.15))
 
 
 class TestModelAccuracy:
@@ -47,7 +51,7 @@ class TestModelAccuracy:
 class TestCharacterization:
     @pytest.fixture(scope="class")
     def result(self):
-        return characterization.run()
+        return run_section(characterization)
 
     def test_memory_class_matches_paper_grouping(self, result):
         memory = set(result.memory_class())

@@ -19,7 +19,7 @@ import pytest
 
 from repro.checkpoint.digest import run_result_digest
 from repro.exec import ExperimentConfig, GovernorSpec, RunPlan, open_session
-from repro.experiments.runner import spec_suite
+from repro.experiments.suite import suite_names
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("REPRO_PARALLEL_SMOKE"),
@@ -34,7 +34,7 @@ def _plan(scale: float) -> RunPlan:
     """The Fig. 9 campaign shape: suite x 4 floors x 3 reps."""
     config = ExperimentConfig(scale=scale, seed=0)
     return RunPlan.sweep(
-        (w.name for w in spec_suite(config)),
+        suite_names(),
         [GovernorSpec.ps(floor) for floor in (0.80, 0.60, 0.40, 0.20)],
         config,
         seeds=(0, 100, 200),

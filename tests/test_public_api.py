@@ -40,7 +40,6 @@ PUBLIC_MODULES = (
     "repro.multicore.workload",
     "repro.core.governors.energy_optimal",
     "repro.core.governors.threads_freq",
-    "repro.cpufreq",
     "repro.cli",
     "repro.telemetry",
     "repro.telemetry.bus",

@@ -78,9 +78,9 @@ class TestBatch:
 
 class TestExperiment:
     def test_corpus_experiment_renders(self):
-        from repro.experiments import corpus_characterization
+        from repro.experiments import corpus_characterization, run_section
 
-        result = corpus_characterization.run(None)
+        result = run_section(corpus_characterization)
         assert len(result.rows) >= 12
         assert len(result.by_family("web")) >= 3
         text = corpus_characterization.render(result)
