@@ -18,9 +18,9 @@ from repro import (
     Machine,
     MachineConfig,
     MulticoreConfig,
-    MulticoreController,
     MulticoreMachine,
     PerformanceModel,
+    PowerManagementController,
     corpus_trace,
     workload_from_trace,
 )
@@ -35,13 +35,13 @@ def run_config(workload, table, threads, frequency_mhz):
     machine = MulticoreMachine(MulticoreConfig(
         n_cores=N_CORES, machine=MachineConfig(seed=0),
     ))
-    controller = MulticoreController(
+    controller = PowerManagementController(
         machine, FixedFrequency(table, frequency_mhz), keep_trace=False,
     )
     return controller.run(
         workload,
-        threads=threads,
         initial_pstate=table.by_frequency(frequency_mhz),
+        threads=threads,
     )
 
 
@@ -58,8 +58,8 @@ def main() -> None:
     for threads in range(1, N_CORES + 1):
         for frequency in FREQUENCIES_MHZ:
             out = run_config(workload, table, threads, frequency)
-            epgi = out.result.true_energy_j / (out.result.instructions / 1e9)
-            gips = out.result.instructions / out.result.duration_s / 1e9
+            epgi = out.true_energy_j / (out.instructions / 1e9)
+            gips = out.instructions / out.duration_s / 1e9
             grid.append((epgi, threads, frequency, gips))
             print(f"{threads:>7} {frequency:>6.0f} {epgi:>8.2f} {gips:>7.2f}")
         print("-" * 32)

@@ -71,7 +71,6 @@ from repro.core import (
     EnergyDelayOptimizer,
     EnergyOptimalSearch,
     ThermalGuard,
-    ThreadsFreqGovernor,
     ThrottlingMaximizer,
     CounterSample,
     CounterSampler,
@@ -114,9 +113,7 @@ from repro.measurement import PowerMeter
 from repro.multicore import (
     ContentionModel,
     MulticoreConfig,
-    MulticoreController,
     MulticoreMachine,
-    MulticoreRunResult,
     split_workload,
 )
 from repro.supervise import RetryPolicy, Supervisor
@@ -241,12 +238,9 @@ __all__ = [
     # (threads x frequency) energy-optimal configuration governors.
     "ContentionModel",
     "MulticoreConfig",
-    "MulticoreController",
     "MulticoreMachine",
-    "MulticoreRunResult",
     "split_workload",
     "EnergyOptimalSearch",
-    "ThreadsFreqGovernor",
     "quickstart_pm",
     "quickstart_ps",
 ]

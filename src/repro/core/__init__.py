@@ -35,7 +35,6 @@ from repro.core.governors import (
     ThrottlingMaximizer,
     ConfigProjection,
     EnergyOptimalSearch,
-    ThreadsFreqGovernor,
 )
 from repro.core.controller import PowerManagementController, RunResult, TraceRow
 from repro.core.resilience import PowerReadingFilter, ResilienceConfig
@@ -60,7 +59,6 @@ __all__ = [
     "ThrottlingMaximizer",
     "ConfigProjection",
     "EnergyOptimalSearch",
-    "ThreadsFreqGovernor",
     "PowerManagementController",
     "RunResult",
     "TraceRow",

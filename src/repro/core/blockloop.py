@@ -1,8 +1,8 @@
 """The monitor->estimate->control loop: one fused tick kernel.
 
-Every single-core :class:`~repro.core.controller.PowerManagementController`
-run goes through :func:`run_fast`.  One Python loop holds the machine
-tick (segment math from the cached
+Every :class:`~repro.core.controller.PowerManagementController` run,
+single-core or multicore, goes through :func:`run_fast`.  One Python
+loop holds the machine tick (segment math from the cached
 :class:`~repro.platform.blockstep.RateTemplate` rows), the inlined meter
 and PMU updates and the governor's decision, all in local variables;
 no ``TickRecord``, ``ResolvedRates`` or ``EventRates`` is built per
@@ -35,11 +35,27 @@ inline takes its rate from ``resolve_rates``; a
 inner :class:`~repro.measurement.power_meter.PowerMeter` and corrupts
 the tick's closed samples right after the tick's physics.
 
+**Multicore lanes.**  A :class:`~repro.multicore.machine.MulticoreMachine`
+with N > 1 cores runs as N lanes of the same machine tick.  Each tick
+first reads every active core's uncontended bus demand and hands each
+lane its :class:`~repro.multicore.contention.ContentionModel` timing;
+the timing-dependent template fields of a contended lane are
+recomputed per tick (:func:`~repro.platform.blockstep.
+contended_templates`), never cached.  Then each unfinished lane loads
+its core's state into the locals, runs the tick body and stores it back
+(lead core last).  Finished and idle cores are padded with idle power to
+the slowest core's duration, the meter gets one package-mean segment,
+and the decision -- always hook mode -- runs on the lead core's sampler
+and the package driver.  A single-core run (or a one-core package) is
+one lane with no switch.
+
 **Bit-identical contract.**  The kernel reproduces the RNG variates,
 float operation order and side effects of the scalar reference loop it
-replaced (one ``Machine.step`` per tick); ``tests/core/golden_loop.json``
-freezes that loop's digests and telemetry bundles, and
-``tests/core/test_block_equivalence.py`` pins them.
+replaced (one ``Machine.step`` per tick) and of the lock-step multicore
+loop (one ``Machine.step`` per core per tick);
+``tests/core/golden_loop.json`` freezes those loops' digests and
+telemetry bundles, and ``tests/core/test_block_equivalence.py`` pins
+them.
 
 **Telemetry does not change the loop.**  An observed run, and a run
 that keeps its trace, appends each tick's values as plain floats to the
@@ -75,6 +91,7 @@ from repro.platform.blockstep import (
     _NEG_INV_P,
     _NEG_P,
     _SELECTOR,
+    contended_templates,
     rate_template,
 )
 from repro.platform.pipeline import (
@@ -83,6 +100,7 @@ from repro.platform.pipeline import (
     _OCCUPANCY_CAP,
     resolve_rates,
 )
+from repro.platform.power import idle_power
 from repro.telemetry.bus import ConstraintChanged
 
 #: Gaussian pre-draws per refill (even, so the meter's
@@ -120,24 +138,62 @@ def _programmed(pmu):
 
 def _table_mode(st) -> bool:
     """Whether ``st``'s governor decides from the kernel's tables: a
-    stock table governor over the machine's p-states, with no per-tick
-    hook."""
+    stock table governor over the machine's p-states, on one core, with
+    no per-tick hook."""
     governor = st.governor
     return (
         type(governor) in _GOVERNORS
+        and len(st.lanes) == 1
         and st.rt is None
         and not st.injecting
         and not st.adapting
         and st.schedule is None
         and type(st.sampler) is CounterSampler
-        and tuple(governor.table) == tuple(st.machine.config.table)
+        and tuple(governor.table) == tuple(st.lanes[0].config.table)
     )
 
 
-def _store(machine, cursor, pmu, meter, time_s, jitter_log, charged,
-           retired, into_phase, phase_index, cycles_int, cycle_res, res0,
-           res1, pmc0, pmc1, tsc, m_time, bucket_e, bucket_t):
-    """Write the kernel's machine, PMU and meter locals to the objects."""
+def _lane(machine):
+    """One core's fixed objects: the machine, its cursor, PMU, MSR
+    reader, DVFS, throttle, thermal model and jitter generator, its
+    instruction budget and finish line, and the generator's state at
+    the run's start."""
+    cursor = machine._cursor
+    total = cursor._workload.total_instructions
+    rng = machine._rng
+    return (
+        machine, cursor, machine.pmu, machine.msr.rdmsr, machine.dvfs,
+        machine.throttle, machine.thermal, rng.standard_normal, total,
+        total - 1e-9, rng.bit_generator.state,
+    )
+
+
+def _load(machine, cursor, pmu, rdmsr, dvfs, throttle):
+    """The kernel's machine and PMU locals, read from the objects."""
+    return (
+        machine._time_s,
+        machine._jitter_log,
+        machine._charged_dead_time_s,
+        dvfs.total_dead_time_s,
+        cursor._phase_index,
+        cursor._into_phase,
+        cursor._retired,
+        dvfs.current,
+        throttle.duty,
+        *_programmed(pmu),
+        pmu._cycles,
+        pmu._cycle_residual,
+        *pmu._residuals,
+        rdmsr(IA32_PMC0),
+        rdmsr(IA32_PMC1),
+        rdmsr(IA32_TIME_STAMP_COUNTER),
+    )
+
+
+def _store(machine, cursor, pmu, time_s, jitter_log, charged, retired,
+           into_phase, phase_index, cycles_int, cycle_res, res0, res1, pmc0,
+           pmc1, tsc):
+    """Write the kernel's machine and PMU locals to the objects."""
     machine._time_s = time_s
     machine._jitter_log = jitter_log
     machine._charged_dead_time_s = charged
@@ -152,7 +208,162 @@ def _store(machine, cursor, pmu, meter, time_s, jitter_log, charged,
     msr.poke(IA32_PMC0, pmc0)
     msr.poke(IA32_PMC1, pmc1)
     msr.poke(IA32_TIME_STAMP_COUNTER, tsc)
-    meter._time_s = m_time
+
+
+def _bus_demand(template, jitter_log):
+    """A core's uncontended bus traffic in bytes/s (``Machine.peek_rates``
+    ``bytes_per_s``) at ``template`` under jitter state ``jitter_log``."""
+    jitter = math.exp(jitter_log - template.half_sig2)
+    ips = template.hz / (
+        template.cpi_core / jitter + template.l2_stall_pi
+        + template.dram_stall_pi
+    )
+    if template.bytes_pi > 0:
+        ips = (ips**_NEG_P + template.bw_neg_p) ** _NEG_INV_P
+    return ips * template.bytes_pi
+
+
+def _rewind(rng, state, drawn, refills):
+    """Rewind ``rng`` to ``state``, then consume exactly what the run
+    used: ``refills`` chunks of which the last was read ``drawn`` deep
+    (one array draw lands the generator where that many scalar draws
+    would)."""
+    rng.bit_generator.state = state
+    used = (refills - 1) * _RNG_CHUNK + drawn
+    if used:
+        rng.standard_normal(used)
+
+
+def _meter_parts(meter):
+    """The power meter the kernel integrates into, and the fault pass to
+    run once per tick after the physics (None for a clean meter): a
+    :class:`~repro.faults.injector.FaultyPowerMeter` meters through its
+    inner meter."""
+    from repro.faults.injector import FaultyPowerMeter
+
+    if type(meter) is FaultyPowerMeter:
+        return meter._inner, meter._corrupt_new_samples
+    return meter, None
+
+
+class _Package:
+    """A multicore package's bookkeeping around its per-core lanes.
+
+    :meth:`begin` reads every active core's uncontended bus demand and
+    hands out this tick's contended timings; the kernel steps each lane
+    and records it with :meth:`finish`; :meth:`end` pads finished and
+    idle cores with idle power, meters the package mean once and
+    advances package time -- what the lock-step ``MulticoreMachine``
+    tick did.
+    """
+
+    def __init__(self, package, meter, sinks, template_rows, state_index):
+        self.package = package
+        self.cores = package.cores
+        #: One :func:`_lane` per active core; core 0 leads.
+        self.lanes = [_lane(core) for core in self.cores[: package.threads]]
+        config = self.cores[0].config
+        self.base = config.timing
+        self.constants = config.power
+        self.contention = package.config.contention
+        #: Template builder for a lane at a contended timing.
+        self.contended = contended_templates(self.base)
+        self.meter = meter
+        self.sinks = sinks
+        self.rows = template_rows
+        self.state_index = state_index
+        self.done = [lane[1].finished for lane in self.lanes]
+        #: Each lane's jitter chunk buffer: (buffer, drawn, refills).
+        self.jitter = [(None, _RNG_CHUNK, 0)] * len(self.lanes)
+        self.timings = ()
+        self.stepped = []
+
+    def begin(self):
+        """Set this tick's per-lane timings; returns the lanes to step,
+        lead core last (it is the one loaded for the decision, also once
+        it has finished)."""
+        demands = []
+        for lane, done in zip(self.lanes, self.done):
+            if done:
+                demands.append(0.0)
+                continue
+            # Machine.peek_rates at the base timing: the current phase
+            # and p-state, the previous tick's jitter.
+            core, cursor = lane[0], lane[1]
+            pstate = core.dvfs.current
+            row = self.rows[self.state_index[pstate]]
+            index = cursor._phase_index
+            template = row[index]
+            if template is None:
+                template = row[index] = rate_template(
+                    cursor._workload.phases[index], pstate, self.base,
+                    self.constants,
+                )
+            demands.append(_bus_demand(template, core._jitter_log))
+        self.timings = self.contention.effective_timings(self.base, demands)
+        self.note_bus(demands)
+        self.stepped = [None] * len(self.cores)
+        order = [
+            k for k in range(len(self.lanes) - 1, 0, -1) if not self.done[k]
+        ]
+        order.append(0)
+        return order
+
+    def note_bus(self, demands):
+        """Fold one tick's bus demands into the peak utilization."""
+        bus = self.contention.utilization(self.base, demands)
+        if bus > self.package.peak_bus_utilization:
+            self.package.peak_bus_utilization = bus
+
+    def finish(self, lane, elapsed, energy, instructions, done):
+        """Record one lane's tick."""
+        self.stepped[lane] = (elapsed, energy, instructions)
+        self.done[lane] = done
+
+    def end(self):
+        """Close the package tick.  Returns the package time, the tick's
+        duration, the lead core's sample interval, the package energy
+        and instructions, and the mean power the meter got."""
+        stepped = self.stepped
+        duration = max(out[0] for out in stepped if out is not None)
+        energy = 0.0
+        instructions = 0.0
+        # Core order, as the lock-step tick summed it.
+        for core, out in zip(self.cores, stepped):
+            if out is not None:
+                pad = duration - out[0]
+                energy += out[1]
+                instructions += out[2]
+            else:
+                pad = duration
+            if pad > 1e-15:
+                energy += idle_power(core.dvfs.current, self.constants) * pad
+        package = self.package
+        package._time_s += duration
+        power = energy / duration if duration > 0 else 0.0
+        self.meter.accumulate(power, duration)
+        for sink in self.sinks:
+            sink(power, duration)
+        lead = stepped[0]
+        return (
+            package._time_s,
+            duration,
+            lead[0] if lead is not None else duration,
+            energy,
+            instructions,
+            power,
+        )
+
+    def rewind(self):
+        """Rewind every lane's jitter generator (see :func:`run_fast`)."""
+        for lane, (buf, drawn, refills) in zip(self.lanes, self.jitter):
+            if buf is not None:
+                _rewind(lane[0]._rng, lane[-1], drawn, refills)
+
+
+def _store_meter(meter, time_s, bucket_e, bucket_t):
+    """Write the kernel's meter locals to the meter."""
+    meter._time_s = time_s
     meter._bucket_energy_j = bucket_e
     meter._bucket_time_s = bucket_t
 
@@ -178,11 +389,19 @@ def run_fast(st, tel):
     Object state is written back (``finally``) on the simulated-time
     limit raise and at loop exit, so final and error states are the
     same as after per-tick stepping.
-    """
-    from repro.core.controller import _TickTelemetry, _finish_run
-    from repro.faults.injector import FaultyPowerMeter
 
-    machine = st.machine
+    CPython addresses a local by a one-byte index; each access to a
+    local past the 256th costs an extra ``EXTENDED_ARG`` instruction,
+    and the last locals in source order are the table-mode decision's.
+    So setup-only values stay in expressions or helpers and the
+    multicore bookkeeping lives in :class:`_Package`: supporting lanes
+    adds no cost to a single-core tick.
+    """
+    from repro.core import controller
+
+    # A multicore package runs one lane per core; each tick steps its
+    # unfinished cores, then meters and decides for the package.
+    multi = len(st.lanes) > 1
     governor = st.governor
     meter = st.meter
     sampler = st.sampler
@@ -204,56 +423,57 @@ def run_fast(st, tel):
     track_temp = rt is not None or injecting or observe or keep_trace
     observe_power = getattr(governor, "observe_power", None)
 
+    # Lane 0 is the lead core: the one the governor samples.
+    (machine, cursor, pmu, rdmsr, dvfs, throttle, thermal, mach_std, total,
+     finish_line, jit_state0) = _lane(st.lanes[0])
     config = machine.config
-    cursor = machine._cursor
-    workload = cursor._workload
-    phases = workload.phases
+    # Every shard of a split workload runs the same phase cycle.
+    phases = cursor._workload.phases
     n_phases = len(phases)
-    total = workload.total_instructions
-    finish_line = total - 1e-9
     dt = config.tick_s
     dt_eps = dt - 1e-12
-    dvfs = machine.dvfs
-    throttle = machine.throttle
-    thermal = machine.thermal
-    timing = machine._timing
+    timing = config.timing
+    make_template = rate_template
     constants = config.power
     leak_power = constants.leakage.power
-    mach_std = machine._rng.standard_normal
     _exp = math.exp
     _new = object.__new__
-    duty = throttle.duty
 
-    table = config.table
-    states = tuple(table)
+    states = tuple(config.table)
     n_states = len(states)
     state_index = {state: i for i, state in enumerate(states)}
 
-    pstate = dvfs.current
+    # Machine / PMU state -> locals (written back at loop exit).
+    (time_s, jitter_log, charged, dead_total, phase_index, into_phase,
+     retired, pstate, duty, event0, event1, selector0, selector1, cycles_int,
+     cycle_res, res0, res1, pmc0, pmc1, tsc) = _load(
+        machine, cursor, pmu, rdmsr, dvfs, throttle
+    )
     current_index = state_index[pstate]
     freq = pstate.frequency_mhz
     freq_1e6 = freq * 1e6
 
-    # One template row per p-state, filled lazily per phase.
+    # One template row per p-state, filled lazily per phase, at the
+    # uncontended timing (shared by every lane).
     template_rows = [[None] * n_phases for _ in range(n_states)]
     templates = template_rows[current_index]
 
     gov_states = tuple(governor.table)
-    gtype = type(governor)
     mode = None
     if hooked:
         delivered = 0
-    elif gtype is PerformanceMaximizer:
+    elif type(governor) is PerformanceMaximizer:
         mode = 0
         proj_rows = governor.projection_table().rows
         budget_w = governor._limit - governor._guardband
         raise_window = governor._raise_window
         raise_streak = governor._raise_streak
-        pending = governor._pending_raise
         pending_index = (
-            state_index[pending] if pending is not None else None
+            state_index[governor._pending_raise]
+            if governor._pending_raise is not None
+            else None
         )
-    elif gtype is PowerSave:
+    elif type(governor) is PowerSave:
         mode = 1
         ps_proj = governor.projection_table()
         floor_plus_eps = governor._floor + 1e-12
@@ -261,7 +481,7 @@ def run_fast(st, tel):
         fastest_mhz = ps_proj.fastest_mhz
         fast_factor = ps_proj.fast_factor
         ascending_rows = ps_proj.ascending
-    elif gtype is DemandBasedSwitching:
+    elif type(governor) is DemandBasedSwitching:
         mode = 2
         up_threshold = governor._up
         down_threshold = governor._down
@@ -269,44 +489,18 @@ def run_fast(st, tel):
         mode = 3
         static_index = state_index[governor._pstate]
 
-    # Machine / PMU state -> locals (written back at loop exit).
-    time_s = machine._time_s
-    jitter_log = machine._jitter_log
-    charged = machine._charged_dead_time_s
-    dead_total = dvfs.total_dead_time_s
-    phase_index = cursor._phase_index
-    into_phase = cursor._into_phase
-    retired = cursor._retired
-
-    pmu = machine.pmu
-    msr = machine.msr
-    rdmsr = msr.rdmsr
-    event0, event1, selector0, selector1 = _programmed(pmu)
-    cycles_int = pmu._cycles
-    cycle_res = pmu._cycle_residual
-    res0, res1 = pmu._residuals
-    pmc0 = rdmsr(IA32_PMC0)
-    pmc1 = rdmsr(IA32_PMC1)
-    tsc = rdmsr(IA32_TIME_STAMP_COUNTER)
-
     # Meter state -> locals (PowerMeter.accumulate, inlined bodily).  A
     # faulty meter meters through its inner meter; its corruption pass
     # runs once per tick, after the physics.
-    if type(meter) is FaultyPowerMeter:
-        power_meter = meter._inner
-        corrupt = meter._corrupt_new_samples
-    else:
-        power_meter = meter
-        corrupt = None
+    power_meter, corrupt = _meter_parts(meter)
     # Sinks other than this run's meter (e.g. the meter of an earlier
     # controller on the same machine) are fed segment by segment.
     extra_sinks = tuple(
         sink
-        for sink in machine._power_sinks
+        for sink in st.machine._power_sinks
         if getattr(sink, "__self__", None) is not meter
     )
     m_interval = power_meter.interval_s
-    close_eps = m_interval - 1e-12
     sense = power_meter._sense
     adc = power_meter._adc
     supply = power_meter._supply_v
@@ -343,12 +537,30 @@ def run_fast(st, tel):
     jit_i = m_i = _RNG_CHUNK
     jit_refills = m_refills = 0
     # Chunk refills run each generator ahead of the per-draw script; the
-    # `finally` below rewinds to these states and re-consumes exactly
-    # the used counts (one array draw lands the generator in the same
-    # state as that many scalar draws), so post-loop consumers (the
-    # run-end meter flush) see exact streams.
-    jit_state0 = machine._rng.bit_generator.state
+    # `finally` below rewinds to the states at the run's start and
+    # re-consumes exactly the used counts, so post-loop consumers (the
+    # run-end meter flush) see exact streams.  Each lane keeps its own
+    # jitter buffer.
     m_state0 = sense._rng.bit_generator.state
+
+    lane = 0
+    tick_lanes = (0,)
+    # Whether any core of a multicore package still has work (the loaded
+    # core's locals alone decide a single-core run).
+    pending = False
+    # A multicore package (of any size) tracks its bus utilization.
+    pkg = None
+    if st.machine is not machine:
+        pkg = _Package(
+            st.machine, power_meter, extra_sinks, template_rows, state_index
+        )
+    if multi:
+        pending = not all(pkg.done)
+        # The package meters once per tick, so a lane's segments never
+        # close a meter sample nor feed the package's sinks.
+        m_interval = _INF
+        extra_sinks = ()
+    close_eps = m_interval - 1e-12
 
     # Current-p-state residency accumulates in a local; flushed to the
     # dict on p-state change and at loop exit.  A key is added only when
@@ -378,7 +590,7 @@ def run_fast(st, tel):
             if mode == 1:
                 ticks.rates[event1] = rates1 = array("d")
                 rate1_append = rates1.append
-        observer = _TickTelemetry(st, tel)
+        observer = controller._TickTelemetry(st, tel)
         transition = observer.transition
         emit = tel.emit
         target_append = ticks.target_mhz.append
@@ -397,7 +609,7 @@ def run_fast(st, tel):
 
     completed = False
     try:
-        while retired < finish_line:
+        while retired < finish_line or pending:
             if time_s > max_seconds:
                 raise ExperimentError(
                     f"{workload_name} under {governor.name} exceeded "
@@ -411,126 +623,57 @@ def run_fast(st, tel):
                         emit(ConstraintChanged(
                             time_s=time_s, label=change.label
                         ))
-            # ---- machine tick (mirrors Machine.step) ----
-            start_time = time_s
-            energy = 0.0
-            tick_instr = 0.0
-            elapsed = 0.0
-            pmc0_start = pmc0
-            pmc1_start = pmc1
-            cycles_start = cycles_int
+            if pkg is not None:
+                if multi:
+                    tick_lanes = pkg.begin()
+                else:
+                    # One core: no contention, but the package still
+                    # reports its bus utilization.
+                    template = templates[phase_index]
+                    if template is None:
+                        template = templates[phase_index] = rate_template(
+                            phases[phase_index], pstate, timing, constants
+                        )
+                    pkg.note_bus((_bus_demand(template, jitter_log),))
+            for lane in tick_lanes:
+                if multi:
+                    # ---- lane switch: objects -> locals ----
+                    (machine, cursor, pmu, rdmsr, dvfs, throttle, thermal,
+                     mach_std, total, finish_line, jit_state0) = pkg.lanes[lane]
+                    (time_s, jitter_log, charged, dead_total, phase_index,
+                     into_phase, retired, pstate, duty, event0, event1,
+                     selector0, selector1, cycles_int, cycle_res, res0, res1,
+                     pmc0, pmc1, tsc) = _load(
+                        machine, cursor, pmu, rdmsr, dvfs, throttle
+                    )
+                    jit_buf, jit_i, jit_refills = pkg.jitter[lane]
+                    current_index = state_index[pstate]
+                    freq = pstate.frequency_mhz
+                    if pkg.done[lane]:
+                        # A finished lead core is loaded for the decision
+                        # only; it reports no temperature or throttling.
+                        thermal = None
+                        duty = 1.0
+                        continue
+                    timing = pkg.timings[lane]
+                    if timing is config.timing:
+                        templates = template_rows[current_index]
+                        make_template = rate_template
+                    else:
+                        templates = [None] * n_phases
+                        make_template = pkg.contended
+                # ---- machine tick (mirrors Machine.step) ----
+                start_time = time_s
+                energy = 0.0
+                tick_instr = 0.0
+                elapsed = 0.0
+                pmc0_start = pmc0
+                pmc1_start = pmc1
+                cycles_start = cycles_int
 
-            template = templates[phase_index]
-            if template is None:
-                template = templates[phase_index] = rate_template(
-                    phases[phase_index], pstate, timing, constants
-                )
-            if template is not t_cur:
-                t_cur = template
-                t_hz = template.hz
-                t_cpi_core = template.cpi_core
-                t_l2_stall = template.l2_stall_pi
-                t_dram_stall = template.dram_stall_pi
-                t_bytes_pi = template.bytes_pi
-                t_bw_neg_p = template.bw_neg_p
-                t_bus_bw = template.bus_bw
-                t_dcu_occ = template.dcu_occupancy_pi
-                t_decode = template.decode_ratio
-                t_fp_ratio = template.fp_ratio
-                t_l2r = template.l2r_coeff
-                t_c_base = template.c_base
-                t_c_gate = template.c_gate
-                t_c_dpc_f = template.c_dpc_f
-                t_c_fp = template.c_fp
-                t_c_l2 = template.c_l2
-                t_c_bus = template.c_bus
-                t_v2f = template.v2f
-                t_static = template.static_w
-                t_idle_w = template.idle_w
-                t_freq_mhz = template.freq_mhz
-                t_instructions = template.instructions
-                t_phase_end = template.phase_end
-                t_sigma = template.sigma
-                t_rho = template.rho
-                t_jitter_scale = template.jitter_scale
-                t_half_sig2 = template.half_sig2
-
-            dead = dead_total - charged
-            if dead > 0:
-                if dead > dt:
-                    dead = dt
-                charged += dead
-                energy += t_idle_w * dead
-                # Inlined meter emit(t_idle_w, dead).
-                remaining_t = dead
-                while remaining_t > 0:
-                    room = m_interval - bucket_t
-                    chunk = remaining_t if remaining_t < room else room
-                    bucket_e += t_idle_w * chunk
-                    bucket_t += chunk
-                    m_time += chunk
-                    remaining_t -= chunk
-                    if bucket_t >= close_eps:
-                        true_mean = bucket_e / bucket_t
-                        true_current = true_mean / supply
-                        if batch_meter:
-                            if m_i == _RNG_CHUNK:
-                                m_buf = meter_std(_RNG_CHUNK).tolist()
-                                m_i = 0
-                                m_refills += 1
-                            s_noise = 0.0 + amp_noise * m_buf[m_i]
-                            a_noise = (
-                                0.0 + noise_floor * m_buf[m_i + 1]
-                            )
-                            m_i += 2
-                        else:
-                            s_noise = sense_normal(0.0, amp_noise)
-                            a_noise = adc_normal(0.0, noise_floor)
-                        v_sense = true_current * realized + s_noise
-                        sensed = (v_sense / nominal) * supply
-                        noisy = sensed + a_noise
-                        clipped = 0.0 if 0.0 > noisy else noisy
-                        if full_scale < clipped:
-                            clipped = full_scale
-                        measured_w = round(clipped / lsb) * lsb
-                        # Frozen-dataclass __init__ goes through
-                        # object.__setattr__ four times; filling the
-                        # instance dict directly builds an
-                        # indistinguishable object at half the cost.
-                        sample = _new(PowerSample)
-                        sdict = sample.__dict__
-                        sdict["time_s"] = m_time
-                        sdict["watts"] = measured_w
-                        sdict["true_watts"] = true_mean
-                        sdict["duration_s"] = bucket_t
-                        samples_append(sample)
-                        last_measured_w = measured_w
-                        n_samples += 1
-                        bucket_e = 0.0
-                        bucket_t = 0.0
-                if extra_sinks:
-                    for sink in extra_sinks:
-                        sink(t_idle_w, dead)
-                elapsed += dead
-
-            if t_sigma == 0.0:
-                jitter_log = 0.0
-                jitter = 1.0
-            else:
-                if jit_i == _RNG_CHUNK:
-                    jit_buf = mach_std(_RNG_CHUNK).tolist()
-                    jit_i = 0
-                    jit_refills += 1
-                innovation = 0.0 + t_jitter_scale * jit_buf[jit_i]
-                jit_i += 1
-                jitter_log = t_rho * jitter_log + innovation
-                jitter = _exp(jitter_log - t_half_sig2)
-            jitter_q = jitter**0.25
-
-            while elapsed < dt_eps and retired < finish_line:
                 template = templates[phase_index]
                 if template is None:
-                    template = templates[phase_index] = rate_template(
+                    template = templates[phase_index] = make_template(
                         phases[phase_index], pstate, timing, constants
                     )
                 if template is not t_cur:
@@ -562,174 +705,303 @@ def run_fast(st, tel):
                     t_rho = template.rho
                     t_jitter_scale = template.jitter_scale
                     t_half_sig2 = template.half_sig2
-                remaining = total - retired
-                if remaining < 0.0:
-                    remaining = 0.0
-                budget = t_instructions - into_phase
-                if remaining < budget:
-                    budget = remaining
 
-                # Inlined resolve_rates + ground_truth_power (bitwise:
-                # min(a, b) is ``b if b < a else a`` for float builtins).
-                cpi_latency = (
-                    t_cpi_core / jitter + t_l2_stall + t_dram_stall
-                )
-                ips = t_hz / cpi_latency
-                if t_bytes_pi > 0:
-                    ips = (ips**_NEG_P + t_bw_neg_p) ** _NEG_INV_P
-                    bus = ips * t_bytes_pi / t_bus_bw
-                    if bus > _OCCUPANCY_CAP:
-                        bus = _OCCUPANCY_CAP
-                else:
-                    bus = 0.0
-                ipc_rate = ips / t_hz
-                dcu_rate = t_dcu_occ * ipc_rate
-                if dcu_rate > DCU_OUTSTANDING_CAP:
-                    dcu_rate = DCU_OUTSTANDING_CAP
-                dpc_rate = t_decode * ipc_rate * jitter_q
-                if dpc_rate > DECODE_WIDTH:
-                    dpc_rate = DECODE_WIDTH
-                activity = (
-                    t_c_base
-                    * (
-                        1.0
-                        - t_c_gate * (dcu_rate if dcu_rate < 1.0 else 1.0)
-                    )
-                    + t_c_dpc_f * dpc_rate
-                    + t_c_fp * (t_fp_ratio * ipc_rate)
-                    + t_c_l2 * (t_l2r * ipc_rate)
-                    + t_c_bus * bus
-                )
-                if thermal is None:
-                    static = t_static
-                else:
-                    # Leakage at the package temperature.
-                    static = leak_power(
-                        pstate.voltage, thermal._temperature_c
-                    )
-                full_power = t_v2f * activity + static
-                power = (full_power - static) * duty + static
-                effective_ips = ips * duty
-                seg_time = budget / effective_ips
-                time_left = dt - elapsed
-                if time_left < seg_time:
-                    seg_time = time_left
-                seg_instr = effective_ips * seg_time
-                if budget < seg_instr:
-                    seg_instr = budget
-                seg_cycles = seg_time * t_freq_mhz * 1e6 * duty
+                dead = dead_total - charged
+                if dead > 0:
+                    if dead > dt:
+                        dead = dt
+                    charged += dead
+                    energy += t_idle_w * dead
+                    # Inlined meter emit(t_idle_w, dead).
+                    remaining_t = dead
+                    while remaining_t > 0:
+                        room = m_interval - bucket_t
+                        chunk = remaining_t if remaining_t < room else room
+                        bucket_e += t_idle_w * chunk
+                        bucket_t += chunk
+                        m_time += chunk
+                        remaining_t -= chunk
+                        if bucket_t >= close_eps:
+                            true_mean = bucket_e / bucket_t
+                            true_current = true_mean / supply
+                            if batch_meter:
+                                if m_i == _RNG_CHUNK:
+                                    m_buf = meter_std(_RNG_CHUNK).tolist()
+                                    m_i = 0
+                                    m_refills += 1
+                                s_noise = 0.0 + amp_noise * m_buf[m_i]
+                                a_noise = (
+                                    0.0 + noise_floor * m_buf[m_i + 1]
+                                )
+                                m_i += 2
+                            else:
+                                s_noise = sense_normal(0.0, amp_noise)
+                                a_noise = adc_normal(0.0, noise_floor)
+                            v_sense = true_current * realized + s_noise
+                            sensed = (v_sense / nominal) * supply
+                            noisy = sensed + a_noise
+                            clipped = 0.0 if 0.0 > noisy else noisy
+                            if full_scale < clipped:
+                                clipped = full_scale
+                            measured_w = round(clipped / lsb) * lsb
+                            # Frozen-dataclass __init__ goes through
+                            # object.__setattr__ four times; filling the
+                            # instance dict directly builds an
+                            # indistinguishable object at half the cost.
+                            sample = _new(PowerSample)
+                            sdict = sample.__dict__
+                            sdict["time_s"] = m_time
+                            sdict["watts"] = measured_w
+                            sdict["true_watts"] = true_mean
+                            sdict["duration_s"] = bucket_t
+                            samples_append(sample)
+                            last_measured_w = measured_w
+                            n_samples += 1
+                            bucket_e = 0.0
+                            bucket_t = 0.0
+                    if extra_sinks:
+                        for sink in extra_sinks:
+                            sink(t_idle_w, dead)
+                    elapsed += dead
 
-                cycle_res += seg_cycles
-                whole = int(cycle_res)
-                cycle_res -= whole
-                cycles_int += whole
-                tsc = (tsc + whole) & _M64
-                if selector0 is not None:
-                    if selector0 == 0:
-                        rate = dpc_rate
-                    elif selector0 == 1:
-                        rate = ipc_rate
-                    elif selector0 == 2:
-                        rate = dcu_rate
+                if t_sigma == 0.0:
+                    jitter_log = 0.0
+                    jitter = 1.0
+                else:
+                    if jit_i == _RNG_CHUNK:
+                        jit_buf = mach_std(_RNG_CHUNK).tolist()
+                        jit_i = 0
+                        jit_refills += 1
+                    innovation = 0.0 + t_jitter_scale * jit_buf[jit_i]
+                    jit_i += 1
+                    jitter_log = t_rho * jitter_log + innovation
+                    jitter = _exp(jitter_log - t_half_sig2)
+                jitter_q = jitter**0.25
+
+                while elapsed < dt_eps and retired < finish_line:
+                    template = templates[phase_index]
+                    if template is None:
+                        template = templates[phase_index] = make_template(
+                            phases[phase_index], pstate, timing, constants
+                        )
+                    if template is not t_cur:
+                        t_cur = template
+                        t_hz = template.hz
+                        t_cpi_core = template.cpi_core
+                        t_l2_stall = template.l2_stall_pi
+                        t_dram_stall = template.dram_stall_pi
+                        t_bytes_pi = template.bytes_pi
+                        t_bw_neg_p = template.bw_neg_p
+                        t_bus_bw = template.bus_bw
+                        t_dcu_occ = template.dcu_occupancy_pi
+                        t_decode = template.decode_ratio
+                        t_fp_ratio = template.fp_ratio
+                        t_l2r = template.l2r_coeff
+                        t_c_base = template.c_base
+                        t_c_gate = template.c_gate
+                        t_c_dpc_f = template.c_dpc_f
+                        t_c_fp = template.c_fp
+                        t_c_l2 = template.c_l2
+                        t_c_bus = template.c_bus
+                        t_v2f = template.v2f
+                        t_static = template.static_w
+                        t_idle_w = template.idle_w
+                        t_freq_mhz = template.freq_mhz
+                        t_instructions = template.instructions
+                        t_phase_end = template.phase_end
+                        t_sigma = template.sigma
+                        t_rho = template.rho
+                        t_jitter_scale = template.jitter_scale
+                        t_half_sig2 = template.half_sig2
+                    remaining = total - retired
+                    if remaining < 0.0:
+                        remaining = 0.0
+                    budget = t_instructions - into_phase
+                    if remaining < budget:
+                        budget = remaining
+
+                    # Inlined resolve_rates + ground_truth_power (bitwise:
+                    # min(a, b) is ``b if b < a else a`` for float builtins).
+                    cpi_latency = (
+                        t_cpi_core / jitter + t_l2_stall + t_dram_stall
+                    )
+                    ips = t_hz / cpi_latency
+                    if t_bytes_pi > 0:
+                        ips = (ips**_NEG_P + t_bw_neg_p) ** _NEG_INV_P
+                        bus = ips * t_bytes_pi / t_bus_bw
+                        if bus > _OCCUPANCY_CAP:
+                            bus = _OCCUPANCY_CAP
                     else:
-                        rate = resolve_rates(
-                            phases[phase_index], pstate, timing, jitter=jitter
-                        ).events.rate(event0)
-                    res0 += rate * seg_cycles
-                    increment = int(res0)
-                    res0 -= increment
-                    pmc0 = (pmc0 + increment) & _M40
-                if selector1 is not None:
-                    if selector1 == 0:
-                        rate = dpc_rate
-                    elif selector1 == 1:
-                        rate = ipc_rate
-                    elif selector1 == 2:
-                        rate = dcu_rate
+                        bus = 0.0
+                    ipc_rate = ips / t_hz
+                    dcu_rate = t_dcu_occ * ipc_rate
+                    if dcu_rate > DCU_OUTSTANDING_CAP:
+                        dcu_rate = DCU_OUTSTANDING_CAP
+                    dpc_rate = t_decode * ipc_rate * jitter_q
+                    if dpc_rate > DECODE_WIDTH:
+                        dpc_rate = DECODE_WIDTH
+                    activity = (
+                        t_c_base
+                        * (
+                            1.0
+                            - t_c_gate * (dcu_rate if dcu_rate < 1.0 else 1.0)
+                        )
+                        + t_c_dpc_f * dpc_rate
+                        + t_c_fp * (t_fp_ratio * ipc_rate)
+                        + t_c_l2 * (t_l2r * ipc_rate)
+                        + t_c_bus * bus
+                    )
+                    if thermal is None:
+                        static = t_static
                     else:
-                        rate = resolve_rates(
-                            phases[phase_index], pstate, timing, jitter=jitter
-                        ).events.rate(event1)
-                    res1 += rate * seg_cycles
-                    increment = int(res1)
-                    res1 -= increment
-                    pmc1 = (pmc1 + increment) & _M40
-                retired += seg_instr
-                into_phase += seg_instr
-                if into_phase >= t_phase_end:
-                    into_phase = 0.0
-                    phase_index = (phase_index + 1) % n_phases
-                if thermal is not None:
-                    thermal.advance(power, seg_time)
-                energy += power * seg_time
-                # Inlined meter emit(power, seg_time).
-                remaining_t = seg_time
-                while remaining_t > 0:
-                    room = m_interval - bucket_t
-                    chunk = remaining_t if remaining_t < room else room
-                    bucket_e += power * chunk
-                    bucket_t += chunk
-                    m_time += chunk
-                    remaining_t -= chunk
-                    if bucket_t >= close_eps:
-                        true_mean = bucket_e / bucket_t
-                        true_current = true_mean / supply
-                        if batch_meter:
-                            if m_i == _RNG_CHUNK:
-                                m_buf = meter_std(_RNG_CHUNK).tolist()
-                                m_i = 0
-                                m_refills += 1
-                            s_noise = 0.0 + amp_noise * m_buf[m_i]
-                            a_noise = (
-                                0.0 + noise_floor * m_buf[m_i + 1]
-                            )
-                            m_i += 2
+                        # Leakage at the package temperature.
+                        static = leak_power(
+                            pstate.voltage, thermal._temperature_c
+                        )
+                    full_power = t_v2f * activity + static
+                    power = (full_power - static) * duty + static
+                    effective_ips = ips * duty
+                    seg_time = budget / effective_ips
+                    time_left = dt - elapsed
+                    if time_left < seg_time:
+                        seg_time = time_left
+                    seg_instr = effective_ips * seg_time
+                    if budget < seg_instr:
+                        seg_instr = budget
+                    seg_cycles = seg_time * t_freq_mhz * 1e6 * duty
+
+                    cycle_res += seg_cycles
+                    whole = int(cycle_res)
+                    cycle_res -= whole
+                    cycles_int += whole
+                    tsc = (tsc + whole) & _M64
+                    if selector0 is not None:
+                        if selector0 == 0:
+                            rate = dpc_rate
+                        elif selector0 == 1:
+                            rate = ipc_rate
+                        elif selector0 == 2:
+                            rate = dcu_rate
                         else:
-                            s_noise = sense_normal(0.0, amp_noise)
-                            a_noise = adc_normal(0.0, noise_floor)
-                        v_sense = true_current * realized + s_noise
-                        sensed = (v_sense / nominal) * supply
-                        noisy = sensed + a_noise
-                        clipped = 0.0 if 0.0 > noisy else noisy
-                        if full_scale < clipped:
-                            clipped = full_scale
-                        measured_w = round(clipped / lsb) * lsb
-                        sample = _new(PowerSample)
-                        sdict = sample.__dict__
-                        sdict["time_s"] = m_time
-                        sdict["watts"] = measured_w
-                        sdict["true_watts"] = true_mean
-                        sdict["duration_s"] = bucket_t
-                        samples_append(sample)
-                        last_measured_w = measured_w
-                        n_samples += 1
-                        bucket_e = 0.0
-                        bucket_t = 0.0
-                if extra_sinks:
-                    for sink in extra_sinks:
-                        sink(power, seg_time)
-                tick_instr += seg_instr
-                elapsed += seg_time
+                            rate = resolve_rates(
+                                phases[phase_index], pstate, timing, jitter=jitter
+                            ).events.rate(event0)
+                        res0 += rate * seg_cycles
+                        increment = int(res0)
+                        res0 -= increment
+                        pmc0 = (pmc0 + increment) & _M40
+                    if selector1 is not None:
+                        if selector1 == 0:
+                            rate = dpc_rate
+                        elif selector1 == 1:
+                            rate = ipc_rate
+                        elif selector1 == 2:
+                            rate = dcu_rate
+                        else:
+                            rate = resolve_rates(
+                                phases[phase_index], pstate, timing, jitter=jitter
+                            ).events.rate(event1)
+                        res1 += rate * seg_cycles
+                        increment = int(res1)
+                        res1 -= increment
+                        pmc1 = (pmc1 + increment) & _M40
+                    retired += seg_instr
+                    into_phase += seg_instr
+                    if into_phase >= t_phase_end:
+                        into_phase = 0.0
+                        phase_index = (phase_index + 1) % n_phases
+                    if thermal is not None:
+                        thermal.advance(power, seg_time)
+                    energy += power * seg_time
+                    # Inlined meter emit(power, seg_time).
+                    remaining_t = seg_time
+                    while remaining_t > 0:
+                        room = m_interval - bucket_t
+                        chunk = remaining_t if remaining_t < room else room
+                        bucket_e += power * chunk
+                        bucket_t += chunk
+                        m_time += chunk
+                        remaining_t -= chunk
+                        if bucket_t >= close_eps:
+                            true_mean = bucket_e / bucket_t
+                            true_current = true_mean / supply
+                            if batch_meter:
+                                if m_i == _RNG_CHUNK:
+                                    m_buf = meter_std(_RNG_CHUNK).tolist()
+                                    m_i = 0
+                                    m_refills += 1
+                                s_noise = 0.0 + amp_noise * m_buf[m_i]
+                                a_noise = (
+                                    0.0 + noise_floor * m_buf[m_i + 1]
+                                )
+                                m_i += 2
+                            else:
+                                s_noise = sense_normal(0.0, amp_noise)
+                                a_noise = adc_normal(0.0, noise_floor)
+                            v_sense = true_current * realized + s_noise
+                            sensed = (v_sense / nominal) * supply
+                            noisy = sensed + a_noise
+                            clipped = 0.0 if 0.0 > noisy else noisy
+                            if full_scale < clipped:
+                                clipped = full_scale
+                            measured_w = round(clipped / lsb) * lsb
+                            sample = _new(PowerSample)
+                            sdict = sample.__dict__
+                            sdict["time_s"] = m_time
+                            sdict["watts"] = measured_w
+                            sdict["true_watts"] = true_mean
+                            sdict["duration_s"] = bucket_t
+                            samples_append(sample)
+                            last_measured_w = measured_w
+                            n_samples += 1
+                            bucket_e = 0.0
+                            bucket_t = 0.0
+                    if extra_sinks:
+                        for sink in extra_sinks:
+                            sink(power, seg_time)
+                    tick_instr += seg_instr
+                    elapsed += seg_time
 
-            time_s = start_time + elapsed
-            mean_power = energy / elapsed if elapsed > 0 else 0.0
+                time_s = start_time + elapsed
+                mean_power = energy / elapsed if elapsed > 0 else 0.0
+
+                if multi:
+                    # ---- lane switch: locals -> objects ----
+                    _store(
+                        machine, cursor, pmu, time_s, jitter_log, charged,
+                        retired, into_phase, phase_index, cycles_int,
+                        cycle_res, res0, res1, pmc0, pmc1, tsc,
+                    )
+                    pkg.jitter[lane] = (jit_buf, jit_i, jit_refills)
+                    pkg.finish(
+                        lane, elapsed, energy, tick_instr,
+                        retired >= finish_line,
+                    )
 
             # ---- accounting ----
+            if multi:
+                (time_s, duration, elapsed, energy, tick_instr,
+                 mean_power) = pkg.end()
+                n_samples = len(meter_samples)
+                res_acc += duration
+                pending = not all(pkg.done)
+            else:
+                res_acc += elapsed
             instructions += tick_instr
             true_energy += energy
             tick_freq = freq
             tick_pstate = pstate
-            res_acc += elapsed
 
             if hooked:
                 # ---- decision boundary: locals -> objects, then the
                 # decision block on the objects ----
                 _store(
-                    machine, cursor, pmu, power_meter, time_s, jitter_log,
-                    charged, retired, into_phase, phase_index, cycles_int,
-                    cycle_res, res0, res1, pmc0, pmc1, tsc, m_time,
-                    bucket_e, bucket_t,
+                    machine, cursor, pmu, time_s, jitter_log, charged,
+                    retired, into_phase, phase_index, cycles_int, cycle_res,
+                    res0, res1, pmc0, pmc1, tsc,
                 )
+                if not multi:
+                    _store_meter(power_meter, m_time, bucket_e, bucket_t)
                 # The objects are current until the re-read below; an
                 # error in between must not overwrite what the hooks did.
                 in_decision = True
@@ -962,23 +1234,21 @@ def run_fast(st, tel):
     finally:
         # Locals -> objects (also on the max_seconds raise and any
         # unexpected error, so nothing is ever left torn).
-        if jit_buf is not None:
-            machine._rng.bit_generator.state = jit_state0
-            used = (jit_refills - 1) * _RNG_CHUNK + jit_i
-            if used:
-                mach_std(used)
+        if multi:
+            pkg.jitter[lane] = (jit_buf, jit_i, jit_refills)
+            pkg.rewind()
+        elif jit_buf is not None:
+            _rewind(machine._rng, jit_state0, jit_i, jit_refills)
         if m_buf is not None:
-            sense._rng.bit_generator.state = m_state0
-            used = (m_refills - 1) * _RNG_CHUNK + m_i
-            if used:
-                meter_std(used)
+            _rewind(sense._rng, m_state0, m_i, m_refills)
         if not in_decision:
             _store(
-                machine, cursor, pmu, power_meter, time_s, jitter_log,
-                charged, retired, into_phase, phase_index, cycles_int,
-                cycle_res, res0, res1, pmc0, pmc1, tsc, m_time, bucket_e,
-                bucket_t,
+                machine, cursor, pmu, time_s, jitter_log, charged, retired,
+                into_phase, phase_index, cycles_int, cycle_res, res0, res1,
+                pmc0, pmc1, tsc,
             )
+            if not multi:
+                _store_meter(power_meter, m_time, bucket_e, bucket_t)
         if res_acc or freq in residency:
             residency[freq] = res_acc
         if not hooked:
@@ -998,4 +1268,4 @@ def run_fast(st, tel):
 
     st.instructions = instructions
     st.true_energy = true_energy
-    return _finish_run(st, tel, observer)
+    return controller._finish_run(st, tel, observer)

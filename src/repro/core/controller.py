@@ -14,7 +14,10 @@ runtime signals), feeds measured power back to adaptive governors, and
 returns a :class:`RunResult` with everything the experiments need:
 measured power samples, per-tick trace, residency and energy.  The loop
 itself is one fused tick kernel, :func:`repro.core.blockloop.run_fast`;
-this module builds its inputs (:class:`_RunState`) and its result.
+this module builds its inputs (:class:`_RunState`) and its result.  A
+:class:`~repro.multicore.machine.MulticoreMachine` runs through the same
+controller: the governor samples core 0 and actuates the package, and
+the kernel steps one lane per core.
 
 When a :class:`~repro.telemetry.TelemetryRecorder` is supplied the loop
 is fully observable.  Each tick's values -- counter sample, decision,
@@ -66,6 +69,7 @@ from repro.core.sampling import (
 )
 from repro.errors import ExperimentError, SensorFault, TransitionError
 from repro.measurement.power_meter import PowerMeter, PowerSample
+from repro.multicore.machine import MulticoreMachine
 from repro.platform.events import Event
 from repro.platform.machine import Machine
 from repro.telemetry.bus import (
@@ -278,7 +282,7 @@ class _ResilienceRuntime:
         self.config = config
         self._machine = machine
         self._tel = tel if (tel is not None and tel.enabled) else None
-        table = machine.config.table
+        table = machine.speedstep.table
         self.safe_pstate = (
             table.by_frequency(config.safe_frequency_mhz)
             if config.safe_frequency_mhz is not None
@@ -433,7 +437,7 @@ class PowerManagementController:
 
     def __init__(
         self,
-        machine: Machine,
+        machine: Machine | MulticoreMachine,
         governor: Governor,
         meter: PowerMeter | None = None,
         keep_trace: bool = True,
@@ -444,12 +448,19 @@ class PowerManagementController:
     ):
         self.machine = machine
         self.governor = governor
+        # A multicore package runs as one kernel lane per core.
+        self._lanes = (
+            machine.cores
+            if isinstance(machine, MulticoreMachine)
+            else (machine,)
+        )
+        lead = self._lanes[0].config
         meter = (
             meter
             if meter is not None
             else PowerMeter(
-                interval_s=machine.config.tick_s,
-                rng=np.random.default_rng(machine.config.seed + 1001),
+                interval_s=lead.tick_s,
+                rng=np.random.default_rng(lead.seed + 1001),
             )
         )
         self._injector = injector
@@ -468,13 +479,26 @@ class PowerManagementController:
         initial_pstate: PState | None = None,
         schedule: ConstraintSchedule | None = None,
         max_seconds: float = 600.0,
+        threads: int | None = None,
     ) -> RunResult:
-        """Run ``workload`` to completion under the governor."""
+        """Run ``workload`` to completion under the governor.
+
+        On a :class:`~repro.multicore.machine.MulticoreMachine` the
+        workload is split over ``threads`` cores (default: all of them)
+        and the governor samples core 0 and actuates the package.
+        """
         machine = self.machine
         governor = self.governor
         governor.reset()
-        start = initial_pstate if initial_pstate is not None else machine.config.table.fastest
-        machine.load(workload, initial_pstate=start)
+        start = (
+            initial_pstate
+            if initial_pstate is not None
+            else machine.speedstep.table.fastest
+        )
+        if threads is None:
+            machine.load(workload, initial_pstate=start)
+        else:
+            machine.load(workload, threads=threads, initial_pstate=start)
         # Governors needing more events than the two counters declare
         # event_groups and get a multiplexed sampler (one group per tick).
         tel = self._telemetry
@@ -505,6 +529,7 @@ class PowerManagementController:
 
         state = _RunState(
             machine=machine,
+            lanes=self._lanes,
             governor=governor,
             meter=self.meter,
             sampler=sampler,
@@ -534,7 +559,10 @@ class _RunState:
     accumulators back before :func:`_finish_run` builds the result.
     """
 
-    machine: Machine
+    machine: Machine | MulticoreMachine
+    #: The machines the kernel steps: the machine itself, or one per
+    #: core of a multicore package.
+    lanes: tuple[Machine, ...]
     governor: Governor
     meter: PowerMeter
     sampler: object

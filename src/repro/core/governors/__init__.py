@@ -27,7 +27,6 @@ from repro.core.governors.throttling_pm import ThrottlingMaximizer
 from repro.core.governors.component_pm import ComponentPerformanceMaximizer
 from repro.core.governors.energy_efficiency import EnergyDelayOptimizer
 from repro.core.governors.energy_optimal import ConfigProjection, EnergyOptimalSearch
-from repro.core.governors.threads_freq import ThreadsFreqGovernor
 
 __all__ = [
     "Governor",
@@ -45,5 +44,4 @@ __all__ = [
     "EnergyDelayOptimizer",
     "ConfigProjection",
     "EnergyOptimalSearch",
-    "ThreadsFreqGovernor",
 ]

@@ -88,34 +88,15 @@ class SpeedStepDriver:
         """The most recent transition result (None before any request)."""
         return self._last_transition
 
-    def set_pstate(
-        self, pstate: PState, domain: int | None = None
-    ) -> TransitionResult:
-        """Request a p-state through the PERF_CTL register path.
-
-        A plain driver owns exactly one p-state domain (domain 0);
-        ``domain`` exists so policy code can address single- and
-        multicore drivers uniformly.  Anything other than ``None`` / 0
-        is a caller bug and raises rather than silently actuating the
-        wrong package.
-        """
-        if domain not in (None, 0):
-            raise DriverError(
-                f"single-domain SpeedStep driver has no domain {domain!r}; "
-                "only domain 0 exists (use DomainSpeedStepDriver for "
-                "multi-domain machines)"
-            )
+    def set_pstate(self, pstate: PState) -> TransitionResult:
+        """Request a p-state through the PERF_CTL register path."""
         self._msr.wrmsr(IA32_PERF_CTL, encode_pstate(pstate))
         assert self._last_transition is not None
         return self._last_transition
 
-    def set_frequency(
-        self, frequency_mhz: float, domain: int | None = None
-    ) -> TransitionResult:
+    def set_frequency(self, frequency_mhz: float) -> TransitionResult:
         """Request the table p-state at exactly ``frequency_mhz``."""
-        return self.set_pstate(
-            self._dvfs.table.by_frequency(frequency_mhz), domain=domain
-        )
+        return self.set_pstate(self._dvfs.table.by_frequency(frequency_mhz))
 
     def _read_perf_status(self) -> int:
         return encode_pstate(self._dvfs.current)
@@ -126,84 +107,34 @@ class SpeedStepDriver:
 
 
 class DomainSpeedStepDriver:
-    """P-state actuation over explicit frequency domains.
+    """P-state actuation of a package whose cores share one p-state domain.
 
-    A multicore package exposes one or more p-state domains: on
-    package-level DVFS (the Pentium M-era reality) all cores share one
-    PLL/VRM and form a single domain; per-core DVFS gives each core its
-    own.  Each domain groups the member cores' single-core
-    :class:`SpeedStepDriver` instances and actuates them together.
-
-    When more than one domain exists, a domain-less ``set_pstate`` call
-    is ambiguous and raises a pointed :class:`~repro.errors.DriverError`
-    instead of silently actuating every core.  With exactly one
-    domain, domain 0 is the backward-compatible default.
+    On package-level DVFS (the Pentium M-era reality) all cores share one
+    PLL/VRM: one request retunes every core.  The driver fans each
+    request out to the member cores' single-core
+    :class:`SpeedStepDriver` instances, lead core first.
     """
 
-    def __init__(self, domains: Sequence[Sequence[SpeedStepDriver]]):
-        if not domains or any(not group for group in domains):
-            raise DriverError("every p-state domain needs at least one core")
-        self._domains = tuple(tuple(group) for group in domains)
-        tables = {id(group[0].table): group[0].table for group in self._domains}
-        if len(tables) > 1 and len({
-            tuple(t.frequencies_mhz) for t in tables.values()
-        }) > 1:
-            raise DriverError("all domains must share one p-state table")
-
-    @property
-    def n_domains(self) -> int:
-        """Number of independently actuatable frequency domains."""
-        return len(self._domains)
+    def __init__(self, drivers: Sequence[SpeedStepDriver]):
+        if not drivers:
+            raise DriverError("a p-state domain needs at least one core")
+        self._drivers = tuple(drivers)
 
     @property
     def table(self) -> PStateTable:
         """The shared p-state table."""
-        return self._domains[0][0].table
+        return self._drivers[0].table
 
-    def drivers(self, domain: int = 0) -> tuple[SpeedStepDriver, ...]:
-        """The member core drivers of ``domain``."""
-        self._check_domain(domain)
-        return self._domains[domain]
+    @property
+    def current_pstate(self) -> PState:
+        """Active p-state (the lead core's PERF_STATUS)."""
+        return self._drivers[0].current_pstate
 
-    def current_pstate(self, domain: int = 0) -> PState:
-        """Active p-state of ``domain`` (its lead core's PERF_STATUS)."""
-        self._check_domain(domain)
-        return self._domains[domain][0].current_pstate
-
-    def set_pstate(
-        self, pstate: PState, domain: int | None = None
-    ) -> TransitionResult:
-        """Actuate every core in ``domain``; returns the lead transition."""
-        domain = self._resolve_domain(domain)
-        results = [
-            driver.set_pstate(pstate) for driver in self._domains[domain]
-        ]
+    def set_pstate(self, pstate: PState) -> TransitionResult:
+        """Actuate every core; returns the lead core's transition."""
+        results = [driver.set_pstate(pstate) for driver in self._drivers]
         return results[0]
 
-    def set_frequency(
-        self, frequency_mhz: float, domain: int | None = None
-    ) -> TransitionResult:
-        """Actuate ``domain`` to the table p-state at ``frequency_mhz``."""
-        return self.set_pstate(
-            self.table.by_frequency(frequency_mhz), domain=domain
-        )
-
-    def _resolve_domain(self, domain: int | None) -> int:
-        if domain is None:
-            if len(self._domains) == 1:
-                return 0
-            raise DriverError(
-                "p-state actuation on a multicore machine needs an explicit "
-                f"domain id: this driver has {len(self._domains)} domains "
-                f"(valid ids 0..{len(self._domains) - 1}); a domain-less "
-                "call would silently retune every core"
-            )
-        self._check_domain(domain)
-        return domain
-
-    def _check_domain(self, domain: int) -> None:
-        if not isinstance(domain, int) or not 0 <= domain < len(self._domains):
-            raise DriverError(
-                f"unknown p-state domain {domain!r}; valid ids are "
-                f"0..{len(self._domains) - 1}"
-            )
+    def set_frequency(self, frequency_mhz: float) -> TransitionResult:
+        """Actuate the package to the table p-state at ``frequency_mhz``."""
+        return self.set_pstate(self.table.by_frequency(frequency_mhz))

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.core.controller import PowerManagementController, RunResult
 from repro.core.resilience import ResilienceConfig
-from repro.errors import PlanError
 from repro.exec.plan import ExperimentConfig, RunCell
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.multicore.controller import MulticoreController
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.machine import Machine
 from repro.telemetry.recorder import TelemetryRecorder
@@ -44,7 +42,7 @@ class PreparedCell:
     cell: RunCell
     config: ExperimentConfig
     machine: Machine | MulticoreMachine
-    controller: PowerManagementController | MulticoreController
+    controller: PowerManagementController
     governor: object
     injector: FaultInjector | None
     adaptation: AdaptationManager | None
@@ -65,13 +63,6 @@ class PreparedCell:
             tel.span("run") if tel is not None and tel.enabled
             else contextlib.nullcontext()
         ):
-            if isinstance(self.controller, MulticoreController):
-                return self.controller.run(
-                    workload,
-                    threads=cell.threads,
-                    initial_pstate=initial,
-                    max_seconds=config.max_seconds,
-                ).result
             return self.controller.run(
                 workload,
                 initial_pstate=initial,
@@ -108,46 +99,15 @@ def prepare_cell(
     if injector is not None and resil is None:
         # Injecting faults into an unhardened loop would just crash it.
         resil = ResilienceConfig()
-    if cell.threads > 1:
-        unsupported = [
-            name
-            for name, value in (
-                ("fault injection", injector),
-                ("adaptation", adapt),
-                ("resilience", resil),
-                ("constraint schedules", cell.schedule),
-            )
-            if value is not None
-        ]
-        if unsupported:
-            raise PlanError(
-                f"cell {cell.label}: multicore cells (threads > 1) do not "
-                f"support {', '.join(unsupported)}; drop those options or "
-                "run the cell single-threaded"
-            )
-        mc_machine = MulticoreMachine(MulticoreConfig(
-            n_cores=cell.threads,
-            machine=config.machine_config(cell.seed_offset),
-        ))
-        mc_governor = cell.governor.build(config.table, seed=config.seed)
-        mc_controller = MulticoreController(
-            mc_machine,
-            mc_governor,
-            keep_trace=config.keep_trace,
-            telemetry=tel,
+    machine_config = config.machine_config(cell.seed_offset)
+    machine = (
+        MulticoreMachine(
+            MulticoreConfig(n_cores=cell.threads, machine=machine_config)
         )
-        return PreparedCell(
-            cell=cell,
-            config=config,
-            machine=mc_machine,
-            controller=mc_controller,
-            governor=mc_governor,
-            injector=None,
-            adaptation=None,
-            telemetry=tel,
-        )
-    machine = Machine(config.machine_config(cell.seed_offset))
-    governor = cell.governor.build(machine.config.table, seed=config.seed)
+        if cell.threads > 1
+        else Machine(machine_config)
+    )
+    governor = cell.governor.build(config.table, seed=config.seed)
     controller = PowerManagementController(
         machine,
         governor,

@@ -80,7 +80,7 @@ class ExperimentConfig:
 #: Governor kinds a :class:`GovernorSpec` can describe declaratively.
 GOVERNOR_KINDS = (
     "pm", "adaptive-pm", "ps", "dbs", "fixed", "edp",
-    "energy-optimal", "threads-freq", "factory",
+    "energy-optimal", "factory",
 )
 
 #: Axis names :meth:`RunPlan.sweep_axes` accepts.
@@ -210,19 +210,6 @@ class GovernorSpec:
         )
 
     @classmethod
-    def threads_freq(
-        cls,
-        power_model: str | LinearPowerModel = "trained",
-        performance_model: PerformanceModel | None = None,
-    ) -> "GovernorSpec":
-        """ThreadsFreqGovernor (one-step (threads, p-state) walker)."""
-        return cls(
-            kind="threads-freq",
-            power_model=power_model,
-            performance_model=performance_model,
-        )
-
-    @classmethod
     def from_factory(cls, factory: GovernorFactory) -> "GovernorSpec":
         """Wrap a legacy governor factory callable."""
         return cls(kind="factory", factory=factory)
@@ -279,13 +266,6 @@ class GovernorSpec:
 
             perf = self.performance_model or PerformanceModel.paper_primary()
             return EnergyOptimalSearch(
-                table, self.resolve_power_model(seed), perf
-            )
-        if self.kind == "threads-freq":
-            from repro.core.governors.threads_freq import ThreadsFreqGovernor
-
-            perf = self.performance_model or PerformanceModel.paper_primary()
-            return ThreadsFreqGovernor(
                 table, self.resolve_power_model(seed), perf
             )
         if self.power_limit_w is None:
@@ -393,10 +373,10 @@ class RunCell:
     ``adaptation`` / ``resilience`` override the plan-wide options when
     set.
 
-    ``threads`` > 1 routes the cell through the multicore execution
-    path: a :class:`~repro.multicore.machine.MulticoreMachine` with
-    ``threads`` cores runs the workload split ``threads`` ways behind
-    the shared-bus contention model.
+    ``threads`` > 1 runs the cell on a
+    :class:`~repro.multicore.machine.MulticoreMachine` with ``threads``
+    cores: the workload split ``threads`` ways behind the shared-bus
+    contention model, with every option a single-core cell takes.
     """
 
     workload: str | Workload

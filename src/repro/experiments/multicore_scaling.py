@@ -29,13 +29,13 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.analysis.report import TextTable
+from repro.core.controller import PowerManagementController, RunResult
 from repro.core.governors.energy_optimal import EnergyOptimalSearch
 from repro.core.governors.unconstrained import FixedFrequency
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
 from repro.exec.plan import ExperimentConfig
 from repro.multicore.contention import ContentionModel
-from repro.multicore.controller import MulticoreController, MulticoreRunResult
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.machine import Machine
 from repro.platform.calibration import workload_signature
@@ -70,25 +70,27 @@ def _run_fixed(
     threads: int,
     frequency_mhz: float,
     config: ExperimentConfig,
-) -> MulticoreRunResult:
-    """One pinned-frequency run on an ``n_cores`` machine."""
+) -> tuple[RunResult, float]:
+    """One pinned-frequency run on an ``n_cores`` machine: its result
+    and peak bus utilization."""
     table = config.table
     machine = MulticoreMachine(MulticoreConfig(
         n_cores=n_cores, machine=config.machine_config(),
     ))
-    controller = MulticoreController(
+    controller = PowerManagementController(
         machine, FixedFrequency(table, frequency_mhz), keep_trace=False,
     )
-    return controller.run(
+    result = controller.run(
         workload,
-        threads=threads,
         initial_pstate=table.by_frequency(frequency_mhz),
         max_seconds=config.max_seconds,
+        threads=threads,
     )
+    return result, machine.peak_bus_utilization
 
 
-def _throughput_ips(out: MulticoreRunResult) -> float:
-    return out.result.instructions / out.result.duration_s
+def _throughput_ips(result: RunResult) -> float:
+    return result.instructions / result.duration_s
 
 
 def run(config: ExperimentConfig | None = None) -> Mapping[str, Any]:
@@ -117,8 +119,8 @@ def run(config: ExperimentConfig | None = None) -> Mapping[str, Any]:
         # -- Part A: single-core Eq. 3 projection vs measured scaling --
         rows = []
         for n in core_counts:
-            hi = _run_fixed(workload, n, n, 2000.0, config)
-            lo = _run_fixed(workload, n, n, PROJECTION_FREQ_MHZ, config)
+            hi, peak_bus = _run_fixed(workload, n, n, 2000.0, config)
+            lo, _ = _run_fixed(workload, n, n, PROJECTION_FREQ_MHZ, config)
             actual_ratio = _throughput_ips(lo) / _throughput_ips(hi)
             error_pct = 100.0 * abs(
                 predicted_ratio - actual_ratio
@@ -128,7 +130,7 @@ def run(config: ExperimentConfig | None = None) -> Mapping[str, Any]:
                 "actual_ratio": actual_ratio,
                 "predicted_ratio": predicted_ratio,
                 "error_pct": error_pct,
-                "peak_bus_utilization": hi.peak_bus_utilization,
+                "peak_bus_utilization": peak_bus,
             })
         projection[family] = rows
         baseline = rows[0]["error_pct"]
@@ -145,12 +147,12 @@ def run(config: ExperimentConfig | None = None) -> Mapping[str, Any]:
         grid = []
         for t in thread_counts:
             for f in GRID_FREQUENCIES_MHZ:
-                out = _run_fixed(workload, n_max, t, f, config)
+                out, _ = _run_fixed(workload, n_max, t, f, config)
                 grid.append({
                     "threads": t,
                     "frequency_mhz": f,
-                    "energy_per_gi_j": out.result.true_energy_j
-                    / (out.result.instructions / 1e9),
+                    "energy_per_gi_j": out.true_energy_j
+                    / (out.instructions / 1e9),
                     "throughput_ips": _throughput_ips(out),
                 })
         measured = min(grid, key=lambda cell: cell["energy_per_gi_j"])

@@ -1,7 +1,7 @@
 """Multicore platform: N pipeline models behind shared-resource contention.
 
 The paper's machine model (and Eq. 2-4) is single-core.  This package
-extends it to N cores the way open item 4 of the ROADMAP asks:
+extends it to N cores:
 
 - :mod:`repro.multicore.contention` -- a shared L2/DRAM contention
   model: per-tick bandwidth pressure from each core's memory-bound
@@ -13,27 +13,24 @@ extends it to N cores the way open item 4 of the ROADMAP asks:
   threads with a configurable serial fraction and synchronisation
   overhead (Amdahl-style).
 - :mod:`repro.multicore.machine` -- :class:`MulticoreMachine`, composing
-  N per-core :class:`~repro.platform.machine.Machine` instances with
-  package or per-core p-state domains behind a
+  N per-core :class:`~repro.platform.machine.Machine` instances in one
+  package p-state domain behind a
   :class:`~repro.drivers.speedstep.DomainSpeedStepDriver`.
-- :mod:`repro.multicore.controller` -- the multicore monitor ->
-  estimate -> control loop, mirroring
-  :class:`~repro.core.controller.PowerManagementController` tick for
-  tick (the 1-core digest-equality gate lives in
-  ``tests/multicore/test_machine.py``).
+
+There is no multicore loop: a
+:class:`~repro.core.controller.PowerManagementController` runs a
+``MulticoreMachine`` as one lane per core of the one tick kernel
+(:func:`repro.core.blockloop.run_fast`), so multicore runs take every
+hook a single-core run takes.
 """
 
 from repro.multicore.contention import ContentionModel
-from repro.multicore.controller import MulticoreController, MulticoreRunResult
-from repro.multicore.machine import MulticoreConfig, MulticoreMachine, MulticoreTick
+from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.multicore.workload import split_workload
 
 __all__ = [
     "ContentionModel",
     "MulticoreConfig",
-    "MulticoreController",
     "MulticoreMachine",
-    "MulticoreRunResult",
-    "MulticoreTick",
     "split_workload",
 ]

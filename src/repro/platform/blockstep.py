@@ -14,7 +14,9 @@ what that kernel needs from the platform side:
   ``ground_truth_power`` that depends only on (phase, p-state, timing,
   power constants) is precomputed once and cached process-wide (the
   cache is exported/installed across sweep workers by
-  :mod:`repro.exec.cache`).
+  :mod:`repro.exec.cache`).  A multicore core's contended timing is not
+  cached: :func:`contended_templates` recomputes only its
+  timing-dependent fields.
 * The soft-minimum exponents, counter masks and the event -> per-segment
   rate selector the kernel's PMU update uses.
 
@@ -29,6 +31,7 @@ floats bitwise.  The golden-digest suite
 from __future__ import annotations
 
 import math
+from copy import copy
 from dataclasses import dataclass
 from typing import Dict
 
@@ -120,6 +123,64 @@ def rate_template(
     return template
 
 
+def contended_templates(base: MemoryTiming):
+    """A template builder for contended variants of the ``base`` timing.
+
+    A contended :class:`~repro.platform.caches.MemoryTiming` is a new
+    value on almost every tick, so its templates are not cached: each
+    is the cached ``base`` row with its timing-dependent fields
+    recomputed.  Same signature as :func:`rate_template`.
+    """
+
+    def build(
+        phase: Phase,
+        pstate: PState,
+        timing: MemoryTiming,
+        constants: PowerModelConstants,
+    ) -> RateTemplate:
+        template = copy(rate_template(phase, pstate, base, constants))
+        (
+            template.l2_stall_pi,
+            template.dram_stall_pi,
+            template.bw_neg_p,
+            template.bus_bw,
+            template.dcu_occupancy_pi,
+        ) = _timing_fields(phase, pstate.frequency_mhz, timing)
+        return template
+
+    return build
+
+
+def _timing_fields(
+    phase: Phase, freq_mhz: float, timing: MemoryTiming
+) -> tuple[float, float, float, float, float]:
+    """The template fields that depend on the memory timing:
+    ``l2_stall_pi``, ``dram_stall_pi``, ``bw_neg_p``, ``bus_bw`` and
+    ``dcu_occupancy_pi``."""
+    l2_hit_mpi = max(0.0, phase.l1_mpi - phase.l2_mpi)
+    dram_cycles = timing.dram_latency_cycles(freq_mhz)
+    bytes_pi = _bytes_pi(phase)
+    if bytes_pi > 0:
+        ips_bandwidth = timing.bus_bandwidth_bytes_per_s / bytes_pi
+        bw_neg_p = ips_bandwidth ** _NEG_P
+    else:
+        bw_neg_p = 0.0
+    return (
+        l2_hit_mpi * timing.l2_latency_cycles / phase.l2_mlp,
+        phase.l2_mpi * dram_cycles / phase.mlp,
+        bw_neg_p,
+        timing.bus_bandwidth_bytes_per_s,
+        l2_hit_mpi * timing.l2_latency_cycles + phase.l2_mpi * dram_cycles,
+    )
+
+
+def _bytes_pi(phase: Phase) -> float:
+    """DRAM traffic per instruction (demand, prefetch, writeback)."""
+    line = 64.0
+    lines_pi = phase.l2_mpi + phase.prefetch_mpi
+    return lines_pi * line * (1.0 + _WRITEBACK_FRACTION)
+
+
 def _build_template(
     phase: Phase,
     pstate: PState,
@@ -127,34 +188,21 @@ def _build_template(
     constants: PowerModelConstants,
 ) -> RateTemplate:
     freq_mhz = pstate.frequency_mhz
-    l2_hit_mpi = max(0.0, phase.l1_mpi - phase.l2_mpi)
-    dram_cycles = timing.dram_latency_cycles(freq_mhz)
-    l2_stall_pi = l2_hit_mpi * timing.l2_latency_cycles / phase.l2_mlp
-    dram_stall_pi = phase.l2_mpi * dram_cycles / phase.mlp
-    hz = mhz_to_hz(freq_mhz)
-    line = 64.0
-    lines_pi = phase.l2_mpi + phase.prefetch_mpi
-    bytes_pi = lines_pi * line * (1.0 + _WRITEBACK_FRACTION)
-    if bytes_pi > 0:
-        ips_bandwidth = timing.bus_bandwidth_bytes_per_s / bytes_pi
-        bw_neg_p = ips_bandwidth ** _NEG_P
-    else:
-        bw_neg_p = 0.0
-    dcu_occupancy_pi = (
-        l2_hit_mpi * timing.l2_latency_cycles + phase.l2_mpi * dram_cycles
+    l2_stall_pi, dram_stall_pi, bw_neg_p, bus_bw, dcu_occupancy_pi = (
+        _timing_fields(phase, freq_mhz, timing)
     )
     f_ghz = pstate.frequency_ghz
     sigma = phase.activity_jitter
     rho = phase.jitter_corr
     return RateTemplate(
         freq_mhz=freq_mhz,
-        hz=hz,
+        hz=mhz_to_hz(freq_mhz),
         cpi_core=phase.cpi_core,
         l2_stall_pi=l2_stall_pi,
         dram_stall_pi=dram_stall_pi,
-        bytes_pi=bytes_pi,
+        bytes_pi=_bytes_pi(phase),
         bw_neg_p=bw_neg_p,
-        bus_bw=timing.bus_bandwidth_bytes_per_s,
+        bus_bw=bus_bw,
         dcu_occupancy_pi=dcu_occupancy_pi,
         decode_ratio=phase.decode_ratio,
         fp_ratio=phase.fp_ratio,

@@ -110,7 +110,6 @@ class Machine:
         self._jitter_log = 0.0
         self._charged_dead_time_s = 0.0
         self._power_sinks: List[Callable[[float, float], None]] = []
-        self._timing: MemoryTiming = self.config.timing
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -123,44 +122,15 @@ class Machine:
         self._cursor = workload.cursor()
         self._time_s = 0.0
         self._jitter_log = 0.0
-        self._timing = self.config.timing
         self.dvfs.reset(initial_pstate)
         self.throttle.reset()
         if self.thermal is not None:
             self.thermal.reset()
         self._charged_dead_time_s = self.dvfs.total_dead_time_s
 
-    def swap_workload(self, workload: Workload) -> None:
-        """Replace the instruction stream without resetting execution state.
-
-        Unlike :meth:`load`, time, the jitter process, the DVFS state and
-        dead-time accounting all continue -- this is the online
-        thread-reconfiguration hook: when a multicore run changes its
-        thread count mid-flight the remaining instruction budget is
-        re-split and swapped in on each core.
-        """
-        self._cursor = workload.cursor()
-
     def add_power_sink(self, sink: Callable[[float, float], None]) -> None:
         """Register a (power_watts, duration_s) consumer (the power meter)."""
         self._power_sinks.append(sink)
-
-    def set_effective_timing(self, timing: MemoryTiming) -> None:
-        """Override the memory timing the pipeline model resolves against.
-
-        This is the shared-resource contention hook: a
-        :class:`~repro.multicore.machine.MulticoreMachine` inflates each
-        core's effective miss latency / bandwidth share per tick from the
-        other cores' demand.  Passing ``config.timing`` (the default)
-        restores the uncontended single-core behaviour exactly --
-        :meth:`load` also resets to it.
-        """
-        self._timing = timing
-
-    @property
-    def effective_timing(self) -> MemoryTiming:
-        """The memory timing currently applied (contention-adjusted)."""
-        return self._timing
 
     # -- state -----------------------------------------------------------------
 
@@ -189,24 +159,17 @@ class Machine:
         """The active p-state."""
         return self.dvfs.current
 
-    def peek_rates(
-        self,
-        pstate: PState | None = None,
-        timing: MemoryTiming | None = None,
-    ) -> ResolvedRates:
+    def peek_rates(self, pstate: PState | None = None) -> ResolvedRates:
         """Ground-truth rates for the current phase at the current p-state.
 
         For analysis and oracle baselines only; governors must use the
-        PMU path.  ``pstate`` / ``timing`` override the active p-state or
-        the (possibly contention-adjusted) memory timing -- the multicore
-        contention model uses ``timing=config.timing`` to read each
-        core's *uncontended* bus demand before applying pressure.
+        PMU path.  ``pstate`` overrides the active p-state.
         """
         cursor = self._require_cursor()
         return resolve_rates(
             cursor.current_phase,
             pstate if pstate is not None else self.dvfs.current,
-            timing if timing is not None else self._timing,
+            self.config.timing,
             jitter=self._current_jitter(),
         )
 
@@ -221,7 +184,7 @@ class Machine:
         rates = resolve_rates(
             cursor.current_phase,
             pstate,
-            self._timing,
+            self.config.timing,
             jitter=self._current_jitter(),
         )
         temperature = (
@@ -275,7 +238,7 @@ class Machine:
         while elapsed < dt - 1e-12 and not cursor.finished:
             phase = cursor.current_phase
             rates = resolve_rates(
-                phase, self.dvfs.current, self._timing, jitter=jitter
+                phase, self.dvfs.current, self.config.timing, jitter=jitter
             )
             last_rates = rates
             budget = cursor.instructions_until_boundary()

@@ -10,7 +10,7 @@ bundles' event hashes (:func:`event_hashes`) were recorded while runs
 still published three events per tick; they hold for the one ``ticks``
 record per run that replaced them.
 
-Three families:
+Four families:
 
 * ``matrix/...`` -- the equivalence matrix: five governor archetypes x
   fault injection x online adaptation on gzip.
@@ -18,6 +18,11 @@ Three families:
   thermal machines, T-state throttling, the oracle, constraint
   schedules, multiplexed counters, measured-power governors, the
   resilience runtime under each fault family, and more.
+* ``multicore/...`` -- ``threads`` 2 and 4 x four governors on a
+  memory-, a mixed- and a core-bound workload, plus a thermal and a
+  jittered two-core cell.  Recorded on the multicore per-tick loop
+  (one ``Machine.step`` per core per tick under the contention model)
+  that the kernel's per-core lanes replaced.
 * ``bundle/...`` -- telemetry bundles (``events.jsonl`` as rare events
   and per-tick values, ``trace.csv``, ``metrics.json`` minus spans).
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
@@ -296,6 +302,46 @@ for _family, _plan in FAULT_FAMILIES.items():
             resilience=ResilienceConfig(),
         )
     )
+
+
+#: Full-length runs, so multicore cells cross phase boundaries and
+#: actuate.
+MULTICORE_CONFIG = ExperimentConfig(scale=1.0, seed=5, keep_trace=True)
+
+MULTICORE_GOVERNORS = {
+    "pm": GovernorSpec.pm(14.5),
+    "ps": GovernorSpec.ps(0.8),
+    "energy-optimal": GovernorSpec.energy_optimal(),
+    "fixed": GovernorSpec.fixed(1400.0),
+}
+
+
+def _multicore(governor, workload, threads, **machine):
+    """One ``threads``-core cell; ``machine`` holds extra
+    :class:`MachineConfig` fields."""
+    config = MULTICORE_CONFIG
+    if machine:
+        config = replace(config, machine=MachineConfig(**machine))
+    return lambda: execute_cell(
+        RunCell(workload=workload, governor=governor, threads=threads),
+        config,
+    )
+
+
+for _workload in ("swim", "ammp", "crafty"):
+    for _threads in (2, 4):
+        for _name, _spec in MULTICORE_GOVERNORS.items():
+            CELLS[f"multicore/{_workload}/t{_threads}/{_name}"] = _multicore(
+                _spec, _workload, _threads
+            )
+CELLS["multicore/thermal-pm"] = _multicore(
+    MULTICORE_GOVERNORS["pm"], "ammp", 2, **HOT
+)
+#: galgel's bursty phases draw a jitter innovation on every core, every
+#: tick.
+CELLS["multicore/jittered-ps"] = _multicore(
+    MULTICORE_GOVERNORS["ps"], "galgel", 2
+)
 
 
 def _bundle(name, keep_trace, faults=False):

@@ -33,6 +33,7 @@ from .golden_cells import (
 GOLDEN = load_fixture()
 
 CASES = sorted(key for key in CELLS if key.startswith("case/"))
+MULTICORE = sorted(key for key in CELLS if key.startswith("multicore/"))
 
 
 def _check(key):
@@ -57,6 +58,16 @@ def test_case_digest_matches_scalar(key):
     throttling, the oracle, schedules, multiplexed counters, measured
     power, resilience under every fault family) runs on the kernel and
     reproduces the scalar loop's digest."""
+    _check(key)
+
+
+@pytest.mark.parametrize(
+    "key", MULTICORE, ids=[key.split("/", 1)[1] for key in MULTICORE]
+)
+def test_multicore_digest_matches_lockstep_loop(key):
+    """A ``threads > 1`` cell runs as per-core lanes of the kernel and
+    reproduces the digest of the lock-step multicore loop (one
+    ``Machine.step`` per core per tick) it replaced."""
     _check(key)
 
 

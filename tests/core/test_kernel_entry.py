@@ -1,11 +1,11 @@
-"""Every single-core controller run enters the fused kernel exactly once.
+"""Every controller run enters the fused kernel exactly once.
 
 Spies on :func:`repro.core.blockloop.run_fast`,
 :meth:`PowerManagementController.run` and :meth:`Machine.step` while
-every golden cell runs, plus the three single-core per-tick-hook
-variants of the benchmark's PM mix.  There is no second loop: each
-controller run is one kernel entry, and no controller run steps the
-machine through ``Machine.step``.
+every golden cell (single-core and multicore) runs, plus the per-tick
+hook variants of the benchmark's PM mix.  There is no second loop: each
+controller run is one kernel entry, and no controller run steps a
+machine, or a multicore package's cores, through ``Machine.step``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,20 @@ PM_MIXED = RunPlan(
             RunCell(workload, GovernorSpec.pm(14.5),
                     adaptation=AdaptationConfig()),
             RunCell(workload, GovernorSpec.adaptive_pm(14.5)),
+        )
+    ),
+)
+
+
+#: The PM mix's two-core variants.
+PM_MIXED_MULTICORE = RunPlan(
+    ExperimentConfig(scale=0.1, seed=0),
+    tuple(
+        cell
+        for workload in ("ammp", "galgel")
+        for cell in (
+            RunCell(workload, GovernorSpec.pm(14.5), threads=2),
+            RunCell(workload, GovernorSpec.energy_optimal(), threads=2),
         )
     ),
 )
@@ -101,4 +115,12 @@ def test_pm_mixed_single_core_variants_enter_kernel(spies):
         results = session.run_plan(PM_MIXED)
     assert len(results) == len(PM_MIXED)
     assert spies["kernel"] == spies["runs"] == len(PM_MIXED)
+    assert spies["steps"] == 0
+
+
+def test_pm_mixed_multicore_variants_enter_kernel(spies):
+    with open_session() as session:
+        results = session.run_plan(PM_MIXED_MULTICORE)
+    assert len(results) == len(PM_MIXED_MULTICORE)
+    assert spies["kernel"] == spies["runs"] == len(PM_MIXED_MULTICORE)
     assert spies["steps"] == 0

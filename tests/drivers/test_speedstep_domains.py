@@ -1,4 +1,4 @@
-"""Domain-aware p-state actuation: defaults, errors, group semantics."""
+"""Package p-state actuation: one request retunes every core."""
 
 from __future__ import annotations
 
@@ -7,79 +7,36 @@ import pytest
 from repro.drivers.speedstep import DomainSpeedStepDriver
 from repro.errors import DriverError
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
-from repro.platform.machine import Machine, MachineConfig
-
-
-def test_single_core_driver_accepts_domain_zero_only():
-    machine = Machine(MachineConfig())
-    table = machine.config.table
-    machine.speedstep.set_pstate(table.slowest, domain=0)
-    assert machine.current_pstate == table.slowest
-    machine.speedstep.set_pstate(table.fastest)  # domain-less default
-    with pytest.raises(DriverError, match="domain 0"):
-        machine.speedstep.set_pstate(table.slowest, domain=1)
 
 
 def test_package_domain_actuates_all_cores_together():
     machine = MulticoreMachine(MulticoreConfig(n_cores=4))
     table = machine.config.machine.table
-    assert machine.speedstep.n_domains == 1
-    # A single-domain driver accepts a domain-less call (backward compat).
-    machine.speedstep.set_pstate(table.slowest)
+    result = machine.speedstep.set_pstate(table.slowest)
+    assert result.changed
     assert all(
         core.current_pstate == table.slowest for core in machine.cores
     )
-
-
-def test_per_core_domains_actuate_independently():
-    machine = MulticoreMachine(MulticoreConfig(
-        n_cores=2, pstate_domains="per-core"
-    ))
-    table = machine.config.machine.table
-    machine.speedstep.set_pstate(table.slowest, domain=1)
-    assert machine.cores[0].current_pstate == table.fastest
-    assert machine.cores[1].current_pstate == table.slowest
-
-
-def test_domainless_call_on_multidomain_machine_is_a_pointed_error():
-    machine = MulticoreMachine(MulticoreConfig(
-        n_cores=2, pstate_domains="per-core"
-    ))
-    table = machine.config.machine.table
-    with pytest.raises(DriverError, match="explicit domain"):
-        machine.speedstep.set_pstate(table.slowest)
-    # The error names the valid ids.
-    with pytest.raises(DriverError, match="0..1"):
-        machine.speedstep.set_pstate(table.slowest)
-    # And nothing was silently actuated.
-    assert all(
-        core.current_pstate == table.fastest for core in machine.cores
-    )
-
-
-def test_unknown_domain_rejected():
-    machine = MulticoreMachine(MulticoreConfig(
-        n_cores=2, pstate_domains="per-core"
-    ))
-    table = machine.config.machine.table
-    with pytest.raises(DriverError, match="unknown p-state domain"):
-        machine.speedstep.set_pstate(table.slowest, domain=5)
-    with pytest.raises(DriverError, match="unknown p-state domain"):
-        machine.speedstep.current_pstate(domain=-1)
+    assert machine.speedstep.current_pstate == table.slowest
+    assert machine.dvfs.transition_count == 4
 
 
 def test_set_frequency_routes_through_domain():
-    machine = MulticoreMachine(MulticoreConfig(
-        n_cores=2, pstate_domains="per-core"
-    ))
-    machine.speedstep.set_frequency(1000.0, domain=0)
-    assert machine.cores[0].current_pstate.frequency_mhz == 1000.0
-    assert machine.cores[1].current_pstate.frequency_mhz == 2000.0
+    machine = MulticoreMachine(MulticoreConfig(n_cores=2))
+    machine.speedstep.set_frequency(1000.0)
+    assert all(
+        core.current_pstate.frequency_mhz == 1000.0 for core in machine.cores
+    )
+
+
+def test_package_dead_time_stalls_every_core():
+    machine = MulticoreMachine(MulticoreConfig(n_cores=2))
+    machine.dvfs.charge_dead_time(1e-3)
+    assert [core.dvfs.total_dead_time_s for core in machine.cores] == [
+        1e-3, 1e-3,
+    ]
 
 
 def test_empty_domain_rejected():
     with pytest.raises(DriverError, match="at least one core"):
         DomainSpeedStepDriver([])
-    machine = Machine(MachineConfig())
-    with pytest.raises(DriverError, match="at least one core"):
-        DomainSpeedStepDriver([[machine.speedstep], []])

@@ -136,11 +136,11 @@ def test_plan_rejects_malformed_json():
 
 def test_sweep_threads_axis():
     plan = RunPlan.sweep(
-        ["ammp"], [GovernorSpec.threads_freq()], threads=(1, 2, 4),
+        ["ammp"], [GovernorSpec.energy_optimal()], threads=(1, 2, 4),
     )
     assert len(plan) == 3
     assert [cell.threads for cell in plan.cells] == [1, 2, 4]
-    assert plan.cells[2].label == "ammp/threads-freq/t4"
+    assert plan.cells[2].label == "ammp/energy-optimal/t4"
 
 
 def test_threads_cells_round_trip():
@@ -195,12 +195,12 @@ def test_sweep_axes_rejects_missing_required_axis():
 
 
 def test_new_governor_kinds_round_trip(table):
+    from repro.core.governors.energy_efficiency import EnergyDelayOptimizer
     from repro.core.governors.energy_optimal import EnergyOptimalSearch
-    from repro.core.governors.threads_freq import ThreadsFreqGovernor
 
     for spec, cls in (
         (GovernorSpec.energy_optimal(power_model="paper"), EnergyOptimalSearch),
-        (GovernorSpec.threads_freq(power_model="paper"), ThreadsFreqGovernor),
+        (GovernorSpec.edp(power_model="paper"), EnergyDelayOptimizer),
     ):
         clone = GovernorSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec

@@ -1,25 +1,15 @@
-"""CI multicore smoke: the 2-core ``experiment multicore`` end-to-end.
+"""Multicore smoke: the 2-core ``experiment multicore`` end-to-end.
 
 Runs the full projection-breakdown + energy-optimal-grid pipeline on
-the short (1, 2)-core sweep.  It is quick but still ~40 multicore
-runs, so it is gated behind ``REPRO_MULTICORE_SMOKE=1`` (a dedicated
-CI matrix entry).
+the short (1, 2)-core sweep (~40 multicore runs, well under a second).
 """
 
 from __future__ import annotations
 
 import json
-import os
-
-import pytest
 
 from repro.exec.plan import ExperimentConfig
 from repro.experiments import multicore_scaling
-
-pytestmark = pytest.mark.skipif(
-    not os.environ.get("REPRO_MULTICORE_SMOKE"),
-    reason="set REPRO_MULTICORE_SMOKE=1 to run the multicore drill",
-)
 
 
 def test_multicore_experiment_end_to_end():

@@ -1,4 +1,4 @@
-"""EnergyOptimalSearch / ThreadsFreqGovernor behaviour."""
+"""EnergyOptimalSearch behaviour."""
 
 from __future__ import annotations
 
@@ -6,17 +6,12 @@ import pytest
 
 from repro.acpi.pstates import pentium_m_755_table
 from repro.core.governors.energy_optimal import EnergyOptimalSearch
-from repro.core.governors.threads_freq import ThreadsFreqGovernor
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSample
 from repro.errors import GovernorError
 from repro.exec import ExperimentConfig, GovernorSpec, RunCell, execute_cell
-from repro.multicore.controller import MulticoreController
-from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.events import Event
-from repro.platform.machine import MachineConfig
-from repro.workloads.base import Phase, Workload
 
 
 @pytest.fixture()
@@ -87,98 +82,6 @@ def test_governor_validation(table):
         EnergyOptimalSearch(table, power, perf, n_cores=0)
     with pytest.raises(GovernorError, match="thread_counts"):
         EnergyOptimalSearch(table, power, perf, n_cores=2, thread_counts=(3,))
-    with pytest.raises(GovernorError, match="saturation"):
-        ThreadsFreqGovernor(table, power, perf, saturation_low=0.9,
-                            saturation_high=0.5)
-
-
-def test_threads_freq_walks_one_step(table):
-    governor = ThreadsFreqGovernor(
-        table, LinearPowerModel.paper_model(), PerformanceModel.paper_primary()
-    )
-    governor.reset()
-    governor.decide(_sample(0.45, dpc=0.5), table.fastest)
-    target = governor.decide(_sample(0.45, dcu=1.0), table.fastest)
-    # One table step at most, even though the optimum is far away.
-    assert target == table.step_down(table.fastest)
-
-
-def test_recommend_threads_parks_on_saturated_bus(table):
-    governor = ThreadsFreqGovernor(
-        table, LinearPowerModel.paper_model(), PerformanceModel.paper_primary()
-    )
-    memory_sample = _sample(0.4, dcu=1.0)  # dcu/ipc = 2.5 >= 1.21
-    assert governor.recommend_threads(
-        [memory_sample], threads=4, n_cores=4, bus_utilization=1.4
-    ) == 3
-    core_sample = _sample(1.5, dcu=0.1)
-    # Core-bound at high utilization: hold (the bus is busy but the
-    # sample says frequency scaling still works).
-    assert governor.recommend_threads(
-        [core_sample], threads=4, n_cores=4, bus_utilization=1.4
-    ) == 4
-    # Headroom: grow.
-    assert governor.recommend_threads(
-        [core_sample], threads=2, n_cores=4, bus_utilization=0.2
-    ) == 3
-    # Never below one thread or above n_cores.
-    assert governor.recommend_threads(
-        [memory_sample], threads=1, n_cores=4, bus_utilization=1.4
-    ) == 1
-    assert governor.recommend_threads(
-        [core_sample], threads=4, n_cores=4, bus_utilization=0.2
-    ) == 4
-
-
-def test_threads_freq_end_to_end_resplits_on_contention(table):
-    """A memory-bound run on 4 cores sheds threads online."""
-    phase = Phase(
-        name="mem", instructions=5e7, cpi_core=0.9, decode_ratio=1.2,
-        l1_mpi=0.04, l2_mpi=0.03, mlp=2.0, activity_jitter=0.0,
-    )
-    workload = Workload("mem", (phase,), 1.6e8, category="memory")
-    machine = MulticoreMachine(MulticoreConfig(
-        n_cores=4, machine=MachineConfig(seed=1)
-    ))
-    governor = ThreadsFreqGovernor(
-        table, LinearPowerModel.paper_model(), PerformanceModel.paper_primary()
-    )
-    out = MulticoreController(
-        machine, governor, reconfigure_every_ticks=10
-    ).run(workload, threads=4)
-    assert out.result.instructions == pytest.approx(1.6e8, rel=1e-6)
-    assert len(out.threads_history) > 1
-    assert out.threads_history[-1][1] < 4
-    assert out.peak_bus_utilization > 1.0
-
-
-def test_recommend_threads_uses_held_dcu_for_multiplexed_samples(table):
-    """A sample from the IPC/DPC group carries no DCU rate.
-
-    The walker classifies it with the DCU rate :meth:`decide` last saw
-    instead of failing on the missing event.
-    """
-    governor = ThreadsFreqGovernor(
-        table, LinearPowerModel.paper_model(), PerformanceModel.paper_primary()
-    )
-    governor.decide(_sample(0.4, dcu=1.0), table.fastest)
-    no_dcu = _sample(0.4, dpc=0.6)
-    assert governor.recommend_threads(
-        [no_dcu], threads=4, n_cores=4, bus_utilization=1.4
-    ) == 3
-
-
-@pytest.mark.parametrize("workload", ["ammp", "swim"])
-def test_threads_freq_two_threads_completes_at_full_scale(workload):
-    """Full-length runs reach epochs that close on the IPC/DPC group."""
-    result = execute_cell(
-        RunCell(
-            workload=workload, governor=GovernorSpec.threads_freq(),
-            threads=2,
-        ),
-        ExperimentConfig(scale=1.0, seed=0),
-    )
-    assert result.instructions > 0
 
 
 def test_energy_optimal_four_threads_completes_at_full_scale():

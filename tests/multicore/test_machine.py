@@ -1,20 +1,27 @@
-"""MulticoreMachine: 1-core bit-identity and N-core contention behaviour."""
+"""MulticoreMachine: 1-core bit-identity and N-core contention behaviour.
+
+Every run goes through :class:`PowerManagementController`, which runs a
+multicore package as one kernel lane per core.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.checkpoint.digest import run_result_digest
 from repro.core.controller import PowerManagementController
 from repro.core.governors.powersave import PowerSave
+from repro.core.governors.unconstrained import FixedFrequency
 from repro.core.models.performance import PerformanceModel
-from repro.checkpoint.digest import run_result_digest
+from repro.core.models.power import LinearPowerModel
 from repro.errors import ExperimentError, WorkloadError
+from repro.exec import GovernorSpec, RunCell
 from repro.multicore.contention import ContentionModel
-from repro.multicore.controller import MulticoreController
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.machine import Machine, MachineConfig
-from repro.workloads.base import Phase, Workload
 from repro.workloads import default_registry
+from repro.workloads.base import Phase, Workload
 
 
 def _mem_workload(budget: float = 4e7) -> Workload:
@@ -42,6 +49,67 @@ def _core_workload(budget: float = 4e7) -> Workload:
     return Workload("core", (phase,), budget, category="core")
 
 
+#: Jittered SPEC workloads (galgel is the burstiest), a generated
+#: scenario trace and two jitter-free synthetic workloads.
+WORKLOADS = {
+    "swim": "swim",
+    "galgel": "galgel",
+    "crafty": "crafty",
+    "corpus": "corpus:etl-scan-heavy",
+    "mem": _mem_workload(6e8),
+    "core": _core_workload(6e8),
+}
+
+GOVERNORS = {
+    "pm": GovernorSpec.pm(14.5, power_model=LinearPowerModel.paper_model()),
+    "ps": GovernorSpec.ps(0.8),
+    "dbs": GovernorSpec.dbs(),
+    "fixed": GovernorSpec.fixed(1400.0),
+    "energy-optimal": GovernorSpec.energy_optimal(power_model="paper"),
+}
+
+
+def _run(machine, governor, workload, threads=None):
+    """One fixed-frequency-at-P0 run of ``workload`` on ``machine``."""
+    table = MachineConfig().table
+    return PowerManagementController(
+        machine, governor or FixedFrequency(table, 2000.0)
+    ).run(workload, threads=threads)
+
+
+@settings(
+    max_examples=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    workload=st.sampled_from(sorted(WORKLOADS)),
+    governor=st.sampled_from(sorted(GOVERNORS)),
+    seed=st.integers(min_value=0, max_value=10_000),
+    scale=st.sampled_from([0.01, 0.02, 0.05]),
+)
+def test_one_core_multicore_run_is_the_single_core_run(
+    workload, governor, seed, scale
+):
+    """The acceptance gate: a 1-core MulticoreMachine run digests
+    bit-identically to the same run on a single-core Machine."""
+    load = RunCell(workload=WORKLOADS[workload], governor=GOVERNORS[governor])
+    work = load.resolve_workload().scaled(scale)
+    config = MachineConfig(seed=seed)
+    spec = GOVERNORS[governor]
+
+    single = Machine(config)
+    ref = PowerManagementController(
+        single, spec.build(config.table)
+    ).run(work)
+    multi = MulticoreMachine(MulticoreConfig(n_cores=1, machine=config))
+    out = PowerManagementController(
+        multi, spec.build(config.table)
+    ).run(work)
+
+    assert run_result_digest(out) == run_result_digest(ref)
+    assert multi.now_s == single.now_s
+
+
 def test_one_core_run_digest_bit_identical():
     """The acceptance gate: 1-core multicore == single-core Machine."""
     workload = default_registry().get("ammp").scaled(0.02)
@@ -54,11 +122,11 @@ def test_one_core_run_digest_bit_identical():
     multi = MulticoreMachine(MulticoreConfig(
         n_cores=1, machine=MachineConfig(seed=7)
     ))
-    out = MulticoreController(
+    out = PowerManagementController(
         multi, PowerSave(multi.config.machine.table, PerformanceModel.paper_primary(), 0.8)
     ).run(workload, threads=1)
 
-    assert run_result_digest(out.result) == run_result_digest(ref)
+    assert run_result_digest(out) == run_result_digest(ref)
 
 
 def test_one_core_digest_holds_with_jittered_workload():
@@ -73,11 +141,11 @@ def test_one_core_digest_holds_with_jittered_workload():
     multi = MulticoreMachine(MulticoreConfig(
         n_cores=1, machine=MachineConfig(seed=3)
     ))
-    out = MulticoreController(
+    out = PowerManagementController(
         multi, PowerSave(multi.config.machine.table, PerformanceModel.paper_primary(), 0.85)
     ).run(workload, threads=1)
 
-    assert run_result_digest(out.result) == run_result_digest(ref)
+    assert run_result_digest(out) == run_result_digest(ref)
 
 
 def test_zero_memory_bound_sees_no_contention_penalty():
@@ -86,41 +154,29 @@ def test_zero_memory_bound_sees_no_contention_penalty():
     single = MulticoreMachine(MulticoreConfig(
         n_cores=1, machine=MachineConfig(seed=0)
     ))
-    single.load(_core_workload(budget), threads=1)
-    while not single.finished:
-        single.step()
+    lone = _run(single, None, _core_workload(budget))
 
     quad = MulticoreMachine(MulticoreConfig(
         n_cores=4, machine=MachineConfig(seed=0)
     ))
-    quad.load(_core_workload(4 * budget), threads=4)
-    while not quad.finished:
-        tick = quad.step()
-        assert tick.bus_utilization < 0.05
+    wide = _run(quad, None, _core_workload(4 * budget))
+    assert quad.peak_bus_utilization < 0.05
     # Perfect scaling: 4 cores finish 4x the work in the same time.
-    assert quad.now_s == pytest.approx(single.now_s, rel=1e-6)
+    assert wide.duration_s == pytest.approx(lone.duration_s, rel=1e-6)
 
 
 def test_all_memory_bound_saturates_at_bandwidth_ceiling():
     """Aggregate traffic of memory-bound cores caps at the ceiling."""
     config = MulticoreConfig(n_cores=4, machine=MachineConfig(seed=0))
     machine = MulticoreMachine(config)
-    machine.load(_mem_workload(8e7), threads=4)
+    workload = _mem_workload(8e7)
+    result = _run(machine, None, workload)
     ceiling = config.contention.ceiling(config.machine.timing)
 
-    machine.step()  # first tick: demands measured before contention
-    total_bytes = 0.0
-    total_time = 0.0
-    for _ in range(20):
-        if machine.finished:
-            break
-        tick = machine.step()
-        assert tick.bus_utilization > 1.0  # genuinely oversubscribed
-        for rec in tick.core_records:
-            if rec is not None and rec.rates is not None:
-                total_bytes += rec.rates.bytes_per_s * rec.duration_s
-        total_time += tick.duration_s
-    aggregate = total_bytes / total_time
+    assert machine.peak_bus_utilization > 1.0  # genuinely oversubscribed
+    (phase,) = workload.phases
+    bytes_pi = (phase.l2_mpi + phase.prefetch_mpi) * 64.0 * 1.35
+    aggregate = result.instructions * bytes_pi / result.duration_s
     assert aggregate <= ceiling * 1.02
     assert aggregate >= ceiling * 0.7
 
@@ -130,10 +186,7 @@ def test_memory_bound_scaling_is_sublinear_core_bound_is_not():
         machine = MulticoreMachine(MulticoreConfig(
             n_cores=cores, machine=MachineConfig(seed=0)
         ))
-        machine.load(make(cores * 2e7), threads=cores)
-        while not machine.finished:
-            machine.step()
-        return machine.now_s
+        return _run(machine, None, make(cores * 2e7)).duration_s
 
     core_1, core_4 = completion_time(_core_workload, 1), completion_time(
         _core_workload, 4
@@ -150,8 +203,6 @@ def test_memory_bound_scaling_is_sublinear_core_bound_is_not():
 def test_config_validation():
     with pytest.raises(ExperimentError, match="n_cores"):
         MulticoreConfig(n_cores=0)
-    with pytest.raises(ExperimentError, match="pstate_domains"):
-        MulticoreConfig(pstate_domains="socket")
     with pytest.raises(ExperimentError, match="latency_slope"):
         ContentionModel(latency_slope=-1.0)
     with pytest.raises(ExperimentError, match="max_utilization"):
@@ -168,11 +219,13 @@ def test_load_rejects_bad_thread_counts():
 
 def test_idle_cores_burn_idle_power():
     """threads < n_cores: unused cores still cost energy every tick."""
-    lone = MulticoreMachine(MulticoreConfig(n_cores=1))
-    lone.load(_core_workload(2e7), threads=1)
-    tick_lone = lone.step()
-
-    wide = MulticoreMachine(MulticoreConfig(n_cores=4))
-    wide.load(_core_workload(2e7), threads=1)
-    tick_wide = wide.step()
-    assert tick_wide.energy_j > tick_lone.energy_j * 1.5
+    lone = _run(
+        MulticoreMachine(MulticoreConfig(n_cores=1)), None,
+        _core_workload(2e7),
+    )
+    wide = _run(
+        MulticoreMachine(MulticoreConfig(n_cores=4)), None,
+        _core_workload(2e7), threads=1,
+    )
+    assert wide.duration_s == lone.duration_s
+    assert wide.true_energy_j > lone.true_energy_j * 1.5

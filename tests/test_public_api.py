@@ -35,11 +35,9 @@ PUBLIC_MODULES = (
     "repro.experiments.multicore_scaling",
     "repro.multicore",
     "repro.multicore.contention",
-    "repro.multicore.controller",
     "repro.multicore.machine",
     "repro.multicore.workload",
     "repro.core.governors.energy_optimal",
-    "repro.core.governors.threads_freq",
     "repro.cli",
     "repro.telemetry",
     "repro.telemetry.bus",
@@ -112,13 +110,16 @@ def test_fault_api_is_exported():
 
 
 def test_multicore_api_is_exported():
-    """The multicore subsystem is reachable from the top level."""
+    """The multicore subsystem is reachable from the top level, and its
+    runs go through the one controller."""
     for name in ("MulticoreMachine", "MulticoreConfig",
-                 "MulticoreController", "MulticoreRunResult",
                  "ContentionModel", "split_workload",
-                 "EnergyOptimalSearch", "ThreadsFreqGovernor"):
+                 "EnergyOptimalSearch", "PowerManagementController"):
         assert name in repro.__all__, name
         assert hasattr(repro, name)
+    for name in ("MulticoreController", "MulticoreRunResult",
+                 "ThreadsFreqGovernor"):
+        assert not hasattr(repro, name), name
 
 
 def test_subpackage_all_exports_resolve():
