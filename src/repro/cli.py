@@ -36,14 +36,15 @@ Subcommands
     directory from a ``--adapt`` run.
 
 ``run`` and ``experiment`` accept ``--telemetry DIR`` to export the
-full observability bundle -- ``events.jsonl``, ``trace.csv``,
-``metrics.json`` and ``summary.txt`` -- for the instrumented
-monitor -> estimate -> control loop, ``--faults SPEC`` to drill the
-run with a seeded fault plan (JSON, or YAML when PyYAML is installed)
-against the hardened controller, and ``--adapt`` to turn on online
-model adaptation (recursive calibration + drift detection + versioned
-model registry) for PM-family governors.  All flags are validated up
-front, before any simulation work starts.
+full observability bundle -- ``events.jsonl`` with its tick-column
+file ``events.f64``, ``trace.csv``, ``metrics.json`` and
+``summary.txt`` -- for the instrumented monitor -> estimate -> control
+loop, ``--faults SPEC`` to drill the run with a seeded fault plan
+(JSON, or YAML when PyYAML is installed) against the hardened
+controller, and ``--adapt`` to turn on online model adaptation
+(recursive calibration + drift detection + versioned model registry)
+for PM-family governors.  All flags are validated up front, before
+any simulation work starts.
 
 Parallel execution: ``experiment --workers N`` fans the experiment's
 sweeps out over N worker processes (per-cell results are bit-identical
@@ -129,8 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--telemetry", metavar="DIR",
-        help="export events.jsonl, trace.csv, metrics.json and "
-        "summary.txt for this run into DIR",
+        help="export events.jsonl (tick columns in events.f64), "
+        "trace.csv, metrics.json and summary.txt for this run into DIR",
     )
     run.add_argument(
         "--faults", metavar="SPEC",

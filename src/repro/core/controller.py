@@ -627,14 +627,20 @@ class _TickTelemetry:
         ticks = st.ticks
         measured = ticks.measured_power_w
         self._ticks.inc(len(measured))
+        # Residency sums in tick order from each counter's value, the
+        # float sums of one inc per tick, stored once per counter.
         counters: Dict[float, object] = {}
+        totals: Dict[object, float] = {}
         for freq, seconds in zip(ticks.frequency_mhz, ticks.interval_s):
             counter = counters.get(freq)
             if counter is None:
                 counter = counters[freq] = self._metrics.counter(
                     f"pstate.residency_s.{freq:.0f}"
                 )
-            counter.inc(seconds)
+                totals.setdefault(counter, counter.value)
+            totals[counter] += seconds
+        for counter, total in totals.items():
+            counter.set_total(total)
         self._power.observe_many(measured)
         # A NaN limit (none) is never exceeded.
         self._violations.inc(

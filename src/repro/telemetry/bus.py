@@ -106,15 +106,6 @@ TICK_COLUMNS: tuple[str, ...] = (
 )
 
 
-def _json_column(values: Sequence[float]) -> list:
-    """A float column as a JSON-safe list: NaN (no value) becomes None."""
-    out = values.tolist() if hasattr(values, "tolist") else list(values)
-    total = sum(out)
-    if total != total:  # a NaN (or inf - inf) somewhere
-        out = [None if value != value else value for value in out]
-    return out
-
-
 @dataclass(frozen=True)
 class TicksRecorded(TelemetryEvent):
     """One run's per-tick record, as columns (one event per run).
@@ -130,11 +121,13 @@ class TicksRecorded(TelemetryEvent):
     maps PMU event names to the per-cycle rates of the tick's counter
     sample.
 
-    In process the columns are float sequences with NaN for "no value"
-    (an isothermal machine's temperature, a governor with no estimate
-    or no limit, an event a multiplexed sample did not cover);
-    :meth:`to_dict` writes those as ``null``.  ``time_s`` is the run's
-    end.
+    The columns are float sequences with NaN for "no value" (an
+    isothermal machine's temperature, a governor with no estimate or no
+    limit, an event a multiplexed sample did not cover).  ``time_s`` is
+    the run's end.  :class:`~repro.telemetry.exporters.JsonlEventExporter`
+    writes the columns as raw doubles to a column file and the line as
+    spans into it; :func:`~repro.telemetry.report.load_events` reads
+    them back as lists, NaN as None.
     """
 
     workload: str
@@ -143,23 +136,6 @@ class TicksRecorded(TelemetryEvent):
     rates: Mapping[str, Sequence[float]]
 
     kind: ClassVar[str] = "ticks"
-
-    def to_dict(self) -> dict:
-        """JSON-safe dict form, each column as a list."""
-        return {
-            "kind": self.kind,
-            "time_s": self.time_s,
-            "workload": self.workload,
-            "governor": self.governor,
-            "columns": {
-                name: _json_column(values)
-                for name, values in self.columns.items()
-            },
-            "rates": {
-                name: _json_column(values)
-                for name, values in self.rates.items()
-            },
-        }
 
 
 @dataclass(frozen=True)

@@ -4,25 +4,28 @@ Parallel execution gives every worker process its own full
 :class:`~repro.telemetry.exporters.TelemetryDirectory` under
 ``<root>/worker-NN/`` (concurrent writers cannot share one JSONL
 handle).  :func:`merge_worker_directories` folds those back into the
-top-level ``events.jsonl`` / ``trace.csv`` / ``metrics.json`` /
-``summary.txt`` so every downstream consumer -- ``telemetry-report``,
-the report loaders, ad-hoc scripts -- reads a parallel campaign exactly
-like a serial one.  The worker subdirectories are left in place for
-per-worker debugging.
+top-level ``events.jsonl`` / ``events.f64`` / ``trace.csv`` /
+``metrics.json`` / ``summary.txt`` so every downstream consumer --
+``telemetry-report``, the report loaders, ad-hoc scripts -- reads a
+parallel campaign exactly like a serial one.  The worker
+subdirectories are left in place for per-worker debugging.
 
 Merge semantics per artifact:
 
 * events/trace: concatenation, parent first then workers in directory
   order (cross-worker event interleaving is not reconstructed; per-cell
   ordering is preserved, which is what the aggregators key on);
+* column files: concatenation in the same order, each ``ticks`` line's
+  span offsets shifted by where its source's file starts;
 * counters, histogram buckets, span counts/totals: summed;
 * gauges: last writer wins (they are point-in-time values; the merged
   file is only meaningful for gauges every worker sets identically);
 * histogram/span min/max: the extremes across workers.
 
 The merge is tolerant of damaged pieces -- a worker killed mid-campaign
-leaves a torn ``events.jsonl`` tail, a truncated ``trace.csv`` row or
-no ``metrics.json`` at all.  Every such artifact is skipped and counted
+leaves a torn ``events.jsonl`` tail, a ``ticks`` line whose spans run
+past its ``events.f64``, a truncated ``trace.csv`` row or no
+``metrics.json`` at all.  Every such artifact is skipped and counted
 on the returned :class:`MergeReport` (``skipped_events``,
 ``skipped_trace_rows``, ``missing_metrics``); the merge itself never
 aborts on worker corruption.
@@ -37,13 +40,17 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, List, Mapping
 
-from repro.ioutils import atomic_write_text
+from repro.ioutils import atomic_write_bytes, atomic_write_text
 from repro.telemetry.exporters import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
     SUMMARY_FILENAME,
     TRACE_FIELDS,
     TRACE_FILENAME,
+    columns_path,
+    read_column_bytes,
+    shift_spans,
+    spans_fit,
 )
 
 #: Subdirectory pattern the worker pool uses for worker sinks.
@@ -65,7 +72,8 @@ class MergeReport:
     worker_dirs: List[str] = field(default_factory=list)
     events: int = 0
     trace_rows: int = 0
-    #: Malformed events.jsonl lines dropped (torn tails, partial writes).
+    #: Malformed events.jsonl lines dropped (torn tails, partial writes,
+    #: ``ticks`` lines whose spans run past their column file).
     skipped_events: int = 0
     #: trace.csv rows dropped for having the wrong column count.
     skipped_trace_rows: int = 0
@@ -209,13 +217,17 @@ def _render_merged_summary(snapshot: Mapping, report: MergeReport) -> str:
     return "\n".join(lines)
 
 
-def _read_event_lines(path: str) -> tuple[List[str], int]:
+def _read_event_lines(
+    path: str, size: int, base: int
+) -> tuple[List[str], int]:
     """Valid JSONL lines plus the count of malformed ones dropped.
 
     A worker killed mid-``write`` leaves a torn final line (or raw
     garbage after a partial flush); every line must parse as a JSON
     object to be kept, so torn tails are skipped, not propagated into
-    the merged log.
+    the merged log.  A ``ticks`` line must also have its spans inside
+    the source's column file of ``size`` doubles; its offsets are
+    shifted by ``base``, where that file starts in the merged one.
     """
     if not os.path.exists(path):
         return [], 0
@@ -228,11 +240,19 @@ def _read_event_lines(path: str) -> tuple[List[str], int]:
     skipped = 0
     for line in raw:
         try:
-            if not isinstance(json.loads(line), dict):
+            event = json.loads(line)
+            if not isinstance(event, dict):
                 raise ValueError("not an event object")
         except ValueError:
             skipped += 1
             continue
+        if event.get("kind") == "ticks":
+            if not spans_fit(event, size):
+                skipped += 1  # its columns never reached the disk
+                continue
+            if base:
+                shift_spans(event, base)
+                line = json.dumps(event)
         kept.append(line)
     return kept, skipped
 
@@ -293,12 +313,21 @@ def merge_worker_directories(
     sources = [root] + report.worker_dirs
 
     events: List[str] = []
+    chunks: List[bytes] = []
+    base = 0
     for source in sources:
-        lines, skipped = _read_event_lines(
-            os.path.join(source, EVENTS_FILENAME)
-        )
+        events_path = os.path.join(source, EVENTS_FILENAME)
+        data = read_column_bytes(columns_path(events_path))
+        size = len(data) // 8
+        lines, skipped = _read_event_lines(events_path, size, base)
         events.extend(lines)
         report.skipped_events += skipped
+        chunks.append(data)
+        base += size
+    # The columns land before the lines that point into them.
+    atomic_write_bytes(
+        columns_path(os.path.join(root, EVENTS_FILENAME)), b"".join(chunks)
+    )
     atomic_write_text(
         os.path.join(root, EVENTS_FILENAME),
         ("\n".join(events) + "\n") if events else "",

@@ -52,6 +52,16 @@ class Counter:
             )
         self._value += amount
 
+    def set_total(self, total: float) -> None:
+        """Store ``total``, a sum the caller grew from :attr:`value` (the
+        bulk form of :meth:`inc`); it must not be below the value."""
+        if total < self._value:
+            raise TelemetryError(
+                f"counter {self.name!r} cannot decrease "
+                f"(from {self._value} to {total})"
+            )
+        self._value = total
+
 
 class Gauge:
     """A point-in-time value (current limit, final duration)."""

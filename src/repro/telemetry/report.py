@@ -2,10 +2,13 @@
 
 ``repro-power telemetry-report <dir>`` reads what a
 :class:`~repro.telemetry.exporters.TelemetryDirectory` wrote --
-``events.jsonl``, ``trace.csv``, ``metrics.json`` -- cross-checks the
-three views of the same run, and renders a digest: runs and their
-totals, event counts by kind, transition activity, trace statistics
-and per-cell wall-clock spans.
+``events.jsonl`` with its column file ``events.f64``, ``trace.csv``,
+``metrics.json`` -- cross-checks the three views of the same run, and
+renders a digest: runs and their totals, event counts by kind,
+transition activity, trace statistics and per-cell wall-clock spans.
+:func:`load_events` is the one reader of an event log: it resolves
+each ``ticks`` line's spans into the column file back into per-tick
+lists, so every consumer sees the values the run recorded.
 
 From the runs' ``ticks`` records it answers the paper's own questions:
 p-state residency per MHz, the Eq. 2 residual (the power a governor
@@ -22,6 +25,7 @@ import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping
 
@@ -30,6 +34,9 @@ from repro.telemetry.exporters import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
     TRACE_FILENAME,
+    columns_path,
+    read_column_file,
+    resolve_spans,
 )
 
 
@@ -135,7 +142,13 @@ class TelemetryReport:
 
 
 def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
-    """Parse a JSONL event log, tolerating damage.
+    """Parse a JSONL event log and its column file, tolerating damage.
+
+    Each ``ticks`` line's ``[offset, length]`` spans are resolved
+    against the column file beside the log
+    (:func:`~repro.telemetry.exporters.columns_path`): the event's
+    ``columns`` and ``rates`` become ``{name: [float | None, ...]}``,
+    NaN read back as None.
 
     A journal from a crashed or killed run is routinely truncated
     mid-line, and a corrupted disk can garble arbitrary lines; neither
@@ -143,11 +156,14 @@ def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
     skipped_line_count, truncated_tail)``: a malformed *final* line
     with no trailing newline is the expected tear of a SIGKILL'd run
     and is reported as ``truncated_tail`` rather than counted with the
-    interior damage in ``skipped_line_count``.
+    interior damage in ``skipped_line_count``.  A ``ticks`` line whose
+    spans run past the end of the column file (its columns never
+    reached the disk) is dropped and counted as skipped.
     """
     events: List[dict] = []
     skipped = 0
     truncated_tail = False
+    columns: array | None = None  # read on the first ticks line
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -171,6 +187,12 @@ def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
         if not isinstance(event, dict):
             skipped += 1
             continue
+        if event.get("kind") == "ticks":
+            if columns is None:
+                columns = read_column_file(columns_path(path))
+            if not resolve_spans(event, columns):
+                skipped += 1
+                continue
         events.append(event)
     return events, skipped, truncated_tail
 

@@ -79,6 +79,7 @@ from repro.platform.power import PowerModelConstants
 from repro.platform.thermal import ThermalModel
 from repro.telemetry import TelemetryRecorder
 from repro.telemetry.exporters import JsonlEventExporter
+from repro.telemetry.report import load_events
 from repro.workloads.registry import get_workload
 
 FIXTURE = Path(__file__).with_name("golden_loop.json")
@@ -481,27 +482,29 @@ def event_hashes(path) -> dict:
     """Hashes of a JSONL event log that hold across the per-tick format.
 
     ``rare_events_sha256`` covers every line except the per-tick ones
-    (the three per-tick kinds, or a ``ticks`` record), byte for byte.
+    (the three per-tick kinds, or a ``ticks`` record), byte for byte:
+    each event as the exporter writes it, ``json.dumps`` of its dict.
     ``ticks_sha256`` covers the per-tick dicts in order, each as
-    canonical JSON, with ``ticks`` records expanded by
+    canonical JSON, with ``ticks`` records (read through
+    :func:`~repro.telemetry.report.load_events`) expanded by
     :func:`expand_ticks`.
     """
+    events, skipped, truncated = load_events(path)
+    assert (skipped, truncated) == (0, False)
     rare = hashlib.sha256()
     ticks = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for line in handle:
-            event = json.loads(line)
-            kind = event["kind"]
-            if kind == "ticks":
-                per_tick = expand_ticks(event)
-            elif kind in PER_TICK_KINDS:
-                per_tick = (event,)
-            else:
-                rare.update(line)
-                continue
-            for item in per_tick:
-                ticks.update(json.dumps(item, sort_keys=True).encode())
-                ticks.update(b"\n")
+    for event in events:
+        kind = event["kind"]
+        if kind == "ticks":
+            per_tick = expand_ticks(event)
+        elif kind in PER_TICK_KINDS:
+            per_tick = (event,)
+        else:
+            rare.update((json.dumps(event) + "\n").encode())
+            continue
+        for item in per_tick:
+            ticks.update(json.dumps(item, sort_keys=True).encode())
+            ticks.update(b"\n")
     return {
         "rare_events_sha256": rare.hexdigest(),
         "ticks_sha256": ticks.hexdigest(),

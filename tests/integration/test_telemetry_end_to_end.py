@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.telemetry.report import load_events
 
 
 @pytest.fixture(scope="module")
@@ -33,8 +34,8 @@ def telemetry_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def events(telemetry_dir):
-    with open(telemetry_dir / "events.jsonl") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+    events, _, _ = load_events(telemetry_dir / "events.jsonl")
+    return events
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ from repro.exec import (
 )
 from repro.experiments import multicore_scaling
 from repro.faults import FaultPlan
-from repro.telemetry.report import render_report
+from repro.telemetry.report import load_events, render_report
 
 CONFIG = ExperimentConfig(scale=0.2, seed=4)
 
@@ -114,8 +114,7 @@ def test_observed_cells_report_like_single_core_ones(tmp_path):
     assert [run_result_digest(r) for r in serial] == [
         run_result_digest(r) for r in plain
     ]
-    with (tmp_path / "serial" / "events.jsonl").open() as handle:
-        events = [json.loads(line) for line in handle]
+    events, _, _ = load_events(tmp_path / "serial" / "events.jsonl")
     kinds = [event["kind"] for event in events]
     for kind in ("run_started", "ticks", "run_finished"):
         assert kinds.count(kind) == len(OBSERVED), kind

@@ -1,13 +1,9 @@
 """Tests for the typed event bus and its subscriber isolation."""
 
-import json
-from array import array
-
 import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry import (
-    TICK_COLUMNS,
     ConstraintChanged,
     EventBus,
     PStateTransition,
@@ -19,17 +15,6 @@ from repro.telemetry import (
 
 def _transition(time_s=0.01):
     return PStateTransition(time_s=time_s, from_mhz=2000.0, to_mhz=1800.0)
-
-
-def _ticks(n=3):
-    nan = float("nan")
-    columns = {name: array("d", [0.5 * i for i in range(n)])
-               for name in TICK_COLUMNS}
-    columns["temperature_c"] = array("d", [nan] * n)
-    return TicksRecorded(
-        time_s=0.03, workload="ammp", governor="PM", columns=columns,
-        rates={"INST_DECODED": array("d", [1.5, nan, 1.25][:n])},
-    )
 
 
 class TestEvents:
@@ -52,20 +37,6 @@ class TestEvents:
                         ConstraintChanged, RunFinished)
         }
         assert len(kinds) == 5
-
-    def test_sample_rates_dict_is_json_safe(self):
-        # The ticks record's columns and per-event rates become plain
-        # lists, NaN (no value) becoming null, so strict JSON holds.
-        event = _ticks()
-        d = event.to_dict()
-        assert d["kind"] == "ticks"
-        assert len(d["columns"]["time_s"]) == 3
-        assert set(d["columns"]) == set(TICK_COLUMNS)
-        assert d["columns"]["duty"] == [0.0, 0.5, 1.0]
-        assert d["columns"]["temperature_c"] == [None, None, None]
-        assert d["rates"] == {"INST_DECODED": [1.5, None, 1.25]}
-        assert isinstance(d["rates"], dict)
-        json.dumps(d, allow_nan=False)
 
 
 class TestEventBus:

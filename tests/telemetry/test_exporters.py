@@ -5,11 +5,16 @@ import dataclasses
 import io
 import json
 import math
+import os
+import struct
+import sys
+import tempfile
 from array import array
 from types import MappingProxyType
 from typing import Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import TraceRow
 from repro.telemetry import (
@@ -27,8 +32,29 @@ from repro.telemetry import (
 from repro.errors import TelemetryError
 from repro.exec.session import current_session, open_session
 from repro.telemetry.bus import PStateTransition, TelemetryEvent
+from repro.telemetry.report import load_events
 
 _NAN = float("nan")
+
+
+#: Doubles for the round trip: any float, plus the awkward ones.
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from((
+        _NAN, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        sys.float_info.max, -sys.float_info.max, math.inf, -math.inf,
+    )),
+)
+_RATE_NAMES = ("INST_DECODED", "DCU_LINES_IN", "BUS_TRAN_MEM")
+
+
+def _bits(value):
+    """``value``'s IEEE 754 bits (None stays None)."""
+    return None if value is None else struct.pack("<d", value)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def _ticks(times=(0.01,), temperatures=(55.5,)):
@@ -60,13 +86,58 @@ class TestJsonlExporter:
         with JsonlEventExporter(path) as exporter:
             exporter(_ticks((0.01, 0.02), (55.5, 56.0)))
             exporter(_transition())
-        lines = path.read_text().strip().splitlines()
+        lines, _, _ = load_events(path)
         assert len(lines) == 2
-        first = json.loads(lines[0])
+        first = lines[0]
         assert first["kind"] == "ticks"
         assert first["columns"]["measured_power_w"] == [14.2, 14.2]
         assert first["rates"] == {"INST_DECODED": [1.5, 1.5]}
         assert exporter.events_written == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_ticks_columns_round_trip_bit_exact(self, data):
+        # Columns and rates as drawn, NaN, signed zeros, subnormals and
+        # huge values included, come back bit for bit through the
+        # column file; NaN (no value) reads back as None, and the line
+        # stays strict JSON.
+        records = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            n = data.draw(st.integers(0, 6))
+            column = st.lists(_DOUBLES, min_size=n, max_size=n)
+            names = data.draw(
+                st.sets(st.sampled_from(_RATE_NAMES), max_size=3)
+            )
+            records.append(TicksRecorded(
+                time_s=data.draw(st.floats(0.0, 1e6)),
+                workload="ammp", governor="PM",
+                columns={
+                    name: array("d", data.draw(column))
+                    for name in TICK_COLUMNS
+                },
+                rates={name: data.draw(column) for name in sorted(names)},
+            ))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "events.jsonl")
+            with JsonlEventExporter(path) as exporter:
+                for record in records:
+                    exporter(record)
+            with open(path) as handle:
+                for line in handle:
+                    json.loads(line, parse_constant=_reject_constant)
+            events, skipped, truncated = load_events(path)
+        assert (skipped, truncated) == (0, False)
+        assert len(events) == len(records)
+        for event, record in zip(events, records):
+            assert event["time_s"] == record.time_s
+            for name in ("columns", "rates"):
+                expected = getattr(record, name)
+                assert list(event[name]) == list(expected)
+                for key, values in expected.items():
+                    assert list(map(_bits, event[name][key])) == [
+                        None if value != value else _bits(value)
+                        for value in values
+                    ]
 
     def test_write_after_close_raises(self, tmp_path):
         exporter = JsonlEventExporter(tmp_path / "e.jsonl")
@@ -221,7 +292,7 @@ def _sample_value(annotation: str, index: int):
 def _legacy_line(event) -> str:
     """The exporter's line before the C-encoder rewrite: the uncached
     ``to_dict`` written with ``json.dump``.  A ``ticks`` record's
-    columns are lists, NaN written as null."""
+    columns were lists, NaN written as null."""
     out = {"kind": event.kind}
     for f in dataclasses.fields(event):
         value = getattr(event, f.name)
@@ -240,6 +311,9 @@ def _legacy_line(event) -> str:
 
 
 def test_jsonl_lines_match_legacy_encoding_for_every_event(tmp_path):
+    # Every line but a ticks record's is the legacy line, byte for
+    # byte; the ticks line, read back through its column file, is what
+    # the legacy line parses to.
     events = []
     for cls in _event_classes():
         kwargs = {
@@ -256,4 +330,10 @@ def test_jsonl_lines_match_legacy_encoding_for_every_event(tmp_path):
         for event in events:
             exporter(event)
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    assert lines == [_legacy_line(event) for event in events]
+    legacy = [_legacy_line(event) for event in events]
+    ticks = [e.kind for e in events].index("ticks")
+    assert lines[:ticks] + lines[ticks + 1:] == (
+        legacy[:ticks] + legacy[ticks + 1:]
+    )
+    loaded, _, _ = load_events(path)
+    assert json.dumps(loaded[ticks]) == json.dumps(json.loads(legacy[ticks]))

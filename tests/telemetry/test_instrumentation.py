@@ -23,7 +23,12 @@ from repro.exec import (
 )
 from repro.platform.machine import Machine, MachineConfig
 from repro.exec.session import open_session
-from repro.telemetry import NullRecorder, TelemetryRecorder
+from repro.telemetry import (
+    JsonlEventExporter,
+    NullRecorder,
+    TelemetryRecorder,
+)
+from repro.telemetry.report import load_events
 from repro.workloads.registry import get_workload
 
 MODEL = LinearPowerModel.paper_model()
@@ -140,23 +145,22 @@ class TestControllerInstrumentation:
         assert snap["counters"]["controller.limit_violations"] == 0
         assert result.duration_s > 0
 
-    def test_observed_throttling_run_records_no_estimate(self):
+    def test_observed_throttling_run_records_no_estimate(self, tmp_path):
         # ThrottlingMaximizer's estimate_power takes a duty cycle, not a
         # p-state: only the Eq. 2 PerformanceMaximizers feed estimate_w.
         recorder = TelemetryRecorder()
-        records = []
-        recorder.bus.subscribe(
-            lambda e: records.append(e) if e.kind == "ticks" else None
-        )
-        machine = Machine(MachineConfig(seed=1))
-        governor = ThrottlingMaximizer(
-            machine.config.table, MODEL, machine.throttle, 12.5
-        )
-        PowerManagementController(
-            machine, governor, telemetry=recorder
-        ).run(get_workload("gzip").scaled(0.05))
-        (record,) = records
-        estimates = record.to_dict()["columns"]["estimate_w"]
+        path = tmp_path / "events.jsonl"
+        with JsonlEventExporter(path) as exporter:
+            recorder.bus.subscribe(exporter)
+            machine = Machine(MachineConfig(seed=1))
+            governor = ThrottlingMaximizer(
+                machine.config.table, MODEL, machine.throttle, 12.5
+            )
+            PowerManagementController(
+                machine, governor, telemetry=recorder
+            ).run(get_workload("gzip").scaled(0.05))
+        (record,) = [e for e in load_events(path)[0] if e["kind"] == "ticks"]
+        estimates = record["columns"]["estimate_w"]
         assert len(estimates) > 0
         assert estimates == [None] * len(estimates)
         assert recorder.metrics.snapshot()["histograms"][
@@ -236,8 +240,7 @@ class TestRunnerIntegration:
         plan = RunPlan(config, (self._pm_cell(), self._pm_cell()))
         with open_session(telemetry_dir=tmp_path / "tel") as session:
             results = session.run_plan(plan)
-        with open(tmp_path / "tel" / "events.jsonl") as handle:
-            events = [json.loads(line) for line in handle]
+        events, _, _ = load_events(tmp_path / "tel" / "events.jsonl")
         records = [e for e in events if e["kind"] == "ticks"]
         assert len(records) == len(results)
         lengths = [len(r["columns"]["time_s"]) for r in records]
@@ -253,8 +256,7 @@ class TestRunnerIntegration:
         config = ExperimentConfig(scale=0.05, keep_trace=True)
         with open_session(telemetry_dir=tmp_path / "tel") as session:
             (result,) = session.run_plan(RunPlan(config, (cell,)))
-        with open(tmp_path / "tel" / "events.jsonl") as handle:
-            events = [json.loads(line) for line in handle]
+        events, _, _ = load_events(tmp_path / "tel" / "events.jsonl")
         (record,) = [e for e in events if e["kind"] == "ticks"]
         columns = record["columns"]
         assert len(columns["time_s"]) == len(result.trace) > 0
@@ -277,8 +279,7 @@ class TestRunnerIntegration:
         with pytest.raises(ExperimentError, match="exceeded"):
             with open_session(telemetry_dir=tmp_path / "tel") as session:
                 session.run_plan(RunPlan(config, (cell,)))
-        with open(tmp_path / "tel" / "events.jsonl") as handle:
-            events = [json.loads(line) for line in handle]
+        events, _, _ = load_events(tmp_path / "tel" / "events.jsonl")
         kinds = [e["kind"] for e in events]
         assert "run_finished" not in kinds
         (record,) = [e for e in events if e["kind"] == "ticks"]

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import json
+from array import array
 
+from repro.telemetry import (
+    TICK_COLUMNS,
+    TelemetryDirectory,
+    TelemetryRecorder,
+    TicksRecorded,
+)
 from repro.telemetry.exporters import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
@@ -16,6 +23,7 @@ from repro.telemetry.merge import (
     merge_snapshots,
     merge_worker_directories,
 )
+from repro.telemetry.report import load_events, render_report
 
 
 def _snapshot(counters=None, gauges=None, histograms=None, spans=None):
@@ -219,3 +227,53 @@ def test_find_worker_directories_sorted(tmp_path):
         (tmp_path / name).mkdir()
     found = [p.rsplit("/", 1)[-1] for p in find_worker_directories(tmp_path)]
     assert found == ["worker-00", "worker-00.1", "worker-01"]
+
+
+def _observed_worker(path, runs):
+    """A worker bundle of one ``ticks`` record per entry of ``runs``
+    (each a list of measured watts, one per 10 ms tick)."""
+    recorder = TelemetryRecorder()
+    sink = TelemetryDirectory(path)
+    sink.attach(recorder)
+    for index, measured in enumerate(runs):
+        n = len(measured)
+        columns = {
+            name: array("d", [0.01] * n) for name in TICK_COLUMNS
+        }
+        columns["measured_power_w"] = array("d", measured)
+        columns["frequency_mhz"] = array("d", [1800.0] * n)
+        recorder.emit(TicksRecorded(
+            time_s=0.01 * n, workload=f"{path.name}-{index}", governor="PM",
+            columns=columns,
+            rates={"INST_DECODED": array("d", [0.5 * i for i in range(n)])},
+        ))
+    sink.finalize(recorder)
+
+
+def test_merge_rebases_spans_and_drops_ticks_past_a_torn_column_file(
+    tmp_path,
+):
+    _observed_worker(tmp_path / "worker-00", [[10.0, 11.0, 12.0]])
+    _observed_worker(tmp_path / "worker-01", [[13.0, 14.0], [15.0, 16.0]])
+    # worker-01 was killed before its last run's columns reached the
+    # disk: the column file stops inside that run's rate column.
+    torn = tmp_path / "worker-01" / "events.f64"
+    torn.write_bytes(torn.read_bytes()[:-12])
+
+    report = merge_worker_directories(tmp_path)
+    assert report.workers == 2
+    assert report.events == 2
+    assert report.skipped_events == 1
+    assert report.corrupt is True
+
+    events, skipped, truncated = load_events(tmp_path / EVENTS_FILENAME)
+    assert (skipped, truncated) == (0, False)
+    assert [e["workload"] for e in events] == ["worker-00-0", "worker-01-0"]
+    assert [e["columns"]["measured_power_w"] for e in events] == [
+        [10.0, 11.0, 12.0], [13.0, 14.0],
+    ]
+    assert [e["rates"]["INST_DECODED"] for e in events] == [
+        [0.0, 0.5, 1.0], [0.0, 0.5],
+    ]
+    text = render_report(tmp_path)
+    assert "p-state residency (5 ticks in 2 runs):" in text

@@ -24,6 +24,11 @@ class TestCounter:
         counter = MetricsRegistry().counter("ticks")
         with pytest.raises(TelemetryError):
             counter.inc(-1.0)
+        counter.inc(2.0)
+        with pytest.raises(TelemetryError):
+            counter.set_total(1.0)
+        counter.set_total(2.5)
+        assert counter.value == 2.5
 
     def test_get_or_create_returns_same_instance(self):
         registry = MetricsRegistry()
