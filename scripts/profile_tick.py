@@ -2,17 +2,20 @@
 """Profile the monitor->estimate->control hot path.
 
 Runs one governed cell under cProfile and prints the top functions by
-cumulative time, with the loop's throughput in ticks/s.  Every
-single-core run takes the fused tick kernel
-(:func:`repro.core.blockloop.run_fast`): the stock governors decide
-from its projection tables, while ``adaptive-pm`` (measured-power
-feedback) runs its hook mode, where the decision block calls the real
-sampler, governor and driver each tick.
+cumulative time, with the loop's throughput in ticks/s.  Every run
+takes the fused tick kernel (:func:`repro.core.blockloop.run_fast`):
+on one core the stock governors decide from its projection tables,
+while ``adaptive-pm`` (measured-power feedback) and ``energy-optimal``
+run its hook mode, where the decision block calls the governor and
+driver each tick.  ``--threads N`` splits the workload over an N-core
+package, which the kernel steps as N lanes per tick (always hook
+mode).
 
 Usage::
 
     PYTHONPATH=src python scripts/profile_tick.py [--workload ammp]
-        [--governor pm|ps|dbs|fixed|adaptive-pm] [--scale 16] [--top 20]
+        [--governor pm|ps|dbs|fixed|adaptive-pm|energy-optimal]
+        [--threads 1] [--scale 16] [--top 20]
         [--out benchmarks/results/profile_tick.txt]
 
 The archived reference run lives at
@@ -37,6 +40,9 @@ SPECS = {
     "fixed": lambda: GovernorSpec.fixed(1400.0),
     "adaptive-pm": lambda: GovernorSpec.adaptive_pm(
         14.5, power_model="paper"
+    ),
+    "energy-optimal": lambda: GovernorSpec.energy_optimal(
+        power_model="paper"
     ),
 }
 
@@ -64,19 +70,25 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="ammp")
     parser.add_argument("--governor", choices=sorted(SPECS), default="pm")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="cores of the package the workload is split "
+                        "over (default: 1, a single-core machine)")
     parser.add_argument("--scale", type=float, default=16.0)
     parser.add_argument("--top", type=int, default=20)
     parser.add_argument("--out", default=None,
                         help="also write the report to this file")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
 
     config = ExperimentConfig(scale=args.scale, seed=0)
     cell = RunCell(
-        workload=args.workload, governor=SPECS[args.governor]()
+        workload=args.workload, governor=SPECS[args.governor](),
+        threads=args.threads,
     )
     report = (
         f"profile_tick: workload={args.workload} governor={args.governor} "
-        f"scale={args.scale}\n\n"
+        f"threads={args.threads} scale={args.scale}\n\n"
         + _profile_once(cell, config, args.top)
     )
     print(report)

@@ -25,7 +25,12 @@ The decision is one of five modes, selected by the run's own inputs:
   decision block on the real objects (schedule delivery, the sampler,
   the resilience runtime, ``governor.decide``, the driver,
   ``observe_power``, ``adapt.observe``), then re-reads what those may
-  have changed: p-state, dead time, duty cycle, PMU programming.
+  have changed: p-state, dead time, duty cycle, PMU programming.  An
+  exact :class:`~repro.core.sampling.CounterSampler` (or each group of
+  a :class:`~repro.core.sampling.MultiplexedCounterSampler`) closes its
+  interval on a snapshot built from the kernel's counter locals
+  (``close``); a fault wrapper or the resilience runtime samples
+  through the MSRs (``sample``).
 
 The machine side follows its inputs as well: a thermal machine prices
 leakage at the package temperature and advances the thermal model each
@@ -37,17 +42,21 @@ the tick's closed samples right after the tick's physics.
 
 **Multicore lanes.**  A :class:`~repro.multicore.machine.MulticoreMachine`
 with N > 1 cores runs as N lanes of the same machine tick.  Each tick
-first reads every active core's uncontended bus demand and hands each
-lane its :class:`~repro.multicore.contention.ContentionModel` timing;
-the timing-dependent template fields of a contended lane are
-recomputed per tick (:func:`~repro.platform.blockstep.
-contended_templates`), never cached.  Then each unfinished lane loads
+first reads every active core's uncontended bus demand and takes each
+lane's contended ``(dram_latency_ns, bus_bandwidth)`` from
+:meth:`~repro.multicore.contention.ContentionModel.effective_scalars`
+(None: no pressure, the base timing).  Then each unfinished lane loads
 its core's state into the locals, runs the tick body and stores it back
-(lead core last).  Finished and idle cores are padded with idle power to
-the slowest core's duration, the meter gets one package-mean segment,
-and the decision -- always hook mode -- runs on the lead core's sampler
-and the package driver.  A single-core run (or a one-core package) is
-one lane with no switch.
+(lead core last).  Every lane reads the cached base template rows; a
+contended lane's five timing-dependent fields are recomputed straight
+into the locals (:func:`~repro.platform.blockstep._timing_fields`) on
+the lane switch and at each phase it crosses, so no timing or template
+object is built per lane per tick.  A lane's segments skip the meter:
+finished and idle cores are padded with idle power to the slowest
+core's duration, and the package mean goes once through the inlined
+meter body.  The decision -- always hook mode -- runs on the lead
+core's sampler and the package driver.  A single-core run (or a
+one-core package) is one lane with no switch.
 
 **Bit-identical contract.**  The kernel reproduces the RNG variates,
 float operation order and side effects of the scalar reference loop it
@@ -71,19 +80,21 @@ from __future__ import annotations
 
 import math
 from array import array
+from dataclasses import replace
 
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking
 from repro.core.governors.unconstrained import FixedFrequency
-from repro.core.sampling import CounterSampler
+from repro.core.sampling import CounterSampler, MultiplexedCounterSampler
 from repro.errors import ExperimentError
 from repro.drivers.msr import (
     IA32_PMC0,
     IA32_PMC1,
     IA32_TIME_STAMP_COUNTER,
 )
+from repro.drivers.pmu import CounterSnapshot
 from repro.measurement.power_meter import PowerSample
 from repro.platform.blockstep import (
     _M40,
@@ -91,7 +102,7 @@ from repro.platform.blockstep import (
     _NEG_INV_P,
     _NEG_P,
     _SELECTOR,
-    contended_templates,
+    _timing_fields,
     rate_template,
 )
 from repro.platform.pipeline import (
@@ -250,14 +261,14 @@ class _Package:
     """A multicore package's bookkeeping around its per-core lanes.
 
     :meth:`begin` reads every active core's uncontended bus demand and
-    hands out this tick's contended timings; the kernel steps each lane
-    and records it with :meth:`finish`; :meth:`end` pads finished and
-    idle cores with idle power, meters the package mean once and
-    advances package time -- what the lock-step ``MulticoreMachine``
-    tick did.
+    hands out this tick's contended ``(dram_latency_ns, bus_bandwidth)``
+    per lane; the kernel steps each lane and records it with
+    :meth:`finish`; :meth:`end` pads finished and idle cores with idle
+    power and advances package time, and the kernel meters the package
+    mean once -- what the lock-step ``MulticoreMachine`` tick did.
     """
 
-    def __init__(self, package, meter, sinks, template_rows, state_index):
+    def __init__(self, package, template_rows, state_index):
         self.package = package
         self.cores = package.cores
         #: One :func:`_lane` per active core; core 0 leads.
@@ -266,15 +277,13 @@ class _Package:
         self.base = config.timing
         self.constants = config.power
         self.contention = package.config.contention
-        #: Template builder for a lane at a contended timing.
-        self.contended = contended_templates(self.base)
-        self.meter = meter
-        self.sinks = sinks
         self.rows = template_rows
         self.state_index = state_index
         self.done = [lane[1].finished for lane in self.lanes]
         #: Each lane's jitter chunk buffer: (buffer, drawn, refills).
         self.jitter = [(None, _RNG_CHUNK, 0)] * len(self.lanes)
+        #: Per lane: None (no pressure, the base timing) or its contended
+        #: (dram_latency_ns, bus_bandwidth) this tick.
         self.timings = ()
         self.stepped = []
 
@@ -300,7 +309,7 @@ class _Package:
                     self.constants,
                 )
             demands.append(_bus_demand(template, core._jitter_log))
-        self.timings = self.contention.effective_timings(self.base, demands)
+        self.timings = self.contention.effective_scalars(self.base, demands)
         self.note_bus(demands)
         self.stepped = [None] * len(self.cores)
         order = [
@@ -315,6 +324,22 @@ class _Package:
         if bus > self.package.peak_bus_utilization:
             self.package.peak_bus_utilization = bus
 
+    def fields(self, contended, phase, freq_mhz):
+        """The five timing-dependent template fields of a lane at its
+        contended ``(dram_latency_ns, bus_bandwidth)``."""
+        return _timing_fields(
+            phase, freq_mhz, self.base.l2_latency_cycles, *contended
+        )
+
+    def timing(self, contended):
+        """A contended lane's timing as a :class:`MemoryTiming` (for the
+        rare ``resolve_rates`` fallback)."""
+        return replace(
+            self.base,
+            dram_latency_ns=contended[0],
+            bus_bandwidth_bytes_per_s=contended[1],
+        )
+
     def finish(self, lane, elapsed, energy, instructions, done):
         """Record one lane's tick."""
         self.stepped[lane] = (elapsed, energy, instructions)
@@ -323,7 +348,7 @@ class _Package:
     def end(self):
         """Close the package tick.  Returns the package time, the tick's
         duration, the lead core's sample interval, the package energy
-        and instructions, and the mean power the meter got."""
+        and instructions, and the mean power to meter."""
         stepped = self.stepped
         duration = max(out[0] for out in stepped if out is not None)
         energy = 0.0
@@ -341,9 +366,6 @@ class _Package:
         package = self.package
         package._time_s += duration
         power = energy / duration if duration > 0 else 0.0
-        self.meter.accumulate(power, duration)
-        for sink in self.sinks:
-            sink(power, duration)
         lead = stepped[0]
         return (
             package._time_s,
@@ -433,7 +455,9 @@ def run_fast(st, tel):
     dt = config.tick_s
     dt_eps = dt - 1e-12
     timing = config.timing
-    make_template = rate_template
+    # A contended lane's (dram_latency_ns, bus_bandwidth); None: the
+    # base timing.
+    contended = None
     constants = config.power
     leak_power = constants.leakage.power
     _exp = math.exp
@@ -462,6 +486,15 @@ def run_fast(st, tel):
     mode = None
     if hooked:
         delivered = 0
+        # An exact sampler (or rotation of them) closes its interval on
+        # a snapshot of the kernel's counters; a fault wrapper or the
+        # resilience runtime samples through the objects.
+        close_sample = (
+            sampler.close
+            if rt is None
+            and type(sampler) in (CounterSampler, MultiplexedCounterSampler)
+            else None
+        )
     elif type(governor) is PerformanceMaximizer:
         mode = 0
         proj_rows = governor.projection_table().rows
@@ -551,15 +584,9 @@ def run_fast(st, tel):
     # A multicore package (of any size) tracks its bus utilization.
     pkg = None
     if st.machine is not machine:
-        pkg = _Package(
-            st.machine, power_meter, extra_sinks, template_rows, state_index
-        )
+        pkg = _Package(st.machine, template_rows, state_index)
     if multi:
         pending = not all(pkg.done)
-        # The package meters once per tick, so a lane's segments never
-        # close a meter sample nor feed the package's sinks.
-        m_interval = _INF
-        extra_sinks = ()
     close_eps = m_interval - 1e-12
 
     # Current-p-state residency accumulates in a local; flushed to the
@@ -655,13 +682,11 @@ def run_fast(st, tel):
                         thermal = None
                         duty = 1.0
                         continue
-                    timing = pkg.timings[lane]
-                    if timing is config.timing:
-                        templates = template_rows[current_index]
-                        make_template = rate_template
-                    else:
-                        templates = [None] * n_phases
-                        make_template = pkg.contended
+                    # Every lane reads the base rows; a contended lane
+                    # overrides its timing-dependent fields on each load.
+                    contended = pkg.timings[lane]
+                    templates = template_rows[current_index]
+                    t_cur = None
                 # ---- machine tick (mirrors Machine.step) ----
                 start_time = time_s
                 energy = 0.0
@@ -673,7 +698,7 @@ def run_fast(st, tel):
 
                 template = templates[phase_index]
                 if template is None:
-                    template = templates[phase_index] = make_template(
+                    template = templates[phase_index] = rate_template(
                         phases[phase_index], pstate, timing, constants
                     )
                 if template is not t_cur:
@@ -705,6 +730,11 @@ def run_fast(st, tel):
                     t_rho = template.rho
                     t_jitter_scale = template.jitter_scale
                     t_half_sig2 = template.half_sig2
+                    if contended is not None:
+                        (t_l2_stall, t_dram_stall, t_bw_neg_p, t_bus_bw,
+                         t_dcu_occ) = pkg.fields(
+                            contended, phases[phase_index], t_freq_mhz
+                        )
 
                 dead = dead_total - charged
                 if dead > 0:
@@ -712,56 +742,58 @@ def run_fast(st, tel):
                         dead = dt
                     charged += dead
                     energy += t_idle_w * dead
-                    # Inlined meter emit(t_idle_w, dead).
-                    remaining_t = dead
-                    while remaining_t > 0:
-                        room = m_interval - bucket_t
-                        chunk = remaining_t if remaining_t < room else room
-                        bucket_e += t_idle_w * chunk
-                        bucket_t += chunk
-                        m_time += chunk
-                        remaining_t -= chunk
-                        if bucket_t >= close_eps:
-                            true_mean = bucket_e / bucket_t
-                            true_current = true_mean / supply
-                            if batch_meter:
-                                if m_i == _RNG_CHUNK:
-                                    m_buf = meter_std(_RNG_CHUNK).tolist()
-                                    m_i = 0
-                                    m_refills += 1
-                                s_noise = 0.0 + amp_noise * m_buf[m_i]
-                                a_noise = (
-                                    0.0 + noise_floor * m_buf[m_i + 1]
-                                )
-                                m_i += 2
-                            else:
-                                s_noise = sense_normal(0.0, amp_noise)
-                                a_noise = adc_normal(0.0, noise_floor)
-                            v_sense = true_current * realized + s_noise
-                            sensed = (v_sense / nominal) * supply
-                            noisy = sensed + a_noise
-                            clipped = 0.0 if 0.0 > noisy else noisy
-                            if full_scale < clipped:
-                                clipped = full_scale
-                            measured_w = round(clipped / lsb) * lsb
-                            # Frozen-dataclass __init__ goes through
-                            # object.__setattr__ four times; filling the
-                            # instance dict directly builds an
-                            # indistinguishable object at half the cost.
-                            sample = _new(PowerSample)
-                            sdict = sample.__dict__
-                            sdict["time_s"] = m_time
-                            sdict["watts"] = measured_w
-                            sdict["true_watts"] = true_mean
-                            sdict["duration_s"] = bucket_t
-                            samples_append(sample)
-                            last_measured_w = measured_w
-                            n_samples += 1
-                            bucket_e = 0.0
-                            bucket_t = 0.0
-                    if extra_sinks:
-                        for sink in extra_sinks:
-                            sink(t_idle_w, dead)
+                    # A lane's segments are metered as the package mean.
+                    if not multi:
+                        # Inlined meter emit(t_idle_w, dead).
+                        remaining_t = dead
+                        while remaining_t > 0:
+                            room = m_interval - bucket_t
+                            chunk = remaining_t if remaining_t < room else room
+                            bucket_e += t_idle_w * chunk
+                            bucket_t += chunk
+                            m_time += chunk
+                            remaining_t -= chunk
+                            if bucket_t >= close_eps:
+                                true_mean = bucket_e / bucket_t
+                                true_current = true_mean / supply
+                                if batch_meter:
+                                    if m_i == _RNG_CHUNK:
+                                        m_buf = meter_std(_RNG_CHUNK).tolist()
+                                        m_i = 0
+                                        m_refills += 1
+                                    s_noise = 0.0 + amp_noise * m_buf[m_i]
+                                    a_noise = (
+                                        0.0 + noise_floor * m_buf[m_i + 1]
+                                    )
+                                    m_i += 2
+                                else:
+                                    s_noise = sense_normal(0.0, amp_noise)
+                                    a_noise = adc_normal(0.0, noise_floor)
+                                v_sense = true_current * realized + s_noise
+                                sensed = (v_sense / nominal) * supply
+                                noisy = sensed + a_noise
+                                clipped = 0.0 if 0.0 > noisy else noisy
+                                if full_scale < clipped:
+                                    clipped = full_scale
+                                measured_w = round(clipped / lsb) * lsb
+                                # Frozen-dataclass __init__ goes through
+                                # object.__setattr__ four times; filling the
+                                # instance dict directly builds an
+                                # indistinguishable object at half the cost.
+                                sample = _new(PowerSample)
+                                sdict = sample.__dict__
+                                sdict["time_s"] = m_time
+                                sdict["watts"] = measured_w
+                                sdict["true_watts"] = true_mean
+                                sdict["duration_s"] = bucket_t
+                                samples_append(sample)
+                                last_measured_w = measured_w
+                                n_samples += 1
+                                bucket_e = 0.0
+                                bucket_t = 0.0
+                        if extra_sinks:
+                            for sink in extra_sinks:
+                                sink(t_idle_w, dead)
                     elapsed += dead
 
                 if t_sigma == 0.0:
@@ -781,7 +813,7 @@ def run_fast(st, tel):
                 while elapsed < dt_eps and retired < finish_line:
                     template = templates[phase_index]
                     if template is None:
-                        template = templates[phase_index] = make_template(
+                        template = templates[phase_index] = rate_template(
                             phases[phase_index], pstate, timing, constants
                         )
                     if template is not t_cur:
@@ -813,6 +845,11 @@ def run_fast(st, tel):
                         t_rho = template.rho
                         t_jitter_scale = template.jitter_scale
                         t_half_sig2 = template.half_sig2
+                        if contended is not None:
+                            (t_l2_stall, t_dram_stall, t_bw_neg_p, t_bus_bw,
+                             t_dcu_occ) = pkg.fields(
+                                contended, phases[phase_index], t_freq_mhz
+                            )
                     remaining = total - retired
                     if remaining < 0.0:
                         remaining = 0.0
@@ -884,7 +921,10 @@ def run_fast(st, tel):
                             rate = dcu_rate
                         else:
                             rate = resolve_rates(
-                                phases[phase_index], pstate, timing, jitter=jitter
+                                phases[phase_index], pstate,
+                                timing if contended is None
+                                else pkg.timing(contended),
+                                jitter=jitter,
                             ).events.rate(event0)
                         res0 += rate * seg_cycles
                         increment = int(res0)
@@ -899,7 +939,10 @@ def run_fast(st, tel):
                             rate = dcu_rate
                         else:
                             rate = resolve_rates(
-                                phases[phase_index], pstate, timing, jitter=jitter
+                                phases[phase_index], pstate,
+                                timing if contended is None
+                                else pkg.timing(contended),
+                                jitter=jitter,
                             ).events.rate(event1)
                         res1 += rate * seg_cycles
                         increment = int(res1)
@@ -913,52 +956,53 @@ def run_fast(st, tel):
                     if thermal is not None:
                         thermal.advance(power, seg_time)
                     energy += power * seg_time
-                    # Inlined meter emit(power, seg_time).
-                    remaining_t = seg_time
-                    while remaining_t > 0:
-                        room = m_interval - bucket_t
-                        chunk = remaining_t if remaining_t < room else room
-                        bucket_e += power * chunk
-                        bucket_t += chunk
-                        m_time += chunk
-                        remaining_t -= chunk
-                        if bucket_t >= close_eps:
-                            true_mean = bucket_e / bucket_t
-                            true_current = true_mean / supply
-                            if batch_meter:
-                                if m_i == _RNG_CHUNK:
-                                    m_buf = meter_std(_RNG_CHUNK).tolist()
-                                    m_i = 0
-                                    m_refills += 1
-                                s_noise = 0.0 + amp_noise * m_buf[m_i]
-                                a_noise = (
-                                    0.0 + noise_floor * m_buf[m_i + 1]
-                                )
-                                m_i += 2
-                            else:
-                                s_noise = sense_normal(0.0, amp_noise)
-                                a_noise = adc_normal(0.0, noise_floor)
-                            v_sense = true_current * realized + s_noise
-                            sensed = (v_sense / nominal) * supply
-                            noisy = sensed + a_noise
-                            clipped = 0.0 if 0.0 > noisy else noisy
-                            if full_scale < clipped:
-                                clipped = full_scale
-                            measured_w = round(clipped / lsb) * lsb
-                            sample = _new(PowerSample)
-                            sdict = sample.__dict__
-                            sdict["time_s"] = m_time
-                            sdict["watts"] = measured_w
-                            sdict["true_watts"] = true_mean
-                            sdict["duration_s"] = bucket_t
-                            samples_append(sample)
-                            last_measured_w = measured_w
-                            n_samples += 1
-                            bucket_e = 0.0
-                            bucket_t = 0.0
-                    if extra_sinks:
-                        for sink in extra_sinks:
-                            sink(power, seg_time)
+                    if not multi:
+                        # Inlined meter emit(power, seg_time).
+                        remaining_t = seg_time
+                        while remaining_t > 0:
+                            room = m_interval - bucket_t
+                            chunk = remaining_t if remaining_t < room else room
+                            bucket_e += power * chunk
+                            bucket_t += chunk
+                            m_time += chunk
+                            remaining_t -= chunk
+                            if bucket_t >= close_eps:
+                                true_mean = bucket_e / bucket_t
+                                true_current = true_mean / supply
+                                if batch_meter:
+                                    if m_i == _RNG_CHUNK:
+                                        m_buf = meter_std(_RNG_CHUNK).tolist()
+                                        m_i = 0
+                                        m_refills += 1
+                                    s_noise = 0.0 + amp_noise * m_buf[m_i]
+                                    a_noise = (
+                                        0.0 + noise_floor * m_buf[m_i + 1]
+                                    )
+                                    m_i += 2
+                                else:
+                                    s_noise = sense_normal(0.0, amp_noise)
+                                    a_noise = adc_normal(0.0, noise_floor)
+                                v_sense = true_current * realized + s_noise
+                                sensed = (v_sense / nominal) * supply
+                                noisy = sensed + a_noise
+                                clipped = 0.0 if 0.0 > noisy else noisy
+                                if full_scale < clipped:
+                                    clipped = full_scale
+                                measured_w = round(clipped / lsb) * lsb
+                                sample = _new(PowerSample)
+                                sdict = sample.__dict__
+                                sdict["time_s"] = m_time
+                                sdict["watts"] = measured_w
+                                sdict["true_watts"] = true_mean
+                                sdict["duration_s"] = bucket_t
+                                samples_append(sample)
+                                last_measured_w = measured_w
+                                n_samples += 1
+                                bucket_e = 0.0
+                                bucket_t = 0.0
+                        if extra_sinks:
+                            for sink in extra_sinks:
+                                sink(power, seg_time)
                     tick_instr += seg_instr
                     elapsed += seg_time
 
@@ -982,7 +1026,48 @@ def run_fast(st, tel):
             if multi:
                 (time_s, duration, elapsed, energy, tick_instr,
                  mean_power) = pkg.end()
-                n_samples = len(meter_samples)
+                # Inlined meter emit(mean_power, duration): the package
+                # mean, once per tick.
+                remaining_t = duration
+                while remaining_t > 0:
+                    room = m_interval - bucket_t
+                    chunk = remaining_t if remaining_t < room else room
+                    bucket_e += mean_power * chunk
+                    bucket_t += chunk
+                    m_time += chunk
+                    remaining_t -= chunk
+                    if bucket_t >= close_eps:
+                        true_mean = bucket_e / bucket_t
+                        true_current = true_mean / supply
+                        if batch_meter:
+                            if m_i == _RNG_CHUNK:
+                                m_buf = meter_std(_RNG_CHUNK).tolist()
+                                m_i = 0
+                                m_refills += 1
+                            s_noise = 0.0 + amp_noise * m_buf[m_i]
+                            a_noise = 0.0 + noise_floor * m_buf[m_i + 1]
+                            m_i += 2
+                        else:
+                            s_noise = sense_normal(0.0, amp_noise)
+                            a_noise = adc_normal(0.0, noise_floor)
+                        v_sense = true_current * realized + s_noise
+                        sensed = (v_sense / nominal) * supply
+                        noisy = sensed + a_noise
+                        clipped = 0.0 if 0.0 > noisy else noisy
+                        if full_scale < clipped:
+                            clipped = full_scale
+                        measured_w = round(clipped / lsb) * lsb
+                        # The plain constructor: a filled instance dict
+                        # would hold each kept sample in 64 more bytes.
+                        samples_append(PowerSample(
+                            m_time, measured_w, true_mean, bucket_t
+                        ))
+                        last_measured_w = measured_w
+                        n_samples += 1
+                        bucket_e = 0.0
+                        bucket_t = 0.0
+                for sink in extra_sinks:
+                    sink(mean_power, duration)
                 res_acc += duration
                 pending = not all(pkg.done)
             else:
@@ -990,28 +1075,37 @@ def run_fast(st, tel):
             instructions += tick_instr
             true_energy += energy
             tick_freq = freq
-            tick_pstate = pstate
 
             if hooked:
                 # ---- decision boundary: locals -> objects, then the
                 # decision block on the objects ----
-                _store(
-                    machine, cursor, pmu, time_s, jitter_log, charged,
-                    retired, into_phase, phase_index, cycles_int, cycle_res,
-                    res0, res1, pmc0, pmc1, tsc,
-                )
-                if not multi:
-                    _store_meter(power_meter, m_time, bucket_e, bucket_t)
+                if multi:
+                    # Each lane stored its core; the lead core's clock
+                    # reads the package's.
+                    machine._time_s = time_s
+                else:
+                    _store(
+                        machine, cursor, pmu, time_s, jitter_log, charged,
+                        retired, into_phase, phase_index, cycles_int,
+                        cycle_res, res0, res1, pmc0, pmc1, tsc,
+                    )
+                _store_meter(power_meter, m_time, bucket_e, bucket_t)
                 # The objects are current until the re-read below; an
                 # error in between must not overwrite what the hooks did.
                 in_decision = True
                 if corrupt is not None:
                     corrupt()
-                counter_sample = (
-                    rt.acquire_sample(sampler, elapsed)
-                    if rt is not None
-                    else sampler.sample(elapsed)
-                )
+                if close_sample is not None:
+                    # The lead core's counters, from the locals (what
+                    # PMU.snapshot reads from the MSRs).
+                    counter_sample = close_sample(elapsed, CounterSnapshot(
+                        (event0, event1), (pmc0, pmc1), cycles_int & _M40,
+                        tsc,
+                    ))
+                elif rt is not None:
+                    counter_sample = rt.acquire_sample(sampler, elapsed)
+                else:
+                    counter_sample = sampler.sample(elapsed)
                 measured = (
                     meter_samples[-1].watts
                     if n_samples > sample_index
@@ -1066,8 +1160,9 @@ def run_fast(st, tel):
                     cycles_append(raw.cycles)
                     target_mhz = target.frequency_mhz
                     if can_estimate and counter_sample is not None:
+                        # pstate is still the tick's (re-read below).
                         estimate_w = governor.estimate_power(
-                            counter_sample, tick_pstate, target
+                            counter_sample, pstate, target
                         )
                     limit_w = getattr(governor, "power_limit_w", None)
                     if limit_w is None:
@@ -1247,8 +1342,7 @@ def run_fast(st, tel):
                 into_phase, phase_index, cycles_int, cycle_res, res0, res1,
                 pmc0, pmc1, tsc,
             )
-            if not multi:
-                _store_meter(power_meter, m_time, bucket_e, bucket_t)
+            _store_meter(power_meter, m_time, bucket_e, bucket_t)
         if res_acc or freq in residency:
             residency[freq] = res_acc
         if not hooked:

@@ -93,6 +93,7 @@ class EnergyOptimalSearch(Governor):
         self.bandwidth_ceiling_bytes_per_s = bandwidth_ceiling_bytes_per_s
         self._dpc = 0.0
         self._dcu = 0.0
+        self._rows_by_mhz: dict | None = None
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -128,17 +129,73 @@ class EnergyOptimalSearch(Governor):
         return power / throughput
 
     def decide(self, sample: CounterSample, current: PState) -> PState:
-        if Event.INST_DECODED in sample.rates:
-            self._dpc = sample.rates[Event.INST_DECODED]
-        if Event.DCU_MISS_OUTSTANDING in sample.rates:
-            self._dcu = sample.rates[Event.DCU_MISS_OUTSTANDING]
-        ipc = sample.rates.get(Event.INST_RETIRED, 0.0)
-        if ipc <= 0 or self._dpc <= 0:
+        rates = sample.rates
+        if Event.INST_DECODED in rates:
+            self._dpc = rates[Event.INST_DECODED]
+        if Event.DCU_MISS_OUTSTANDING in rates:
+            self._dcu = rates[Event.DCU_MISS_OUTSTANDING]
+        ipc = rates.get(Event.INST_RETIRED, 0.0)
+        dpc = self._dpc
+        if ipc <= 0 or dpc <= 0:
             return current
-        return min(
-            self.table,
-            key=lambda candidate: self.objective(ipc, current, candidate),
-        )
+        # As objective() computes it (a NaN IPC gets 0.0).
+        dcu_per_ipc = self._dcu / ipc if ipc > 0 else 0.0
+        rows = self._rows()
+        row = rows.get(current.frequency_mhz) if rows is not None else None
+        if row is None or dcu_per_ipc < 0:
+            # An overridden objective, a state off the table, or a
+            # sample Eq. 3 rejects: the scan (which raises for the last).
+            return min(
+                self.table,
+                key=lambda candidate: self.objective(ipc, current, candidate),
+            )
+        # objective() per candidate from the Eq. 2/4 and Eq. 3 tables,
+        # in its float order; min()'s first-wins order on ties.
+        core_bound = dcu_per_ipc < self._performance.dcu_threshold
+        best = best_index = None
+        for i, (scale, alpha, beta, to_mhz, factor) in enumerate(row):
+            power = alpha * (dpc * scale) + beta
+            if core_bound:
+                throughput = ipc * to_mhz * 1e6
+            else:
+                throughput = ipc * factor * to_mhz * 1e6
+            value = float("inf") if throughput <= 0 else power / throughput
+            if best is None or value < best:
+                best = value
+                best_index = i
+        return self.table[best_index]
+
+    def _rows(self) -> dict | None:
+        """The objective's projection rows, or None when a subclass
+        overrides :meth:`objective`: per current frequency, one
+        ``(scale, alpha, beta, to_mhz, factor)`` per candidate (fastest
+        first), read from the shared Eq. 2/4
+        (:func:`~repro.exec.cache.pm_projection_table`) and Eq. 3
+        (:func:`~repro.exec.cache.ps_projection_table`) tables.  Built
+        once per governor.
+        """
+        if type(self).objective is not EnergyOptimalSearch.objective:
+            return None
+        if self._rows_by_mhz is not None:
+            return self._rows_by_mhz
+        from repro.exec.cache import pm_projection_table, ps_projection_table
+
+        # A model missing a table state raises here what the scan
+        # raises at that state.
+        power = pm_projection_table(self._power, self.table)
+        ps = ps_projection_table(self._performance, self.table)
+        n = len(self.table)
+        rows = {}
+        for index, from_mhz in enumerate(power.frequencies_mhz):
+            # Eq. 3's factors are stored slowest candidate first.
+            factors = ps.ascending[index]
+            rows[from_mhz] = tuple(
+                (*power.rows[index][i], ps.frequencies_mhz[i],
+                 factors[n - 1 - i][1])
+                for i in range(n)
+            )
+        self._rows_by_mhz = rows
+        return rows
 
     # -- (threads, frequency) grid projection --------------------------------
 

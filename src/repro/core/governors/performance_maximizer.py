@@ -157,6 +157,17 @@ class PerformanceMaximizer(Governor):
     def _desired(self, sample: CounterSample, current: PState) -> PState:
         """Highest-frequency state whose estimate fits under the limit."""
         budget = self._limit - self._guardband
+        if type(self).estimate_power is PerformanceMaximizer.estimate_power:
+            # The stock estimate reads the projection table (bitwise the
+            # scan below); a negative DPC takes the scan, which raises.
+            dpc = sample.dpc
+            if dpc >= 0:
+                table = self.projection_table()
+                index = table.index.get(current.frequency_mhz)
+                if index is not None:
+                    return self.table[
+                        table.desired_index(dpc, index, budget)
+                    ]
         for candidate in self.table:  # descending frequency
             if self.estimate_power(sample, current, candidate) <= budget:
                 return candidate

@@ -88,7 +88,7 @@ class PowerProjectionTable:
     first), matching :class:`repro.acpi.pstates.PStateTable` order.
     """
 
-    __slots__ = ("model", "frequencies_mhz", "rows")
+    __slots__ = ("model", "frequencies_mhz", "index", "rows")
 
     def __init__(self, model: "LinearPowerModel", table: "PStateTable"):
         freqs = table.frequencies_mhz
@@ -102,6 +102,8 @@ class PowerProjectionTable:
             rows.append(tuple(row))
         self.model = model
         self.frequencies_mhz = freqs
+        #: Row index of each current frequency.
+        self.index = {from_mhz: i for i, from_mhz in enumerate(freqs)}
         self.rows = tuple(rows)
 
     def estimate(

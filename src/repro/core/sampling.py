@@ -115,9 +115,16 @@ class CounterSampler:
         ``interval_s`` is supplied by the caller (the controller knows
         the tick length); the PMU itself provides cycle and event deltas.
         """
+        return self.close(interval_s, self._pmu.snapshot())
+
+    def close(
+        self, interval_s: float, current: CounterSnapshot
+    ) -> CounterSample:
+        """:meth:`sample` at ``current``, a snapshot of this sampler's
+        PMU taken by the caller (the tick kernel builds it from the
+        counter values it holds)."""
         if self._last is None:
             raise PMUError("sampler not started; call start() first")
-        current = self._pmu.snapshot()
         c0, c1, cycles = self._last.delta(current)
         self._last = current
         counts = (c0, c1)
@@ -161,9 +168,20 @@ class MultiplexedCounterSampler:
 
     def sample(self, interval_s: float) -> CounterSample:
         """Close the current group's interval and rotate to the next."""
-        sample = self.last_sample = self._samplers[self._index].sample(
-            interval_s
+        return self._rotate(self._samplers[self._index].sample(interval_s))
+
+    def close(
+        self, interval_s: float, current: CounterSnapshot
+    ) -> CounterSample:
+        """:meth:`sample` at ``current``, a snapshot of the PMU taken by
+        the caller (see :meth:`CounterSampler.close`)."""
+        return self._rotate(
+            self._samplers[self._index].close(interval_s, current)
         )
+
+    def _rotate(self, sample: CounterSample) -> CounterSample:
+        """Record the closed group's ``sample``; program the next group."""
+        self.last_sample = sample
         self._index = (self._index + 1) % len(self._samplers)
         self._samplers[self._index].start()
         return sample

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.errors import ExperimentError
-from repro.platform.caches import MemoryTiming
+from repro.platform.caches import MemoryTiming, check_memory_timing
 
 _EPSILON_DEMAND = 1.0  # byte/s below which a core exerts no pressure
 
@@ -97,18 +97,39 @@ class ContentionModel:
         ``demands[i]`` is core *i*'s uncontended bus traffic in bytes/s
         (zero for idle or finished cores).  Cores with no external
         pressure get ``base`` back *by identity* -- callers rely on
-        that for single-core bit-equality.
+        that for single-core bit-equality.  The values are
+        :meth:`effective_scalars`'s.
+        """
+        return tuple(
+            base if scalars is None else replace(
+                base,
+                dram_latency_ns=scalars[0],
+                bus_bandwidth_bytes_per_s=scalars[1],
+            )
+            for scalars in self.effective_scalars(base, demands)
+        )
+
+    def effective_scalars(
+        self, base: MemoryTiming, demands: Sequence[float]
+    ) -> tuple[tuple[float, float] | None, ...]:
+        """Per core, ``None`` under no external pressure (the core keeps
+        ``base``), else its contended ``(dram_latency_ns,
+        bus_bandwidth_bytes_per_s)``.
+
+        The tick kernel reads these floats without building a
+        :class:`MemoryTiming` per core per tick; a value that timing
+        would reject raises the same :class:`~repro.errors.ReproError`.
         """
         ceiling = self.ceiling(base)
         total = sum(demands)
         # The bus serves at most `ceiling`; when oversubscribed every
         # core's demand is granted its proportional fraction.
         service = min(1.0, ceiling / total) if total > 0 else 1.0
-        timings: list[MemoryTiming] = []
+        lanes: list[tuple[float, float] | None] = []
         for own in demands:
             external = (total - own) * service
             if external <= _EPSILON_DEMAND:
-                timings.append(base)
+                lanes.append(None)
                 continue
             rho = min(external / ceiling, self.max_utilization)
             multiplier = 1.0 + self.latency_slope * rho / (1.0 - rho)
@@ -122,9 +143,7 @@ class ContentionModel:
                 # bus: a core whose phase starts using the bus competes
                 # as one of the equal streams arbitration serves.
                 share = ceiling / len(demands)
-            timings.append(replace(
-                base,
-                dram_latency_ns=base.dram_latency_ns * multiplier,
-                bus_bandwidth_bytes_per_s=share,
-            ))
-        return tuple(timings)
+            latency = base.dram_latency_ns * multiplier
+            check_memory_timing(base.l2_latency_cycles, latency, share)
+            lanes.append((latency, share))
+        return tuple(lanes)

@@ -15,8 +15,8 @@ what that kernel needs from the platform side:
   power constants) is precomputed once and cached process-wide (the
   cache is exported/installed across sweep workers by
   :mod:`repro.exec.cache`).  A multicore core's contended timing is not
-  cached: :func:`contended_templates` recomputes only its
-  timing-dependent fields.
+  cached: the kernel keeps the base row and recomputes only its five
+  timing-dependent fields (:func:`_timing_fields`) into its locals.
 * The soft-minimum exponents, counter masks and the event -> per-segment
   rate selector the kernel's PMU update uses.
 
@@ -31,7 +31,6 @@ floats bitwise.  The golden-digest suite
 from __future__ import annotations
 
 import math
-from copy import copy
 from dataclasses import dataclass
 from typing import Dict
 
@@ -40,7 +39,7 @@ from repro.platform.caches import MemoryTiming
 from repro.platform.events import Event
 from repro.platform.pipeline import _SOFTMIN_P, _WRITEBACK_FRACTION
 from repro.platform.power import PowerModelConstants, idle_power
-from repro.units import mhz_to_hz
+from repro.units import mhz_to_hz, ns_to_cycles
 from repro.workloads.base import Phase
 
 #: ``ips_latency ** -p`` in the scalar soft-minimum; ``-p`` is unary
@@ -123,54 +122,31 @@ def rate_template(
     return template
 
 
-def contended_templates(base: MemoryTiming):
-    """A template builder for contended variants of the ``base`` timing.
-
-    A contended :class:`~repro.platform.caches.MemoryTiming` is a new
-    value on almost every tick, so its templates are not cached: each
-    is the cached ``base`` row with its timing-dependent fields
-    recomputed.  Same signature as :func:`rate_template`.
-    """
-
-    def build(
-        phase: Phase,
-        pstate: PState,
-        timing: MemoryTiming,
-        constants: PowerModelConstants,
-    ) -> RateTemplate:
-        template = copy(rate_template(phase, pstate, base, constants))
-        (
-            template.l2_stall_pi,
-            template.dram_stall_pi,
-            template.bw_neg_p,
-            template.bus_bw,
-            template.dcu_occupancy_pi,
-        ) = _timing_fields(phase, pstate.frequency_mhz, timing)
-        return template
-
-    return build
-
-
 def _timing_fields(
-    phase: Phase, freq_mhz: float, timing: MemoryTiming
+    phase: Phase,
+    freq_mhz: float,
+    l2_latency_cycles: float,
+    dram_latency_ns: float,
+    bus_bandwidth: float,
 ) -> tuple[float, float, float, float, float]:
     """The template fields that depend on the memory timing:
     ``l2_stall_pi``, ``dram_stall_pi``, ``bw_neg_p``, ``bus_bw`` and
-    ``dcu_occupancy_pi``."""
+    ``dcu_occupancy_pi``, from the timing's three values (the
+    ``MemoryTiming`` fields of the same names)."""
     l2_hit_mpi = max(0.0, phase.l1_mpi - phase.l2_mpi)
-    dram_cycles = timing.dram_latency_cycles(freq_mhz)
+    dram_cycles = ns_to_cycles(dram_latency_ns, freq_mhz)
     bytes_pi = _bytes_pi(phase)
     if bytes_pi > 0:
-        ips_bandwidth = timing.bus_bandwidth_bytes_per_s / bytes_pi
+        ips_bandwidth = bus_bandwidth / bytes_pi
         bw_neg_p = ips_bandwidth ** _NEG_P
     else:
         bw_neg_p = 0.0
     return (
-        l2_hit_mpi * timing.l2_latency_cycles / phase.l2_mlp,
+        l2_hit_mpi * l2_latency_cycles / phase.l2_mlp,
         phase.l2_mpi * dram_cycles / phase.mlp,
         bw_neg_p,
-        timing.bus_bandwidth_bytes_per_s,
-        l2_hit_mpi * timing.l2_latency_cycles + phase.l2_mpi * dram_cycles,
+        bus_bandwidth,
+        l2_hit_mpi * l2_latency_cycles + phase.l2_mpi * dram_cycles,
     )
 
 
@@ -189,7 +165,10 @@ def _build_template(
 ) -> RateTemplate:
     freq_mhz = pstate.frequency_mhz
     l2_stall_pi, dram_stall_pi, bw_neg_p, bus_bw, dcu_occupancy_pi = (
-        _timing_fields(phase, freq_mhz, timing)
+        _timing_fields(
+            phase, freq_mhz, timing.l2_latency_cycles,
+            timing.dram_latency_ns, timing.bus_bandwidth_bytes_per_s,
+        )
     )
     f_ghz = pstate.frequency_ghz
     sigma = phase.activity_jitter

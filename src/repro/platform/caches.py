@@ -77,12 +77,11 @@ class MemoryTiming:
     bus_bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.l2_latency_cycles <= 0:
-            raise ReproError("L2 latency must be positive")
-        if self.dram_latency_ns <= 0:
-            raise ReproError("DRAM latency must be positive")
-        if self.bus_bandwidth_bytes_per_s <= 0:
-            raise ReproError("bus bandwidth must be positive")
+        check_memory_timing(
+            self.l2_latency_cycles,
+            self.dram_latency_ns,
+            self.bus_bandwidth_bytes_per_s,
+        )
 
     def dram_latency_cycles(self, frequency_mhz: float) -> float:
         """DRAM latency expressed in core cycles at ``frequency_mhz``.
@@ -91,6 +90,22 @@ class MemoryTiming:
         p-state does not help DRAM-bound code.
         """
         return ns_to_cycles(self.dram_latency_ns, frequency_mhz)
+
+
+def check_memory_timing(
+    l2_latency_cycles: float,
+    dram_latency_ns: float,
+    bus_bandwidth_bytes_per_s: float,
+) -> None:
+    """Raise :class:`ReproError` unless every timing value is positive
+    (the :class:`MemoryTiming` invariant, also checked on timings the
+    tick kernel keeps as plain floats)."""
+    if l2_latency_cycles <= 0:
+        raise ReproError("L2 latency must be positive")
+    if dram_latency_ns <= 0:
+        raise ReproError("DRAM latency must be positive")
+    if bus_bandwidth_bytes_per_s <= 0:
+        raise ReproError("bus bandwidth must be positive")
 
 
 #: Pentium M 755 "Dothan": 32 KiB L1D, 2 MiB L2, 64 B lines.

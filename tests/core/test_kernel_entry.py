@@ -124,3 +124,19 @@ def test_pm_mixed_multicore_variants_enter_kernel(spies):
     assert len(results) == len(PM_MIXED_MULTICORE)
     assert spies["kernel"] == spies["runs"] == len(PM_MIXED_MULTICORE)
     assert spies["steps"] == 0
+
+
+def test_kernel_keeps_at_most_264_locals():
+    """Each local past the 256th costs every access an ``EXTENDED_ARG``.
+
+    The last locals in source order are the table-mode decision's, so a
+    new local moves one more of them past the boundary and slows every
+    single-core tick (``fig9``).  See the ``EXTENDED_ARG`` paragraph of
+    :func:`repro.core.blockloop.run_fast`'s docstring: keep new state in
+    helpers or :class:`repro.core.blockloop._Package`.
+    """
+    count = blockloop.run_fast.__code__.co_nlocals
+    assert count <= 264, (
+        f"run_fast has {count} locals (at most 264): see the "
+        "EXTENDED_ARG paragraph of the run_fast docstring"
+    )
