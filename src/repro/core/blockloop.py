@@ -5,8 +5,9 @@ single-core or multicore, goes through :func:`run_fast`.  One Python
 loop holds the machine tick (segment math from the cached
 :class:`~repro.platform.blockstep.RateTemplate` rows), the inlined meter
 and PMU updates and the governor's decision, all in local variables;
-no ``TickRecord``, ``ResolvedRates`` or ``EventRates`` is built per
-tick.
+no ``ResolvedRates`` or ``EventRates`` is built per tick.  It is the
+only place simulated time advances: model training and every other
+characterization run a controller too.
 
 The decision is one of five modes, selected by the run's own inputs:
 
@@ -59,12 +60,13 @@ core's sampler and the package driver.  A single-core run (or a
 one-core package) is one lane with no switch.
 
 **Bit-identical contract.**  The kernel reproduces the RNG variates,
-float operation order and side effects of the scalar reference loop it
-replaced (one ``Machine.step`` per tick) and of the lock-step multicore
-loop (one ``Machine.step`` per core per tick);
-``tests/core/golden_loop.json`` freezes those loops' digests and
-telemetry bundles, and ``tests/core/test_block_equivalence.py`` pins
-them.
+float operation order and side effects of the per-tick machine physics
+and the loops it replaced: the scalar reference loop and the lock-step
+multicore loop, which stepped the machine (each core) once per tick.
+``tests/platform/golden_ticks.json`` freezes that physics tick by tick
+(``tests/platform/test_golden_ticks.py``), ``tests/core/golden_loop.json``
+those loops' digests and telemetry bundles
+(``tests/core/test_block_equivalence.py``).
 
 **Telemetry does not change the loop.**  An observed run, and a run
 that keeps its trace, appends each tick's values as plain floats to the
@@ -222,7 +224,7 @@ def _store(machine, cursor, pmu, time_s, jitter_log, charged, retired,
 
 
 def _bus_demand(template, jitter_log):
-    """A core's uncontended bus traffic in bytes/s (``Machine.peek_rates``
+    """A core's uncontended bus traffic in bytes/s (``resolve_rates``'
     ``bytes_per_s``) at ``template`` under jitter state ``jitter_log``."""
     jitter = math.exp(jitter_log - template.half_sig2)
     ips = template.hz / (
@@ -296,8 +298,8 @@ class _Package:
             if done:
                 demands.append(0.0)
                 continue
-            # Machine.peek_rates at the base timing: the current phase
-            # and p-state, the previous tick's jitter.
+            # The bus demand at the base timing: the current phase and
+            # p-state, the previous tick's jitter.
             core, cursor = lane[0], lane[1]
             pstate = core.dvfs.current
             row = self.rows[self.state_index[pstate]]
@@ -435,7 +437,9 @@ def run_fast(st, tel):
     adapt = st.adapt
     adapting = st.adapting
     workload_name = st.workload_name
-    max_seconds = st.max_seconds
+    # One compare per tick covers the horizon and the runaway guard:
+    # time_s > max_seconds is time_s >= nextafter(max_seconds, inf).
+    stop_s = min(st.until_s, math.nextafter(st.max_seconds, _INF))
     keep_trace = st.keep_trace
     observe = tel is not None and tel.enabled
     # The per-tick columns are kept for the telemetry record and the trace.
@@ -637,11 +641,13 @@ def run_fast(st, tel):
     completed = False
     try:
         while retired < finish_line or pending:
-            if time_s > max_seconds:
-                raise ExperimentError(
-                    f"{workload_name} under {governor.name} exceeded "
-                    f"{max_seconds}s of simulated time"
-                )
+            if time_s >= stop_s:
+                if stop_s < st.until_s:
+                    raise ExperimentError(
+                        f"{workload_name} under {governor.name} exceeded "
+                        f"{st.max_seconds}s of simulated time"
+                    )
+                break
             if hooked and schedule is not None:
                 for change in schedule.due(time_s, delivered):
                     change.apply(governor)
@@ -687,7 +693,7 @@ def run_fast(st, tel):
                     contended = pkg.timings[lane]
                     templates = template_rows[current_index]
                     t_cur = None
-                # ---- machine tick (mirrors Machine.step) ----
+                # ---- machine tick (tests/platform/golden_ticks.json) ----
                 start_time = time_s
                 energy = 0.0
                 tick_instr = 0.0

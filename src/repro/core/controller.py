@@ -47,6 +47,7 @@ bit-for-bit identical to an unwrapped one.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping
@@ -480,12 +481,18 @@ class PowerManagementController:
         schedule: ConstraintSchedule | None = None,
         max_seconds: float = 600.0,
         threads: int | None = None,
+        until_s: float = math.inf,
     ) -> RunResult:
         """Run ``workload`` to completion under the governor.
 
         On a :class:`~repro.multicore.machine.MulticoreMachine` the
         workload is split over ``threads`` cores (default: all of them)
         and the governor samples core 0 and actuates the package.
+
+        ``until_s`` is a simulated-time horizon: the run ends at the
+        first tick boundary at or past it, finished or not.  A run that
+        passes ``max_seconds`` before the horizon raises
+        :class:`~repro.errors.ExperimentError`.
         """
         machine = self.machine
         governor = self.governor
@@ -540,6 +547,7 @@ class PowerManagementController:
             adapt=adapt,
             workload_name=workload.name,
             max_seconds=max_seconds,
+            until_s=until_s,
             keep_trace=self._keep_trace,
             injecting=injecting,
             adapting=adapting,
@@ -573,6 +581,8 @@ class _RunState:
     adapt: "AdaptationManager | None"
     workload_name: str
     max_seconds: float
+    #: The simulated-time horizon (inf: run to completion).
+    until_s: float
     keep_trace: bool
     injecting: bool
     adapting: bool

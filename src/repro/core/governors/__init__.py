@@ -8,7 +8,8 @@ The paper's two new solutions plus the baselines they are compared to:
   (paper §IV-B),
 * :class:`StaticClocking` -- the conventional worst-case-provisioned
   fixed frequency (paper Tables III/IV, the PM comparison baseline),
-* :class:`FixedFrequency` -- unconstrained max/min frequency anchors,
+* :class:`FixedFrequency` -- unconstrained max/min frequency anchors
+  (and :class:`EventProbe`, a pinned p-state for characterization),
 * :class:`DemandBasedSwitching` -- the utilization-driven policy PS is
   positioned against (related work, §II/§IV-B),
 * :class:`AdaptivePerformanceMaximizer` -- the measured-power-feedback
@@ -19,7 +20,7 @@ from repro.core.governors.base import Governor, GovernorDecision
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking, static_frequency_for_limit
-from repro.core.governors.unconstrained import FixedFrequency
+from repro.core.governors.unconstrained import EventProbe, FixedFrequency
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.adaptive_pm import AdaptivePerformanceMaximizer
 from repro.core.governors.thermal_guard import ThermalGuard
@@ -36,6 +37,7 @@ __all__ = [
     "StaticClocking",
     "static_frequency_for_limit",
     "FixedFrequency",
+    "EventProbe",
     "DemandBasedSwitching",
     "AdaptivePerformanceMaximizer",
     "ThermalGuard",

@@ -3,10 +3,13 @@
 ``FixedFrequency(table, 2000)`` is the paper's unconstrained full-speed
 reference (the denominator of all normalized-performance numbers);
 ``FixedFrequency(table, 600)`` is the maximum-savings bound used to sort
-the paper's Figs. 10/11.
+the paper's Figs. 10/11.  :class:`EventProbe` pins a p-state too and
+monitors the events its caller chooses (model characterization).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.acpi.pstates import PState, PStateTable
 from repro.core.governors.base import Governor
@@ -46,3 +49,25 @@ class FixedFrequency(Governor):
     @property
     def name(self) -> str:
         return f"Fixed@{self._pstate.frequency_mhz:.0f}MHz"
+
+
+class EventProbe(FixedFrequency):
+    """Stays at one p-state and monitors the caller's ``events``.
+
+    The characterization runs -- MS-Loops training (paper §III-A) and
+    per-sample model accuracy -- read counters at a pinned p-state.  As
+    a subclass of :class:`FixedFrequency` a probe runs in the tick
+    kernel's hook mode, so every tick's trace row carries the sample of
+    all its events.
+    """
+
+    def __init__(
+        self, table: PStateTable, frequency_mhz: float,
+        events: Sequence[Event],
+    ):
+        super().__init__(table, frequency_mhz)
+        self._events = tuple(events)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return self._events

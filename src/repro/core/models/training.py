@@ -10,6 +10,10 @@ simulated platform:
    two passes with different counter programmings -- feasible precisely
    because the loops are stable across runs, which the paper gives as
    the reason for using small well-defined loops as the training set.
+   Each pass is a controller run under an
+   :class:`~repro.core.governors.unconstrained.EventProbe`, cut at
+   ``duration_s`` -- the same monitoring path the governors later
+   control with.
 2. **Fit power** -- per p-state linear fit ``P = alpha*DPC + beta``
    minimizing *absolute* error (the paper's criterion), via iteratively
    reweighted least squares.
@@ -32,7 +36,6 @@ import numpy as np
 from repro.acpi.pstates import PState, PStateTable, pentium_m_755_table
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel, PStateCoefficients
-from repro.core.sampling import CounterSampler
 from repro.errors import TrainingError
 from repro.measurement.power_meter import PowerMeter
 from repro.platform.events import Event
@@ -66,39 +69,38 @@ def _characterize(
     duration_s: float,
     warmup_ticks: int,
 ) -> tuple[dict[Event, float], float]:
-    """Run ``workload`` at ``pstate`` and average rates + measured power."""
+    """Run ``workload`` at ``pstate`` for ``duration_s`` and average the
+    rates and measured power of the ticks after ``warmup_ticks``."""
+    # The controller imports the governors, which import the models.
+    from repro.core.controller import PowerManagementController
+    from repro.core.governors.unconstrained import EventProbe
+
     machine = Machine(config)
     meter = PowerMeter(
         interval_s=config.tick_s, rng=np.random.default_rng(config.seed + 7)
     )
-    machine.add_power_sink(meter.accumulate)
-    machine.load(workload, initial_pstate=pstate)
-    sampler = CounterSampler(machine.pmu, events)
-    sampler.start()
-
-    sums: dict[Event, float] = {e: 0.0 for e in events}
-    count = 0
-    tick = 0
-    while machine.now_s < duration_s and not machine.finished:
-        record = machine.step()
-        sample = sampler.sample(record.duration_s)
-        tick += 1
-        if tick <= warmup_ticks:
-            continue
-        for event in events:
-            sums[event] += sample.rate(event)
-        count += 1
-    if count == 0:
+    controller = PowerManagementController(
+        machine, EventProbe(config.table, pstate.frequency_mhz, events),
+        meter=meter, keep_trace=True,
+    )
+    result = controller.run(
+        workload, initial_pstate=pstate, until_s=duration_s
+    )
+    trace = result.trace[warmup_ticks:]
+    if not trace:
         raise TrainingError(
             f"{workload.name} at {pstate}: no usable samples "
             f"(duration_s={duration_s}, warmup={warmup_ticks})"
         )
-    meter.flush()
-    power_samples = meter.samples[warmup_ticks:]
+    sums = {event: 0.0 for event in events}
+    for row in trace:
+        for event in events:
+            sums[event] += row.rates[event]
+    power_samples = result.samples[warmup_ticks:]
     if not power_samples:
         raise TrainingError(f"{workload.name} at {pstate}: no power samples")
     mean_power = float(np.mean([s.watts for s in power_samples]))
-    return {e: sums[e] / count for e in events}, mean_power
+    return {e: sums[e] / len(trace) for e in events}, mean_power
 
 
 def collect_training_data(

@@ -162,10 +162,12 @@ class PMU:
     def tick(self, cycles: float, rates: EventRates) -> None:
         """Advance the PMU by ``cycles`` of execution at ``rates``.
 
-        Called by the machine, not by driver code.  Counter increments
-        are the expected event counts (rate x cycles); fractional parts
-        are carried across ticks in a residual so that long-run rates
-        stay exact.
+        The hardware side of the counters, not driver code.  Counter
+        increments are the expected event counts (rate x cycles);
+        fractional parts are carried across ticks in a residual so that
+        long-run rates stay exact.  The tick kernel
+        (:func:`repro.core.blockloop.run_fast`) inlines the same
+        arithmetic on its counter locals.
         """
         if cycles < 0:
             raise PMUError("cannot tick backwards")

@@ -23,9 +23,8 @@ import numpy as np
 
 from repro.analysis.report import TextTable
 from repro.core.controller import PowerManagementController
-from repro.core.governors.unconstrained import FixedFrequency
+from repro.core.governors.unconstrained import EventProbe
 from repro.core.models.power import LinearPowerModel
-from repro.core.sampling import CounterSampler  # noqa: F401  (doc reference)
 from repro.exec import ExperimentConfig
 from repro.exec.cache import trained_power_model
 from repro.experiments.runner import no_cells
@@ -81,7 +80,9 @@ def summarize(
     all_abs: list[float] = []
     for workload in default_registry().spec_suite():
         machine = Machine(config.machine_config())
-        governor = _DpcProbe(machine.config.table, frequency_mhz)
+        governor = EventProbe(
+            machine.config.table, frequency_mhz, (Event.INST_DECODED,)
+        )
         controller = PowerManagementController(
             machine, governor, keep_trace=True
         )
@@ -113,17 +114,6 @@ def summarize(
         suite_mae_w=float(all_arr.mean()),
         suite_p95_w=float(np.percentile(all_arr, 95)),
     )
-
-
-class _DpcProbe(FixedFrequency):
-    """Fixed-frequency governor that also monitors the decode counter."""
-
-    def __init__(self, table, frequency_mhz: float):
-        super().__init__(table, frequency_mhz)
-
-    @property
-    def events(self):
-        return (Event.INST_DECODED,)
 
 
 def render(result: ModelAccuracyResult) -> str:

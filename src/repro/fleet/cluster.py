@@ -672,7 +672,7 @@ class HierarchicalFleetController:
             store.true_demand_w[running].sum()) * sc.tick_s
         return float(draw.sum())
 
-    def step(self) -> None:
+    def advance(self) -> None:
         """Advance the fleet by one tick."""
         if not self._initialized:
             self._initial_allocation()
@@ -718,7 +718,7 @@ class HierarchicalFleetController:
         started = time.perf_counter()
         start_tick = self.tick
         while self.tick < self.spec.scenario.ticks:
-            self.step()
+            self.advance()
         wall = time.perf_counter() - started
         if (self._checkpoint_dir is not None
                 and self.spec.checkpoint_interval_ticks > 0):

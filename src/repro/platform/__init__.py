@@ -10,7 +10,7 @@ subpackage is the software stand-in for that hardware:
 * :mod:`repro.platform.leakage`   -- voltage-dependent leakage power,
 * :mod:`repro.platform.power`     -- component-level ground-truth power,
 * :mod:`repro.platform.dvfs`      -- p-state transition state machine,
-* :mod:`repro.platform.machine`   -- the assembled machine simulator.
+* :mod:`repro.platform.machine`   -- the assembled machine's state.
 
 The substitution argument (see DESIGN.md §2): the paper's results follow
 from two first-order physical facts -- DRAM latency is constant in
@@ -29,7 +29,7 @@ def __getattr__(name):
     # Machine pulls in the driver layer, which itself imports
     # repro.platform.events -- importing it lazily keeps this package's
     # import acyclic while preserving `from repro.platform import Machine`.
-    if name in ("Machine", "MachineConfig", "TickRecord"):
+    if name in ("Machine", "MachineConfig"):
         from repro.platform import machine
 
         return getattr(machine, name)
@@ -47,5 +47,4 @@ __all__ = [
     "PENTIUM_M_755_POWER",
     "Machine",
     "MachineConfig",
-    "TickRecord",
 ]

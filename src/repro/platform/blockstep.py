@@ -1,14 +1,11 @@
 """Shared tables for the fused tick kernel.
 
-``Machine.step`` resolves a full :class:`~repro.platform.pipeline.
-ResolvedRates` object (17 event rates), builds an
-:class:`~repro.platform.events.EventRates` dataclass and a
-:class:`~repro.platform.machine.TickRecord` per 10 ms tick, then hands
-power segments to the meter through a sink indirection.  Profiled as a
-controller loop, >90% of a governed run was this object churn, not
-arithmetic.  The controller's one fused kernel
-(:func:`repro.core.blockloop.run_fast`) skips it, and this module holds
-what that kernel needs from the platform side:
+The platform's per-tick physics lives in one place, the controller's
+fused kernel (:func:`repro.core.blockloop.run_fast`), which builds no
+:class:`~repro.platform.pipeline.ResolvedRates` (17 event rates) or
+:class:`~repro.platform.events.EventRates` object per tick and feeds the
+meter inline.  This module holds what that kernel needs from the
+platform side:
 
 * :class:`RateTemplate` -- every quantity of ``resolve_rates`` +
   ``ground_truth_power`` that depends only on (phase, p-state, timing,
@@ -21,11 +18,16 @@ what that kernel needs from the platform side:
   rate selector the kernel's PMU update uses.
 
 **Bit-identical contract.**  Every template field is a cached whole
-subexpression of ``Machine.step``'s math, so combining fields in its
-operation order (Python floats are IEEE doubles; ``a + b + c``
-associates left, ``**`` binds tighter than unary minus) reproduces its
-floats bitwise.  The golden-digest suite
-(``tests/core/test_block_equivalence.py``) pins this contract.
+subexpression of ``resolve_rates`` / ``ground_truth_power`` /
+``idle_power`` and the AR(1) jitter update, so combining fields in
+their operation order (Python floats are IEEE doubles; ``a + b + c``
+associates left, ``**`` binds tighter than unary minus) reproduces the
+per-tick physics the machine simulator was built on, bitwise.  Two
+frozen fixtures pin the contract: ``tests/platform/golden_ticks.json``
+holds that physics tick by tick (end time, true power, instructions,
+duty, temperature; ``tests/platform/test_golden_ticks.py``), and
+``tests/core/golden_loop.json`` whole-run digests and telemetry bundles
+(``tests/core/test_block_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ class RateTemplate:
     """Precomputed (phase, p-state, timing, constants) projection row.
 
     Every field is a cached *whole subexpression* of ``resolve_rates``
-    / ``ground_truth_power`` / ``idle_power`` / ``_advance_jitter``, so
-    combining them per tick reproduces the scalar floats bitwise.
+    / ``ground_truth_power`` / ``idle_power`` / the AR(1) jitter
+    update, so combining them per tick reproduces the frozen per-tick
+    floats bitwise.
     Plain floats only: templates are pickled into the exec-cache spawn
     payload.
     """

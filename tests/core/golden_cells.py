@@ -47,7 +47,7 @@ from repro.core.governors.oracle import OraclePerformanceMaximizer
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.thermal_guard import ThermalGuard
 from repro.core.governors.throttling_pm import ThrottlingMaximizer
-from repro.core.governors.unconstrained import FixedFrequency
+from repro.core.governors.unconstrained import EventProbe, FixedFrequency
 from repro.core.limits import ConstraintSchedule
 from repro.core.models.component_power import (
     ComponentCoefficients,
@@ -63,7 +63,6 @@ from repro.exec import (
     execute_cell,
     open_session,
 )
-from repro.experiments.model_accuracy import _DpcProbe
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -142,14 +141,6 @@ FAULT_FAMILIES = {
         seed=3, transition=TransitionFaults(stall_prob=0.5)
     ),
 }
-
-
-class _OddEventsProbe(FixedFrequency):
-    """A fixed frequency monitoring events the kernel does not fuse."""
-
-    @property
-    def events(self):
-        return (Event.BR_INST_RETIRED, Event.RESOURCE_STALLS)
 
 
 def _toy_component_model():
@@ -286,10 +277,15 @@ CELLS.update({
     "case/energy-optimal": _cell(GovernorSpec.energy_optimal(),
                                  workload="mcf"),
     "case/dpc-probe": lambda: _direct(
-        lambda m: _DpcProbe(m.config.table, 2000.0), initial=2000.0,
+        lambda m: EventProbe(m.config.table, 2000.0, (Event.INST_DECODED,)),
+        initial=2000.0,
     ),
     "case/odd-events": lambda: _direct(
-        lambda m: _OddEventsProbe(m.config.table, 1200.0)
+        # Events the kernel does not fuse.
+        lambda m: EventProbe(
+            m.config.table, 1200.0,
+            (Event.BR_INST_RETIRED, Event.RESOURCE_STALLS),
+        )
     ),
     "case/adaptive-pm": _cell(GovernorSpec.adaptive_pm(14.5)),
     "case/shared-machine": _shared_machine,

@@ -5,6 +5,7 @@ import pytest
 from repro.core.controller import PowerManagementController
 from repro.core.governors.oracle import OraclePerformanceMaximizer
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
+from repro.core.governors.unconstrained import EventProbe
 from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSample
 from repro.errors import GovernorError
@@ -53,8 +54,15 @@ class TestMachineIntegration:
     ):
         machine.load(tiny_core_workload)
         predicted = machine.oracle_power(machine.current_pstate)
-        record = machine.step()
-        assert record.mean_power_w == pytest.approx(predicted, rel=0.01)
+        # The run reloads the workload: the first tick starts from the
+        # state the prediction saw.
+        probe = EventProbe(machine.config.table, 2000.0, (Event.INST_RETIRED,))
+        result = PowerManagementController(machine, probe).run(
+            tiny_core_workload, until_s=machine.config.tick_s
+        )
+        assert result.trace[0].true_power_w == pytest.approx(
+            predicted, rel=0.01
+        )
 
     def test_oracle_upper_bounds_pm(self, tiny_core_workload):
         workload = tiny_core_workload.scaled(8.0)

@@ -1,11 +1,11 @@
 """Every controller run enters the fused kernel exactly once.
 
-Spies on :func:`repro.core.blockloop.run_fast`,
-:meth:`PowerManagementController.run` and :meth:`Machine.step` while
-every golden cell (single-core and multicore) runs, plus the per-tick
-hook variants of the benchmark's PM mix.  There is no second loop: each
-controller run is one kernel entry, and no controller run steps a
-machine, or a multicore package's cores, through ``Machine.step``.
+Spies on :func:`repro.core.blockloop.run_fast` and
+:meth:`PowerManagementController.run` while every golden cell
+(single-core and multicore) runs, plus the per-tick hook variants of
+the benchmark's PM mix and the MS-Loops model training.  There is no
+second loop: each controller run is one kernel entry, and the machine
+has no stepping method of its own.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from repro.adaptation.manager import AdaptationConfig
 from repro.core import blockloop
 from repro.core.controller import PowerManagementController
+from repro.core.models.training import collect_training_data
 from repro.exec import (
     ExperimentConfig,
     GovernorSpec,
@@ -22,8 +23,10 @@ from repro.exec import (
     RunPlan,
     open_session,
 )
+from repro.exec.cache import trained_power_model
 from repro.faults import FaultPlan
 from repro.platform.machine import Machine
+from repro.workloads.microbenchmarks import ms_loops
 
 from .golden_cells import BUNDLES, CELLS
 
@@ -64,34 +67,24 @@ PM_MIXED_MULTICORE = RunPlan(
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Counts of controller runs, kernel entries and in-run steps."""
-    counts = {"runs": 0, "kernel": 0, "steps": 0}
-    depth = [0]
+    """Counts of controller runs and kernel entries."""
+    # Model training runs controllers of its own: warm its cache so the
+    # counts are the cells'.
+    trained_power_model(seed=0)
+    counts = {"runs": 0, "kernel": 0}
     run = PowerManagementController.run
     run_fast = blockloop.run_fast
-    step = Machine.step
 
     def spy_run(self, *args, **kwargs):
         counts["runs"] += 1
-        depth[0] += 1
-        try:
-            return run(self, *args, **kwargs)
-        finally:
-            depth[0] -= 1
+        return run(self, *args, **kwargs)
 
     def spy_run_fast(*args, **kwargs):
         counts["kernel"] += 1
         return run_fast(*args, **kwargs)
 
-    def spy_step(self, *args, **kwargs):
-        # Model training steps machines outside any controller run.
-        if depth[0]:
-            counts["steps"] += 1
-        return step(self, *args, **kwargs)
-
     monkeypatch.setattr(PowerManagementController, "run", spy_run)
     monkeypatch.setattr(blockloop, "run_fast", spy_run_fast)
-    monkeypatch.setattr(Machine, "step", spy_step)
     return counts
 
 
@@ -100,14 +93,12 @@ def test_golden_cell_enters_kernel_once_per_run(key, spies):
     CELLS[key]()
     assert spies["runs"] >= 1
     assert spies["kernel"] == spies["runs"]
-    assert spies["steps"] == 0
 
 
 @pytest.mark.parametrize("key", sorted(BUNDLES))
 def test_observed_cell_enters_kernel(key, spies, tmp_path):
     BUNDLES[key](tmp_path)
     assert spies["kernel"] == spies["runs"] == 1
-    assert spies["steps"] == 0
 
 
 def test_pm_mixed_single_core_variants_enter_kernel(spies):
@@ -115,7 +106,6 @@ def test_pm_mixed_single_core_variants_enter_kernel(spies):
         results = session.run_plan(PM_MIXED)
     assert len(results) == len(PM_MIXED)
     assert spies["kernel"] == spies["runs"] == len(PM_MIXED)
-    assert spies["steps"] == 0
 
 
 def test_pm_mixed_multicore_variants_enter_kernel(spies):
@@ -123,7 +113,25 @@ def test_pm_mixed_multicore_variants_enter_kernel(spies):
         results = session.run_plan(PM_MIXED_MULTICORE)
     assert len(results) == len(PM_MIXED_MULTICORE)
     assert spies["kernel"] == spies["runs"] == len(PM_MIXED_MULTICORE)
-    assert spies["steps"] == 0
+
+
+def test_training_runs_each_pass_through_the_kernel(spies):
+    """MS-Loops training characterizes each (loop, p-state) point in two
+    counter passes, each one controller run."""
+    loops = ms_loops()[:1]
+    points = collect_training_data(loops, duration_s=0.05)
+    assert len(points) == 8
+    assert spies["kernel"] == spies["runs"] == 2 * len(points)
+
+
+def test_machine_has_no_stepping_api():
+    """Simulated time advances only in the kernel."""
+    from repro.platform import machine
+
+    for name in ("step", "run_to_completion", "_emit_power",
+                 "_advance_jitter"):
+        assert not hasattr(Machine, name), name
+    assert not hasattr(machine, "TickRecord")
 
 
 def test_kernel_keeps_at_most_264_locals():

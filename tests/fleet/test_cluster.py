@@ -125,7 +125,7 @@ class TestQuietFleet:
         ctl.engine.demands = lambda tick: np.full(4, 18.0)
         ctl._finish_tick[0] = 10
         while ctl.tick < 10:
-            ctl.step()
+            ctl.advance()
         assert ctl.store.grant_w == pytest.approx([10.0] * 4)
         result = ctl.run()
         assert result.finishes == 1
@@ -172,16 +172,16 @@ class TestChurnFleet:
         )
         ctl = HierarchicalFleetController(spec)
         for _ in range(5):
-            ctl.step()
+            ctl.advance()
         # Node 0 goes silent for the rest of the run.
         ctl.store.stale_until_s[0] = 1e9
         reported_at_silence = ctl.store.reported_demand_w[0]
         for _ in range(10):
-            ctl.step()
+            ctl.advance()
         assert ctl.store.state[0] == int(NodeState.STALE)
         assert ctl.store.reported_demand_w[0] < reported_at_silence
         while ctl.tick < 40:
-            ctl.step()
+            ctl.advance()
         assert ctl.store.state[0] == int(NodeState.DARK)
         assert ctl.store.reported_demand_w[0] == pytest.approx(
             ctl.store.floor_w)
@@ -227,7 +227,7 @@ class TestCheckpointResume:
                          checkpoint_interval_ticks=10)
         ctl = HierarchicalFleetController(spec, checkpoint_dir=tmp_path)
         while ctl.tick < 37:
-            ctl.step()
+            ctl.advance()
         # Abandon mid-run; the newest durable checkpoint is tick 30.
         resumed = HierarchicalFleetController.resume(tmp_path)
         assert resumed.tick == 30
@@ -247,7 +247,7 @@ class TestCheckpointResume:
             ctl = HierarchicalFleetController(
                 spec, checkpoint_dir=checkpoint_dir)
             for _ in range(5):
-                ctl.step()
+                ctl.advance()
             # Crash node 0 by hand, restart due exactly at tick 10 --
             # the same instant the next checkpoint is written.
             ctl.store.state[0] = int(NodeState.CRASHED)
@@ -257,7 +257,7 @@ class TestCheckpointResume:
             if abandon_at is None:
                 return ctl.run()
             while ctl.tick < abandon_at:
-                ctl.step()
+                ctl.advance()
             resumed = HierarchicalFleetController.resume(checkpoint_dir)
             assert resumed.tick == 10
             return resumed.run()

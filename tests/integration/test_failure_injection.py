@@ -9,7 +9,8 @@ from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
-from repro.core.sampling import CounterSampler
+from repro.core.governors.unconstrained import EventProbe
+from repro.drivers.msr import IA32_PMC0, IA32_PMC1
 from repro.measurement.adc import ADCModel
 from repro.measurement.power_meter import PowerMeter
 from repro.measurement.sense import SenseResistorChannel
@@ -41,30 +42,56 @@ def test_pm_stays_safe_with_very_noisy_meter(tiny_core_workload):
     assert over < 0.05
 
 
+class _WrapProbe(EventProbe):
+    """Decode + retire at 2 GHz; after the first tick it presets both
+    counters 1.5 ticks' worth of counts below the 40-bit wrap (or not,
+    with ``preset=False``), so the third interval wraps.  Records both
+    counters at every decision."""
+
+    def __init__(self, machine, preset=True):
+        super().__init__(
+            machine.config.table, 2000.0,
+            (Event.INST_DECODED, Event.INST_RETIRED),
+        )
+        self._msr = machine.msr
+        self._preset = preset
+        self.readings = []
+
+    def decide(self, sample, current):
+        msr = self._msr
+        if self._preset and not self.readings:
+            for address in (IA32_PMC0, IA32_PMC1):
+                counts = msr.rdmsr(address)
+                msr.poke(address, (1 << COUNTER_WIDTH_BITS) - 3 * counts // 2)
+        self.readings.append((msr.rdmsr(IA32_PMC0), msr.rdmsr(IA32_PMC1)))
+        return self._pstate
+
+
 def test_counter_wrap_mid_run_does_not_corrupt_sampling():
     """A 40-bit counter wrap inside a monitoring interval must produce a
     correct delta, not a nonsense rate."""
-    machine = Machine(MachineConfig(seed=0))
-    # Preset counters close to the wrap point.
-    machine.pmu.program_events([Event.INST_DECODED, Event.INST_RETIRED])
-    near_wrap = (1 << COUNTER_WIDTH_BITS) - 1000
-    machine.msr.poke(0xC1, near_wrap)
-    machine.msr.poke(0xC2, near_wrap)
-    sampler = CounterSampler(
-        machine.pmu, [Event.INST_DECODED, Event.INST_RETIRED]
-    )
-    sampler._last = machine.pmu.snapshot()  # keep preset values
-
     from repro.workloads.base import Phase, Workload
 
     workload = Workload(
         "wrap", (Phase(name="p", instructions=1e8, activity_jitter=0.0),), 1e8
     )
-    machine.load(workload)
-    record = machine.step()
-    sample = sampler.sample(record.duration_s)
-    assert 0.0 < sample.ipc <= 3.0
-    assert 0.0 < sample.dpc <= 3.0
+    runs = []
+    for preset in (True, False):
+        machine = Machine(MachineConfig(seed=0))
+        probe = _WrapProbe(machine, preset)
+        result = PowerManagementController(machine, probe).run(
+            workload, until_s=0.03
+        )
+        runs.append((probe, result))
+    (wrapped, result), (_, clean) = runs
+    # Both counters wrapped inside the third interval...
+    before, after = wrapped.readings[1], wrapped.readings[2]
+    assert after[0] < before[0] and after[1] < before[1]
+    # ...and its sample is exactly the unwrapped run's.
+    sample = result.trace[2].rates
+    assert sample == clean.trace[2].rates
+    assert 0.0 < sample[Event.INST_RETIRED] <= 3.0
+    assert 0.0 < sample[Event.INST_DECODED] <= 3.0
 
 
 def test_adaptive_pm_survives_meter_dropout(tiny_core_workload):

@@ -10,6 +10,8 @@ from repro.platform.machine import Machine, MachineConfig
 from repro.platform.power import PowerModelConstants
 from repro.platform.thermal import PENTIUM_M_755_THERMAL, ThermalModel
 
+from .make_golden_ticks import probe_run
+
 
 class TestThermalModel:
     def test_starts_at_ambient(self):
@@ -86,30 +88,29 @@ class TestMachineIntegration:
         )
 
     def test_isothermal_by_default(self, machine, tiny_core_workload):
-        machine.load(tiny_core_workload)
-        record = machine.step()
-        assert record.temperature_c is None
+        result = probe_run(machine, tiny_core_workload, until_s=0.01)
+        assert result.trace[0].temperature_c is None
 
     def test_temperature_rises_under_load(self, tiny_core_workload):
-        machine = self.hot_machine()
-        machine.load(tiny_core_workload.scaled(40.0))
-        records = machine.run_to_completion()
-        assert records[-1].temperature_c > records[0].temperature_c
-        assert records[0].temperature_c > 60.0
+        trace = probe_run(
+            self.hot_machine(), tiny_core_workload.scaled(40.0)
+        ).trace
+        assert trace[-1].temperature_c > trace[0].temperature_c
+        assert trace[0].temperature_c > 60.0
 
     def test_leakage_feedback_raises_power_when_hot(self, tiny_core_workload):
-        machine = self.hot_machine()
-        machine.load(tiny_core_workload.scaled(60.0))
-        records = machine.run_to_completion()
+        trace = probe_run(
+            self.hot_machine(), tiny_core_workload.scaled(60.0)
+        ).trace
         # Same activity, hotter die, more leakage: later ticks burn more.
-        assert records[-2].mean_power_w > records[1].mean_power_w + 0.1
+        assert trace[-2].true_power_w > trace[1].true_power_w + 0.1
 
     def test_machines_do_not_share_thermal_state(self, tiny_core_workload):
         config = MachineConfig(seed=0, thermal=ThermalModel())
         a = Machine(config)
         b = Machine(config)
-        a.load(tiny_core_workload)
-        a.run_to_completion()
+        probe_run(a, tiny_core_workload)
+        assert a.thermal.temperature_c > a.thermal.t_ambient_c
         assert b.thermal.temperature_c == b.thermal.t_ambient_c
 
     def test_thermal_guard_caps_temperature(self, tiny_core_workload):

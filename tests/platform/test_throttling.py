@@ -17,6 +17,8 @@ from repro.platform.throttling import (
     encode_duty,
 )
 
+from .make_golden_ticks import probe_run
+
 MODEL = LinearPowerModel.paper_model()
 
 
@@ -57,31 +59,38 @@ class TestController:
 
 
 class TestMachineThrottling:
-    def test_duty_scales_throughput(self, tiny_core_workload):
-        full = Machine(MachineConfig(seed=1))
-        full.load(tiny_core_workload)
-        full.run_to_completion()
+    #: Half duty from the second tick on (a run starts unthrottled).
+    HALF = {1: ("duty", 0.5)}
 
-        half = Machine(MachineConfig(seed=1))
-        half.load(tiny_core_workload)
-        half.throttle.set_duty(0.5)
-        half.run_to_completion()
-        assert half.now_s == pytest.approx(2 * full.now_s, rel=0.02)
+    def test_duty_scales_throughput(self, tiny_core_workload):
+        workload = tiny_core_workload.scaled(4.0)
+        full = probe_run(Machine(MachineConfig(seed=1)), workload)
+        half = probe_run(
+            Machine(MachineConfig(seed=1)), workload, script=self.HALF
+        )
+        assert half.trace[1].instructions == pytest.approx(
+            0.5 * full.trace[1].instructions, rel=1e-9
+        )
+        # One full-speed tick, then the rest at half speed.
+        tick = full.trace[0].time_s
+        assert half.duration_s == pytest.approx(
+            tick + 2 * (full.duration_s - tick), rel=0.02
+        )
 
     def test_duty_scales_dynamic_power_only(self, tiny_core_workload):
+        workload = tiny_core_workload.scaled(4.0)
         full = Machine(MachineConfig(seed=1))
-        full.load(tiny_core_workload)
-        record_full = full.step()
+        record_full = probe_run(full, workload, until_s=0.02).trace[1]
 
         half = Machine(MachineConfig(seed=1))
-        half.load(tiny_core_workload)
-        half.throttle.set_duty(0.5)
-        record_half = half.step()
+        record_half = probe_run(
+            half, workload, script=self.HALF, until_s=0.02
+        ).trace[1]
         leakage = half.config.power.leakage.power(
             half.current_pstate.voltage
         )
-        expected = (record_full.mean_power_w - leakage) * 0.5 + leakage
-        assert record_half.mean_power_w == pytest.approx(expected, rel=0.02)
+        expected = (record_full.true_power_w - leakage) * 0.5 + leakage
+        assert record_half.true_power_w == pytest.approx(expected, rel=0.02)
         assert record_half.duty == 0.5
 
 
