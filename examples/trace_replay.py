@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scenario: record a counter trace in production, replay it in the lab.
 
-A fleet operator wants to evaluate PowerSave against last week's
+An operator wants to evaluate PowerSave against last week's
 workload without re-running the application.  The flow:
 
 1. record the counter signature of a live (here: simulated) run,

@@ -38,7 +38,6 @@ from repro.errors import (
     MSRError,
     MeasurementError,
     ModelError,
-    NodeCrashError,
     PMUError,
     PStateError,
     PlanError,
@@ -195,7 +194,6 @@ __all__ = [
     "SensorFault",
     "SampleDropped",
     "InjectedTransitionError",
-    "NodeCrashError",
     "RecoveryError",
     "ResilienceError",
     "WatchdogError",

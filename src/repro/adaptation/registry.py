@@ -10,7 +10,7 @@ history is retained so a recalibration that fails probation can be
 rolled back to precisely the model it replaced.
 
 Registries persist to disk as a single JSON document and reload with
-validation, so a fleet can ship a registry file the way the paper
+validation, so a deployment can ship a registry file the way the paper
 shipped Table II -- but with the full adaptation lineage attached.
 """
 

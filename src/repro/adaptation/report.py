@@ -2,9 +2,9 @@
 
 ``repro-power adaptation-report <dir>`` digests the model-lifecycle
 events a ``--telemetry`` run recorded -- drift confirmations,
-recalibrations, rollbacks -- together with the residual metrics, so a
-fleet operator can audit *why* the governor's model changed and whether
-the changes helped.
+recalibrations, rollbacks -- together with the residual metrics, so an
+operator can audit *why* the governor's model changed and whether the
+changes helped.
 """
 
 from __future__ import annotations

@@ -225,44 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-cell results are bit-identical to serial execution",
     )
 
-    fleet_sim = sub.add_parser(
-        "fleet-sim",
-        help="run one hierarchical fleet simulation (also the killable "
-        "child of the fleet chaos harness)",
-    )
-    fleet_sim.add_argument(
-        "--spec", metavar="FILE",
-        help="FleetSpec JSON file (defaults apply when omitted)",
-    )
-    fleet_sim.add_argument(
-        "--nodes", type=int, default=None,
-        help="override the spec's node count",
-    )
-    fleet_sim.add_argument(
-        "--ticks", type=int, default=None,
-        help="override the scenario's tick count",
-    )
-    fleet_sim.add_argument(
-        "--seed", type=int, default=None,
-        help="override the spec's seed",
-    )
-    fleet_sim.add_argument(
-        "--checkpoint", metavar="DIR",
-        help="write durable fleet checkpoints into DIR",
-    )
-    fleet_sim.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="N",
-        help="checkpoint every N ticks (0 disables)",
-    )
-    fleet_sim.add_argument(
-        "--resume", metavar="DIR",
-        help="resume from the fleet checkpoint in DIR",
-    )
-    fleet_sim.add_argument(
-        "--result-json", metavar="FILE",
-        help="write a float-exact result digest to FILE",
-    )
-
     campaign = sub.add_parser(
         "campaign",
         help="resilient campaigns: content-addressed result store, "
@@ -813,74 +775,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_fleet_sim(args) -> int:
-    from dataclasses import replace as dc_replace
-
-    from repro.fleet.cluster import (
-        FleetSpec,
-        HierarchicalFleetController,
-        fleet_result_digest,
-    )
-
-    if args.resume:
-        overrides = [
-            flag for flag, value in (
-                ("--spec", args.spec),
-                ("--checkpoint", args.checkpoint),
-                ("--nodes", args.nodes),
-                ("--ticks", args.ticks),
-                ("--seed", args.seed),
-                ("--checkpoint-interval", args.checkpoint_interval),
-            ) if value is not None
-        ]
-        if overrides:
-            raise ReproError(
-                "--resume takes the spec and checkpoint directory from "
-                f"the manifest; do not pass {', '.join(overrides)}"
-            )
-        controller = HierarchicalFleetController.resume(args.resume)
-    else:
-        if args.spec:
-            with open(args.spec) as handle:
-                spec = FleetSpec.from_json(handle.read())
-        else:
-            spec = FleetSpec()
-        if args.nodes is not None:
-            spec = dc_replace(spec, nodes=args.nodes)
-        if args.seed is not None:
-            spec = dc_replace(spec, seed=args.seed)
-        if args.ticks is not None:
-            spec = dc_replace(
-                spec, scenario=dc_replace(spec.scenario, ticks=args.ticks)
-            )
-        if args.checkpoint_interval:
-            spec = dc_replace(
-                spec, checkpoint_interval_ticks=args.checkpoint_interval
-            )
-        controller = HierarchicalFleetController(
-            spec, checkpoint_dir=args.checkpoint
-        )
-    result = controller.run()
-    digest = fleet_result_digest(result)
-    if args.result_json:
-        from repro.ioutils import atomic_write_text
-
-        atomic_write_text(args.result_json,
-                          json.dumps(digest, indent=2, sort_keys=True))
-    print(f"fleet        : {result.n_nodes} nodes, {result.ticks} ticks")
-    print(f"budget       : {result.total_budget_w:.0f} W "
-          f"(mean draw {result.mean_fleet_power_w:.0f} W)")
-    print(f"violations   : {result.budget_violation_fraction():.2%} "
-          f"of windows")
-    print(f"churn        : {result.crashes} crashes, "
-          f"{result.restarts} restarts, {result.finishes} finishes")
-    print(f"degraded     : {result.degraded_ticks} ticks "
-          f"(outage {result.outage_ticks})")
-    print(f"throughput   : {result.nodes_x_ticks_per_s:,.0f} "
-          f"node-ticks/s")
-    return 0
-
-
 def _experiment_runner(module_name: str) -> Callable[[float | None], str]:
     def run_it(scale: float | None) -> str:
         import importlib
@@ -915,7 +809,6 @@ _EXPERIMENTS: Mapping[str, Callable[[float | None], str]] = {
     "hierarchy": _experiment_runner("hierarchy_probe"),
     "drift": _experiment_runner("adaptation_drift"),
     "chaos": _experiment_runner("chaos_resume"),
-    "fleet": _experiment_runner("fleet_capping"),
     "multicore": _experiment_runner("multicore_scaling"),
     "campaign": _experiment_runner("campaign_drill"),
 }
@@ -1219,8 +1112,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_train(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
-        if args.command == "fleet-sim":
-            return _cmd_fleet_sim(args)
         if args.command == "campaign":
             return _cmd_campaign(args)
         if args.command == "telemetry-report":

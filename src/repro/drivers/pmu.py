@@ -9,8 +9,10 @@ Policies that want more events must *multiplex* (rotate event sets across
 sampling periods, as Isci et al. do on the Pentium 4); an
 :class:`EventMultiplexer` is provided for such extensions.
 
-The PMU advances when the machine calls :meth:`PMU.tick` with elapsed
-cycles and the current event rates.  Counters wrap at 2^40 like the real
+The counters advance in the tick kernel
+(:func:`repro.core.blockloop.run_fast`), which carries the cycle count,
+the fractional count residuals and the PMC/TSC registers as locals and
+writes them back when it returns.  Counters wrap at 2^40 like the real
 hardware; :class:`CounterSnapshot` handles wrap-aware deltas, and the
 sampling layer is tested against wrap events.
 """
@@ -32,7 +34,6 @@ from repro.errors import PMUError
 from repro.platform.events import (
     COUNTER_WIDTH_BITS,
     Event,
-    EventRates,
     NUM_PROGRAMMABLE_COUNTERS,
     REAL_PMU_EVENT_MENU_SIZE,
 )
@@ -43,9 +44,6 @@ _PMC_ADDRESSES = (IA32_PMC0, IA32_PMC1)
 
 #: Enable bit in the event-select register (bit 22 on real hardware).
 _EVTSEL_ENABLE = 1 << 22
-
-_CODE_TO_EVENT = {event.code: event for event in Event}
-
 
 @dataclass(frozen=True)
 class CounterSnapshot:
@@ -90,6 +88,8 @@ class PMU:
     def __init__(self, msr: MSRFile):
         self._msr = msr
         self._events: list[Event | None] = [None, None]
+        # Hardware-side state: the tick kernel loads these (and the
+        # PMC/TSC registers) into locals and stores them back.
         self._cycles: int = 0
         self._cycle_residual: float = 0.0
         self._residuals: list[float] = [0.0, 0.0]
@@ -157,41 +157,6 @@ class PMU:
             tsc=self._msr.rdmsr(IA32_TIME_STAMP_COUNTER),
         )
 
-    # -- hardware-facing API ---------------------------------------------------
-
-    def tick(self, cycles: float, rates: EventRates) -> None:
-        """Advance the PMU by ``cycles`` of execution at ``rates``.
-
-        The hardware side of the counters, not driver code.  Counter
-        increments are the expected event counts (rate x cycles);
-        fractional parts are carried across ticks in a residual so that
-        long-run rates stay exact.  The tick kernel
-        (:func:`repro.core.blockloop.run_fast`) inlines the same
-        arithmetic on its counter locals.
-        """
-        if cycles < 0:
-            raise PMUError("cannot tick backwards")
-        self._cycle_residual += cycles
-        whole_cycles = int(self._cycle_residual)
-        self._cycle_residual -= whole_cycles
-        self._cycles += whole_cycles
-        self._msr.poke(
-            IA32_TIME_STAMP_COUNTER,
-            (self._msr.rdmsr(IA32_TIME_STAMP_COUNTER) + whole_cycles)
-            & ((1 << 64) - 1),
-        )
-        for counter, event in enumerate(self._events):
-            if event is None:
-                continue
-            self._residuals[counter] += rates.rate(event) * cycles
-            increment = int(self._residuals[counter])
-            self._residuals[counter] -= increment
-            raw = self._msr.rdmsr(_PMC_ADDRESSES[counter])
-            self._msr.poke(
-                _PMC_ADDRESSES[counter],
-                (raw + increment) & _COUNTER_MASK,
-            )
-
     # -- helpers ---------------------------------------------------------------
 
     @staticmethod
@@ -201,18 +166,6 @@ class PMU:
                 f"counter index {counter} out of range; the Pentium M has "
                 f"counters 0 and 1 only"
             )
-
-    @staticmethod
-    def event_for_code(code: int) -> Event:
-        """Resolve an EMON event-select code to an :class:`Event`."""
-        try:
-            return _CODE_TO_EVENT[code]
-        except KeyError:
-            raise PMUError(
-                f"event code {code:#x} is not implemented in the simulated "
-                f"menu (the real part documents {REAL_PMU_EVENT_MENU_SIZE} "
-                "events; see repro.platform.events)"
-            ) from None
 
 
 class EventMultiplexer:

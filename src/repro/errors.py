@@ -116,10 +116,6 @@ class InjectedTransitionError(TransitionError, FaultError):
     """
 
 
-class NodeCrashError(FaultError):
-    """An injected fleet-node crash (the node stops ticking)."""
-
-
 class RecoveryError(ReproError):
     """Base class for the fault-*tolerance* (recovery) layer."""
 

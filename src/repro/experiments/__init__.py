@@ -5,10 +5,10 @@ Each report section (``figN_*``/``tableN_*``, ``model_accuracy``,
 is a ``plan(config) -> RunPlan`` listing its cells, a
 ``summarize(config, results) -> result`` building the paper's
 rows/series from their results, and a ``render(result) -> str``;
-:func:`run_section` runs one.  The drills (``chaos_resume``,
-``campaign_drill``, ``fleet_capping``, ``multicore_scaling``,
-``adaptation_drift``) are procedures, not sets of cells, and expose
-``run(config) -> result`` instead.  The per-experiment index lives in
+:func:`run_section` runs one.  The four drills (``chaos_resume``,
+``campaign_drill``, ``multicore_scaling``, ``adaptation_drift``) are
+procedures, not sets of cells, and expose ``run(config) -> result``
+instead.  The per-experiment index lives in
 DESIGN.md §4; measured-vs-paper comparisons are recorded in
 EXPERIMENTS.md.
 

@@ -2,8 +2,8 @@
 
 ``repro-power faults-report <dir>`` reconciles what the injector fired
 (``fault_injected`` events) against what the hardened consumers absorbed
-(``fault_recovered``, ``watchdog``, ``degraded``, ``node_crashed`` /
-``node_restarted`` events) and renders an injected-vs-recovered digest.
+(``fault_recovered``, ``watchdog`` and ``degraded`` events) and renders
+an injected-vs-recovered digest.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class FaultsReport:
     recovered: Mapping[str, int] = field(default_factory=dict)
     watchdog_trips: int = 0
     degradations: List[dict] = field(default_factory=list)
-    crashes: List[dict] = field(default_factory=list)
-    restarts: List[dict] = field(default_factory=list)
     skipped_lines: int = 0
     #: True when the final event line was torn mid-write (killed run).
     truncated_tail: bool = False
@@ -72,10 +70,6 @@ def load_faults_report(directory: str | os.PathLike) -> FaultsReport:
             report.watchdog_trips += 1
         elif kind == "degraded":
             report.degradations.append(event)
-        elif kind == "node_crashed":
-            report.crashes.append(event)
-        elif kind == "node_restarted":
-            report.restarts.append(event)
     report.injected = injected
     report.recovered = recovered
     return report
@@ -111,11 +105,6 @@ def render_faults_report(directory: str | os.PathLike) -> str:
             f"degraded at {degraded.get('time_s', 0.0):.3f} s -> "
             f"{degraded.get('safe_frequency_mhz', 0.0):.0f} MHz "
             f"({degraded.get('reason', '?')})"
-        )
-    if report.crashes or report.restarts:
-        lines.append(
-            f"node crashes: {len(report.crashes)}, "
-            f"restarts: {len(report.restarts)}"
         )
     if report.skipped_lines:
         lines.append(f"skipped {report.skipped_lines} malformed event lines")

@@ -1,7 +1,7 @@
 """Supervised execution: deadlines, bounded retry, and backoff.
 
 The experiment driver runs real subprocesses (the chaos harness) and
-long in-process calls (fleet node restarts, whole experiments).  Both
+long in-process calls (whole experiments).  Both
 need the same supervision primitives a production power-management
 daemon would have:
 

@@ -5,7 +5,7 @@ sampling feeding estimation and control -- and this subsystem gives the
 reproduction the same first-class view of itself:
 
 * :mod:`~repro.telemetry.bus` -- typed events (runs, transitions, one
-  columnar per-tick record per run, fleet budget-tree passes) on a
+  columnar per-tick record per run, faults, campaign leases) on a
   subscribe/publish bus with per-subscriber error isolation;
 * :mod:`~repro.telemetry.metrics` -- a registry of counters, gauges and
   fixed-bucket histograms (p-state residency, transitions, power-limit
@@ -23,7 +23,6 @@ instrumentation work, so telemetry costs nothing when off.
 """
 
 from repro.telemetry.bus import (
-    BudgetInfeasible,
     CampaignResumed,
     CellLeased,
     CellQuarantined,
@@ -33,15 +32,10 @@ from repro.telemetry.bus import (
     FaultInjected,
     FaultRecovered,
     LeaseExpired,
-    NodeCrashed,
-    NodeRestarted,
-    PartitionDegraded,
     PStateTransition,
     RunFinished,
     RunStarted,
     SubscriberFailure,
-    SubtreeOutage,
-    SubtreeReallocated,
     TelemetryEvent,
     TICK_COLUMNS,
     TicksRecorded,
@@ -80,10 +74,6 @@ __all__ = [
     "TICK_COLUMNS",
     "ConstraintChanged",
     "RunFinished",
-    "SubtreeReallocated",
-    "SubtreeOutage",
-    "PartitionDegraded",
-    "BudgetInfeasible",
     "FaultInjected",
     "FaultRecovered",
     "CellLeased",
@@ -92,8 +82,6 @@ __all__ = [
     "CampaignResumed",
     "WatchdogTripped",
     "DegradedModeEntered",
-    "NodeCrashed",
-    "NodeRestarted",
     "SubscriberFailure",
     "EventBus",
     # metrics

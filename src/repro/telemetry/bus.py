@@ -2,7 +2,7 @@
 
 Every observable moment of the monitor -> estimate -> control loop is a
 frozen dataclass deriving from :class:`TelemetryEvent`.  Producers (the
-run controller, the fault injector, the fleet coordinator) publish
+run controller, the fault injector, the campaign dispatcher) publish
 events to an :class:`EventBus`; consumers (exporters, tests, live
 dashboards) subscribe plain callables.  The 10 ms ticks themselves are
 not events: a run publishes them once, at its end, as the columns of
@@ -162,76 +162,6 @@ class RunFinished(TelemetryEvent):
 
 
 @dataclass(frozen=True)
-class SubtreeReallocated(TelemetryEvent):
-    """One interior level of the hierarchical budget tree re-divided
-    its cap among its children.
-
-    ``subtree`` names the level ("cluster", "rack-03", "chassis-0142");
-    ``reason`` records what triggered it: ``event`` (crash / finish /
-    restart / demand-delta), ``outage``, ``partition``, ``refresh``
-    (the low-frequency safety sweep), or ``initial``.
-    """
-
-    subtree: str
-    cap_w: float
-    children: int
-    reason: str
-
-    kind: ClassVar[str] = "subtree_reallocation"
-
-
-@dataclass(frozen=True)
-class SubtreeOutage(TelemetryEvent):
-    """A whole rack/chassis went dark (or came back).
-
-    At ``down=True`` the subtree's share shifts to its siblings in the
-    same reallocation event; at ``down=False`` the subtree rejoins at
-    its floor and is raised on the next event-driven pass.
-    """
-
-    subtree: str
-    nodes: int
-    down: bool
-
-    kind: ClassVar[str] = "subtree_outage"
-
-
-@dataclass(frozen=True)
-class PartitionDegraded(TelemetryEvent):
-    """A subtree became unreachable (or reachable again).
-
-    While partitioned, the coordinator freezes the subtree at its
-    last-granted caps minus a safety margin (``frozen_cap_w``) and the
-    subtree's nodes fail-safe to margin-reduced local caps; every tick
-    spent in this mode is counted in ``ClusterResult.degraded_ticks``.
-    """
-
-    subtree: str
-    frozen_cap_w: float
-    entered: bool
-
-    kind: ClassVar[str] = "partition_degraded"
-
-
-@dataclass(frozen=True)
-class BudgetInfeasible(TelemetryEvent):
-    """A subtree's floor x live-nodes exceeded its cap.
-
-    The oversubscription guard clamps grants proportionally so the
-    subtree still sums to <= its cap (never raises); this event
-    surfaces the infeasibility so operators can shed load instead.
-    """
-
-    subtree: str
-    cap_w: float
-    floor_w: float
-    live_nodes: int
-
-    kind: ClassVar[str] = "budget_infeasible"
-
-
-
-@dataclass(frozen=True)
 class FaultInjected(TelemetryEvent):
     """The fault injector fired one fault into a wrapped component.
 
@@ -257,9 +187,7 @@ class FaultRecovered(TelemetryEvent):
     counter sample reused), ``power_holdover`` (last-good power reading
     reused), ``retry`` (transition retried to success), ``skip``
     (decision skipped, p-state held), ``masked`` (stuck sensor reading
-    suppressed), ``restart`` (fleet node restarted), ``redistribute``
-    (crashed node's budget reassigned).  ``attempts`` counts retries
-    when applicable.
+    suppressed).  ``attempts`` counts retries when applicable.
     """
 
     subsystem: str
@@ -334,28 +262,6 @@ class ModelRolledBack(TelemetryEvent):
     reason: str
 
     kind: ClassVar[str] = "model_rolled_back"
-
-
-@dataclass(frozen=True)
-class NodeCrashed(TelemetryEvent):
-    """A fleet node crashed (the scenario's churn hazard) and stopped
-    executing."""
-
-    node: str
-    #: Scheduled restart time.
-    restart_at_s: float
-
-    kind: ClassVar[str] = "node_crashed"
-
-
-@dataclass(frozen=True)
-class NodeRestarted(TelemetryEvent):
-    """A crashed fleet node came back and resumed its workload."""
-
-    node: str
-    downtime_s: float
-
-    kind: ClassVar[str] = "node_restarted"
 
 
 @dataclass(frozen=True)

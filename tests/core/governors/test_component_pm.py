@@ -15,6 +15,8 @@ from repro.errors import GovernorError, PMUError
 from repro.platform.events import Event
 from repro.platform.machine import Machine, MachineConfig
 
+from tests.drivers.counts import advance
+
 
 def toy_model():
     """A hand-built component model with known weights at every p-state."""
@@ -38,25 +40,16 @@ def sample(rates, interval_s=0.01, cycles=2e7):
 
 class TestMultiplexedSampler:
     def test_rotation_produces_alternating_rate_sets(self):
-        from repro.platform.events import EventRates
-
         pmu = PMU(MSRFile())
         sampler = MultiplexedCounterSampler(
             pmu, ComponentPerformanceMaximizer.EVENT_GROUPS
         )
         sampler.start()
-        rates = EventRates(
-            inst_decoded=1.2, inst_retired=1.0, uops_retired=1.1,
-            data_mem_refs=0.4, dcu_lines_in=0.01, dcu_miss_outstanding=0.2,
-            l2_rqsts=0.03, l2_lines_in=0.01, bus_tran_mem=0.01,
-            bus_drdy_clocks=0.05, resource_stalls=0.1, fp_comp_ops_exe=0.6,
-            br_inst_decoded=0.1, br_inst_retired=0.08,
-            br_mispred_retired=0.003, ifu_mem_stall=0.02,
-            prefetch_lines_in=0.002,
-        )
-        pmu.tick(1_000_000, rates)
+        counts = {Event.INST_DECODED: 1_200_000,
+                  Event.FP_COMP_OPS_EXE: 600_000, Event.L2_RQSTS: 30_000}
+        advance(pmu, 1_000_000, counts)
         first = sampler.sample(0.01)
-        pmu.tick(1_000_000, rates)
+        advance(pmu, 1_000_000, counts)
         second = sampler.sample(0.01)
         assert Event.FP_COMP_OPS_EXE in first.rates
         assert Event.L2_RQSTS in second.rates

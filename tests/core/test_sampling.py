@@ -6,18 +6,9 @@ from repro.core.sampling import CounterSampler, MultiplexedCounterSampler
 from repro.drivers.msr import MSRFile
 from repro.drivers.pmu import PMU
 from repro.errors import PMUError
-from repro.platform.events import Event, EventRates
+from repro.platform.events import Event
 
-
-def flat_rates(decoded=1.4, retired=1.0, dcu=0.4):
-    return EventRates(
-        inst_decoded=decoded, inst_retired=retired, uops_retired=1.1,
-        data_mem_refs=0.4, dcu_lines_in=0.01, dcu_miss_outstanding=dcu,
-        l2_rqsts=0.02, l2_lines_in=0.01, bus_tran_mem=0.01,
-        bus_drdy_clocks=0.05, resource_stalls=0.1, fp_comp_ops_exe=0.2,
-        br_inst_decoded=0.1, br_inst_retired=0.08, br_mispred_retired=0.003,
-        ifu_mem_stall=0.02, prefetch_lines_in=0.002,
-    )
+from tests.drivers.counts import advance
 
 
 @pytest.fixture()
@@ -50,7 +41,8 @@ def test_rates_recovered_from_deltas(pmu):
         pmu, [Event.INST_RETIRED, Event.DCU_MISS_OUTSTANDING]
     )
     sampler.start()
-    pmu.tick(20_000_000, flat_rates(retired=1.1, dcu=0.35))
+    advance(pmu, 20_000_000, {Event.INST_RETIRED: 22_000_000,
+                              Event.DCU_MISS_OUTSTANDING: 7_000_000})
     sample = sampler.sample(0.01)
     assert sample.ipc == pytest.approx(1.1, rel=1e-3)
     assert sample.dcu == pytest.approx(0.35, rel=1e-3)
@@ -60,7 +52,7 @@ def test_rates_recovered_from_deltas(pmu):
 def test_effective_frequency(pmu):
     sampler = CounterSampler(pmu, [Event.INST_RETIRED])
     sampler.start()
-    pmu.tick(20_000_000, flat_rates())
+    advance(pmu, 20_000_000)
     sample = sampler.sample(0.01)
     assert sample.effective_frequency_mhz == pytest.approx(2000.0)
 
@@ -70,7 +62,7 @@ def test_dcu_per_ipc_infinite_when_stalled(pmu):
         pmu, [Event.INST_RETIRED, Event.DCU_MISS_OUTSTANDING]
     )
     sampler.start()
-    pmu.tick(1_000_000, flat_rates(retired=0.0, dcu=0.9))
+    advance(pmu, 1_000_000, {Event.DCU_MISS_OUTSTANDING: 900_000})
     sample = sampler.sample(0.01)
     assert sample.dcu_per_ipc == float("inf")
 
@@ -78,9 +70,9 @@ def test_dcu_per_ipc_infinite_when_stalled(pmu):
 def test_consecutive_samples_are_independent(pmu):
     sampler = CounterSampler(pmu, [Event.INST_RETIRED])
     sampler.start()
-    pmu.tick(10_000_000, flat_rates(retired=0.5))
+    advance(pmu, 10_000_000, {Event.INST_RETIRED: 5_000_000})
     first = sampler.sample(0.005)
-    pmu.tick(10_000_000, flat_rates(retired=1.5))
+    advance(pmu, 10_000_000, {Event.INST_RETIRED: 15_000_000})
     second = sampler.sample(0.005)
     assert first.ipc == pytest.approx(0.5, rel=1e-3)
     assert second.ipc == pytest.approx(1.5, rel=1e-3)
@@ -89,7 +81,7 @@ def test_consecutive_samples_are_independent(pmu):
 def test_dpc_accessor_requires_monitored_event(pmu):
     sampler = CounterSampler(pmu, [Event.INST_RETIRED])
     sampler.start()
-    pmu.tick(1_000_000, flat_rates())
+    advance(pmu, 1_000_000, {Event.INST_RETIRED: 1_000_000})
     sample = sampler.sample(0.01)
     with pytest.raises(KeyError):
         _ = sample.dpc
@@ -105,9 +97,9 @@ class TestMultiplexedSampler:
         # modulo rotation must not double-start or skip intervals.
         sampler = MultiplexedCounterSampler(pmu, [[Event.INST_DECODED]])
         sampler.start()
-        pmu.tick(10_000_000, flat_rates(decoded=1.2))
+        advance(pmu, 10_000_000, {Event.INST_DECODED: 12_000_000})
         first = sampler.sample(0.01)
-        pmu.tick(10_000_000, flat_rates(decoded=0.6))
+        advance(pmu, 10_000_000, {Event.INST_DECODED: 6_000_000})
         second = sampler.sample(0.01)
         assert first.dpc == pytest.approx(1.2, rel=1e-3)
         assert second.dpc == pytest.approx(0.6, rel=1e-3)

@@ -15,19 +15,13 @@ from repro.faults import (
     TransitionFaults,
 )
 from repro.measurement.power_meter import PowerMeter
-from repro.platform.events import Event, EventRates
+from repro.platform.events import Event
 from repro.platform.machine import Machine, MachineConfig
 
+from tests.drivers.counts import advance
 
-def _rates():
-    return EventRates(
-        inst_decoded=1.4, inst_retired=1.0, uops_retired=1.1,
-        data_mem_refs=0.4, dcu_lines_in=0.01, dcu_miss_outstanding=0.4,
-        l2_rqsts=0.02, l2_lines_in=0.01, bus_tran_mem=0.01,
-        bus_drdy_clocks=0.05, resource_stalls=0.1, fp_comp_ops_exe=0.2,
-        br_inst_decoded=0.1, br_inst_retired=0.08, br_mispred_retired=0.003,
-        ifu_mem_stall=0.02, prefetch_lines_in=0.002,
-    )
+#: One 10 ms interval at 1 GHz decoding 1.4 instructions per cycle.
+_TICK = (10_000_000, {Event.INST_DECODED: 14_000_000})
 
 
 def _drop_pattern(plan, ticks=200):
@@ -40,7 +34,7 @@ def _drop_pattern(plan, ticks=200):
     sampler.start()
     dropped = []
     for i in range(ticks):
-        pmu.tick(10_000_000, _rates())
+        advance(pmu, *_TICK)
         try:
             sampler.sample(0.01)
         except SampleDropped:
@@ -107,7 +101,7 @@ class TestFaultySampler:
 
     def test_drop_raises_and_is_recorded(self):
         pmu, sampler, injector = self._sampler(SampleFaults(drop_prob=1.0))
-        pmu.tick(10_000_000, _rates())
+        advance(pmu, *_TICK)
         with pytest.raises(SampleDropped):
             sampler.sample(0.01)
         assert injector.injected == {"sampler.drop": 1}
@@ -116,16 +110,16 @@ class TestFaultySampler:
         pmu, sampler, injector = self._sampler(
             SampleFaults(duplicate_prob=1.0)
         )
-        pmu.tick(10_000_000, _rates())
+        advance(pmu, *_TICK)
         first = sampler.sample(0.01)  # nothing to duplicate yet
-        pmu.tick(10_000_000, _rates())
+        advance(pmu, *_TICK)
         second = sampler.sample(0.01)
         assert second is first
         assert injector.injected == {"sampler.duplicate": 1}
 
     def test_garble_corrupts_rates(self):
         pmu, sampler, injector = self._sampler(SampleFaults(garble_prob=1.0))
-        pmu.tick(10_000_000, _rates())
+        advance(pmu, *_TICK)
         sample = sampler.sample(0.01)
         assert sample.dpc != pytest.approx(1.4, rel=1e-3)
         assert injector.injected == {"sampler.garble": 1}
@@ -134,7 +128,7 @@ class TestFaultySampler:
         pmu, sampler, injector = self._sampler(
             SampleFaults(overflow_prob=1.0)
         )
-        pmu.tick(10_000_000, _rates())
+        advance(pmu, *_TICK)
         sample = sampler.sample(0.01)
         assert sample.dpc > 100.0  # a full 40-bit span landed in the delta
         assert injector.injected == {"sampler.overflow": 1}

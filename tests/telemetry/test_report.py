@@ -16,7 +16,7 @@ from repro.telemetry import (
     load_report,
     render_report,
 )
-from repro.telemetry.bus import RunFinished, RunStarted, SubtreeReallocated
+from repro.telemetry.bus import PStateTransition, RunFinished, RunStarted
 from repro.telemetry.report import load_events
 
 _NAN = float("nan")
@@ -61,10 +61,7 @@ def _write_directory(path):
         freq=[1800.0, 1800.0, 1600.0],
     ))
     recorder.emit(
-        SubtreeReallocated(
-            time_s=0.02, subtree="cluster", cap_w=30.0, children=2,
-            reason="event",
-        )
+        PStateTransition(time_s=0.02, from_mhz=1800.0, to_mhz=1600.0)
     )
     recorder.emit(
         RunFinished(
@@ -211,12 +208,12 @@ class TestLoadReport:
 
 
 class TestRenderReport:
-    def test_renders_runs_fleet_and_spans(self, tmp_path):
+    def test_renders_runs_events_and_spans(self, tmp_path):
         _write_directory(tmp_path / "t")
         text = render_report(tmp_path / "t")
         assert "ammp under PM" in text
         assert "3 ticks" in text
-        assert "  subtree_reallocation 1" in text
+        assert "  transition       1" in text
         assert "p-state residency (3 ticks in 1 runs):" in text
         assert " 1600 MHz     0.010 s  (33.3%)" in text
         assert "count 2  mean -0.500 W  min -0.500 W  max -0.500 W" in text

@@ -447,40 +447,3 @@ def test_run_resume_reruns_from_the_recorded_options(tmp_path, capsys):
     assert capsys.readouterr().out == fresh_out
     assert digest.read_text() == fresh_digest
     assert sorted(p.name for p in checkpoint.iterdir()) == ["manifest.json"]
-
-
-def test_fleet_sim_resume_writes_the_checkpointed_digest(tmp_path, capsys):
-    checkpoint = tmp_path / "ck"
-    fresh = tmp_path / "fresh.json"
-    resumed = tmp_path / "resumed.json"
-    assert main(
-        ["fleet-sim", "--nodes", "16", "--ticks", "40",
-         "--checkpoint", str(checkpoint), "--checkpoint-interval", "10",
-         "--result-json", str(fresh)]
-    ) == 0
-    assert "16 nodes, 40 ticks" in capsys.readouterr().out
-    assert main(
-        ["fleet-sim", "--resume", str(checkpoint),
-         "--result-json", str(resumed)]
-    ) == 0
-    assert resumed.read_text() == fresh.read_text()
-
-
-@pytest.mark.parametrize("override", [
-    ["--nodes", "64"],
-    ["--ticks", "400"],
-    ["--seed", "0"],
-    ["--checkpoint-interval", "5"],
-    ["--checkpoint", "elsewhere"],
-], ids=lambda override: override[0].lstrip("-"))
-def test_fleet_sim_resume_rejects_spec_overrides(tmp_path, capsys, override):
-    checkpoint = tmp_path / "ck"
-    assert main(
-        ["fleet-sim", "--nodes", "16", "--ticks", "20",
-         "--checkpoint", str(checkpoint), "--checkpoint-interval", "10"]
-    ) == 0
-    capsys.readouterr()
-    assert main(["fleet-sim", "--resume", str(checkpoint), *override]) == 1
-    err = capsys.readouterr().err
-    assert "--resume takes the spec" in err
-    assert override[0] in err

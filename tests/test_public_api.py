@@ -25,13 +25,6 @@ PUBLIC_MODULES = (
     "repro.experiments",
     "repro.experiments.ablations",
     "repro.analysis",
-    "repro.fleet",
-    "repro.fleet.budget",
-    "repro.fleet.hierarchy",
-    "repro.fleet.store",
-    "repro.fleet.scenario",
-    "repro.fleet.cluster",
-    "repro.experiments.fleet_capping",
     "repro.experiments.multicore_scaling",
     "repro.multicore",
     "repro.multicore.contention",
@@ -111,20 +104,24 @@ def test_fault_api_is_exported():
 
 def test_multicore_api_is_exported():
     """The multicore subsystem is reachable from the top level, and its
-    runs go through the one controller."""
+    runs go through the one controller.  Retired subsystems stay
+    retired."""
     for name in ("MulticoreMachine", "MulticoreConfig",
                  "ContentionModel", "split_workload",
                  "EnergyOptimalSearch", "PowerManagementController"):
         assert name in repro.__all__, name
         assert hasattr(repro, name)
     for name in ("MulticoreController", "MulticoreRunResult",
-                 "ThreadsFreqGovernor"):
+                 "ThreadsFreqGovernor", "HierarchicalFleetController",
+                 "FleetSpec", "NodeCrashError"):
         assert not hasattr(repro, name), name
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.fleet")
 
 
 def test_subpackage_all_exports_resolve():
     for module_name in ("repro.core", "repro.core.governors",
-                        "repro.core.models", "repro.fleet",
+                        "repro.core.models",
                         "repro.workloads", "repro.measurement",
                         "repro.telemetry", "repro.faults",
                         "repro.multicore"):
