@@ -3,18 +3,25 @@
 A :class:`Campaign` turns one :class:`~repro.exec.plan.RunPlan` into a
 *resumable* unit of work.  Each invocation:
 
-1. digests every cell (:func:`~repro.campaign.store.cell_digest`) and
-   consults the :class:`~repro.campaign.store.ResultStore` -- cached
-   cells are served after bit-identity verification, previously
-   quarantined cells stay quarantined (``campaign retry`` clears
-   them), and only the remainder dispatches;
-2. runs the remainder through the :class:`~repro.campaign.dispatch.
-   LeaseDispatcher`, durably storing every completed cell *as it
-   arrives* and every quarantine record the moment it is decided;
-3. returns a :class:`CampaignResult` that is valid even when the run
+1. builds every cell's spec once and digests it
+   (:func:`~repro.campaign.store.cell_digest`), then consults the
+   :class:`~repro.campaign.store.ResultStore` -- cached cells are
+   served after bit-identity verification, previously quarantined
+   cells stay quarantined (``campaign retry`` clears them), and only
+   the remainder dispatches;
+2. takes the store's writer lock (a second live writer is refused
+   before any cell runs) and runs the remainder through the
+   :class:`~repro.campaign.dispatch.LeaseDispatcher`, appending every
+   completed cell to the results log *as it arrives* -- each record is
+   kill-safe when its put returns -- and writing every quarantine
+   record the moment it is decided;
+3. fsyncs the log once, in a ``finally`` that runs on a normal end, an
+   interrupt, a timeout or a lost pool, and releases the lock;
+4. returns a :class:`CampaignResult` that is valid even when the run
    was interrupted (SIGINT), timed out, or lost its worker pool --
    ``degraded`` flags any shortfall, and the next invocation resumes
-   from the store, executing only what is still missing.
+   from the store, executing only what is still missing.  A power loss
+   can drop only records appended since the last fsync; they re-execute.
 
 The engine never raises for a failing *cell*; it raises only for an
 unusable store or an undispatchable configuration
@@ -31,7 +38,12 @@ from typing import Dict, List, Mapping
 from repro.core.controller import RunResult
 from repro.exec.plan import RunPlan
 from repro.campaign.dispatch import LeaseDispatcher
-from repro.campaign.store import ResultStore, campaign_cell_spec, cell_digest
+from repro.campaign.store import (
+    ResultStore,
+    cell_digest,
+    plan_cell_specs,
+    plan_digests,
+)
 from repro.telemetry.bus import CampaignResumed
 from repro.telemetry.recorder import TelemetryRecorder
 
@@ -131,7 +143,11 @@ class Campaign:
         """Execute (or resume) the campaign; always returns a result."""
         plan = self.plan
         store = self.store
-        digests = [cell_digest(cell, plan) for cell in plan.cells]
+        specs = plan_cell_specs(plan)
+        digests = [
+            cell_digest(cell, plan, spec)
+            for cell, spec in zip(plan.cells, specs)
+        ]
         results: Dict[int, RunResult] = {}
         cached: List[int] = []
         quarantined: List[int] = []
@@ -164,11 +180,7 @@ class Campaign:
             ))
 
         def on_result(index: int, result: RunResult) -> None:
-            store.put(
-                digests[index],
-                campaign_cell_spec(plan.cells[index], plan),
-                result,
-            )
+            store.put(digests[index], specs[index], result)
 
         def on_quarantine(index: int, record: Mapping) -> None:
             record = dict(record)
@@ -176,10 +188,15 @@ class Campaign:
             record["quarantined_at"] = time.time()
             store.write_quarantine(digests[index], record)
 
-        outcome = self.dispatcher.dispatch(
-            plan, pending,
-            on_result=on_result, on_quarantine=on_quarantine,
-        )
+        try:
+            if pending:
+                store.open_writer()
+            outcome = self.dispatcher.dispatch(
+                plan, pending,
+                on_result=on_result, on_quarantine=on_quarantine,
+            )
+        finally:
+            store.close()  # the invocation's one fsync
         results.update(outcome.results)
         quarantined.extend(sorted(outcome.quarantined))
         executed = sorted(outcome.results)
@@ -211,11 +228,10 @@ class Campaign:
 
     def retry_quarantined(self) -> int:
         """Clear this plan's quarantine records; returns how many."""
-        cleared = 0
-        for cell in self.plan.cells:
-            if self.store.clear_quarantine(cell_digest(cell, self.plan)):
-                cleared += 1
-        return cleared
+        return sum(
+            self.store.clear_quarantine(digest)
+            for digest in plan_digests(self.plan)
+        )
 
 
 def run_campaign(

@@ -1,9 +1,10 @@
 """Campaign progress rendering: store contents + telemetry events.
 
 ``repro-power campaign status`` is read-only and safe to run while a
-campaign is live: the store is consulted for durable facts (verified
-result objects, quarantine records) and the campaign's telemetry
-directory -- when present -- for the protocol's event stream
+campaign is live: it opens the store as a reader (no lock, no
+truncation), indexes the results log once for the durable facts
+(stored result records, quarantine records), and reads the campaign's
+telemetry directory -- when present -- for the protocol's event stream
 (``cell_leased`` / ``lease_expired`` / ``cell_quarantined`` /
 ``campaign_resumed``), giving a liveness view on top of the durable
 counts.
@@ -15,7 +16,7 @@ import json
 import os
 from typing import List, Mapping
 
-from repro.campaign.store import ResultStore, cell_digest
+from repro.campaign.store import ResultStore, plan_digests
 from repro.exec.plan import RunPlan
 from repro.telemetry.exporters import EVENTS_FILENAME
 
@@ -67,7 +68,15 @@ def campaign_status(
     Read-only: a directory that is not a store raises
     :class:`~repro.errors.CampaignError` instead of being initialized.
     """
-    store = ResultStore(store_root, create=False)
+    with ResultStore(store_root, create=False) as store:
+        return _snapshot(store, telemetry_dir, plan)
+
+
+def _snapshot(
+    store: ResultStore,
+    telemetry_dir: str | os.PathLike | None,
+    plan: RunPlan | None,
+) -> dict:
     telemetry_dir = (
         os.fspath(telemetry_dir)
         if telemetry_dir is not None
@@ -95,7 +104,7 @@ def campaign_status(
         "recent_events": events[-_RECENT:],
     }
     if plan is not None:
-        digests = [cell_digest(cell, plan) for cell in plan.cells]
+        digests = plan_digests(plan)
         done = sum(1 for digest in digests if store.has(digest))
         quarantined = sum(
             1 for digest in digests

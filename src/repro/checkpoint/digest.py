@@ -15,9 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+from array import array
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Mapping
 
 _DOUBLE = struct.Struct("<d")
+
+#: The four doubles hashed per power sample, in order.
+_SAMPLE_FIELDS = attrgetter("time_s", "watts", "true_watts", "duration_s")
 
 
 def _pack_float(hasher, value: float | None) -> None:
@@ -28,7 +35,26 @@ def _pack_float(hasher, value: float | None) -> None:
 
 
 def _samples_sha256(samples) -> str:
-    """Hash of the measured power-sample series, bit-exact."""
+    """Hash of the measured power-sample series, bit-exact.
+
+    Hashes one ``array('d')`` of every sample's four fields: the same
+    little-endian bytes, in the same order, as packing each value on
+    its own.  A value the array refuses (``None``, which the per-value
+    path encodes with a marker) sends the whole series down that path.
+    """
+    try:
+        values = array(
+            "d", list(chain.from_iterable(map(_SAMPLE_FIELDS, samples)))
+        )
+    except TypeError:
+        return _samples_sha256_scalar(samples)
+    if sys.byteorder != "little":
+        values.byteswap()
+    return hashlib.sha256(values).hexdigest()
+
+
+def _samples_sha256_scalar(samples) -> str:
+    """Per-value reference form of :func:`_samples_sha256`."""
     hasher = hashlib.sha256()
     for s in samples:
         _pack_float(hasher, s.time_s)

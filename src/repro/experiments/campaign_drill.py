@@ -7,9 +7,10 @@ real poison cell.  This drill stages both:
 **Part A -- kill and resume.**  A ``repro-power campaign run`` child
 (its own session, so the whole process group -- coordinator and
 workers -- dies together) executes a multi-cell sweep against a fresh
-store.  The harness polls the store's object directory and SIGKILLs
+store.  The harness polls the store's results log and SIGKILLs
 the group the moment the campaign is provably *mid-flight* (some, but
-not all, objects durable).  A second, in-process invocation must then
+not all, result records in the store's log -- each one is kill-safe
+the moment it is appended).  A second, in-process invocation must then
 resume from the store: every pre-kill object served as a verified
 cache hit, only the remainder executed, nothing lost.  Each surviving
 object is additionally re-executed serially and compared by
@@ -38,9 +39,10 @@ import tempfile
 import time
 from typing import Any, List, Mapping
 
-from repro.campaign import ResultStore, cell_digest, run_campaign
+from repro.campaign import ResultStore, run_campaign
+from repro.campaign.store import plan_digests
 from repro.checkpoint.digest import run_result_digest
-from repro.errors import DeadlineExceeded
+from repro.errors import CampaignError, DeadlineExceeded
 from repro.exec.session import ExecSession
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 
@@ -87,15 +89,20 @@ def _sweep_plan(config: ExperimentConfig) -> RunPlan:
     return RunPlan(config=config, cells=cells)
 
 
-def _durable_digests(store_dir: str) -> set:
-    objects_dir = os.path.join(store_dir, "objects")
-    if not os.path.isdir(objects_dir):
+def _open_reader(store_dir: str) -> ResultStore | None:
+    """The child's store opened as a reader (None until it exists)."""
+    try:
+        return ResultStore(store_dir, create=False)
+    except CampaignError:
+        return None  # the child has not written its manifest yet
+
+
+def _durable_digests(reader: ResultStore | None) -> set:
+    """Digests of every complete record in the log so far."""
+    if reader is None:
         return set()
-    return {
-        name[: -len(".pkl")]
-        for name in os.listdir(objects_dir)
-        if name.endswith(".pkl")
-    }
+    reader.refresh()
+    return set(reader.object_digests())
 
 
 def _kill_mid_campaign(
@@ -119,28 +126,35 @@ def _kill_mid_campaign(
         start_new_session=True,
     )
     start = time.monotonic()
+    reader = None
     try:
         while proc.poll() is None:
             if time.monotonic() - start > _CHILD_DEADLINE_S:
                 raise DeadlineExceeded(
                     f"campaign child ran past {_CHILD_DEADLINE_S:.0f}s"
                 )
-            durable = _durable_digests(store_dir)
+            if reader is None:
+                reader = _open_reader(store_dir)
+            durable = _durable_digests(reader)
             if _KILL_AFTER_OBJECTS <= len(durable) < total:
                 os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
                 proc.wait()
                 return True, durable
             time.sleep(0.001)
+        proc.wait()
+        if reader is None:
+            reader = _open_reader(store_dir)
+        return False, _durable_digests(reader)
     finally:
         if proc.poll() is None:
             os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-    proc.wait()
-    return False, _durable_digests(store_dir)
+        if reader is not None:
+            reader.close()
 
 
 def _part_a(config: ExperimentConfig, workdir: str) -> Mapping[str, Any]:
     plan = _sweep_plan(config)
-    digests = [cell_digest(cell, plan) for cell in plan.cells]
+    digests = plan_digests(plan)
     plan_path = os.path.join(workdir, "sweep.json")
     with open(plan_path, "w") as handle:
         handle.write(plan.to_json())
@@ -155,21 +169,21 @@ def _part_a(config: ExperimentConfig, workdir: str) -> Mapping[str, Any]:
             break
 
     # Resume in-process against the murdered store.
-    store = ResultStore(store_dir)
-    result = run_campaign(plan, store, workers=2, backoff_s=0.05)
-    cached_digests = {result.digests[i] for i in result.cached}
-    executed_digests = {result.digests[i] for i in result.executed}
+    with ResultStore(store_dir) as store:
+        result = run_campaign(plan, store, workers=2, backoff_s=0.05)
+        cached_digests = {result.digests[i] for i in result.cached}
+        executed_digests = {result.digests[i] for i in result.executed}
 
-    # Bit-identity: every object that survived the kill must match a
-    # fresh serial execution of the same cell, digest for digest.
-    index_of = {digest: i for i, digest in enumerate(digests)}
-    identical = 0
-    for digest in sorted(survivors):
-        fresh = ExecSession().run_cells(
-            [plan.cells[index_of[digest]]], plan.config
-        )[0]
-        if run_result_digest(fresh) == store.result_digest(digest):
-            identical += 1
+        # Bit-identity: every object that survived the kill must match
+        # a fresh serial execution of the same cell, digest for digest.
+        index_of = {digest: i for i, digest in enumerate(digests)}
+        identical = 0
+        for digest in sorted(survivors):
+            fresh = ExecSession().run_cells(
+                [plan.cells[index_of[digest]]], plan.config
+            )[0]
+            if run_result_digest(fresh) == store.result_digest(digest):
+                identical += 1
     return {
         "cells": len(plan.cells),
         "killed": killed,
@@ -211,16 +225,16 @@ def _part_b(config: ExperimentConfig, workdir: str) -> Mapping[str, Any]:
             RunCell(workload="equake", governor=GovernorSpec.fixed(1600.0)),
         ),
     )
-    store = ResultStore(os.path.join(workdir, "store-b"))
-    result = run_campaign(
-        plan, store,
-        workers=2,
-        max_attempts=_POISON_MAX_ATTEMPTS,
-        backoff_s=0.02,
-        cell_hook=_transient_poison_hook,
-    )
-    transient = store.quarantine_record(result.digests[0]) or {}
-    permanent = store.quarantine_record(result.digests[1]) or {}
+    with ResultStore(os.path.join(workdir, "store-b")) as store:
+        result = run_campaign(
+            plan, store,
+            workers=2,
+            max_attempts=_POISON_MAX_ATTEMPTS,
+            backoff_s=0.02,
+            cell_hook=_transient_poison_hook,
+        )
+        transient = store.quarantine_record(result.digests[0]) or {}
+        permanent = store.quarantine_record(result.digests[1]) or {}
     return {
         "cells": len(plan.cells),
         "quarantined": sorted(result.quarantined),

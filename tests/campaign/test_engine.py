@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 from repro.campaign import Campaign, ResultStore, run_campaign
 from repro.checkpoint.digest import run_result_digest
 from repro.exec.core import execute_cell
@@ -124,3 +126,40 @@ def test_result_to_dict_summary(tmp_path):
     assert summary["completed"] == 2
     assert summary["degraded"] is True
     assert summary["lost"] == 0
+
+
+def _sweep(count: int) -> RunPlan:
+    cells = tuple(
+        RunCell(workload=workload, governor=GovernorSpec.fixed(freq))
+        for workload in (
+            "ammp", "applu", "apsi", "art", "bzip2", "crafty", "equake",
+            "mcf",
+        )
+        for freq in (1000.0, 1600.0, 2000.0)
+    )
+    return RunPlan(config=CONFIG, cells=cells[:count])
+
+
+def test_fsyncs_per_invocation_not_per_cell(tmp_path, monkeypatch):
+    calls = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    fresh = {}
+    for count in (4, 24):
+        calls.clear()
+        result = run_campaign(
+            _sweep(count), tmp_path / f"store-{count}", workers=1
+        )
+        assert len(result.executed) == count
+        fresh[count] = len(calls)
+    assert fresh[4] == fresh[24]
+    # A resume served fully from the store writes nothing.
+    calls.clear()
+    resumed = run_campaign(_sweep(24), tmp_path / "store-24", workers=1)
+    assert len(resumed.cached) == 24
+    assert calls == []

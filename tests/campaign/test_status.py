@@ -6,9 +6,16 @@ import json
 
 import pytest
 
-from repro.campaign import campaign_status, render_status, run_campaign
+from repro.campaign import (
+    ResultStore,
+    campaign_status,
+    render_status,
+    run_campaign,
+)
+from repro.campaign.store import campaign_cell_spec, cell_digest
 from repro.campaign.status import CAMPAIGN_EVENT_KINDS
 from repro.errors import CampaignError
+from repro.exec.core import execute_cell
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 
 CONFIG = ExperimentConfig(scale=0.05, seed=1)
@@ -39,6 +46,25 @@ def test_status_counts_store_and_plan(tmp_path):
     assert "result objects: 1" in rendered
     assert "quarantine:" in rendered
     assert "campaign retry" in rendered
+
+
+def test_status_reads_a_store_whose_writer_lock_is_held(tmp_path):
+    store_root = tmp_path / "store"
+    cell = PLAN.cells[0]
+    with ResultStore(store_root) as writer:
+        writer.put(
+            cell_digest(cell, PLAN), campaign_cell_spec(cell, PLAN),
+            execute_cell(cell, CONFIG),
+        )  # the writer now holds the lock
+        data = campaign_status(store_root, plan=PLAN)
+        assert data["objects"] == 1
+        assert data["plan"]["done"] == 1
+        assert data["plan"]["remaining"] == 1
+        # The reader neither blocked nor truncated: appends go on.
+        writer.put(
+            cell_digest(cell, PLAN), campaign_cell_spec(cell, PLAN),
+            execute_cell(cell, CONFIG),
+        )
 
 
 def test_status_requires_a_store(tmp_path):

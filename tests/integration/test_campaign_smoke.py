@@ -34,9 +34,12 @@ def test_campaign_kill_resume_and_quarantine_drill():
     assert part_a["resumed"] is True
     assert part_a["only_missing_executed"] is True
     assert part_a["survivors_identical"] == part_a["survivors_total"]
+    assert part_a["completed"] == part_a["cells"]
     part_b = result["part_b"]
     assert part_b["quarantined"] == [0, 1]
     assert part_b["degraded"] is True
+    assert part_b["transient_permanent"] is False
+    assert part_b["permanent_permanent"] is True
     assert result["passed"] is True
     assert "PASS" in campaign_drill.render(result)
 
@@ -101,7 +104,7 @@ def test_campaign_cli_run_resume_status(tmp_path):
 
 
 def test_campaign_result_shape_is_archivable():
-    """The drill payload is JSON-serialisable for BENCH_* archiving."""
+    """The drill payload is plain JSON-serialisable data."""
     result = campaign_drill.run(ExperimentConfig(scale=0.2, seed=1))
     encoded = json.loads(json.dumps(result))
     assert encoded["part_a"]["cells"] > 0
