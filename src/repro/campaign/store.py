@@ -36,6 +36,8 @@ Durability contract:
   is a cache miss that re-executes, never a torn result served;
 * one writer at a time: appending takes an exclusive ``flock`` on the
   log, and a second writer gets a :class:`~repro.errors.CampaignError`.
+  A forked child (a pool worker) closes its copy of the locked handle,
+  so a worker outliving a killed coordinator does not keep the lock.
   The writer truncates a torn tail before its first append.  Readers
   (:meth:`~ResultStore.get`, :meth:`~ResultStore.has`, ``campaign
   status``) never lock or truncate, so they are safe beside a live
@@ -63,6 +65,7 @@ import hashlib
 import json
 import os
 import pickle
+import weakref
 from typing import BinaryIO, Dict, List, Mapping, Tuple
 
 from repro.acpi.pstates import PStateTable
@@ -213,6 +216,25 @@ def plan_digests(plan: RunPlan) -> List[str]:
         cell_digest(cell, plan, spec)
         for cell, spec in zip(plan.cells, plan_cell_specs(plan))
     ]
+
+
+#: Stores holding the writer lock in this process.
+_WRITERS: "weakref.WeakSet[ResultStore]" = weakref.WeakSet()
+
+
+def _drop_inherited_writers() -> None:
+    """In a forked child: close the copies of the parent's locked log
+    handles.  An ``flock`` lasts while any copy of its handle is open,
+    so a child keeping them would hold the lock after its parent died.
+    Every put flushes, so no buffered record is lost."""
+    for store in list(_WRITERS):
+        writer, store._writer = store._writer, None
+        if writer is not None:
+            writer.close()
+    _WRITERS.clear()
+
+
+os.register_at_fork(after_in_child=_drop_inherited_writers)
 
 
 def _key(digest: str) -> bytes:
@@ -380,6 +402,7 @@ class ResultStore:
             handle.close()
             raise
         self._writer = handle
+        _WRITERS.add(self)
 
     def close(self) -> None:
         """fsync what this store appended, release the writer lock and
@@ -391,6 +414,7 @@ class ResultStore:
         finally:
             writer, reader = self._writer, self._reader
             self._writer = self._reader = None
+            _WRITERS.discard(self)
             try:
                 if writer is not None:
                     writer.close()

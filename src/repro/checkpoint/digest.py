@@ -17,14 +17,11 @@ import hashlib
 import struct
 import sys
 from array import array
-from itertools import chain
-from operator import attrgetter
 from typing import Any, Mapping
 
-_DOUBLE = struct.Struct("<d")
+from repro.measurement.power_meter import PowerSamples
 
-#: The four doubles hashed per power sample, in order.
-_SAMPLE_FIELDS = attrgetter("time_s", "watts", "true_watts", "duration_s")
+_DOUBLE = struct.Struct("<d")
 
 
 def _pack_float(hasher, value: float | None) -> None:
@@ -37,17 +34,24 @@ def _pack_float(hasher, value: float | None) -> None:
 def _samples_sha256(samples) -> str:
     """Hash of the measured power-sample series, bit-exact.
 
-    Hashes one ``array('d')`` of every sample's four fields: the same
-    little-endian bytes, in the same order, as packing each value on
-    its own.  A value the array refuses (``None``, which the per-value
-    path encodes with a marker) sends the whole series down that path.
+    Hashes one ``array('d')`` interleaving the four columns of a
+    :class:`~repro.measurement.power_meter.PowerSamples` (each sample's
+    time_s, watts, true_watts, duration_s): the same little-endian
+    bytes, in the same order, as packing each value on its own.  Other
+    sequences of samples are read into columns first; a value a column
+    refuses (``None``, which the per-value path encodes with a marker)
+    sends the whole series down that path.
     """
-    try:
-        values = array(
-            "d", list(chain.from_iterable(map(_SAMPLE_FIELDS, samples)))
-        )
-    except TypeError:
-        return _samples_sha256_scalar(samples)
+    if not isinstance(samples, PowerSamples):
+        try:
+            samples = PowerSamples.from_samples(samples)
+        except TypeError:
+            return _samples_sha256_scalar(samples)
+    values = array("d", bytes(32 * len(samples)))
+    values[0::4] = samples.time_s
+    values[1::4] = samples.watts
+    values[2::4] = samples.true_watts
+    values[3::4] = samples.duration_s
     if sys.byteorder != "little":
         values.byteswap()
     return hashlib.sha256(values).hexdigest()

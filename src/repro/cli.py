@@ -35,16 +35,15 @@ Subcommands
     recalibrations, rollbacks, residual spread) recorded in a telemetry
     directory from a ``--adapt`` run.
 
-``run`` and ``experiment`` accept ``--telemetry DIR`` to export the
-full observability bundle -- ``events.jsonl`` with its tick-column
-file ``events.f64``, ``trace.csv``, ``metrics.json`` and
-``summary.txt`` -- for the instrumented monitor -> estimate -> control
-loop, ``--faults SPEC`` to drill the run with a seeded fault plan
-(JSON, or YAML when PyYAML is installed) against the hardened
-controller, and ``--adapt`` to turn on online model adaptation
-(recursive calibration + drift detection + versioned model registry)
-for PM-family governors.  All flags are validated up front, before
-any simulation work starts.
+``run`` and ``experiment`` accept ``--telemetry DIR`` to export the full
+observability bundle -- ``events.jsonl`` with its tick-column file
+``events.f64``, ``metrics.json`` and ``summary.txt`` -- for the
+instrumented monitor -> estimate -> control loop, ``--faults SPEC`` to
+drill the run with a seeded fault plan (JSON, or YAML when PyYAML is
+installed) against the hardened controller, and ``--adapt`` to turn on
+online model adaptation (recursive calibration + drift detection +
+versioned model registry) for PM-family governors. All flags are
+validated up front, before any simulation work starts.
 
 Parallel execution: ``experiment --workers N`` fans the experiment's
 sweeps out over N worker processes (per-cell results are bit-identical
@@ -131,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--telemetry", metavar="DIR",
         help="export events.jsonl (tick columns in events.f64), "
-        "trace.csv, metrics.json and summary.txt for this run into DIR",
+        "metrics.json and summary.txt for this run into DIR",
     )
     run.add_argument(
         "--faults", metavar="SPEC",
@@ -737,8 +736,8 @@ def _print_summary(result: RunResult, args) -> None:
 
 
 def _export_trace(result: RunResult, path: str) -> None:
-    # One trace-writing code path: the telemetry CSV exporter owns the
-    # column layout for ad-hoc --trace exports and --telemetry alike.
+    # One trace row format: the telemetry exporters own the column
+    # layout, also for a trace rendered from a bundle's tick columns.
     from repro.telemetry.exporters import write_trace_csv
 
     write_trace_csv(result.trace, path)

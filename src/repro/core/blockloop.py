@@ -97,7 +97,6 @@ from repro.drivers.msr import (
     IA32_TIME_STAMP_COUNTER,
 )
 from repro.drivers.pmu import CounterSnapshot
-from repro.measurement.power_meter import PowerSample
 from repro.platform.blockstep import (
     _M40,
     _M64,
@@ -194,7 +193,6 @@ def _load(machine, cursor, pmu, rdmsr, dvfs, throttle):
         dvfs.current,
         throttle.duty,
         *_programmed(pmu),
-        pmu._cycles,
         pmu._cycle_residual,
         *pmu._residuals,
         rdmsr(IA32_PMC0),
@@ -204,8 +202,7 @@ def _load(machine, cursor, pmu, rdmsr, dvfs, throttle):
 
 
 def _store(machine, cursor, pmu, time_s, jitter_log, charged, retired,
-           into_phase, phase_index, cycles_int, cycle_res, res0, res1, pmc0,
-           pmc1, tsc):
+           into_phase, phase_index, cycle_res, res0, res1, pmc0, pmc1, tsc):
     """Write the kernel's machine and PMU locals to the objects."""
     machine._time_s = time_s
     machine._jitter_log = jitter_log
@@ -213,7 +210,6 @@ def _store(machine, cursor, pmu, time_s, jitter_log, charged, retired,
     cursor._retired = retired
     cursor._into_phase = into_phase
     cursor._phase_index = phase_index
-    pmu._cycles = cycles_int
     pmu._cycle_residual = cycle_res
     pmu._residuals[0] = res0
     pmu._residuals[1] = res1
@@ -465,7 +461,6 @@ def run_fast(st, tel):
     constants = config.power
     leak_power = constants.leakage.power
     _exp = math.exp
-    _new = object.__new__
 
     states = tuple(config.table)
     n_states = len(states)
@@ -473,8 +468,8 @@ def run_fast(st, tel):
 
     # Machine / PMU state -> locals (written back at loop exit).
     (time_s, jitter_log, charged, dead_total, phase_index, into_phase,
-     retired, pstate, duty, event0, event1, selector0, selector1, cycles_int,
-     cycle_res, res0, res1, pmc0, pmc1, tsc) = _load(
+     retired, pstate, duty, event0, event1, selector0, selector1, cycle_res,
+     res0, res1, pmc0, pmc1, tsc) = _load(
         machine, cursor, pmu, rdmsr, dvfs, throttle
     )
     current_index = state_index[pstate]
@@ -550,10 +545,14 @@ def run_fast(st, tel):
     noise_floor = adc.noise_floor_watts
     full_scale = adc.full_scale_watts
     lsb = adc.full_scale_watts / (1 << adc.bits)
-    meter_samples = power_meter._samples
-    samples_append = meter_samples.append
-    n_samples = len(meter_samples)
-    last_measured_w = meter_samples[-1].watts if n_samples else 0.0
+    # A sample close appends four floats to the meter's columns.
+    meter_watts = power_meter._samples.watts
+    s_watts_append = meter_watts.append
+    s_time_append = power_meter._samples.time_s.append
+    s_true_append = power_meter._samples.true_watts.append
+    s_dur_append = power_meter._samples.duration_s.append
+    n_samples = len(meter_watts)
+    last_measured_w = meter_watts[-1] if n_samples else 0.0
     m_time = power_meter._time_s
     bucket_e = power_meter._bucket_energy_j
     bucket_t = power_meter._bucket_time_s
@@ -675,8 +674,8 @@ def run_fast(st, tel):
                      mach_std, total, finish_line, jit_state0) = pkg.lanes[lane]
                     (time_s, jitter_log, charged, dead_total, phase_index,
                      into_phase, retired, pstate, duty, event0, event1,
-                     selector0, selector1, cycles_int, cycle_res, res0, res1,
-                     pmc0, pmc1, tsc) = _load(
+                     selector0, selector1, cycle_res, res0, res1, pmc0, pmc1,
+                     tsc) = _load(
                         machine, cursor, pmu, rdmsr, dvfs, throttle
                     )
                     jit_buf, jit_i, jit_refills = pkg.jitter[lane]
@@ -700,7 +699,7 @@ def run_fast(st, tel):
                 elapsed = 0.0
                 pmc0_start = pmc0
                 pmc1_start = pmc1
-                cycles_start = cycles_int
+                tsc_start = tsc
 
                 template = templates[phase_index]
                 if template is None:
@@ -782,17 +781,10 @@ def run_fast(st, tel):
                                 if full_scale < clipped:
                                     clipped = full_scale
                                 measured_w = round(clipped / lsb) * lsb
-                                # Frozen-dataclass __init__ goes through
-                                # object.__setattr__ four times; filling the
-                                # instance dict directly builds an
-                                # indistinguishable object at half the cost.
-                                sample = _new(PowerSample)
-                                sdict = sample.__dict__
-                                sdict["time_s"] = m_time
-                                sdict["watts"] = measured_w
-                                sdict["true_watts"] = true_mean
-                                sdict["duration_s"] = bucket_t
-                                samples_append(sample)
+                                s_time_append(m_time)
+                                s_watts_append(measured_w)
+                                s_true_append(true_mean)
+                                s_dur_append(bucket_t)
                                 last_measured_w = measured_w
                                 n_samples += 1
                                 bucket_e = 0.0
@@ -916,7 +908,6 @@ def run_fast(st, tel):
                     cycle_res += seg_cycles
                     whole = int(cycle_res)
                     cycle_res -= whole
-                    cycles_int += whole
                     tsc = (tsc + whole) & _M64
                     if selector0 is not None:
                         if selector0 == 0:
@@ -995,13 +986,10 @@ def run_fast(st, tel):
                                 if full_scale < clipped:
                                     clipped = full_scale
                                 measured_w = round(clipped / lsb) * lsb
-                                sample = _new(PowerSample)
-                                sdict = sample.__dict__
-                                sdict["time_s"] = m_time
-                                sdict["watts"] = measured_w
-                                sdict["true_watts"] = true_mean
-                                sdict["duration_s"] = bucket_t
-                                samples_append(sample)
+                                s_time_append(m_time)
+                                s_watts_append(measured_w)
+                                s_true_append(true_mean)
+                                s_dur_append(bucket_t)
                                 last_measured_w = measured_w
                                 n_samples += 1
                                 bucket_e = 0.0
@@ -1019,8 +1007,8 @@ def run_fast(st, tel):
                     # ---- lane switch: locals -> objects ----
                     _store(
                         machine, cursor, pmu, time_s, jitter_log, charged,
-                        retired, into_phase, phase_index, cycles_int,
-                        cycle_res, res0, res1, pmc0, pmc1, tsc,
+                        retired, into_phase, phase_index, cycle_res, res0,
+                        res1, pmc0, pmc1, tsc,
                     )
                     pkg.jitter[lane] = (jit_buf, jit_i, jit_refills)
                     pkg.finish(
@@ -1063,11 +1051,10 @@ def run_fast(st, tel):
                         if full_scale < clipped:
                             clipped = full_scale
                         measured_w = round(clipped / lsb) * lsb
-                        # The plain constructor: a filled instance dict
-                        # would hold each kept sample in 64 more bytes.
-                        samples_append(PowerSample(
-                            m_time, measured_w, true_mean, bucket_t
-                        ))
+                        s_time_append(m_time)
+                        s_watts_append(measured_w)
+                        s_true_append(true_mean)
+                        s_dur_append(bucket_t)
                         last_measured_w = measured_w
                         n_samples += 1
                         bucket_e = 0.0
@@ -1092,8 +1079,8 @@ def run_fast(st, tel):
                 else:
                     _store(
                         machine, cursor, pmu, time_s, jitter_log, charged,
-                        retired, into_phase, phase_index, cycles_int,
-                        cycle_res, res0, res1, pmc0, pmc1, tsc,
+                        retired, into_phase, phase_index, cycle_res, res0,
+                        res1, pmc0, pmc1, tsc,
                     )
                 _store_meter(power_meter, m_time, bucket_e, bucket_t)
                 # The objects are current until the re-read below; an
@@ -1105,15 +1092,14 @@ def run_fast(st, tel):
                     # The lead core's counters, from the locals (what
                     # PMU.snapshot reads from the MSRs).
                     counter_sample = close_sample(elapsed, CounterSnapshot(
-                        (event0, event1), (pmc0, pmc1), cycles_int & _M40,
-                        tsc,
+                        (event0, event1), (pmc0, pmc1), tsc & _M40, tsc,
                     ))
                 elif rt is not None:
                     counter_sample = rt.acquire_sample(sampler, elapsed)
                 else:
                     counter_sample = sampler.sample(elapsed)
                 measured = (
-                    meter_samples[-1].watts
+                    meter_watts[-1]
                     if n_samples > sample_index
                     else mean_power
                 )
@@ -1176,7 +1162,7 @@ def run_fast(st, tel):
             else:
                 # ---- sampler (mirrors CounterSampler.sample) ----
                 c0 = (pmc0 - pmc0_start) & _M40
-                cyc = (cycles_int - cycles_start) & _M40
+                cyc = (tsc - tsc_start) & _M40
                 r0 = c0 / cyc if cyc > 0 else 0.0
                 measured = (
                     last_measured_w
@@ -1345,8 +1331,8 @@ def run_fast(st, tel):
         if not in_decision:
             _store(
                 machine, cursor, pmu, time_s, jitter_log, charged, retired,
-                into_phase, phase_index, cycles_int, cycle_res, res0, res1,
-                pmc0, pmc1, tsc,
+                into_phase, phase_index, cycle_res, res0, res1, pmc0, pmc1,
+                tsc,
             )
             _store_meter(power_meter, m_time, bucket_e, bucket_t)
         if res_acc or freq in residency:

@@ -69,7 +69,11 @@ from repro.core.sampling import (
     MultiplexedCounterSampler,
 )
 from repro.errors import ExperimentError, SensorFault, TransitionError
-from repro.measurement.power_meter import PowerMeter, PowerSample
+from repro.measurement.power_meter import (
+    PowerMeter,
+    PowerSamples,
+    moving_average_watts,
+)
 from repro.multicore.machine import MulticoreMachine
 from repro.platform.events import Event
 from repro.platform.machine import Machine
@@ -213,7 +217,7 @@ class RunResult:
     instructions: float
     measured_energy_j: float
     true_energy_j: float
-    samples: tuple[PowerSample, ...]
+    samples: PowerSamples
     trace: tuple[TraceRow, ...]
     residency_s: Dict[float, float] = field(default_factory=dict)
     transitions: int = 0
@@ -246,16 +250,7 @@ class RunResult:
         """
         if window <= 0:
             raise ExperimentError("window must be positive")
-        values = [s.watts for s in self.samples]
-        out: list[tuple[float, float]] = []
-        acc = 0.0
-        for i, sample in enumerate(self.samples):
-            acc += values[i]
-            if i >= window:
-                acc -= values[i - window]
-            if i >= window - 1:
-                out.append((sample.time_s, acc / window))
-        return tuple(out)
+        return tuple(moving_average_watts(self.samples, window))
 
     def violation_fraction(self, limit_w: float, window: int = 10) -> float:
         """Fraction of run time the windowed power exceeds ``limit_w``."""
@@ -264,6 +259,14 @@ class RunResult:
             return 0.0
         over = sum(1 for _, watts in series if watts > limit_w + 1e-9)
         return over / len(series)
+
+    def __setstate__(self, state: dict) -> None:
+        # A result pickled before samples were columns (a results
+        # journal or campaign store) carries a tuple of PowerSample.
+        samples = state.get("samples")
+        if samples is not None and not isinstance(samples, PowerSamples):
+            state = {**state, "samples": PowerSamples.from_samples(samples)}
+        self.__dict__.update(state)
 
 
 class _ResilienceRuntime:
@@ -551,7 +554,7 @@ class PowerManagementController:
             keep_trace=self._keep_trace,
             injecting=injecting,
             adapting=adapting,
-            sample_index=len(self.meter.samples),
+            sample_index=self.meter.sample_count,
         )
         return blockloop.run_fast(state, tel)
 

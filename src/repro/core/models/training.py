@@ -99,7 +99,7 @@ def _characterize(
     power_samples = result.samples[warmup_ticks:]
     if not power_samples:
         raise TrainingError(f"{workload.name} at {pstate}: no power samples")
-    mean_power = float(np.mean([s.watts for s in power_samples]))
+    mean_power = float(np.mean(power_samples.watts))
     return {e: sums[e] / len(trace) for e in events}, mean_power
 
 

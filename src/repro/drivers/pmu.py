@@ -10,11 +10,13 @@ sampling periods, as Isci et al. do on the Pentium 4); an
 :class:`EventMultiplexer` is provided for such extensions.
 
 The counters advance in the tick kernel
-(:func:`repro.core.blockloop.run_fast`), which carries the cycle count,
-the fractional count residuals and the PMC/TSC registers as locals and
-writes them back when it returns.  Counters wrap at 2^40 like the real
-hardware; :class:`CounterSnapshot` handles wrap-aware deltas, and the
-sampling layer is tested against wrap events.
+(:func:`repro.core.blockloop.run_fast`), which carries the fractional
+count residuals and the PMC/TSC registers as locals and writes them
+back when it returns.  The unhalted-cycle count is the TSC's low 40
+bits: the simulated core never halts, so the two advance together.
+Counters wrap at 2^40 like the real hardware; :class:`CounterSnapshot`
+handles wrap-aware deltas, and the sampling layer is tested against
+wrap events.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class PMU:
         self._events: list[Event | None] = [None, None]
         # Hardware-side state: the tick kernel loads these (and the
         # PMC/TSC registers) into locals and stores them back.
-        self._cycles: int = 0
         self._cycle_residual: float = 0.0
         self._residuals: list[float] = [0.0, 0.0]
         for addr in (*_EVTSEL_ADDRESSES, *_PMC_ADDRESSES):
@@ -150,11 +151,12 @@ class PMU:
 
     def snapshot(self) -> CounterSnapshot:
         """Atomically capture both counters, the cycle count and TSC."""
+        tsc = self._msr.rdmsr(IA32_TIME_STAMP_COUNTER)
         return CounterSnapshot(
             events=(self._events[0], self._events[1]),
             values=(self.read(0), self.read(1)),
-            cycles=self._cycles & _COUNTER_MASK,
-            tsc=self._msr.rdmsr(IA32_TIME_STAMP_COUNTER),
+            cycles=tsc & _COUNTER_MASK,
+            tsc=tsc,
         )
 
     # -- helpers ---------------------------------------------------------------

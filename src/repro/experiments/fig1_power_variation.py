@@ -44,7 +44,7 @@ def plan(config: ExperimentConfig | None = None) -> RunPlan:
 def summarize(config: ExperimentConfig, results) -> Fig1Result:
     """Regenerate Fig. 1's data."""
     summaries = {
-        name: summarize_series([s.watts for s in result.samples])
+        name: summarize_series(result.samples.watts)
         for name, result in take_suite(iter(results)).items()
     }
     mean_powers = [s.mean for s in summaries.values()]

@@ -30,7 +30,6 @@ plan at all.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping
 
 import numpy as np
@@ -245,7 +244,7 @@ class FaultyPowerMeter:
         self._injector = injector
         self._cfg = injector.plan.meter
         self._rng = injector.rng("meter")
-        self._corrupted = len(inner.samples)
+        self._corrupted = inner.sample_count
         self._drift_started = False
 
     def __getattr__(self, name):
@@ -262,36 +261,33 @@ class FaultyPowerMeter:
         self._corrupt_new_samples()
 
     def _corrupt_new_samples(self) -> None:
-        samples = self._inner._samples  # in-package: corrupt at the source
+        # In-package: corrupt the wrapped meter's watts column in place.
+        samples = self._inner._samples
+        times, watts = samples.time_s, samples.watts
         cfg, rng = self._cfg, self._rng
-        while self._corrupted < len(samples):
+        while self._corrupted < len(watts):
             index = self._corrupted
-            sample = samples[index]
+            time_s = times[index]
             # Gain drift is deterministic and applied first, so the
             # dropout/spike RNG draws match a drift-free plan exactly.
-            gain = cfg.drift_gain(sample.time_s)
+            gain = cfg.drift_gain(time_s)
             if gain != 1.0:
-                sample = dataclasses.replace(
-                    sample, watts=sample.watts * gain
-                )
-                samples[index] = sample
+                watts[index] = watts[index] * gain
                 if not self._drift_started:
                     self._drift_started = True
                     self._injector.record(
-                        "meter", "drift", sample.time_s,
+                        "meter", "drift", time_s,
                         detail=f"+{cfg.drift_rate_per_s * 100:.2f}%/s "
                         f"from t={cfg.drift_start_s:.2f}s",
                     )
             if cfg.dropout_prob and rng.random() < cfg.dropout_prob:
-                samples[index] = dataclasses.replace(sample, watts=0.0)
-                self._injector.record("meter", "dropout", sample.time_s)
+                watts[index] = 0.0
+                self._injector.record("meter", "dropout", time_s)
             elif cfg.spike_prob and rng.random() < cfg.spike_prob:
                 factor = rng.uniform(2.0, cfg.spike_factor)
-                samples[index] = dataclasses.replace(
-                    sample, watts=sample.watts * factor
-                )
+                watts[index] = watts[index] * factor
                 self._injector.record(
-                    "meter", "spike", sample.time_s, detail=f"x{factor:.2f}"
+                    "meter", "spike", time_s, detail=f"x{factor:.2f}"
                 )
             self._corrupted += 1
 

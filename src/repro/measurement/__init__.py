@@ -14,12 +14,18 @@ exist precisely because measured reality is noisy.
 
 from repro.measurement.sense import SenseResistorChannel
 from repro.measurement.adc import ADCModel
-from repro.measurement.power_meter import PowerMeter, PowerSample, SyncMarker
+from repro.measurement.power_meter import (
+    PowerMeter,
+    PowerSample,
+    PowerSamples,
+    SyncMarker,
+)
 
 __all__ = [
     "SenseResistorChannel",
     "ADCModel",
     "PowerMeter",
     "PowerSample",
+    "PowerSamples",
     "SyncMarker",
 ]

@@ -6,11 +6,22 @@ sense-resistor and ADC models, and timestamps GPIO markers used to
 delimit benchmark runs -- mirroring the paper's measurement methodology
 (power sampled at 10 ms; energy computed "by summing energy values
 computed from each 10 ms power sample", §IV-B2).
+
+Closed samples are kept as four ``array('d')`` columns
+(:class:`PowerSamples`): the tick kernel appends four floats per sample
+close, a run's result holds a slice of those columns, and a
+:class:`PowerSample` row is built only when a caller indexes one.  A
+result therefore pickles as four byte buffers, not one object per
+10 ms.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter, mul
 from typing import Iterable, List
 
 import numpy as np
@@ -36,6 +47,87 @@ class PowerSample:
     #: Actual span of the sample -- equal to the meter interval except
     #: for a final partial sample closed by :meth:`PowerMeter.flush`.
     duration_s: float
+
+
+#: The columns of a :class:`PowerSamples`, in :class:`PowerSample` field
+#: order.
+_COLUMNS: tuple[str, ...] = ("time_s", "watts", "true_watts", "duration_s")
+
+
+class PowerSamples(Sequence):
+    """A read-only series of :class:`PowerSample` rows kept as columns.
+
+    The ``time_s``, ``watts``, ``true_watts`` and ``duration_s``
+    attributes are ``array('d')`` columns of equal length.  An int index
+    builds one :class:`PowerSample`; a slice is a :class:`PowerSamples`
+    of its own columns.  Two series are equal when every row is (float
+    ``==``: a NaN equals no other NaN), as between tuples of the rows
+    read back; a series equals itself.  A series pickles as its four
+    arrays.
+    """
+
+    __slots__ = _COLUMNS
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, time_s=(), watts=(), true_watts=(), duration_s=()):
+        columns = [
+            array("d", column)
+            for column in (time_s, watts, true_watts, duration_s)
+        ]
+        if len({len(column) for column in columns}) != 1:
+            raise MeasurementError("power-sample columns differ in length")
+        self.time_s, self.watts, self.true_watts, self.duration_s = columns
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[PowerSample]) -> "PowerSamples":
+        """The columns of ``samples``, in order (a ``None`` field raises
+        ``TypeError``: a column holds doubles only)."""
+        rows = list(map(attrgetter(*_COLUMNS), samples))
+        if not rows:
+            return cls()
+        return cls(*zip(*rows))
+
+    def __len__(self) -> int:
+        return len(self.time_s)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            out = object.__new__(PowerSamples)
+            out.time_s = self.time_s[index]
+            out.watts = self.watts[index]
+            out.true_watts = self.true_watts[index]
+            out.duration_s = self.duration_s[index]
+            return out
+        return PowerSample(
+            self.time_s[index], self.watts[index], self.true_watts[index],
+            self.duration_s[index],
+        )
+
+    def __iter__(self):
+        return map(
+            PowerSample, self.time_s, self.watts, self.true_watts,
+            self.duration_s,
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, PowerSamples):
+            return NotImplemented
+        # A tuple equals itself, NaN rows and all.
+        return other is self or (
+            self.time_s == other.time_s
+            and self.watts == other.watts
+            and self.true_watts == other.true_watts
+            and self.duration_s == other.duration_s
+        )
+
+    def __reduce__(self):
+        return (
+            PowerSamples,
+            (self.time_s, self.watts, self.true_watts, self.duration_s),
+        )
+
+    def __repr__(self) -> str:
+        return f"PowerSamples({len(self)} samples)"
 
 
 @dataclass(frozen=True)
@@ -69,7 +161,8 @@ class PowerMeter:
         self._sense = sense if sense is not None else SenseResistorChannel(rng=rng)
         self._adc = adc if adc is not None else ADCModel(rng=rng)
         self._supply_v = supply_voltage_v
-        self._samples: List[PowerSample] = []
+        #: Closed samples; the tick kernel appends to these columns.
+        self._samples = PowerSamples()
         self._markers: List[SyncMarker] = []
         self._time_s = 0.0
         self._bucket_energy_j = 0.0
@@ -109,22 +202,24 @@ class PowerMeter:
         true_mean = self._bucket_energy_j / self._bucket_time_s
         sensed = self._sense.measure_power(true_mean, self._supply_v)
         measured = self._adc.convert(sensed)
-        self._samples.append(
-            PowerSample(self._time_s, measured, true_mean, self._bucket_time_s)
-        )
+        samples = self._samples
+        samples.time_s.append(self._time_s)
+        samples.watts.append(measured)
+        samples.true_watts.append(true_mean)
+        samples.duration_s.append(self._bucket_time_s)
         self._bucket_energy_j = 0.0
         self._bucket_time_s = 0.0
 
     # -- reading ---------------------------------------------------------------
 
     @property
-    def samples(self) -> tuple[PowerSample, ...]:
-        """All closed samples so far."""
-        return tuple(self._samples)
+    def samples(self) -> PowerSamples:
+        """All closed samples so far (a copy of the columns)."""
+        return self._samples[:]
 
     @property
     def sample_count(self) -> int:
-        """Number of closed samples (O(1); ``samples`` rebuilds a tuple)."""
+        """Number of closed samples (O(1); ``samples`` copies the columns)."""
         return len(self._samples)
 
     @property
@@ -144,11 +239,14 @@ class PowerMeter:
         """Accumulated measurement time."""
         return self._time_s
 
-    def samples_between(self, start_label: str, end_label: str) -> tuple[PowerSample, ...]:
-        """Samples whose timestamps fall between two GPIO markers.
+    def samples_between(self, start_label: str, end_label: str) -> PowerSamples:
+        """Samples whose timestamps fall between two GPIO markers
+        (``start < time_s <= end``, plus 1e-12 s of slack at the end).
 
         This is how the paper attributes power to a benchmark run: GPIO
-        edges at run start/end bracket the relevant samples.
+        edges at run start/end bracket the relevant samples.  Sample
+        times never decrease, so the bracket is one slice, found by
+        bisection.
         """
         start = self._marker_time(start_label)
         end = self._marker_time(end_label)
@@ -156,7 +254,10 @@ class PowerMeter:
             raise MeasurementError(
                 f"marker {end_label!r} precedes {start_label!r}"
             )
-        return tuple(s for s in self._samples if start < s.time_s <= end + 1e-12)
+        times = self._samples.time_s
+        return self._samples[
+            bisect_right(times, start):bisect_right(times, end + 1e-12)
+        ]
 
     def _marker_time(self, label: str) -> float:
         for marker in self._markers:
@@ -168,10 +269,14 @@ class PowerMeter:
         """Measured energy: sum of sample power x duration (paper §IV-B2).
 
         All samples span the 10 ms interval except a final partial one,
-        whose true duration is used so short runs are not inflated.
+        whose true duration is used so short runs are not inflated.  The
+        products are summed in sample order with the builtin ``sum``.
         """
-        use = self._samples if samples is None else list(samples)
-        return sum(s.watts * s.duration_s for s in use)
+        if samples is None:
+            samples = self._samples
+        elif not isinstance(samples, PowerSamples):
+            samples = PowerSamples.from_samples(samples)
+        return sum(map(mul, samples.watts, samples.duration_s))
 
     def moving_average(self, window: int) -> list[tuple[float, float]]:
         """Moving average of measured power over ``window`` samples.
@@ -182,13 +287,22 @@ class PowerMeter:
         """
         if window <= 0:
             raise MeasurementError("window must be positive")
-        out: list[tuple[float, float]] = []
-        acc = 0.0
-        vals = self._samples
-        for i, sample in enumerate(vals):
-            acc += sample.watts
-            if i >= window:
-                acc -= vals[i - window].watts
-            if i >= window - 1:
-                out.append((sample.time_s, acc / window))
-        return out
+        return moving_average_watts(self._samples, window)
+
+
+def moving_average_watts(
+    samples: PowerSamples, window: int
+) -> list[tuple[float, float]]:
+    """(end_time, mean measured watts) over each ``window`` consecutive
+    samples, in order; the running sum adds each sample and drops the
+    one ``window`` back."""
+    out: list[tuple[float, float]] = []
+    acc = 0.0
+    watts = samples.watts
+    for i, (time_s, value) in enumerate(zip(samples.time_s, watts)):
+        acc += value
+        if i >= window:
+            acc -= watts[i - window]
+        if i >= window - 1:
+            out.append((time_s, acc / window))
+    return out

@@ -12,8 +12,9 @@ reproduction the same first-class view of itself:
   violations, projection-error distributions);
 * :mod:`~repro.telemetry.spans` -- wall-clock spans, one root ``run``
   span per cell (never per tick);
-* :mod:`~repro.telemetry.exporters` -- JSONL event logs, CSV per-tick
-  traces, JSON metric snapshots and human-readable summaries;
+* :mod:`~repro.telemetry.exporters` -- JSONL event logs with their
+  column files, CSV per-tick traces, JSON metric snapshots and
+  human-readable summaries;
 * :mod:`~repro.telemetry.report` -- aggregation of an exported run
   (the ``repro-power telemetry-report`` subcommand).
 
@@ -56,11 +57,11 @@ from repro.telemetry.recorder import (
     TelemetryRecorder,
 )
 from repro.telemetry.exporters import (
-    CsvTraceExporter,
     JsonlEventExporter,
     TelemetryDirectory,
     TRACE_FIELDS,
     render_run_summary,
+    render_trace_csv,
     write_trace_csv,
 )
 from repro.telemetry.report import TelemetryReport, load_report, render_report
@@ -101,9 +102,9 @@ __all__ = [
     # exporters
     "TRACE_FIELDS",
     "JsonlEventExporter",
-    "CsvTraceExporter",
     "TelemetryDirectory",
     "write_trace_csv",
+    "render_trace_csv",
     "render_run_summary",
     # report
     "TelemetryReport",

@@ -10,16 +10,17 @@ Three export formats cover the three consumers we actually have:
   header, and the line holds one ``[offset, length]`` span per column,
   counted in doubles.  :func:`repro.telemetry.report.load_events`
   resolves the spans back into lists;
-* :class:`CsvTraceExporter` / :func:`write_trace_csv` -- the per-tick
-  trace as CSV.  This is *the* trace-writing code path: the CLI's
-  ``--trace`` flag and the ``--telemetry`` exporter format rows with
-  one format string, so the two files are column-compatible;
+* :func:`write_trace_csv` / :func:`render_trace_csv` -- the per-tick
+  trace as CSV, every row through one format string: the CLI's
+  ``--trace FILE`` writes a run's trace rows, and
+  :func:`render_trace_csv` renders the same CSV from the ``ticks``
+  records of a loaded event log (a bundle keeps its ticks once, in
+  ``events.f64``, not a second time as text);
 * :func:`render_run_summary` -- a human-readable digest of a recorder's
   metrics and spans.
 
 :class:`TelemetryDirectory` bundles the lot behind one output directory
-(``events.jsonl``, ``events.f64``, ``trace.csv``, ``metrics.json``,
-``summary.txt``).
+(``events.jsonl``, ``events.f64``, ``metrics.json``, ``summary.txt``).
 
 Exporters are ordinary bus subscribers; the bus's error isolation means
 a full disk or closed handle degrades telemetry, never the run.
@@ -51,7 +52,6 @@ TRACE_FIELDS: tuple[str, ...] = (
 )
 
 EVENTS_FILENAME = "events.jsonl"
-TRACE_FILENAME = "trace.csv"
 METRICS_FILENAME = "metrics.json"
 SUMMARY_FILENAME = "summary.txt"
 
@@ -88,6 +88,22 @@ def write_trace_csv(rows: Iterable, path: str | os.PathLike) -> int:
         handle.write(_HEADER)
         handle.write(_format_rows(values))
     return len(values)
+
+
+def render_trace_csv(events: Iterable[Mapping]) -> str:
+    """The per-tick trace CSV of the ``ticks`` records among ``events``
+    (as :func:`repro.telemetry.report.load_events` returns them), runs
+    in log order: the header, then every tick as :func:`write_trace_csv`
+    formats a trace row (a missing temperature, read back as None, is
+    blank)."""
+    parts = [_HEADER]
+    for event in events:
+        if event.get("kind") == "ticks":
+            columns = event["columns"]
+            parts.append(_format_rows(
+                zip(*(columns[name] for name in TRACE_FIELDS))
+            ))
+    return "".join(parts)
 
 
 def columns_path(events_path: str | os.PathLike) -> str:
@@ -259,44 +275,6 @@ class JsonlEventExporter:
         self.close()
 
 
-class CsvTraceExporter:
-    """Bus subscriber writing each run's :class:`TicksRecorded` to CSV.
-
-    A run's rows are formatted into one string and go out in one
-    ``write``.  Other events are ignored, so the exporter can sit on the
-    same bus as the JSONL log.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = os.fspath(path)
-        self._handle: IO[str] | None = open(self.path, "w", newline="")
-        self._handle.write(_HEADER)
-        self.rows_written = 0
-
-    def __call__(self, event: TelemetryEvent) -> None:
-        """Append a run's rows for ``ticks`` records; ignore the rest."""
-        if not isinstance(event, TicksRecorded):
-            return
-        if self._handle is None:
-            raise TelemetryError(f"exporter for {self.path} is closed")
-        columns = event.columns
-        rows = list(zip(*(columns[name] for name in TRACE_FIELDS)))
-        self._handle.write(_format_rows(rows))
-        self.rows_written += len(rows)
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CsvTraceExporter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
 def _format_seconds(seconds: float) -> str:
     if seconds >= 1.0:
         return f"{seconds:.3f} s"
@@ -366,8 +344,8 @@ def render_run_summary(recorder: TelemetryRecorder) -> str:
 
 
 class TelemetryDirectory:
-    """One output directory owning a JSONL log (with its column file)
-    and a live CSV trace.
+    """One output directory: a JSONL log with its column file, then a
+    metrics snapshot and a summary written at :meth:`finalize`.
 
     Usage::
 
@@ -389,20 +367,17 @@ class TelemetryDirectory:
         self.events = JsonlEventExporter(
             os.path.join(self.path, EVENTS_FILENAME)
         )
-        self.trace = CsvTraceExporter(os.path.join(self.path, TRACE_FILENAME))
         self._attached_to = None
 
     def attach(self, recorder: TelemetryRecorder) -> None:
-        """Subscribe both exporters to ``recorder``'s bus."""
+        """Subscribe the event log to ``recorder``'s bus."""
         recorder.bus.subscribe(self.events)
-        recorder.bus.subscribe(self.trace)
         self._attached_to = recorder
 
     def finalize(self, recorder: TelemetryRecorder | None = None) -> None:
-        """Close the streams and write ``metrics.json`` + ``summary.txt``."""
+        """Close the log and write ``metrics.json`` + ``summary.txt``."""
         recorder = recorder if recorder is not None else self._attached_to
         self.events.close()
-        self.trace.close()
         if recorder is None:
             return
         # Atomic: a consumer polling the directory (or a kill landing

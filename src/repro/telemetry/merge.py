@@ -4,15 +4,15 @@ Parallel execution gives every worker process its own full
 :class:`~repro.telemetry.exporters.TelemetryDirectory` under
 ``<root>/worker-NN/`` (concurrent writers cannot share one JSONL
 handle).  :func:`merge_worker_directories` folds those back into the
-top-level ``events.jsonl`` / ``events.f64`` / ``trace.csv`` /
-``metrics.json`` / ``summary.txt`` so every downstream consumer --
+top-level ``events.jsonl`` / ``events.f64`` / ``metrics.json`` /
+``summary.txt`` so every downstream consumer --
 ``telemetry-report``, the report loaders, ad-hoc scripts -- reads a
 parallel campaign exactly like a serial one.  The worker
 subdirectories are left in place for per-worker debugging.
 
 Merge semantics per artifact:
 
-* events/trace: concatenation, parent first then workers in directory
+* events: concatenation, parent first then workers in directory
   order (cross-worker event interleaving is not reconstructed; per-cell
   ordering is preserved, which is what the aggregators key on);
 * column files: concatenation in the same order, each ``ticks`` line's
@@ -24,16 +24,14 @@ Merge semantics per artifact:
 
 The merge is tolerant of damaged pieces -- a worker killed mid-campaign
 leaves a torn ``events.jsonl`` tail, a ``ticks`` line whose spans run
-past its ``events.f64``, a truncated ``trace.csv`` row or no
-``metrics.json`` at all.  Every such artifact is skipped and counted
-on the returned :class:`MergeReport` (``skipped_events``,
-``skipped_trace_rows``, ``missing_metrics``); the merge itself never
+past its ``events.f64`` or no ``metrics.json`` at all.  Every such
+artifact is skipped and counted on the returned :class:`MergeReport`
+(``skipped_events``, ``missing_metrics``); the merge itself never
 aborts on worker corruption.
 """
 
 from __future__ import annotations
 
-import csv
 import fnmatch
 import json
 import os
@@ -45,8 +43,6 @@ from repro.telemetry.exporters import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
     SUMMARY_FILENAME,
-    TRACE_FIELDS,
-    TRACE_FILENAME,
     columns_path,
     read_column_bytes,
     shift_spans,
@@ -63,7 +59,7 @@ class MergeReport:
 
     The ``skipped_*`` / ``missing_metrics`` fields count corruption the
     merge tolerated: a worker SIGKILLed mid-write leaves a torn JSONL
-    tail, a truncated trace row, or no ``metrics.json`` at all.  Such
+    tail or no ``metrics.json`` at all.  Such
     damage is skipped and counted -- the merge never aborts on it, so
     one dead worker cannot take down the whole campaign's telemetry.
     """
@@ -71,12 +67,9 @@ class MergeReport:
     root: str
     worker_dirs: List[str] = field(default_factory=list)
     events: int = 0
-    trace_rows: int = 0
     #: Malformed events.jsonl lines dropped (torn tails, partial writes,
     #: ``ticks`` lines whose spans run past their column file).
     skipped_events: int = 0
-    #: trace.csv rows dropped for having the wrong column count.
-    skipped_trace_rows: int = 0
     #: Sources whose metrics.json was absent or unparseable.
     missing_metrics: int = 0
 
@@ -88,11 +81,7 @@ class MergeReport:
     @property
     def corrupt(self) -> bool:
         """Whether any source contributed damaged artifacts."""
-        return bool(
-            self.skipped_events
-            or self.skipped_trace_rows
-            or self.missing_metrics
-        )
+        return bool(self.skipped_events or self.missing_metrics)
 
 
 def _empty_snapshot() -> dict:
@@ -170,13 +159,12 @@ def _render_merged_summary(snapshot: Mapping, report: MergeReport) -> str:
         "==================",
         "",
         f"worker directories merged: {report.workers}",
-        f"events: {report.events}   trace rows: {report.trace_rows}",
+        f"events: {report.events}",
         "",
     ]
     if report.corrupt:
         lines[-1:] = [
             f"skipped (corrupt): {report.skipped_events} events, "
-            f"{report.skipped_trace_rows} trace rows, "
             f"{report.missing_metrics} metrics snapshots",
             "",
         ]
@@ -257,27 +245,6 @@ def _read_event_lines(
     return kept, skipped
 
 
-def _read_trace_rows(path: str) -> tuple[List[List[str]], int]:
-    """Complete trace rows plus the count of truncated ones dropped."""
-    if not os.path.exists(path):
-        return [], 0
-    try:
-        with open(path, newline="", errors="replace") as handle:
-            rows = list(csv.reader(handle))
-    except (OSError, csv.Error):
-        return [], 1
-    kept: List[List[str]] = []
-    skipped = 0
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != len(TRACE_FIELDS):
-            skipped += 1  # torn tail: the writer died mid-row
-            continue
-        kept.append(row)
-    return kept, skipped
-
-
 def find_worker_directories(
     root: str | os.PathLike, pattern: str = WORKER_DIR_PATTERN
 ) -> List[str]:
@@ -333,20 +300,6 @@ def merge_worker_directories(
         ("\n".join(events) + "\n") if events else "",
     )
     report.events = len(events)
-
-    rows: List[List[str]] = []
-    for source in sources:
-        source_rows, skipped = _read_trace_rows(
-            os.path.join(source, TRACE_FILENAME)
-        )
-        rows.extend(source_rows)
-        report.skipped_trace_rows += skipped
-    out: List[str] = [",".join(TRACE_FIELDS)]
-    out.extend(",".join(row) for row in rows)
-    atomic_write_text(
-        os.path.join(root, TRACE_FILENAME), "\n".join(out) + "\n"
-    )
-    report.trace_rows = len(rows)
 
     snapshots: List[Mapping] = []
     for source in report.worker_dirs:

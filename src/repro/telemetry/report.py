@@ -2,10 +2,10 @@
 
 ``repro-power telemetry-report <dir>`` reads what a
 :class:`~repro.telemetry.exporters.TelemetryDirectory` wrote --
-``events.jsonl`` with its column file ``events.f64``, ``trace.csv``,
-``metrics.json`` -- cross-checks the three views of the same run, and
-renders a digest: runs and their totals, event counts by kind,
-transition activity, trace statistics and per-cell wall-clock spans.
+``events.jsonl`` with its column file ``events.f64``, and
+``metrics.json`` -- and renders a digest: runs and their totals, event
+counts by kind, transition activity, trace statistics and per-cell
+wall-clock spans.
 :func:`load_events` is the one reader of an event log: it resolves
 each ``ticks`` line's spans into the column file back into per-tick
 lists, so every consumer sees the values the run recorded.
@@ -21,7 +21,6 @@ merged from parallel workers reports exactly what a serial one does
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -33,7 +32,6 @@ from repro.errors import TelemetryError
 from repro.telemetry.exporters import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
-    TRACE_FILENAME,
     columns_path,
     read_column_file,
     resolve_spans,
@@ -46,12 +44,11 @@ class TelemetryReport:
 
     directory: str
     events: List[dict] = field(default_factory=list)
-    trace_rows: List[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     spans: dict = field(default_factory=dict)
     #: Malformed/truncated JSONL lines skipped while loading the log.
     skipped_lines: int = 0
-    #: True when the final event/trace line was torn mid-write (the
+    #: True when the final event line was torn mid-write (the
     #: expected signature of a SIGKILL'd run), as opposed to interior
     #: corruption counted in ``skipped_lines``.
     truncated_tail: bool = False
@@ -72,18 +69,24 @@ class TelemetryReport:
 
     @property
     def tick_count(self) -> int:
-        """Rows in the CSV trace."""
-        return len(self.trace_rows)
+        """Ticks recorded over every run."""
+        return sum(
+            len(columns.get("time_s", ())) for columns in self.tick_columns
+        )
 
     @property
     def mean_measured_power_w(self) -> float:
-        """Mean of the trace's measured power column (0.0 when empty)."""
-        if not self.trace_rows:
+        """Mean measured power over every recorded tick (0.0 when none),
+        each reading rounded to the mW as the trace CSV prints it."""
+        values = [
+            float(f"{watts:.3f}")
+            for columns in self.tick_columns
+            for watts in columns.get("measured_power_w", ())
+            if watts is not None
+        ]
+        if not values:
             return 0.0
-        total = math.fsum(
-            float(r["measured_power_w"]) for r in self.trace_rows
-        )
-        return total / len(self.trace_rows)
+        return math.fsum(values) / len(values)
 
     @property
     def tick_columns(self) -> List[dict]:
@@ -213,23 +216,6 @@ def load_report(directory: str | os.PathLike) -> TelemetryReport:
         events_path
     )
 
-    trace_path = os.path.join(directory, TRACE_FILENAME)
-    if os.path.exists(trace_path):
-        with open(trace_path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        # A kill can also tear the final CSV row mid-write; DictReader
-        # fills its missing columns with None, which would crash the
-        # float() parses downstream.  (temperature_c is legitimately
-        # empty on unhardened runs, so it does not count as damage.)
-        if rows and any(
-            value is None or value == ""
-            for column, value in rows[-1].items()
-            if column is not None and column != "temperature_c"
-        ):
-            rows.pop()
-            report.truncated_tail = True
-        report.trace_rows = rows
-
     metrics_path = os.path.join(directory, METRICS_FILENAME)
     if os.path.exists(metrics_path):
         try:
@@ -263,9 +249,9 @@ def _render_ticks(
     report: TelemetryReport, tick_columns: List[dict]
 ) -> List[str]:
     """The residency, Eq. 2 residual and limit-violation sections."""
-    ticks = sum(len(columns.get("time_s", ())) for columns in tick_columns)
     lines = [
-        f"p-state residency ({ticks} ticks in {len(tick_columns)} runs):"
+        f"p-state residency ({report.tick_count} ticks in "
+        f"{len(tick_columns)} runs):"
     ]
     residency = report.residency_s
     total = math.fsum(residency.values())
@@ -329,7 +315,7 @@ def render_report(directory: str | os.PathLike) -> str:
         lines.append(f"  transitions  {run.get('transitions', 0)}")
         lines.append("")
 
-    if report.trace_rows:
+    if report.tick_count:
         lines.append(f"trace: {report.tick_count} ticks, mean measured "
                      f"power {report.mean_measured_power_w:.2f} W")
         lines.append("")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -27,6 +28,7 @@ from repro.checkpoint.format import pack_record
 from repro.errors import CampaignError
 from repro.exec.core import execute_cell
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
+from repro.measurement.power_meter import PowerSamples
 from repro.platform.machine import MachineConfig
 from repro.platform.power import PowerModelConstants
 from repro.traces.corpus import corpus_trace
@@ -165,6 +167,24 @@ class TestResultStore:
             with pytest.raises(CampaignError, match="bit-identity"):
                 reopened.get(digest)
 
+    def test_record_with_tuple_samples_is_served_as_columns(self, tmp_path):
+        # A record written before power samples were columns pickled the
+        # result's samples as a tuple of PowerSample.
+        digest = cell_digest(CELL, PLAN)
+        result = execute_cell(CELL, CONFIG)
+        legacy = dataclasses.replace(result, samples=tuple(result.samples))
+        assert "PowerSamples" not in repr(pickle.dumps(legacy))
+        with ResultStore(tmp_path / "store") as store:
+            store.open_writer()  # creates the log
+        record = {"spec": campaign_cell_spec(CELL, PLAN), "result": legacy,
+                  "result_digest": run_result_digest(result)}
+        _append(tmp_path / "store", digest, pickle.dumps(record))
+        with ResultStore(tmp_path / "store") as store:
+            cached = store.get(digest)
+        assert type(cached.samples) is PowerSamples
+        assert cached.samples == result.samples
+        assert run_result_digest(cached) == run_result_digest(result)
+
     def test_unreadable_object_is_a_counted_miss(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
             store.open_writer()  # creates the log
@@ -271,6 +291,33 @@ class TestResultsLog:
         # Closing the first writer releases the lock.
         with ResultStore(tmp_path / "store") as third:
             third.open_writer()
+
+    def test_forked_child_does_not_hold_the_writer_lock(self, tmp_path):
+        # A pool worker forked while its coordinator holds the lock must
+        # not keep the store locked once the coordinator is gone.
+        store = ResultStore(tmp_path / "store")
+        store.open_writer()
+        ready_r, ready_w = os.pipe()
+        stop_r, stop_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child lives until the parent closes stop_w
+            try:
+                os.write(ready_w, b"x")  # past its fork hooks
+                os.close(stop_w)
+                os.read(stop_r, 1)
+            finally:
+                os._exit(0)
+        try:
+            os.close(stop_r)
+            os.read(ready_r, 1)
+            store.close()
+            with ResultStore(tmp_path / "store") as other:
+                other.open_writer()
+        finally:
+            os.close(stop_w)
+            os.waitpid(pid, 0)
+            os.close(ready_r)
+            os.close(ready_w)
 
     def test_reader_sees_appends_without_locking(self, tmp_path):
         root = tmp_path / "store"

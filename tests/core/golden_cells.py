@@ -24,7 +24,9 @@ Four families:
   (one ``Machine.step`` per core per tick under the contention model)
   that the kernel's per-core lanes replaced.
 * ``bundle/...`` -- telemetry bundles (``events.jsonl`` as rare events
-  and per-tick values, ``trace.csv``, ``metrics.json`` minus spans).
+  and per-tick values, the trace CSV, ``metrics.json`` minus spans).
+  The trace CSV was a bundle file, ``trace.csv``; it is now rendered
+  from the ``ticks`` records (:func:`trace_sha256`) and hashes the same.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from repro.platform.machine import Machine, MachineConfig
 from repro.platform.power import PowerModelConstants
 from repro.platform.thermal import ThermalModel
 from repro.telemetry import TelemetryRecorder
-from repro.telemetry.exporters import JsonlEventExporter
+from repro.telemetry.exporters import JsonlEventExporter, render_trace_csv
 from repro.telemetry.report import load_events
 from repro.workloads.registry import get_workload
 
@@ -418,11 +420,6 @@ def observed(path):
     return recorder, exporter
 
 
-def sha256_file(path) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 #: The per-tick event kinds one ``ticks`` record per run replaced.
 PER_TICK_KINDS = ("sample", "decision", "tick")
 
@@ -507,15 +504,23 @@ def event_hashes(path) -> dict:
     }
 
 
+def trace_sha256(path) -> str:
+    """Hash of the trace CSV rendered from the ``ticks`` records of the
+    JSONL event log ``path``: the bytes a bundle's ``trace.csv`` held."""
+    events, _, _ = load_events(path)
+    return hashlib.sha256(render_trace_csv(events).encode()).hexdigest()
+
+
 def bundle_record(directory, result) -> dict:
     """What the fixture keeps of one telemetry bundle."""
     with open(Path(directory) / "metrics.json") as handle:
         metrics = json.load(handle)
     metrics.pop("spans")
+    events_path = Path(directory) / "events.jsonl"
     return {
         "digest": run_result_digest(result),
-        **event_hashes(Path(directory) / "events.jsonl"),
-        "trace_sha256": sha256_file(Path(directory) / "trace.csv"),
+        **event_hashes(events_path),
+        "trace_sha256": trace_sha256(events_path),
         "metrics": metrics,
     }
 

@@ -11,8 +11,12 @@ next to this file).  ``parent_commit`` stamps the commit the working
 tree was checked out at.
 
 To audit the fixture, write it to a scratch directory and compare: only
-the ``loop`` and ``parent_commit`` stamps may differ, and
-``golden_journal/results.journal`` is byte-identical.  Overwrite the
+the ``loop`` and ``parent_commit`` stamps may differ, and the records of
+``golden_journal/results.journal`` match in order, ``metrics`` and
+``run_result_digest``.  (The committed journal pickles each result's
+power samples as a tuple of ``PowerSample``, a fresh one as columns, so
+the bytes differ; resuming the committed one checks that old journals
+still load.)  Overwrite the
 committed fixture only with a deliberate change to the tick math (RNG
 draw order, meter, power model), in the same commit, and record why in
 ``CHANGES.md``.

@@ -3,7 +3,9 @@
 Telemetry does not change the loop: a run with an enabled recorder goes
 through :func:`repro.core.blockloop.run_fast` like an unobserved one.
 The contract pinned here is that a bundle holds what the frozen ones
-(``golden_loop.json``) hold: ``trace.csv`` hashes to theirs,
+(``golden_loop.json``) hold: the trace CSV rendered from its ``ticks``
+records hashes to their ``trace.csv``, the bundle writes no
+``trace.csv`` of its own,
 ``metrics.json`` is equal once the wall-clock ``spans`` are removed,
 the run's digest equals the telemetry-off digest, and ``events.jsonl``
 has the same rare events, byte for byte, and the same per-tick values
@@ -21,6 +23,7 @@ import pytest
 from repro.checkpoint import run_result_digest
 from repro.core import blockloop
 from repro.exec import RunCell, execute_cell
+from repro.exec.cache import trained_power_model
 
 from .golden_cells import (
     BUNDLES,
@@ -53,9 +56,13 @@ def fast_calls(monkeypatch):
 
 
 def _bundle(key, directory, fast_calls):
+    # The energy-optimal governor's trained model: its training runs go
+    # through the kernel too, so train it before counting the cell's run.
+    trained_power_model(seed=CONFIG.seed)
     fast_calls.clear()
     record = bundle_record(directory, BUNDLES[key](directory))
     assert len(fast_calls) == 1
+    assert not (directory / "trace.csv").exists()
     expected = GOLDEN["bundles"][key]
     for field in ("rare_events_sha256", "ticks_sha256", "trace_sha256",
                   "metrics", "digest"):

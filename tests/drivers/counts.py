@@ -3,8 +3,9 @@
 Tests of the samplers and the fault wrappers need counters that moved by
 a known amount.  The tick kernel (:func:`repro.core.blockloop.run_fast`)
 is the only code that advances a real machine's counters; between runs
-the samplers read what it stored: the PMU's cycle count, the TSC and
-the two PMC registers.  :func:`advance` writes that same state directly.
+the samplers read what it stored: the TSC (whose low 40 bits are the
+cycle count) and the two PMC registers.  :func:`advance` writes that
+same state directly.
 """
 
 from repro.drivers.msr import IA32_PMC0, IA32_PMC1, IA32_TIME_STAMP_COUNTER
@@ -18,7 +19,6 @@ def advance(pmu, cycles, counts=None):
     """Add ``cycles`` unhalted cycles, and ``counts[event]`` whole events
     to the counter programmed with each event, wrapping like the part."""
     msr = pmu._msr
-    pmu._cycles += cycles
     msr.poke(
         IA32_TIME_STAMP_COUNTER,
         (msr.rdmsr(IA32_TIME_STAMP_COUNTER) + cycles) & _TSC_MASK,

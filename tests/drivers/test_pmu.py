@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.drivers.msr import MSRFile
+from repro.drivers.msr import IA32_TIME_STAMP_COUNTER, MSRFile
 from repro.drivers.pmu import PMU, EventMultiplexer
 from repro.errors import PMUError
 from repro.platform.events import COUNTER_WIDTH_BITS, Event
@@ -86,7 +86,7 @@ class TestWrapAround:
 
     def test_cycle_counter_wrap_in_delta(self, pmu):
         pmu.program(0, Event.INST_DECODED)
-        pmu._cycles = (1 << COUNTER_WIDTH_BITS) - 100
+        pmu._msr.poke(IA32_TIME_STAMP_COUNTER, (1 << COUNTER_WIDTH_BITS) - 100)
         before = pmu.snapshot()
         advance(pmu, 300)
         after = pmu.snapshot()

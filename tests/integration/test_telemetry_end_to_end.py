@@ -4,7 +4,8 @@ cross-validated observability bundle.
 Validates the ISSUE's acceptance criteria end to end:
 
 * ``repro-power run <workload> --governor pm --telemetry <dir>``
-  produces a JSONL event log, a CSV tick trace and a metrics summary;
+  produces a JSONL event log (its tick columns in ``events.f64``, from
+  which the CSV tick trace renders) and a metrics summary;
 * event ordering is coherent (run_started first, run_finished last,
   monotone timestamps, one columnar ``ticks`` record for the run);
 * p-state residency metrics sum to the run duration;
@@ -12,11 +13,14 @@ Validates the ISSUE's acceptance criteria end to end:
 """
 
 import csv
+import io
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.telemetry.exporters import render_trace_csv
 from repro.telemetry.report import load_events
 
 
@@ -45,9 +49,9 @@ def columns(events):
 
 
 @pytest.fixture(scope="module")
-def trace_rows(telemetry_dir):
-    with open(telemetry_dir / "trace.csv", newline="") as handle:
-        return list(csv.DictReader(handle))
+def trace_rows(events):
+    text = render_trace_csv(events)
+    return list(csv.DictReader(io.StringIO(text, newline="")))
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +61,9 @@ def metrics(telemetry_dir):
 
 
 def test_bundle_files_exist(telemetry_dir):
-    for name in ("events.jsonl", "trace.csv", "metrics.json", "summary.txt"):
-        assert (telemetry_dir / name).exists(), name
+    assert sorted(path.name for path in telemetry_dir.iterdir()) == [
+        "events.f64", "events.jsonl", "metrics.json", "summary.txt",
+    ]
 
 
 def test_event_ordering(events):
@@ -130,7 +135,9 @@ def test_telemetry_report_subcommand(telemetry_dir, capsys):
     assert main(["telemetry-report", str(telemetry_dir)]) == 0
     out = capsys.readouterr().out
     assert "ammp under PerformanceMaximizer" in out
-    assert "ticks" in out
+    assert re.search(
+        r"^trace: \d+ ticks, mean measured power \d+\.\d\d W$", out, re.M
+    )
     assert "p-state residency" in out
     assert "Eq. 2 residuals" in out
 

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.controller import TraceRow
 from repro.telemetry import (
     TICK_COLUMNS,
-    CsvTraceExporter,
     JsonlEventExporter,
     NullRecorder,
     TelemetryDirectory,
@@ -27,6 +26,7 @@ from repro.telemetry import (
     TicksRecorded,
     TRACE_FIELDS,
     render_run_summary,
+    render_trace_csv,
     write_trace_csv,
 )
 from repro.errors import TelemetryError
@@ -146,29 +146,31 @@ class TestJsonlExporter:
             exporter(_ticks())
 
 
-class TestCsvTraceExporter:
-    def test_streams_only_tick_events(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        with CsvTraceExporter(path) as exporter:
+class TestRenderTraceCsv:
+    def test_renders_only_tick_records(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with JsonlEventExporter(path) as exporter:
             exporter(_transition(0.0))
             exporter(_ticks((0.01, 0.02), (55.5, _NAN)))
             exporter(_ticks((0.03,)))
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert exporter.rows_written == 3
+        events, _, _ = load_events(path)
+        text = render_trace_csv(events)
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
         assert len(rows) == 3
         assert tuple(rows[0]) == TRACE_FIELDS
         assert rows[0]["frequency_mhz"] == "1800"
         assert rows[1]["temperature_c"] == ""
         assert [row["time_s"] for row in rows] == ["0.0100", "0.0200",
                                                   "0.0300"]
+        assert render_trace_csv([]) == ",".join(TRACE_FIELDS) + "\r\n"
 
-    def test_write_trace_csv_matches_streaming_layout(self, tmp_path):
-        streamed = tmp_path / "streamed.csv"
+    def test_render_matches_write_trace_csv(self, tmp_path):
+        path = tmp_path / "events.jsonl"
         batch = tmp_path / "batch.csv"
         record = _ticks((0.01, 0.02), (55.5, _NAN))
-        with CsvTraceExporter(streamed) as exporter:
+        with JsonlEventExporter(path) as exporter:
             exporter(record)
+        events, _, _ = load_events(path)
         columns = record.columns
         rows = [
             TraceRow(
@@ -184,7 +186,8 @@ class TestCsvTraceExporter:
             for i in range(2)
         ]
         assert write_trace_csv(rows, batch) == 2
-        assert streamed.read_text() == batch.read_text()
+        with open(batch, newline="") as handle:
+            assert render_trace_csv(events) == handle.read()
 
 
 class TestTelemetryDirectory:
@@ -207,8 +210,9 @@ class TestTelemetryDirectory:
         out = tmp_path / "out"
         events = (out / "events.jsonl").read_text().strip().splitlines()
         assert len(events) == 1
-        with open(out / "trace.csv", newline="") as handle:
-            assert len(list(csv.DictReader(handle))) == 1
+        assert sorted(os.listdir(out)) == [
+            "events.f64", "events.jsonl", "metrics.json", "summary.txt",
+        ]
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["metrics"]["counters"]["controller.ticks"] == 1
         assert "run" in metrics["spans"]

@@ -32,6 +32,7 @@ from repro.telemetry import (
     NullRecorder,
     TelemetryRecorder,
 )
+from repro.telemetry.exporters import render_trace_csv
 from repro.telemetry.report import load_events
 from repro.workloads.registry import get_workload
 
@@ -270,8 +271,8 @@ class TestRunnerIntegration:
         # The lead domain's PM estimates every tick after its first.
         assert None not in columns["estimate_w"]
         assert columns["limit_w"] == [14.5] * len(result.trace)
-        with open(tmp_path / "tel" / "trace.csv") as handle:
-            assert len(handle.readlines()) == len(result.trace) + 1
+        trace = render_trace_csv(events)
+        assert len(trace.splitlines()) == len(result.trace) + 1
 
     @pytest.mark.parametrize("cell", [
         RunCell(workload="gzip", governor=GovernorSpec.pm(14.5)),

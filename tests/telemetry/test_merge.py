@@ -15,8 +15,6 @@ from repro.telemetry.exporters import (
     EVENTS_FILENAME,
     METRICS_FILENAME,
     SUMMARY_FILENAME,
-    TRACE_FIELDS,
-    TRACE_FILENAME,
 )
 from repro.telemetry.merge import (
     find_worker_directories,
@@ -91,28 +89,24 @@ def test_spans_combine():
     assert merged["max_s"] == 4.0
 
 
-def _write_worker(path, events, rows, snapshot):
+def _write_worker(path, events, snapshot):
     path.mkdir(parents=True)
     (path / EVENTS_FILENAME).write_text(
         "".join(json.dumps(e) + "\n" for e in events)
     )
-    lines = [",".join(TRACE_FIELDS)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    (path / TRACE_FILENAME).write_text("\n".join(lines) + "\n")
     if snapshot is not None:
         (path / METRICS_FILENAME).write_text(json.dumps(snapshot))
 
 
 def test_merge_worker_directories(tmp_path):
-    width = len(TRACE_FIELDS)
     _write_worker(
         tmp_path / "worker-00",
-        [{"event": "a"}], [[1] * width],
+        [{"event": "a"}],
         _snapshot(counters={"ticks": 2.0}),
     )
     _write_worker(
         tmp_path / "worker-01",
-        [{"event": "b"}, {"event": "c"}], [[2] * width, [3] * width],
+        [{"event": "b"}, {"event": "c"}],
         _snapshot(counters={"ticks": 3.0}),
     )
     # A parent with its own (pre-merge) serial content.
@@ -126,16 +120,13 @@ def test_merge_worker_directories(tmp_path):
     report = merge_worker_directories(tmp_path)
     assert report.workers == 2
     assert report.events == 4
-    assert report.trace_rows == 3
     assert report.corrupt is False
 
     events = (tmp_path / EVENTS_FILENAME).read_text().splitlines()
     assert [json.loads(e)["event"] for e in events] == [
         "parent", "a", "b", "c",
     ]
-    trace = (tmp_path / TRACE_FILENAME).read_text().splitlines()
-    assert trace[0] == ",".join(TRACE_FIELDS)
-    assert len(trace) == 4
+    assert not (tmp_path / "trace.csv").exists()
     merged = json.loads((tmp_path / METRICS_FILENAME).read_text())
     assert merged["metrics"]["counters"]["ticks"] == 6.0
     summary = (tmp_path / SUMMARY_FILENAME).read_text()
@@ -146,7 +137,7 @@ def test_merge_worker_directories(tmp_path):
 
 def test_merge_tolerates_torn_metrics(tmp_path):
     _write_worker(
-        tmp_path / "worker-00", [], [], _snapshot(counters={"ticks": 1.0})
+        tmp_path / "worker-00", [], _snapshot(counters={"ticks": 1.0})
     )
     killed = tmp_path / "worker-01"
     killed.mkdir()
@@ -160,14 +151,13 @@ def test_merge_tolerates_torn_metrics(tmp_path):
 
 
 def test_merge_skips_and_counts_corrupt_worker_content(tmp_path):
-    width = len(TRACE_FIELDS)
     _write_worker(
         tmp_path / "worker-00",
-        [{"event": "good"}], [[1] * width],
+        [{"event": "good"}],
         _snapshot(counters={"ticks": 2.0}),
     )
     # worker-01 was SIGKILLed mid-write: a torn events tail, a
-    # non-object line, a truncated trace row, and no metrics.json.
+    # non-object line, and no metrics.json.
     killed = tmp_path / "worker-01"
     killed.mkdir()
     (killed / EVENTS_FILENAME).write_text(
@@ -175,30 +165,21 @@ def test_merge_skips_and_counts_corrupt_worker_content(tmp_path):
         + "[1, 2, 3]\n"
         + '{"event": "torn'
     )
-    (killed / TRACE_FILENAME).write_text(
-        ",".join(TRACE_FIELDS) + "\n"
-        + ",".join(["2"] * width) + "\n"
-        + "2,2\n"
-    )
 
     report = merge_worker_directories(tmp_path)
     assert report.workers == 2
     assert report.events == 2
-    assert report.trace_rows == 2
     assert report.skipped_events == 2
-    assert report.skipped_trace_rows == 1
     assert report.missing_metrics == 1
     assert report.corrupt is True
 
     events = (tmp_path / EVENTS_FILENAME).read_text().splitlines()
     assert [json.loads(e)["event"] for e in events] == ["good", "ok"]
-    trace = (tmp_path / TRACE_FILENAME).read_text().splitlines()
-    assert len(trace) == 3  # header + the two complete rows
     merged = json.loads((tmp_path / METRICS_FILENAME).read_text())
     assert merged["metrics"]["counters"]["ticks"] == 2.0
     summary = (tmp_path / SUMMARY_FILENAME).read_text()
     assert (
-        "skipped (corrupt): 2 events, 1 trace rows, 1 metrics snapshots"
+        "skipped (corrupt): 2 events, 1 metrics snapshots"
         in summary
     )
 
@@ -207,7 +188,7 @@ def test_parent_without_metrics_is_not_corruption(tmp_path):
     # The parent legitimately has no metrics.json before the merge;
     # only worker directories count toward missing_metrics.
     _write_worker(
-        tmp_path / "worker-00", [], [], _snapshot(counters={"ticks": 1.0})
+        tmp_path / "worker-00", [], _snapshot(counters={"ticks": 1.0})
     )
     report = merge_worker_directories(tmp_path)
     assert report.missing_metrics == 0

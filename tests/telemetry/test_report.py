@@ -180,18 +180,17 @@ class TestLoadReport:
         assert report.event_counts == {"ticks": 2}
 
     def test_torn_final_trace_row_is_dropped(self, tmp_path):
-        # A trace.csv row cut off mid-write must be dropped instead of
-        # poisoning the power aggregates with Nones.
+        # The trace statistics come from the ticks records: a final
+        # ticks line cut off mid-write must be dropped instead of
+        # poisoning the power aggregates.
         d = tmp_path / "torntrace"
         d.mkdir()
-        (d / "events.jsonl").write_text('{"kind": "ticks"}\n')
-        (d / "trace.csv").write_text(
-            "time_s,frequency_mhz,measured_power_w,true_power_w,"
-            "instructions,duty,temperature_c\n"
-            "0.01,1800.0,14.0,14.0,2e7,1.0,\n"
-            "0.02,1800.0,15.0,15.0,2e7,1.0,\n"
-            "0.03,1800.0,16."  # torn mid-field
-        )
+        with JsonlEventExporter(d / "events.jsonl") as exporter:
+            exporter(_record([14.0, 15.0]))
+            exporter(_record([16.0]))
+        path = d / "events.jsonl"
+        text = path.read_text()
+        path.write_text(text[: text.rindex('"columns"')])  # torn mid-line
         report = load_report(d)
         assert report.truncated_tail is True
         assert report.tick_count == 2
@@ -219,8 +218,23 @@ class TestRenderReport:
         assert "count 2  mean -0.500 W  min -0.500 W  max -0.500 W" in text
         assert "1 windows above the limit, longest 2 ticks" in text
 
+    def test_trace_line_reads_the_tick_columns(self, tmp_path):
+        _write_directory(tmp_path / "t")
+        assert not (tmp_path / "t" / "trace.csv").exists()
+        text = render_report(tmp_path / "t")
+        assert "trace: 3 ticks, mean measured power 15.00 W" in text
+
+    def test_trace_mean_rounds_readings_to_the_milliwatt(self, tmp_path):
+        # Each reading counts as the trace CSV prints it (12.605 W),
+        # which moves this mean's second decimal.
+        d = tmp_path / "rounding"
+        d.mkdir()
+        with JsonlEventExporter(d / "events.jsonl") as exporter:
+            exporter(_record([12.60492]))
+        assert "mean measured power 12.61 W" in render_report(d)
+
     def test_tolerates_partial_directories(self, tmp_path):
-        # Only an event log: trace/metrics are optional.
+        # Only an event log: metrics are optional.
         d = tmp_path / "partial"
         d.mkdir()
         (d / "events.jsonl").write_text(

@@ -5,6 +5,8 @@ import csv
 import pytest
 
 from repro.cli import main
+from repro.telemetry.exporters import render_trace_csv
+from repro.telemetry.report import load_events
 
 
 def test_list_command(capsys):
@@ -64,8 +66,8 @@ def test_trace_export(tmp_path, capsys):
 
 
 def test_trace_and_telemetry_share_one_csv_layout(tmp_path, capsys):
-    # --trace and --telemetry write through the same exporter: identical
-    # headers and identical per-tick rows.
+    # --trace and the trace rendered from the bundle's tick columns use
+    # the same row format: identical headers and per-tick rows.
     trace_file = tmp_path / "trace.csv"
     telemetry_dir = tmp_path / "telemetry"
     code = main(
@@ -73,9 +75,11 @@ def test_trace_and_telemetry_share_one_csv_layout(tmp_path, capsys):
          "--trace", str(trace_file), "--telemetry", str(telemetry_dir)]
     )
     assert code == 0
-    ad_hoc = trace_file.read_text()
-    streamed = (telemetry_dir / "trace.csv").read_text()
-    assert ad_hoc == streamed
+    with open(trace_file, newline="") as handle:
+        ad_hoc = handle.read()
+    events, _, _ = load_events(telemetry_dir / "events.jsonl")
+    assert ad_hoc == render_trace_csv(events)
+    assert not (telemetry_dir / "trace.csv").exists()
 
 
 def test_run_with_telemetry_writes_bundle(tmp_path, capsys):
@@ -86,8 +90,9 @@ def test_run_with_telemetry_writes_bundle(tmp_path, capsys):
     )
     assert code == 0
     assert "telemetry written to" in capsys.readouterr().out
-    for name in ("events.jsonl", "trace.csv", "metrics.json", "summary.txt"):
-        assert (directory / name).exists(), name
+    assert sorted(path.name for path in directory.iterdir()) == [
+        "events.f64", "events.jsonl", "metrics.json", "summary.txt",
+    ]
 
 
 def test_experiment_with_telemetry(tmp_path, capsys):
