@@ -93,11 +93,7 @@ from repro.campaign import (
     ResultStore,
     run_campaign,
 )
-from repro.checkpoint import (
-    ExperimentCheckpointSession,
-    RunJournal,
-    run_result_digest,
-)
+from repro.checkpoint import run_result_digest
 from repro.exec import (
     ExecSession,
     ExperimentConfig,
@@ -201,8 +197,6 @@ __all__ = [
     "CheckpointError",
     "SupervisionError",
     "DeadlineExceeded",
-    "RunJournal",
-    "ExperimentCheckpointSession",
     "run_result_digest",
     "RetryPolicy",
     "Supervisor",

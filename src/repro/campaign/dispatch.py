@@ -108,7 +108,7 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
     Runs in the child process.  All sends share one lock because the
     heartbeat thread and the main thread write the same pipe.  A forked
     worker inherits the parent's current session; it is cleared first,
-    so no cell claims the parent's checkpoint slots or records into the
+    so no cell reads the parent's result store or records into the
     parent's recorder.  The plan carries everything, which is what
     makes worker results bit-identical to serial execution.
     """

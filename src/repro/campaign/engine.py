@@ -33,16 +33,15 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Mapping
 
 from repro.core.controller import RunResult
 from repro.exec.plan import RunPlan
 from repro.campaign.dispatch import LeaseDispatcher
 from repro.campaign.store import (
     ResultStore,
-    cell_digest,
-    plan_cell_specs,
     plan_digests,
+    plan_keys,
 )
 from repro.telemetry.bus import CampaignResumed
 from repro.telemetry.recorder import TelemetryRecorder
@@ -143,32 +142,9 @@ class Campaign:
         """Execute (or resume) the campaign; always returns a result."""
         plan = self.plan
         store = self.store
-        specs = plan_cell_specs(plan)
-        digests = [
-            cell_digest(cell, plan, spec)
-            for cell, spec in zip(plan.cells, specs)
-        ]
-        results: Dict[int, RunResult] = {}
-        cached: List[int] = []
-        quarantined: List[int] = []
-        pending: List[int] = []
-        # Identical cells share a digest; dispatch each digest once and
-        # alias the result onto every index that asked for it.
-        first_index: Dict[str, int] = {}
-        aliases: Dict[int, List[int]] = {}
-        for index, digest in enumerate(digests):
-            if digest in first_index:
-                aliases.setdefault(first_index[digest], []).append(index)
-                continue
-            first_index[digest] = index
-            result = store.get(digest)
-            if result is not None:
-                results[index] = result
-                cached.append(index)
-            elif store.quarantine_record(digest) is not None:
-                quarantined.append(index)
-            else:
-                pending.append(index)
+        specs, digests = plan_keys(plan)
+        results, quarantined, pending, aliases = store.lookup(digests)
+        cached = sorted(results)
         resumed = store.preexisting and (bool(cached) or bool(quarantined))
         if resumed:
             self._publish(CampaignResumed(

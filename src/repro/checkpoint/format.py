@@ -18,8 +18,8 @@ error: the journal's contract is "last durable record wins".  Anything
 after the first damaged record is ignored, so recovery never trusts
 bytes beyond the damage.
 
-This layer knows nothing about what payloads contain; archived run
-results are serialized one level up (:mod:`repro.checkpoint.session`).
+This layer knows nothing about what payloads contain; result records
+are serialized one level up (:mod:`repro.campaign.store`).
 """
 
 from __future__ import annotations

@@ -261,8 +261,8 @@ class RunResult:
         return over / len(series)
 
     def __setstate__(self, state: dict) -> None:
-        # A result pickled before samples were columns (a results
-        # journal or campaign store) carries a tuple of PowerSample.
+        # A result pickled before samples were columns (an older result
+        # store) carries a tuple of PowerSample.
         samples = state.get("samples")
         if samples is not None and not isinstance(samples, PowerSamples):
             state = {**state, "samples": PowerSamples.from_samples(samples)}

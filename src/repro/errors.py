@@ -135,8 +135,9 @@ class RecoveryExhaustedError(RecoveryError):
 
 class CheckpointError(ReproError):
     """Raised by the durability layer (:mod:`repro.checkpoint`) for
-    unusable journals: bad magic, unsupported format versions, mismatched
-    manifests, or resuming a journal of the wrong kind."""
+    unusable record containers (bad magic, unsupported format versions)
+    and checkpoint directories that cannot be resumed (a results journal
+    of an older release, a store written by another command)."""
 
 
 class SupervisionError(ReproError):

@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.exec.plan.RunPlan` / :class:`~repro.exec.plan.RunCell`
   / :class:`~repro.exec.plan.GovernorSpec` -- experiments as data;
 * :func:`~repro.exec.session.open_session` -- the single composable
-  entry point (telemetry, faults, adaptation, resilience, checkpoint,
+  entry point (telemetry, faults, adaptation, resilience, result store,
   workers); the session it opens is the only ambient state, and
   :func:`~repro.exec.session.current_session` returns it;
 * :func:`~repro.exec.core.execute_cell` -- the one code path every

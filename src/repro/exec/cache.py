@@ -143,7 +143,7 @@ def worst_case_power_table(
     against; it is *measured* (run on the simulated rig), not computed
     from model constants.  It is cached under ``(scale, seed)`` alone,
     so it is measured on a bare session: the current session's faults,
-    adaptation, telemetry and checkpoint slots never reach it.
+    adaptation, telemetry and result store never reach it.
     """
     key = (scale, seed)
     table = _WORST_CASE.get(key)

@@ -118,7 +118,7 @@ def run(
         telemetry=outer.telemetry,
         faults=plan,
         resilience=outer.resilience,
-        checkpoint=outer.checkpoint,
+        store=outer.store,
     )
     frozen_run = frozen_leg.run_cells([cell], config)[0]
 

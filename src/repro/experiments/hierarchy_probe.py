@@ -19,7 +19,7 @@ from repro.analysis.report import TextTable
 from repro.exec import ExperimentConfig, RunCell, RunPlan
 from repro.platform.caches import PENTIUM_M_755_GEOMETRY
 from repro.units import KIB, MIB
-from repro.workloads.microbenchmarks import build_microbenchmark, get_loop_spec
+from repro.workloads.microbenchmarks import get_loop_spec, microbenchmark_name
 
 #: Footprints swept, spanning all three levels of the Dothan hierarchy.
 FOOTPRINTS_BYTES: tuple[int, ...] = (
@@ -68,10 +68,7 @@ def plan(
     return RunPlan(
         config=config or ExperimentConfig(scale=0.2),
         cells=tuple(
-            RunCell.fixed(
-                build_microbenchmark(get_loop_spec(loop), footprint),
-                frequency_mhz,
-            )
+            RunCell.fixed(microbenchmark_name(loop, footprint), frequency_mhz)
             for footprint in FOOTPRINTS_BYTES
             for loop in ("MLOAD_RAND", "MCOPY")
         ),

@@ -43,7 +43,7 @@ class Table3Result:
 def plan(config: ExperimentConfig | None = None) -> RunPlan:
     """FMA-256KB pinned at every p-state."""
     config = config or ExperimentConfig(scale=3.0)
-    workload = worst_case_workload()
+    workload = worst_case_workload().name
     return RunPlan(
         config=config,
         cells=tuple(

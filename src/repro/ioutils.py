@@ -5,7 +5,7 @@ package wants to survive a crash is written with the classic
 write-to-temp / fsync / :func:`os.replace` dance: readers either see the
 complete old content or the complete new content, never a torn mix.
 The model registry, the telemetry ``metrics.json`` snapshot and the
-checkpoint journal manifests all write through these helpers.
+result store manifests all write through these helpers.
 """
 
 from __future__ import annotations

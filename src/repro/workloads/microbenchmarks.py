@@ -26,6 +26,7 @@ sizing the footprints:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
@@ -206,6 +207,21 @@ def build_microbenchmark(
         category="microbenchmark",
         description=f"{spec.description} Footprint {footprint_label(footprint_bytes)} ({level}-resident).",
     )
+
+
+def named_microbenchmark(name: str) -> Workload | None:
+    """The MS-Loops workload ``name`` names at any footprint
+    (``"MCOPY-64KB"``, as :func:`microbenchmark_name` writes it), or
+    None for any other name."""
+    loop, _, label = name.rpartition("-")
+    size = re.fullmatch(r"([1-9][0-9]*)([KM]?B)", label)
+    spec = next((s for s in LOOP_SPECS if s.name == loop), None)
+    if size is None or spec is None:
+        return None
+    footprint = int(size[1]) * {"KB": KIB, "MB": MIB, "B": 1}[size[2]]
+    if microbenchmark_name(loop, footprint) != name:
+        return None
+    return build_microbenchmark(spec, footprint)
 
 
 def ms_loops(

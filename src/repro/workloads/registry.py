@@ -12,7 +12,7 @@ from typing import Iterator
 
 from repro.errors import WorkloadError
 from repro.workloads.base import Workload, validate_workloads
-from repro.workloads.microbenchmarks import ms_loops
+from repro.workloads.microbenchmarks import ms_loops, named_microbenchmark
 from repro.workloads.spec import SPEC_FP, SPEC_INT, build_spec_suite
 
 
@@ -75,8 +75,12 @@ def default_registry() -> WorkloadRegistry:
 
 
 def get_workload(name: str) -> Workload:
-    """Convenience lookup into :func:`default_registry`."""
-    return default_registry().get(name)
+    """Convenience lookup into :func:`default_registry`; an MS-Loops name
+    at a footprint it does not hold (``"MCOPY-64KB"``) is built."""
+    registry = default_registry()
+    if name in registry:
+        return registry.get(name)
+    return named_microbenchmark(name) or registry.get(name)
 
 
 #: Spec prefixes :func:`resolve_workload_spec` understands beyond plain

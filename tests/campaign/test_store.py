@@ -20,8 +20,8 @@ from repro.campaign.store import (
     campaign_cell_spec,
     cell_digest,
     machine_spec,
-    plan_cell_specs,
     plan_digests,
+    plan_keys,
 )
 from repro.checkpoint.digest import run_result_digest
 from repro.checkpoint.format import pack_record
@@ -31,6 +31,7 @@ from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 from repro.measurement.power_meter import PowerSamples
 from repro.platform.machine import MachineConfig
 from repro.platform.power import PowerModelConstants
+from repro.telemetry.recorder import TelemetryRecorder
 from repro.traces.corpus import corpus_trace
 
 CONFIG = ExperimentConfig(scale=0.05, seed=1)
@@ -131,9 +132,10 @@ class TestCellDigest:
                 RunCell(workload="mcf", governor=GovernorSpec.fixed(2000.0)),
             ),
         )
-        shared = plan_cell_specs(plan)
-        assert shared == [campaign_cell_spec(c, plan) for c in plan.cells]
-        assert plan_digests(plan) == [cell_digest(c, plan) for c in plan.cells]
+        specs, digests = plan_keys(plan)
+        assert specs == [campaign_cell_spec(c, plan) for c in plan.cells]
+        assert digests == [cell_digest(c, plan) for c in plan.cells]
+        assert plan_digests(plan) == digests
 
     def test_spec_carries_format_version(self):
         spec = campaign_cell_spec(CELL, PLAN)
@@ -237,6 +239,35 @@ class TestResultStore:
         with pytest.raises(CampaignError, match="not a campaign store"):
             ResultStore(missing, create=False)
         assert not missing.exists()
+
+    def test_spec_is_kept_in_the_manifest_and_checked(self, tmp_path):
+        root = tmp_path / "store"
+        spec = {"experiment": "fig2", "scale": 0.2}
+        ResultStore(root, spec=spec).close()
+        manifest = json.loads((root / "store.json").read_text())
+        assert manifest["spec"] == spec
+        with ResultStore(root, create=False) as store:
+            assert store.spec == spec
+        with ResultStore(root, spec=spec) as store:
+            assert store.preexisting
+        with pytest.raises(CampaignError, match="fig2"):
+            ResultStore(root, spec={"experiment": "fig2", "scale": 0.3})
+        assert ResultStore(tmp_path / "plain").spec == {}
+
+    def test_served_records_restore_the_registry_they_carry(self, tmp_path):
+        digest = cell_digest(CELL, PLAN)
+        recorder = TelemetryRecorder()
+        result = execute_cell(CELL, CONFIG, telemetry=recorder)
+        snapshot = recorder.metrics.snapshot()
+        with ResultStore(tmp_path / "store") as store:
+            store.put(digest, campaign_cell_spec(CELL, PLAN), result,
+                      telemetry=recorder)
+        with ResultStore(tmp_path / "store") as store:
+            assert store.get(digest) is not None  # no recorder: untouched
+            fresh = TelemetryRecorder()
+            store.get(digest, telemetry=fresh)
+            assert fresh.metrics.snapshot() == snapshot
+            assert store.hits == 2
 
     def test_quarantine_round_trip_and_clear(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -1,13 +1,12 @@
 """The headline guarantee: kill anywhere, resume, finish bit-identical.
 
-Resume works at cell granularity: an experiment archives every
-completed run into its results journal, and a resumed experiment
-replays the archive and reruns the rest from scratch.  These tests
-simulate the kill in-process by truncating the results journal at (and
-past) durable record boundaries, then resume and compare float-exact
-digests against an uninterrupted run -- including the instrumented
-variant where telemetry, fault injection and online adaptation are all
-live.
+Resume works at cell granularity: a session with a result store puts
+every completed run into it, and a resumed session serves the stored
+cells and reruns the rest from scratch.  These tests simulate the kill
+in-process by truncating ``results.log`` at (and past) record
+boundaries, then resume and compare float-exact digests against an
+uninterrupted run -- including the instrumented variant where
+telemetry, fault injection and online adaptation are all live.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ import shutil
 import pytest
 
 from repro.adaptation.manager import AdaptationConfig
-from repro.checkpoint import (
-    ExperimentCheckpointSession,
-    RunJournal,
-    run_result_digest,
-)
-from repro.checkpoint.session import RESULTS_FILENAME
+from repro.campaign.store import RESULTS_LOG, ResultStore
+from repro.checkpoint import run_result_digest
+from repro.checkpoint.format import read_records
 from repro.cli import main
 from repro.exec import ExperimentConfig, GovernorSpec, RunPlan, open_session
 from repro.faults.plan import FaultPlan, MeterFaults, SampleFaults
@@ -43,39 +39,35 @@ FAULTS = FaultPlan(
 )
 
 
-def _run(checkpoint=None, telemetry=None, hostile=False):
+def _run(store=None, telemetry=None, hostile=False):
     """Run :data:`PLAN`; returns the per-cell digests."""
     options = (
         dict(faults=FAULTS, adaptation=AdaptationConfig()) if hostile
         else {}
     )
     with open_session(
-        telemetry=telemetry, checkpoint=checkpoint, **options
+        telemetry=telemetry, store=store, **options
     ) as session:
         results = session.run_plan(PLAN)
     return [run_result_digest(result) for result in results]
 
 
 def _checkpointed_run(directory, telemetry=None, hostile=False):
-    with ExperimentCheckpointSession.create(
-        directory, "drill", telemetry=telemetry
-    ) as checkpoint:
-        return _run(checkpoint, telemetry, hostile)
+    with ResultStore(directory) as store:
+        return _run(store, telemetry, hostile)
 
 
 def _resumed_run(directory, telemetry=None, hostile=False):
-    with ExperimentCheckpointSession.open(
-        directory, telemetry=telemetry
-    ) as checkpoint:
-        return _run(checkpoint, telemetry, hostile), checkpoint.replayed
+    with ResultStore(directory, create=False) as store:
+        return _run(store, telemetry, hostile), store.hits
 
 
 def _records(directory):
-    return RunJournal.open(directory, filename=RESULTS_FILENAME).records()
+    return read_records(directory / RESULTS_LOG)
 
 
 def _truncate(directory, offset):
-    with open(directory / RESULTS_FILENAME, "r+b") as handle:
+    with open(directory / RESULTS_LOG, "r+b") as handle:
         handle.truncate(offset)
 
 
@@ -125,9 +117,29 @@ def test_instrumented_hostile_resume_matches_metrics(tmp_path):
 
 
 def test_resume_rejects_experiment_journal(tmp_path, capsys):
-    ExperimentCheckpointSession.create(tmp_path / "j", "fig2").close()
+    ResultStore(tmp_path / "j", spec={"experiment": "fig2"}).close()
     assert main(["run", "--resume", str(tmp_path / "j")]) == 1
     assert "experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run"], ["experiment"]])
+@pytest.mark.parametrize("leftover", ["manifest.json", "results.journal"])
+def test_resume_refuses_an_old_results_journal(
+    tmp_path, capsys, command, leftover
+):
+    """A journal directory of an older release is refused with a
+    pointed error, not converted or mistaken for an empty store."""
+    directory = tmp_path / "j"
+    directory.mkdir()
+    (directory / "manifest.json").write_text(
+        '{"format": 1, "kind": "experiment", "spec": {}}\n'
+    )
+    (directory / leftover).touch()
+    assert main([*command, "--resume", str(directory)]) == 1
+    err = capsys.readouterr().err
+    assert str(directory / "manifest.json") in err
+    assert "--checkpoint" in err
+    assert "not a campaign store" not in err
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -144,11 +156,11 @@ def test_multicore_cells_archive_and_replay(tmp_path, workers):
         baseline = [run_result_digest(r) for r in session.run_plan(plan)]
 
     directory = tmp_path / "j"
-    with ExperimentCheckpointSession.create(directory, "mc") as checkpoint:
-        with open_session(workers=workers, checkpoint=checkpoint) as session:
+    with ResultStore(directory) as store:
+        with open_session(workers=workers, store=store) as session:
             first = [run_result_digest(r) for r in session.run_plan(plan)]
-    with ExperimentCheckpointSession.open(directory) as checkpoint:
-        with open_session(workers=workers, checkpoint=checkpoint) as session:
+    with ResultStore(directory, create=False) as store:
+        with open_session(workers=workers, store=store) as session:
             replayed = [run_result_digest(r) for r in session.run_plan(plan)]
-        assert checkpoint.replayed == len(plan)
+        assert store.hits == len(plan)
     assert first == replayed == baseline

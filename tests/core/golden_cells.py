@@ -37,12 +37,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
-from repro.checkpoint import (
-    ExperimentCheckpointSession,
-    RunJournal,
-    run_result_digest,
-)
-from repro.checkpoint.session import RESULTS_FILENAME
+from repro.campaign.store import RESULTS_LOG, ResultStore
+from repro.checkpoint import run_result_digest
+from repro.checkpoint.format import HEADER_SIZE, read_records
 from repro.core.controller import PowerManagementController
 from repro.core.governors.component_pm import ComponentPerformanceMaximizer
 from repro.core.governors.oracle import OraclePerformanceMaximizer
@@ -84,9 +81,6 @@ from repro.telemetry.report import load_events
 from repro.workloads.registry import get_workload
 
 FIXTURE = Path(__file__).with_name("golden_loop.json")
-
-#: A results journal the loop wrote for :data:`RESUME_PLAN`.
-GOLDEN_JOURNAL = Path(__file__).with_name("golden_journal")
 
 CONFIG = ExperimentConfig(scale=0.25, seed=5, keep_trace=True)
 
@@ -382,34 +376,29 @@ RESUME_PLAN = RunPlan(
 
 
 def checkpointed(directory, telemetry=None, resume=False):
-    """Run :data:`RESUME_PLAN` archived into ``directory``.
+    """Run :data:`RESUME_PLAN` against the result store in ``directory``
+    (a new one unless ``resume``).
 
-    Returns the per-cell digests and how many cells replayed from the
-    archive.
+    Returns the per-cell digests and how many cells the store served.
     """
-    checkpoint = (
-        ExperimentCheckpointSession.open(directory, telemetry=telemetry)
-        if resume
-        else ExperimentCheckpointSession.create(
-            directory, "drill", telemetry=telemetry
-        )
-    )
-    with checkpoint, open_session(
-        telemetry=telemetry, checkpoint=checkpoint
+    with ResultStore(directory, create=not resume) as store, open_session(
+        telemetry=telemetry, store=store
     ) as session:
         results = session.run_plan(RESUME_PLAN)
-    return [run_result_digest(r) for r in results], checkpoint.replayed
+    return [run_result_digest(r) for r in results], store.hits
 
 
-def cut(directory, keep):
-    """Tear the results journal after ``keep`` records, as SIGKILL does.
+def cut(directory, keep, torn=7):
+    """Tear ``results.log`` after ``keep`` records, as SIGKILL does.
 
-    Garbage past the last durable record is a half-written append.
+    The first ``torn`` bytes of the next record stay behind, a
+    half-written append.
     """
-    journal = RunJournal.open(directory, filename=RESULTS_FILENAME)
-    end = journal.records()[keep - 1].end_offset
-    with open(journal.journal_path, "r+b") as handle:
-        handle.truncate(end + 7)
+    log = Path(directory) / RESULTS_LOG
+    records = read_records(log)
+    end = records[keep - 1].end_offset if keep else HEADER_SIZE
+    with open(log, "r+b") as handle:
+        handle.truncate(end + torn)
 
 
 def observed(path):

@@ -1,4 +1,4 @@
-"""Regenerate ``golden_loop.json`` and ``golden_journal/`` from the loop.
+"""Regenerate ``golden_loop.json`` from the loop.
 
 Run from the repository root::
 
@@ -6,17 +6,11 @@ Run from the repository root::
 
 It runs every cell and bundle of :mod:`.golden_cells`, the resume plan
 and the observed kill/resume drill on the current tick loop, and writes
-``OUT_DIR/golden_loop.json`` and ``OUT_DIR/golden_journal/`` (default:
-next to this file).  ``parent_commit`` stamps the commit the working
-tree was checked out at.
+``OUT_DIR/golden_loop.json`` (default: next to this file).
+``parent_commit`` stamps the commit the working tree was checked out at.
 
 To audit the fixture, write it to a scratch directory and compare: only
-the ``loop`` and ``parent_commit`` stamps may differ, and the records of
-``golden_journal/results.journal`` match in order, ``metrics`` and
-``run_result_digest``.  (The committed journal pickles each result's
-power samples as a tuple of ``PowerSample``, a fresh one as columns, so
-the bytes differ; resuming the committed one checks that old journals
-still load.)  Overwrite the
+the ``loop`` and ``parent_commit`` stamps may differ.  Overwrite the
 committed fixture only with a deliberate change to the tick math (RNG
 draw order, meter, power model), in the same commit, and record why in
 ``CHANGES.md``.
@@ -48,7 +42,7 @@ LOOP = "repro.core.blockloop.run_fast in the tree at parent_commit"
 
 
 def _observed_resume(scratch: Path) -> dict:
-    """The observed drill: archive the plan, cut it, resume it."""
+    """The observed drill: store the plan, cut the log, resume it."""
     scratch.mkdir()
     recorder, exporter = observed(scratch / "run.jsonl")
     try:
@@ -71,13 +65,11 @@ def _observed_resume(scratch: Path) -> dict:
     return record
 
 
-def build(out: Path) -> dict:
-    """Write ``out/golden_journal/`` and return the fixture."""
-    journal = out / "golden_journal"
-    shutil.rmtree(journal, ignore_errors=True)
-    resume, _ = checkpointed(journal)
+def build() -> dict:
+    """Run every golden cell, bundle and drill; return the fixture."""
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
+        resume, _ = checkpointed(scratch / "resume")
         bundles = {}
         for key, run in BUNDLES.items():
             directory = scratch / key.replace("/", "_")
@@ -100,7 +92,7 @@ def build(out: Path) -> dict:
 def main(argv: list[str]) -> None:
     out = Path(argv[0]) if argv else Path(__file__).parent
     out.mkdir(parents=True, exist_ok=True)
-    fixture = build(out)
+    fixture = build()
     with open(out / "golden_loop.json", "w") as handle:
         json.dump(fixture, handle, indent=1, sort_keys=True)
         handle.write("\n")

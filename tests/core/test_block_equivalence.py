@@ -5,13 +5,11 @@ scalar reference loop it replaced (one ``Machine.step`` per tick) is
 kept as data: ``golden_loop.json`` holds the float-exact
 :func:`run_result_digest` (every trace row, meter sample and energy
 accumulator) of each cell in :mod:`.golden_cells`, recorded on that
-loop, and ``golden_journal/`` holds a results journal it wrote.  The
-kernel must reproduce every digest bit for bit and resume that journal.
+loop.  The kernel must reproduce every digest bit for bit, also when a
+plan resumes from a result store.
 """
 
 from __future__ import annotations
-
-import shutil
 
 import pytest
 
@@ -21,12 +19,9 @@ from repro.telemetry import TelemetryRecorder
 
 from .golden_cells import (
     CELLS,
-    GOLDEN_JOURNAL,
     GOVERNORS,
     LAST_TRANSITION,
-    RESUME_PLAN,
     checkpointed,
-    cut,
     load_fixture,
 )
 
@@ -82,21 +77,6 @@ def test_resume_plan_matches_scalar(tmp_path):
     digests, replayed = checkpointed(tmp_path / "j")
     assert replayed == 0
     assert digests == GOLDEN["resume"]
-
-
-def test_scalar_journal_resumes_under_fast_loop(tmp_path):
-    """An archive the scalar loop wrote resumes under the kernel.
-
-    The archived cells replay; the interrupted cell and the rest rerun
-    on the kernel and finish bit-identical to the scalar run.
-    """
-    directory = tmp_path / "j"
-    shutil.copytree(GOLDEN_JOURNAL, directory)
-    keep = len(RESUME_PLAN) // 2
-    cut(directory, keep)
-    resumed, replayed = checkpointed(directory, resume=True)
-    assert replayed == keep
-    assert resumed == GOLDEN["resume"]
 
 
 def test_last_decision_transition_adds_no_empty_residency():

@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import dataclasses
 import shutil
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.campaign.store import RESULTS_LOG
 from repro.checkpoint import run_result_digest
 from repro.core import blockloop
 from repro.exec import RunCell, execute_cell
@@ -92,11 +98,12 @@ def test_observed_hooked_bundle_matches_scalar(tmp_path, fast_calls):
 def test_observed_kill_and_resume_identical_on_both_loops(
     tmp_path, fast_calls
 ):
-    """Archive an observed plan, cut it between cells, resume it.
+    """Store an observed plan, cut the log between cells, resume it.
 
     The uninterrupted checkpointed run and the resumed leg write the
-    frozen events.  The registry restored from the archive plus the
-    rerun cells finish where the uninterrupted run's metrics did.
+    frozen events.  The registry restored from the last served cell
+    plus the rerun cells finish where the uninterrupted run's metrics
+    did.
     """
     golden = GOLDEN["observed_resume"]
     recorder, exporter = observed(tmp_path / "run.jsonl")
@@ -128,3 +135,54 @@ def test_observed_kill_and_resume_identical_on_both_loops(
     for name, value in event_hashes(tmp_path / "resumed.jsonl").items():
         assert value == golden[f"resumed_{name}"], name
     assert recorder.metrics.snapshot() == golden["metrics"]
+
+
+@pytest.fixture(scope="module")
+def observed_store(tmp_path_factory):
+    """:data:`RESUME_PLAN` stored by an uninterrupted observed run."""
+    directory = tmp_path_factory.mktemp("observed") / "store"
+    recorder, exporter = observed(directory.parent / "run.jsonl")
+    try:
+        checkpointed(directory, telemetry=recorder)
+    finally:
+        exporter.close()
+    return directory
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keep=st.integers(min_value=0, max_value=len(RESUME_PLAN)),
+    garbage=st.binary(max_size=40),
+)
+def test_any_cut_resumes_to_the_uninterrupted_run(
+    observed_store, keep, garbage
+):
+    """Keep any prefix of the stored cells, then a torn tail of any
+    garbage: the resume serves the kept cells, runs the rest through
+    the kernel and ends with the uninterrupted digests and metrics."""
+    calls = []
+    run_fast = blockloop.run_fast
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return run_fast(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as scratch:
+        directory = Path(scratch) / "store"
+        shutil.copytree(observed_store, directory)
+        cut(directory, keep, torn=0)
+        with open(directory / RESULTS_LOG, "ab") as handle:
+            handle.write(garbage)
+        recorder, exporter = observed(Path(scratch) / "resumed.jsonl")
+        try:
+            with mock.patch.object(blockloop, "run_fast", counting):
+                digests, served = checkpointed(
+                    directory, telemetry=recorder, resume=True
+                )
+        finally:
+            exporter.close()
+    assert digests == GOLDEN["resume"]
+    assert served == keep
+    assert len(calls) == len(RESUME_PLAN) - keep
+    golden = GOLDEN["observed_resume"]["metrics"]
+    assert recorder.metrics.snapshot() == golden

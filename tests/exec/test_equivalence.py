@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adaptation.manager import AdaptationConfig
-from repro.checkpoint import ExperimentCheckpointSession
+from repro.campaign.store import ResultStore
 from repro.checkpoint.digest import run_result_digest
 from repro.exec.plan import (
     ExperimentConfig,
@@ -87,19 +87,19 @@ def test_plan_json_round_trip_preserves_results(serial_digests):
 
 
 def test_resumed_plan_matches_serial(serial_digests, tmp_path):
-    """Cut the results journal before the two-core cell; the resume
-    replays the archived cells and reruns the rest bit-identically."""
+    """Cut the results log before the two-core cell; the resume serves
+    the stored cells and reruns the rest bit-identically."""
     plan = RunPlan(config=CONFIG, cells=CELLS)
-    with ExperimentCheckpointSession.create(
-        tmp_path / "ckpt", "equivalence"
-    ) as checkpoint, open_session(checkpoint=checkpoint) as session:
+    with ResultStore(tmp_path / "ckpt") as store, open_session(
+        store=store
+    ) as session:
         session.run_plan(plan)
     cut(tmp_path / "ckpt", len(CELLS) - 2)
-    with ExperimentCheckpointSession.open(
-        tmp_path / "ckpt"
-    ) as checkpoint, open_session(checkpoint=checkpoint) as session:
+    with ResultStore(tmp_path / "ckpt", create=False) as store, open_session(
+        store=store
+    ) as session:
         results = session.run_plan(plan)
-    assert checkpoint.replayed == len(CELLS) - 2
+    assert store.hits == len(CELLS) - 2
     assert [run_result_digest(r) for r in results] == serial_digests
 
 

@@ -1,7 +1,7 @@
 """CI chaos smoke: SIGKILL real child experiments, resume, demand bit-identity.
 
 Spawns actual ``python -m repro experiment --checkpoint`` subprocesses
-and kills them with SIGKILL at randomized results-journal depths, so it
+and kills them with SIGKILL at randomized result-store depths, so it
 is slower than the unit suite and gated behind ``REPRO_CHAOS_SMOKE=1``
 (a dedicated CI matrix entry).
 """
@@ -57,13 +57,13 @@ def test_experiment_session_survives_sigkill(tmp_path):
         [*base, *flags, "--checkpoint", str(session_dir)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV,
     )
-    # Kill as soon as at least one slot has been durably archived, so
-    # the resume genuinely replays a partial session.  If the session
-    # wins the race and finishes first, resume still replays it all.
-    journal = session_dir / "results.journal"
+    # Kill as soon as at least one cell is in the store, so the resume
+    # genuinely serves a partial session.  If the session wins the race
+    # and finishes first, resume still serves it all.
+    log = session_dir / "results.log"
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline and victim.poll() is None:
-        if journal.exists() and read_records(journal):
+        if log.exists() and read_records(log):
             victim.send_signal(signal.SIGKILL)
             break
         time.sleep(0.005)
@@ -105,8 +105,9 @@ def test_run_resume_after_sigkill(tmp_path):
          "--result-json", str(digest)],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=ENV,
     )
-    # The options are durable once the manifest exists; kill right then.
-    manifest = run_dir / "manifest.json"
+    # The options are durable once the store's manifest exists (it is
+    # written atomically); kill right then.
+    manifest = run_dir / "store.json"
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline and victim.poll() is None:
         if manifest.exists():

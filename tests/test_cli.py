@@ -1,6 +1,7 @@
 """Tests for the repro-power command-line interface."""
 
 import csv
+import json
 
 import pytest
 
@@ -451,4 +452,27 @@ def test_run_resume_reruns_from_the_recorded_options(tmp_path, capsys):
     ) == 0
     assert capsys.readouterr().out == fresh_out
     assert digest.read_text() == fresh_digest
-    assert sorted(p.name for p in checkpoint.iterdir()) == ["manifest.json"]
+    # The options live in the store's spec; a run stores no result.
+    assert sorted(p.name for p in checkpoint.iterdir()) == [
+        "quarantine", "store.json"
+    ]
+    spec = json.loads((checkpoint / "store.json").read_text())["spec"]
+    assert spec["run"]["workload"] == "gzip"
+
+
+def test_experiment_resume_serves_the_stored_cells(tmp_path, capsys):
+    """``experiment --checkpoint`` stores every cell in a result store;
+    ``--resume`` serves them and prints the same report."""
+    store = tmp_path / "ck"
+    assert main(["experiment", "fig2", "--scale", "0.05",
+                 "--checkpoint", str(store)]) == 0
+    fresh = capsys.readouterr()
+    assert "replayed" not in fresh.err
+    assert main(["experiment", "--resume", str(store)]) == 0
+    resumed = capsys.readouterr()
+    assert resumed.out == fresh.out
+    assert f"(replayed 9 archived runs from {store})" in resumed.err
+    # Another experiment or scale does not reuse the store.
+    assert main(["experiment", "fig2", "--scale", "0.1",
+                 "--checkpoint", str(store)]) == 1
+    assert '"scale": 0.05' in capsys.readouterr().err

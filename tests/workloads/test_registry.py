@@ -52,3 +52,20 @@ def test_registry_rejects_duplicates():
 def test_names_sorted():
     names = default_registry().names
     assert list(names) == sorted(names)
+
+
+def test_get_workload_builds_ms_loops_at_any_footprint():
+    from repro.units import KIB
+    from repro.workloads.microbenchmarks import (
+        build_microbenchmark,
+        get_loop_spec,
+    )
+
+    workload = get_workload("MCOPY-64KB")
+    assert "MCOPY-64KB" not in default_registry()
+    assert workload == build_microbenchmark(get_loop_spec("MCOPY"), 64 * KIB)
+    assert get_workload("FMA-256KB") is default_registry().get("FMA-256KB")
+    # Only the canonical label of a known loop names a workload.
+    for name in ("MCOPY-1024KB", "NOPE-8KB", "MCOPY-0KB", "MCOPY-KB"):
+        with pytest.raises(WorkloadError, match="unknown workload"):
+            get_workload(name)
