@@ -22,9 +22,10 @@ loop so the models adapt *in place*:
   every tick: shadow-scores the active model, triggers recalibration
   when drift is confirmed, hot-swaps the governor's model between
   control decisions, widens the PM guardband with the observed residual
-  spread, and rolls back a recalibration that fails probation;
-* :mod:`repro.adaptation.report` -- the ``repro-power
-  adaptation-report`` lifecycle digest.
+  spread, and rolls back a recalibration that fails probation.
+
+``repro-power telemetry-report`` digests the model lifecycle events in
+its adaptation section.
 
 Meter-drift fault plans (:class:`repro.faults.MeterFaults` with
 ``drift_rate_per_s``) are the drill for the detector: the
@@ -39,11 +40,6 @@ from repro.adaptation.drift import (
 )
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.adaptation.registry import ModelRegistry, ModelVersion
-from repro.adaptation.report import (
-    AdaptationReport,
-    load_adaptation_report,
-    render_adaptation_report,
-)
 from repro.adaptation.rls import PowerModelRLS
 
 __all__ = [
@@ -55,7 +51,4 @@ __all__ = [
     "MisclassificationMonitor",
     "ModelRegistry",
     "ModelVersion",
-    "AdaptationReport",
-    "load_adaptation_report",
-    "render_adaptation_report",
 ]

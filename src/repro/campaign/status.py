@@ -12,13 +12,14 @@ counts.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import List, Mapping
+from typing import Mapping
 
 from repro.campaign.store import ResultStore, plan_digests
+from repro.errors import TelemetryError
 from repro.exec.plan import RunPlan
 from repro.telemetry.exporters import EVENTS_FILENAME
+from repro.telemetry.report import load_events
 
 #: Event kinds the campaign protocol emits.
 CAMPAIGN_EVENT_KINDS = (
@@ -27,32 +28,6 @@ CAMPAIGN_EVENT_KINDS = (
 
 #: How many recent protocol events the rendering shows.
 _RECENT = 8
-
-
-def _read_events(telemetry_dir: str) -> List[dict]:
-    """Campaign-protocol events from ``events.jsonl`` (tolerant)."""
-    path = os.path.join(telemetry_dir, EVENTS_FILENAME)
-    if not os.path.exists(path):
-        return []
-    events: List[dict] = []
-    try:
-        with open(path, errors="replace") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except ValueError:
-                    continue  # torn tail of a live writer
-                if (
-                    isinstance(event, dict)
-                    and event.get("kind") in CAMPAIGN_EVENT_KINDS
-                ):
-                    events.append(event)
-    except OSError:
-        return []
-    return events
 
 
 def campaign_status(
@@ -92,7 +67,12 @@ def _snapshot(
             "permanent": record.get("permanent"),
             "error": record.get("error", ""),
         })
-    events = _read_events(telemetry_dir)
+    try:
+        events, _, _ = load_events(
+            os.path.join(telemetry_dir, EVENTS_FILENAME), CAMPAIGN_EVENT_KINDS
+        )
+    except TelemetryError:
+        events = []  # no log yet, or an unreadable one
     counts = {kind: 0 for kind in CAMPAIGN_EVENT_KINDS}
     for event in events:
         counts[event["kind"]] += 1

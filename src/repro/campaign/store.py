@@ -341,7 +341,8 @@ class ResultStore:
         #: Records dropped because they failed to unpickle (damaged or
         #: foreign payloads); such cells simply re-execute.
         self.unreadable = 0
-        #: Results served by :meth:`get` since the store was opened.
+        #: Results served by :meth:`get` since the store was opened,
+        #: less those of digests already in :attr:`visited`.
         self.hits = 0
         #: Digests a serial session served or put since the store was
         #: opened (:meth:`~repro.exec.session.ExecSession.iter_plan`).
@@ -555,7 +556,8 @@ class ResultStore:
                 )
         if telemetry is not None and telemetry.enabled:
             telemetry.metrics = payload.get("metrics", telemetry.metrics)
-        self.hits += 1
+        if digest not in self.visited:
+            self.hits += 1
         return result
 
     def result_digest(self, digest: str) -> Mapping | None:

@@ -26,14 +26,9 @@ Subcommands
     ``table4``) and print the same rows/series the paper reports.
 ``telemetry-report``
     Aggregate a telemetry directory written by ``run``/``experiment``
-    with ``--telemetry`` (event log, tick trace, metrics, spans).
-``faults-report``
-    Reconcile injected faults against the recoveries the hardened loop
-    performed, from the same telemetry directory.
-``adaptation-report``
-    Summarize the online-adaptation activity (drift detections,
-    recalibrations, rollbacks, residual spread) recorded in a telemetry
-    directory from a ``--adapt`` run.
+    with ``--telemetry`` (event log, tick trace, metrics, spans); a
+    ``--faults`` run adds injected-vs-recovered counts, an ``--adapt``
+    run its drift detections, recalibrations and rollbacks.
 
 ``run`` and ``experiment`` accept ``--telemetry DIR`` to export the full
 observability bundle -- ``events.jsonl`` with its tick-column file
@@ -310,26 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     telemetry_report.add_argument(
         "directory", help="directory produced by run/experiment --telemetry"
-    )
-
-    faults_report = sub.add_parser(
-        "faults-report",
-        help="reconcile injected faults vs recoveries from a telemetry "
-        "directory",
-    )
-    faults_report.add_argument(
-        "directory",
-        help="directory produced by run/experiment --telemetry --faults",
-    )
-
-    adaptation_report = sub.add_parser(
-        "adaptation-report",
-        help="summarize online-adaptation activity from a telemetry "
-        "directory",
-    )
-    adaptation_report.add_argument(
-        "directory",
-        help="directory produced by run/experiment --telemetry --adapt",
     )
 
     trace = sub.add_parser(
@@ -988,20 +963,6 @@ def _cmd_telemetry_report(args) -> int:
     return 0
 
 
-def _cmd_faults_report(args) -> int:
-    from repro.faults import render_faults_report
-
-    print(render_faults_report(args.directory))
-    return 0
-
-
-def _cmd_adaptation_report(args) -> int:
-    from repro.adaptation import render_adaptation_report
-
-    print(render_adaptation_report(args.directory))
-    return 0
-
-
 def _trace_csv_paths(paths: list[str]) -> list[str]:
     """Expand files/directories into an ordered list of trace CSVs."""
     from repro.errors import WorkloadError
@@ -1112,10 +1073,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_campaign(args)
         if args.command == "telemetry-report":
             return _cmd_telemetry_report(args)
-        if args.command == "faults-report":
-            return _cmd_faults_report(args)
-        if args.command == "adaptation-report":
-            return _cmd_adaptation_report(args)
         if args.command == "trace":
             return _cmd_trace(args)
         if args.command == "report":

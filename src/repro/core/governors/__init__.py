@@ -16,7 +16,7 @@ The paper's two new solutions plus the baselines they are compared to:
   extension the paper sketches for galgel-like workloads (§IV-A2).
 """
 
-from repro.core.governors.base import Governor, GovernorDecision
+from repro.core.governors.base import Governor
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking, static_frequency_for_limit
@@ -31,7 +31,6 @@ from repro.core.governors.energy_optimal import ConfigProjection, EnergyOptimalS
 
 __all__ = [
     "Governor",
-    "GovernorDecision",
     "PerformanceMaximizer",
     "PowerSave",
     "StaticClocking",

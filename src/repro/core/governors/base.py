@@ -9,24 +9,10 @@ keeping each policy honest about the hardware monitoring budget.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 from repro.acpi.pstates import PState, PStateTable
 from repro.core.sampling import CounterSample
 from repro.platform.events import Event
-
-
-@dataclass(frozen=True)
-class GovernorDecision:
-    """A governor's output for one tick, with its reasoning attached.
-
-    ``estimates`` maps candidate frequencies to the estimated quantity
-    the governor compared against its constraint (power in watts for PM,
-    relative performance for PS); kept for tracing and tests.
-    """
-
-    target: PState
-    estimates: dict[float, float]
 
 
 class Governor(abc.ABC):

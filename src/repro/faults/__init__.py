@@ -15,9 +15,10 @@ input so the hardened monitor -> estimate -> control loop can be tested
   ``open_session(faults=...)``;
 * :mod:`repro.faults.injector` -- the seeded :class:`FaultInjector` and
   its interface-preserving wrappers around the counter sampler, power
-  meter and SpeedStep driver;
-* :mod:`repro.faults.report` -- the ``repro-power faults-report``
-  injected-vs-recovered aggregation.
+  meter and SpeedStep driver.
+
+``repro-power telemetry-report`` reconciles the injected faults against
+the recoveries in its faults section.
 
 The consumer-side defenses live with the consumers: see
 :class:`repro.core.resilience.ResilienceConfig` and the hardened
@@ -38,11 +39,6 @@ from repro.faults.plan import (
     TransitionFaults,
     load_fault_plan,
 )
-from repro.faults.report import (
-    FaultsReport,
-    load_faults_report,
-    render_faults_report,
-)
 
 __all__ = [
     "FaultPlan",
@@ -55,7 +51,4 @@ __all__ = [
     "FaultySampler",
     "FaultyPowerMeter",
     "FaultySpeedStep",
-    "FaultsReport",
-    "load_faults_report",
-    "render_faults_report",
 ]

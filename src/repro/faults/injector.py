@@ -19,8 +19,8 @@ interfaces exactly:
 Every injected fault is counted on the injector and -- when a telemetry
 recorder is bound -- emitted as a :class:`~repro.telemetry.bus.
 FaultInjected` event plus a ``faults.injected.*`` metric, so the
-``repro-power faults-report`` aggregation can reconcile injected versus
-recovered counts.
+faults section of ``repro-power telemetry-report`` can reconcile
+injected versus recovered counts.
 
 When the plan is disabled (or a subsystem's model has nothing to fire)
 the ``wrap_*`` helpers return the component *unwrapped* and no

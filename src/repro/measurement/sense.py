@@ -49,11 +49,6 @@ class SenseResistorChannel:
             1.0 + self._rng.uniform(-self.tolerance, self.tolerance)
         )
 
-    @property
-    def realized_resistance_ohm(self) -> float:
-        """The actual (toleranced) resistance of this channel."""
-        return self._realized_ohm
-
     def sense_voltage(self, true_current_a: float) -> float:
         """Voltage across the sense resistor for a given true current."""
         if true_current_a < 0:

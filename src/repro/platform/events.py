@@ -111,8 +111,3 @@ class EventRates:
         if event is Event.CPU_CLK_UNHALTED:
             return 1.0
         return getattr(self, event.name.lower())
-
-
-def rates_lookup(rates: EventRates, event: Event) -> float:
-    """Functional alias of :meth:`EventRates.rate` for callbacks."""
-    return rates.rate(event)

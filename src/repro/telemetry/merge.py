@@ -6,7 +6,7 @@ Parallel execution gives every worker process its own full
 handle).  :func:`merge_worker_directories` folds those back into the
 top-level ``events.jsonl`` / ``events.f64`` / ``metrics.json`` /
 ``summary.txt`` so every downstream consumer --
-``telemetry-report``, the report loaders, ad-hoc scripts -- reads a
+``telemetry-report``, ``campaign status``, ad-hoc scripts -- reads a
 parallel campaign exactly like a serial one.  The worker
 subdirectories are left in place for per-worker debugging.
 

@@ -5,7 +5,10 @@
 ``events.jsonl`` with its column file ``events.f64``, and
 ``metrics.json`` -- and renders a digest: runs and their totals, event
 counts by kind, transition activity, trace statistics and per-cell
-wall-clock spans.
+wall-clock spans.  A bundle with fault events gets a faults section
+(injected vs recovered by subsystem, watchdog trips, degradations) and
+one with model events an adaptation section (drift detections,
+recalibrations, rollbacks).
 :func:`load_events` is the one reader of an event log: it resolves
 each ``ticks`` line's spans into the column file back into per-tick
 lists, so every consumer sees the values the run recorded.
@@ -14,9 +17,9 @@ From the runs' ``ticks`` records it answers the paper's own questions:
 p-state residency per MHz, the Eq. 2 residual (the power a governor
 estimated for the next tick minus what the meter then read), and the
 windows of consecutive ticks metered above the governor's power limit.
-Sums use :func:`math.fsum` and runs are listed sorted, so a directory
-merged from parallel workers reports exactly what a serial one does
-(wall-clock spans aside).
+Sums use :func:`math.fsum` and runs and events are listed sorted, so a
+directory merged from parallel workers reports exactly what a serial
+one does (wall-clock spans aside).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Collection, Dict, List, Mapping
 
 from repro.errors import TelemetryError
 from repro.telemetry.exporters import (
@@ -61,6 +64,37 @@ class TelemetryReport:
             kind = event.get("kind", "?")
             counts[kind] = counts.get(kind, 0) + 1
         return counts
+
+    def of_kind(self, *kinds: str) -> List[dict]:
+        """The events of ``kinds`` in time order, ties broken by their
+        fields, so merged parallel logs list them as a serial log does."""
+        return sorted(
+            (e for e in self.events if e.get("kind") in kinds),
+            key=lambda e: (
+                e.get("time_s", 0.0), json.dumps(e, sort_keys=True)
+            ),
+        )
+
+    def fault_counts(self, kind: str, detail: str) -> Dict[str, int]:
+        """``kind`` events counted per ``subsystem.<detail>``."""
+        counts: Dict[str, int] = {}
+        for event in self.of_kind(kind):
+            key = f"{event.get('subsystem', '?')}.{event.get(detail, '?')}"
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @property
+    def final_model_version(self) -> int | None:
+        """The model version last activated, when the bundle holds one
+        run (model events carry no run identity) and one was."""
+        if len(self.of_kind("run_started")) != 1:
+            return None
+        versions = [
+            e.get("to_version", e.get("version"))
+            for e in self.of_kind("model_recalibrated", "model_rolled_back")
+        ]
+        versions = [v for v in versions if v is not None]
+        return versions[-1] if versions else None
 
     @property
     def runs(self) -> List[dict]:
@@ -144,7 +178,9 @@ class TelemetryReport:
         return windows
 
 
-def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
+def load_events(
+    path: str | os.PathLike, kinds: Collection[str] | None = None
+) -> tuple[List[dict], int, bool]:
     """Parse a JSONL event log and its column file, tolerating damage.
 
     Each ``ticks`` line's ``[offset, length]`` spans are resolved
@@ -161,7 +197,8 @@ def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
     and is reported as ``truncated_tail`` rather than counted with the
     interior damage in ``skipped_line_count``.  A ``ticks`` line whose
     spans run past the end of the column file (its columns never
-    reached the disk) is dropped and counted as skipped.
+    reached the disk) is dropped and counted as skipped.  With
+    ``kinds``, events of other kinds are dropped unresolved.
     """
     events: List[dict] = []
     skipped = 0
@@ -189,6 +226,8 @@ def load_events(path: str | os.PathLike) -> tuple[List[dict], int, bool]:
             continue
         if not isinstance(event, dict):
             skipped += 1
+            continue
+        if kinds is not None and event.get("kind") not in kinds:
             continue
         if event.get("kind") == "ticks":
             if columns is None:
@@ -283,6 +322,93 @@ def _render_ticks(
     return lines
 
 
+#: The event kinds of the faults and the adaptation sections.
+FAULT_KINDS = ("fault_injected", "fault_recovered", "watchdog", "degraded")
+MODEL_KINDS = (
+    "model_drift_detected", "model_recalibrated", "model_rolled_back"
+)
+
+
+def _render_faults(report: TelemetryReport) -> List[str]:
+    """What the injector fired against what the hardened loop absorbed."""
+    lines = ["faults (injected vs recovered):"]
+    for title, kind, detail in (
+        ("injected", "fault_injected", "fault"),
+        ("recovered", "fault_recovered", "action"),
+    ):
+        counts = report.fault_counts(kind, detail)
+        lines.append(f"  {title} ({sum(counts.values())} total):")
+        for key, count in sorted(counts.items()):
+            lines.append(f"    {key:28} {count}")
+        if not counts:
+            lines.append("    (none)")
+    trips = len(report.of_kind("watchdog"))
+    if trips:
+        lines.append(f"  watchdog trips: {trips}")
+    for event in report.of_kind("degraded"):
+        lines.append(
+            f"  degraded at {event.get('time_s', 0.0):.3f} s -> "
+            f"{event.get('safe_frequency_mhz', 0.0):.0f} MHz "
+            f"({event.get('reason', '?')})"
+        )
+    lines.append("")
+    return lines
+
+
+def _render_adaptation(report: TelemetryReport) -> List[str]:
+    """Why the governor's model changed: drift, refits, rollbacks."""
+    detections = report.of_kind("model_drift_detected")
+    lines = [
+        "model adaptation:",
+        f"  drift detections ({len(detections)}):",
+    ]
+    for event in detections:
+        lines.append(
+            f"    t={event.get('time_s', 0.0):8.3f}s  "
+            f"{event.get('detector', '?'):18} "
+            f"statistic {event.get('statistic', 0.0):.3f} "
+            f"(threshold {event.get('threshold', 0.0):.3f})"
+        )
+    recalibrations = report.of_kind("model_recalibrated")
+    lines.append(f"  recalibrations ({len(recalibrations)}):")
+    for event in recalibrations:
+        refit = ", ".join(
+            f"{float(f):.0f}" for f in event.get("refit_mhz", [])
+        )
+        lines.append(
+            f"    t={event.get('time_s', 0.0):8.3f}s  "
+            f"-> version {event.get('version', '?')} "
+            f"(refit {refit} MHz; residual mean "
+            f"{event.get('residual_mean_w', 0.0):+.2f} W, "
+            f"std {event.get('residual_std_w', 0.0):.2f} W)"
+        )
+    if not recalibrations:
+        lines.append("    (none)")
+    rollbacks = report.of_kind("model_rolled_back")
+    if rollbacks:
+        lines.append(f"  rollbacks ({len(rollbacks)}):")
+    for event in rollbacks:
+        lines.append(
+            f"    t={event.get('time_s', 0.0):8.3f}s  "
+            f"version {event.get('from_version', '?')} -> "
+            f"{event.get('to_version', '?')} "
+            f"({event.get('reason', '?')})"
+        )
+    if report.final_model_version is not None:
+        lines.append(
+            f"  final active model version: {report.final_model_version}"
+        )
+    residuals = report.metrics.get("histograms", {}).get(
+        "adaptation.residual_w"
+    )
+    if residuals:
+        lines.append(
+            f"  residual samples observed: {residuals.get('count', 0)}"
+        )
+    lines.append("")
+    return lines
+
+
 def render_report(directory: str | os.PathLike) -> str:
     """Aggregate ``directory`` and render the human-readable report."""
     report = load_report(directory)
@@ -323,6 +449,11 @@ def render_report(directory: str | os.PathLike) -> str:
     tick_columns = report.tick_columns
     if tick_columns:
         lines.extend(_render_ticks(report, tick_columns))
+
+    if report.of_kind(*FAULT_KINDS):
+        lines.extend(_render_faults(report))
+    if report.of_kind(*MODEL_KINDS):
+        lines.extend(_render_adaptation(report))
 
     counters = report.metrics.get("counters", {})
     violations = counters.get("controller.limit_violations")

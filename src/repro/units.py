@@ -42,11 +42,6 @@ def ghz_to_mhz(freq_ghz: float) -> float:
     return freq_ghz * 1e3
 
 
-def cycles_per_second(freq_mhz: float) -> float:
-    """Clock cycles per second at the given core frequency."""
-    return mhz_to_hz(freq_mhz)
-
-
 def ns_to_cycles(latency_ns: float, freq_mhz: float) -> float:
     """Convert a wall-clock latency in nanoseconds to core cycles.
 

@@ -96,3 +96,47 @@ def test_status_reads_protocol_events_tolerantly(tmp_path):
         for event in data["recent_events"]
     )
     assert "leased" in render_status(data)
+
+
+def test_status_command_ignores_a_torn_final_line(
+    tmp_path, capsys, monkeypatch
+):
+    """A live campaign's log may end mid-line: ``campaign status``
+    counts the complete protocol events, drops the torn one, and reads
+    no column file for the ticks lines it does not show."""
+    from repro.cli import main
+    from repro.telemetry import report
+
+    def refuse(path):
+        raise AssertionError(f"read the column file {path}")
+
+    monkeypatch.setattr(report, "read_column_file", refuse)
+
+    store_root = tmp_path / "store"
+    run_campaign(PLAN, store_root, workers=1, max_attempts=2,
+                 backoff_s=0.01)
+    telemetry_dir = store_root / "telemetry"
+    telemetry_dir.mkdir()
+    expired = json.dumps({
+        "kind": "lease_expired", "time_s": 0.3, "cell": "x", "index": 0,
+        "reason": "timeout", "retry_in_s": 0.5,
+    })
+    (telemetry_dir / "events.jsonl").write_text(
+        json.dumps({
+            "kind": "cell_leased", "time_s": 0.1, "cell": "x",
+            "index": 0, "worker": 0, "attempt": 1,
+        }) + "\n"
+        + json.dumps({  # its events.f64 was never written
+            "kind": "ticks", "time_s": 0.2, "columns": {"time_s": [0, 4]},
+            "rates": {},
+        }) + "\n"
+        + expired[: len(expired) // 2]
+    )
+    assert main(["campaign", "status", "--store", str(store_root),
+                 "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["event_counts"] == {
+        "campaign_resumed": 0, "cell_leased": 1, "lease_expired": 0,
+        "cell_quarantined": 0,
+    }
+    assert [e["kind"] for e in data["recent_events"]] == ["cell_leased"]

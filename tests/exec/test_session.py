@@ -297,8 +297,25 @@ def test_recurring_cell_keeps_the_uninterrupted_metrics(tmp_path, keep):
 
 
 def test_recurring_cell_is_served_without_a_recorder(tmp_path):
+    """A fresh store serves the recurrence from the record the session
+    put itself, which is not a hit: nothing was resumed."""
     with ResultStore(tmp_path / "store") as store:
         with open_session(store=store) as session:
             results = session.run_cells([CELLS[0], CELLS[0]], CONFIG)
-        assert store.hits == 1
+        assert store.hits == 0
     assert _digests(results) == _digests([execute_cell(CELLS[0], CONFIG)]) * 2
+
+
+def test_hits_count_each_resumed_digest_once(tmp_path):
+    """``[A, B, A]`` resumed from a store holding ``[A]`` resumes one
+    run: A's recurrence and B, put by the session, add no hit."""
+    cells = [CELLS[0], CELLS[1], CELLS[0]]
+    with ResultStore(tmp_path / "store") as store:
+        with open_session(store=store) as session:
+            session.run_cells(cells[:1], CONFIG)
+    with ResultStore(tmp_path / "store", create=False) as store:
+        with open_session(store=store) as session:
+            results = session.run_cells(cells, CONFIG)
+        assert store.hits == 1
+        assert len(store.object_digests()) == 2
+    assert _digests(results) == _digests(execute_cells(cells, CONFIG))

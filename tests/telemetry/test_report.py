@@ -1,12 +1,21 @@
 """Tests for the telemetry-directory aggregation report."""
 
+import dataclasses
 import json
 from array import array
 
 import pytest
 
+from repro.adaptation import AdaptationConfig
 from repro.errors import TelemetryError
-from repro.exec import ExperimentConfig, GovernorSpec, RunPlan, open_session
+from repro.exec import (
+    ExperimentConfig,
+    GovernorSpec,
+    RunCell,
+    RunPlan,
+    open_session,
+)
+from repro.faults import FaultPlan
 from repro.telemetry import (
     TICK_COLUMNS,
     JsonlEventExporter,
@@ -18,6 +27,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.bus import PStateTransition, RunFinished, RunStarted
 from repro.telemetry.report import load_events
+from repro.workloads.registry import get_workload
 
 _NAN = float("nan")
 
@@ -206,6 +216,119 @@ class TestLoadReport:
         assert report.spans == {}
 
 
+class TestFaultsAndAdaptation:
+    """The report's faults and adaptation sections."""
+
+    def _write_log(self, d, events):
+        d.mkdir()
+        (d / "events.jsonl").write_text(
+            "".join(json.dumps(event) + "\n" for event in events)
+        )
+
+    def test_faults_section_counts_by_subsystem(self, tmp_path):
+        d = tmp_path / "faults"
+        self._write_log(d, [
+            {"kind": "fault_injected", "time_s": 0.1,
+             "subsystem": "sampler", "fault": "drop"},
+            {"kind": "fault_injected", "time_s": 0.2,
+             "subsystem": "sampler", "fault": "drop"},
+            {"kind": "fault_recovered", "time_s": 0.2,
+             "subsystem": "sampler", "action": "holdover"},
+            {"kind": "watchdog", "time_s": 0.3, "consecutive_faults": 5},
+            {"kind": "degraded", "time_s": 0.3, "reason": "watchdog",
+             "safe_frequency_mhz": 600.0},
+        ])
+        text = render_report(d)
+        assert "  injected (2 total):\n    sampler.drop" in text
+        assert "  recovered (1 total):\n    sampler.holdover" in text
+        assert "  watchdog trips: 1" in text
+        assert "  degraded at 0.300 s -> 600 MHz (watchdog)" in text
+        assert "model adaptation:" not in text
+
+    def test_sections_list_events_independent_of_log_order(self, tmp_path):
+        events = [
+            {"kind": "run_started", "time_s": 0.0},
+            {"kind": "degraded", "time_s": 0.5, "reason": "b",
+             "safe_frequency_mhz": 600.0},
+            {"kind": "degraded", "time_s": 0.5, "reason": "a",
+             "safe_frequency_mhz": 600.0},
+            {"kind": "model_recalibrated", "time_s": 0.2, "version": 2},
+            {"kind": "model_rolled_back", "time_s": 0.4,
+             "from_version": 2, "to_version": 1, "reason": "probation"},
+            {"kind": "model_drift_detected", "time_s": 0.1,
+             "detector": "page_hinkley", "statistic": 9.0,
+             "threshold": 8.0},
+        ]
+        self._write_log(tmp_path / "forward", events)
+        self._write_log(tmp_path / "backward", events[::-1])
+        text = _body(render_report(tmp_path / "forward"))
+        assert text == _body(render_report(tmp_path / "backward"))
+        assert text.index("(a)") < text.index("(b)")
+        assert "  rollbacks (1):\n    t=   0.400s  version 2 -> 1" in text
+        assert "final active model version: 1" in text
+
+    def test_final_model_version_needs_a_single_run(self, tmp_path):
+        d = tmp_path / "two-runs"
+        self._write_log(d, [
+            {"kind": "run_started", "time_s": 0.0},
+            {"kind": "model_recalibrated", "time_s": 0.2, "version": 2},
+            {"kind": "run_started", "time_s": 0.0},
+        ])
+        text = render_report(d)
+        assert "-> version 2" in text
+        assert "final active model version" not in text
+
+    def test_residual_samples_come_from_the_metrics(self, tmp_path):
+        d = tmp_path / "residuals"
+        self._write_log(d, [
+            {"kind": "model_drift_detected", "time_s": 0.1,
+             "detector": "page_hinkley", "statistic": 9.0,
+             "threshold": 8.0},
+        ])
+        (d / "metrics.json").write_text(json.dumps({"metrics": {
+            "histograms": {"adaptation.residual_w": {"count": 42}},
+        }}))
+        text = render_report(d)
+        assert "  recalibrations (0):\n    (none)" in text
+        assert "residual samples observed: 42" in text
+
+
+def test_adaptation_section_tolerates_torn_tail(tmp_path):
+    d = tmp_path / "killed"
+    d.mkdir()
+    (d / "events.jsonl").write_text(
+        '{"kind": "model_recalibrated", "time_s": 0.1, "version": 2}\n'
+        '{"kind": "model_drift_detected", "time_s": 0.2'  # torn, no \n
+    )
+    report = load_report(d)
+    assert report.truncated_tail is True
+    assert report.skipped_lines == 0
+    assert len(report.of_kind("model_recalibrated")) == 1
+    assert report.of_kind("model_drift_detected") == []
+    text = render_report(d)
+    assert "torn mid-write" in text
+    assert "drift detections (0):" in text
+
+
+def test_faults_section_tolerates_torn_tail(tmp_path):
+    d = tmp_path / "killed"
+    d.mkdir()
+    (d / "events.jsonl").write_text(
+        '{"kind": "fault_injected", "subsystem": "meter", '
+        '"fault": "spike", "time_s": 0.1}\n'
+        '{"kind": "fault_injected", "subsys'  # torn, no \n
+    )
+    report = load_report(d)
+    assert report.truncated_tail is True
+    assert report.skipped_lines == 0
+    assert report.fault_counts("fault_injected", "fault") == {
+        "meter.spike": 1
+    }
+    text = render_report(d)
+    assert "torn mid-write" in text
+    assert "injected (1 total):" in text
+
+
 class TestRenderReport:
     def test_renders_runs_events_and_spans(self, tmp_path):
         _write_directory(tmp_path / "t")
@@ -258,13 +381,36 @@ def _event_multiset(directory):
 
 
 def test_serial_and_parallel_bundles_report_identically(tmp_path):
-    """A small sweep observed serially and through two pool workers
-    writes the same ticks records and rare events (as multisets: the
-    merge concatenates per worker) and the same report."""
-    plan = RunPlan.sweep(
+    """A small sweep, a faulted cell and an adaptive cell observed
+    serially and through two pool workers write the same ticks records
+    and rare events (as multisets: the merge concatenates per worker)
+    and the same report."""
+    sweep = RunPlan.sweep(
         ["ammp", "gzip", "mcf"],
         [GovernorSpec.pm(14.5, power_model="paper"), GovernorSpec.ps(0.8)],
         ExperimentConfig(scale=0.05, seed=3),
+    )
+    faulted = RunCell(
+        workload="gzip",
+        governor=GovernorSpec.pm(14.5, power_model="paper"),
+        fault_plan=FaultPlan.from_dict({
+            "seed": 0, "sample": {"drop_prob": 0.08},
+            "transition": {"fail_prob": 0.6},
+        }),
+    )
+    adaptive = RunCell(  # the CLI's drift drill: 32x FMA-256KB
+        workload=get_workload("FMA-256KB").scaled(32 / 0.05),
+        governor=GovernorSpec.pm(13.5, power_model="paper"),
+        fault_plan=FaultPlan.from_dict({
+            "seed": 0, "meter": {
+                "drift_rate_per_s": 0.04, "drift_start_s": 1.0,
+                "drift_max_gain": 0.35,
+            },
+        }),
+        adaptation=AdaptationConfig(),
+    )
+    plan = dataclasses.replace(
+        sweep, cells=sweep.cells + (faulted, adaptive)
     )
     with open_session(telemetry_dir=tmp_path / "serial") as session:
         session.run_plan(plan)
@@ -278,4 +424,7 @@ def test_serial_and_parallel_bundles_report_identically(tmp_path):
     text = _body(render_report(tmp_path / "serial"))
     assert "p-state residency" in text
     assert "Eq. 2 residuals (" in text
+    assert "faults (injected vs recovered):" in text
+    assert "model adaptation:" in text
+    assert "recalibrations (0)" not in text
     assert text == _body(render_report(tmp_path / "parallel"))

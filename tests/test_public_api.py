@@ -43,7 +43,6 @@ PUBLIC_MODULES = (
     "repro.faults",
     "repro.faults.plan",
     "repro.faults.injector",
-    "repro.faults.report",
     "repro.exec",
     "repro.exec.plan",
     "repro.exec.core",
