@@ -12,7 +12,8 @@ A :class:`Campaign` turns one :class:`~repro.exec.plan.RunPlan` into a
 2. takes the store's writer lock (a second live writer is refused
    before any cell runs) and runs the remainder through the
    :class:`~repro.campaign.dispatch.LeaseDispatcher`, appending every
-   completed cell to the results log *as it arrives* -- each record is
+   completed cell to the results log *as its batch reports* (a worker
+   reports at least once per heartbeat interval) -- each record is
    kill-safe when its put returns -- and writing every quarantine
    record the moment it is decided;
 3. fsyncs the log once, in a ``finally`` that runs on a normal end, an
