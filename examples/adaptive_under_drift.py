@@ -22,16 +22,17 @@ Two runs of the same workload under the same drifting meter:
 Everything is seeded: run it twice, get the same story twice.
 """
 
-from repro import AdaptationConfig, AdaptationManager, PerformanceMaximizer
+import dataclasses
+
+from repro import AdaptationConfig
 from repro.exec import (
     ExperimentConfig,
+    GovernorSpec,
     RunCell,
-    as_governor_spec,
     execute_cell,
+    prepare_cell,
 )
-from repro.exec.cache import trained_power_model
 from repro.faults.plan import FaultPlan, MeterFaults
-from repro.workloads.microbenchmarks import worst_case_workload
 
 LIMIT_W = 13.5
 DRIFT = MeterFaults(drift_rate_per_s=0.04, drift_start_s=1.0,
@@ -50,23 +51,21 @@ def violations_by_window(result, width_s=2.0):
 
 def main() -> None:
     config = ExperimentConfig(scale=64.0, seed=0)
-    model = trained_power_model(seed=config.seed)
-    workload = worst_case_workload()
     plan = FaultPlan(seed=config.seed, meter=DRIFT)
-
-    def pm(table):
-        return PerformanceMaximizer(table, model, LIMIT_W)
 
     print(f"meter gain drifts +{100 * DRIFT.drift_rate_per_s:.0f}%/s from "
           f"t={DRIFT.drift_start_s:.0f}s (cap +{100 * DRIFT.drift_max_gain:.0f}%); "
           f"PM limit {LIMIT_W} W\n")
 
-    cell = RunCell(workload=workload, governor=as_governor_spec(pm))
-    frozen = execute_cell(cell, config, fault_plan=plan)
+    # The worst-case microbenchmark under the trained model's PM.
+    cell = RunCell("FMA-256KB", GovernorSpec.pm(LIMIT_W), fault_plan=plan)
+    frozen = execute_cell(cell, config)
 
-    manager = AdaptationManager(AdaptationConfig())
-    adaptive = execute_cell(cell, config, fault_plan=plan,
-                            adaptation=manager)
+    prepared = prepare_cell(
+        dataclasses.replace(cell, adaptation=AdaptationConfig()), config
+    )
+    adaptive = prepared.execute()
+    manager = prepared.adaptation
 
     print(f"{'window':>10} {'frozen viol%':>13} {'adaptive viol%':>15}")
     frozen_windows = violations_by_window(frozen)

@@ -100,7 +100,6 @@ from repro.exec import (
     GovernorSpec,
     RunCell,
     RunPlan,
-    execute_cells,
     open_session,
 )
 from repro.platform.machine import Machine, MachineConfig
@@ -207,7 +206,6 @@ __all__ = [
     "RunCell",
     "RunPlan",
     "ExecSession",
-    "execute_cells",
     "open_session",
     # Resilient campaigns: content-addressed result store, lease-based
     # dispatch, poison-cell quarantine.

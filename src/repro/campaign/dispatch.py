@@ -143,9 +143,9 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
     Runs in the child process.  All sends share one lock because the
     heartbeat thread and the main thread write the same pipe.  A forked
     worker inherits the parent's current session; it is cleared first,
-    so no cell reads the parent's result store or records into the
-    parent's recorder.  The plan carries everything, which is what
-    makes worker results bit-identical to serial execution.
+    so nothing in it reaches the parent's result store or recorder.
+    Each cell carries every option of its run, which is what makes
+    worker results bit-identical to serial execution.
     """
     set_session(None)
     cache.install_caches(payload["caches"])
@@ -201,12 +201,7 @@ def _worker_main(worker_id: int, payload: dict, task_q, conn) -> None:
                     if hook is not None:
                         hook(index)
                     result = execute_cell(
-                        plan.cells[index],
-                        plan.config,
-                        telemetry=recorder,
-                        fault_plan=plan.fault_plan,
-                        adaptation=plan.adaptation,
-                        resilience=plan.resilience,
+                        plan.cells[index], plan.config, telemetry=recorder
                     )
                 except BaseException as error:  # noqa: BLE001 - shipped upward
                     send((

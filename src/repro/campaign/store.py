@@ -1,15 +1,16 @@
 """Content-addressed on-disk result store: campaigns and experiment resume.
 
 Every :class:`~repro.exec.plan.RunCell` is keyed by a SHA-256 digest of
-its *canonical spec*: the cell's serialized form plus every plan-wide
+its *canonical spec*: the cell's serialized form (which carries its
+fault plan, adaptation and resilience configs) plus every plan-wide
 input that shapes its result (experiment config fields, the hash of
-the machine config's canonical JSON, fault plan, adaptation,
-resilience, and -- for ``trace:`` workloads -- the trace file's
-content hash).  Because cells are deterministic functions of exactly
-that data, a digest identifies a result: re-running a sweep looks each
-cell up first and executes only the misses, and editing any input (a
-scale, a trace CSV byte, a governor knob, a machine constant) changes
-the digest and therefore transparently invalidates the cached result.
+the machine config's canonical JSON, and -- for ``trace:`` workloads
+-- the trace file's content hash).  Because cells are deterministic
+functions of exactly that data, a digest identifies a result:
+re-running a sweep looks each cell up first and executes only the
+misses, and editing any input (a scale, a trace CSV byte, a governor
+knob, a machine constant) changes the digest and therefore
+transparently invalidates the cached result.
 Campaigns and every ``--checkpoint``/``--resume`` keep results here.
 
 Layout (store format 2)::
@@ -141,22 +142,7 @@ def plan_spec(plan: RunPlan) -> dict:
     config["machine_sha256"] = hashlib.sha256(
         machine.encode("utf-8")
     ).hexdigest()
-    return {
-        "format": STORE_FORMAT_VERSION,
-        "config": config,
-        "fault_plan": (
-            plan.fault_plan.to_dict() if plan.fault_plan is not None
-            else None
-        ),
-        "adaptation": (
-            dataclasses.asdict(plan.adaptation)
-            if plan.adaptation is not None else None
-        ),
-        "resilience": (
-            dataclasses.asdict(plan.resilience)
-            if plan.resilience is not None else None
-        ),
-    }
+    return {"format": STORE_FORMAT_VERSION, "config": config}
 
 
 def campaign_cell_spec(
@@ -173,18 +159,7 @@ def campaign_cell_spec(
     """
     if shared is None:
         shared = plan_spec(plan)
-    spec: dict = {
-        "format": shared["format"],
-        "cell": cell.to_dict(),
-        "config": shared["config"],
-    }
-    for key, own in (
-        ("fault_plan", cell.fault_plan),
-        ("adaptation", cell.adaptation),
-        ("resilience", cell.resilience),
-    ):
-        if own is None and shared[key] is not None:
-            spec[key] = shared[key]
+    spec: dict = {**shared, "cell": cell.to_dict()}
     workload = cell.workload
     if isinstance(workload, str) and workload.startswith("trace:"):
         path = workload.partition(":")[2]

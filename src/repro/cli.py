@@ -195,8 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--resume", metavar="DIR",
-        help="resume an interrupted experiment: stored runs are "
-        "served from DIR, the rest run from scratch",
+        help="resume an interrupted experiment under the id, scale, "
+        "--faults and --adapt recorded in DIR: stored runs are served "
+        "from DIR, the rest run from scratch",
     )
     experiment.add_argument(
         "--telemetry", metavar="DIR",
@@ -484,6 +485,15 @@ def _load_faults_arg(spec: str | None):
     return load_fault_plan(spec)
 
 
+def _adapt_arg(adapt: bool):
+    """The adaptation config ``--adapt`` asks for (or None)."""
+    if not adapt:
+        return None
+    from repro.adaptation import AdaptationConfig
+
+    return AdaptationConfig()
+
+
 def _make_telemetry(directory: str | None):
     """Recorder + directory sink for ``--telemetry`` (or ``(None, None)``)."""
     if not directory:
@@ -601,7 +611,7 @@ def _cmd_run_plan(args) -> int:
     from repro.exec.plan import RunPlan
     from repro.exec.session import open_session
 
-    for flag in ("resume", "checkpoint", "faults", "workload"):
+    for flag in ("resume", "checkpoint", "faults", "adapt", "workload"):
         if getattr(args, flag, None):
             raise ReproError(f"--plan cannot be combined with "
                              f"{'a workload' if flag == 'workload' else '--' + flag}")
@@ -669,20 +679,14 @@ def _cmd_run(args) -> int:
     config = ExperimentConfig(
         scale=args.scale, seed=args.seed, keep_trace=bool(args.trace)
     )
-    cell = RunCell(workload=args.workload, governor=_args_governor_spec(args))
-    recorder, sink = _make_telemetry(args.telemetry)
-    adaptation = None
-    if args.adapt:
-        from repro.adaptation import AdaptationManager
-
-        adaptation = AdaptationManager()
-    prepared = prepare_cell(
-        cell,
-        config,
-        telemetry=recorder,
+    cell = RunCell(
+        workload=args.workload,
+        governor=_args_governor_spec(args),
         fault_plan=fault_plan,
-        adaptation=adaptation,
+        adaptation=_adapt_arg(args.adapt),
     )
+    recorder, sink = _make_telemetry(args.telemetry)
+    prepared = prepare_cell(cell, config, recorder)
     if args.checkpoint:
         from repro.campaign.store import ResultStore
 
@@ -690,7 +694,7 @@ def _cmd_run(args) -> int:
         ResultStore(args.checkpoint, spec={"run": spec}).close()
     result = prepared.execute()
     return _finish_run(
-        result, args, prepared.injector, adaptation, recorder, sink
+        result, args, prepared.injector, prepared.adaptation, recorder, sink
     )
 
 
@@ -796,12 +800,12 @@ def _cmd_experiment(args) -> int:
     _validate_telemetry_path(getattr(args, "telemetry", None))
     if args.resume and args.checkpoint:
         raise ReproError("--resume and --checkpoint are mutually exclusive")
-    if args.resume and args.id:
-        raise ReproError("--resume takes the experiment id from the "
-                         "store; do not pass one")
+    if args.resume and (args.id or args.faults or args.adapt):
+        raise ReproError("--resume takes the experiment id, --faults and "
+                         "--adapt from the store; do not pass them")
     if not args.resume and not args.id:
         raise ReproError("experiment id is required (unless resuming)")
-    fault_plan = _load_faults_arg(getattr(args, "faults", None))
+    fault_plan = _load_faults_arg(args.faults)
     workers = getattr(args, "workers", 0) or 0
     if workers < 0:
         raise ReproError("--workers must be >= 0")
@@ -816,6 +820,10 @@ def _cmd_experiment(args) -> int:
         from repro.campaign.store import ResultStore
 
         spec = {"experiment": args.id, "scale": args.scale}
+        if fault_plan is not None:
+            spec["faults"] = fault_plan.to_dict()
+        if args.adapt:
+            spec["adapt"] = True
         store = ResultStore(args.checkpoint, spec=spec)
     elif args.resume:
         store = _resume_store(args.resume)
@@ -828,21 +836,22 @@ def _cmd_experiment(args) -> int:
             )
         if args.scale is None:
             args.scale = store.spec.get("scale")
-    adaptation = None
-    if getattr(args, "adapt", False):
-        from repro.adaptation import AdaptationConfig
+        if store.spec.get("faults") is not None:
+            from repro.faults import FaultPlan
 
-        adaptation = AdaptationConfig()
+            fault_plan = FaultPlan.from_dict(store.spec["faults"])
+        args.adapt = bool(store.spec.get("adapt"))
 
     from contextlib import ExitStack
 
     from repro.exec.session import open_session
 
-    # One session carries every option to every run the experiment
-    # makes, however deep: each run builds its own seeded injector and
-    # fresh adaptation manager, cells the store holds are served from
-    # it (the rest run from scratch and are stored), and sweeps fan
-    # out over the workers bit-identically to serial execution.
+    # One session reaches every run the experiment makes, however
+    # deep: it stamps --faults/--adapt on each cell that leaves them
+    # unset (each run then builds its own seeded injector and fresh
+    # adaptation manager), cells the store holds are served from it
+    # (the rest run from scratch and are stored), and sweeps fan out
+    # over the workers bit-identically to serial execution.
     with ExitStack() as stack:
         if store is not None:
             stack.enter_context(store)  # closing it fsyncs the log once
@@ -851,7 +860,7 @@ def _cmd_experiment(args) -> int:
             telemetry=recorder,
             telemetry_dir=telemetry or None,
             faults=fault_plan,
-            adaptation=adaptation,
+            adaptation=_adapt_arg(args.adapt),
             store=store,
         ))
         text = _EXPERIMENTS[args.id](args.scale)

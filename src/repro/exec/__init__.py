@@ -5,8 +5,9 @@ Public surface:
 * :class:`~repro.exec.plan.RunPlan` / :class:`~repro.exec.plan.RunCell`
   / :class:`~repro.exec.plan.GovernorSpec` -- experiments as data;
 * :func:`~repro.exec.session.open_session` -- the single composable
-  entry point (telemetry, faults, adaptation, resilience, result store,
-  workers); the session it opens is the only ambient state, and
+  entry point (telemetry, result store, workers, and a faults /
+  adaptation stamp for its cells); the session it opens is the only
+  ambient state, and
   :func:`~repro.exec.session.current_session` returns it;
 * :func:`~repro.exec.core.execute_cell` -- the one code path every
   cell runs through, in every process.
@@ -35,7 +36,6 @@ from repro.exec.plan import (
 from repro.exec.session import (
     ExecSession,
     current_session,
-    execute_cells,
     open_session,
     set_session,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "clear_caches",
     "current_session",
     "execute_cell",
-    "execute_cells",
     "export_caches",
     "install_caches",
     "open_session",

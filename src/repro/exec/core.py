@@ -7,11 +7,11 @@ section), the CLI's ``run`` subcommand and the pool workers all call
 bit-identical results no matter which layer asked for it or which
 process it ran in.
 
-Resolution order for the cross-cutting options (telemetry, faults,
-adaptation, resilience): per-cell data beats explicit arguments beats
-the current :class:`~repro.exec.session.ExecSession`.  Pool workers
-run with no current session; everything they need rides on the cell
-and the plan.
+A cell carries every option of its run (fault plan, adaptation
+config, resilience config) as data; the only other input is the
+telemetry recorder a caller passes, which watches the run without
+changing it.  No session is consulted, so a pool worker and the
+parent run a cell alike.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass
 
-from repro.adaptation.manager import AdaptationConfig, AdaptationManager
+from repro.adaptation.manager import AdaptationManager
 from repro.core.controller import PowerManagementController, RunResult
 from repro.core.resilience import ResilienceConfig
 from repro.exec.plan import ExperimentConfig, RunCell
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.machine import Machine
 from repro.telemetry.recorder import TelemetryRecorder
@@ -75,30 +74,22 @@ def prepare_cell(
     cell: RunCell,
     config: ExperimentConfig,
     telemetry: TelemetryRecorder | None = None,
-    fault_plan: FaultPlan | None = None,
-    adaptation: AdaptationConfig | AdaptationManager | None = None,
-    resilience: ResilienceConfig | None = None,
 ) -> PreparedCell:
-    """Resolve ``cell`` into live objects without running it.
-
-    ``telemetry``/``fault_plan``/``adaptation``/``resilience`` are the
-    plan- or caller-level defaults; per-cell values override them.  No
-    session is consulted: :func:`execute_cell` resolves those first.
-    """
-    tel = telemetry
-    plan = cell.fault_plan if cell.fault_plan is not None else fault_plan
-    adapt = cell.adaptation if cell.adaptation is not None else adaptation
-    if adapt is not None and not isinstance(adapt, AdaptationManager):
-        adapt = AdaptationManager(adapt)
-    resil = cell.resilience if cell.resilience is not None else resilience
-    injector = (
-        FaultInjector(plan, telemetry=tel)
-        if plan is not None and plan.active
+    """Resolve ``cell`` into live objects without running it."""
+    adaptation = (
+        AdaptationManager(cell.adaptation)
+        if cell.adaptation is not None
         else None
     )
-    if injector is not None and resil is None:
+    injector = (
+        FaultInjector(cell.fault_plan, telemetry=telemetry)
+        if cell.fault_plan is not None and cell.fault_plan.active
+        else None
+    )
+    resilience = cell.resilience
+    if injector is not None and resilience is None:
         # Injecting faults into an unhardened loop would just crash it.
-        resil = ResilienceConfig()
+        resilience = ResilienceConfig()
     machine_config = config.machine_config(cell.seed_offset)
     machine = (
         MulticoreMachine(
@@ -112,10 +103,10 @@ def prepare_cell(
         machine,
         governor,
         keep_trace=config.keep_trace,
-        telemetry=tel,
-        resilience=resil,
+        telemetry=telemetry,
+        resilience=resilience,
         injector=injector,
-        adaptation=adapt,
+        adaptation=adaptation,
     )
     return PreparedCell(
         cell=cell,
@@ -124,8 +115,8 @@ def prepare_cell(
         controller=controller,
         governor=governor,
         injector=injector,
-        adaptation=adapt,
-        telemetry=tel,
+        adaptation=adaptation,
+        telemetry=telemetry,
     )
 
 
@@ -133,34 +124,7 @@ def execute_cell(
     cell: RunCell,
     config: ExperimentConfig,
     telemetry: TelemetryRecorder | None = None,
-    fault_plan: FaultPlan | None = None,
-    adaptation: AdaptationConfig | AdaptationManager | None = None,
-    resilience: ResilienceConfig | None = None,
 ) -> RunResult:
-    """Execute one cell under the current session's options.
-
-    Each option comes from the cell, else the argument, else the
-    current :class:`~repro.exec.session.ExecSession`.  A direct call
-    always runs and is never stored: only a session's plans are.
-    """
-    # Imported here: repro.exec.session imports this module.
-    from repro.exec.session import current_session
-
-    session = current_session()
-    if session is not None:
-        if telemetry is None:
-            telemetry = session.telemetry
-        if fault_plan is None:
-            fault_plan = session.faults
-        if adaptation is None:
-            adaptation = session.adaptation
-        if resilience is None:
-            resilience = session.resilience
-    return prepare_cell(
-        cell,
-        config,
-        telemetry=telemetry,
-        fault_plan=fault_plan,
-        adaptation=adaptation,
-        resilience=resilience,
-    ).execute()
+    """Execute one cell.  A direct call always runs and is never
+    stored: only a session's plans are."""
+    return prepare_cell(cell, config, telemetry).execute()

@@ -9,9 +9,9 @@ describes runs with three plain-data types:
   governor (kind + parameters + model source) that builds a fresh
   governor instance on demand;
 * :class:`RunCell` -- one experiment cell: workload x governor x seed
-  offset (plus schedule / initial frequency / per-cell overrides);
-* :class:`RunPlan` -- a configured batch of cells with plan-wide fault /
-  adaptation / resilience options carried **as data**.
+  offset, plus its fault plan, adaptation and resilience configs (and
+  schedule / initial frequency), all **as data**;
+* :class:`RunPlan` -- a configured batch of cells.
 
 A plan is the unit the execution engine schedules: serial execution
 walks the cells in order, the worker pool fans them out over
@@ -369,9 +369,9 @@ class RunCell:
 
     ``group``/``rep`` tag cells that belong to one logical measurement
     (the paper's median-of-N protocol expands one measurement into
-    ``runs`` cells with seed offsets 100*i).  Per-cell ``fault_plan`` /
-    ``adaptation`` / ``resilience`` override the plan-wide options when
-    set.
+    ``runs`` cells with seed offsets 100*i).  ``fault_plan`` /
+    ``adaptation`` / ``resilience`` are the run's only carriers of those
+    options.
 
     ``threads`` > 1 runs the cell on a
     :class:`~repro.multicore.machine.MulticoreMachine` with ``threads``
@@ -492,22 +492,22 @@ class RunCell:
             group=data.get("group"),
             rep=int(data.get("rep", 0)),
             threads=int(data.get("threads", 1)),
-            fault_plan=(
-                FaultPlan.from_dict(data["fault_plan"])
-                if data.get("fault_plan") is not None
-                else None
-            ),
-            adaptation=(
-                AdaptationConfig(**data["adaptation"])
-                if data.get("adaptation") is not None
-                else None
-            ),
-            resilience=(
-                ResilienceConfig(**data["resilience"])
-                if data.get("resilience") is not None
-                else None
-            ),
+            **_options_from_dict(data),
         )
+
+
+def _options_from_dict(data: Mapping) -> dict:
+    """The ``fault_plan`` / ``adaptation`` / ``resilience`` a cell (or
+    a plan file's top level) serializes; None where absent."""
+    builders = (
+        ("fault_plan", FaultPlan.from_dict),
+        ("adaptation", lambda value: AdaptationConfig(**value)),
+        ("resilience", lambda value: ResilienceConfig(**value)),
+    )
+    return {
+        key: None if data.get(key) is None else build(data[key])
+        for key, build in builders
+    }
 
 
 #: ExperimentConfig fields that serialize (the machine config must be
@@ -517,7 +517,7 @@ _CONFIG_FIELDS = ("scale", "runs", "seed", "keep_trace", "max_seconds")
 
 @dataclass(frozen=True)
 class RunPlan:
-    """A configured batch of cells plus plan-wide options as data.
+    """A configured batch of cells.
 
     This is the single declarative description the execution engine
     consumes: serial and parallel execution of the same plan produce
@@ -527,12 +527,24 @@ class RunPlan:
 
     config: ExperimentConfig
     cells: tuple[RunCell, ...]
-    fault_plan: FaultPlan | None = None
-    adaptation: AdaptationConfig | None = None
-    resilience: ResilienceConfig | None = None
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def stamp(self, **options) -> "RunPlan":
+        """This plan with each given option (``fault_plan``,
+        ``adaptation``, ``resilience``) set on every cell that leaves it
+        unset; the plan itself when none is given."""
+        options = {k: v for k, v in options.items() if v is not None}
+        if not options:
+            return self
+        return replace(self, cells=tuple(
+            replace(cell, **{
+                key: value for key, value in options.items()
+                if getattr(cell, key) is None
+            })
+            for cell in self.cells
+        ))
 
     @classmethod
     def single(
@@ -558,7 +570,9 @@ class RunPlan:
         config: ExperimentConfig | None = None,
         seeds: Sequence[int] = (0,),
         threads: Sequence[int] = (1,),
-        **plan_kwargs,
+        fault_plan: FaultPlan | None = None,
+        adaptation: AdaptationConfig | None = None,
+        resilience: ResilienceConfig | None = None,
     ) -> "RunPlan":
         """The full cross product workloads x governors x seeds x threads.
 
@@ -566,6 +580,8 @@ class RunPlan:
         median protocol instead uses ``config.runs`` via
         :meth:`with_median_cells`.  ``threads`` values other than 1 run
         the cell on a multicore machine with that many cores.
+        ``fault_plan``, ``adaptation`` and ``resilience`` are set on
+        every cell.
         """
         config = config or ExperimentConfig()
         cells = tuple(
@@ -575,20 +591,23 @@ class RunPlan:
                 seed_offset=s,
                 threads=t,
                 group=(w if isinstance(w, str) else w.name),
+                fault_plan=fault_plan,
+                adaptation=adaptation,
+                resilience=resilience,
             )
             for w in workloads
             for g in governors
             for s in seeds
             for t in threads
         )
-        return cls(config=config, cells=cells, **plan_kwargs)
+        return cls(config=config, cells=cells)
 
     @classmethod
     def sweep_axes(
         cls,
         axes: Mapping[str, Iterable],
         config: ExperimentConfig | None = None,
-        **plan_kwargs,
+        **options,
     ) -> "RunPlan":
         """:meth:`sweep` from a mapping of named axes, validated up front.
 
@@ -616,7 +635,7 @@ class RunPlan:
             config=config,
             seeds=tuple(axes.get("seeds", (0,))),
             threads=tuple(axes.get("threads", (1,))),
-            **plan_kwargs,
+            **options,
         )
 
     def cell_seed(self, cell: RunCell) -> int:
@@ -632,20 +651,13 @@ class RunPlan:
                 "plans with a non-default machine config do not serialize; "
                 "construct them in-process"
             )
-        out: dict = {
+        return {
             "format": PLAN_FORMAT_VERSION,
             "config": {
                 key: getattr(self.config, key) for key in _CONFIG_FIELDS
             },
             "cells": [cell.to_dict() for cell in self.cells],
         }
-        if self.fault_plan is not None:
-            out["fault_plan"] = self.fault_plan.to_dict()
-        if self.adaptation is not None:
-            out["adaptation"] = dataclasses.asdict(self.adaptation)
-        if self.resilience is not None:
-            out["resilience"] = dataclasses.asdict(self.resilience)
-        return out
 
     def to_json(self) -> str:
         """Serialize the plan for ``repro-power run --plan``."""
@@ -653,7 +665,11 @@ class RunPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunPlan":
-        """Inverse of :meth:`to_dict` (validates the format version)."""
+        """Inverse of :meth:`to_dict` (validates the format version).
+
+        A top-level ``fault_plan`` / ``adaptation`` / ``resilience`` is
+        set on every cell that leaves it unset.
+        """
         if not isinstance(data, Mapping) or "cells" not in data:
             raise ExperimentError("run plan must be a mapping with 'cells'")
         version = data.get("format", PLAN_FORMAT_VERSION)
@@ -671,22 +687,7 @@ class RunPlan:
         return cls(
             config=ExperimentConfig(**raw_config),
             cells=tuple(RunCell.from_dict(c) for c in data["cells"]),
-            fault_plan=(
-                FaultPlan.from_dict(data["fault_plan"])
-                if data.get("fault_plan") is not None
-                else None
-            ),
-            adaptation=(
-                AdaptationConfig(**data["adaptation"])
-                if data.get("adaptation") is not None
-                else None
-            ),
-            resilience=(
-                ResilienceConfig(**data["resilience"])
-                if data.get("resilience") is not None
-                else None
-            ),
-        )
+        ).stamp(**_options_from_dict(data))
 
     @classmethod
     def from_json(cls, text: str) -> "RunPlan":

@@ -1,13 +1,13 @@
 """One composable entry point for running experiments.
 
-Every option of a run lives on one :class:`ExecSession`: the telemetry
-recorder, the fault plan, the adaptation config, the resilience config,
-the result store and the worker count.  :func:`open_session`
-opens one and makes it the *current* session, the only process-local
-option state in the package::
+A run's options -- fault plan, adaptation config, resilience config --
+ride on its :class:`~repro.exec.plan.RunCell`.  An :class:`ExecSession`
+holds what is not part of a run: the telemetry recorder, the result
+store and the worker count.  :func:`open_session` opens one and makes
+it the *current* session, the only process-local state in the
+package::
 
-    with open_session(telemetry_dir="out", faults=faults,
-                      adaptation=adapt, store=store,
+    with open_session(telemetry_dir="out", store=store,
                       workers=4) as session:
         result = session.run("mcf", GovernorSpec.ps(0.8), config)
 
@@ -17,26 +17,24 @@ bit-identical results.
 
 Code between the layers (the experiment sections'
 :func:`~repro.experiments.runner.execute_plans`) runs its cells on the
-current session (:func:`execute_cells` does the same for a list), and
-:func:`~repro.exec.core.execute_cell` takes every option it is not
-given from it -- so a CLI-level ``--workers 4 --faults F`` reaches
-sweeps built many layers below without those layers knowing.  A
-session opened inside another fills the recorder, fault plan,
-adaptation config and result store it is not given from the
-enclosing one.  To run cells *without* some enclosing option, build an
-:class:`ExecSession` directly and run them on it.
+current session, so a CLI-level ``--workers 4`` reaches sweeps built
+many layers below without those layers knowing.  A session's
+``faults`` / ``adaptation`` are a stamp, not a carrier:
+:meth:`ExecSession.stamp` sets them on every cell of a plan the
+session runs that leaves them unset, before the plan is keyed, so a
+stamped cell and one that carried the same option are the same run
+under the same store key.  A session opened inside another takes
+nothing from it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 from typing import TYPE_CHECKING, Iterator, List, Sequence
 
 from repro.adaptation.manager import AdaptationConfig
 from repro.core.controller import RunResult
-from repro.core.resilience import ResilienceConfig
 from repro.errors import ExperimentError
 from repro.exec.core import execute_cell
 from repro.exec.plan import (
@@ -68,11 +66,10 @@ def set_session(session: "ExecSession | None") -> None:
 
 
 class ExecSession:
-    """A live execution scope: options + (optionally) a worker pool.
+    """A live execution scope: recorder, store, stamp and worker pool.
 
     :func:`open_session` is the usual way in.  Construct one directly
-    to run cells under exactly the options given here, with nothing
-    taken from the current session.
+    to run cells without making it the current session.
     """
 
     def __init__(
@@ -82,7 +79,6 @@ class ExecSession:
         telemetry_dir: str | os.PathLike | None = None,
         faults: FaultPlan | None = None,
         adaptation: AdaptationConfig | None = None,
-        resilience: ResilienceConfig | None = None,
         store: "ResultStore | None" = None,
         cell_hook=None,
     ):
@@ -93,7 +89,6 @@ class ExecSession:
         )
         self.faults = faults
         self.adaptation = adaptation
-        self.resilience = resilience
         self.store = store
         self.cell_hook = cell_hook
         #: The most recent pool's LeaseDispatcher (its ``restarts`` and
@@ -117,15 +112,11 @@ class ExecSession:
         """Execute a plan (serially or on the pool), in cell order."""
         return list(self.iter_plan(plan))
 
-    def resolve(self, plan: RunPlan) -> RunPlan:
-        """``plan`` with the plan-wide options it leaves unset taken
-        from this session: what :meth:`iter_plan` runs and digests."""
-        return dataclasses.replace(
-            plan,
-            fault_plan=_given(plan.fault_plan, self.faults),
-            adaptation=_given(plan.adaptation, self.adaptation),
-            resilience=_given(plan.resilience, self.resilience),
-        )
+    def stamp(self, plan: RunPlan) -> RunPlan:
+        """``plan`` with this session's ``faults`` / ``adaptation`` set
+        on every cell that leaves them unset: what :meth:`iter_plan`
+        runs and keys."""
+        return plan.stamp(fault_plan=self.faults, adaptation=self.adaptation)
 
     def iter_plan(self, plan: RunPlan, keys=None) -> Iterator[RunResult]:
         """Yield a plan's results in cell order.
@@ -133,16 +124,15 @@ class ExecSession:
         Serially, each cell runs when its result is asked for, so a
         caller that drops results as it goes holds one at a time; on
         the pool every cell runs before the first result is yielded.
-        Cells run under :meth:`resolve`'s options, with this session
-        current.  A store serves the cells it holds and keeps every
-        other one with a canonical spec; ``keys`` is ``plan_keys(
-        resolve(plan), keyless=True)`` when the caller has it.
-        Serially, a digest's first occurrence in a store opening also
-        restores the registry it was put with; a recurrence runs again
-        under an enabled recorder, as it would without a store, and is
-        not put again.
+        Cells run as :meth:`stamp` leaves them.  A store serves the
+        cells it holds and keeps every other one with a canonical spec;
+        ``keys`` is ``plan_keys(stamp(plan), keyless=True)`` when the
+        caller has it.  Serially, a digest's first occurrence in a
+        store opening also restores the registry it was put with; a
+        recurrence runs again under an enabled recorder, as it would
+        without a store, and is not put again.
         """
-        plan = self.resolve(plan)
+        plan = self.stamp(plan)
         store = self.store
         if store is None:
             keys = [None] * len(plan.cells), [None] * len(plan.cells)
@@ -164,19 +154,7 @@ class ExecSession:
                     store.visited.add(digest)
                     yield result
                     continue
-            previous = current_session()
-            set_session(self)
-            try:
-                result = execute_cell(
-                    cell,
-                    plan.config,
-                    telemetry=tel,
-                    fault_plan=plan.fault_plan,
-                    adaptation=plan.adaptation,
-                    resilience=plan.resilience,
-                )
-            finally:
-                set_session(previous)
+            result = execute_cell(cell, plan.config, telemetry=tel)
             if first:
                 store.put(digest, spec, result, telemetry=tel)
                 store.visited.add(digest)
@@ -245,24 +223,6 @@ class ExecSession:
         return self.run_cells([cell], config or ExperimentConfig())[0]
 
 
-def _given(value, default):
-    """``value`` unless it is None, else ``default``."""
-    return value if value is not None else default
-
-
-def execute_cells(
-    cells: Sequence[RunCell], config: ExperimentConfig
-) -> List[RunResult]:
-    """Execute cells through the current session (serial when none).
-
-    This is the seam mid-layer code calls so that a session opened
-    above it -- e.g. the CLI's ``--workers 4`` -- transparently
-    parallelises its sweeps.  Without a session the cells run in
-    order, in process, with no options beyond their own.
-    """
-    return (current_session() or ExecSession()).run_cells(cells, config)
-
-
 @contextlib.contextmanager
 def open_session(
     workers: int = 0,
@@ -270,7 +230,6 @@ def open_session(
     telemetry_dir: str | os.PathLike | None = None,
     faults: FaultPlan | None = None,
     adaptation: AdaptationConfig | None = None,
-    resilience: ResilienceConfig | None = None,
     store: "ResultStore | None" = None,
 ) -> Iterator[ExecSession]:
     """Open an execution session and make it the current one.
@@ -281,25 +240,15 @@ def open_session(
     * ``telemetry_dir``: create (or reuse ``telemetry``) a recorder and
       write a full telemetry directory there on exit; with workers,
       per-worker subdirectories are merged in automatically.
-    * ``faults`` / ``adaptation`` / ``resilience``: options for every
-      cell run under the session, in this process or carried as data
-      into worker processes.
+    * ``faults`` / ``adaptation``: stamped on every cell the session
+      runs that leaves them unset (:meth:`ExecSession.stamp`).
     * ``store``: a :class:`~repro.campaign.store.ResultStore` serving
       and keeping the session's cells (:meth:`ExecSession.iter_plan`);
       its owner closes it, which fsyncs the log once.
 
-    Inside another session, ``telemetry`` (unless ``telemetry_dir`` is
-    given), ``faults``, ``adaptation`` and ``store`` default to the
-    enclosing session's; ``workers``, ``telemetry_dir`` and
-    ``resilience`` do not.
+    The enclosing session, if any, is current again on exit.
     """
     outer = current_session()
-    if outer is not None:
-        if telemetry_dir is None:
-            telemetry = _given(telemetry, outer.telemetry)
-        faults = _given(faults, outer.faults)
-        adaptation = _given(adaptation, outer.adaptation)
-        store = _given(store, outer.store)
     sink = None
     if telemetry_dir is not None:
         if telemetry is None:
@@ -314,7 +263,6 @@ def open_session(
         telemetry_dir=telemetry_dir,
         faults=faults,
         adaptation=adaptation,
-        resilience=resilience,
         store=store,
     )
     set_session(session)

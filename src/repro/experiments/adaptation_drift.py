@@ -24,24 +24,21 @@ recalibration on the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from repro.adaptation.manager import AdaptationConfig, AdaptationManager
+from repro.adaptation.manager import AdaptationConfig
 from repro.analysis.report import TextTable
 from repro.core.controller import RunResult
-from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.exec import (
     ExecSession,
     ExperimentConfig,
+    GovernorSpec,
     RunCell,
-    as_governor_spec,
     current_session,
-    execute_cell,
+    prepare_cell,
 )
-from repro.exec.cache import trained_power_model
 from repro.faults.plan import FaultPlan, MeterFaults
-from repro.workloads.microbenchmarks import worst_case_workload
 
 #: Power limit both legs enforce (the paper's most violation-prone
 #: limit, §IV-A2).
@@ -102,32 +99,26 @@ def run(
     # FMA-256KB needs a large scale to outlast the drift onset: ~10 s
     # of simulated control loop (~1000 ticks) per leg.
     config = config or ExperimentConfig(scale=64.0)
-    model = trained_power_model(seed=config.seed)
-    workload = worst_case_workload()
-    plan = FaultPlan(seed=config.seed, meter=drift)
-
-    def pm_factory(table):
-        return PerformanceMaximizer(table, model, power_limit_w)
-
-    # The frozen leg must stay frozen even when the current session
-    # adapts (``experiment --adapt``): it runs on a session that keeps
-    # every option of the current one except the adaptation config.
-    cell = RunCell(workload=workload, governor=as_governor_spec(pm_factory))
-    outer = current_session() or ExecSession()
-    frozen_leg = ExecSession(
-        telemetry=outer.telemetry,
-        faults=plan,
-        resilience=outer.resilience,
-        store=outer.store,
+    cell = RunCell(
+        "FMA-256KB",
+        GovernorSpec.pm(power_limit_w),
+        fault_plan=FaultPlan(seed=config.seed, meter=drift),
     )
+    # The frozen leg must stay frozen even when the current session
+    # adapts (``experiment --adapt``): it runs on a session with the
+    # current one's recorder and store but no stamp.
+    outer = current_session() or ExecSession()
+    frozen_leg = ExecSession(telemetry=outer.telemetry, store=outer.store)
     frozen_run = frozen_leg.run_cells([cell], config)[0]
 
-    manager = AdaptationManager(
-        adaptation if adaptation is not None else AdaptationConfig()
+    adaptive = prepare_cell(
+        replace(cell, adaptation=(
+            adaptation if adaptation is not None else AdaptationConfig()
+        )),
+        config,
+        outer.telemetry,
     )
-    adaptive_run = execute_cell(
-        cell, config, fault_plan=plan, adaptation=manager
-    )
+    adaptive_run = adaptive.execute()
 
     return DriftResult(
         power_limit_w=power_limit_w,
@@ -135,7 +126,7 @@ def run(
         drift_start_s=drift.drift_start_s,
         frozen=LegOutcome.from_run(frozen_run, power_limit_w),
         adaptive=LegOutcome.from_run(adaptive_run, power_limit_w),
-        adaptation=dict(manager.summary()),
+        adaptation=dict(adaptive.adaptation.summary()),
     )
 
 

@@ -48,8 +48,9 @@ def execute_plans(
     """Yield, per plan, its results in cell order; each distinct cell
     runs once, through the current session.
 
-    Cells are keyed by their digest under the session's options
-    (:func:`~repro.campaign.store.plan_keys`), which its store reuses.
+    Cells are keyed by their digest once the session has stamped them
+    (:meth:`~repro.exec.session.ExecSession.stamp`,
+    :func:`~repro.campaign.store.plan_keys`); its store reuses the keys.
     A cell that has none -- an inline workload, a schedule, a factory
     governor, a bespoke machine -- is never shared.  Each plan runs
     the cells no earlier plan ran, in its own order, as one plan of
@@ -60,7 +61,7 @@ def execute_plans(
     once.
     """
     session = current_session() or ExecSession()
-    plans = [session.resolve(plan) for plan in plans]
+    plans = [session.stamp(plan) for plan in plans]
     keyed = [plan_keys(plan, keyless=True) for plan in plans]
     keys = [
         [key or (i, j) for j, key in enumerate(digests)]

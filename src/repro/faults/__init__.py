@@ -11,8 +11,8 @@ input so the hardened monitor -> estimate -> control loop can be tested
   per-subsystem fault models (dropped/duplicated/garbled/overflowed
   counter samples, meter dropout and spikes, failed/stalled p-state
   transitions, stuck thermal sensors), JSON (or YAML) loadable for the
-  CLI's ``--faults SPEC`` and carried into every run by
-  ``open_session(faults=...)``;
+  CLI's ``--faults SPEC`` and carried into a run by its cell
+  (``RunCell(fault_plan=...)``);
 * :mod:`repro.faults.injector` -- the seeded :class:`FaultInjector` and
   its interface-preserving wrappers around the counter sampler, power
   meter and SpeedStep driver.

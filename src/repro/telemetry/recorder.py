@@ -11,7 +11,7 @@ whole experiment modules) finds its recorder on the current
 :class:`~repro.exec.session.ExecSession`::
 
     with open_session(telemetry=recorder):
-        module.run(config)   # every execute_cell() records into it
+        run_section(module, config)   # every cell it runs records
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ Validates the ISSUE's acceptance criteria:
 * ``REPRO_ADAPT_SMOKE=1`` exercises the CLI path end to end.
 """
 
+import dataclasses
 import os
 
 import pytest
 
-from repro.adaptation.manager import AdaptationConfig, AdaptationManager
+from repro.adaptation.manager import AdaptationConfig
 from repro.cli import main
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.exec import (
@@ -24,6 +25,7 @@ from repro.exec import (
     as_governor_spec,
     execute_cell,
     open_session,
+    prepare_cell,
 )
 from repro.experiments import adaptation_drift
 from repro.workloads.registry import get_workload
@@ -77,9 +79,11 @@ class TestInertWhenDisengaged:
             workload=workload, governor=as_governor_spec(factory)
         )
         baseline = execute_cell(cell, config)
-        manager = AdaptationManager()
-        managed = execute_cell(cell, config, adaptation=manager)
-        assert not manager.engaged
+        prepared = prepare_cell(
+            dataclasses.replace(cell, adaptation=AdaptationConfig()), config
+        )
+        managed = prepared.execute()
+        assert not prepared.adaptation.engaged
         assert managed.trace == baseline.trace
         assert managed.samples == baseline.samples
         assert managed.measured_energy_j == baseline.measured_energy_j

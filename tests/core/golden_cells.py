@@ -36,7 +36,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from repro.adaptation.manager import AdaptationConfig, AdaptationManager
+from repro.adaptation.manager import AdaptationConfig
 from repro.campaign.store import RESULTS_LOG, ResultStore
 from repro.checkpoint import run_result_digest
 from repro.checkpoint.format import HEADER_SIZE, read_records
@@ -177,10 +177,12 @@ def _direct(build, workload="ammp", scale=0.4, seed=11, plan=None,
 
 def _matrix(name, faults, adapt):
     return lambda: execute_cell(
-        RunCell(workload="gzip", governor=GOVERNORS[name]),
+        RunCell(
+            workload="gzip", governor=GOVERNORS[name],
+            fault_plan=PLAN if faults else None,
+            adaptation=AdaptationConfig() if adapt else None,
+        ),
         CONFIG,
-        fault_plan=PLAN if faults else None,
-        adaptation=AdaptationManager(AdaptationConfig()) if adapt else None,
     )
 
 

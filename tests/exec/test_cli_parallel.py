@@ -49,6 +49,19 @@ def test_run_plan_rejects_checkpoint_options(tmp_path, capsys):
     assert "--plan" in capsys.readouterr().err
 
 
+def test_run_plan_rejects_run_options(tmp_path, capsys):
+    """A plan's cells carry their own options: ``--faults`` and
+    ``--adapt`` are refused, not silently ignored."""
+    path = _plan_file(tmp_path)
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({"seed": 0}))
+    for option in (["--faults", str(faults)], ["--adapt"]):
+        assert main(["run", "--plan", str(path), *option]) == 1
+        assert f"--plan cannot be combined with {option[0]}" in (
+            capsys.readouterr().err
+        )
+
+
 def test_run_plan_rejects_bad_json(tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text("{broken")

@@ -10,6 +10,7 @@ from repro.adaptation.manager import AdaptationConfig
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.models.power import LinearPowerModel
+from repro.core.resilience import ResilienceConfig
 from repro.errors import ExperimentError, PlanError
 from repro.exec.plan import (
     PLAN_FORMAT_VERSION,
@@ -81,6 +82,7 @@ def test_as_governor_spec_wraps_callables(table):
 
 
 def test_plan_round_trip():
+    faults = FaultPlan(seed=3, sample=SampleFaults(drop_prob=0.01))
     plan = RunPlan(
         config=ExperimentConfig(scale=0.1, runs=3, seed=7, keep_trace=True),
         cells=(
@@ -89,15 +91,32 @@ def test_plan_round_trip():
             ), seed_offset=100, group="ammp", rep=1),
             RunCell(workload="mcf", governor=GovernorSpec.fixed(1600.0)),
         ),
-        fault_plan=FaultPlan(seed=3, sample=SampleFaults(drop_prob=0.01)),
-        adaptation=AdaptationConfig(cooldown_ticks=99),
-    )
+    ).stamp(fault_plan=faults, adaptation=AdaptationConfig(cooldown_ticks=99))
     clone = RunPlan.from_json(plan.to_json())
     assert clone.config == plan.config
     assert clone.cells == plan.cells
-    assert clone.fault_plan == plan.fault_plan
-    assert clone.adaptation == plan.adaptation
-    assert clone.resilience is None
+    assert all(cell.fault_plan == faults for cell in clone.cells)
+    assert all(cell.resilience is None for cell in clone.cells)
+    assert "fault_plan" not in plan.to_dict()
+
+
+def test_plan_file_options_stamp_the_cells_that_leave_them_unset():
+    own = FaultPlan(seed=8)
+    data = {
+        "config": {"scale": 0.1},
+        "cells": [
+            {"workload": "ammp", "governor": {"kind": "dbs"}},
+            {"workload": "mcf", "governor": {"kind": "dbs"},
+             "fault_plan": own.to_dict()},
+        ],
+        "fault_plan": {"seed": 3, "sample": {"drop_prob": 0.01}},
+        "resilience": {},
+    }
+    plan = RunPlan.from_dict(data)
+    shared = FaultPlan.from_dict(data["fault_plan"])
+    assert [c.fault_plan for c in plan.cells] == [shared, own]
+    assert all(c.resilience == ResilienceConfig() for c in plan.cells)
+    assert all(c.adaptation is None for c in plan.cells)
 
 
 def test_plan_cell_seed():

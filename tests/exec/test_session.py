@@ -1,10 +1,10 @@
 """open_session is the one ambient scope and the engine handle.
 
-One ``open_session`` call carries every option of a run: it becomes the
-current session, :func:`execute_cell` takes each option it is not given
-from it, a nested session inherits the enclosing one's recorder, fault
-plan, adaptation config and result store, and the same handle
-routes ``execute_cells`` from any layer.
+One ``open_session`` call holds the recorder, the result store and the
+worker count of a run and becomes the current session; its ``faults``
+/ ``adaptation`` are a stamp on the cells it runs, while the cell is
+the one carrier of a run's options.  :func:`execute_cell` reads the
+cell alone, and a nested session takes nothing from the enclosing one.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ import pytest
 from repro.adaptation.manager import AdaptationConfig
 from repro.campaign.store import ResultStore
 from repro.checkpoint.digest import run_result_digest
-from repro.core.resilience import ResilienceConfig
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 from repro.exec.session import (
     ExecSession,
     current_session,
-    execute_cells,
     open_session,
 )
 from repro.exec.core import execute_cell
+from repro.experiments import runner
 from repro.faults.plan import FaultPlan, SampleFaults
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.workloads.registry import get_workload
@@ -41,6 +40,12 @@ def _digests(results):
     return [run_result_digest(r) for r in results]
 
 
+def _serial(cells):
+    """The cells run in order, in process, with no options beyond
+    their own."""
+    return ExecSession().run_cells(cells, CONFIG)
+
+
 def test_open_session_installs_and_restores_ambient_state():
     faults = FaultPlan(seed=9, sample=SampleFaults(drop_prob=0.01))
     adaptation = AdaptationConfig(cooldown_ticks=123)
@@ -53,38 +58,10 @@ def test_open_session_installs_and_restores_ambient_state():
         assert session.telemetry is recorder
         assert session.faults is faults
         assert session.adaptation is adaptation
-    assert current_session() is None
-
-
-def test_nested_session_inherits_the_enclosing_options(tmp_path):
-    recorder = TelemetryRecorder()
-    adaptation = AdaptationConfig()
-    with ResultStore(tmp_path / "ckpt") as ckpt:
-        with open_session(
-            workers=2,
-            telemetry=recorder,
-            faults=FAULTS,
-            adaptation=adaptation,
-            resilience=ResilienceConfig(),
-            store=ckpt,
-        ) as outer:
-            with open_session() as inner:
-                assert current_session() is inner
-                assert inner.telemetry is recorder
-                assert inner.faults is FAULTS
-                assert inner.adaptation is adaptation
-                assert inner.store is ckpt
-                # Not carried by the old contexts, so not inherited.
-                assert inner.workers == 0
-                assert inner.resilience is None
-            faults = FaultPlan(seed=1)
-            with open_session(
-                telemetry_dir=tmp_path / "tel", faults=faults
-            ) as own:
-                assert own.telemetry is not recorder
-                assert own.faults is faults
-                assert own.store is ckpt
-            assert current_session() is outer
+        with open_session() as inner:
+            assert current_session() is inner
+            assert inner.telemetry is None and inner.faults is None
+        assert current_session() is session
     assert current_session() is None
 
 
@@ -99,30 +76,28 @@ def test_session_run_matches_legacy_entry_point():
     assert run_result_digest(new) == run_result_digest(legacy)
 
 
-def test_execute_cell_resolves_cell_then_argument_then_session():
+def test_execute_cell_reads_its_options_from_the_cell_alone():
     cell = CELLS[1]
-    other = FaultPlan(seed=5, sample=SampleFaults(garble_prob=0.2))
+    faulted = RunCell(
+        workload=cell.workload, governor=cell.governor, fault_plan=FAULTS
+    )
 
-    def digest(run_cell, **kwargs):
-        return run_result_digest(execute_cell(run_cell, CONFIG, **kwargs))
+    def digest(run_cell):
+        return run_result_digest(execute_cell(run_cell, CONFIG))
 
-    clean = digest(cell)
-    by_session = digest(cell, fault_plan=FAULTS)
-    by_other = digest(cell, fault_plan=other)
-    assert clean != by_session != by_other != clean
-    with open_session(faults=FAULTS):
-        assert digest(cell) == by_session
-        assert digest(cell, fault_plan=other) == by_other
-        on_cell = RunCell(
-            workload=cell.workload, governor=cell.governor, fault_plan=other
-        )
-        assert digest(on_cell, fault_plan=FAULTS) == by_other
+    clean, by_cell = digest(cell), digest(faulted)
+    assert clean != by_cell
+    with open_session(faults=FAULTS, adaptation=AdaptationConfig()):
+        assert digest(cell) == clean
+        assert digest(faulted) == by_cell
 
 
-def test_execute_cells_routes_through_ambient_session():
-    serial = _digests(execute_cells(CELLS, CONFIG))  # no session: in-order
+def test_execute_plans_routes_through_ambient_session():
+    serial = _digests(_serial(CELLS))
+    plan = RunPlan(config=CONFIG, cells=CELLS)
     with open_session(workers=2) as session:
-        routed = execute_cells(CELLS, CONFIG)
+        (routed,) = runner.execute_plans([plan])
+        routed = list(routed)
     assert _digests(routed) == serial
     assert session.last_runner is not None  # it really went to the pool
 
@@ -137,7 +112,7 @@ def test_iter_plan_runs_each_cell_when_its_result_is_taken(tmp_path):
         assert len(ckpt.object_digests()) == 1
         assert current_session() is None  # current only while a cell runs
         rest = list(results)
-    assert _digests([first, *rest]) == _digests(execute_cells(CELLS, CONFIG))
+    assert _digests([first, *rest]) == _digests(_serial(CELLS))
 
 
 def test_session_faults_change_results():
@@ -170,7 +145,7 @@ def test_direct_session_ignores_the_current_one(tmp_path):
             assert current_session() is outer
         assert ckpt.object_digests() == []
         assert recorder.metrics.counter("controller.ticks").value == 0
-    assert _digests(bare) == _digests(execute_cells(CELLS, CONFIG))
+    assert _digests(bare) == _digests(_serial(CELLS))
 
 
 def _require_no_current_session(index: int) -> None:
@@ -189,10 +164,10 @@ def test_pool_workers_start_without_a_current_session(tmp_path):
                 workers=2, cell_hook=_require_no_current_session
             )
             pooled = pool.run_cells(CELLS, CONFIG)
-            with open_session(workers=2) as session:
+            with open_session(workers=2, store=ckpt) as session:
                 session.run_cells(CELLS, CONFIG)
-    assert _digests(pooled) == _digests(execute_cells(CELLS, CONFIG))
-    # The direct pool session has no store; the inner one inherits it
+    assert _digests(pooled) == _digests(_serial(CELLS))
+    # The direct pool session has no store; the inner one is given it
     # and the parent puts one record per cell.
     with ResultStore(directory, create=False) as ckpt:
         assert len(ckpt.object_digests()) == len(CELLS)
@@ -266,7 +241,7 @@ def test_session_without_a_store_computes_no_digest(monkeypatch, workers):
     monkeypatch.setattr(store, "campaign_cell_spec", refuse)
     with open_session(workers=workers) as session:
         results = session.run_cells(CELLS, CONFIG)
-    assert _digests(results) == _digests(execute_cells(CELLS, CONFIG))
+    assert _digests(results) == _digests(_serial(CELLS))
 
 
 @pytest.mark.parametrize("keep", [None, 0, 1, 2])
@@ -284,8 +259,10 @@ def test_recurring_cell_keeps_the_uninterrupted_metrics(tmp_path, keep):
     directory = tmp_path / "store"
     if keep is not None:
         with ResultStore(directory) as store:
-            with open_session(telemetry=TelemetryRecorder(), store=store):
-                execute_cells(cells, CONFIG)
+            with open_session(
+                telemetry=TelemetryRecorder(), store=store
+            ) as session:
+                session.run_cells(cells, CONFIG)
         cut(directory, keep)
     recorder = TelemetryRecorder()
     with ResultStore(directory) as store:
@@ -318,4 +295,4 @@ def test_hits_count_each_resumed_digest_once(tmp_path):
             results = session.run_cells(cells, CONFIG)
         assert store.hits == 1
         assert len(store.object_digests()) == 2
-    assert _digests(results) == _digests(execute_cells(cells, CONFIG))
+    assert _digests(results) == _digests(_serial(cells))

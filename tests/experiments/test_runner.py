@@ -22,11 +22,10 @@ from repro.exec import (
     RunPlan,
     as_governor_spec,
     execute_cell,
-    execute_cells,
 )
 from repro.exec import cache
 from repro.exec.cache import trained_power_model, worst_case_power_table
-from repro.exec.session import open_session
+from repro.exec.session import ExecSession, open_session
 from repro import experiments
 from repro.experiments.runner import execute_plans
 from repro.experiments.suite import (
@@ -81,7 +80,7 @@ def test_median_run_protocol():
     assert [(c.workload, c.seed_offset, c.rep) for c in cells[:4]] == [
         ("gzip", 0, 0), ("gzip", 100, 1), ("gzip", 200, 2), ("vpr", 0, 0),
     ]
-    results = execute_cells(
+    results = ExecSession().run_cells(
         cells, ExperimentConfig(scale=0.02, seed=3, runs=3)
     )
     picked = take_suite(iter(results), runs=3)
@@ -154,7 +153,9 @@ def test_worst_case_table_is_measured_clean_under_any_session(
 
 
 def test_suite_order_is_canonical(config):
-    results = execute_cells(suite_fixed(2000.0), ExperimentConfig(scale=0.02))
+    results = ExecSession().run_cells(
+        suite_fixed(2000.0), ExperimentConfig(scale=0.02)
+    )
     order = list(take_suite(iter(results)))
     assert order == list(suite_names())
     assert len(order) == 26
@@ -187,7 +188,7 @@ def test_execute_plans_digests_each_cell_once_under_a_store(
     monkeypatch, tmp_path
 ):
     """The session looks cells up by the digests ``execute_plans``
-    keyed them with, computed under the session's own options."""
+    keyed them with, computed once the session stamped them."""
     from repro.campaign import store as store_module
 
     calls = []
@@ -213,10 +214,7 @@ def test_execute_plans_digests_each_cell_once_under_a_store(
         stored = store.object_digests()
     assert len(calls) == 3
     monkeypatch.setattr(store_module, "cell_digest", real)
-    resolved = [
-        RunPlan(config=plan.config, cells=plan.cells, fault_plan=faults)
-        for plan in plans
-    ]
+    resolved = [plan.stamp(fault_plan=faults) for plan in plans]
     assert stored == sorted(
         set(store_module.plan_digests(resolved[0]))
         | set(store_module.plan_digests(resolved[1]))

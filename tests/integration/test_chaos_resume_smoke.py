@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.checkpoint.format import read_records
+from repro.checkpoint.format import HEADER_SIZE, read_records
 from repro.experiments import chaos_resume
 from repro.exec import ExperimentConfig
 
@@ -42,6 +42,13 @@ def test_chaos_kill_resume_drill():
     assert "PASS" in chaos_resume.render(result)
 
 
+def _size(path) -> int:
+    try:
+        return os.path.getsize(path)
+    except FileNotFoundError:
+        return 0
+
+
 def test_experiment_session_survives_sigkill(tmp_path):
     """SIGKILL a checkpointed experiment session, resume, same stdout."""
     base = [sys.executable, "-m", "repro", "experiment"]
@@ -59,11 +66,13 @@ def test_experiment_session_survives_sigkill(tmp_path):
     )
     # Kill as soon as at least one cell is in the store, so the resume
     # genuinely serves a partial session.  If the session wins the race
-    # and finishes first, resume still serves it all.
+    # and finishes first, resume still serves it all.  The writer
+    # creates the log before its header is written, so it is read only
+    # once it holds more than a header, as ``ResultStore.refresh`` does.
     log = session_dir / "results.log"
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline and victim.poll() is None:
-        if log.exists() and read_records(log):
+        if _size(log) > HEADER_SIZE and read_records(log):
             victim.send_signal(signal.SIGKILL)
             break
         time.sleep(0.005)

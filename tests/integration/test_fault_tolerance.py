@@ -46,9 +46,11 @@ def _factory(table):
     return PerformanceMaximizer(table, MODEL, LIMIT_W)
 
 
-def _pm_cell(name="gzip"):
+def _pm_cell(name="gzip", fault_plan=None):
     return RunCell(
-        workload=get_workload(name), governor=as_governor_spec(_factory)
+        workload=get_workload(name),
+        governor=as_governor_spec(_factory),
+        fault_plan=fault_plan,
     )
 
 
@@ -58,10 +60,9 @@ def faulted_run():
     events = []
     recorder.bus.subscribe(events.append)
     result = execute_cell(
-        _pm_cell(),
+        _pm_cell(fault_plan=PLAN),
         ExperimentConfig(scale=0.5, seed=0, keep_trace=True),
         telemetry=recorder,
-        fault_plan=PLAN,
     )
     return result, events
 
@@ -128,8 +129,8 @@ class TestDisabledPlanIsFree:
         config = ExperimentConfig(scale=0.5, seed=0, keep_trace=True)
         baseline = execute_cell(_pm_cell(), config)
         gated = execute_cell(
-            _pm_cell(), config,
-            fault_plan=dataclasses.replace(PLAN, enabled=False),
+            _pm_cell(fault_plan=dataclasses.replace(PLAN, enabled=False)),
+            config,
         )
         assert gated.trace == baseline.trace
         assert gated.samples == baseline.samples
@@ -150,7 +151,7 @@ def test_fault_smoke_sweep():
     )
     config = ExperimentConfig(scale=0.2, seed=0)
     for name in ("gzip", "swim", "crafty"):
-        result = execute_cell(_pm_cell(name), config, fault_plan=plan)
+        result = execute_cell(_pm_cell(name, fault_plan=plan), config)
         workload = get_workload(name).scaled(config.scale)
         assert result.instructions == pytest.approx(
             workload.total_instructions, rel=1e-6

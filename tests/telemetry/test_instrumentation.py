@@ -27,6 +27,7 @@ from repro.exec import (
 )
 from repro.platform.machine import Machine, MachineConfig
 from repro.exec.session import open_session
+from repro.experiments.runner import execute_plans
 from repro.telemetry import (
     JsonlEventExporter,
     NullRecorder,
@@ -302,12 +303,18 @@ class TestRunnerIntegration:
                 "controller.transitions", 0
             ) == kinds.count("transition")
 
-    def test_execute_cell_picks_up_current_recorder(self):
+    def test_session_plans_use_its_recorder(self):
         recorder = TelemetryRecorder()
         config = ExperimentConfig(scale=0.05)
+        ticks = recorder.metrics.counter("controller.ticks")
         with open_session(telemetry=recorder):
+            (results,) = execute_plans([RunPlan(config, (self._pm_cell(),))])
+            list(results)
+            recorded = ticks.value
+            # A direct call records only into the recorder it is given.
             execute_cell(self._pm_cell(), config)
-        assert recorder.metrics.counter("controller.ticks").value > 0
+        assert recorded > 0
+        assert ticks.value == recorded
 
 
 def _pm_run(telemetry, scale):

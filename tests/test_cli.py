@@ -483,3 +483,26 @@ def test_experiment_resume_serves_the_stored_cells(tmp_path, capsys):
     assert main(["experiment", "fig2", "--scale", "0.1",
                  "--checkpoint", str(store)]) == 1
     assert '"scale": 0.05' in capsys.readouterr().err
+
+
+def test_experiment_resume_keeps_faults_and_adapt(tmp_path, capsys):
+    """``--resume`` reruns under the ``--faults`` / ``--adapt`` the
+    store recorded, so it serves every cell and prints the faulted
+    report; passing either again is refused, as an id is."""
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps(
+        {"seed": 3, "sample": {"drop_prob": 0.2, "garble_prob": 0.1}}
+    ))
+    store = tmp_path / "ck"
+    assert main(["experiment", "fig6", "--scale", "0.05", "--faults",
+                 str(faults), "--adapt", "--checkpoint", str(store)]) == 0
+    fresh = capsys.readouterr()
+    assert main(["experiment", "fig6", "--scale", "0.05"]) == 0
+    assert capsys.readouterr().out != fresh.out
+    assert main(["experiment", "--resume", str(store)]) == 0
+    resumed = capsys.readouterr()
+    assert resumed.out == fresh.out
+    assert f"(replayed 312 archived runs from {store})" in resumed.err
+    for extra in (["--faults", str(faults)], ["--adapt"]):
+        assert main(["experiment", "--resume", str(store), *extra]) == 1
+        assert "--resume" in capsys.readouterr().err
