@@ -84,7 +84,7 @@ from repro.checkpoint.format import (
     write_header,
 )
 from repro.core.controller import RunResult
-from repro.errors import CampaignError, CheckpointError, ReproError
+from repro.errors import CampaignError, CheckpointError
 from repro.exec.cache import file_sha256
 from repro.exec.plan import RunCell, RunPlan, _CONFIG_FIELDS
 from repro.ioutils import atomic_write_text, fsync_directory
@@ -189,24 +189,14 @@ def plan_digests(plan: RunPlan) -> List[str]:
     return plan_keys(plan)[1]
 
 
-def plan_keys(
-    plan: RunPlan, keyless: bool = False
-) -> Tuple[List[dict | None], List[str | None]]:
+def plan_keys(plan: RunPlan) -> Tuple[List[dict], List[str]]:
     """Every cell's spec and digest, in cell order, sharing one
-    :func:`plan_spec`.  With ``keyless``, a cell with no canonical spec
-    (an inline workload, a schedule, a factory governor, a bespoke
-    machine) gets None for both instead of raising."""
-    specs, digests, shared = [], [], None
-    for cell in plan.cells:
-        try:
-            shared = shared or plan_spec(plan)
-            spec = campaign_cell_spec(cell, plan, shared)
-        except ReproError:
-            if not keyless:
-                raise
-            spec = None
-        specs.append(spec)
-        digests.append(spec and cell_digest(cell, plan, spec))
+    :func:`plan_spec`."""
+    shared = plan_spec(plan)
+    specs = [campaign_cell_spec(cell, plan, shared) for cell in plan.cells]
+    digests = [
+        cell_digest(cell, plan, spec) for cell, spec in zip(plan.cells, specs)
+    ]
     return specs, digests
 
 

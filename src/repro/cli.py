@@ -90,25 +90,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workload", dest="workload_opt", metavar="SPEC", default=None,
         help="alternative to the positional workload (same forms)",
     )
+    # The governor, scale and seed flags default to None so that ``run
+    # --plan`` can refuse a given one; a single run fills in
+    # _RUN_DEFAULTS.
     run.add_argument(
         "--governor",
         choices=("pm", "ps", "fixed", "dbs", "adaptive-pm", "edp"),
-        default="pm",
+        help="governor (default pm)",
     )
     run.add_argument(
-        "--limit", type=float, default=14.5,
+        "--limit", type=float,
         help="PM power limit in watts (default 14.5)",
     )
     run.add_argument(
-        "--floor", type=float, default=0.8,
+        "--floor", type=float,
         help="PS performance floor fraction (default 0.8)",
     )
     run.add_argument(
-        "--frequency", type=float, default=2000.0,
+        "--frequency", type=float,
         help="fixed-governor frequency in MHz (default 2000)",
     )
-    run.add_argument("--scale", type=float, default=0.5)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument(
+        "--scale", type=float, help="workload scale (default 0.5)"
+    )
+    run.add_argument("--seed", type=int, help="experiment seed (default 0)")
     run.add_argument(
         "--model", metavar="FILE.json",
         help="load a saved power model instead of training",
@@ -536,6 +541,20 @@ _RUN_SPEC_KEYS = (
     "seed", "model", "use_paper_model", "adapt", "faults",
 )
 
+#: What a single ``run`` takes for each of these flags it was not given.
+_RUN_DEFAULTS = {
+    "governor": "pm", "limit": 14.5, "floor": 0.8, "frequency": 2000.0,
+    "scale": 0.5, "seed": 0,
+}
+
+#: ``run`` args a plan file's cells and config replace: ``run --plan``
+#: refuses each of them rather than ignore it.
+_PLAN_REFUSED = (
+    "workload", "resume", "checkpoint", "faults", "adapt", "trace",
+    "result_json", "registry", "model", "use_paper_model",
+    *_RUN_DEFAULTS,
+)
+
 
 def _write_result_json(result: RunResult, path: str) -> None:
     import json
@@ -611,10 +630,17 @@ def _cmd_run_plan(args) -> int:
     from repro.exec.plan import RunPlan
     from repro.exec.session import open_session
 
-    for flag in ("resume", "checkpoint", "faults", "adapt", "workload"):
-        if getattr(args, flag, None):
-            raise ReproError(f"--plan cannot be combined with "
-                             f"{'a workload' if flag == 'workload' else '--' + flag}")
+    for key in _PLAN_REFUSED:
+        value = getattr(args, key)
+        if value is None or value is False:  # not given (0 is given)
+            continue
+        flag = (
+            "a workload" if key == "workload" else "--" + key.replace("_", "-")
+        )
+        raise ReproError(
+            f"--plan cannot be combined with {flag}: the plan file's "
+            "cells and config describe every run"
+        )
     with open(args.plan) as handle:
         plan = RunPlan.from_json(handle.read())
     with open_session(
@@ -661,6 +687,12 @@ def _cmd_run(args) -> int:
         return _cmd_run_resume(args)
     if not args.workload:
         raise ReproError("workload is required (unless resuming)")
+    if args.workers:
+        raise ReproError("--workers applies only to --plan; a single run "
+                         "runs in this process")
+    for key, value in _RUN_DEFAULTS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
     fault_plan = _load_faults_arg(args.faults)
     if args.registry and not args.adapt:
         raise ReproError("--registry requires --adapt")

@@ -27,11 +27,9 @@ from repro.exec.plan import (
     PLAN_FORMAT_VERSION,
     VALID_SWEEP_AXES,
     ExperimentConfig,
-    GovernorFactory,
     GovernorSpec,
     RunCell,
     RunPlan,
-    as_governor_spec,
 )
 from repro.exec.session import (
     ExecSession,
@@ -46,12 +44,10 @@ __all__ = [
     "VALID_SWEEP_AXES",
     "ExecSession",
     "ExperimentConfig",
-    "GovernorFactory",
     "GovernorSpec",
     "PreparedCell",
     "RunCell",
     "RunPlan",
-    "as_governor_spec",
     "clear_caches",
     "current_session",
     "execute_cell",

@@ -150,14 +150,12 @@ def worst_case_power_table(
     if table is None:
         from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell
         from repro.exec.session import ExecSession
-        from repro.workloads.microbenchmarks import worst_case_workload
 
-        workload = worst_case_workload()
         config = ExperimentConfig(scale=scale, seed=seed)
         results = ExecSession().run_cells(
             [
                 RunCell(
-                    workload=workload,
+                    workload="FMA-256KB",
                     governor=GovernorSpec.fixed(pstate.frequency_mhz),
                     initial_frequency_mhz=pstate.frequency_mhz,
                 )

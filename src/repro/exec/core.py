@@ -65,7 +65,6 @@ class PreparedCell:
             return self.controller.run(
                 workload,
                 initial_pstate=initial,
-                schedule=cell.schedule,
                 max_seconds=config.max_seconds,
             )
 

@@ -1,17 +1,20 @@
 """Declarative run plans: experiment cells as data, not ambient state.
 
 A run is workload x governor x options, and it must fan out over a
-process pool -- where a lambda governor factory does not pickle and
-process-local state does not cross the boundary.  This module
-describes runs with three plain-data types:
+process pool and be keyed in a result store -- so every part of it is
+data with a canonical JSON form.  This module describes runs with
+three plain-data types:
 
 * :class:`GovernorSpec` -- a picklable, JSON-able description of a
   governor (kind + parameters + model source) that builds a fresh
   governor instance on demand;
-* :class:`RunCell` -- one experiment cell: workload x governor x seed
-  offset, plus its fault plan, adaptation and resilience configs (and
-  schedule / initial frequency), all **as data**;
+* :class:`RunCell` -- one experiment cell: a workload name or
+  ``trace:``/``corpus:`` spec x governor x seed offset, plus its
+  initial frequency, fault plan, adaptation and resilience configs,
+  all **as data**;
 * :class:`RunPlan` -- a configured batch of cells.
+
+Every cell therefore has a canonical spec and a store digest.
 
 A plan is the unit the execution engine schedules: serial execution
 walks the cells in order, the worker pool fans them out over
@@ -28,12 +31,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.acpi.pstates import PStateTable
 from repro.adaptation.manager import AdaptationConfig
 from repro.core.governors.base import Governor
-from repro.core.limits import ConstraintSchedule
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
 from repro.core.resilience import ResilienceConfig
@@ -41,10 +43,6 @@ from repro.errors import ExperimentError, PlanError
 from repro.faults.plan import FaultPlan
 from repro.platform.machine import MachineConfig
 from repro.workloads.base import Workload
-
-#: A governor factory: given the p-state table, build a fresh governor.
-#: (Legacy entry-point type; new code should pass a :class:`GovernorSpec`.)
-GovernorFactory = Callable[[PStateTable], Governor]
 
 #: Plan serialization format version.
 PLAN_FORMAT_VERSION = 1
@@ -79,8 +77,7 @@ class ExperimentConfig:
 
 #: Governor kinds a :class:`GovernorSpec` can describe declaratively.
 GOVERNOR_KINDS = (
-    "pm", "adaptive-pm", "ps", "dbs", "fixed", "edp",
-    "energy-optimal", "factory",
+    "pm", "adaptive-pm", "ps", "dbs", "fixed", "edp", "energy-optimal",
 )
 
 #: Axis names :meth:`RunPlan.sweep_axes` accepts.
@@ -98,12 +95,6 @@ class GovernorSpec:
     for the cell's experiment seed, via the per-process model cache),
     ``"paper"`` (the published Table II coefficients) or an explicit
     :class:`~repro.core.models.power.LinearPowerModel` instance.
-
-    ``kind="factory"`` is the escape hatch for callers with a bespoke
-    governor: the callable is carried verbatim.  Such specs execute
-    serially everywhere and in parallel only when the callable pickles
-    (module-level functions do; lambdas and closures do not), and they
-    refuse JSON serialization.
     """
 
     kind: str
@@ -114,7 +105,6 @@ class GovernorSpec:
     performance_model: PerformanceModel | None = None
     raise_window: int | None = None
     guardband_w: float | None = None
-    factory: GovernorFactory | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in GOVERNOR_KINDS:
@@ -122,8 +112,6 @@ class GovernorSpec:
                 f"unknown governor kind {self.kind!r}; "
                 f"expected one of {GOVERNOR_KINDS}"
             )
-        if self.kind == "factory" and self.factory is None:
-            raise ExperimentError("factory specs need a factory callable")
         if isinstance(self.power_model, str) and (
             self.power_model not in _MODEL_SOURCES
         ):
@@ -209,11 +197,6 @@ class GovernorSpec:
             performance_model=performance_model,
         )
 
-    @classmethod
-    def from_factory(cls, factory: GovernorFactory) -> "GovernorSpec":
-        """Wrap a legacy governor factory callable."""
-        return cls(kind="factory", factory=factory)
-
     # -- building ----------------------------------------------------------
 
     def resolve_power_model(self, seed: int) -> LinearPowerModel:
@@ -233,8 +216,6 @@ class GovernorSpec:
         model, matching the historical ``trained_power_model(seed=
         config.seed)`` calls), not the per-cell machine seed.
         """
-        if self.kind == "factory":
-            return self.factory(table)
         if self.kind == "fixed":
             if self.frequency_mhz is None:
                 raise ExperimentError("fixed specs need frequency_mhz")
@@ -301,19 +282,12 @@ class GovernorSpec:
             return f"ps@{self.floor}"
         if self.kind == "fixed":
             return f"fixed@{self.frequency_mhz:.0f}MHz"
-        if self.kind == "factory":
-            return getattr(self.factory, "__name__", "factory")
         return self.kind
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-safe form (refuses ``factory`` specs)."""
-        if self.kind == "factory":
-            raise ExperimentError(
-                "factory governor specs cannot be serialized; describe the "
-                "governor declaratively (GovernorSpec.pm/ps/fixed/...)"
-            )
+        """JSON-safe form."""
         out: dict = {"kind": self.kind}
         for key in ("power_limit_w", "floor", "frequency_mhz",
                     "raise_window", "guardband_w"):
@@ -369,7 +343,10 @@ class RunCell:
 
     ``group``/``rep`` tag cells that belong to one logical measurement
     (the paper's median-of-N protocol expands one measurement into
-    ``runs`` cells with seed offsets 100*i).  ``fault_plan`` /
+    ``runs`` cells with seed offsets 100*i).  ``workload`` is a registry
+    name or a ``trace:PATH`` / ``corpus:NAME[@SEED]`` spec, never a
+    :class:`~repro.workloads.base.Workload` object, so every cell
+    serializes and has a store digest.  ``fault_plan`` /
     ``adaptation`` / ``resilience`` are the run's only carriers of those
     options.
 
@@ -379,10 +356,9 @@ class RunCell:
     contention model, with every option a single-core cell takes.
     """
 
-    workload: str | Workload
+    workload: str
     governor: GovernorSpec
     seed_offset: int = 0
-    schedule: ConstraintSchedule | None = None
     initial_frequency_mhz: float | None = None
     group: str | None = None
     rep: int = 0
@@ -392,6 +368,12 @@ class RunCell:
     resilience: ResilienceConfig | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.workload, str):
+            raise PlanError(
+                "cell workload must be a registry name or a trace:PATH / "
+                "corpus:NAME[@SEED] spec, got a "
+                f"{type(self.workload).__name__}; pass the workload's name"
+            )
         if not isinstance(self.threads, int) or self.threads < 1:
             raise PlanError(
                 f"cell threads must be a positive int, got {self.threads!r}"
@@ -399,7 +381,7 @@ class RunCell:
 
     @classmethod
     def fixed(
-        cls, workload: str | Workload, frequency_mhz: float, **kwargs
+        cls, workload: str, frequency_mhz: float, **kwargs
     ) -> "RunCell":
         """A cell pinned at one frequency (the paper's reference runs).
 
@@ -415,16 +397,9 @@ class RunCell:
         )
 
     @property
-    def workload_name(self) -> str:
-        """The cell's workload name (resolving Workload objects)."""
-        if isinstance(self.workload, str):
-            return self.workload
-        return self.workload.name
-
-    @property
     def label(self) -> str:
         """``workload/governor[/tN][/repN]`` tag for logs and telemetry."""
-        tag = f"{self.workload_name}/{self.governor.label}"
+        tag = f"{self.workload}/{self.governor.label}"
         if self.threads != 1:
             tag = f"{tag}/t{self.threads}"
         return f"{tag}/rep{self.rep}" if self.rep else tag
@@ -432,14 +407,11 @@ class RunCell:
     def resolve_workload(self) -> Workload:
         """The cell's workload object.
 
-        Strings resolve either as registry names or as ``trace:PATH`` /
-        ``corpus:NAME[@SEED]`` specs; spec resolution goes through the
-        per-process cache (:func:`repro.exec.cache.spec_workload`) so a
-        sweep loads and inverts each trace once, and the spec itself --
-        being a plain string -- rides through plan JSON untouched.
+        A registry name resolves through the registry; a ``trace:PATH``
+        / ``corpus:NAME[@SEED]`` spec goes through the per-process cache
+        (:func:`repro.exec.cache.spec_workload`) so a sweep loads and
+        inverts each trace once.
         """
-        if isinstance(self.workload, Workload):
-            return self.workload
         from repro.workloads.registry import get_workload, is_workload_spec
 
         if is_workload_spec(self.workload):
@@ -449,16 +421,7 @@ class RunCell:
         return get_workload(self.workload)
 
     def to_dict(self) -> dict:
-        """JSON-safe form (refuses embedded Workload objects/schedules)."""
-        if not isinstance(self.workload, str):
-            raise ExperimentError(
-                f"cell {self.label}: only registry workloads (by name) "
-                "serialize; got an inline Workload object"
-            )
-        if self.schedule is not None:
-            raise ExperimentError(
-                f"cell {self.label}: constraint schedules do not serialize"
-            )
+        """JSON-safe form."""
         out: dict = {
             "workload": self.workload,
             "governor": self.governor.to_dict(),
@@ -521,8 +484,8 @@ class RunPlan:
 
     This is the single declarative description the execution engine
     consumes: serial and parallel execution of the same plan produce
-    bit-identical per-cell results.  Build one directly, via the
-    :meth:`single`/:meth:`sweep` constructors, or load one from JSON.
+    bit-identical per-cell results.  Build one directly, via
+    :meth:`sweep`, or load one from JSON.
     """
 
     config: ExperimentConfig
@@ -547,25 +510,9 @@ class RunPlan:
         ))
 
     @classmethod
-    def single(
-        cls,
-        workload: str | Workload,
-        governor: GovernorSpec,
-        config: ExperimentConfig | None = None,
-        **cell_kwargs,
-    ) -> "RunPlan":
-        """A one-cell plan."""
-        config = config or ExperimentConfig()
-        return cls(
-            config=config,
-            cells=(RunCell(workload=workload, governor=governor,
-                           **cell_kwargs),),
-        )
-
-    @classmethod
     def sweep(
         cls,
-        workloads: Iterable[str | Workload],
+        workloads: Iterable[str],
         governors: Iterable[GovernorSpec],
         config: ExperimentConfig | None = None,
         seeds: Sequence[int] = (0,),
@@ -590,7 +537,7 @@ class RunPlan:
                 governor=g,
                 seed_offset=s,
                 threads=t,
-                group=(w if isinstance(w, str) else w.name),
+                group=w,
                 fault_plan=fault_plan,
                 adaptation=adaptation,
                 resilience=resilience,
@@ -637,10 +584,6 @@ class RunPlan:
             threads=tuple(axes.get("threads", (1,))),
             **options,
         )
-
-    def cell_seed(self, cell: RunCell) -> int:
-        """The derived machine seed a cell runs with (for debugging)."""
-        return self.config.seed + cell.seed_offset
 
     # -- serialization -----------------------------------------------------
 
@@ -698,11 +641,3 @@ class RunPlan:
             raise ExperimentError(f"malformed run plan JSON: {error}") from None
         return cls.from_dict(data)
 
-
-def as_governor_spec(
-    governor: GovernorSpec | GovernorFactory,
-) -> GovernorSpec:
-    """Coerce a legacy factory callable into a spec (specs pass through)."""
-    if isinstance(governor, GovernorSpec):
-        return governor
-    return GovernorSpec.from_factory(governor)

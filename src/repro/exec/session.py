@@ -37,14 +37,7 @@ from repro.adaptation.manager import AdaptationConfig
 from repro.core.controller import RunResult
 from repro.errors import ExperimentError
 from repro.exec.core import execute_cell
-from repro.exec.plan import (
-    ExperimentConfig,
-    GovernorFactory,
-    GovernorSpec,
-    RunCell,
-    RunPlan,
-    as_governor_spec,
-)
+from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 from repro.faults.plan import FaultPlan
 from repro.telemetry.recorder import TelemetryRecorder
 
@@ -125,10 +118,10 @@ class ExecSession:
         caller that drops results as it goes holds one at a time; on
         the pool every cell runs before the first result is yielded.
         Cells run as :meth:`stamp` leaves them.  A store serves the
-        cells it holds and keeps every other one with a canonical spec;
-        ``keys`` is ``plan_keys(stamp(plan), keyless=True)`` when the
-        caller has it.  Serially, a digest's first occurrence in a
-        store opening also restores the registry it was put with; a
+        cells it holds and keeps every other one; ``keys`` is
+        ``plan_keys(stamp(plan))`` when the caller has it, and no cell
+        is keyed without a store.  Serially, a digest's first occurrence
+        in a store opening also restores the registry it was put with; a
         recurrence runs again under an enabled recorder, as it would
         without a store, and is not put again.
         """
@@ -139,7 +132,7 @@ class ExecSession:
         elif keys is None:
             from repro.campaign.store import plan_keys
 
-            keys = plan_keys(plan, keyless=True)
+            keys = plan_keys(plan)
         specs, digests = keys
         if self.parallel:
             yield from self._run_pool(plan, specs, digests)
@@ -147,8 +140,13 @@ class ExecSession:
         tel = self.telemetry
         observed = tel is not None and tel.enabled
         for cell, spec, digest in zip(plan.cells, specs, digests):
-            first = digest is not None and digest not in store.visited
-            if first or (digest is not None and not observed):
+            if store is None:
+                # Yielded unbound, so the suspended generator does not
+                # hold the result after its caller drops it.
+                yield execute_cell(cell, plan.config, telemetry=tel)
+                continue
+            first = digest not in store.visited
+            if first or not observed:
                 result = store.get(digest, telemetry=tel if first else None)
                 if result is not None:
                     store.visited.add(digest)
@@ -209,17 +207,13 @@ class ExecSession:
 
     def run(
         self,
-        workload,
-        governor: GovernorSpec | GovernorFactory,
+        workload: str,
+        governor: GovernorSpec,
         config: ExperimentConfig | None = None,
         **cell_kwargs,
     ) -> RunResult:
         """Run a single cell and return its result."""
-        cell = RunCell(
-            workload=workload,
-            governor=as_governor_spec(governor),
-            **cell_kwargs,
-        )
+        cell = RunCell(workload=workload, governor=governor, **cell_kwargs)
         return self.run_cells([cell], config or ExperimentConfig())[0]
 
 

@@ -28,7 +28,6 @@ from repro.experiments.metrics import (
     energy_savings,
     performance_reduction,
 )
-from repro.workloads.registry import get_workload
 
 
 @dataclass(frozen=True)
@@ -67,12 +66,11 @@ def hysteresis_ablation(
     a little performance for far fewer violations.
     """
     config = config or ExperimentConfig(scale=1.0)
-    workload = get_workload(workload_name)
     rows = []
     for window in windows:
         result = execute_cell(
             RunCell(
-                workload=workload,
+                workload=workload_name,
                 governor=GovernorSpec.pm(limit_w, raise_window=window),
             ),
             config,
@@ -89,12 +87,11 @@ def guardband_ablation(
 ) -> tuple[AblationRow, ...]:
     """Sweep the estimate guardband: violations vs lost performance."""
     config = config or ExperimentConfig(scale=1.0)
-    workload = get_workload(workload_name)
     rows = []
     for guardband in guardbands:
         result = execute_cell(
             RunCell(
-                workload=workload,
+                workload=workload_name,
                 governor=GovernorSpec.pm(limit_w, guardband_w=guardband),
             ),
             config,
@@ -114,14 +111,13 @@ def adaptive_pm_ablation(
     adapting model coefficients online should cut galgel's violations.
     """
     config = config or ExperimentConfig(scale=1.0)
-    workload = get_workload(workload_name)
     static = execute_cell(
-        RunCell(workload=workload, governor=GovernorSpec.pm(limit_w)),
+        RunCell(workload=workload_name, governor=GovernorSpec.pm(limit_w)),
         config,
     )
     adaptive = execute_cell(
         RunCell(
-            workload=workload, governor=GovernorSpec.adaptive_pm(limit_w)
+            workload=workload_name, governor=GovernorSpec.adaptive_pm(limit_w)
         ),
         config,
     )
@@ -148,13 +144,13 @@ def dbs_ablation(
 ) -> DbsComparison:
     """PS saves energy at 100% load; DBS cannot (paper §IV-B's point)."""
     config = config or ExperimentConfig(scale=0.5)
-    workload = get_workload(workload_name)
-    fullspeed = execute_cell(RunCell.fixed(workload, 2000.0), config)
+    fullspeed = execute_cell(RunCell.fixed(workload_name, 2000.0), config)
     ps = execute_cell(
-        RunCell(workload=workload, governor=GovernorSpec.ps(floor)), config
+        RunCell(workload=workload_name, governor=GovernorSpec.ps(floor)),
+        config,
     )
     dbs = execute_cell(
-        RunCell(workload=workload, governor=GovernorSpec.dbs()), config
+        RunCell(workload=workload_name, governor=GovernorSpec.dbs()), config
     )
     return DbsComparison(
         ps_savings=energy_savings(ps, fullspeed),

@@ -51,31 +51,27 @@ def execute_plans(
     Cells are keyed by their digest once the session has stamped them
     (:meth:`~repro.exec.session.ExecSession.stamp`,
     :func:`~repro.campaign.store.plan_keys`); its store reuses the keys.
-    A cell that has none -- an inline workload, a schedule, a factory
-    governor, a bespoke machine -- is never shared.  Each plan runs
-    the cells no earlier plan ran, in its own order, as one plan of
-    the session.  Consume each plan's results, in order, before asking
-    for the next plan: serially a cell runs when its result is taken,
-    and a result is held only until the last plan position that lists
-    its cell, so a section that drops results as it goes holds few at
-    once.
+    Each plan runs the cells no earlier plan ran, in its own order, as
+    one plan of the session.  Consume each plan's results, in order,
+    before asking for the next plan: serially a cell runs when its
+    result is taken, and a result is held only until the last plan
+    position that lists its cell, so a section that drops results as it
+    goes holds few at once.
     """
     session = current_session() or ExecSession()
     plans = [session.stamp(plan) for plan in plans]
-    keyed = [plan_keys(plan, keyless=True) for plan in plans]
-    keys = [
-        [key or (i, j) for j, key in enumerate(digests)]
-        for i, (_, digests) in enumerate(keyed)
-    ]
+    keyed = [plan_keys(plan) for plan in plans]
     last_use = {
-        key: (i, j) for i, row in enumerate(keys) for j, key in enumerate(row)
+        digest: (i, j)
+        for i, (_, digests) in enumerate(keyed)
+        for j, digest in enumerate(digests)
     }
     kept: dict = {}
     for i, (plan, (specs, digests)) in enumerate(zip(plans, keyed)):
         todo: dict = {}
-        for j, key in enumerate(keys[i]):
-            if key not in kept:
-                todo.setdefault(key, j)
+        for j, digest in enumerate(digests):
+            if digest not in kept:
+                todo.setdefault(digest, j)
         fresh = session.iter_plan(
             dataclasses.replace(
                 plan, cells=tuple(plan.cells[j] for j in todo.values())
@@ -85,15 +81,15 @@ def execute_plans(
                 [digests[j] for j in todo.values()],
             ),
         )
-        yield _take(i, keys[i], last_use, kept, fresh)
+        yield _take(i, digests, last_use, kept, fresh)
 
 
-def _take(i, plan_keys, last_use, kept, fresh) -> Iterator[RunResult]:
+def _take(i, digests, last_use, kept, fresh) -> Iterator[RunResult]:
     """Plan ``i``'s results: kept ones, else the next fresh one."""
-    for j, key in enumerate(plan_keys):
-        if key not in kept:
-            kept[key] = next(fresh)
-        result = kept[key]
-        if last_use[key] == (i, j):
-            del kept[key]
+    for j, digest in enumerate(digests):
+        if digest not in kept:
+            kept[digest] = next(fresh)
+        result = kept[digest]
+        if last_use[digest] == (i, j):
+            del kept[digest]
         yield result

@@ -18,17 +18,15 @@ import pytest
 
 from repro.adaptation.manager import AdaptationConfig
 from repro.cli import main
-from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.exec import (
     ExperimentConfig,
+    GovernorSpec,
     RunCell,
-    as_governor_spec,
     execute_cell,
     open_session,
     prepare_cell,
 )
 from repro.experiments import adaptation_drift
-from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +68,7 @@ class TestInertWhenDisengaged:
         """DBS has no power model: the manager declines to engage and
         the run must match a manager-free run exactly."""
         config = ExperimentConfig(scale=0.1, seed=3, keep_trace=True)
-        workload = get_workload("gzip")
-
-        def factory(table):
-            return DemandBasedSwitching(table)
-
-        cell = RunCell(
-            workload=workload, governor=as_governor_spec(factory)
-        )
+        cell = RunCell(workload="gzip", governor=GovernorSpec.dbs())
         baseline = execute_cell(cell, config)
         prepared = prepare_cell(
             dataclasses.replace(cell, adaptation=AdaptationConfig()), config

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 
@@ -49,17 +51,41 @@ def test_run_plan_rejects_checkpoint_options(tmp_path, capsys):
     assert "--plan" in capsys.readouterr().err
 
 
-def test_run_plan_rejects_run_options(tmp_path, capsys):
-    """A plan's cells carry their own options: ``--faults`` and
-    ``--adapt`` are refused, not silently ignored."""
+@pytest.mark.parametrize("option", [
+    ["--faults", "faults.json"],
+    ["--adapt"],
+    ["--trace", "t.csv"],
+    ["--result-json", "r.json"],
+    ["--registry", "reg.json"],
+    ["--model", "model.json"],
+    ["--use-paper-model"],
+    ["--governor", "pm"],
+    ["--limit", "14.5"],
+    ["--floor", "0.8"],
+    ["--frequency", "2000"],
+    ["--scale", "0.5"],
+    ["--seed", "0"],
+], ids=lambda option: option[0].lstrip("-"))
+def test_run_plan_rejects_run_options(tmp_path, capsys, monkeypatch,
+                                      option):
+    """A plan's cells and config carry every option of its runs: a
+    ``run`` flag is refused, not silently ignored, even when it names
+    the single-run default."""
     path = _plan_file(tmp_path)
-    faults = tmp_path / "faults.json"
-    faults.write_text(json.dumps({"seed": 0}))
-    for option in (["--faults", str(faults)], ["--adapt"]):
-        assert main(["run", "--plan", str(path), *option]) == 1
-        assert f"--plan cannot be combined with {option[0]}" in (
-            capsys.readouterr().err
-        )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "faults.json").write_text(json.dumps({"seed": 0}))
+    assert main(["run", "--plan", str(path), *option]) == 1
+    assert f"--plan cannot be combined with {option[0]}" in (
+        capsys.readouterr().err
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "faults.json", "plan.json",
+    ]
+
+
+def test_single_run_rejects_workers(capsys):
+    assert main(["run", "ammp", "--workers", "2"]) == 1
+    assert "--workers applies only to --plan" in capsys.readouterr().err
 
 
 def test_run_plan_rejects_bad_json(tmp_path, capsys):

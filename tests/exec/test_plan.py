@@ -19,7 +19,6 @@ from repro.exec.plan import (
     GovernorSpec,
     RunCell,
     RunPlan,
-    as_governor_spec,
 )
 from repro.faults.plan import FaultPlan, SampleFaults
 
@@ -32,11 +31,6 @@ def test_unknown_kind_rejected():
 def test_unknown_model_source_rejected():
     with pytest.raises(ExperimentError, match="power_model"):
         GovernorSpec(kind="pm", power_limit_w=14.5, power_model="magic")
-
-
-def test_factory_needs_callable():
-    with pytest.raises(ExperimentError, match="factory"):
-        GovernorSpec(kind="factory")
 
 
 def test_spec_builds_governors(table):
@@ -63,22 +57,6 @@ def test_inline_model_round_trip(table):
     ) == pytest.approx(
         spec.resolve_power_model(0).estimate(table.fastest, 1.0)
     )
-
-
-def test_factory_spec_refuses_json(table):
-    spec = GovernorSpec.from_factory(lambda t: PowerSave(
-        t, None, 0.8
-    ))
-    with pytest.raises(ExperimentError, match="serialize"):
-        spec.to_dict()
-
-
-def test_as_governor_spec_wraps_callables(table):
-    spec = as_governor_spec(lambda t: GovernorSpec.ps(0.8).build(t))
-    assert spec.kind == "factory"
-    assert isinstance(spec.build(table), PowerSave)
-    passthrough = GovernorSpec.dbs()
-    assert as_governor_spec(passthrough) is passthrough
 
 
 def test_plan_round_trip():
@@ -120,11 +98,10 @@ def test_plan_file_options_stamp_the_cells_that_leave_them_unset():
 
 
 def test_plan_cell_seed():
-    plan = RunPlan.single(
-        "ammp", GovernorSpec.dbs(), ExperimentConfig(seed=5),
-        seed_offset=200,
-    )
-    assert plan.cell_seed(plan.cells[0]) == 205
+    cell = RunCell(workload="ammp", governor=GovernorSpec.dbs(),
+                   seed_offset=200)
+    plan = RunPlan(ExperimentConfig(seed=5), (cell,))
+    assert plan.config.machine_config(cell.seed_offset).seed == 205
 
 
 def test_sweep_cross_product():
@@ -139,7 +116,9 @@ def test_sweep_cross_product():
 
 
 def test_plan_rejects_future_format():
-    plan = RunPlan.single("ammp", GovernorSpec.dbs())
+    plan = RunPlan(
+        ExperimentConfig(), (RunCell("ammp", GovernorSpec.dbs()),)
+    )
     data = plan.to_dict()
     data["format"] = PLAN_FORMAT_VERSION + 1
     with pytest.raises(ExperimentError, match="format"):
@@ -225,12 +204,3 @@ def test_new_governor_kinds_round_trip(table):
         assert clone == spec
         assert isinstance(clone.build(table), cls)
 
-
-def test_workload_objects_resolve(tiny_core_workload):
-    cell = RunCell(
-        workload=tiny_core_workload, governor=GovernorSpec.fixed(2000.0)
-    )
-    assert cell.workload_name == "tiny-core"
-    assert cell.resolve_workload() is tiny_core_workload
-    with pytest.raises(ExperimentError, match="serialize"):
-        cell.to_dict()

@@ -14,6 +14,7 @@ import pytest
 from repro.adaptation.manager import AdaptationConfig
 from repro.campaign.store import ResultStore
 from repro.checkpoint.digest import run_result_digest
+from repro.errors import PlanError
 from repro.exec.plan import ExperimentConfig, GovernorSpec, RunCell, RunPlan
 from repro.exec.session import (
     ExecSession,
@@ -66,13 +67,10 @@ def test_open_session_installs_and_restores_ambient_state():
 
 
 def test_session_run_matches_legacy_entry_point():
-    workload = get_workload("ammp")
     spec = GovernorSpec.pm(14.5, power_model="paper")
-    legacy = execute_cell(
-        RunCell(workload=workload, governor=spec), CONFIG
-    )
+    legacy = execute_cell(RunCell(workload="ammp", governor=spec), CONFIG)
     with open_session() as session:
-        new = session.run(workload, spec, CONFIG)
+        new = session.run("ammp", spec, CONFIG)
     assert run_result_digest(new) == run_result_digest(legacy)
 
 
@@ -215,19 +213,15 @@ def test_parallel_session_writes_merged_telemetry(tmp_path):
 
 
 def test_store_keeps_only_cells_a_session_plan_runs(tmp_path):
-    """A cell with no canonical spec runs and is not stored, and a
-    direct ``execute_cell`` is never stored, not even under a store."""
-    inline = RunCell(
-        workload=get_workload("ammp"), governor=CELLS[0].governor
-    )
+    """A direct ``execute_cell`` is never stored, not even under a
+    store; a cell cannot hold a workload with no canonical spec."""
+    with pytest.raises(PlanError, match="pass the workload's name"):
+        RunCell(workload=get_workload("ammp"), governor=CELLS[0].governor)
     with ResultStore(tmp_path / "store") as store:
-        with open_session(store=store) as session:
-            (kept,) = session.run_cells([inline], CONFIG)
+        with open_session(store=store):
             direct = execute_cell(CELLS[1], CONFIG)
         assert store.object_digests() == []
-    assert _digests([kept, direct]) == _digests(
-        [execute_cell(inline, CONFIG), execute_cell(CELLS[1], CONFIG)]
-    )
+    assert _digests([direct]) == _digests(_serial(CELLS[1:]))
 
 
 @pytest.mark.parametrize("workers", [0, 2])

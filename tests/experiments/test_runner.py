@@ -12,15 +12,12 @@ import pytest
 
 from repro.adaptation.manager import AdaptationConfig
 from repro.campaign.store import ResultStore, cell_digest
-from repro.checkpoint.digest import run_result_digest
-from repro.core.governors.unconstrained import FixedFrequency
 from repro.errors import ExperimentError
 from repro.exec import (
     ExperimentConfig,
     GovernorSpec,
     RunCell,
     RunPlan,
-    as_governor_spec,
     execute_cell,
 )
 from repro.exec import cache
@@ -36,7 +33,6 @@ from repro.experiments.suite import (
 )
 from repro.faults.plan import FaultPlan, MeterFaults
 from repro.telemetry.recorder import TelemetryRecorder
-from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +42,7 @@ def config():
 
 def test_fixed_cell_starts_and_stays_at_frequency(config):
     result = execute_cell(
-        RunCell.fixed(get_workload("gzip"), 1200.0), config
+        RunCell.fixed("gzip", 1200.0), config
     )
     assert set(result.residency_s) == {1200.0}
     assert result.transitions == 0
@@ -54,12 +50,7 @@ def test_fixed_cell_starts_and_stays_at_frequency(config):
 
 def test_factory_cell_builds_the_governor(config):
     result = execute_cell(
-        RunCell(
-            workload=get_workload("gzip"),
-            governor=as_governor_spec(
-                lambda table: FixedFrequency(table, 800.0)
-            ),
-        ),
+        RunCell(workload="gzip", governor=GovernorSpec.fixed(800.0)),
         config,
     )
     # Starts at P0 by default, then the governor moves to 800.
@@ -67,9 +58,9 @@ def test_factory_cell_builds_the_governor(config):
 
 
 def test_scale_shortens_runs(config):
-    short = execute_cell(RunCell.fixed(get_workload("gzip"), 2000.0), config)
+    short = execute_cell(RunCell.fixed("gzip", 2000.0), config)
     longer = execute_cell(
-        RunCell.fixed(get_workload("gzip"), 2000.0),
+        RunCell.fixed("gzip", 2000.0),
         ExperimentConfig(scale=0.1, seed=3),
     )
     assert longer.duration_s > short.duration_s
@@ -164,24 +155,21 @@ def test_suite_order_is_canonical(config):
 
 def test_execute_plans_shares_cells_and_holds_them_until_last_use():
     config = ExperimentConfig(scale=0.02)
-    shared, alone, inline = (
-        RunCell.fixed("gzip", 2000.0),
-        RunCell.fixed("mcf", 2000.0),
-        RunCell.fixed(get_workload("gzip"), 2000.0),
+    shared, alone = (
+        RunCell.fixed("gzip", 2000.0), RunCell.fixed("mcf", 2000.0),
     )
     plans = execute_plans([
-        RunPlan(config=config, cells=(shared, alone, inline)),
-        RunPlan(config=config, cells=(inline, shared)),
+        RunPlan(config=config, cells=(shared, alone, shared)),
+        RunPlan(config=config, cells=(shared,)),
     ])
     first = list(next(plans))
+    assert first[2] is first[0]  # one run per distinct cell
     kept, dropped = weakref.ref(first[0]), weakref.ref(first[1])
     del first
     gc.collect()
     assert dropped() is None  # no later plan lists the mcf cell
-    second = list(next(plans))
-    # An inline workload has no canonical spec, so it is never shared.
-    assert second[1] is kept() and second[0] is not kept()
-    assert run_result_digest(second[0]) == run_result_digest(second[1])
+    (second,) = next(plans)
+    assert second is kept()
 
 
 def test_execute_plans_digests_each_cell_once_under_a_store(
@@ -223,11 +211,11 @@ def test_execute_plans_digests_each_cell_once_under_a_store(
 
 def test_seed_offsets_change_trajectories(config):
     a = execute_cell(
-        RunCell.fixed(get_workload("galgel"), 2000.0, seed_offset=0),
+        RunCell.fixed("galgel", 2000.0, seed_offset=0),
         config,
     )
     b = execute_cell(
-        RunCell.fixed(get_workload("galgel"), 2000.0, seed_offset=100),
+        RunCell.fixed("galgel", 2000.0, seed_offset=100),
         config,
     )
     assert a.measured_energy_j != b.measured_energy_j

@@ -18,12 +18,11 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.models.power import LinearPowerModel
 from repro.exec import (
     ExperimentConfig,
+    GovernorSpec,
     RunCell,
-    as_governor_spec,
     execute_cell,
 )
 from repro.faults import FaultPlan, SampleFaults, TransitionFaults
@@ -42,14 +41,10 @@ PLAN = FaultPlan(
 )
 
 
-def _factory(table):
-    return PerformanceMaximizer(table, MODEL, LIMIT_W)
-
-
 def _pm_cell(name="gzip", fault_plan=None):
     return RunCell(
-        workload=get_workload(name),
-        governor=as_governor_spec(_factory),
+        workload=name,
+        governor=GovernorSpec.pm(LIMIT_W, power_model=MODEL),
         fault_plan=fault_plan,
     )
 

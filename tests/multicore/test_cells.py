@@ -2,9 +2,10 @@
 
 A ``threads > 1`` cell runs through the same controller and kernel as a
 single-core cell, so it takes every per-tick hook (fault injection,
-online adaptation, the resilience runtime, constraint schedules), and an
-observed one publishes the same telemetry: ``RunStarted`` /
-``RunFinished``, the run metrics and one ``ticks`` record.
+online adaptation, the resilience runtime, and the controller's
+constraint schedules), and an observed one publishes the same
+telemetry: ``RunStarted`` / ``RunFinished``, the run metrics and one
+``ticks`` record.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.adaptation.manager import AdaptationConfig
 from repro.checkpoint.digest import run_result_digest
+from repro.core.controller import PowerManagementController
 from repro.core.limits import ConstraintSchedule
 from repro.core.resilience import ResilienceConfig
 from repro.exec import (
@@ -33,7 +35,9 @@ from repro.exec import (
 )
 from repro.experiments import multicore_scaling
 from repro.faults import FaultPlan
+from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.telemetry.report import load_events, render_report
+from repro.workloads.registry import get_workload
 
 CONFIG = ExperimentConfig(scale=0.2, seed=4)
 
@@ -80,9 +84,26 @@ def test_resilient_cell_completes():
     assert result.instructions > 0
 
 
+def _controller_run(schedule=None):
+    """PM on a two-core machine, driven by the controller directly (a
+    schedule is a controller option, not a cell's)."""
+    machine = MulticoreMachine(
+        MulticoreConfig(n_cores=2, machine=CONFIG.machine_config())
+    )
+    controller = PowerManagementController(
+        machine, PM.build(CONFIG.table, seed=CONFIG.seed), keep_trace=False
+    )
+    return controller.run(
+        get_workload("ammp").scaled(CONFIG.scale), schedule=schedule
+    )
+
+
 def test_scheduled_cell_takes_the_new_limit():
-    scheduled = execute_cell(_cell(schedule=_schedule()), CONFIG)
-    plain = execute_cell(_cell(), CONFIG)
+    scheduled = _controller_run(_schedule())
+    plain = _controller_run()
+    assert run_result_digest(plain) == run_result_digest(
+        execute_cell(_cell(), CONFIG)
+    )
     assert scheduled.instructions == pytest.approx(plain.instructions)
     # A tighter limit from 50 ms on: slower, and at lower frequencies.
     assert scheduled.duration_s > plain.duration_s

@@ -92,8 +92,10 @@ def test_one_core_multicore_run_is_the_single_core_run(
 ):
     """The acceptance gate: a 1-core MulticoreMachine run digests
     bit-identically to the same run on a single-core Machine."""
-    load = RunCell(workload=WORKLOADS[workload], governor=GOVERNORS[governor])
-    work = load.resolve_workload().scaled(scale)
+    work = WORKLOADS[workload]
+    if isinstance(work, str):
+        work = RunCell(work, GOVERNORS[governor]).resolve_workload()
+    work = work.scaled(scale)
     config = MachineConfig(seed=seed)
     spec = GOVERNORS[governor]
 

@@ -22,7 +22,6 @@ from repro.exec import (
     GovernorSpec,
     RunCell,
     RunPlan,
-    as_governor_spec,
     execute_cell,
 )
 from repro.platform.machine import Machine, MachineConfig
@@ -224,10 +223,7 @@ class TestRunnerIntegration:
     @staticmethod
     def _pm_cell():
         return RunCell(
-            workload=get_workload("gzip"),
-            governor=as_governor_spec(
-                lambda table: PerformanceMaximizer(table, MODEL, 14.5)
-            ),
+            workload="gzip", governor=GovernorSpec.pm(14.5, power_model=MODEL)
         )
 
     def test_execute_cell_wraps_root_span(self):

@@ -27,7 +27,6 @@ from repro.telemetry import (
 )
 from repro.telemetry.bus import PStateTransition, RunFinished, RunStarted
 from repro.telemetry.report import load_events
-from repro.workloads.registry import get_workload
 
 _NAN = float("nan")
 
@@ -399,7 +398,7 @@ def test_serial_and_parallel_bundles_report_identically(tmp_path):
         }),
     )
     adaptive = RunCell(  # the CLI's drift drill: 32x FMA-256KB
-        workload=get_workload("FMA-256KB").scaled(32 / 0.05),
+        workload="FMA-256KB",
         governor=GovernorSpec.pm(13.5, power_model="paper"),
         fault_plan=FaultPlan.from_dict({
             "seed": 0, "meter": {
@@ -409,17 +408,18 @@ def test_serial_and_parallel_bundles_report_identically(tmp_path):
         }),
         adaptation=AdaptationConfig(),
     )
-    plan = dataclasses.replace(
-        sweep, cells=sweep.cells + (faulted, adaptive)
+    plans = (
+        dataclasses.replace(sweep, cells=sweep.cells + (faulted,)),
+        RunPlan(ExperimentConfig(scale=32, seed=3), (adaptive,)),
     )
-    with open_session(telemetry_dir=tmp_path / "serial") as session:
-        session.run_plan(plan)
-    with open_session(
-        workers=2, telemetry_dir=tmp_path / "parallel"
-    ) as session:
-        session.run_plan(plan)
+    for workers, name in ((0, "serial"), (2, "parallel")):
+        with open_session(
+            workers=workers, telemetry_dir=tmp_path / name
+        ) as session:
+            for plan in plans:
+                session.run_plan(plan)
     serial = _event_multiset(tmp_path / "serial")
-    assert sum('"kind": "ticks"' in e for e in serial) == len(plan)
+    assert sum('"kind": "ticks"' in e for e in serial) == sum(map(len, plans))
     assert serial == _event_multiset(tmp_path / "parallel")
     text = _body(render_report(tmp_path / "serial"))
     assert "p-state residency" in text
