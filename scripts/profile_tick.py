@@ -4,12 +4,12 @@
 Runs one governed cell under cProfile and prints the top functions by
 cumulative time, with the loop's throughput in ticks/s.  Every run
 takes the fused tick kernel (:func:`repro.core.blockloop.run_fast`):
-on one core the stock governors decide from its projection tables,
-while ``adaptive-pm`` (measured-power feedback) and ``energy-optimal``
-run its hook mode, where the decision block calls the governor and
-driver each tick.  ``--threads N`` splits the workload over an N-core
-package, which the kernel steps as N lanes per tick (always hook
-mode).
+the stock governors, ``energy-optimal`` included, decide from its
+tables, while ``adaptive-pm`` (measured-power feedback) runs its hook
+mode, where the decision block calls the sampler, governor and driver
+each tick.  ``--threads N`` splits the workload over an N-core
+package, which the kernel steps as N lanes per tick; the package
+decides in the same mode as one core.
 
 Usage::
 

@@ -91,8 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="alternative to the positional workload (same forms)",
     )
     # The governor, scale and seed flags default to None so that ``run
-    # --plan`` can refuse a given one; a single run fills in
-    # _RUN_DEFAULTS.
+    # --plan`` and ``run --resume`` can refuse a given one; a single run
+    # fills in _RUN_DEFAULTS.
     run.add_argument(
         "--governor",
         choices=("pm", "ps", "fixed", "dbs", "adaptive-pm", "edp"),
@@ -535,7 +535,8 @@ def _print_adaptation_summary(manager) -> None:
 
 
 #: CLI args ``run --checkpoint`` records in its store's spec so ``run
-#: --resume`` can rerun the run from them alone.
+#: --resume`` can rerun the run from them alone; ``run --resume``
+#: refuses each of them.
 _RUN_SPEC_KEYS = (
     "workload", "governor", "limit", "floor", "frequency", "scale",
     "seed", "model", "use_paper_model", "adapt", "faults",
@@ -605,12 +606,32 @@ def _resume_store(directory: str):
     return ResultStore(directory, create=False)
 
 
+def _refuse_given(args, keys, message: str) -> None:
+    """Raise ``message`` (``{flag}``: the flag) for the first of
+    ``keys`` given on the command line.  A flag left at its default is
+    None or False; 0 is given."""
+    for key in keys:
+        value = getattr(args, key)
+        if value is None or value is False:
+            continue
+        flag = (
+            "a workload" if key == "workload" else "--" + key.replace("_", "-")
+        )
+        raise ReproError(message.format(flag=flag))
+
+
 def _cmd_run_resume(args) -> int:
     """Rerun an interrupted run from the options its store recorded.
 
     Runs are deterministic, so the rerun's result is bit-identical to
-    the one the interrupted process would have produced.
+    the one the interrupted process would have produced.  A recorded
+    option given again is refused, not silently replaced.
     """
+    _refuse_given(
+        args, _RUN_SPEC_KEYS,
+        "--resume takes {flag} from the store's recorded run; "
+        "do not pass it",
+    )
     with _resume_store(args.resume) as store:
         spec = store.spec.get("run")
     if not isinstance(spec, dict):
@@ -630,17 +651,11 @@ def _cmd_run_plan(args) -> int:
     from repro.exec.plan import RunPlan
     from repro.exec.session import open_session
 
-    for key in _PLAN_REFUSED:
-        value = getattr(args, key)
-        if value is None or value is False:  # not given (0 is given)
-            continue
-        flag = (
-            "a workload" if key == "workload" else "--" + key.replace("_", "-")
-        )
-        raise ReproError(
-            f"--plan cannot be combined with {flag}: the plan file's "
-            "cells and config describe every run"
-        )
+    _refuse_given(
+        args, _PLAN_REFUSED,
+        "--plan cannot be combined with {flag}: the plan file's cells "
+        "and config describe every run",
+    )
     with open(args.plan) as handle:
         plan = RunPlan.from_json(handle.read())
     with open_session(
@@ -680,9 +695,6 @@ def _cmd_run(args) -> int:
         return _cmd_run_plan(args)
     if args.resume and args.checkpoint:
         raise ReproError("--resume and --checkpoint are mutually exclusive")
-    if args.resume and args.workload:
-        raise ReproError("--resume takes its workload from the store; "
-                         "do not pass one")
     if args.resume:
         return _cmd_run_resume(args)
     if not args.workload:

@@ -9,26 +9,31 @@ no ``ResolvedRates`` or ``EventRates`` is built per tick.  It is the
 only place simulated time advances: model training and every other
 characterization run a controller too.
 
-The decision is one of five modes, selected by the run's own inputs:
+The decision is one of six modes, selected by the run's own inputs:
 
 * **Table modes** -- a stock PerformanceMaximizer or PowerSave reads its
   precomputed projection table
   (:meth:`PerformanceMaximizer.projection_table` /
   :meth:`PowerSave.projection_table`), DemandBasedSwitching steps on
-  utilization, and StaticClocking / FixedFrequency return a constant
-  target index.  The sampler's arithmetic is inlined too.  These run
-  when the governor is one of those exact types and the run has no
-  per-tick hook.
+  utilization, StaticClocking / FixedFrequency return a constant
+  target index, and EnergyOptimalSearch reads its objective's rows
+  (:meth:`EnergyOptimalSearch._rows`).  The sampler's arithmetic is
+  inlined too; for EnergyOptimalSearch that includes its
+  :class:`~repro.core.sampling.MultiplexedCounterSampler`'s rotation of
+  two event groups through the counter locals.  These run when the
+  governor is one of those exact types with its own sampler, on one
+  core or a multicore package, and the run has no per-tick hook.
 * **Hook mode** -- every other run (resilience, fault injection,
-  adaptation, constraint schedules, multiplexed counters, measured-power
-  governors, any other governor).  At each decision boundary the kernel
-  writes its locals back to the machine, PMU and meter, runs the
-  decision block on the real objects (schedule delivery, the sampler,
-  the resilience runtime, ``governor.decide``, the driver,
-  ``observe_power``, ``adapt.observe``), then re-reads what those may
-  have changed: p-state, dead time, duty cycle, PMU programming.  An
-  exact :class:`~repro.core.sampling.CounterSampler` (or each group of
-  a :class:`~repro.core.sampling.MultiplexedCounterSampler`) closes its
+  adaptation, constraint schedules, other multiplexed samplers,
+  measured-power governors, any other governor).  At each decision
+  boundary the kernel writes its locals back to the machine, PMU and
+  meter, runs the decision block on the real objects (schedule
+  delivery, the sampler, the resilience runtime, ``governor.decide``,
+  the driver, ``observe_power``, ``adapt.observe``), then re-reads what
+  those may have changed: p-state, dead time, duty cycle, PMU
+  programming.  An exact :class:`~repro.core.sampling.CounterSampler`
+  (or each group of a
+  :class:`~repro.core.sampling.MultiplexedCounterSampler`) closes its
   interval on a snapshot built from the kernel's counter locals
   (``close``); a fault wrapper or the resilience runtime samples
   through the MSRs (``sample``).
@@ -55,9 +60,11 @@ the lane switch and at each phase it crosses, so no timing or template
 object is built per lane per tick.  A lane's segments skip the meter:
 finished and idle cores are padded with idle power to the slowest
 core's duration, and the package mean goes once through the inlined
-meter body.  The decision -- always hook mode -- runs on the lead
-core's sampler and the package driver.  A single-core run (or a
-one-core package) is one lane with no switch.
+meter body.  The decision runs on the lead core's counters and the
+package driver, in a table mode or in hook mode by the same rule as a
+single core's: the lead core is stepped last, so the counter locals are
+its own when the package decides.  A single-core run (or a one-core
+package) is one lane with no switch.
 
 **Bit-identical contract.**  The kernel reproduces the RNG variates,
 float operation order and side effects of the per-tick machine physics
@@ -83,13 +90,19 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import replace
+from operator import attrgetter
 
 from repro.core.governors.demand_based import DemandBasedSwitching
+from repro.core.governors.energy_optimal import EnergyOptimalSearch
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.governors.powersave import PowerSave
 from repro.core.governors.static import StaticClocking
 from repro.core.governors.unconstrained import FixedFrequency
-from repro.core.sampling import CounterSampler, MultiplexedCounterSampler
+from repro.core.sampling import (
+    CounterSample,
+    CounterSampler,
+    MultiplexedCounterSampler,
+)
 from repro.errors import ExperimentError
 from repro.drivers.msr import (
     IA32_PMC0,
@@ -125,8 +138,9 @@ _NAN = float("nan")
 #: Selector of a programmed event the kernel does not compute inline.
 _RESOLVED = len(_SELECTOR)
 
-#: Governors with a table-driven decision mode.  Exact-type checks:
-#: subclasses (e.g. AdaptivePerformanceMaximizer) may override anything.
+#: Governors with a table-driven decision mode over one
+#: :class:`CounterSampler`.  Exact-type checks: subclasses (e.g.
+#: AdaptivePerformanceMaximizer) may override anything.
 _GOVERNORS = (
     PerformanceMaximizer,
     PowerSave,
@@ -134,6 +148,16 @@ _GOVERNORS = (
     StaticClocking,
     FixedFrequency,
 )
+
+#: EnergyOptimalSearch's two counter groups: counter 0 counts retired
+#: instructions in both, counter 1 alternates between decoded
+#: instructions (DPC) and outstanding DCU misses.
+_EO_GROUPS = EnergyOptimalSearch.EVENT_GROUPS
+_EO_DPC = _EO_GROUPS[0][1]
+_EO_DCU = _EO_GROUPS[1][1]
+
+#: The PowerSave projection fields its table mode reads.
+_PS_FIELDS = attrgetter("fastest_mhz", "fast_factor", "ascending")
 
 
 def _programmed(pmu):
@@ -150,18 +174,68 @@ def _programmed(pmu):
 
 def _table_mode(st) -> bool:
     """Whether ``st``'s governor decides from the kernel's tables: a
-    stock table governor over the machine's p-states, on one core, with
-    no per-tick hook."""
+    stock table governor over the machine's p-states with the sampler
+    the controller gave it, and no per-tick hook."""
     governor = st.governor
+    sampler = st.sampler
+    if type(governor) is EnergyOptimalSearch:
+        own_sampler = (
+            type(sampler) is MultiplexedCounterSampler
+            and sampler.groups == _EO_GROUPS
+        )
+    else:
+        own_sampler = (
+            type(governor) in _GOVERNORS and type(sampler) is CounterSampler
+        )
     return (
-        type(governor) in _GOVERNORS
-        and len(st.lanes) == 1
+        own_sampler
         and st.rt is None
         and not st.injecting
         and not st.adapting
         and st.schedule is None
-        and type(st.sampler) is CounterSampler
         and tuple(governor.table) == tuple(st.lanes[0].config.table)
+    )
+
+
+def _energy_rows(governor, states):
+    """:meth:`EnergyOptimalSearch._rows` per state of ``states`` (None
+    where ``decide`` finds no row and scans the objective)."""
+    rows = governor._rows()
+    return [rows.get(state.frequency_mhz) for state in states]
+
+
+def _close_sampler(sampler, event1, closed):
+    """Leave a table-mode run's sampler as its ``close`` leaves it.
+
+    ``closed`` is None when no interval closed; otherwise the last
+    interval's ``(interval_s, cycles, rate0, rate1, counts)``, where
+    ``rate1`` is None for a one-event sampler and ``counts`` -- the
+    ``(pmc0, pmc1, tsc)`` the interval closed at -- is given only for
+    EnergyOptimalSearch's rotation.  The kernel rotated its two groups
+    in locals and left the PMU programmed with the group whose counter
+    1 counts ``event1``; that group's ``last_sample`` (two closes ago)
+    is not kept.
+    """
+    if type(sampler) is MultiplexedCounterSampler:
+        index = 0 if event1 is _EO_DPC else 1
+        sampler._index = index
+        current = sampler._samplers[index]
+        group = sampler._samplers[1 - index]
+    else:
+        current = group = sampler
+    current._last = current._pmu.snapshot()
+    if closed is None:
+        return
+    interval_s, cycles, rate0, rate1, counts = closed
+    events = group.events
+    if counts is not None:
+        pmc0, pmc1, tsc = counts
+        group._last = CounterSnapshot(events, (pmc0, pmc1), tsc & _M40, tsc)
+    rates = {events[0]: rate0}
+    if rate1 is not None:
+        rates[events[1]] = rate1
+    group.last_sample = sampler.last_sample = CounterSample(
+        interval_s=interval_s, cycles=float(cycles), rates=rates
     )
 
 
@@ -432,7 +506,6 @@ def run_fast(st, tel):
     injecting = st.injecting
     adapt = st.adapt
     adapting = st.adapting
-    workload_name = st.workload_name
     # One compare per tick covers the horizon and the runaway guard:
     # time_s > max_seconds is time_s >= nextafter(max_seconds, inf).
     stop_s = min(st.until_s, math.nextafter(st.max_seconds, _INF))
@@ -448,21 +521,20 @@ def run_fast(st, tel):
     # Lane 0 is the lead core: the one the governor samples.
     (machine, cursor, pmu, rdmsr, dvfs, throttle, thermal, mach_std, total,
      finish_line, jit_state0) = _lane(st.lanes[0])
-    config = machine.config
     # Every shard of a split workload runs the same phase cycle.
     phases = cursor._workload.phases
     n_phases = len(phases)
-    dt = config.tick_s
+    dt = machine.config.tick_s
     dt_eps = dt - 1e-12
-    timing = config.timing
+    timing = machine.config.timing
     # A contended lane's (dram_latency_ns, bus_bandwidth); None: the
     # base timing.
     contended = None
-    constants = config.power
+    constants = machine.config.power
     leak_power = constants.leakage.power
     _exp = math.exp
 
-    states = tuple(config.table)
+    states = tuple(machine.config.table)
     n_states = len(states)
     state_index = {state: i for i, state in enumerate(states)}
 
@@ -507,19 +579,27 @@ def run_fast(st, tel):
         )
     elif type(governor) is PowerSave:
         mode = 1
-        ps_proj = governor.projection_table()
+        fastest_mhz, fast_factor, ascending_rows = _PS_FIELDS(
+            governor.projection_table()
+        )
         floor_plus_eps = governor._floor + 1e-12
         dcu_threshold = governor._model.dcu_threshold
-        fastest_mhz = ps_proj.fastest_mhz
-        fast_factor = ps_proj.fast_factor
-        ascending_rows = ps_proj.ascending
     elif type(governor) is DemandBasedSwitching:
         mode = 2
         up_threshold = governor._up
         down_threshold = governor._down
+    elif type(governor) is EnergyOptimalSearch:
+        mode = 4
+        # decide()'s objective rows per current p-state; the governor
+        # keeps its last-known DPC and DCU itself.
+        proj_rows = _energy_rows(governor, states)
+        dcu_threshold = governor._performance.dcu_threshold
     else:  # StaticClocking / FixedFrequency: one constant target
         mode = 3
         static_index = state_index[governor._pstate]
+    if not hooked:
+        # No interval closed yet (see _close_sampler).
+        cyc = None
 
     # Meter state -> locals (PowerMeter.accumulate, inlined bodily).  A
     # faulty meter meters through its inner meter; its corruption pass
@@ -614,12 +694,12 @@ def run_fast(st, tel):
         trace_rates_append = ticks.trace_rates.append
     observer = None
     if observe:
-        if not hooked:
-            ticks.rates[event0] = rates0 = array("d")
-            rate0_append = rates0.append
+        if not hooked and mode != 4:
+            ticks.rates[event0] = array("d")
+            rate0_append = ticks.rates[event0].append
             if mode == 1:
-                ticks.rates[event1] = rates1 = array("d")
-                rate1_append = rates1.append
+                ticks.rates[event1] = array("d")
+                rate1_append = ticks.rates[event1].append
         observer = controller._TickTelemetry(st, tel)
         transition = observer.transition
         emit = tel.emit
@@ -643,7 +723,7 @@ def run_fast(st, tel):
             if time_s >= stop_s:
                 if stop_s < st.until_s:
                     raise ExperimentError(
-                        f"{workload_name} under {governor.name} exceeded "
+                        f"{st.workload_name} under {governor.name} exceeded "
                         f"{st.max_seconds}s of simulated time"
                     )
                 break
@@ -683,7 +763,11 @@ def run_fast(st, tel):
                     freq = pstate.frequency_mhz
                     if pkg.done[lane]:
                         # A finished lead core is loaded for the decision
-                        # only; it reports no temperature or throttling.
+                        # only: its interval counts nothing, and it
+                        # reports no temperature or throttling.
+                        pmc0_start = pmc0
+                        pmc1_start = pmc1
+                        tsc_start = tsc
                         thermal = None
                         duty = 1.0
                         continue
@@ -1020,6 +1104,9 @@ def run_fast(st, tel):
             if multi:
                 (time_s, duration, elapsed, energy, tick_instr,
                  mean_power) = pkg.end()
+                # Each lane stored its core; the lead core's clock reads
+                # the package's.
+                machine._time_s = time_s
                 # Inlined meter emit(mean_power, duration): the package
                 # mean, once per tick.
                 remaining_t = duration
@@ -1072,11 +1159,7 @@ def run_fast(st, tel):
             if hooked:
                 # ---- decision boundary: locals -> objects, then the
                 # decision block on the objects ----
-                if multi:
-                    # Each lane stored its core; the lead core's clock
-                    # reads the package's.
-                    machine._time_s = time_s
-                else:
+                if not multi:
                     _store(
                         machine, cursor, pmu, time_s, jitter_log, charged,
                         retired, into_phase, phase_index, cycle_res, res0,
@@ -1242,6 +1325,42 @@ def run_fast(st, tel):
                         )
                     else:
                         target_index = current_index
+                elif mode == 4:  # EnergyOptimalSearch
+                    c1 = (pmc1 - pmc1_start) & _M40
+                    r1 = c1 / cyc if cyc > 0 else 0.0
+                    # The closed group's counter 1 updates the governor's
+                    # last-known DPC or DCU; r0 is the IPC of both.
+                    if event1 is _EO_DPC:
+                        governor._dpc = r1
+                    else:
+                        governor._dcu = r1
+                    dpc = governor._dpc
+                    target_index = current_index
+                    if not (r0 <= 0 or dpc <= 0):
+                        dcu_per_ipc = governor._dcu / r0
+                        row = proj_rows[current_index]
+                        if row is None or dcu_per_ipc < 0:
+                            # decide()'s objective scan.
+                            target_index = state_index[
+                                governor._scan(r0, pstate)
+                            ]
+                        else:
+                            core_bound = dcu_per_ipc < dcu_threshold
+                            best = None
+                            for i in range(n_states):
+                                scale, alpha, beta, to_mhz, factor = row[i]
+                                power = alpha * (dpc * scale) + beta
+                                if core_bound:
+                                    throughput = r0 * to_mhz * 1e6
+                                else:
+                                    throughput = r0 * factor * to_mhz * 1e6
+                                value = (
+                                    _INF if throughput <= 0
+                                    else power / throughput
+                                )
+                                if best is None or value < best:
+                                    best = value
+                                    target_index = i
                 else:  # StaticClocking / FixedFrequency
                     target_index = static_index
 
@@ -1261,7 +1380,7 @@ def run_fast(st, tel):
 
                 if keep_trace:
                     trace_rates_append(
-                        {event0: r0, event1: r1} if mode == 1
+                        {event0: r0, event1: r1} if mode == 1 or mode == 4
                         else {event0: r0}
                     )
                 if record:
@@ -1271,9 +1390,12 @@ def run_fast(st, tel):
                         else None
                     )
                 if observe:
-                    rate0_append(r0)
-                    if mode == 1:
-                        rate1_append(r1)
+                    if mode == 4:
+                        ticks.add_rates({event0: r0, event1: r1})
+                    else:
+                        rate0_append(r0)
+                        if mode == 1:
+                            rate1_append(r1)
                     cycles_append(cyc)
                     target_mhz = gov_states[target_index].frequency_mhz
                     if mode == 0:
@@ -1281,6 +1403,23 @@ def run_fast(st, tel):
                         # projection row (bitwise the same).
                         scale, alpha, beta = row[target_index]
                         estimate_w = alpha * (r0 * scale) + beta
+                if mode == 4:
+                    # ---- rotate (MultiplexedCounterSampler: program the
+                    # next group; PMU.program clears its counters) ----
+                    if event1 is _EO_DPC:
+                        event1 = _EO_DCU
+                    else:
+                        event1 = _EO_DPC
+                    selector1 = _SELECTOR[event1]
+                    pmc0 = pmc1 = 0
+                    res0 = res1 = 0.0
+                    if multi:
+                        # The next lane switch loads the lead core's PMU
+                        # from the objects (select registers: at exit).
+                        pmu._events[1] = event1
+                        pmu._residuals[0] = pmu._residuals[1] = 0.0
+                        machine.msr.poke(IA32_PMC0, 0)
+                        machine.msr.poke(IA32_PMC1, 0)
 
             if record:
                 time_append(time_s)
@@ -1328,6 +1467,10 @@ def run_fast(st, tel):
             _rewind(machine._rng, jit_state0, jit_i, jit_refills)
         if m_buf is not None:
             _rewind(sense._rng, m_state0, m_i, m_refills)
+        if mode == 4:
+            # The rotation's programming of the lead core's PMU; its
+            # counts are the locals stored next.
+            sampler._samplers[0]._pmu.program_events((event0, event1))
         if not in_decision:
             _store(
                 machine, cursor, pmu, time_s, jitter_log, charged, retired,
@@ -1338,7 +1481,12 @@ def run_fast(st, tel):
         if res_acc or freq in residency:
             residency[freq] = res_acc
         if not hooked:
-            sampler._last = pmu.snapshot()
+            _close_sampler(sampler, event1, None if cyc is None else (
+                elapsed, cyc, r0, r1 if mode == 1 or mode == 4 else None,
+                (
+                    (pmc0_start + c0) & _M40, (pmc1_start + c1) & _M40, tsc
+                ) if mode == 4 else None,
+            ))
         if mode == 0:
             governor._raise_streak = raise_streak
             governor._pending_raise = (

@@ -145,10 +145,7 @@ class EnergyOptimalSearch(Governor):
         if row is None or dcu_per_ipc < 0:
             # An overridden objective, a state off the table, or a
             # sample Eq. 3 rejects: the scan (which raises for the last).
-            return min(
-                self.table,
-                key=lambda candidate: self.objective(ipc, current, candidate),
-            )
+            return self._scan(ipc, current)
         # objective() per candidate from the Eq. 2/4 and Eq. 3 tables,
         # in its float order; min()'s first-wins order on ties.
         core_bound = dcu_per_ipc < self._performance.dcu_threshold
@@ -164,6 +161,14 @@ class EnergyOptimalSearch(Governor):
                 best = value
                 best_index = i
         return self.table[best_index]
+
+    def _scan(self, ipc: float, current: PState) -> PState:
+        """The candidate of least :meth:`objective` (the first of equal
+        ones) at the last-known DPC and DCU.  Changes nothing."""
+        return min(
+            self.table,
+            key=lambda candidate: self.objective(ipc, current, candidate),
+        )
 
     def _rows(self) -> dict | None:
         """The objective's projection rows, or None when a subclass

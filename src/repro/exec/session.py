@@ -139,24 +139,15 @@ class ExecSession:
             return
         tel = self.telemetry
         observed = tel is not None and tel.enabled
+        # Results are yielded unbound, so the suspended generator does
+        # not hold one after its caller drops it.
         for cell, spec, digest in zip(plan.cells, specs, digests):
             if store is None:
-                # Yielded unbound, so the suspended generator does not
-                # hold the result after its caller drops it.
                 yield execute_cell(cell, plan.config, telemetry=tel)
-                continue
-            first = digest not in store.visited
-            if first or not observed:
-                result = store.get(digest, telemetry=tel if first else None)
-                if result is not None:
-                    store.visited.add(digest)
-                    yield result
-                    continue
-            result = execute_cell(cell, plan.config, telemetry=tel)
-            if first:
-                store.put(digest, spec, result, telemetry=tel)
-                store.visited.add(digest)
-            yield result
+            else:
+                yield _serve(
+                    store, cell, plan.config, spec, digest, tel, observed
+                )
 
     def _run_pool(self, plan: RunPlan, specs, digests) -> List[RunResult]:
         """Fan ``plan`` out over a worker pool; results in cell order.
@@ -215,6 +206,22 @@ class ExecSession:
         """Run a single cell and return its result."""
         cell = RunCell(workload=workload, governor=governor, **cell_kwargs)
         return self.run_cells([cell], config or ExperimentConfig())[0]
+
+
+def _serve(store, cell, config, spec, digest, tel, observed) -> RunResult:
+    """One cell of a serial plan under ``store``: its stored result, or
+    a run that is put unless its digest already recurred."""
+    first = digest not in store.visited
+    if first or not observed:
+        result = store.get(digest, telemetry=tel if first else None)
+        if result is not None:
+            store.visited.add(digest)
+            return result
+    result = execute_cell(cell, config, telemetry=tel)
+    if first:
+        store.put(digest, spec, result, telemetry=tel)
+        store.visited.add(digest)
+    return result
 
 
 @contextlib.contextmanager

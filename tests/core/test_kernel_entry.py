@@ -115,6 +115,27 @@ def test_pm_mixed_multicore_variants_enter_kernel(spies):
     assert spies["kernel"] == spies["runs"] == len(PM_MIXED_MULTICORE)
 
 
+@pytest.mark.parametrize("plan,table", [
+    (PM_MIXED, False),
+    (PM_MIXED_MULTICORE, True),
+], ids=["single-core-hooks", "multicore"])
+def test_pm_mixed_decision_modes(plan, table, monkeypatch):
+    """The two-core PM and energy-optimal cells decide from the
+    kernel's tables; faults, adaptation and adaptive PM take hook mode.
+    A silent fall back to hook mode shows here, not only as time."""
+    modes = []
+    table_mode = blockloop._table_mode
+
+    def spy(st):
+        modes.append(table_mode(st))
+        return modes[-1]
+
+    monkeypatch.setattr(blockloop, "_table_mode", spy)
+    with open_session() as session:
+        session.run_plan(plan)
+    assert modes == [table] * len(plan)
+
+
 def test_training_runs_each_pass_through_the_kernel(spies):
     """MS-Loops training characterizes each (loop, p-state) point in two
     counter passes, each one controller run."""

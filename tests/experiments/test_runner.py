@@ -172,6 +172,27 @@ def test_execute_plans_shares_cells_and_holds_them_until_last_use():
     assert second is kept()
 
 
+def test_execute_plans_under_a_store_holds_no_dropped_result(tmp_path):
+    """A serial plan under a store yields its results unbound: once the
+    caller drops one, the suspended plan does not keep it alive."""
+    config = ExperimentConfig(scale=0.02)
+    shared, alone = (
+        RunCell.fixed("gzip", 2000.0), RunCell.fixed("mcf", 2000.0),
+    )
+    with ResultStore(tmp_path / "store", create=True) as store:
+        with open_session(store=store):
+            plans = execute_plans([
+                RunPlan(config=config, cells=(shared, alone, shared)),
+                RunPlan(config=config, cells=(shared,)),
+            ])
+            first = list(next(plans))
+            dropped = weakref.ref(first[1])
+            del first
+            gc.collect()
+            assert dropped() is None
+            assert len(list(next(plans))) == 1
+
+
 def test_execute_plans_digests_each_cell_once_under_a_store(
     monkeypatch, tmp_path
 ):

@@ -467,6 +467,36 @@ def test_run_resume_reruns_from_the_recorded_options(tmp_path, capsys):
     assert spec["run"]["workload"] == "gzip"
 
 
+@pytest.mark.parametrize("option", [
+    ["gzip"],
+    ["--workload", "gzip"],
+    ["--governor", "ps"],
+    ["--limit", "14.5"],
+    ["--floor", "0.8"],
+    ["--frequency", "2000"],
+    ["--scale", "0.5"],
+    ["--seed", "0"],
+    ["--model", "model.json"],
+    ["--use-paper-model"],
+    ["--adapt"],
+    ["--faults", "faults.json"],
+], ids=lambda option: option[0].lstrip("-"))
+def test_run_resume_refuses_recorded_options(tmp_path, capsys, option):
+    """``run --resume`` reruns the recorded options: one given again is
+    refused, not silently replaced, even when it names the recorded
+    value or the single-run default."""
+    checkpoint = tmp_path / "ck"
+    assert main(
+        ["run", "gzip", "--scale", "0.05", "--use-paper-model",
+         "--checkpoint", str(checkpoint)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["run", "--resume", str(checkpoint), *option]) == 1
+    err = capsys.readouterr().err
+    flag = "a workload" if option[0] in ("gzip", "--workload") else option[0]
+    assert f"--resume takes {flag} from the store" in err
+
+
 def test_experiment_resume_serves_the_stored_cells(tmp_path, capsys):
     """``experiment --checkpoint`` stores every cell in a result store;
     ``--resume`` serves them and prints the same report."""
