@@ -18,8 +18,8 @@ Usage::
         [--threads 1] [--scale 16] [--top 20]
         [--out benchmarks/results/profile_tick.txt]
 
-The archived reference run lives at
-``benchmarks/results/profile_tick.txt``.
+The archived reference run, ``--governor energy-optimal --threads 2``,
+lives at ``benchmarks/results/profile_tick.txt``.
 """
 
 from __future__ import annotations

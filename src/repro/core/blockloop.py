@@ -47,24 +47,31 @@ inner :class:`~repro.measurement.power_meter.PowerMeter` and corrupts
 the tick's closed samples right after the tick's physics.
 
 **Multicore lanes.**  A :class:`~repro.multicore.machine.MulticoreMachine`
-with N > 1 cores runs as N lanes of the same machine tick.  Each tick
-first reads every active core's uncontended bus demand and takes each
-lane's contended ``(dram_latency_ns, bus_bandwidth)`` from
+with N > 1 cores runs as N lanes of the same machine tick.  Each lane's
+machine, cursor, PMU and counter locals live in a kernel record
+(:class:`_Package`) between ticks; a lane switch unpacks the record into
+the locals and packs them back, and the lead core's state stays in the
+locals between ticks.  Each tick first prices every active core's
+uncontended bus demand from those records and takes each lane's
+contended ``(dram_latency_ns, bus_bandwidth)`` from
 :meth:`~repro.multicore.contention.ContentionModel.effective_scalars`
-(None: no pressure, the base timing).  Then each unfinished lane loads
-its core's state into the locals, runs the tick body and stores it back
-(lead core last).  Every lane reads the cached base template rows; a
-contended lane's five timing-dependent fields are recomputed straight
-into the locals (:func:`~repro.platform.blockstep._timing_fields`) on
-the lane switch and at each phase it crosses, so no timing or template
-object is built per lane per tick.  A lane's segments skip the meter:
-finished and idle cores are padded with idle power to the slowest
-core's duration, and the package mean goes once through the inlined
-meter body.  The decision runs on the lead core's counters and the
-package driver, in a table mode or in hook mode by the same rule as a
-single core's: the lead core is stepped last, so the counter locals are
-its own when the package decides.  A single-core run (or a one-core
-package) is one lane with no switch.
+(None: no pressure, the base timing).  Then each unfinished lane runs
+the tick body, lead core last.  The cores share one p-state, so the
+package keeps one p-state index; after a decision moves it (or after
+any hook decision) each lane's p-state, dead time and duty cycle are
+re-read once.  Every lane reads the cached base template rows of that
+p-state; a contended lane's five timing-dependent fields are recomputed
+straight into the locals (:meth:`_Package.fields`, bitwise
+:func:`~repro.platform.blockstep._timing_fields`) on the lane switch and
+at each phase it crosses, so no timing or template object is built per
+lane per tick.  A lane's segments skip the meter: finished and idle
+cores are padded with idle power to the slowest core's duration, and
+the package mean goes once through the inlined meter body.  The
+decision runs on the lead core's counters and the package driver, in a
+table mode or in hook mode by the same rule as a single core's.  The
+objects are written from the records at the run's exit (also on a
+raise) and, in hook mode, before each decision.  A single-core run (or
+a one-core package) is one lane with no switch.
 
 **Bit-identical contract.**  The kernel reproduces the RNG variates,
 float operation order and side effects of the per-tick machine physics
@@ -116,7 +123,7 @@ from repro.platform.blockstep import (
     _NEG_INV_P,
     _NEG_P,
     _SELECTOR,
-    _timing_fields,
+    _bytes_pi,
     rate_template,
 )
 from repro.platform.pipeline import (
@@ -127,6 +134,7 @@ from repro.platform.pipeline import (
 )
 from repro.platform.power import idle_power
 from repro.telemetry.bus import ConstraintChanged
+from repro.units import NS
 
 #: Gaussian pre-draws per refill (even, so the meter's
 #: two-variates-per-sample reads never straddle a refill).
@@ -329,18 +337,52 @@ def _meter_parts(meter):
     return meter, None
 
 
-class _Package:
-    """A multicore package's bookkeeping around its per-core lanes.
+def _lane_record(lane):
+    """A :func:`_lane`'s kernel record, read from its objects: the
+    kernel's lane-switch locals in their unpack order -- :func:`_load`'s,
+    the jitter chunk buffer ``(jit_buf, jit_i, jit_refills)``, then the
+    core's thermal model, jitter generator, instruction budget and
+    finish line."""
+    (machine, cursor, pmu, rdmsr, dvfs, throttle, thermal, mach_std, total,
+     finish_line, _) = lane
+    return [
+        *_load(machine, cursor, pmu, rdmsr, dvfs, throttle),
+        None, _RNG_CHUNK, 0, thermal, mach_std, total, finish_line,
+    ]
 
-    :meth:`begin` reads every active core's uncontended bus demand and
-    hands out this tick's contended ``(dram_latency_ns, bus_bandwidth)``
-    per lane; the kernel steps each lane and records it with
-    :meth:`finish`; :meth:`end` pads finished and idle cores with idle
-    power and advances package time, and the kernel meters the package
-    mean once -- what the lock-step ``MulticoreMachine`` tick did.
+
+#: The slots of a kernel record that :class:`_Package` reads or
+#: refreshes between ticks.
+_JITTER_LOG = 1
+_DEAD_TOTAL = 3
+_PHASE_INDEX = 4
+_PSTATE = 7
+_DUTY = 8
+_JITTER_BUF = slice(19, 22)
+
+
+class _Package:
+    """A multicore package's lane state and bookkeeping.
+
+    Each lane's locals live in a kernel record (:func:`_lane_record`)
+    between ticks; the lead core's state stays in the kernel's own
+    locals between ticks, and :meth:`begin` takes it as its record.  The
+    objects are written from the records only by :meth:`store`: at the
+    run's exit, and in hook mode before each decision.
+
+    :meth:`begin` prices every active core's uncontended bus demand from
+    the records and hands out this tick's contended ``(dram_latency_ns,
+    bus_bandwidth)`` per lane; the kernel steps each lane and records
+    its ``(elapsed, energy, instructions)`` in :attr:`stepped`;
+    :meth:`end` pads finished and idle cores with idle power and
+    advances package time, and the kernel meters the package mean once
+    -- what the lock-step ``MulticoreMachine`` tick did.
+
+    The cores share one p-state (one PLL): the package keeps its index,
+    the lead core's, as the kernel's ``current_index``.
     """
 
-    def __init__(self, package, template_rows, state_index):
+    def __init__(self, package, template_rows, states, phases, hooked):
         self.package = package
         self.cores = package.cores
         #: One :func:`_lane` per active core; core 0 leads.
@@ -349,58 +391,111 @@ class _Package:
         self.base = config.timing
         self.constants = config.power
         self.contention = package.config.contention
+        self.ceiling = self.contention.ceiling(self.base)
         self.rows = template_rows
-        self.state_index = state_index
+        self.phases = phases
+        #: Idle power per p-state index (the padding of :meth:`end`).
+        self.idle_w = [idle_power(state, self.constants) for state in states]
+        self.hooked = hooked
+        #: The p-state index of the last :meth:`begin`.
+        self.index = None
+        #: Per phase index: the contention-independent parts of
+        #: :meth:`fields`.
+        self.parts = [None] * len(phases)
         self.done = [lane[1].finished for lane in self.lanes]
-        #: Each lane's jitter chunk buffer: (buffer, drawn, refills).
-        self.jitter = [(None, _RNG_CHUNK, 0)] * len(self.lanes)
+        #: The lanes a tick steps: the unfinished ones, lead core last
+        #: (its locals are the ones the package decides on, also once
+        #: it has finished).
+        self.order = self._order()
+        #: Per lane, its kernel record (the lead's is set by begin).
+        self.state = [None] + [_lane_record(lane) for lane in self.lanes[1:]]
         #: Per lane: None (no pressure, the base timing) or its contended
         #: (dram_latency_ns, bus_bandwidth) this tick.
         self.timings = ()
+        #: Per core: the lane's (elapsed, energy, instructions) this
+        #: tick, None for a core not stepped.
         self.stepped = []
 
-    def begin(self):
-        """Set this tick's per-lane timings; returns the lanes to step,
-        lead core last (it is the one loaded for the decision, also once
-        it has finished)."""
+    def begin(self, index, lead):
+        """Start a package tick at p-state index ``index``; ``lead`` is
+        the lead core's record.  Sets this tick's per-lane timings and
+        returns the lanes to step (:attr:`order`)."""
+        state = self.state
+        state[0] = lead
+        if index != self.index or self.hooked:
+            # A decision moved the package p-state (or ran hooks on the
+            # objects): re-read each other lane's p-state, dead time and
+            # duty cycle once.
+            self.index = index
+            for lane, record in zip(self.lanes[1:], state[1:]):
+                dvfs = lane[4]
+                record[_PSTATE] = dvfs.current
+                record[_DEAD_TOTAL] = dvfs.total_dead_time_s
+                record[_DUTY] = lane[5].duty
+        row = self.rows[index]
         demands = []
-        for lane, done in zip(self.lanes, self.done):
+        for record, done in zip(state, self.done):
             if done:
                 demands.append(0.0)
                 continue
             # The bus demand at the base timing: the current phase and
             # p-state, the previous tick's jitter.
-            core, cursor = lane[0], lane[1]
-            pstate = core.dvfs.current
-            row = self.rows[self.state_index[pstate]]
-            index = cursor._phase_index
-            template = row[index]
+            phase = record[_PHASE_INDEX]
+            template = row[phase]
             if template is None:
-                template = row[index] = rate_template(
-                    cursor._workload.phases[index], pstate, self.base,
+                template = row[phase] = rate_template(
+                    self.phases[phase], record[_PSTATE], self.base,
                     self.constants,
                 )
-            demands.append(_bus_demand(template, core._jitter_log))
+            demands.append(_bus_demand(template, record[_JITTER_LOG]))
         self.timings = self.contention.effective_scalars(self.base, demands)
-        self.note_bus(demands)
+        self.note_bus(sum(demands))
         self.stepped = [None] * len(self.cores)
+        return self.order
+
+    def _order(self):
         order = [
             k for k in range(len(self.lanes) - 1, 0, -1) if not self.done[k]
         ]
         order.append(0)
         return order
 
-    def note_bus(self, demands):
-        """Fold one tick's bus demands into the peak utilization."""
-        bus = self.contention.utilization(self.base, demands)
+    def finish(self, lane):
+        """Mark ``lane`` finished: it is stepped no more."""
+        self.done[lane] = True
+        self.order = self._order()
+
+    def note_bus(self, demand):
+        """Fold one tick's total bus demand into the peak utilization
+        (:meth:`ContentionModel.utilization`)."""
+        bus = demand / self.ceiling
         if bus > self.package.peak_bus_utilization:
             self.package.peak_bus_utilization = bus
 
-    def fields(self, contended, phase, freq_mhz):
-        """The five timing-dependent template fields of a lane at its
-        contended ``(dram_latency_ns, bus_bandwidth)``."""
-        return _timing_fields(
-            phase, freq_mhz, self.base.l2_latency_cycles, *contended
+    def fields(self, contended, index, hz):
+        """The five timing-dependent template fields of phase ``index``
+        at clock ``hz`` and contended ``(dram_latency_ns,
+        bus_bandwidth)``: :func:`_timing_fields`, bitwise, with the
+        phase's contention-independent parts cached."""
+        parts = self.parts[index]
+        if parts is None:
+            phase = self.phases[index]
+            l2_hit_mpi = max(0.0, phase.l1_mpi - phase.l2_mpi)
+            l2_hit = l2_hit_mpi * self.base.l2_latency_cycles
+            parts = self.parts[index] = (
+                l2_hit / phase.l2_mlp, l2_hit, phase.l2_mpi, phase.mlp,
+                _bytes_pi(phase),
+            )
+        l2_stall, l2_hit, l2_mpi, mlp, bytes_pi = parts
+        dram_latency_ns, bus_bandwidth = contended
+        # ns_to_cycles(dram_latency_ns, freq_mhz)
+        dram_cycles = dram_latency_ns * NS * hz
+        return (
+            l2_stall,
+            l2_mpi * dram_cycles / mlp,
+            (bus_bandwidth / bytes_pi) ** _NEG_P if bytes_pi > 0 else 0.0,
+            bus_bandwidth,
+            l2_hit + l2_mpi * dram_cycles,
         )
 
     def timing(self, contended):
@@ -412,21 +507,20 @@ class _Package:
             bus_bandwidth_bytes_per_s=contended[1],
         )
 
-    def finish(self, lane, elapsed, energy, instructions, done):
-        """Record one lane's tick."""
-        self.stepped[lane] = (elapsed, energy, instructions)
-        self.done[lane] = done
-
     def end(self):
         """Close the package tick.  Returns the package time, the tick's
         duration, the lead core's sample interval, the package energy
         and instructions, and the mean power to meter."""
         stepped = self.stepped
-        duration = max(out[0] for out in stepped if out is not None)
+        duration = 0.0
+        for out in stepped:
+            if out is not None and out[0] > duration:
+                duration = out[0]
+        idle_w = self.idle_w[self.index]
         energy = 0.0
         instructions = 0.0
         # Core order, as the lock-step tick summed it.
-        for core, out in zip(self.cores, stepped):
+        for out in stepped:
             if out is not None:
                 pad = duration - out[0]
                 energy += out[1]
@@ -434,7 +528,7 @@ class _Package:
             else:
                 pad = duration
             if pad > 1e-15:
-                energy += idle_power(core.dvfs.current, self.constants) * pad
+                energy += idle_w * pad
         package = self.package
         package._time_s += duration
         power = energy / duration if duration > 0 else 0.0
@@ -448,9 +542,22 @@ class _Package:
             power,
         )
 
+    def store(self):
+        """Write every lane's record to its objects."""
+        for lane, record in zip(self.lanes, self.state):
+            (time_s, jitter_log, charged, _, phase_index, into_phase,
+             retired, _, _, _, _, _, _, cycle_res, res0, res1, pmc0, pmc1,
+             tsc) = record[:19]
+            _store(
+                lane[0], lane[1], lane[2], time_s, jitter_log, charged,
+                retired, into_phase, phase_index, cycle_res, res0, res1,
+                pmc0, pmc1, tsc,
+            )
+
     def rewind(self):
         """Rewind every lane's jitter generator (see :func:`run_fast`)."""
-        for lane, (buf, drawn, refills) in zip(self.lanes, self.jitter):
+        for lane, record in zip(self.lanes, self.state):
+            buf, drawn, refills = record[_JITTER_BUF]
             if buf is not None:
                 _rewind(lane[0]._rng, lane[-1], drawn, refills)
 
@@ -667,7 +774,7 @@ def run_fast(st, tel):
     # A multicore package (of any size) tracks its bus utilization.
     pkg = None
     if st.machine is not machine:
-        pkg = _Package(st.machine, template_rows, state_index)
+        pkg = _Package(st.machine, template_rows, states, phases, hooked)
     if multi:
         pending = not all(pkg.done)
     close_eps = m_interval - 1e-12
@@ -737,7 +844,14 @@ def run_fast(st, tel):
                         ))
             if pkg is not None:
                 if multi:
-                    tick_lanes = pkg.begin()
+                    # ---- the lead core's locals -> its record ----
+                    tick_lanes = pkg.begin(current_index, [
+                        time_s, jitter_log, charged, dead_total, phase_index,
+                        into_phase, retired, pstate, duty, event0, event1,
+                        selector0, selector1, cycle_res, res0, res1, pmc0,
+                        pmc1, tsc, jit_buf, jit_i, jit_refills, thermal,
+                        mach_std, total, finish_line,
+                    ])
                 else:
                     # One core: no contention, but the package still
                     # reports its bus utilization.
@@ -746,21 +860,15 @@ def run_fast(st, tel):
                         template = templates[phase_index] = rate_template(
                             phases[phase_index], pstate, timing, constants
                         )
-                    pkg.note_bus((_bus_demand(template, jitter_log),))
+                    pkg.note_bus(_bus_demand(template, jitter_log))
             for lane in tick_lanes:
                 if multi:
-                    # ---- lane switch: objects -> locals ----
-                    (machine, cursor, pmu, rdmsr, dvfs, throttle, thermal,
-                     mach_std, total, finish_line, jit_state0) = pkg.lanes[lane]
+                    # ---- lane switch: the lane's record -> locals ----
                     (time_s, jitter_log, charged, dead_total, phase_index,
                      into_phase, retired, pstate, duty, event0, event1,
                      selector0, selector1, cycle_res, res0, res1, pmc0, pmc1,
-                     tsc) = _load(
-                        machine, cursor, pmu, rdmsr, dvfs, throttle
-                    )
-                    jit_buf, jit_i, jit_refills = pkg.jitter[lane]
-                    current_index = state_index[pstate]
-                    freq = pstate.frequency_mhz
+                     tsc, jit_buf, jit_i, jit_refills, thermal, mach_std,
+                     total, finish_line) = pkg.state[lane]
                     if pkg.done[lane]:
                         # A finished lead core is loaded for the decision
                         # only: its interval counts nothing, and it
@@ -771,10 +879,10 @@ def run_fast(st, tel):
                         thermal = None
                         duty = 1.0
                         continue
-                    # Every lane reads the base rows; a contended lane
-                    # overrides its timing-dependent fields on each load.
+                    # Every lane reads the base rows of the package
+                    # p-state; a contended lane overrides its
+                    # timing-dependent fields on each switch.
                     contended = pkg.timings[lane]
-                    templates = template_rows[current_index]
                     t_cur = None
                 # ---- machine tick (tests/platform/golden_ticks.json) ----
                 start_time = time_s
@@ -822,7 +930,7 @@ def run_fast(st, tel):
                     if contended is not None:
                         (t_l2_stall, t_dram_stall, t_bw_neg_p, t_bus_bw,
                          t_dcu_occ) = pkg.fields(
-                            contended, phases[phase_index], t_freq_mhz
+                            contended, phase_index, t_hz
                         )
 
                 dead = dead_total - charged
@@ -930,7 +1038,7 @@ def run_fast(st, tel):
                         if contended is not None:
                             (t_l2_stall, t_dram_stall, t_bw_neg_p, t_bus_bw,
                              t_dcu_occ) = pkg.fields(
-                                contended, phases[phase_index], t_freq_mhz
+                                contended, phase_index, t_hz
                             )
                     remaining = total - retired
                     if remaining < 0.0:
@@ -1088,25 +1196,37 @@ def run_fast(st, tel):
                 mean_power = energy / elapsed if elapsed > 0 else 0.0
 
                 if multi:
-                    # ---- lane switch: locals -> objects ----
-                    _store(
-                        machine, cursor, pmu, time_s, jitter_log, charged,
-                        retired, into_phase, phase_index, cycle_res, res0,
-                        res1, pmc0, pmc1, tsc,
-                    )
-                    pkg.jitter[lane] = (jit_buf, jit_i, jit_refills)
-                    pkg.finish(
-                        lane, elapsed, energy, tick_instr,
-                        retired >= finish_line,
-                    )
+                    pkg.stepped[lane] = (elapsed, energy, tick_instr)
+                    if retired >= finish_line:
+                        pkg.finish(lane)
+                    if lane:
+                        # ---- lane switch: locals -> the lane's record
+                        # (the lead core's stay in the locals) ----
+                        pkg.state[lane] = [
+                            time_s, jitter_log, charged, dead_total,
+                            phase_index, into_phase, retired, pstate, duty,
+                            event0, event1, selector0, selector1, cycle_res,
+                            res0, res1, pmc0, pmc1, tsc, jit_buf, jit_i,
+                            jit_refills, thermal, mach_std, total,
+                            finish_line,
+                        ]
 
             # ---- accounting ----
             if multi:
+                # The lead core's clock reads the package's.
                 (time_s, duration, elapsed, energy, tick_instr,
                  mean_power) = pkg.end()
-                # Each lane stored its core; the lead core's clock reads
-                # the package's.
-                machine._time_s = time_s
+                if hooked:
+                    # Hook mode decides on the objects: every lane's
+                    # record is written to them first.
+                    pkg.state[0] = [
+                        time_s, jitter_log, charged, dead_total, phase_index,
+                        into_phase, retired, pstate, duty, event0, event1,
+                        selector0, selector1, cycle_res, res0, res1, pmc0,
+                        pmc1, tsc, jit_buf, jit_i, jit_refills, thermal,
+                        mach_std, total, finish_line,
+                    ]
+                    pkg.store()
                 # Inlined meter emit(mean_power, duration): the package
                 # mean, once per tick.
                 remaining_t = duration
@@ -1413,13 +1533,6 @@ def run_fast(st, tel):
                     selector1 = _SELECTOR[event1]
                     pmc0 = pmc1 = 0
                     res0 = res1 = 0.0
-                    if multi:
-                        # The next lane switch loads the lead core's PMU
-                        # from the objects (select registers: at exit).
-                        pmu._events[1] = event1
-                        pmu._residuals[0] = pmu._residuals[1] = 0.0
-                        machine.msr.poke(IA32_PMC0, 0)
-                        machine.msr.poke(IA32_PMC1, 0)
 
             if record:
                 time_append(time_s)
@@ -1461,7 +1574,14 @@ def run_fast(st, tel):
         # Locals -> objects (also on the max_seconds raise and any
         # unexpected error, so nothing is ever left torn).
         if multi:
-            pkg.jitter[lane] = (jit_buf, jit_i, jit_refills)
+            # The locals are lane `lane`'s: the lead core's, or a lane's
+            # torn by an unexpected error.
+            pkg.state[lane] = [
+                time_s, jitter_log, charged, dead_total, phase_index,
+                into_phase, retired, pstate, duty, event0, event1, selector0,
+                selector1, cycle_res, res0, res1, pmc0, pmc1, tsc, jit_buf,
+                jit_i, jit_refills, thermal, mach_std, total, finish_line,
+            ]
             pkg.rewind()
         elif jit_buf is not None:
             _rewind(machine._rng, jit_state0, jit_i, jit_refills)
@@ -1472,11 +1592,14 @@ def run_fast(st, tel):
             # counts are the locals stored next.
             sampler._samplers[0]._pmu.program_events((event0, event1))
         if not in_decision:
-            _store(
-                machine, cursor, pmu, time_s, jitter_log, charged, retired,
-                into_phase, phase_index, cycle_res, res0, res1, pmc0, pmc1,
-                tsc,
-            )
+            if multi:
+                pkg.store()
+            else:
+                _store(
+                    machine, cursor, pmu, time_s, jitter_log, charged,
+                    retired, into_phase, phase_index, cycle_res, res0, res1,
+                    pmc0, pmc1, tsc,
+                )
             _store_meter(power_meter, m_time, bucket_e, bucket_t)
         if res_acc or freq in residency:
             residency[freq] = res_acc

@@ -11,6 +11,9 @@ plan resumes from a result store.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from repro.checkpoint import run_result_digest
 from repro.core import blockloop
 from repro.core.governors.energy_optimal import EnergyOptimalSearch
+from repro.errors import ExperimentError
 from repro.exec import (
     ExperimentConfig,
     GovernorSpec,
@@ -204,10 +208,28 @@ def test_energy_optimal_scan_fallback_matches_hook_mode(monkeypatch):
     )
 
 
+def _lane_state(core):
+    """What the kernel leaves in one core's objects."""
+    cursor = core._cursor
+    pmu = core.pmu
+    dvfs = core.dvfs
+    return {
+        "time_s": core._time_s,
+        "msr": dict(core.msr._values),
+        "cursor": (cursor._phase_index, cursor._into_phase, cursor._retired),
+        "jitter_log": core._jitter_log,
+        "charged": core._charged_dead_time_s,
+        "dvfs": (dvfs.current, dvfs.total_dead_time_s),
+        "pmu": (list(pmu._events), list(pmu._residuals),
+                pmu._cycle_residual),
+        "rng": core._rng.bit_generator.state,
+    }
+
+
 def _final_state(cell, config, monkeypatch):
-    """A run's digest and what it leaves in the objects the kernel
-    writes back: every lane's clock and registers, the lead PMU's
-    programming, the sampler and the governor's last-known rates."""
+    """A run's digest (or the error it ended on) and what it leaves in
+    the objects the kernel writes back: every lane's full state, the
+    sampler and the governor's last-known rates."""
     states = []
     run_fast = blockloop.run_fast
 
@@ -217,17 +239,16 @@ def _final_state(cell, config, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(blockloop, "run_fast", keep_state)
-        result = prepare_cell(cell, config).execute()
+        try:
+            outcome = run_result_digest(prepare_cell(cell, config).execute())
+        except ExperimentError as error:
+            outcome = str(error)
     (st,) = states
     sampler = st.sampler
     samplers = getattr(sampler, "_samplers", (sampler,))
-    pmu = st.lanes[0].pmu
     return {
-        "digest": run_result_digest(result),
-        "lanes": [
-            (lane._time_s, dict(lane.msr._values)) for lane in st.lanes
-        ],
-        "pmu": (list(pmu._events), list(pmu._residuals)),
+        "outcome": outcome,
+        "lanes": [_lane_state(lane) for lane in st.lanes],
         "index": getattr(sampler, "_index", None),
         # The kernel keeps the last closed interval's sample: a
         # rotation's other group keeps an older one.
@@ -240,16 +261,64 @@ def _final_state(cell, config, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("governor,threads", [
-    (GovernorSpec.energy_optimal(power_model="paper"), 1),
-    (GovernorSpec.energy_optimal(power_model="paper"), 2),
-    (GovernorSpec.pm(14.5, power_model="paper"), 2),
-    (GovernorSpec.dbs(), 3),
-], ids=["energy-optimal", "energy-optimal-t2", "pm-t2", "dbs-t3"])
+#: sha256 of each case's lane states (:func:`_lanes_sha256`) as the
+#: kernel left them when every lane went through the objects on every
+#: tick (``_load`` / ``_store`` on each lane switch).
+EO = GovernorSpec.energy_optimal(power_model="paper")
+PM = GovernorSpec.pm(14.5, power_model="paper")
+OBJECT_CASES = {
+    "energy-optimal": (EO, 1, 600.0, (
+        "368c56f44ba7b96fa894529eab39408ab5bba84ca0e56952bdb4a2ddc72d5709"
+    )),
+    "energy-optimal-t2": (EO, 2, 600.0, (
+        "b70e9daf823a1334c03b303da209f2e90fc6fcad3edb28500131fe0150467798"
+    )),
+    "pm-t2": (PM, 2, 600.0, (
+        "5b69c9041174d25cc7c6fec8cea7aa3b01207961d14583d04ac8c9249215f3d5"
+    )),
+    "dbs-t3": (GovernorSpec.dbs(), 3, 600.0, (
+        "ab306c87d9fb6a5057a9d72b5d0e1fa32b7e5b65ab5832a0d58681440218a85f"
+    )),
+    "energy-optimal-t4": (EO, 4, 600.0, (
+        "1110a3904c6db050f9b20d58df089a902ea2b81905f0c79c678c6bbc32cf4b91"
+    )),
+    "ps-t4": (GovernorSpec.ps(0.6), 4, 600.0, (
+        "eaa194e24b7a017ab4c867d506652f653d8248384dded73d955918290ca99132"
+    )),
+    # Runs that end on the max_seconds raise.
+    "energy-optimal-t2-raise": (EO, 2, 0.05, (
+        "622939d02ca7812266629812abb2429feabdf0a728d1361db85954d8c3b9d8cc"
+    )),
+    "pm-t3-raise": (PM, 3, 0.05, (
+        "f39deca354d66692e1ddd3ce621b0287bbb993647c2aba87a8d7ec455c4fb4ff"
+    )),
+}
+
+
+def _lanes_sha256(state):
+    return hashlib.sha256(
+        json.dumps(state["lanes"], sort_keys=True, default=repr).encode()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "governor,threads,max_seconds,lanes_sha256",
+    list(OBJECT_CASES.values()), ids=list(OBJECT_CASES),
+)
 def test_table_mode_leaves_the_objects_of_hook_mode(governor, threads,
+                                                      max_seconds,
+                                                      lanes_sha256,
                                                       monkeypatch):
+    """Table mode keeps a package's lanes in the kernel between ticks
+    and writes them back at the exit, also on the ``max_seconds`` raise;
+    hook mode writes them before every decision.  Both leave every
+    lane's objects as the other does, and as the per-tick round trip
+    through the objects left them."""
     cell = RunCell("galgel", governor, threads=threads)
-    config = ExperimentConfig(scale=0.3, seed=6)
+    config = ExperimentConfig(scale=0.3, seed=6, max_seconds=max_seconds)
     table = _final_state(cell, config, monkeypatch)
+    if max_seconds < 600.0:
+        assert "exceeded" in table["outcome"]
+    assert _lanes_sha256(table) == lanes_sha256
     _hook_mode(monkeypatch)
     assert table == _final_state(cell, config, monkeypatch)

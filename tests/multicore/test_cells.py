@@ -187,3 +187,26 @@ def test_threads_frequency_sweep_example_is_frozen():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert _sha256(out.stdout) == SWEEP_EXAMPLE_SHA256
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the package keeps deciding from core 0's counters after core 0 "
+    "finishes; a fix moves pm-mixed's pinned digests (ROADMAP: "
+    "\"Decide from a running core\")"
+))
+def test_no_decision_reads_a_finished_lead_core():
+    """A two-core PowerSave cell decides on counters that counted: no
+    tick in which a core still ran hands the governor all-zero rates.
+
+    gzip's shards finish a tick apart; in the last tick only core 1
+    runs, and the package still decides from core 0's empty interval.
+    """
+    result = execute_cell(
+        RunCell("gzip", GovernorSpec.ps(0.8), threads=2),
+        ExperimentConfig(scale=1.0, seed=0, keep_trace=True),
+    )
+    empty = [
+        row.time_s for row in result.trace
+        if row.instructions > 0 and not any(row.rates.values())
+    ]
+    assert empty == []

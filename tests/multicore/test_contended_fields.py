@@ -25,6 +25,7 @@ from repro.multicore.machine import MulticoreConfig, MulticoreMachine
 from repro.platform.blockstep import _build_template
 from repro.platform.caches import PENTIUM_M_755_TIMING
 from repro.platform.machine import MachineConfig
+from repro.units import mhz_to_hz
 from repro.workloads import default_registry
 
 BASE = PENTIUM_M_755_TIMING
@@ -46,11 +47,12 @@ FIELDS = (
 
 
 def _package() -> _Package:
-    """The kernel's bookkeeping for a loaded four-core package."""
+    """The kernel's bookkeeping for a loaded four-core package, indexing
+    every phase of :data:`PHASES`."""
     machine = MulticoreMachine(MulticoreConfig(n_cores=4))
     machine.load(default_registry().get("swim"))
-    rows = [[None] * 4 for _ in STATES]
-    return _Package(machine, rows, {s: i for i, s in enumerate(STATES)})
+    rows = [[None] * len(PHASES) for _ in STATES]
+    return _Package(machine, rows, STATES, PHASES, hooked=False)
 
 
 PACKAGE = _package()
@@ -137,14 +139,14 @@ def test_lane_fields_equal_the_contended_template(
             continue
         assert timings[lane] == reference
         assert PACKAGE.timing(scalars[lane]) == reference
-        for phase in PHASES:
+        for index, phase in enumerate(PHASES):
             for pstate in STATES:
                 template = _build_template(
                     phase, pstate, reference, CONSTANTS
                 )
                 want = [getattr(template, name) for name in FIELDS]
                 got = PACKAGE.fields(
-                    scalars[lane], phase, pstate.frequency_mhz
+                    scalars[lane], index, mhz_to_hz(pstate.frequency_mhz)
                 )
                 assert _bits(got) == _bits(want), (phase.name, pstate)
 
