@@ -1,8 +1,9 @@
 """The AdaptationManager: shadow-scoring, recalibration, rollback.
 
 Closes the loop the paper leaves open (§IV-A2's future-work sketch):
-the controller feeds the manager one ``(counter sample, p-state,
-measured power)`` triple per 10 ms tick, and the manager
+the control loop feeds the manager the scalars of each 10 ms tick --
+the p-state's frequency, the DPC, the measured power and the time
+(:meth:`AdaptationManager.observe`) -- and the manager
 
 1. **shadow-scores** the active model: estimates power for the interval
    that just executed and tracks the residual stream;
@@ -24,6 +25,13 @@ measured power)`` triple per 10 ms tick, and the manager
 The manager is engaged per run via :meth:`engage`; a governor that does
 not expose ``swap_model`` (anything outside the PM family) leaves the
 manager inert and the run bit-for-bit identical to an unmanaged one.
+
+Plain floats, no counter sample: a stock PerformanceMaximizer decides in
+the tick kernel's table mode, which holds the tick's counters in locals
+and never builds a :class:`~repro.core.sampling.CounterSample`.
+:meth:`~AdaptationManager.observe` returns whether the governor changed
+(a model swap, a rollback, a guardband move), so the kernel re-reads the
+governor's projection table and budget only then.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from repro.adaptation.rls import PowerModelRLS
 from repro.core.models.performance import PerformanceModel
 from repro.core.models.power import LinearPowerModel
 from repro.errors import AdaptationError
-from repro.platform.events import Event
 from repro.telemetry.bus import (
     ModelDriftDetected,
     ModelRecalibrated,
@@ -50,8 +57,6 @@ from repro.telemetry.bus import (
 from repro.telemetry.metrics import PROJECTION_ERROR_BUCKETS_W
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.acpi.pstates import PState
-    from repro.core.sampling import CounterSample
     from repro.telemetry.recorder import TelemetryRecorder
 
 
@@ -191,6 +196,11 @@ class AdaptationManager:
             min_observations=cfg.misclass_min_observations,
         )
         self._base_guardband = getattr(governor, "guardband_w", None)
+        self._widening = (
+            cfg.widen_guardband
+            and self._base_guardband is not None
+            and hasattr(governor, "set_guardband")
+        )
         self._ticks = 0
         self._last_recalibration_tick: int | None = None
         self._drift_pending = False
@@ -216,29 +226,30 @@ class AdaptationManager:
 
     def observe(
         self,
-        sample: "CounterSample",
-        pstate: "PState",
+        freq_mhz: float,
+        dpc: float,
         measured_w: float,
         now_s: float,
-    ) -> None:
+        ipc: float | None = None,
+        dcu: float | None = None,
+    ) -> bool:
         """Fold one executed interval into the adaptation state.
 
-        ``sample`` and ``measured_w`` describe the interval that just
-        ran at ``pstate``; any model swap decided here takes effect at
-        the *next* control decision.
+        The interval ran at ``freq_mhz`` with decode rate ``dpc`` and
+        measured ``measured_w``; ``ipc`` and ``dcu`` (retired
+        instructions and outstanding DCU misses per cycle), when the
+        sampler counts both, feed the misclassification monitor.  Any
+        model swap decided here takes effect at the *next* control
+        decision.  Returns whether the governor changed: a model swap,
+        a rollback or a guardband move.
         """
         if not self._engaged:
-            return
-        if Event.INST_DECODED not in sample.rates:
-            return  # multiplexed group without the model's regressor
+            return False
         cfg = self.config
         self._ticks += 1
-        freq = pstate.frequency_mhz
-        dpc = sample.dpc
-        estimate = self._active_model.estimate(freq, dpc)
-        residual = measured_w - estimate
+        residual = measured_w - self._active_model.estimate(freq_mhz, dpc)
 
-        self._rls.update(freq, dpc, measured_w)
+        self._rls.update(freq_mhz, dpc, measured_w)
         self._tracker.update(residual)
         confirmed = self._detector.update(residual)
 
@@ -248,13 +259,15 @@ class AdaptationManager:
                 "adaptation.residual_w", PROJECTION_ERROR_BUCKETS_W
             ).observe(residual)
 
-        self._observe_classification(sample, freq, now_s)
+        if ipc is not None and dcu is not None:
+            self._observe_classification(ipc, dcu, freq_mhz, now_s)
 
+        changed = False
         if self._probation_left > 0:
             self._probation_tracker.update(residual)
             self._probation_left -= 1
             if self._probation_left == 0:
-                self._judge_probation(now_s)
+                changed = self._judge_probation(now_s)
 
         if confirmed and not self._drift_pending:
             self._drift_pending = True
@@ -280,8 +293,9 @@ class AdaptationManager:
             refit = self._rls.refit_frequencies(cfg.min_samples_per_state)
             if refit:
                 self._recalibrate(refit, now_s)
+                changed = True
 
-        self._widen_guardband(tel)
+        return self._widen_guardband(tel) or changed
 
     # -- internals -------------------------------------------------------------
 
@@ -294,16 +308,9 @@ class AdaptationManager:
         )
 
     def _observe_classification(
-        self, sample: "CounterSample", freq: float, now_s: float
+        self, ipc: float, dcu: float, freq: float, now_s: float
     ) -> None:
         """Feed the misclassification monitor across p-state changes."""
-        rates = sample.rates
-        if (
-            Event.INST_RETIRED not in rates
-            or Event.DCU_MISS_OUTSTANDING not in rates
-        ):
-            return
-        ipc = sample.ipc
         last_ipc, last_freq = self._last_ipc, self._last_freq
         self._last_ipc, self._last_freq = ipc, freq
         if (
@@ -315,7 +322,7 @@ class AdaptationManager:
         ):
             return
         fired = self._misclass.observe(
-            dcu_per_ipc=sample.dcu_per_ipc,
+            dcu_per_ipc=dcu / ipc,
             from_mhz=last_freq,
             to_mhz=freq,
             observed_ipc_ratio=ipc / last_ipc,
@@ -387,16 +394,19 @@ class AdaptationManager:
                 )
             )
 
-    def _judge_probation(self, now_s: float) -> None:
-        """End-of-probation verdict: keep the new model or roll back."""
+    def _judge_probation(self, now_s: float) -> bool:
+        """End-of-probation verdict: keep the new model or roll back.
+
+        Returns whether it rolled back.
+        """
         if self._previous_model is None:
-            return
+            return False
         threshold = self.config.rollback_tolerance * max(
             self._preswap_abs_mean, 1e-9
         )
         if self._probation_tracker.abs_mean <= threshold:
             self._previous_model = None  # model confirmed; keep it
-            return
+            return False
         from_version = self.registry.active_version
         restored = self.registry.rollback()
         self._active_model = restored.load()
@@ -427,15 +437,14 @@ class AdaptationManager:
                     ),
                 )
             )
+        return True
 
-    def _widen_guardband(self, tel) -> None:
+    def _widen_guardband(self, tel) -> bool:
+        """Track the residual spread; returns whether the guardband
+        moved."""
+        if not self._widening:
+            return False
         cfg = self.config
-        if (
-            not cfg.widen_guardband
-            or self._base_guardband is None
-            or not hasattr(self._governor, "set_guardband")
-        ):
-            return
         target = min(
             self._base_guardband + cfg.guardband_gain * self._tracker.std,
             cfg.max_guardband_w,
@@ -445,6 +454,8 @@ class AdaptationManager:
             self._governor.set_guardband(target)
             if tel is not None:
                 tel.metrics.gauge("adaptation.guardband_w").set(target)
+            return True
+        return False
 
     # -- reporting -------------------------------------------------------------
 

@@ -19,13 +19,24 @@ Standard RLS with regressor ``phi = [dpc, 1]`` and parameters
 ``lambda`` (the forgetting factor) in (0, 1]: 1.0 is the ordinary
 infinite-memory fit; smaller values weight recent samples more, with an
 effective window of roughly ``1 / (1 - lambda)`` samples.
+
+The two-by-two algebra runs on plain floats: each p-state keeps six
+(``theta0, theta1, P00, P01, P10, P11``).  The results are bit for bit
+those of the numpy formula the fit was first written in, whose
+``P @ phi`` (a BLAS gemv) returns each lane *fused*,
+``fma(P[i][0], dpc, P[i][1])``, one rounding instead of two.  Python
+before 3.13 has no ``math.fma``, so :func:`_fma` computes it exactly:
+Dekker's two-product splits ``a * b`` into ``p + e`` with no error and
+:func:`math.fsum` rounds ``p + e + c`` once, correctly.  Every other step
+(the ``phi' x`` dot products, the element-wise update) is what numpy
+computes unfused.  Recalibrated models, and so the digests of adapting
+runs, no longer depend on the BLAS kernel a host picks.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
-
-import numpy as np
 
 from repro.acpi.pstates import PState
 from repro.core.models.power import LinearPowerModel, PStateCoefficients
@@ -44,14 +55,35 @@ WARM_P0 = 1.0
 MIN_BETA_W = 0.05
 
 
+#: Veltkamp's splitting constant for doubles, ``2**27 + 1``.
+_SPLIT = 134217729.0
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    """``a * b + c`` rounded once (what a fused multiply-add returns)."""
+    p = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    t = _SPLIT * b
+    b_hi = t - (t - b)
+    b_lo = b - b_hi
+    # Dekker: p + e == a * b exactly.
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return math.fsum((p, e, c))
+
+
 class _RlsState:
-    """One p-state's running estimate."""
+    """One p-state's running estimate: ``theta`` and the covariance
+    ``P``, row by row, as plain floats."""
 
-    __slots__ = ("theta", "P", "count")
+    __slots__ = ("t0", "t1", "p00", "p01", "p10", "p11", "count")
 
-    def __init__(self, theta: np.ndarray, p0: float):
-        self.theta = theta
-        self.P = np.eye(2) * p0
+    def __init__(self, t0: float, t1: float, p0: float):
+        self.t0 = t0
+        self.t1 = t1
+        self.p00 = self.p11 = p0
+        self.p01 = self.p10 = 0.0
         self.count = 0
 
 
@@ -93,7 +125,7 @@ class PowerModelRLS:
     def _state(self, frequency_mhz: float) -> _RlsState:
         state = self._states.get(frequency_mhz)
         if state is None:
-            theta = np.zeros(2)
+            t0 = t1 = 0.0
             p0 = COLD_P0
             if self._initial is not None:
                 try:
@@ -101,9 +133,10 @@ class PowerModelRLS:
                 except Exception:  # noqa: BLE001 - any miss cold-starts
                     prior = None
                 if prior is not None:
-                    theta = np.array([prior.alpha, prior.beta])
+                    t0 = float(prior.alpha)
+                    t1 = float(prior.beta)
                     p0 = WARM_P0
-            state = self._states[frequency_mhz] = _RlsState(theta, p0)
+            state = self._states[frequency_mhz] = _RlsState(t0, t1, p0)
         return state
 
     def update(
@@ -122,13 +155,25 @@ class PowerModelRLS:
         freq = pstate.frequency_mhz if isinstance(pstate, PState) else pstate
         state = self._state(freq)
         lam = self._forgetting
-        phi = np.array([dpc, 1.0])
-        P_phi = state.P @ phi
-        gain = P_phi / (lam + phi @ P_phi)
-        state.theta = state.theta + gain * (measured_w - phi @ state.theta)
-        state.P = (state.P - np.outer(gain, P_phi)) / lam
+        p00 = state.p00
+        p01 = state.p01
+        p10 = state.p10
+        p11 = state.p11
+        # P phi, each lane fused (see the module docstring).
+        x0 = _fma(p00, dpc, p01)
+        x1 = _fma(p10, dpc, p11)
+        denom = lam + (dpc * x0 + x1)
+        g0 = x0 / denom
+        g1 = x1 / denom
+        err = measured_w - (dpc * state.t0 + state.t1)
+        state.t0 = t0 = state.t0 + g0 * err
+        state.t1 = t1 = state.t1 + g1 * err
+        state.p00 = (p00 - g0 * x0) / lam
+        state.p01 = (p01 - g0 * x1) / lam
+        state.p10 = (p10 - g1 * x0) / lam
+        state.p11 = (p11 - g1 * x1) / lam
         state.count += 1
-        return float(state.theta[0]), float(state.theta[1])
+        return t0, t1
 
     def samples_seen(self, frequency_mhz: float) -> int:
         """Samples folded into one p-state's estimate so far."""
@@ -153,8 +198,7 @@ class PowerModelRLS:
         if state is None or state.count == 0:
             return None
         return PStateCoefficients(
-            alpha=max(float(state.theta[0]), 0.0),
-            beta=max(float(state.theta[1]), MIN_BETA_W),
+            alpha=max(state.t0, 0.0), beta=max(state.t1, MIN_BETA_W)
         )
 
     def fitted_model(
@@ -200,8 +244,8 @@ class PowerModelRLS:
         for freq in self.frequencies_mhz:
             state = self._states[freq]
             out[freq] = {
-                "alpha": float(state.theta[0]),
-                "beta": float(state.theta[1]),
+                "alpha": state.t0,
+                "beta": state.t1,
                 "samples": state.count,
             }
         return out

@@ -22,10 +22,15 @@ The decision is one of six modes, selected by the run's own inputs:
   :class:`~repro.core.sampling.MultiplexedCounterSampler`'s rotation of
   two event groups through the counter locals.  These run when the
   governor is one of those exact types with its own sampler, on one
-  core or a multicore package, and the run has no per-tick hook.
+  core or a multicore package, and the run has no per-tick hook.  Online
+  adaptation is not a hook: a PerformanceMaximizer's
+  :class:`~repro.adaptation.manager.AdaptationManager` folds in each
+  tick's frequency, DPC, measured power and time after the table
+  decision, and the kernel re-reads the projection table and budget only
+  when the manager says the governor changed.
 * **Hook mode** -- every other run (resilience, fault injection,
-  adaptation, constraint schedules, other multiplexed samplers,
-  measured-power governors, any other governor).  At each decision
+  constraint schedules, other multiplexed samplers, measured-power
+  governors, any other governor).  At each decision
   boundary the kernel writes its locals back to the machine, PMU and
   meter, runs the decision block on the real objects (schedule
   delivery, the sampler, the resilience runtime, ``governor.decide``,
@@ -126,6 +131,7 @@ from repro.platform.blockstep import (
     _bytes_pi,
     rate_template,
 )
+from repro.platform.events import Event
 from repro.platform.pipeline import (
     DCU_OUTSTANDING_CAP,
     DECODE_WIDTH,
@@ -163,6 +169,14 @@ _GOVERNORS = (
 _EO_GROUPS = EnergyOptimalSearch.EVENT_GROUPS
 _EO_DPC = _EO_GROUPS[0][1]
 _EO_DCU = _EO_GROUPS[1][1]
+#: The rate selector of each rotation's counter 1.
+_EO_DPC_SELECTOR = _SELECTOR[_EO_DPC]
+_EO_DCU_SELECTOR = _SELECTOR[_EO_DCU]
+
+#: The rates online adaptation reads from a hook-mode sample.
+_DPC = Event.INST_DECODED
+_IPC = Event.INST_RETIRED
+_DCU = Event.DCU_MISS_OUTSTANDING
 
 #: The PowerSave projection fields its table mode reads.
 _PS_FIELDS = attrgetter("fastest_mhz", "fast_factor", "ascending")
@@ -199,7 +213,6 @@ def _table_mode(st) -> bool:
         own_sampler
         and st.rt is None
         and not st.injecting
-        and not st.adapting
         and st.schedule is None
         and tuple(governor.table) == tuple(st.lanes[0].config.table)
     )
@@ -1334,10 +1347,19 @@ def run_fast(st, tel):
                         driver.set_pstate(target)
                 if observe_power is not None:
                     observe_power(measured)
-                # Online adaptation folds in the interval that just ran;
+                # Online adaptation folds in the interval that just ran
+                # (a multiplexed group without DPC has nothing to fold);
                 # a model swap takes effect at the next decision.
-                if adapting and counter_sample is not None:
-                    adapt.observe(counter_sample, pstate, measured, time_s)
+                if (
+                    adapting
+                    and counter_sample is not None
+                    and _DPC in counter_sample.rates
+                ):
+                    adapt.observe(
+                        freq, counter_sample.rates[_DPC], measured, time_s,
+                        counter_sample.rates.get(_IPC),
+                        counter_sample.rates.get(_DCU),
+                    )
                 if keep_trace:
                     # The trace keeps the sample the governor was handed
                     # (held over or corrupted under faults).
@@ -1403,6 +1425,20 @@ def run_fast(st, tel):
                         raise_streak = 0
                         pending_index = None
                         target_index = current_index
+                    # Online adaptation folds in the interval that just
+                    # ran.  The manager writes only the governor and its
+                    # registry, nothing the driver touches, so folding it
+                    # in before the actuation below is indistinguishable
+                    # from hook mode's decide -> actuate -> adapt.
+                    if adapting and adapt.observe(
+                        freq, r0, measured, time_s
+                    ):
+                        # A model swap, rollback or guardband move: the
+                        # next decision, and this tick's observed
+                        # estimate, read the governor's new table.
+                        proj_rows = governor.projection_table().rows
+                        budget_w = governor._limit - governor._guardband
+                        row = proj_rows[current_index]
                 elif mode == 1:  # PowerSave
                     c1 = (pmc1 - pmc1_start) & _M40
                     r1 = c1 / cyc if cyc > 0 else 0.0
@@ -1528,9 +1564,10 @@ def run_fast(st, tel):
                     # next group; PMU.program clears its counters) ----
                     if event1 is _EO_DPC:
                         event1 = _EO_DCU
+                        selector1 = _EO_DCU_SELECTOR
                     else:
                         event1 = _EO_DPC
-                    selector1 = _SELECTOR[event1]
+                        selector1 = _EO_DPC_SELECTOR
                     pmc0 = pmc1 = 0
                     res0 = res1 = 0.0
 

@@ -85,10 +85,6 @@ class ContentionModel:
             return self.bandwidth_ceiling_bytes_per_s
         return base.bus_bandwidth_bytes_per_s
 
-    def utilization(self, base: MemoryTiming, demands: Sequence[float]) -> float:
-        """Total advertised demand as a fraction of the ceiling (uncapped)."""
-        return sum(demands) / self.ceiling(base)
-
     def effective_timings(
         self, base: MemoryTiming, demands: Sequence[float]
     ) -> tuple[MemoryTiming, ...]:

@@ -5,21 +5,16 @@ import pytest
 
 from repro.acpi.pstates import pentium_m_755_table
 from repro.adaptation.manager import AdaptationConfig, AdaptationManager
+from repro.core.controller import PowerManagementController
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.core.models.power import LinearPowerModel
-from repro.core.sampling import CounterSample
 from repro.errors import AdaptationError
 from repro.platform.events import Event
+from repro.platform.machine import Machine, MachineConfig
+from repro.workloads import get_workload
 
 TABLE = pentium_m_755_table()
-
-
-def make_sample(dpc: float, freq_mhz: float = 2000.0) -> CounterSample:
-    cycles = freq_mhz * 1e6 * 0.01
-    return CounterSample(
-        interval_s=0.01, cycles=cycles, rates={Event.INST_DECODED: dpc}
-    )
 
 
 def make_governor(limit_w: float = 13.5) -> PerformanceMaximizer:
@@ -53,10 +48,11 @@ def drive(
     rng = np.random.default_rng(seed)
     for tick in range(start_tick, start_tick + ticks):
         dpc = rng.uniform(0.8, 2.2)
-        sample = make_sample(dpc, pstate.frequency_mhz)
         bias = bias_w(tick) if callable(bias_w) else bias_w
         measured = governor.model.estimate(pstate, dpc) + bias
-        manager.observe(sample, pstate, max(measured, 0.0), now_s=tick * 0.01)
+        manager.observe(
+            pstate.frequency_mhz, dpc, max(measured, 0.0), now_s=tick * 0.01
+        )
 
 
 class TestEngage:
@@ -74,21 +70,61 @@ class TestEngage:
         assert manager.engage(DemandBasedSwitching(TABLE)) is False
         assert not manager.engaged
         # Observations on an unengaged manager are silent no-ops.
-        manager.observe(make_sample(1.0), TABLE.fastest, 10.0, now_s=0.0)
+        assert manager.observe(2000.0, 1.0, 10.0, now_s=0.0) is False
         assert manager.summary()["engaged"] is False
         assert len(manager.registry) == 0
 
     def test_observe_skips_samples_without_regressor(self):
+        """A hook-mode run folds in only the ticks whose counter group
+        counts DPC (the model's regressor); a multiplexed group without
+        it is skipped at the kernel's call site."""
+
+        class RotatingPM(PerformanceMaximizer):
+            event_groups = (
+                (Event.INST_DECODED,),
+                (Event.INST_RETIRED, Event.DCU_MISS_OUTSTANDING),
+            )
+
+            def decide(self, sample, current):
+                if Event.INST_DECODED not in sample.rates:
+                    return current
+                return super().decide(sample, current)
+
+        machine = Machine(MachineConfig(seed=3))
+        governor = RotatingPM(
+            machine.config.table, LinearPowerModel.paper_model(), 13.5
+        )
         manager = AdaptationManager(quick_config())
+        calls = []
+        observe = manager.observe
+        manager.observe = lambda *args: calls.append(args) or observe(*args)
+        result = PowerManagementController(
+            machine, governor, adaptation=manager
+        ).run(get_workload("gzip").scaled(0.05))
+        ticks = round(result.duration_s / machine.config.tick_s)
+        # The groups alternate, DPC's first.
+        assert len(calls) == (ticks + 1) // 2
+        assert manager._ticks == len(calls)
+        # The DPC group counts neither IPC nor DCU.
+        assert all(args[4:] == (None, None) for args in calls)
+
+    def test_ipc_and_dcu_feed_the_misclassification_monitor(self):
+        """Memory-bound DCU/IPC with core-bound IPC scaling across
+        p-state changes is a performance-model misclassification."""
+        manager = AdaptationManager(quick_config(misclass_min_observations=5))
         governor = make_governor()
         manager.engage(governor)
-        sample = CounterSample(
-            interval_s=0.01,
-            cycles=2e7,
-            rates={Event.DCU_MISS_OUTSTANDING: 0.4},
-        )
-        manager.observe(sample, TABLE.fastest, 10.0, now_s=0.0)
-        assert manager.summary()["residual_mean_w"] == 0.0
+        for tick in range(40):
+            freq = 2000.0 if tick % 2 else 1000.0
+            estimate = governor.model.estimate(freq, 1.0)
+            manager.observe(freq, 1.0, estimate, tick * 0.01, 1.0, 5.0)
+        assert manager.perf_drift_detections >= 1
+        before = manager.perf_drift_detections
+        for tick in range(40, 80):
+            freq = 2000.0 if tick % 2 else 1000.0
+            estimate = governor.model.estimate(freq, 1.0)
+            manager.observe(freq, 1.0, estimate, tick * 0.01)
+        assert manager.perf_drift_detections == before
 
 
 class TestRecalibration:
@@ -109,9 +145,10 @@ class TestRecalibration:
         rng = np.random.default_rng(1)
         for tick in range(60, 360):
             dpc = rng.uniform(0.8, 2.2)
-            sample = make_sample(dpc, pstate.frequency_mhz)
             measured = baseline.estimate(pstate, dpc) + truth_offset
-            manager.observe(sample, pstate, measured, now_s=tick * 0.01)
+            manager.observe(
+                pstate.frequency_mhz, dpc, measured, now_s=tick * 0.01
+            )
 
         assert manager.drift_detections >= 1
         assert manager.recalibrations >= 1
@@ -135,8 +172,8 @@ class TestRecalibration:
             dpc = rng.uniform(0.8, 2.2)
             measured = baseline.estimate(pstate, dpc) + 1.5
             manager.observe(
-                make_sample(dpc, pstate.frequency_mhz),
-                pstate,
+                pstate.frequency_mhz,
+                dpc,
                 measured,
                 now_s=tick * 0.01,
             )
@@ -156,8 +193,8 @@ class TestRecalibration:
             noise = rng.normal(0.0, 0.15)
             measured = governor.model.estimate(pstate, dpc) + noise
             manager.observe(
-                make_sample(dpc, pstate.frequency_mhz),
-                pstate,
+                pstate.frequency_mhz,
+                dpc,
                 max(measured, 0.0),
                 now_s=tick * 0.01,
             )
@@ -182,8 +219,8 @@ class TestRollback:
             dpc = rng.uniform(0.8, 2.2)
             measured = baseline.estimate(pstate, dpc) + 1.5
             manager.observe(
-                make_sample(dpc, pstate.frequency_mhz),
-                pstate,
+                pstate.frequency_mhz,
+                dpc,
                 measured,
                 now_s=tick * 0.01,
             )
@@ -197,8 +234,8 @@ class TestRollback:
             dpc = rng.uniform(0.8, 2.2)
             measured = swapped.estimate(pstate, dpc) + 10.0
             manager.observe(
-                make_sample(dpc, pstate.frequency_mhz),
-                pstate,
+                pstate.frequency_mhz,
+                dpc,
                 measured,
                 now_s=tick * 0.01,
             )
@@ -222,8 +259,8 @@ class TestRollback:
             dpc = rng.uniform(0.8, 2.2)
             measured = baseline.estimate(pstate, dpc) + 1.5
             manager.observe(
-                make_sample(dpc, pstate.frequency_mhz),
-                pstate,
+                pstate.frequency_mhz,
+                dpc,
                 measured,
                 now_s=tick * 0.01,
             )

@@ -1,9 +1,14 @@
 """Tests for the per-p-state recursive least squares estimator."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.adaptation.rls import MIN_BETA_W, PowerModelRLS
+from repro.acpi.pstates import pentium_m_755_table
+from repro.adaptation.rls import COLD_P0, MIN_BETA_W, WARM_P0, PowerModelRLS
 from repro.core.models.power import LinearPowerModel, PStateCoefficients
 from repro.errors import AdaptationError
 
@@ -141,3 +146,66 @@ class TestBookkeeping:
             rls.update(2000.0, -0.1, 5.0)
         with pytest.raises(AdaptationError, match="power"):
             rls.update(2000.0, 0.5, -5.0)
+
+
+# -- bit-exact against the numpy formula -------------------------------------
+
+
+def numpy_update(theta, P, lam, dpc, measured_w):
+    """The fit's numpy formula, kept as the oracle of the float one."""
+    phi = np.array([dpc, 1.0])
+    P_phi = P @ phi
+    gain = P_phi / (lam + phi @ P_phi)
+    theta = theta + gain * (measured_w - phi @ theta)
+    P = (P - np.outer(gain, P_phi)) / lam
+    return theta, P
+
+
+def bits(*values):
+    """The exact bit patterns (signed zeros included)."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+FREQUENCIES = tuple(p.frequency_mhz for p in pentium_m_755_table())
+NONNEGATIVE = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 4.0),
+    st.floats(0.0, 1e3, allow_subnormal=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    forgetting=st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_min=True)),
+    warm=st.booleans(),
+    stream=st.lists(
+        st.tuples(st.sampled_from(FREQUENCIES), NONNEGATIVE, NONNEGATIVE),
+        min_size=1,
+        max_size=300,
+    ),
+)
+def test_updates_are_bit_exact_against_numpy(forgetting, warm, stream):
+    """After every update theta and P equal the numpy formula's bit for
+    bit, its fused ``P @ phi`` lanes included."""
+    prior = LinearPowerModel.paper_model() if warm else None
+    rls = PowerModelRLS(forgetting=forgetting, initial_model=prior)
+    oracle = {}
+    for freq, dpc, measured in stream:
+        if freq not in oracle:
+            if warm:
+                coefficients = prior.coefficients(freq)
+                theta = np.array([coefficients.alpha, coefficients.beta])
+                P = np.eye(2) * WARM_P0
+            else:
+                theta, P = np.zeros(2), np.eye(2) * COLD_P0
+            oracle[freq] = theta, P
+        theta, P = oracle[freq] = numpy_update(
+            *oracle[freq], forgetting, dpc, measured
+        )
+        alpha, beta = rls.update(freq, dpc, measured)
+        state = rls._states[freq]
+        assert bits(alpha, beta) == bits(*theta)
+        assert bits(state.t0, state.t1) == bits(*theta)
+        assert bits(state.p00, state.p01, state.p10, state.p11) == bits(
+            *P.ravel()
+        )

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adaptation.manager import AdaptationConfig, AdaptationManager
 from repro.checkpoint import run_result_digest
 from repro.core import blockloop
 from repro.core.governors.energy_optimal import EnergyOptimalSearch
+from repro.core.governors.performance_maximizer import PerformanceMaximizer
 from repro.errors import ExperimentError
 from repro.exec import (
     ExperimentConfig,
@@ -177,6 +179,76 @@ def test_observed_two_core_table_mode_matches_hook_mode(governor, tmp_path,
             (result,) = session.run_plan(plan)
         records.append(bundle_record(tmp_path / name, result))
     assert records[0] == records[1]
+
+
+def _adapting_run(cell, config, directory):
+    """Run ``cell`` (observed when ``directory`` is given); returns how
+    many times the governor's ``decide`` ran, and the run's digest,
+    bundle and adaptation state."""
+    engaged = []
+    decisions = []
+    engage = AdaptationManager.engage
+    decide = PerformanceMaximizer.decide
+
+    def spy_engage(self, governor, *args, **kwargs):
+        engaged.append((self, governor))
+        return engage(self, governor, *args, **kwargs)
+
+    def spy_decide(self, *args):
+        decisions.append(None)
+        return decide(self, *args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(AdaptationManager, "engage", spy_engage)
+        monkeypatch.setattr(PerformanceMaximizer, "decide", spy_decide)
+        with open_session(telemetry_dir=directory) as session:
+            (result,) = session.run_plan(RunPlan(config, (cell,)))
+    ((manager, governor),) = engaged
+    rls = manager._rls
+    return len(decisions), {
+        "digest": run_result_digest(result),
+        "bundle": (
+            bundle_record(directory, result) if directory is not None
+            else None
+        ),
+        "summary": dict(manager.summary()),
+        "registry": manager.registry.to_json(),
+        "rls": {
+            freq: (state.t0, state.t1, state.p00, state.p01, state.p10,
+                   state.p11, state.count)
+            for freq, state in rls._states.items()
+        },
+        "guardband_w": governor.guardband_w,
+        "model": governor.model,
+    }
+
+
+@pytest.mark.parametrize("seed,threads,observed", [
+    (0, 1, False), (1, 1, False), (0, 1, True), (1, 2, False),
+], ids=["seed0", "seed1", "observed", "two-core"])
+def test_adapting_pm_table_mode_matches_hook_mode(seed, threads, observed,
+                                                  tmp_path, monkeypatch):
+    """PM with online adaptation decides from the kernel's table, with
+    the digest, telemetry bundle and adaptation state (registry, RLS
+    floats, the governor's model and guardband) of the same run deciding
+    on the objects.  Each of these galgel runs recalibrates."""
+    cell = RunCell(
+        "galgel", GovernorSpec.pm(14.5), adaptation=AdaptationConfig(),
+        threads=threads,
+    )
+    config = ExperimentConfig(scale=1.0, seed=seed, keep_trace=True)
+    runs = {}
+    for name in ("table", "hook"):
+        if name == "hook":
+            _hook_mode(monkeypatch)
+        directory = tmp_path / name if observed else None
+        runs[name] = _adapting_run(cell, config, directory)
+    (table_decisions, table), (hook_decisions, hook) = (
+        runs["table"], runs["hook"]
+    )
+    assert table_decisions == 0 < hook_decisions
+    assert table == hook
+    assert table["summary"]["recalibrations"] >= 1
 
 
 def test_energy_optimal_scan_fallback_matches_hook_mode(monkeypatch):

@@ -116,13 +116,15 @@ def test_pm_mixed_multicore_variants_enter_kernel(spies):
 
 
 @pytest.mark.parametrize("plan,table", [
-    (PM_MIXED, False),
-    (PM_MIXED_MULTICORE, True),
+    # Per workload: faults (hook), adaptation (table), adaptive PM (hook).
+    (PM_MIXED, [False, True, False] * 2),
+    (PM_MIXED_MULTICORE, [True] * len(PM_MIXED_MULTICORE)),
 ], ids=["single-core-hooks", "multicore"])
 def test_pm_mixed_decision_modes(plan, table, monkeypatch):
-    """The two-core PM and energy-optimal cells decide from the
-    kernel's tables; faults, adaptation and adaptive PM take hook mode.
-    A silent fall back to hook mode shows here, not only as time."""
+    """PM with online adaptation and the two-core PM and energy-optimal
+    cells decide from the kernel's tables; faults and adaptive PM take
+    hook mode.  A silent fall back to hook mode shows here, not only as
+    time."""
     modes = []
     table_mode = blockloop._table_mode
 
@@ -133,7 +135,7 @@ def test_pm_mixed_decision_modes(plan, table, monkeypatch):
     monkeypatch.setattr(blockloop, "_table_mode", spy)
     with open_session() as session:
         session.run_plan(plan)
-    assert modes == [table] * len(plan)
+    assert modes == table
 
 
 def test_training_runs_each_pass_through_the_kernel(spies):

@@ -67,7 +67,6 @@ def test_undersubscribed_share_is_the_leftover():
 def test_explicit_ceiling_overrides_base_bus_bandwidth():
     model = ContentionModel(bandwidth_ceiling_bytes_per_s=1.0e9)
     assert model.ceiling(PENTIUM_M_755_TIMING) == 1.0e9
-    assert model.utilization(PENTIUM_M_755_TIMING, [0.5e9, 0.5e9]) == 1.0
 
 
 def test_latency_multiplier_stays_finite_under_extreme_demand():
