@@ -4,17 +4,18 @@
 Runs one governed cell under cProfile and prints the top functions by
 cumulative time, with the loop's throughput in ticks/s.  Every run
 takes the fused tick kernel (:func:`repro.core.blockloop.run_fast`):
-the stock governors, ``energy-optimal`` included, decide from its
-tables, while ``adaptive-pm`` (measured-power feedback) runs its hook
-mode, where the decision block calls the sampler, governor and driver
-each tick.  ``--threads N`` splits the workload over an N-core
+the stock governors, ``energy-optimal`` and ``adaptive-pm``
+(measured-power feedback) included, decide from its tables, while
+``edp`` (EnergyDelayOptimizer, which rotates counter groups) runs its
+hook mode, where the decision block calls the sampler, governor and
+driver each tick.  ``--threads N`` splits the workload over an N-core
 package, which the kernel steps as N lanes per tick; the package
 decides in the same mode as one core.
 
 Usage::
 
     PYTHONPATH=src python scripts/profile_tick.py [--workload ammp]
-        [--governor pm|ps|dbs|fixed|adaptive-pm|energy-optimal]
+        [--governor pm|ps|dbs|fixed|adaptive-pm|energy-optimal|edp]
         [--threads 1] [--scale 16] [--top 20]
         [--out benchmarks/results/profile_tick.txt]
 
@@ -44,6 +45,7 @@ SPECS = {
     "energy-optimal": lambda: GovernorSpec.energy_optimal(
         power_model="paper"
     ),
+    "edp": lambda: GovernorSpec.edp(power_model="paper"),
 }
 
 

@@ -17,8 +17,12 @@ The decision is one of six modes, selected by the run's own inputs:
   :meth:`PowerSave.projection_table`), DemandBasedSwitching steps on
   utilization, StaticClocking / FixedFrequency return a constant
   target index, and EnergyOptimalSearch reads its objective's rows
-  (:meth:`EnergyOptimalSearch._rows`).  The sampler's arithmetic is
-  inlined too; for EnergyOptimalSearch that includes its
+  (:meth:`EnergyOptimalSearch._rows`).  An
+  AdaptivePerformanceMaximizer reads PerformanceMaximizer's table plus
+  the offsets it learns from measured power, which the kernel keeps by
+  p-state index, folds each tick into and writes back at the run's
+  exit.  The sampler's arithmetic is inlined too; for
+  EnergyOptimalSearch that includes its
   :class:`~repro.core.sampling.MultiplexedCounterSampler`'s rotation of
   two event groups through the counter locals.  These run when the
   governor is one of those exact types with its own sampler, on one
@@ -29,8 +33,8 @@ The decision is one of six modes, selected by the run's own inputs:
   decision, and the kernel re-reads the projection table and budget only
   when the manager says the governor changed.
 * **Hook mode** -- every other run (resilience, fault injection,
-  constraint schedules, other multiplexed samplers, measured-power
-  governors, any other governor).  At each decision
+  constraint schedules, other multiplexed samplers, governor subclasses,
+  any other governor).  At each decision
   boundary the kernel writes its locals back to the machine, PMU and
   meter, runs the decision block on the real objects (schedule
   delivery, the sampler, the resilience runtime, ``governor.decide``,
@@ -104,6 +108,10 @@ from array import array
 from dataclasses import replace
 from operator import attrgetter
 
+from repro.core.governors.adaptive_pm import (
+    AdaptivePerformanceMaximizer,
+    nearest_visited,
+)
 from repro.core.governors.demand_based import DemandBasedSwitching
 from repro.core.governors.energy_optimal import EnergyOptimalSearch
 from repro.core.governors.performance_maximizer import PerformanceMaximizer
@@ -153,10 +161,13 @@ _NAN = float("nan")
 _RESOLVED = len(_SELECTOR)
 
 #: Governors with a table-driven decision mode over one
-#: :class:`CounterSampler`.  Exact-type checks: subclasses (e.g.
-#: AdaptivePerformanceMaximizer) may override anything.
+#: :class:`CounterSampler`.  Exact-type checks: subclasses may override
+#: anything.  An AdaptivePerformanceMaximizer decides from the
+#: PerformanceMaximizer's table plus the offsets it learns, which the
+#: kernel keeps by p-state index (:func:`_offset_slots`).
 _GOVERNORS = (
     PerformanceMaximizer,
+    AdaptivePerformanceMaximizer,
     PowerSave,
     DemandBasedSwitching,
     StaticClocking,
@@ -216,6 +227,45 @@ def _table_mode(st) -> bool:
         and st.schedule is None
         and tuple(governor.table) == tuple(st.lanes[0].config.table)
     )
+
+
+def _nearest_slots(learned, states):
+    """Per p-state of ``states``: the slot of the kernel's offsets list
+    whose correction its estimate takes -- the index of the
+    :func:`nearest_visited` state of ``learned`` (an adaptive PM's
+    offsets, keyed by frequency in visit order), or the 0.0 slot past
+    the end while none is visited."""
+    if not learned:
+        return [len(states)] * len(states)
+    index = {state.frequency_mhz: i for i, state in enumerate(states)}
+    return [
+        index[nearest_visited(learned, state.frequency_mhz)]
+        for state in states
+    ]
+
+
+def _offset_slots(governor, states):
+    """An AdaptivePerformanceMaximizer's learned offsets as the kernel
+    keeps them: a list by p-state index of ``states`` (0.0 where
+    unvisited, then one 0.0 slot), and :func:`_nearest_slots`."""
+    learned = governor._offsets
+    offsets = [learned.get(state.frequency_mhz, 0.0) for state in states]
+    offsets.append(0.0)
+    return offsets, _nearest_slots(learned, states)
+
+
+def _store_offsets(governor, states, offsets, sampler, last_mhz):
+    """Leave an AdaptivePerformanceMaximizer as ``decide`` and
+    ``observe_power`` leave it: its offsets (the governor's dict holds
+    the visit order, the kernel the values) and, once a tick has run at
+    ``last_mhz``, the last decision's state and sample."""
+    index = {state.frequency_mhz: i for i, state in enumerate(states)}
+    learned = governor._offsets
+    for mhz in learned:
+        learned[mhz] = offsets[index[mhz]]
+    if last_mhz is not None:
+        governor._last_state = states[index[last_mhz]]
+        governor._last_sample = sampler.last_sample
 
 
 def _energy_rows(governor, states):
@@ -634,8 +684,6 @@ def run_fast(st, tel):
     # The per-tick columns are kept for the telemetry record and the trace.
     record = observe or keep_trace
     hooked = not _table_mode(st)
-    # Temperature is only read when someone consumes it.
-    track_temp = rt is not None or injecting or observe or keep_trace
     observe_power = getattr(governor, "observe_power", None)
 
     # Lane 0 is the lead core: the one the governor samples.
@@ -686,7 +734,8 @@ def run_fast(st, tel):
             and type(sampler) in (CounterSampler, MultiplexedCounterSampler)
             else None
         )
-    elif type(governor) is PerformanceMaximizer:
+    elif isinstance(governor, PerformanceMaximizer):
+        # A stock or an adaptive PM (no other PM takes a table mode).
         mode = 0
         proj_rows = governor.projection_table().rows
         budget_w = governor._limit - governor._guardband
@@ -697,6 +746,15 @@ def run_fast(st, tel):
             if governor._pending_raise is not None
             else None
         )
+        if type(governor) is AdaptivePerformanceMaximizer:
+            # Its decision skips the stock scan and takes the scan's
+            # `else`, which adds the learned offsets.
+            pm_scan = ()
+            gain = governor._gain
+            offsets, nearest = _offset_slots(governor, gov_states)
+        else:
+            pm_scan = range(n_states)
+            offsets = None
     elif type(governor) is PowerSave:
         mode = 1
         fastest_mhz, fast_factor, ascending_rows = _PS_FIELDS(
@@ -740,7 +798,6 @@ def run_fast(st, tel):
     nominal = sense.resistance_ohm
     amp_noise = sense.amplifier_noise_v
     sense_normal = sense._rng.normal
-    sense_std = sense._rng.standard_normal
     adc_normal = adc._rng.normal
     noise_floor = adc.noise_floor_watts
     full_scale = adc.full_scale_watts
@@ -768,7 +825,7 @@ def run_fast(st, tel):
     # (_RNG_CHUNK is even, keeping refills aligned).  A meter with
     # split generators keeps scalar draws.
     batch_meter = sense._rng is adc._rng
-    meter_std = sense_std
+    meter_std = sense._rng.standard_normal
     jit_buf = m_buf = None
     jit_i = m_i = _RNG_CHUNK
     jit_refills = m_refills = 0
@@ -965,7 +1022,6 @@ def run_fast(st, tel):
                             remaining_t -= chunk
                             if bucket_t >= close_eps:
                                 true_mean = bucket_e / bucket_t
-                                true_current = true_mean / supply
                                 if batch_meter:
                                     if m_i == _RNG_CHUNK:
                                         m_buf = meter_std(_RNG_CHUNK).tolist()
@@ -979,9 +1035,10 @@ def run_fast(st, tel):
                                 else:
                                     s_noise = sense_normal(0.0, amp_noise)
                                     a_noise = adc_normal(0.0, noise_floor)
-                                v_sense = true_current * realized + s_noise
-                                sensed = (v_sense / nominal) * supply
-                                noisy = sensed + a_noise
+                                v_sense = (
+                                    true_mean / supply * realized + s_noise
+                                )
+                                noisy = (v_sense / nominal) * supply + a_noise
                                 clipped = 0.0 if 0.0 > noisy else noisy
                                 if full_scale < clipped:
                                     clipped = full_scale
@@ -1007,9 +1064,10 @@ def run_fast(st, tel):
                         jit_buf = mach_std(_RNG_CHUNK).tolist()
                         jit_i = 0
                         jit_refills += 1
-                    innovation = 0.0 + t_jitter_scale * jit_buf[jit_i]
+                    jitter_log = t_rho * jitter_log + (
+                        0.0 + t_jitter_scale * jit_buf[jit_i]
+                    )
                     jit_i += 1
-                    jitter_log = t_rho * jitter_log + innovation
                     jitter = _exp(jitter_log - t_half_sig2)
                 jitter_q = jitter**0.25
 
@@ -1170,7 +1228,6 @@ def run_fast(st, tel):
                             remaining_t -= chunk
                             if bucket_t >= close_eps:
                                 true_mean = bucket_e / bucket_t
-                                true_current = true_mean / supply
                                 if batch_meter:
                                     if m_i == _RNG_CHUNK:
                                         m_buf = meter_std(_RNG_CHUNK).tolist()
@@ -1184,9 +1241,10 @@ def run_fast(st, tel):
                                 else:
                                     s_noise = sense_normal(0.0, amp_noise)
                                     a_noise = adc_normal(0.0, noise_floor)
-                                v_sense = true_current * realized + s_noise
-                                sensed = (v_sense / nominal) * supply
-                                noisy = sensed + a_noise
+                                v_sense = (
+                                    true_mean / supply * realized + s_noise
+                                )
+                                noisy = (v_sense / nominal) * supply + a_noise
                                 clipped = 0.0 if 0.0 > noisy else noisy
                                 if full_scale < clipped:
                                     clipped = full_scale
@@ -1252,7 +1310,6 @@ def run_fast(st, tel):
                     remaining_t -= chunk
                     if bucket_t >= close_eps:
                         true_mean = bucket_e / bucket_t
-                        true_current = true_mean / supply
                         if batch_meter:
                             if m_i == _RNG_CHUNK:
                                 m_buf = meter_std(_RNG_CHUNK).tolist()
@@ -1264,9 +1321,8 @@ def run_fast(st, tel):
                         else:
                             s_noise = sense_normal(0.0, amp_noise)
                             a_noise = adc_normal(0.0, noise_floor)
-                        v_sense = true_current * realized + s_noise
-                        sensed = (v_sense / nominal) * supply
-                        noisy = sensed + a_noise
+                        v_sense = true_mean / supply * realized + s_noise
+                        noisy = (v_sense / nominal) * supply + a_noise
                         clipped = 0.0 if 0.0 > noisy else noisy
                         if full_scale < clipped:
                             clipped = full_scale
@@ -1321,7 +1377,8 @@ def run_fast(st, tel):
                 )
                 if rt is not None:
                     measured = rt.filter_power(measured)
-                if track_temp:
+                # Temperature is only read when someone consumes it.
+                if record or injecting or rt is not None:
                     temperature = (
                         thermal._temperature_c
                         if thermal is not None
@@ -1399,11 +1456,47 @@ def run_fast(st, tel):
                 if mode == 0:  # PerformanceMaximizer
                     row = proj_rows[current_index]
                     desired_index = n_states - 1
-                    for i in range(n_states):
+                    for i in pm_scan:
                         scale, alpha, beta = row[i]
                         if alpha * (r0 * scale) + beta <= budget_w:
                             desired_index = i
                             break
+                    else:
+                        # No row fit, or an adaptive PM (pm_scan empty).
+                        if offsets is not None:
+                            # AdaptivePerformanceMaximizer: each row's
+                            # estimate plus the offset of the nearest
+                            # visited state, clipped at 0 (decide) ...
+                            for i in range(n_states):
+                                scale, alpha, beta = row[i]
+                                correction = offsets[nearest[i]]
+                                if (
+                                    alpha * (r0 * scale) + beta
+                                    + (
+                                        correction if correction > 0.0
+                                        else 0.0
+                                    )
+                                    <= budget_w
+                                ):
+                                    desired_index = i
+                                    break
+                            # ... then the tick's error against its own
+                            # state's estimate, folded into that state's
+                            # offset (observe_power).
+                            scale, alpha, beta = row[current_index]
+                            offsets[current_index] += gain * (
+                                measured - (alpha * (r0 * scale) + beta)
+                                - offsets[current_index]
+                            )
+                            if nearest[current_index] != current_index:
+                                # A first visit: the governor's dict keeps
+                                # the visit order (the tie rule's).
+                                governor._offsets[freq] = (
+                                    offsets[current_index]
+                                )
+                                nearest = _nearest_slots(
+                                    governor._offsets, gov_states
+                                )
                     if desired_index > current_index:
                         raise_streak = 0
                         pending_index = None
@@ -1439,6 +1532,11 @@ def run_fast(st, tel):
                         proj_rows = governor.projection_table().rows
                         budget_w = governor._limit - governor._guardband
                         row = proj_rows[current_index]
+                        if offsets is not None and not governor._offsets:
+                            # swap_model dropped the learned offsets.
+                            offsets, nearest = _offset_slots(
+                                governor, gov_states
+                            )
                 elif mode == 1:  # PowerSave
                     c1 = (pmc1 - pmc1_start) & _M40
                     r1 = c1 / cyc if cyc > 0 else 0.0
@@ -1467,8 +1565,7 @@ def run_fast(st, tel):
                     if elapsed <= 0:
                         utilization = 1.0
                     else:
-                        available = freq_1e6 * elapsed
-                        utilization = min(1.0, cyc / available)
+                        utilization = min(1.0, cyc / (freq_1e6 * elapsed))
                     if utilization >= up_threshold:
                         target_index = (
                             current_index - 1 if current_index > 0 else 0
@@ -1559,6 +1656,12 @@ def run_fast(st, tel):
                         # projection row (bitwise the same).
                         scale, alpha, beta = row[target_index]
                         estimate_w = alpha * (r0 * scale) + beta
+                        if offsets is not None:
+                            # The adaptive PM's, with the updated offsets.
+                            correction = offsets[nearest[target_index]]
+                            estimate_w += (
+                                correction if correction > 0.0 else 0.0
+                            )
                 if mode == 4:
                     # ---- rotate (MultiplexedCounterSampler: program the
                     # next group; PMU.program clears its counters) ----
@@ -1654,6 +1757,11 @@ def run_fast(st, tel):
                 if pending_index is not None
                 else None
             )
+            if offsets is not None:
+                _store_offsets(
+                    governor, gov_states, offsets, sampler,
+                    None if cyc is None else tick_freq,
+                )
         if observer is not None and not completed:
             # A failed run still publishes the ticks it ran; limit_w is
             # the last column a tick appends, so a torn tick is dropped.

@@ -11,7 +11,9 @@ FP/L2-heavy bursts) is corrected within a few samples.
 Requires a measured-power feed -- on the paper's platform this would
 mean exposing the DAQ readings to the control loop (the new-hardware
 investment their Foxton/ACPC comparisons make); in the reproduction the
-controller forwards each 10 ms meter sample via :meth:`observe_power`.
+tick kernel folds each 10 ms meter sample in as :meth:`observe_power`
+does (in its table mode, on offsets it keeps by p-state index) or calls
+:meth:`observe_power` (in hook mode).
 """
 
 from __future__ import annotations
@@ -25,6 +27,19 @@ from repro.core.governors.performance_maximizer import (
 from repro.core.models.power import LinearPowerModel
 from repro.core.sampling import CounterSample
 from repro.errors import GovernorError
+
+
+def nearest_visited(
+    offsets: dict[float, float], frequency_mhz: float
+) -> float:
+    """The visited frequency (a key of ``offsets``) whose correction a
+    p-state at ``frequency_mhz`` takes: its own once visited; otherwise
+    the nearest visited one (the paper's "scale measured power for
+    p-state changes" idea, in its simplest form), ties going to the one
+    visited first."""
+    if frequency_mhz in offsets:
+        return frequency_mhz
+    return min(offsets, key=lambda f: abs(f - frequency_mhz))
 
 
 class AdaptivePerformanceMaximizer(PerformanceMaximizer):
@@ -93,18 +108,10 @@ class AdaptivePerformanceMaximizer(PerformanceMaximizer):
         self, sample: CounterSample, current: PState, candidate: PState
     ) -> float:
         base = super().estimate_power(sample, current, candidate)
-        # Unvisited p-states borrow the correction of the nearest
-        # visited one (the paper's "scale measured power for p-state
-        # changes" idea, in its simplest form).
         if self._offsets:
-            if candidate.frequency_mhz in self._offsets:
-                correction = self._offsets[candidate.frequency_mhz]
-            else:
-                nearest = min(
-                    self._offsets,
-                    key=lambda f: abs(f - candidate.frequency_mhz),
-                )
-                correction = self._offsets[nearest]
+            correction = self._offsets[
+                nearest_visited(self._offsets, candidate.frequency_mhz)
+            ]
         else:
             correction = 0.0
         return base + max(0.0, correction)

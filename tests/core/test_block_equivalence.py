@@ -122,11 +122,12 @@ def test_last_decision_transition_adds_no_empty_residency():
 
 SPEC_SUITE = tuple(w.name for w in default_registry().spec_suite())
 
-#: Governors with a table mode (a stock PM, PS, DBS, fixed frequency,
-#: or the energy-optimal search over its two counter groups).
+#: Governors with a table mode (a stock or adaptive PM, PS, DBS, fixed
+#: frequency, or the energy-optimal search over its two counter groups).
 POWER_MODELS = st.sampled_from(("paper", "trained"))
 TABLE_GOVERNORS = st.one_of(
     st.builds(GovernorSpec.pm, st.floats(11.0, 18.0), POWER_MODELS),
+    st.builds(GovernorSpec.adaptive_pm, st.floats(11.0, 18.0), POWER_MODELS),
     st.sampled_from((0.2, 0.4, 0.6, 0.8)).map(GovernorSpec.ps),
     st.just(GovernorSpec.dbs()),
     st.sampled_from((600.0, 1400.0, 2000.0)).map(GovernorSpec.fixed),
@@ -160,17 +161,11 @@ def test_table_mode_matches_hook_mode(workload, threads, governor, seed,
     assert run_result_digest(table) == run_result_digest(hook)
 
 
-@pytest.mark.parametrize("governor", [
-    GovernorSpec.energy_optimal(), GovernorSpec.pm(14.5),
-], ids=["energy-optimal", "pm"])
-def test_observed_two_core_table_mode_matches_hook_mode(governor, tmp_path,
-                                                         monkeypatch):
-    """An observed two-core run writes the bundle (event hashes, trace,
-    metrics) of the same run in hook mode."""
-    plan = RunPlan(
-        ExperimentConfig(scale=0.5, seed=4, keep_trace=True),
-        (RunCell("ammp", governor, threads=2),),
-    )
+def _observed_bundles(cell, tmp_path, monkeypatch):
+    """The bundle records of ``cell`` observed in table mode, then in
+    hook mode."""
+    plan = RunPlan(ExperimentConfig(scale=0.5, seed=4, keep_trace=True),
+                   (cell,))
     records = []
     for name in ("table", "hook"):
         if name == "hook":
@@ -178,7 +173,37 @@ def test_observed_two_core_table_mode_matches_hook_mode(governor, tmp_path,
         with open_session(telemetry_dir=tmp_path / name) as session:
             (result,) = session.run_plan(plan)
         records.append(bundle_record(tmp_path / name, result))
-    assert records[0] == records[1]
+    return records
+
+
+@pytest.mark.parametrize("governor", [
+    GovernorSpec.energy_optimal(), GovernorSpec.pm(14.5),
+], ids=["energy-optimal", "pm"])
+def test_observed_two_core_table_mode_matches_hook_mode(governor, tmp_path,
+                                                         monkeypatch):
+    """An observed two-core run writes the bundle (event hashes, trace,
+    metrics) of the same run in hook mode."""
+    table, hook = _observed_bundles(
+        RunCell("ammp", governor, threads=2), tmp_path, monkeypatch
+    )
+    assert table == hook
+
+
+@pytest.mark.parametrize("cell", [
+    # Offsets learned at 2000 MHz, then 1600: a tie at 1800 takes 2000's.
+    RunCell("galgel", GovernorSpec.adaptive_pm(13.5, "paper")),
+    # From 1000 MHz up: a tie takes the slower state's offset.
+    RunCell("ammp", GovernorSpec.adaptive_pm(17.0), threads=2,
+            initial_frequency_mhz=1000.0),
+], ids=["single-core", "two-core"])
+def test_observed_adaptive_pm_table_mode_matches_hook_mode(cell, tmp_path,
+                                                           monkeypatch):
+    """An observed adaptive PM writes the bundle of the same run in hook
+    mode: each estimate takes the offset of the nearest visited state
+    (a tie goes to the state visited first), as the tick's
+    ``observe_power`` left them."""
+    table, hook = _observed_bundles(cell, tmp_path, monkeypatch)
+    assert table == hook
 
 
 def _adapting_run(cell, config, directory):
@@ -205,6 +230,7 @@ def _adapting_run(cell, config, directory):
             (result,) = session.run_plan(RunPlan(config, (cell,)))
     ((manager, governor),) = engaged
     rls = manager._rls
+    learned = getattr(governor, "_offsets", {})
     return len(decisions), {
         "digest": run_result_digest(result),
         "bundle": (
@@ -220,21 +246,27 @@ def _adapting_run(cell, config, directory):
         },
         "guardband_w": governor.guardband_w,
         "model": governor.model,
+        "offsets": list(learned.items()),
     }
 
 
-@pytest.mark.parametrize("seed,threads,observed", [
-    (0, 1, False), (1, 1, False), (0, 1, True), (1, 2, False),
-], ids=["seed0", "seed1", "observed", "two-core"])
+@pytest.mark.parametrize("seed,threads,observed,governor", [
+    (0, 1, False, GovernorSpec.pm(14.5)),
+    (1, 1, False, GovernorSpec.pm(14.5)),
+    (0, 1, True, GovernorSpec.pm(14.5)),
+    (1, 2, False, GovernorSpec.pm(14.5)),
+    (0, 1, True, GovernorSpec.adaptive_pm(14.5)),
+], ids=["seed0", "seed1", "observed", "two-core", "adaptive-pm"])
 def test_adapting_pm_table_mode_matches_hook_mode(seed, threads, observed,
-                                                  tmp_path, monkeypatch):
+                                                  governor, tmp_path,
+                                                  monkeypatch):
     """PM with online adaptation decides from the kernel's table, with
     the digest, telemetry bundle and adaptation state (registry, RLS
-    floats, the governor's model and guardband) of the same run deciding
-    on the objects.  Each of these galgel runs recalibrates."""
+    floats, the governor's model, guardband and an adaptive PM's learned
+    offsets, which a model swap drops) of the same run deciding on the
+    objects.  Each of these galgel runs recalibrates."""
     cell = RunCell(
-        "galgel", GovernorSpec.pm(14.5), adaptation=AdaptationConfig(),
-        threads=threads,
+        "galgel", governor, adaptation=AdaptationConfig(), threads=threads,
     )
     config = ExperimentConfig(scale=1.0, seed=seed, keep_trace=True)
     runs = {}
@@ -298,10 +330,26 @@ def _lane_state(core):
     }
 
 
+def _governor_state(governor):
+    """What the kernel writes back to a governor's decision state: a
+    PM's raise streak, an adaptive PM's learned offsets (in visit
+    order) and last decision, energy-optimal's last-known rates."""
+    return {
+        name: (
+            list(value.items()) if isinstance(value, dict) else value
+        )
+        for name, value in vars(governor).items()
+        if name in (
+            "_raise_streak", "_pending_raise", "_offsets", "_last_state",
+            "_last_sample", "_dpc", "_dcu",
+        )
+    }
+
+
 def _final_state(cell, config, monkeypatch):
     """A run's digest (or the error it ended on) and what it leaves in
     the objects the kernel writes back: every lane's full state, the
-    sampler and the governor's last-known rates."""
+    sampler and the governor's decision state."""
     states = []
     run_fast = blockloop.run_fast
 
@@ -326,10 +374,7 @@ def _final_state(cell, config, monkeypatch):
         # rotation's other group keeps an older one.
         "samplers": [s._last for s in samplers],
         "last_sample": sampler.last_sample,
-        "rates": (
-            getattr(st.governor, "_dpc", None),
-            getattr(st.governor, "_dcu", None),
-        ),
+        "governor": _governor_state(st.governor),
     }
 
 
@@ -338,6 +383,7 @@ def _final_state(cell, config, monkeypatch):
 #: tick (``_load`` / ``_store`` on each lane switch).
 EO = GovernorSpec.energy_optimal(power_model="paper")
 PM = GovernorSpec.pm(14.5, power_model="paper")
+APM = GovernorSpec.adaptive_pm(11.0, power_model="paper")
 OBJECT_CASES = {
     "energy-optimal": (EO, 1, 600.0, (
         "368c56f44ba7b96fa894529eab39408ab5bba84ca0e56952bdb4a2ddc72d5709"
@@ -364,6 +410,17 @@ OBJECT_CASES = {
     "pm-t3-raise": (PM, 3, 0.05, (
         "f39deca354d66692e1ddd3ce621b0287bbb993647c2aba87a8d7ec455c4fb4ff"
     )),
+    # An adaptive PM that learns offsets for 2000, 1400 and 1600 MHz, in
+    # that order.
+    "adaptive-pm": (APM, 1, 600.0, (
+        "1059f525d6e6b634074b4bfafbffcd4cbdae7dfab2fd775269a7bd5cfc17de5c"
+    )),
+    "adaptive-pm-raise": (APM, 1, 0.05, (
+        "d315f650dae4791f1bc93180c6a956b3784a2892d7444e6f5ca3b1a8972f9796"
+    )),
+    "adaptive-pm-t2-raise": (APM, 2, 0.05, (
+        "c8f38ba4e7940e243ae11dc79971840ae78e7561c3a02058d6b07ba4d74b73ef"
+    )),
 }
 
 
@@ -384,8 +441,9 @@ def test_table_mode_leaves_the_objects_of_hook_mode(governor, threads,
     """Table mode keeps a package's lanes in the kernel between ticks
     and writes them back at the exit, also on the ``max_seconds`` raise;
     hook mode writes them before every decision.  Both leave every
-    lane's objects as the other does, and as the per-tick round trip
-    through the objects left them."""
+    lane's objects (and the governor's decision state) as the other
+    does, and the lanes as the per-tick round trip through the objects
+    left them."""
     cell = RunCell("galgel", governor, threads=threads)
     config = ExperimentConfig(scale=0.3, seed=6, max_seconds=max_seconds)
     table = _final_state(cell, config, monkeypatch)

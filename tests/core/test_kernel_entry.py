@@ -116,13 +116,13 @@ def test_pm_mixed_multicore_variants_enter_kernel(spies):
 
 
 @pytest.mark.parametrize("plan,table", [
-    # Per workload: faults (hook), adaptation (table), adaptive PM (hook).
-    (PM_MIXED, [False, True, False] * 2),
+    # Per workload: faults (hook), adaptation (table), adaptive PM (table).
+    (PM_MIXED, [False, True, True] * 2),
     (PM_MIXED_MULTICORE, [True] * len(PM_MIXED_MULTICORE)),
 ], ids=["single-core-hooks", "multicore"])
 def test_pm_mixed_decision_modes(plan, table, monkeypatch):
-    """PM with online adaptation and the two-core PM and energy-optimal
-    cells decide from the kernel's tables; faults and adaptive PM take
+    """PM with online adaptation, adaptive PM and the two-core PM and
+    energy-optimal cells decide from the kernel's tables; faults take
     hook mode.  A silent fall back to hook mode shows here, not only as
     time."""
     modes = []

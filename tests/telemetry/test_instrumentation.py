@@ -273,9 +273,11 @@ class TestRunnerIntegration:
 
     @pytest.mark.parametrize("cell", [
         RunCell(workload="gzip", governor=GovernorSpec.pm(14.5)),
-        RunCell(workload="gzip", governor=GovernorSpec.adaptive_pm(14.5)),
+        # EnergyDelayOptimizer rotates counter groups: hook mode.
+        RunCell(workload="gzip", governor=GovernorSpec.edp()),
         RunCell(workload="gzip", governor=GovernorSpec.pm(14.5), threads=2),
-    ], ids=["table", "hooked", "multicore"])
+        RunCell(workload="gzip", governor=GovernorSpec.adaptive_pm(14.5)),
+    ], ids=["table", "hooked", "multicore", "adaptive-pm"])
     def test_failed_run_publishes_the_ticks_it_ran(self, tmp_path, cell):
         config = ExperimentConfig(scale=1.0, max_seconds=0.1)
         with pytest.raises(ExperimentError, match="exceeded"):
